@@ -149,8 +149,9 @@ def parse_samples(source: str | Iterable[str]) -> list[SampleRecord]:
     Raises
     ------
     SampleParseError
-        On a malformed header, a malformed row, or a field that violates a
-        record invariant; the error names the row number and column.
+        On a malformed header, a malformed row, a field that violates a
+        record invariant, or an id already used by an earlier row; the error
+        names the row number and column.
     """
     if isinstance(source, str):
         source = io.StringIO(source)
@@ -167,6 +168,7 @@ def parse_samples(source: str | Iterable[str]) -> list[SampleRecord]:
         )
 
     records: list[SampleRecord] = []
+    first_row: dict[str, int] = {}
     for offset, cells in enumerate(reader):
         row = offset + 2
         if not cells or all(cell.strip() == "" for cell in cells):
@@ -179,6 +181,9 @@ def parse_samples(source: str | Iterable[str]) -> list[SampleRecord]:
         rec_id = cells[0].strip()
         if rec_id == "":
             raise SampleParseError(row, "id", "id must not be empty")
+        if rec_id in first_row:
+            raise SampleParseError(row, "id", f"duplicate id {rec_id!r}, first used in row {first_row[rec_id]}")
+        first_row[rec_id] = row
         try:
             record = SampleRecord(
                 id=rec_id,

@@ -26,6 +26,9 @@ DEFAULT_THRESHOLD = 0.85
 #: neighbour weights, so this only fixes the scale of reported distances.
 IQR_WEIGHT_SCALE = 10.0
 
+#: Distances held by one block of the neighbour search: 2**17 float64, 1 MiB.
+BLOCK_ELEMENTS = 2 ** 17
+
 
 class ZeroIqrError(ValueError):
     """A distance variable has zero interquartile range, so no weight exists."""
@@ -113,15 +116,90 @@ def compute_weights(records: Sequence[SampleRecord], variables: Sequence[str]) -
 
 
 def statistical_distance(a: SampleRecord, b: SampleRecord, weights: DistanceWeights) -> float:
-    """Weighted Euclidean distance between two records over the active variables."""
+    """Weighted Euclidean distance between two records over the active variables.
+
+    Squares are taken as ``d * d``, which is correctly rounded (``d ** 2``
+    goes through libm ``pow``), so this agrees bit for bit with the blocked
+    neighbour kernel.
+    """
     total = 0.0
     for var, w in weights.by_variable.items():
         va = getattr(a, var)
         vb = getattr(b, var)
         if va is None or vb is None:
             raise ValueError(f"distance variable {var} missing from record {a.id if va is None else b.id}")
-        total += (w * (va - vb)) ** 2
+        d = w * (va - vb)
+        total += d * d
     return math.sqrt(total)
+
+
+def _check_neighbour_count(k: int, n: int) -> None:
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if n < k + 1:
+        raise ValueError(f"need at least {k + 1} records for k={k}, got {n}")
+
+
+def _distance_columns(records: Sequence[SampleRecord], weights: DistanceWeights) -> list[tuple[float, np.ndarray]]:
+    """(weight, values) per distance variable, in ``weights.by_variable`` order."""
+    columns = []
+    for var, w in weights.by_variable.items():
+        values = [getattr(rec, var) for rec in records]
+        if None in values:
+            raise ValueError(f"distance variable {var} missing from record {records[values.index(None)].id}")
+        columns.append((w, np.array(values, dtype=float)))
+    return columns
+
+
+def _nearest(rows: np.ndarray, columns: list[tuple[float, np.ndarray]], k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices and distances of the k nearest records to each record in ``rows``.
+
+    Builds the (rows x n) distance block variable by variable, excludes each
+    row's own record, and orders neighbours by (distance, index): every
+    column within the k-th smallest distance is kept, so ties at that
+    distance are all candidates, and a lexsort picks the first k.
+    """
+    m = len(rows)
+    acc = np.zeros((m, len(columns[0][1])))
+    for w, col in columns:
+        d = col[rows, None] - col
+        d *= w
+        d *= d
+        acc += d
+    dist = np.sqrt(acc, out=acc)
+    dist[np.arange(m), rows] = np.inf
+    kth = np.partition(dist, k - 1, axis=1)[:, k - 1]
+    r, c = np.nonzero(dist <= kth[:, None])
+    dc = dist[r, c]
+    order = np.lexsort((c, dc, r))
+    take = order[np.searchsorted(r, np.arange(m))[:, None] + np.arange(k)]
+    return c[take], dc[take]
+
+
+def _relative_error(
+    index: int,
+    neighbors: list[int],
+    dists: np.ndarray,
+    deps: Sequence[float | None],
+    dependent: str,
+) -> tuple[float, list[float]]:
+    """R value and neighbour weights of one record from its ordered neighbours."""
+    k = len(neighbors)
+    total = float(dists.sum())
+    if k == 1 or total == 0.0:
+        # Limit of the weight formula as distances coincide (or single neighbour).
+        w = np.full(k, 1.0 / k)
+    else:
+        w = (total - dists) / ((k - 1) * total)
+
+    dep_i = deps[index]
+    dep_list = [deps[j] for j in neighbors]
+    if dep_i is None or any(v is None for v in dep_list):
+        raise ValueError(f"dependent variable {dependent} missing from record or neighbours")
+    dep_n = np.array(dep_list, dtype=float)
+    numerator = float(w @ np.abs(dep_i - dep_n))
+    denominator = min(float(dep_n.mean()), dep_i)
+    return numerator / denominator, w.tolist()
 
 
 def weighted_relative_error(
@@ -141,36 +219,17 @@ def weighted_relative_error(
     dependent values by the smaller of the test record's dependent value and
     the unweighted neighbour mean.
 
-    Returns (R, neighbour indices, neighbour weights).
+    This is a one-row call of the kernel ``detect_outliers`` runs over
+    every record. Returns (R, neighbour indices, neighbour weights).
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
     n = len(records)
-    if n < k + 1:
-        raise ValueError(f"need at least {k + 1} records for k={k}, got {n}")
-    rec = records[index]
-    dist_index = sorted(
-        (statistical_distance(rec, records[j], weights), j)
-        for j in range(n) if j != index
-    )
-    neighbors = [j for _, j in dist_index[:k]]
-    dists = np.array([d for d, _ in dist_index[:k]])
-
-    total = float(dists.sum())
-    if k == 1 or total == 0.0:
-        # Limit of the weight formula as distances coincide (or single neighbour).
-        w = np.full(k, 1.0 / k)
-    else:
-        w = (total - dists) / ((k - 1) * total)
-
-    dep_i = getattr(rec, dependent)
-    dep_list = [getattr(records[j], dependent) for j in neighbors]
-    if dep_i is None or any(v is None for v in dep_list):
-        raise ValueError(f"dependent variable {dependent} missing from record or neighbours")
-    dep_n = np.array(dep_list, dtype=float)
-    numerator = float(w @ np.abs(dep_i - dep_n))
-    denominator = min(float(dep_n.mean()), dep_i)
-    return numerator / denominator, neighbors, [float(x) for x in w]
+    _check_neighbour_count(k, n)
+    index = range(n)[index]
+    idx, dist = _nearest(np.array([index]), _distance_columns(records, weights), k)
+    neighbors = idx[0].tolist()
+    deps = [getattr(rec, dependent) for rec in records]
+    r, w = _relative_error(index, neighbors, dist[0], deps, dependent)
+    return r, neighbors, w
 
 
 def detect_outliers(
@@ -184,16 +243,32 @@ def detect_outliers(
     Distance weights are computed once from the full dataset (outliers
     included), every record's R value is computed against the full remaining
     dataset, and all records with R > threshold are flagged at once.
+
+    The neighbour search is exact brute force: O(n^2 * d) arithmetic for d
+    distance variables, done in NumPy over blocks of rows so that one block
+    holds about ``BLOCK_ELEMENTS`` distances whatever n is. Distances use
+    correctly rounded squares, so they agree bit for bit with
+    ``statistical_distance``.
     """
+    n = len(records)
+    _check_neighbour_count(k, n)
+    if math.isnan(threshold):
+        raise ValueError("threshold must not be NaN")
     weights = compute_weights(records, kind.independent_vars)
+    columns = _distance_columns(records, weights)
+    deps = [getattr(rec, kind.dependent_var) for rec in records]
     r_values: list[float] = []
     neighbor_indices: list[list[int]] = []
     neighbor_weights: list[list[float]] = []
-    for i in range(len(records)):
-        r, neighbors, w = weighted_relative_error(i, records, weights, k, kind.dependent_var)
-        r_values.append(r)
-        neighbor_indices.append(neighbors)
-        neighbor_weights.append(w)
+    step = max(1, BLOCK_ELEMENTS // n)
+    for start in range(0, n, step):
+        rows = np.arange(start, min(start + step, n))
+        idx, dist = _nearest(rows, columns, k)
+        for i, neighbors, dists in zip(rows.tolist(), idx.tolist(), dist):
+            r, w = _relative_error(i, neighbors, dists, deps, kind.dependent_var)
+            r_values.append(r)
+            neighbor_indices.append(neighbors)
+            neighbor_weights.append(w)
     return OutlierReport(
         ids=[rec.id for rec in records],
         r_values=r_values,

@@ -34,19 +34,29 @@ def naive_loo_errors(records, spec) -> list[float]:
     return errors
 
 
-def naive_r_values(records, variables, dependent, k) -> np.ndarray:
-    """Brute-force weighted relative errors for the K-NN outlier screen."""
+def naive_neighbours(records, variables, k) -> list[tuple[list[int], np.ndarray]]:
+    """Brute-force K-NN: each record's k neighbours and their distances.
+
+    Neighbours come in stable ``argsort`` order of the distance, so ties
+    go to the lower record index.
+    """
     vals = np.array([[getattr(r, v) for v in variables] for r in records], dtype=float)
     q1 = np.percentile(vals, 25, axis=0)
     q3 = np.percentile(vals, 75, axis=0)
     w = 10.0 / (q3 - q1)
-    dep = np.array([getattr(r, dependent) for r in records], dtype=float)
-    n = len(records)
     out = []
-    for i in range(n):
+    for i in range(len(records)):
         d = np.sqrt((((vals - vals[i]) * w) ** 2).sum(axis=1))
-        order = [j for j in np.argsort(d, kind="stable") if j != i][:k]
-        dist = d[order]
+        order = [int(j) for j in np.argsort(d, kind="stable") if j != i][:k]
+        out.append((order, d[order]))
+    return out
+
+
+def naive_r_values(records, variables, dependent, k) -> np.ndarray:
+    """Brute-force weighted relative errors for the K-NN outlier screen."""
+    dep = np.array([getattr(r, dependent) for r in records], dtype=float)
+    out = []
+    for i, (order, dist) in enumerate(naive_neighbours(records, variables, k)):
         total = dist.sum()
         if k == 1 or total == 0.0:
             wr = np.full(k, 1.0 / k)

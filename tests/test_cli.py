@@ -90,6 +90,14 @@ class TestClean:
         rejected = read_csv(out / "rejections.csv")
         assert [row["reason"] for row in rejected] == ["duplicate"]
 
+    def test_duplicate_id_exit_code_1(self, tmp_path, capsys):
+        records = synthetic_records(n=5, seed=41)
+        path = write_samples(tmp_path / "dup.csv", records + [records[2]])
+        assert main(["clean", "--input", path, "--kind", "pl",
+                     "--output-dir", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "parse stage" in err and f"duplicate id '{records[2].id}', first used in row 4" in err
+
     def test_missing_file_exit_code_2(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.csv")
         assert main(["clean", "--input", missing, "--kind", "pl",
@@ -160,6 +168,13 @@ class TestOutlierStage:
         assert main(["outliers", "--input", path, "--kind", "vl",
                      "--threshold", "inf", "--output-dir", str(out)]) == 0
         assert "flagged 0 of 25" in capsys.readouterr().err
+
+    def test_nan_threshold_exit_code_1(self, tmp_path, capsys):
+        path = write_samples(tmp_path / "planted.csv", planted_outlier_records())
+        assert main(["outliers", "--input", path, "--kind", "vl",
+                     "--threshold", "nan", "--output-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "outlier-detection stage: threshold must not be NaN" in err
 
 
 class TestCompare:

@@ -69,6 +69,13 @@ class TestParseSamples:
         with pytest.raises(SampleParseError, match="row 2"):
             parse_samples(HEADER + "\ns1,Barnett,-4.0,1.5,48,,5.0,2.0\n")
 
+    def test_duplicate_id_names_first_row(self):
+        text = (HEADER + "\ns1,Barnett,4.0,1.5,48,,5.0,2.0\ns2,Barnett,5.0,1.5,48,,5.0,2.0"
+                "\ns1,Barnett,6.0,1.5,48,,5.0,2.0\n")
+        with pytest.raises(SampleParseError, match="row 4, column id: duplicate id 's1', first used in row 2") as info:
+            parse_samples(text)
+        assert (info.value.row, info.value.column) == (4, "id")
+
     def test_blank_lines_skipped(self):
         records = parse_samples(HEADER + "\n\ns1,Barnett,4.0,,48,,,\n\n")
         assert [r.id for r in records] == ["s1"]

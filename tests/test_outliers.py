@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from shale_adsorb.dataset import DatasetKind
 from shale_adsorb.outliers import (
+    BLOCK_ELEMENTS,
     DistanceWeights,
     ZeroIqrError,
     compute_weights,
@@ -16,7 +18,7 @@ from shale_adsorb.outliers import (
     weighted_relative_error,
 )
 from conftest import make_record
-from helpers import naive_r_values
+from helpers import naive_neighbours, naive_r_values
 
 
 class TestQuartiles:
@@ -242,6 +244,18 @@ class TestDetectOutliers:
         for rec_id, r in zip(report.ids, report.r_values):
             assert by_id[rec_id] == pytest.approx(r, rel=1e-12)
 
+    def test_k_checked_up_front(self):
+        records = _clone_cloud_with_planted_outlier()
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            detect_outliers(records, DatasetKind.VL, k=0)
+        with pytest.raises(ValueError, match=f"need at least {len(records) + 1} records"):
+            detect_outliers(records, DatasetKind.VL, k=len(records))
+
+    def test_nan_threshold_rejected(self):
+        records = _clone_cloud_with_planted_outlier()
+        with pytest.raises(ValueError, match="threshold must not be NaN"):
+            detect_outliers(records, DatasetKind.VL, threshold=math.nan)
+
     def test_zero_iqr_propagates(self):
         records = [make_record(i, toc=4.0, temp=float(40 + i), vl=2.0 + 0.1 * i) for i in range(8)]
         with pytest.raises(ZeroIqrError, match="toc"):
@@ -267,3 +281,90 @@ class TestDetectOutliers:
         assert len(first[3].split(";")) == report.k
         weights = [float(w) for w in first[4].split(";")]
         assert sum(weights) == pytest.approx(1.0, abs=1e-12)
+
+
+def _tied_pl_records(n=640):
+    """PL records on a coarse lattice plus exact duplicates, so distances tie often."""
+    rng = np.random.default_rng(5)
+    records = []
+    for i in range(n):
+        if i % 7 == 6:
+            src = records[int(rng.integers(len(records)))]
+            toc, temp, ro = src.toc, src.temp, src.ro
+        else:
+            toc = float(rng.integers(1, 9))
+            temp = 30.0 + 5.0 * float(rng.integers(0, 10))
+            ro = 0.5 * float(rng.integers(2, 8))
+        records.append(make_record(i, toc=toc, temp=temp, ro=ro, pl=float(rng.uniform(2, 9))))
+    return records
+
+
+class TestBlockedKernelExactness:
+    """The blocked kernel against a one-row call and a brute-force argsort."""
+
+    @pytest.fixture(scope="class")
+    def records(self):
+        records = _tied_pl_records()
+        # the rows must span several blocks of the neighbour search
+        assert len(records) > 2 * (BLOCK_ELEMENTS // len(records))
+        return records
+
+    @pytest.mark.parametrize("k", [1, 5, 12, 639])
+    def test_neighbours_match_stable_argsort(self, records, k):
+        report = detect_outliers(records, DatasetKind.PL, k=k)
+        wider = naive_neighbours(records, ("temp", "toc", "ro"), min(k + 1, len(records) - 1))
+        assert report.neighbor_indices == [order[:k] for order, _ in wider]
+        if k < len(records) - 1:
+            # some record has a tie straddling its k-th neighbour
+            assert any(dist[k - 1] == dist[k] for _, dist in wider)
+        naive = naive_r_values(records, ("temp", "toc", "ro"), "pl", k)
+        assert report.r_values == pytest.approx(list(naive), rel=1e-12)
+
+    @pytest.mark.parametrize("k", [1, 5, 12, 639])
+    def test_every_row_equals_single_row_call(self, records, k):
+        report = detect_outliers(records, DatasetKind.PL, k=k)
+        weights = compute_weights(records, DatasetKind.PL.independent_vars)
+        for i in range(len(records)):
+            r, neighbors, w = weighted_relative_error(i, records, weights, k, "pl")
+            assert r == report.r_values[i]
+            assert neighbors == report.neighbor_indices[i]
+            assert w == report.neighbor_weights[i]
+
+
+_vl_rows = st.lists(
+    st.tuples(st.floats(1.0, 17.0), st.floats(20.0, 89.0), st.floats(1.1, 5.0)),
+    min_size=7, max_size=40,
+)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(rows=_vl_rows, data=st.data())
+def test_row_permutation_keeps_r_flags_and_neighbour_sets(rows, data):
+    records = [make_record(i, toc=toc, temp=temp, vl=vl) for i, (toc, temp, vl) in enumerate(rows)]
+    try:
+        weights = compute_weights(records, DatasetKind.VL.independent_vars)
+    except ZeroIqrError:
+        assume(False)
+    perm = data.draw(st.permutations(range(len(records))))
+    base = detect_outliers(records, DatasetKind.VL)
+    moved = detect_outliers([records[j] for j in perm], DatasetKind.VL)
+    moved_by_id = {
+        rec_id: (r, flag, {moved.ids[j] for j in neighbors})
+        for rec_id, r, flag, neighbors in zip(moved.ids, moved.r_values, moved.flagged,
+                                              moved.neighbor_indices)
+    }
+    for i, rec in enumerate(records):
+        r, flag, moved_set = moved_by_id[rec.id]
+        base_set = {records[j].id for j in base.neighbor_indices[i]}
+        kth = max(statistical_distance(rec, records[j], weights) for j in base.neighbor_indices[i])
+        tied = {other.id for other in records
+                if other is not rec and statistical_distance(rec, other, weights) == kth}
+        # neighbours strictly closer than the k-th distance never change;
+        # the rest come from the records tied at that distance
+        assert base_set - tied == moved_set - tied
+        assert moved_set <= base_set | tied
+        if tied <= base_set:
+            assert moved_set == base_set
+            assert r == pytest.approx(base.r_values[i], rel=1e-12)
+            if abs(r - base.threshold) > 1e-9:
+                assert flag == base.flagged[i]
