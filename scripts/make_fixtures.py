@@ -16,7 +16,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from shale_adsorb.dataset import DatasetKind, SampleRecord, clean_pl, clean_vl, records_to_csv
+from shale_adsorb.dataset import DatasetKind, SampleRecord, clean, records_to_csv
 from shale_adsorb.estimator import reference_models
 from shale_adsorb.outliers import detect_outliers
 
@@ -59,8 +59,8 @@ def make_samples() -> list[SampleRecord]:
 
 
 def check_samples(records: list[SampleRecord]) -> None:
-    assert len(clean_pl(records).rejected) == 0
-    assert len(clean_vl(records).rejected) == 0
+    for kind in (DatasetKind.PL, DatasetKind.VL):
+        assert len(clean(records, kind).rejected) == 0
     pools = {
         "high-t": sum(1 for r in records if r.temp > 65),
         "high-toc": sum(1 for r in records if r.toc > 5),

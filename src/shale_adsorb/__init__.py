@@ -8,17 +8,13 @@ estimator, plus inverse-distance interpolation of temperature gradients.
 from .dataset import (
     CleaningOutcome,
     DatasetKind,
-    DimensionlessVars,
     SampleParseError,
     SampleRecord,
     clean,
-    clean_pl,
-    clean_vl,
     correlation_table,
     integrate_replicates,
     parse_samples,
     pearson_correlation,
-    to_dimensionless,
 )
 from .estimator import (
     EstimateRow,

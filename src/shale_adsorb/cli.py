@@ -11,8 +11,6 @@ files, so runs are reproducible byte for byte.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import logging
 import os
 import sys
@@ -133,27 +131,16 @@ def cmd_validate(args: argparse.Namespace) -> int:
     model, records = _run_fit_stage(args, out)
     report = _stage("leave-one-out", validation.loo_cv, records, model.spec, ci_level=args.ci_level)
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["id", "error_pct"])
-    for rec, error in zip(records, report.errors_pct):
-        writer.writerow([rec.id, repr(error)])
-    _write(out / "loo_errors.csv", buf.getvalue())
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["expected", "observed"])
-    for expected, observed in report.qq_pairs:
-        writer.writerow([repr(expected), repr(observed)])
-    _write(out / "qq.csv", buf.getvalue())
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["stat", "value"])
-    for name in ("mean_error_pct", "ci_half_width_pct", "abs_mean_error_pct",
-                 "abs_ci_half_width_pct", "ci_level", "n"):
-        writer.writerow([name, repr(getattr(report, name))])
-    _write(out / "validation_summary.csv", buf.getvalue())
+    _write(out / "loo_errors.csv", dataset.write_csv(
+        ("id", "error_pct"),
+        ([rec.id, repr(error)] for rec, error in zip(records, report.errors_pct))))
+    _write(out / "qq.csv", dataset.write_csv(
+        ("expected", "observed"),
+        ([repr(expected), repr(observed)] for expected, observed in report.qq_pairs)))
+    summary = ("mean_error_pct", "ci_half_width_pct", "abs_mean_error_pct",
+               "abs_ci_half_width_pct", "ci_level", "n")
+    _write(out / "validation_summary.csv", dataset.write_csv(
+        ("stat", "value"), ([name, repr(getattr(report, name))] for name in summary)))
 
     _say(f"validate: mean error {report.mean_error_pct:.2f}% "
          f"(+/- {report.ci_half_width_pct:.2f}%), mean |error| {report.abs_mean_error_pct:.2f}% "
@@ -187,8 +174,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     else:
         if not (args.pl_model and args.vl_model):
             raise ValueError("estimate needs --paper-coefficients or both --pl-model and --vl-model")
-        pl_model = model_from_text(_read_text(args.pl_model))
-        vl_model = model_from_text(_read_text(args.vl_model))
+        pl_model = _stage("model", model_from_text, _read_text(args.pl_model))
+        vl_model = _stage("model", model_from_text, _read_text(args.vl_model))
         if pl_model.spec.dependent_var != "pl" or vl_model.spec.dependent_var != "vl":
             raise ValueError("--pl-model must predict pl and --vl-model must predict vl")
 
@@ -222,7 +209,7 @@ def cmd_idw(args: argparse.Namespace) -> int:
     else:
         lon_min, lon_max, lat_min, lat_max, n_lon, n_lat = args.grid
         rows = _stage("interpolate", geotemp.interpolate_grid, usable,
-                      lon_min, lon_max, lat_min, lat_max, int(n_lon), int(n_lat),
+                      lon_min, lon_max, lat_min, lat_max, n_lon, n_lat,
                       power=args.idw_power, max_neighbors=args.max_neighbors)
     _write(out / "idw.csv", geotemp.grid_to_csv(rows))
     return 0

@@ -93,15 +93,6 @@ class SampleRecord:
         return (self.reservoir, self.toc, self.ro, self.temp, self.porosity, self.pl, self.vl)
 
 
-@dataclass(frozen=True)
-class DimensionlessVars:
-    """Regressor inputs normalised by the dataset-wide mean values."""
-
-    toc_star: float
-    t_star: float
-    ro_star: float | None = None
-
-
 @dataclass
 class CleaningOutcome:
     """Partition of the input records into kept and (record, reason) rejections."""
@@ -204,14 +195,63 @@ def parse_samples(source: str | Iterable[str]) -> list[SampleRecord]:
     return records
 
 
-def records_to_csv(records: Sequence[SampleRecord]) -> str:
-    """Serialise records back to the samples-CSV schema."""
+def write_csv(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
+    """CSV text of a header row and data rows, with ``\\n`` line ends.
+
+    Every CSV file the package writes goes through here, so all of them
+    share one dialect.
+    """
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(SAMPLES_CSV_COLUMNS)
-    for rec in records:
-        writer.writerow(_record_cells(rec))
+    writer.writerow(header)
+    writer.writerows(rows)
     return out.getvalue()
+
+
+def read_key_value_blocks(
+    text: str,
+    label: str,
+    keys: set[str] | None = None,
+    block_key: str | None = None,
+) -> list[dict[str, str]]:
+    """Parse ``key=value`` lines into blocks; ``#`` starts a comment line.
+
+    Without ``block_key`` the whole text is one block and blank lines are
+    ignored. With it, a blank line ends a block and a ``block_key`` entry
+    starts a new one. A key outside ``keys`` (when given) or repeated within
+    a block is an error naming ``label`` and the line number.
+    """
+    blocks: list[dict[str, str]] = []
+    current: dict[str, str] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            if block_key is not None and current:
+                blocks.append(current)
+                current = {}
+            continue
+        if line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValueError(f"{label} line {lineno}: expected key=value, got {raw!r}")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if keys is not None and key not in keys:
+            raise ValueError(f"{label} line {lineno}: unknown key {key!r}")
+        if key == block_key and current:
+            blocks.append(current)
+            current = {}
+        if key in current:
+            raise ValueError(f"{label} line {lineno}: duplicate key {key!r} in block")
+        current[key] = value.strip()
+    if current:
+        blocks.append(current)
+    return blocks
+
+
+def records_to_csv(records: Sequence[SampleRecord]) -> str:
+    """Serialise records back to the samples-CSV schema."""
+    return write_csv(SAMPLES_CSV_COLUMNS, (_record_cells(rec) for rec in records))
 
 
 def _record_cells(rec: SampleRecord) -> list[str]:
@@ -224,12 +264,8 @@ def _record_cells(rec: SampleRecord) -> list[str]:
 
 def rejections_to_csv(rejected: Sequence[tuple[SampleRecord, str]]) -> str:
     """Serialise (record, reason) pairs as samples-CSV rows plus a reason column."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(list(SAMPLES_CSV_COLUMNS) + ["reason"])
-    for rec, reason in rejected:
-        writer.writerow(_record_cells(rec) + [reason])
-    return out.getvalue()
+    return write_csv(SAMPLES_CSV_COLUMNS + ("reason",),
+                     (_record_cells(rec) + [reason] for rec, reason in rejected))
 
 
 def integrate_replicates(records: Sequence[SampleRecord]) -> tuple[list[SampleRecord], list[SampleRecord]]:
@@ -251,69 +287,47 @@ def integrate_replicates(records: Sequence[SampleRecord]) -> tuple[list[SampleRe
     return unique, dropped
 
 
-def clean_pl(records: Sequence[SampleRecord]) -> CleaningOutcome:
-    """Keep records usable for Langmuir-pressure fitting.
-
-    A record is kept when pl, ro, toc and temp are all present and
-    temp < 90, ro < 4, 1 <= toc <= 17 and 1.5 < pl < 12. Rejections carry
-    the first failing reason code in the fixed order: presence, temp, ro,
-    toc, value range.
-    """
-    kept: list[SampleRecord] = []
-    rejected: list[tuple[SampleRecord, str]] = []
-    for rec in records:
-        if rec.pl is None or rec.ro is None:
-            rejected.append((rec, REASON_MISSING))
-        elif not rec.temp < 90.0:
-            rejected.append((rec, REASON_TEMP))
-        elif not rec.ro < 4.0:
-            rejected.append((rec, REASON_RO))
-        elif not 1.0 <= rec.toc <= 17.0:
-            rejected.append((rec, REASON_TOC))
-        elif not 1.5 < rec.pl < 12.0:
-            rejected.append((rec, REASON_PL))
-        else:
-            kept.append(rec)
-    return CleaningOutcome(kept, rejected)
-
-
-def clean_vl(records: Sequence[SampleRecord]) -> CleaningOutcome:
-    """Keep records usable for Langmuir-volume fitting.
-
-    A record is kept when vl, toc and temp are present and temp < 90,
-    1 <= toc <= 17 and vl > 1.
-    """
-    kept: list[SampleRecord] = []
-    rejected: list[tuple[SampleRecord, str]] = []
-    for rec in records:
-        if rec.vl is None:
-            rejected.append((rec, REASON_MISSING))
-        elif not rec.temp < 90.0:
-            rejected.append((rec, REASON_TEMP))
-        elif not 1.0 <= rec.toc <= 17.0:
-            rejected.append((rec, REASON_TOC))
-        elif not rec.vl > 1.0:
-            rejected.append((rec, REASON_VL))
-        else:
-            kept.append(rec)
-    return CleaningOutcome(kept, rejected)
+# Per-kind cleaning rules: (reason code, keep-test) in evaluation order. A
+# record is rejected with the reason of the first test it fails.
+_TEMP_RULE = (REASON_TEMP, lambda rec: rec.temp < 90.0)
+_TOC_RULE = (REASON_TOC, lambda rec: 1.0 <= rec.toc <= 17.0)
+_CLEANING_RULES = {
+    DatasetKind.PL: (
+        (REASON_MISSING, lambda rec: rec.pl is not None and rec.ro is not None),
+        _TEMP_RULE,
+        (REASON_RO, lambda rec: rec.ro < 4.0),
+        _TOC_RULE,
+        (REASON_PL, lambda rec: 1.5 < rec.pl < 12.0),
+    ),
+    DatasetKind.VL: (
+        (REASON_MISSING, lambda rec: rec.vl is not None),
+        _TEMP_RULE,
+        _TOC_RULE,
+        (REASON_VL, lambda rec: rec.vl > 1.0),
+    ),
+}
 
 
 def clean(records: Sequence[SampleRecord], kind: DatasetKind) -> CleaningOutcome:
-    """Apply the cleaning filter matching the dataset kind."""
-    return clean_pl(records) if kind is DatasetKind.PL else clean_vl(records)
+    """Keep the records usable for fitting the dataset kind.
 
-
-def to_dimensionless(record: SampleRecord) -> DimensionlessVars:
-    """Normalise a record's regressor inputs by the dataset-wide means."""
-    if record.toc is None or record.temp is None:
-        raise ValueError("record must have toc and temp to be made dimensionless")
-    ro_star = None if record.ro is None else record.ro / RO_NORM_PCT
-    return DimensionlessVars(
-        toc_star=record.toc / TOC_NORM_PCT,
-        t_star=record.temp / TEMP_NORM_C,
-        ro_star=ro_star,
-    )
+    A pressure record is kept when pl, ro, toc and temp are all present and
+    temp < 90, ro < 4, 1 <= toc <= 17 and 1.5 < pl < 12; a volume record when
+    vl, toc and temp are present and temp < 90, 1 <= toc <= 17 and vl > 1.
+    Rejections carry the first failing reason code in the fixed order:
+    presence, temp, ro, toc, value range.
+    """
+    rules = _CLEANING_RULES[kind]
+    kept: list[SampleRecord] = []
+    rejected: list[tuple[SampleRecord, str]] = []
+    for rec in records:
+        for reason, keep in rules:
+            if not keep(rec):
+                rejected.append((rec, reason))
+                break
+        else:
+            kept.append(rec)
+    return CleaningOutcome(kept, rejected)
 
 
 def pearson_correlation(x: Sequence[float], y: Sequence[float]) -> float:

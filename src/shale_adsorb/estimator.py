@@ -7,13 +7,11 @@ pressure scaled by a pressure coefficient.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .dataset import SampleRecord
+from .dataset import SampleRecord, read_key_value_blocks, write_csv
 from .regression import FittedModel, ModelKind, ModelSpec
 
 WATER_DENSITY_T_PER_M3 = 1.0
@@ -198,16 +196,11 @@ def estimate_reservoir(
 
 
 def estimates_to_csv(rows: Sequence[EstimateRow]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(ESTIMATES_CSV_COLUMNS)
-    for row in rows:
-        writer.writerow([
-            row.reservoir, repr(row.depth_m), repr(row.toc_pct), repr(row.ro_pct),
-            repr(row.temp_c), repr(row.pressure_mpa), repr(row.adsorbed_m3t),
-            ";".join(row.warnings),
-        ])
-    return out.getvalue()
+    return write_csv(ESTIMATES_CSV_COLUMNS, ([
+        row.reservoir, repr(row.depth_m), repr(row.toc_pct), repr(row.ro_pct),
+        repr(row.temp_c), repr(row.pressure_mpa), repr(row.adsorbed_m3t),
+        ";".join(row.warnings),
+    ] for row in rows))
 
 
 _RESERVOIR_KEYS = {
@@ -223,32 +216,7 @@ def parse_reservoirs(text: str) -> list[ReservoirSpec]:
     new block); ``#`` starts a comment line. Keys: name, depth_m, toc_pct,
     ro_pct, alpha, surface_temp_c, gradt_c_per_km, temp_c, pressure_mpa.
     """
-    blocks: list[dict[str, str]] = []
-    current: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            if current:
-                blocks.append(current)
-                current = {}
-            continue
-        if line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"reservoir config line {lineno}: expected key=value, got {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key not in _RESERVOIR_KEYS:
-            raise ValueError(f"reservoir config line {lineno}: unknown key {key!r}")
-        if key == "name" and current:
-            blocks.append(current)
-            current = {}
-        if key in current:
-            raise ValueError(f"reservoir config line {lineno}: duplicate key {key!r} in block")
-        current[key] = value
-    if current:
-        blocks.append(current)
+    blocks = read_key_value_blocks(text, "reservoir config", keys=_RESERVOIR_KEYS, block_key="name")
 
     specs = []
     for block in blocks:

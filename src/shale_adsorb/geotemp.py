@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .dataset import write_csv
+
 EARTH_RADIUS_M = 6_371_000.0
 DEFAULT_MIN_SECTION_DEPTH_M = 500.0
 DEFAULT_IDW_POWER = 2.0
@@ -76,8 +78,10 @@ def idw_interpolate(
     """
     if not samples:
         raise ValueError("cannot interpolate from an empty sample set")
-    if power <= 0:
-        raise ValueError(f"power must be positive, got {power}")
+    if not (math.isfinite(power) and power > 0):
+        raise ValueError(f"power must be positive and finite, got {power}")
+    if not (math.isfinite(lon) and math.isfinite(lat)):
+        raise ValueError(f"query point must be finite, got ({lon!r}, {lat!r})")
     distances = [haversine_m(lon, lat, p.lon, p.lat) for p in samples]
     nearest = min(range(len(samples)), key=lambda i: (distances[i], i))
     if distances[nearest] < EXACT_HIT_DISTANCE_M:
@@ -103,14 +107,22 @@ def interpolate_grid(
     lon_max: float,
     lat_min: float,
     lat_max: float,
-    n_lon: int,
-    n_lat: int,
+    n_lon: int | float,
+    n_lat: int | float,
     power: float = DEFAULT_IDW_POWER,
     max_neighbors: int | None = None,
 ) -> list[tuple[float, float, float]]:
-    """Interpolated (lon, lat, gradient) rows on an inclusive regular grid."""
+    """Interpolated (lon, lat, gradient) rows on an inclusive regular grid.
+
+    Node counts may be given as floats but must be whole numbers.
+    """
+    if not all(math.isfinite(bound) for bound in (lon_min, lon_max, lat_min, lat_max)):
+        raise ValueError(f"grid bounds must be finite, got {(lon_min, lon_max, lat_min, lat_max)!r}")
+    if not (float(n_lon).is_integer() and float(n_lat).is_integer()):
+        raise ValueError(f"grid node counts must be whole numbers, got {n_lon!r} x {n_lat!r}")
     if n_lon < 1 or n_lat < 1:
         raise ValueError("grid needs at least one point per axis")
+    n_lon, n_lat = int(n_lon), int(n_lat)
     rows = []
     for i in range(n_lat):
         lat = lat_min if n_lat == 1 else lat_min + (lat_max - lat_min) * i / (n_lat - 1)
@@ -154,9 +166,5 @@ def parse_heatflow(source: str | Iterable[str]) -> list[HeatFlowPoint]:
 
 
 def grid_to_csv(rows: Sequence[tuple[float, float, float]]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["lon_deg", "lat_deg", "gradt_c_per_km"])
-    for lon, lat, grad in rows:
-        writer.writerow([repr(lon), repr(lat), repr(grad)])
-    return out.getvalue()
+    return write_csv(("lon_deg", "lat_deg", "gradt_c_per_km"),
+                     ([repr(lon), repr(lat), repr(grad)] for lon, lat, grad in rows))

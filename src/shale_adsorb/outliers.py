@@ -9,15 +9,13 @@ its dependent value and its neighbours' exceeds a threshold.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .dataset import DatasetKind, SampleRecord
+from .dataset import DatasetKind, SampleRecord, write_csv
 
 DEFAULT_K = 5
 DEFAULT_THRESHOLD = 0.85
@@ -76,18 +74,16 @@ class OutlierReport:
 
         Neighbour lists are semicolon-joined within their cells.
         """
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["id", "R", "flagged", "neighbor_ids", "neighbor_weights"])
-        for i, rec_id in enumerate(self.ids):
-            writer.writerow([
+        return write_csv(
+            ("id", "R", "flagged", "neighbor_ids", "neighbor_weights"),
+            ([
                 rec_id,
                 repr(self.r_values[i]),
                 str(self.flagged[i]).lower(),
                 ";".join(self.ids[j] for j in self.neighbor_indices[i]),
                 ";".join(repr(w) for w in self.neighbor_weights[i]),
-            ])
-        return out.getvalue()
+            ] for i, rec_id in enumerate(self.ids)),
+        )
 
 
 def quartiles(values: Sequence[float]) -> tuple[float, float]:

@@ -12,11 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .dataset import RO_NORM_PCT, TEMP_NORM_C, TOC_NORM_PCT, SampleRecord
+from .dataset import RO_NORM_PCT, TEMP_NORM_C, TOC_NORM_PCT, SampleRecord, read_key_value_blocks
 
 #: Relative pivot threshold below which the normal equations are treated as
 #: singular rather than solved into garbage coefficients.
@@ -43,6 +43,60 @@ class ModelKind(Enum):
 _KIND_BY_VALUE = {kind.value: kind for kind in ModelKind}
 
 
+def _pl_geo_row(record: SampleRecord, kelvin: bool) -> list[float]:
+    toc_star = record.toc / TOC_NORM_PCT
+    t_star = record.temp / TEMP_NORM_C
+    ro_star = record.ro / RO_NORM_PCT
+    return [toc_star, math.log(t_star / ro_star), 1.0]
+
+
+def _vl_geo_row(record: SampleRecord, kelvin: bool) -> list[float]:
+    toc_star = record.toc / TOC_NORM_PCT
+    t_star = record.temp / TEMP_NORM_C
+    return [toc_star, t_star ** 3, 1.0]
+
+
+def _invtemp_row(record: SampleRecord, kelvin: bool) -> list[float]:
+    t = record.temp + CELSIUS_TO_KELVIN if kelvin else record.temp
+    if t == 0.0:
+        raise ValueError(f"record {record.id}: temperature of exactly 0 breaks the reciprocal model")
+    return [1.0 / t, 1.0]
+
+
+def _log_toc_row(record: SampleRecord, kelvin: bool) -> list[float]:
+    return [math.log(record.toc), 1.0]
+
+
+@dataclass(frozen=True)
+class _KindFacts:
+    """What a model kind regresses: fields, coefficients, row and transforms."""
+
+    dependent_var: str
+    required_fields: tuple[str, ...]
+    coefficient_names: tuple[str, ...]
+    row: Callable[[SampleRecord, bool], list[float]]   # (record, invtemp_kelvin) -> regressors
+    response: Callable[[float], float]                  # dependent value -> linear response
+    inverse: Callable[[float], float]                   # linear response -> dependent value
+
+
+_FACTS = {
+    ModelKind.PL_GEO: _KindFacts("pl", ("toc", "temp", "ro"), ("a", "b", "c"),
+                                 _pl_geo_row, math.log, math.exp),
+    ModelKind.VL_GEO: _KindFacts("vl", ("toc", "temp"), ("a", "b", "c"),
+                                 _vl_geo_row, math.log, math.exp),
+    ModelKind.PL_INVTEMP: _KindFacts("pl", ("temp",), ("a", "c"), _invtemp_row,
+                                     lambda value: -math.log(value),     # ln(1/pl)
+                                     lambda linear: math.exp(-linear)),
+    ModelKind.PL_TOCPOW: _KindFacts("pl", ("toc",), ("exponent", "ln_scale"),
+                                    _log_toc_row, math.log, math.exp),
+    ModelKind.VL_TOCPOW: _KindFacts("vl", ("toc",), ("exponent", "ln_scale"),
+                                    _log_toc_row, math.log, math.exp),
+    ModelKind.VL_TOCLIN: _KindFacts("vl", ("toc",), ("slope", "intercept"),
+                                    lambda record, kelvin: [record.toc, 1.0],
+                                    lambda value: value, lambda linear: linear),
+}
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """A model kind plus its fitting options.
@@ -56,27 +110,15 @@ class ModelSpec:
 
     @property
     def dependent_var(self) -> str:
-        return "pl" if self.kind in (ModelKind.PL_GEO, ModelKind.PL_INVTEMP, ModelKind.PL_TOCPOW) else "vl"
+        return _FACTS[self.kind].dependent_var
 
     @property
     def required_fields(self) -> tuple[str, ...]:
-        if self.kind is ModelKind.PL_GEO:
-            return ("toc", "temp", "ro")
-        if self.kind is ModelKind.VL_GEO:
-            return ("toc", "temp")
-        if self.kind is ModelKind.PL_INVTEMP:
-            return ("temp",)
-        return ("toc",)
+        return _FACTS[self.kind].required_fields
 
     @property
     def coefficient_names(self) -> tuple[str, ...]:
-        if self.kind in (ModelKind.PL_GEO, ModelKind.VL_GEO):
-            return ("a", "b", "c")
-        if self.kind is ModelKind.PL_INVTEMP:
-            return ("a", "c")
-        if self.kind in (ModelKind.PL_TOCPOW, ModelKind.VL_TOCPOW):
-            return ("exponent", "ln_scale")
-        return ("slope", "intercept")
+        return _FACTS[self.kind].coefficient_names
 
     @property
     def n_coefficients(self) -> int:
@@ -84,45 +126,22 @@ class ModelSpec:
 
     def feature_row(self, record: SampleRecord) -> list[float]:
         """The regressor row for one record; a trailing 1 carries the intercept."""
-        for name in self.required_fields:
+        facts = _FACTS[self.kind]
+        for name in facts.required_fields:
             if getattr(record, name) is None:
                 raise ValueError(f"record {record.id} is missing field {name} required by {self.kind.value}")
-        if self.kind is ModelKind.PL_GEO:
-            toc_star = record.toc / TOC_NORM_PCT
-            t_star = record.temp / TEMP_NORM_C
-            ro_star = record.ro / RO_NORM_PCT
-            return [toc_star, math.log(t_star / ro_star), 1.0]
-        if self.kind is ModelKind.VL_GEO:
-            toc_star = record.toc / TOC_NORM_PCT
-            t_star = record.temp / TEMP_NORM_C
-            return [toc_star, t_star ** 3, 1.0]
-        if self.kind is ModelKind.PL_INVTEMP:
-            t = record.temp + CELSIUS_TO_KELVIN if self.invtemp_kelvin else record.temp
-            if t == 0.0:
-                raise ValueError(f"record {record.id}: temperature of exactly 0 breaks the reciprocal model")
-            return [1.0 / t, 1.0]
-        if self.kind in (ModelKind.PL_TOCPOW, ModelKind.VL_TOCPOW):
-            return [math.log(record.toc), 1.0]
-        return [record.toc, 1.0]
+        return facts.row(record, self.invtemp_kelvin)
 
     def response(self, record: SampleRecord) -> float:
         """The transformed dependent value this model regresses on."""
         value = getattr(record, self.dependent_var)
         if value is None:
             raise ValueError(f"record {record.id} is missing dependent variable {self.dependent_var}")
-        if self.kind is ModelKind.PL_INVTEMP:
-            return -math.log(value)       # ln(1/pl)
-        if self.kind is ModelKind.VL_TOCLIN:
-            return value
-        return math.log(value)
+        return _FACTS[self.kind].response(value)
 
     def inverse_response(self, linear_value: float) -> float:
         """Map a fitted linear response back to the dependent variable's units."""
-        if self.kind is ModelKind.PL_INVTEMP:
-            return math.exp(-linear_value)
-        if self.kind is ModelKind.VL_TOCLIN:
-            return linear_value
-        return math.exp(linear_value)
+        return _FACTS[self.kind].inverse(linear_value)
 
 
 @dataclass
@@ -155,6 +174,10 @@ class FittedModel:
                 f"{self.spec.kind.value} needs {self.spec.n_coefficients} coefficients, "
                 f"got {len(self.coefficients)}"
             )
+        if not all(math.isfinite(value) for value in self.coefficients):
+            raise ValueError(f"{self.spec.kind.value} coefficients must be finite, got {self.coefficients!r}")
+        if self.n_fit < 0:
+            raise ValueError(f"n_fit must be >= 0, got {self.n_fit}")
 
     def predict(self, record: SampleRecord) -> float:
         """Predicted dependent value (pl in MPa or vl in m3/t) for one record."""
@@ -233,15 +256,7 @@ def model_to_text(model: FittedModel) -> str:
 
 def model_from_text(text: str) -> FittedModel:
     """Parse a model file produced by :func:`model_to_text`."""
-    entries: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"model file line {lineno}: expected key=value, got {raw!r}")
-        key, _, value = line.partition("=")
-        entries[key.strip()] = value.strip()
+    entries = next(iter(read_key_value_blocks(text, "model file")), {})
     if "kind" not in entries:
         raise ValueError("model file is missing the kind entry")
     kind_value = entries.pop("kind")

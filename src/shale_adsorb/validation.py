@@ -7,8 +7,6 @@ zero and hide a large spread.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -16,9 +14,9 @@ from statistics import NormalDist
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtrit
 
-from .dataset import SampleRecord
+from .dataset import SampleRecord, write_csv
 from .regression import (
     DesignSystem,
     FittedModel,
@@ -61,22 +59,19 @@ class Scenario(Enum):
     HIGH_RO = "high-ro"
 
     def in_pool(self, record: SampleRecord) -> bool:
-        if self is Scenario.OVERALL:
-            return True
-        if self is Scenario.HIGH_T:
-            return record.temp > 65.0
-        if self is Scenario.HIGH_TOC:
-            return record.toc > 5.0
-        return record.ro is not None and record.ro > 2.0
+        return _SCENARIO_POOLS[self][0](record)
 
     def row_label(self, repetition: int) -> str:
-        if self is Scenario.OVERALL:
-            return f"Test {repetition}"
-        if self is Scenario.HIGH_T:
-            return f"HighT{repetition}"
-        if self is Scenario.HIGH_TOC:
-            return f"HighTOC{repetition}"
-        return f"HighRo{repetition}"
+        return f"{_SCENARIO_POOLS[self][1]}{repetition}"
+
+
+# Scenario -> (test-pool predicate, comparison row-label prefix).
+_SCENARIO_POOLS = {
+    Scenario.OVERALL: (lambda record: True, "Test "),
+    Scenario.HIGH_T: (lambda record: record.temp > 65.0, "HighT"),
+    Scenario.HIGH_TOC: (lambda record: record.toc > 5.0, "HighTOC"),
+    Scenario.HIGH_RO: (lambda record: record.ro is not None and record.ro > 2.0, "HighRo"),
+}
 
 
 @dataclass
@@ -90,12 +85,8 @@ class ComparisonTable:
     seed: int
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["test_label", "model", "error_pct"])
-        for label, model, error in self.rows:
-            writer.writerow([label, model, repr(error)])
-        return out.getvalue()
+        return write_csv(("test_label", "model", "error_pct"),
+                         ([label, model, repr(error)] for label, model, error in self.rows))
 
     def averages(self) -> dict[str, float]:
         return {model: error for label, model, error in self.rows if label == "Average"}
@@ -111,7 +102,7 @@ def error_ci(errors: Sequence[float], level: float = DEFAULT_CI_LEVEL) -> tuple[
     arr = np.asarray(errors, dtype=float)
     mean = float(arr.mean())
     s = float(arr.std(ddof=1))
-    t = float(stats.t.ppf((1.0 + level) / 2.0, n - 1))
+    t = float(stdtrit(n - 1, (1.0 + level) / 2.0))
     return mean, t * s / math.sqrt(n)
 
 

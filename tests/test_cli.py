@@ -11,7 +11,7 @@ from shale_adsorb.estimator import (
     REFERENCE_VL_COEFFICIENTS,
     reference_models,
 )
-from shale_adsorb.regression import model_from_text
+from shale_adsorb.regression import model_from_text, model_to_text
 from conftest import make_record, synthetic_records
 
 EXPECTED_CONTENTS = {
@@ -242,6 +242,20 @@ class TestEstimate:
             assert float(row["adsorbed_m3t"]) == pytest.approx(
                 EXPECTED_CONTENTS[row["reservoir"]], abs=0.02)
 
+    @pytest.mark.parametrize("pl_text", [
+        "kind=pl-geo\na=-0.136\nb=0.715\nc=1.666\nn_fit=91\na=5.0\n",
+        "kind=pl-geo\na=-0.136\nb=nan\nc=1.666\nn_fit=91\n",
+        "kind=pl-geo\na=-0.136\nb=0.715\nc=1.666\nn_fit=-4\n",
+    ], ids=["repeated-key", "nan-coefficient", "negative-n_fit"])
+    def test_bad_model_file_exit_code_1(self, pl_text, tmp_path, data_dir, capsys):
+        (tmp_path / "pl.txt").write_text(pl_text, encoding="utf-8")
+        (tmp_path / "vl.txt").write_text(model_to_text(reference_models()[1]), encoding="utf-8")
+        assert main(["estimate", "--input", str(data_dir / "reservoirs.conf"),
+                     "--pl-model", str(tmp_path / "pl.txt"), "--vl-model", str(tmp_path / "vl.txt"),
+                     "--output-dir", str(tmp_path / "out")]) == 1
+        assert "error: model stage:" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "estimates.csv").exists()
+
     def test_flag_and_files_are_mutually_exclusive(self, tmp_path, data_dir, capsys):
         assert main(["estimate", "--input", str(data_dir / "reservoirs.conf"),
                      "--paper-coefficients", "--pl-model", "x", "--vl-model", "y",
@@ -285,6 +299,24 @@ class TestIdw:
                      "--grid", "100", "110", "25", "33", "4", "3",
                      "--output-dir", str(out)]) == 0
         assert len(read_csv(out / "idw.csv")) == 12
+
+    @pytest.mark.parametrize("argv", [
+        ["--grid", "100", "110", "25", "35", "2.7", "2"],
+        ["--grid", "100", "110", "25", "35", "nan", "2"],
+        ["--grid", "100", "110", "25", "35", "3", "inf"],
+        ["--grid", "nan", "110", "25", "35", "3", "2"],
+        ["--grid", "100", "110", "25", "inf", "3", "2"],
+        ["--query", "105", "30", "--idw-power", "nan"],
+        ["--query", "105", "30", "--idw-power", "inf"],
+        ["--query", "nan", "30"],
+        ["--query", "105", "inf"],
+    ])
+    def test_bad_numbers_exit_code_1(self, argv, tmp_path, data_dir, capsys):
+        out = tmp_path / "out"
+        assert main(["idw", "--input", str(data_dir / "heatflow.csv"), *argv,
+                     "--output-dir", str(out)]) == 1
+        assert "error: interpolate stage:" in capsys.readouterr().err
+        assert not (out / "idw.csv").exists()
 
     def test_min_depth_filter_can_empty_the_set(self, tmp_path, data_dir, capsys):
         assert main(["idw", "--input", str(data_dir / "heatflow.csv"),

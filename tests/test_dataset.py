@@ -15,15 +15,13 @@ from shale_adsorb.dataset import (
     SampleParseError,
     SampleRecord,
     clean,
-    clean_pl,
-    clean_vl,
     correlation_table,
     integrate_replicates,
     parse_samples,
     pearson_correlation,
     records_to_csv,
-    to_dimensionless,
 )
+from shale_adsorb.regression import ModelKind, ModelSpec
 from conftest import make_record
 
 HEADER = "id,reservoir,toc_pct,ro_pct,temp_c,porosity_pct,pl_mpa,vl_m3t"
@@ -115,7 +113,7 @@ class TestRecordInvariants:
 
 class TestCleanPl:
     def test_in_bounds_kept(self):
-        outcome = clean_pl([make_record(1, toc=4, ro=1.5, temp=48, pl=5.0)])
+        outcome = clean([make_record(1, toc=4, ro=1.5, temp=48, pl=5.0)], DatasetKind.PL)
         assert len(outcome.kept) == 1 and not outcome.rejected
 
     @pytest.mark.parametrize("kwargs,reason", [
@@ -130,24 +128,24 @@ class TestCleanPl:
         (dict(toc=17.5, ro=1.5, temp=48, pl=5.0), REASON_TOC),
     ])
     def test_rejections(self, kwargs, reason):
-        outcome = clean_pl([make_record(1, **kwargs)])
+        outcome = clean([make_record(1, **kwargs)], DatasetKind.PL)
         assert not outcome.kept
         assert outcome.rejected[0][1] == reason
 
     @pytest.mark.parametrize("toc", [1.0, 17.0])
     def test_toc_interval_inclusive(self, toc):
-        outcome = clean_pl([make_record(1, toc=toc, ro=1.5, temp=48, pl=5.0)])
+        outcome = clean([make_record(1, toc=toc, ro=1.5, temp=48, pl=5.0)], DatasetKind.PL)
         assert len(outcome.kept) == 1
 
     def test_first_failing_reason_wins(self):
         # violates temp, ro and toc; evaluation order reports temp first
-        outcome = clean_pl([make_record(1, toc=0.5, ro=5.0, temp=95, pl=5.0)])
+        outcome = clean([make_record(1, toc=0.5, ro=5.0, temp=95, pl=5.0)], DatasetKind.PL)
         assert outcome.rejected[0][1] == REASON_TEMP
 
 
 class TestCleanVl:
     def test_in_bounds_kept(self):
-        outcome = clean_vl([make_record(1, toc=4, temp=48, vl=2.0)])
+        outcome = clean([make_record(1, toc=4, temp=48, vl=2.0)], DatasetKind.VL)
         assert len(outcome.kept) == 1
 
     @pytest.mark.parametrize("kwargs,reason", [
@@ -158,11 +156,11 @@ class TestCleanVl:
         (dict(toc=4, temp=48, vl=1.0), REASON_VL),   # strict bound
     ])
     def test_rejections(self, kwargs, reason):
-        outcome = clean_vl([make_record(1, **kwargs)])
+        outcome = clean([make_record(1, **kwargs)], DatasetKind.VL)
         assert outcome.rejected[0][1] == reason
 
     def test_ro_not_required(self):
-        outcome = clean_vl([make_record(1, toc=4, temp=48, vl=2.0)])
+        outcome = clean([make_record(1, toc=4, temp=48, vl=2.0)], DatasetKind.VL)
         assert len(outcome.kept) == 1
 
 
@@ -216,29 +214,40 @@ class TestIntegrateReplicates:
 
 
 class TestToDimensionless:
+    """The normalisation by dataset-wide means inside ``ModelSpec.feature_row``."""
+
+    PL_GEO = ModelSpec(ModelKind.PL_GEO)
+    VL_GEO = ModelSpec(ModelKind.VL_GEO)
+
     def test_normalising_constants(self):
-        dv = to_dimensionless(make_record(1, toc=4.0, temp=48.0, ro=1.75))
-        assert (dv.toc_star, dv.t_star, dv.ro_star) == (1.0, 1.0, 1.0)
+        rec = make_record(1, toc=4.0, temp=48.0, ro=1.75)
+        assert self.PL_GEO.feature_row(rec) == [1.0, 0.0, 1.0]   # ln(t_star / ro_star) = ln 1
+        assert self.VL_GEO.feature_row(rec) == [1.0, 1.0, 1.0]
 
     def test_reference_reservoir_inputs(self):
-        dv = to_dimensionless(make_record(1, toc=2.58, temp=86.98, ro=3.03))
-        assert dv.toc_star == pytest.approx(2.58 / 4.0, rel=1e-15)
-        assert dv.t_star == pytest.approx(86.98 / 48.0, rel=1e-15)
-        assert dv.ro_star == pytest.approx(3.03 / 1.75, rel=1e-15)
+        rec = make_record(1, toc=2.58, temp=86.98, ro=3.03)
+        toc_star, log_ratio, _ = self.PL_GEO.feature_row(rec)
+        _, t_star_cubed, _ = self.VL_GEO.feature_row(rec)
+        assert toc_star == pytest.approx(2.58 / 4.0, rel=1e-15)
+        assert t_star_cubed == pytest.approx((86.98 / 48.0) ** 3, rel=1e-15)
+        assert log_ratio == pytest.approx(math.log((86.98 / 48.0) / (3.03 / 1.75)), rel=1e-15)
 
     def test_absent_ro_stays_absent(self):
-        dv = to_dimensionless(make_record(1, toc=8.0, temp=24.0))
-        assert (dv.toc_star, dv.t_star, dv.ro_star) == (2.0, 0.5, None)
+        rec = make_record(1, toc=8.0, temp=24.0)
+        assert self.VL_GEO.feature_row(rec) == [2.0, 0.125, 1.0]
+        with pytest.raises(ValueError, match="missing field ro"):
+            self.PL_GEO.feature_row(rec)
 
     def test_linear_in_toc(self):
-        base = to_dimensionless(make_record(1, toc=3.1, temp=50.0))
-        doubled = to_dimensionless(make_record(1, toc=6.2, temp=50.0))
-        assert doubled.toc_star == pytest.approx(2 * base.toc_star, rel=1e-15)
+        base = self.VL_GEO.feature_row(make_record(1, toc=3.1, temp=50.0))
+        doubled = self.VL_GEO.feature_row(make_record(1, toc=6.2, temp=50.0))
+        assert doubled[0] == pytest.approx(2 * base[0], rel=1e-15)
 
     def test_missing_inputs_rejected(self):
-        broken = SimpleNamespace(toc=None, temp=48.0, ro=None)
-        with pytest.raises(ValueError, match="toc and temp"):
-            to_dimensionless(broken)
+        broken = SimpleNamespace(id="broken", toc=None, temp=48.0, ro=None)
+        for spec in (self.PL_GEO, self.VL_GEO):
+            with pytest.raises(ValueError, match="missing field toc"):
+                spec.feature_row(broken)
 
 
 class TestPearsonCorrelation:

@@ -1,11 +1,14 @@
-"""Byte-for-byte regression of the outlier stage on the bundled samples.
+"""Byte-for-byte regression of every subcommand's output files.
 
-The files under ``golden/`` are the ``kept.csv`` and ``outliers.csv`` that
-``shale-adsorb outliers --input data/samples.csv --kind KIND --k K`` wrote
-before the neighbour search was vectorised; any change to them is a change
-in the program's output, not only in its speed.
+The files under ``golden/`` were written by the CLI before the neighbour
+search was vectorised (``kept_*.csv``, ``outliers_*.csv``) and before the
+per-kind rules became data tables (one directory per case below); any
+change to them is a change in the program's output, not only in its code.
+``golden/samples_rejects.csv`` is an input: it hits every rejection reason
+and holds a replicate, which the bundled ``data/samples.csv`` does not.
 """
 
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -13,6 +16,54 @@ import pytest
 from shale_adsorb.cli import main
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+FIXTURE_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "make_fixtures.py"
+
+_SAMPLES = ["--input", "{data}/samples.csv"]
+_COMPARE = ["compare", *_SAMPLES, "--reps", "3", "--seed", "11"]
+_IDW = ["idw", "--input", "{data}/heatflow.csv"]
+
+# Case name (the golden directory) -> argv before ``--output-dir``.
+CASES = {
+    "clean_pl": ["clean", *_SAMPLES, "--kind", "pl"],
+    "clean_vl": ["clean", *_SAMPLES, "--kind", "vl"],
+    "clean_rejects_pl": ["clean", "--input", "{golden}/samples_rejects.csv", "--kind", "pl"],
+    "clean_rejects_vl": ["clean", "--input", "{golden}/samples_rejects.csv", "--kind", "vl"],
+    "outliers_pl": ["outliers", *_SAMPLES, "--kind", "pl"],
+    "outliers_vl": ["outliers", *_SAMPLES, "--kind", "vl"],
+    "fit_pl": ["fit", *_SAMPLES, "--kind", "pl"],
+    "fit_vl": ["fit", *_SAMPLES, "--kind", "vl"],
+    "validate_pl": ["validate", *_SAMPLES, "--kind", "pl"],
+    "validate_vl": ["validate", *_SAMPLES, "--kind", "vl"],
+    **{
+        f"compare_{kind}_{scenario}": [*_COMPARE, "--kind", kind, "--scenario", scenario]
+        for kind in ("pl", "vl")
+        for scenario in ("overall", "high-t", "high-toc", "high-ro")
+    },
+    "compare_pl_kelvin": [*_COMPARE, "--kind", "pl", "--invtemp-kelvin"],
+    "estimate_paper": ["estimate", "--input", "{data}/reservoirs.conf", "--paper-coefficients"],
+    "estimate_fitted": ["estimate", "--input", "{data}/reservoirs.conf",
+                        "--pl-model", "{golden}/fit_pl/model_pl.txt",
+                        "--vl-model", "{golden}/fit_vl/model_vl.txt"],
+    "idw_query": [*_IDW, "--query", "105", "30"],
+    "idw_grid": [*_IDW, "--grid", "100", "110", "25", "35", "5", "4"],
+    "idw_grid_nearest": [*_IDW, "--grid", "100", "110", "25", "35", "5", "4", "--max-neighbors", "3"],
+}
+
+
+def run_case(name: str, out: Path, data_dir: Path) -> None:
+    argv = [arg.format(data=data_dir, golden=GOLDEN_DIR) for arg in CASES[name]]
+    assert main([*argv, "--output-dir", str(out)]) == 0
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_subcommand_bytes(name, tmp_path, data_dir):
+    out = tmp_path / "out"
+    run_case(name, out, data_dir)
+    expected = GOLDEN_DIR / name
+    written = sorted(path.name for path in out.iterdir())
+    assert written == sorted(path.name for path in expected.iterdir())
+    for file_name in written:
+        assert (out / file_name).read_bytes() == (expected / file_name).read_bytes(), file_name
 
 
 @pytest.mark.parametrize("k", [5, 12])
@@ -23,3 +74,13 @@ def test_outlier_stage_bytes(kind, k, tmp_path, data_dir):
                  "--k", str(k), "--output-dir", str(out)]) == 0
     assert (out / "kept.csv").read_bytes() == (GOLDEN_DIR / f"kept_{kind}.csv").read_bytes()
     assert (out / "outliers.csv").read_bytes() == (GOLDEN_DIR / f"outliers_{kind}_k{k}.csv").read_bytes()
+
+
+def test_fixture_script_reproduces_bundled_data(tmp_path, monkeypatch, data_dir):
+    spec = importlib.util.spec_from_file_location("make_fixtures", FIXTURE_SCRIPT)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(script, "DATA_DIR", tmp_path)
+    script.main()
+    for name in ("samples.csv", "reservoirs.conf", "heatflow.csv"):
+        assert (tmp_path / name).read_bytes() == (data_dir / name).read_bytes(), name

@@ -209,6 +209,15 @@ class TestPredict:
         with pytest.raises(ValueError, match="coefficients"):
             FittedModel(PL_SPEC, (1.0, 2.0), 10)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coefficient_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            FittedModel(PL_SPEC, (1.0, bad, 2.0), 10)
+
+    def test_negative_n_fit_rejected(self):
+        with pytest.raises(ValueError, match="n_fit"):
+            FittedModel(PL_SPEC, (1.0, 2.0, 3.0), -4)
+
 
 class TestModelSerialisation:
     def test_roundtrip_exact(self):
@@ -241,3 +250,14 @@ class TestModelSerialisation:
     def test_unexpected_key_rejected(self):
         with pytest.raises(ValueError, match="unexpected"):
             model_from_text("kind=vl-toclin\nslope=1\nintercept=0\nn_fit=3\nbogus=1\n")
+
+    def test_repeated_key_rejected(self):
+        with pytest.raises(ValueError, match="model file line 3: duplicate key 'a'"):
+            model_from_text("kind=vl-toclin\na=1.0\na=5.0\n")
+        with pytest.raises(ValueError, match="duplicate key 'slope'"):
+            model_from_text("kind=vl-toclin\nslope=1\n\nintercept=0\nslope=5\nn_fit=3\n")
+
+    def test_blank_lines_and_comments_ignored(self):
+        model = FittedModel(VL_SPEC, (0.421, -0.067, 0.563), 184)
+        text = "# fitted upstream\n\n" + model_to_text(model).replace("\n", "\n\n")
+        assert model_from_text(text) == model

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy import stats
 
 from shale_adsorb.regression import ModelKind, ModelSpec, fit
 from shale_adsorb.validation import (
@@ -116,6 +119,14 @@ class TestErrorCi:
     def test_bad_level_rejected(self):
         with pytest.raises(ValueError, match="level"):
             error_ci([1.0, 2.0], level=1.5)
+
+    def test_t_quantile_matches_scipy_stats(self):
+        for n in (2, 3, 4, 5, 7, 10, 31, 100, 1000, 10000):
+            values = [1.0, 3.0] + [2.0] * (n - 2)
+            s = float(np.std(values, ddof=1))
+            for level in (1e-9, 0.5, 0.8, 0.9, 0.95, 0.975, 0.99, 0.999, 1 - 1e-9):
+                t = float(stats.t.ppf((1.0 + level) / 2.0, n - 1))
+                assert error_ci(values, level)[1] == t * s / math.sqrt(n), (n, level)
 
 
 class TestQqData:
