@@ -195,9 +195,9 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 def cmd_idw(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     points = _stage("parse", geotemp.parse_heatflow, _read_text(args.input))
-    usable = geotemp.filter_heatflow(points, min_depth=args.min_depth)
+    usable = _stage("filter", geotemp.filter_heatflow, points, min_depth=args.min_depth)
     if not usable:
-        raise ValueError(f"no heat-flow points at or below {args.min_depth} m")
+        raise ValueError(f"filter stage: no heat-flow points at or below {args.min_depth} m")
     _say(f"idw: {len(usable)} of {len(points)} points usable (min depth {args.min_depth} m)")
 
     if args.query is not None:

@@ -12,7 +12,7 @@ import io
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -46,7 +46,7 @@ REASON_DUPLICATE = "duplicate"
 
 
 class SampleParseError(ValueError):
-    """A samples CSV row could not be parsed.
+    """A row of an input CSV (samples or heat-flow) could not be parsed.
 
     Carries the 1-based row number (header is row 1) and the offending
     column name.
@@ -114,9 +114,12 @@ class DatasetKind(Enum):
     @property
     def independent_vars(self) -> tuple[str, ...]:
         # Variables used both as regressors and as statistical-distance axes.
-        if self is DatasetKind.PL:
-            return ("temp", "toc", "ro")
-        return ("temp", "toc")
+        # The order is the distance accumulation order, so it fixes the
+        # rounding of every R value.
+        return _INDEPENDENT_VARS[self]
+
+
+_INDEPENDENT_VARS = {DatasetKind.PL: ("temp", "toc", "ro"), DatasetKind.VL: ("temp", "toc")}
 
 
 def _parse_float(raw: str, row: int, column: str, required: bool) -> float | None:
@@ -144,31 +147,9 @@ def parse_samples(source: str | Iterable[str]) -> list[SampleRecord]:
         record invariant, or an id already used by an earlier row; the error
         names the row number and column.
     """
-    if isinstance(source, str):
-        source = io.StringIO(source)
-    reader = csv.reader(source)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise SampleParseError(1, SAMPLES_CSV_COLUMNS[0], "empty file, header row missing") from None
-    header = tuple(name.strip() for name in header)
-    if header != SAMPLES_CSV_COLUMNS:
-        raise SampleParseError(
-            1, SAMPLES_CSV_COLUMNS[0],
-            f"header must be {','.join(SAMPLES_CSV_COLUMNS)}, got {','.join(header)}",
-        )
-
     records: list[SampleRecord] = []
     first_row: dict[str, int] = {}
-    for offset, cells in enumerate(reader):
-        row = offset + 2
-        if not cells or all(cell.strip() == "" for cell in cells):
-            continue  # tolerate blank lines
-        if len(cells) != len(SAMPLES_CSV_COLUMNS):
-            raise SampleParseError(
-                row, SAMPLES_CSV_COLUMNS[min(len(cells), len(SAMPLES_CSV_COLUMNS) - 1)],
-                f"expected {len(SAMPLES_CSV_COLUMNS)} fields, got {len(cells)}",
-            )
+    for row, cells in read_csv_table(source, SAMPLES_CSV_COLUMNS, "samples"):
         rec_id = cells[0].strip()
         if rec_id == "":
             raise SampleParseError(row, "id", "id must not be empty")
@@ -193,6 +174,38 @@ def parse_samples(source: str | Iterable[str]) -> list[SampleRecord]:
             raise SampleParseError(row, "record", str(exc)) from exc
         records.append(record)
     return records
+
+
+def read_csv_table(
+    source: str | Iterable[str],
+    columns: Sequence[str],
+    label: str,
+) -> Iterator[tuple[int, list[str]]]:
+    """Data rows of an input CSV as (row number, cells); the header is row 1.
+
+    ``source`` may be the file content as a string or any iterable of lines.
+    The header must equal ``columns`` after stripping, blank rows are
+    skipped, and every other row must have one cell per column. Every input
+    CSV the package reads goes through here, so all of them share one
+    dialect; the errors are :class:`SampleParseError` naming ``label``.
+    """
+    if isinstance(source, str):
+        source = io.StringIO(source)
+    reader = csv.reader(source)
+    try:
+        header = tuple(name.strip() for name in next(reader))
+    except StopIteration:
+        raise SampleParseError(1, columns[0], f"empty {label} file, header row missing") from None
+    if header != tuple(columns):
+        raise SampleParseError(1, columns[0],
+                               f"{label} header must be {','.join(columns)}, got {','.join(header)}")
+    for row, cells in enumerate(reader, start=2):
+        if not "".join(cells).strip():
+            continue
+        if len(cells) != len(columns):
+            raise SampleParseError(row, columns[min(len(cells), len(columns) - 1)],
+                                   f"expected {len(columns)} {label} fields, got {len(cells)}")
+        yield row, cells
 
 
 def write_csv(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
@@ -287,22 +300,36 @@ def integrate_replicates(records: Sequence[SampleRecord]) -> tuple[list[SampleRe
     return unique, dropped
 
 
+#: The geological ranges the models are fitted on: (field, in-range test), in
+#: the order temp, ro, toc. Cleaning rejects a record outside them with
+#: ``<field>-range``; an estimate outside them is tagged
+#: ``<field>-extrapolation``.
+FIT_RANGES = (
+    ("temp", lambda value: value < 90.0),
+    ("ro", lambda value: value < 4.0),
+    ("toc", lambda value: 1.0 <= value <= 17.0),
+)
+
+
+def _fit_range_rules(kind: DatasetKind) -> tuple:
+    """One ``<field>-range`` rule per fitted range of the kind's variables."""
+    return tuple(
+        (f"{field}-range", lambda rec, field=field, in_range=in_range: in_range(getattr(rec, field)))
+        for field, in_range in FIT_RANGES if field in kind.independent_vars
+    )
+
+
 # Per-kind cleaning rules: (reason code, keep-test) in evaluation order. A
 # record is rejected with the reason of the first test it fails.
-_TEMP_RULE = (REASON_TEMP, lambda rec: rec.temp < 90.0)
-_TOC_RULE = (REASON_TOC, lambda rec: 1.0 <= rec.toc <= 17.0)
 _CLEANING_RULES = {
     DatasetKind.PL: (
         (REASON_MISSING, lambda rec: rec.pl is not None and rec.ro is not None),
-        _TEMP_RULE,
-        (REASON_RO, lambda rec: rec.ro < 4.0),
-        _TOC_RULE,
+        *_fit_range_rules(DatasetKind.PL),
         (REASON_PL, lambda rec: 1.5 < rec.pl < 12.0),
     ),
     DatasetKind.VL: (
         (REASON_MISSING, lambda rec: rec.vl is not None),
-        _TEMP_RULE,
-        _TOC_RULE,
+        *_fit_range_rules(DatasetKind.VL),
         (REASON_VL, lambda rec: rec.vl > 1.0),
     ),
 }

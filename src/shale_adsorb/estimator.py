@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .dataset import SampleRecord, read_key_value_blocks, write_csv
+from .dataset import FIT_RANGES, SampleRecord, read_key_value_blocks, write_csv
 from .regression import FittedModel, ModelKind, ModelSpec
 
 WATER_DENSITY_T_PER_M3 = 1.0
@@ -25,16 +25,6 @@ REFERENCE_PL_COEFFICIENTS = (-0.136, 0.715, 1.666)
 REFERENCE_VL_COEFFICIENTS = (0.421, -0.067, 0.563)
 REFERENCE_PL_N_FIT = 91
 REFERENCE_VL_N_FIT = 184
-
-# Input ranges the models were fitted on; estimates outside them still run
-# but are tagged with a warning code.
-FIT_RANGE_TEMP_MAX_C = 90.0
-FIT_RANGE_RO_MAX_PCT = 4.0
-FIT_RANGE_TOC_PCT = (1.0, 17.0)
-
-WARN_TEMP = "temp-extrapolation"
-WARN_RO = "ro-extrapolation"
-WARN_TOC = "toc-extrapolation"
 
 ESTIMATES_CSV_COLUMNS = (
     "reservoir", "depth_m", "toc_pct", "ro_pct", "temp_c",
@@ -163,15 +153,12 @@ class EstimateRow:
 
 
 def fit_range_warnings(toc: float, ro: float, temp: float) -> tuple[str, ...]:
-    """Warning codes for inputs outside the ranges the models were fitted on."""
-    warnings = []
-    if not temp < FIT_RANGE_TEMP_MAX_C:
-        warnings.append(WARN_TEMP)
-    if not ro < FIT_RANGE_RO_MAX_PCT:
-        warnings.append(WARN_RO)
-    if not FIT_RANGE_TOC_PCT[0] <= toc <= FIT_RANGE_TOC_PCT[1]:
-        warnings.append(WARN_TOC)
-    return tuple(warnings)
+    """``<field>-extrapolation`` codes for inputs outside ``dataset.FIT_RANGES``.
+
+    Estimates outside those ranges still run; the codes tag them.
+    """
+    values = {"temp": temp, "ro": ro, "toc": toc}
+    return tuple(f"{field}-extrapolation" for field, in_range in FIT_RANGES if not in_range(values[field]))
 
 
 def estimate_reservoir(

@@ -8,13 +8,11 @@ continents.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .dataset import write_csv
+from .dataset import SampleParseError, _parse_float, read_csv_table, write_csv
 
 EARTH_RADIUS_M = 6_371_000.0
 DEFAULT_MIN_SECTION_DEPTH_M = 500.0
@@ -60,6 +58,8 @@ def filter_heatflow(
     min_depth: float = DEFAULT_MIN_SECTION_DEPTH_M,
 ) -> list[HeatFlowPoint]:
     """Drop points whose measuring section is shallower than ``min_depth``."""
+    if not math.isfinite(min_depth):
+        raise ValueError(f"min depth must be finite, got {min_depth!r}")
     return [p for p in points if p.section_depth >= min_depth]
 
 
@@ -82,19 +82,17 @@ def idw_interpolate(
         raise ValueError(f"power must be positive and finite, got {power}")
     if not (math.isfinite(lon) and math.isfinite(lat)):
         raise ValueError(f"query point must be finite, got ({lon!r}, {lat!r})")
+    if max_neighbors is not None and max_neighbors < 1:
+        raise ValueError(f"max_neighbors must be >= 1, got {max_neighbors}")
     distances = [haversine_m(lon, lat, p.lon, p.lat) for p in samples]
-    nearest = min(range(len(samples)), key=lambda i: (distances[i], i))
-    if distances[nearest] < EXACT_HIT_DISTANCE_M:
-        return samples[nearest].grad_t
+    # A stable sort: equal distances keep ascending sample index.
+    order = sorted(range(len(samples)), key=distances.__getitem__)
+    if distances[order[0]] < EXACT_HIT_DISTANCE_M:
+        return samples[order[0]].grad_t
 
-    order = sorted(range(len(samples)), key=lambda i: (distances[i], i))
-    if max_neighbors is not None:
-        if max_neighbors < 1:
-            raise ValueError(f"max_neighbors must be >= 1, got {max_neighbors}")
-        order = order[:max_neighbors]
     numerator = 0.0
     denominator = 0.0
-    for i in order:
+    for i in order[:max_neighbors]:
         w = distances[i] ** -power
         numerator += w * samples[i].grad_t
         denominator += w
@@ -133,35 +131,19 @@ def interpolate_grid(
 
 
 def parse_heatflow(source: str | Iterable[str]) -> list[HeatFlowPoint]:
-    """Parse heat-flow CSV (lon_deg, lat_deg, section_depth_m, gradt_c_per_km)."""
-    if isinstance(source, str):
-        source = io.StringIO(source)
-    reader = csv.reader(source)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ValueError("heat-flow file is empty, header row missing") from None
-    if tuple(name.strip() for name in header) != HEATFLOW_CSV_COLUMNS:
-        raise ValueError(
-            f"heat-flow header must be {','.join(HEATFLOW_CSV_COLUMNS)}, got {','.join(header)}"
-        )
+    """Parse heat-flow CSV (lon_deg, lat_deg, section_depth_m, gradt_c_per_km).
+
+    Same dialect as the samples CSV; every cell is a required number. Raises
+    :class:`SampleParseError` naming the row and column.
+    """
     points = []
-    for offset, cells in enumerate(reader):
-        row = offset + 2
-        if not cells or all(cell.strip() == "" for cell in cells):
-            continue
-        if len(cells) != len(HEATFLOW_CSV_COLUMNS):
-            raise ValueError(f"heat-flow row {row}: expected {len(HEATFLOW_CSV_COLUMNS)} fields, got {len(cells)}")
-        values = []
-        for column, cell in zip(HEATFLOW_CSV_COLUMNS, cells):
-            try:
-                values.append(float(cell))
-            except ValueError:
-                raise ValueError(f"heat-flow row {row}, column {column}: not a number: {cell!r}") from None
+    for row, cells in read_csv_table(source, HEATFLOW_CSV_COLUMNS, "heat-flow"):
+        values = [_parse_float(cell, row, column, required=True)
+                  for column, cell in zip(HEATFLOW_CSV_COLUMNS, cells)]
         try:
             points.append(HeatFlowPoint(*values))
         except ValueError as exc:
-            raise ValueError(f"heat-flow row {row}: {exc}") from exc
+            raise SampleParseError(row, "record", str(exc)) from exc
     return points
 
 

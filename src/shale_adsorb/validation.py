@@ -79,10 +79,6 @@ class ComparisonTable:
     """Long-format comparison rows: (test label, model kind, error %)."""
 
     rows: list[tuple[str, str, float]]
-    scenario: Scenario
-    test_fraction: float
-    repetitions: int
-    seed: int
 
     def to_csv(self) -> str:
         return write_csv(("test_label", "model", "error_pct"),
@@ -247,10 +243,4 @@ def compare_models(
     for spec in specs:
         errors = per_spec_errors[spec.kind.value]
         rows.append(("Average", spec.kind.value, sum(errors) / len(errors)))
-    return ComparisonTable(
-        rows=rows,
-        scenario=scenario,
-        test_fraction=test_fraction,
-        repetitions=repetitions,
-        seed=seed,
-    )
+    return ComparisonTable(rows)

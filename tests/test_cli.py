@@ -310,6 +310,7 @@ class TestIdw:
         ["--query", "105", "30", "--idw-power", "inf"],
         ["--query", "nan", "30"],
         ["--query", "105", "inf"],
+        ["--query", "103.107", "27.498", "--max-neighbors", "0"],  # exact hit on a sample
     ])
     def test_bad_numbers_exit_code_1(self, argv, tmp_path, data_dir, capsys):
         out = tmp_path / "out"
@@ -322,7 +323,13 @@ class TestIdw:
         assert main(["idw", "--input", str(data_dir / "heatflow.csv"),
                      "--min-depth", "99999", "--query", "105", "30",
                      "--output-dir", str(tmp_path)]) == 1
-        assert "no heat-flow points" in capsys.readouterr().err
+        assert "error: filter stage: no heat-flow points" in capsys.readouterr().err
+
+    def test_nan_min_depth_exit_code_1(self, tmp_path, data_dir, capsys):
+        assert main(["idw", "--input", str(data_dir / "heatflow.csv"),
+                     "--min-depth", "nan", "--query", "105", "30",
+                     "--output-dir", str(tmp_path)]) == 1
+        assert "error: filter stage: min depth must be finite, got nan" in capsys.readouterr().err
 
 
 def test_module_invocation_help():

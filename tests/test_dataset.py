@@ -63,6 +63,11 @@ class TestParseSamples:
         with pytest.raises(SampleParseError, match="header"):
             parse_samples("id,toc\ns1,4.0\n")
 
+    def test_empty_file(self):
+        with pytest.raises(SampleParseError, match="row 1, column id: empty samples file") as info:
+            parse_samples("")
+        assert info.value.row == 1
+
     def test_invariant_violation_cites_row(self):
         with pytest.raises(SampleParseError, match="row 2"):
             parse_samples(HEADER + "\ns1,Barnett,-4.0,1.5,48,,5.0,2.0\n")

@@ -18,7 +18,9 @@ from shale_adsorb.estimator import (
     reservoir_pressure,
     reservoir_temperature,
 )
+from shale_adsorb.dataset import FIT_RANGES, DatasetKind, clean
 from shale_adsorb.regression import FittedModel, ModelKind, ModelSpec
+from conftest import make_record
 
 # Nine reference reservoirs: depth, toc, ro, temperature, expected pressure
 # and expected adsorbed content.
@@ -200,6 +202,30 @@ class TestEstimateReservoir:
         assert fit_range_warnings(toc=18.0, ro=4.0, temp=95.0) == (
             "temp-extrapolation", "ro-extrapolation", "toc-extrapolation")
         assert fit_range_warnings(toc=4.0, ro=1.5, temp=48.0) == ()
+
+    # (field, value, inside the fitted range): each bound, just inside and
+    # just outside.
+    FIT_RANGE_BOUNDS = [
+        ("temp", math.nextafter(90.0, 0.0), True), ("temp", 90.0, False),
+        ("ro", math.nextafter(4.0, 0.0), True), ("ro", 4.0, False),
+        ("toc", 1.0, True), ("toc", math.nextafter(1.0, 0.0), False),
+        ("toc", 17.0, True), ("toc", math.nextafter(17.0, math.inf), False),
+    ]
+
+    def test_bounds_cover_every_fitted_range(self):
+        assert {field for field, _, _ in self.FIT_RANGE_BOUNDS} == {field for field, _ in FIT_RANGES}
+
+    @pytest.mark.parametrize("field, value, inside", FIT_RANGE_BOUNDS)
+    def test_cleaning_rejects_exactly_what_estimates_warn(self, field, value, inside):
+        inputs = {"toc": 4.0, "ro": 1.5, "temp": 48.0, field: value}
+        warned = f"{field}-extrapolation" in fit_range_warnings(**inputs)
+        record = make_record(1, pl=5.0, vl=2.0, **inputs)
+        for kind in DatasetKind:
+            if field not in kind.independent_vars:
+                continue
+            rejected = [reason for _, reason in clean([record], kind).rejected]
+            assert rejected == ([] if inside else [f"{field}-range"])
+        assert warned is not inside
 
     def test_warning_attached_to_row(self):
         pl_model, vl_model = reference_models()

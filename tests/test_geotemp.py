@@ -13,6 +13,7 @@ from shale_adsorb.geotemp import (
     interpolate_grid,
     parse_heatflow,
 )
+from shale_adsorb.dataset import SampleParseError
 
 
 def point(lon, lat, grad_t, depth=1000.0):
@@ -165,3 +166,14 @@ class TestParseHeatflow:
     def test_out_of_range_coordinate_cites_row(self):
         with pytest.raises(ValueError, match="row 2"):
             parse_heatflow("lon_deg,lat_deg,section_depth_m,gradt_c_per_km\n999,29.1,1200,26.4\n")
+
+    def test_samples_csv_dialect(self):
+        # Blank lines are skipped, rows are numbered from the header as row 1,
+        # and a short row or an empty file names the row and column.
+        header = "lon_deg,lat_deg,section_depth_m,gradt_c_per_km\n"
+        assert parse_heatflow(header + "\n104.5,29.1,1200,26.4\n \n") == parse_heatflow(self.TEXT)
+        with pytest.raises(SampleParseError, match="row 4, column section_depth_m: expected 4 heat-flow fields") as info:
+            parse_heatflow(header + "104.5,29.1,1200,26.4\n\n104.5,29.1\n")
+        assert (info.value.row, info.value.column) == (4, "section_depth_m")
+        with pytest.raises(SampleParseError, match="row 1, column lon_deg: empty heat-flow file"):
+            parse_heatflow("")
