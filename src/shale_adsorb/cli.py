@@ -60,7 +60,9 @@ def _write(path: Path, content: str) -> None:
 
 
 def _read_text(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
+    # utf-8-sig drops a leading byte-order mark, which would otherwise stay
+    # in the first header cell.
+    with open(path, "r", encoding="utf-8-sig") as handle:
         return handle.read()
 
 
@@ -181,7 +183,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
     specs = _stage("reservoir-config", estimator.parse_reservoirs, _read_text(args.input))
     if not specs:
-        raise ValueError(f"no reservoir blocks found in {args.input}")
+        raise ValueError(f"reservoir-config stage: no reservoir blocks found in {args.input}")
     rows = [_stage("estimate", estimator.estimate_reservoir, spec, pl_model, vl_model)
             for spec in specs]
     _write(out / "estimates.csv", estimator.estimates_to_csv(rows))

@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import repeat
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .dataset import SampleParseError, _parse_float, read_csv_table, write_csv
 
@@ -20,6 +23,12 @@ DEFAULT_IDW_POWER = 2.0
 
 #: Queries closer than this to a sample return the sample value exactly.
 EXACT_HIT_DISTANCE_M = 1.0
+
+#: (query, sample) pairs held by one block of the IDW kernel: 2**16 float64
+#: distances, 0.5 MiB, plus as many boxed Python floats while ``asin`` runs.
+BLOCK_PAIRS = 2 ** 16
+
+_RADIANS_PER_DEGREE = math.pi / 180.0
 
 HEATFLOW_CSV_COLUMNS = ("lon_deg", "lat_deg", "section_depth_m", "gradt_c_per_km")
 
@@ -63,6 +72,92 @@ def filter_heatflow(
     return [p for p in points if p.section_depth >= min_depth]
 
 
+def _elementwise(func, values: np.ndarray, *args) -> np.ndarray:
+    """``func(x, *args)`` of each element, called on Python floats so that it rounds as ``math`` does."""
+    flat = values.ravel().tolist()
+    return np.fromiter(map(func, flat, *map(repeat, args)), float, len(flat)).reshape(values.shape)
+
+
+def _sin_sq_half(sample_angles: np.ndarray, query_angles: np.ndarray, step: int) -> Iterator[np.ndarray]:
+    """Per block of ``step`` queries, ``math.sin((s - q) / 2.0) ** 2`` for every (query, sample) pair.
+
+    The terms are computed once per distinct query angle in a block, and
+    reused by the next block when its distinct angles are the same, as the
+    longitudes of a grid's rows are.
+    """
+    seen = terms = None
+    for start in range(0, len(query_angles), step):
+        distinct, inverse = np.unique(query_angles[start:start + step], return_inverse=True)
+        if not np.array_equal(distinct, seen):
+            half = (sample_angles - distinct[:, None]) / 2.0
+            squares = map(pow, map(math.sin, half.ravel().tolist()), repeat(2))
+            seen, terms = distinct, np.fromiter(squares, float, half.size).reshape(half.shape)
+        yield terms[inverse]
+
+
+def _idw(
+    samples: Sequence[HeatFlowPoint],
+    lons: Sequence[float],
+    lats: Sequence[float],
+    power: float,
+    max_neighbors: int | None,
+) -> list[float]:
+    """IDW gradient at each (lon, lat) query, bit for bit the per-pair ``haversine_m`` loop.
+
+    Works on blocks of queries holding about ``BLOCK_PAIRS`` (query, sample)
+    pairs. NumPy does only the correctly rounded steps (+ - * /, ``sqrt``,
+    comparisons, a stable ``argsort`` and a left-to-right ``cumsum``), in the
+    order ``haversine_m`` and the nearest-first weighted sum use. Every
+    ``sin``, ``cos``, ``asin`` and ``pow`` is the ``math`` or builtin call on
+    Python floats: the sine terms once per distinct query latitude or
+    longitude, ``cos`` once per point, ``asin`` once per pair, and the weight
+    ``d ** -power`` only for the neighbours used.
+    """
+    if not samples:
+        raise ValueError("cannot interpolate from an empty sample set")
+    if not (math.isfinite(power) and power > 0):
+        raise ValueError(f"power must be positive and finite, got {power}")
+    for lon, lat in zip(lons, lats):
+        if not (math.isfinite(lon) and math.isfinite(lat)):
+            raise ValueError(f"query point must be finite, got ({lon!r}, {lat!r})")
+    if max_neighbors is not None and max_neighbors < 1:
+        raise ValueError(f"max_neighbors must be >= 1, got {max_neighbors}")
+
+    n = len(samples)
+    k = n if max_neighbors is None else min(max_neighbors, n)
+    grads = np.array([p.grad_t for p in samples])
+    # math.radians(x) is the one correctly rounded product x * (pi / 180).
+    sample_lon = np.array([p.lon for p in samples]) * _RADIANS_PER_DEGREE
+    sample_lat = np.array([p.lat for p in samples]) * _RADIANS_PER_DEGREE
+    query_lon = np.array(lons, dtype=float) * _RADIANS_PER_DEGREE
+    query_lat = np.array(lats, dtype=float) * _RADIANS_PER_DEGREE
+    sample_cos = _elementwise(math.cos, sample_lat)
+    query_cos = _elementwise(math.cos, query_lat)
+
+    values: list[float] = []
+    step = max(1, BLOCK_PAIRS // n)
+    for start, lat_terms, lon_terms in zip(range(0, len(query_lat), step),
+                                           _sin_sq_half(sample_lat, query_lat, step),
+                                           _sin_sq_half(sample_lon, query_lon, step)):
+        a = lat_terms + query_cos[start:start + step, None] * sample_cos * lon_terms
+        dist = 2.0 * EARTH_RADIUS_M * _elementwise(math.asin, np.sqrt(a))
+        order = np.argsort(dist, axis=1, kind="stable")[:, :k]
+        nearest = np.take_along_axis(dist, order, axis=1)
+        block_values = grads[order[:, 0]]
+        far = nearest[:, 0] >= EXACT_HIT_DISTANCE_M
+        if far.any():
+            w = _elementwise(pow, nearest[far], -power)
+            # cumsum starts from the first term, not from 0.0: the two differ
+            # only where the sum is -0.0, and + 0.0 turns that into 0.0.
+            numerator = np.cumsum(w * grads[order[far]], axis=1)[:, -1] + 0.0
+            denominator = np.cumsum(w, axis=1)[:, -1]
+            if not denominator.all():
+                raise ValueError(f"inverse-distance weights underflow to zero at power {power}")
+            block_values[far] = numerator / denominator
+        values.extend(block_values.tolist())
+    return values
+
+
 def idw_interpolate(
     samples: Sequence[HeatFlowPoint],
     lon: float,
@@ -73,30 +168,11 @@ def idw_interpolate(
     """Inverse-distance-weighted temperature gradient at a query point.
 
     Weights are 1 / d**power over all samples (or the ``max_neighbors``
-    nearest when set). A query within one meter of a sample returns that
-    sample's gradient exactly.
+    nearest when set, ties by ascending sample index), summed nearest first.
+    A query within one meter of a sample returns that sample's gradient
+    exactly. Costs O(n log n) for n samples, in NumPy.
     """
-    if not samples:
-        raise ValueError("cannot interpolate from an empty sample set")
-    if not (math.isfinite(power) and power > 0):
-        raise ValueError(f"power must be positive and finite, got {power}")
-    if not (math.isfinite(lon) and math.isfinite(lat)):
-        raise ValueError(f"query point must be finite, got ({lon!r}, {lat!r})")
-    if max_neighbors is not None and max_neighbors < 1:
-        raise ValueError(f"max_neighbors must be >= 1, got {max_neighbors}")
-    distances = [haversine_m(lon, lat, p.lon, p.lat) for p in samples]
-    # A stable sort: equal distances keep ascending sample index.
-    order = sorted(range(len(samples)), key=distances.__getitem__)
-    if distances[order[0]] < EXACT_HIT_DISTANCE_M:
-        return samples[order[0]].grad_t
-
-    numerator = 0.0
-    denominator = 0.0
-    for i in order[:max_neighbors]:
-        w = distances[i] ** -power
-        numerator += w * samples[i].grad_t
-        denominator += w
-    return numerator / denominator
+    return _idw(samples, [lon], [lat], power, max_neighbors)[0]
 
 
 def interpolate_grid(
@@ -112,7 +188,10 @@ def interpolate_grid(
 ) -> list[tuple[float, float, float]]:
     """Interpolated (lon, lat, gradient) rows on an inclusive regular grid.
 
-    Node counts may be given as floats but must be whole numbers.
+    Node counts may be given as floats but must be whole numbers. Every node
+    equals ``idw_interpolate`` at its (lon, lat). All nodes go through one
+    blocked NumPy pass: O(q * n log n) for q nodes and n samples, with
+    memory bounded per block.
     """
     if not all(math.isfinite(bound) for bound in (lon_min, lon_max, lat_min, lat_max)):
         raise ValueError(f"grid bounds must be finite, got {(lon_min, lon_max, lat_min, lat_max)!r}")
@@ -121,13 +200,11 @@ def interpolate_grid(
     if n_lon < 1 or n_lat < 1:
         raise ValueError("grid needs at least one point per axis")
     n_lon, n_lat = int(n_lon), int(n_lat)
-    rows = []
-    for i in range(n_lat):
-        lat = lat_min if n_lat == 1 else lat_min + (lat_max - lat_min) * i / (n_lat - 1)
-        for j in range(n_lon):
-            lon = lon_min if n_lon == 1 else lon_min + (lon_max - lon_min) * j / (n_lon - 1)
-            rows.append((lon, lat, idw_interpolate(samples, lon, lat, power, max_neighbors)))
-    return rows
+    lats = [lat_min if n_lat == 1 else lat_min + (lat_max - lat_min) * i / (n_lat - 1) for i in range(n_lat)]
+    lons = [lon_min if n_lon == 1 else lon_min + (lon_max - lon_min) * j / (n_lon - 1) for j in range(n_lon)]
+    node_lons = lons * n_lat
+    node_lats = [lat for lat in lats for _ in lons]
+    return list(zip(node_lons, node_lats, _idw(samples, node_lons, node_lats, power, max_neighbors)))
 
 
 def parse_heatflow(source: str | Iterable[str]) -> list[HeatFlowPoint]:

@@ -250,6 +250,8 @@ def detect_outliers(
     _check_neighbour_count(k, n)
     if math.isnan(threshold):
         raise ValueError("threshold must not be NaN")
+    if threshold < 0:
+        raise ValueError(f"threshold must be >= 0, got {threshold!r}")
     weights = compute_weights(records, kind.independent_vars)
     columns = _distance_columns(records, weights)
     deps = [getattr(rec, kind.dependent_var) for rec in records]

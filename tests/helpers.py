@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from shale_adsorb.geotemp import EXACT_HIT_DISTANCE_M, haversine_m
+
 
 def lstsq_oracle(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Least squares via the explicit Moore-Penrose pseudo-inverse."""
@@ -66,3 +68,23 @@ def naive_r_values(records, variables, dependent, k) -> np.ndarray:
         denominator = min(float(dep[order].mean()), float(dep[i]))
         out.append(numerator / denominator)
     return np.array(out)
+
+
+def naive_idw(samples, lon, lat, power, max_neighbors, distance=haversine_m) -> float:
+    """Per-pair inverse-distance weighting, the loop the IDW kernel replaced.
+
+    ``distance`` (``haversine_m``) per sample, a stable sort (ties by
+    ascending index), the exact hit from the first sample in that order,
+    then one weight ``d ** -power`` and one in-order sum term per neighbour.
+    """
+    distances = [distance(lon, lat, p.lon, p.lat) for p in samples]
+    order = sorted(range(len(samples)), key=distances.__getitem__)
+    if distances[order[0]] < EXACT_HIT_DISTANCE_M:
+        return samples[order[0]].grad_t
+    numerator = 0.0
+    denominator = 0.0
+    for i in order[:max_neighbors]:
+        w = distances[i] ** -power
+        numerator += w * samples[i].grad_t
+        denominator += w
+    return numerator / denominator

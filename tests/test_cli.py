@@ -175,6 +175,12 @@ class TestOutlierStage:
                      "--threshold", "nan", "--output-dir", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert "outlier-detection stage: threshold must not be NaN" in err
+        assert main(["outliers", "--input", path, "--kind", "vl",
+                     "--threshold", "-1", "--output-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "outlier-detection stage: threshold must be >= 0, got -1.0" in err
+        assert main(["outliers", "--input", path, "--kind", "vl",
+                     "--threshold", "0", "--output-dir", str(tmp_path / "out")]) == 0
 
 
 class TestCompare:
@@ -256,6 +262,14 @@ class TestEstimate:
         assert "error: model stage:" in capsys.readouterr().err
         assert not (tmp_path / "out" / "estimates.csv").exists()
 
+    def test_config_without_blocks_exit_code_1(self, tmp_path, capsys):
+        config = tmp_path / "r.conf"
+        config.write_text("# no reservoirs yet\n", encoding="utf-8")
+        assert main(["estimate", "--input", str(config), "--paper-coefficients",
+                     "--output-dir", str(tmp_path / "out")]) == 1
+        assert f"error: reservoir-config stage: no reservoir blocks found in {config}" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "estimates.csv").exists()
+
     def test_flag_and_files_are_mutually_exclusive(self, tmp_path, data_dir, capsys):
         assert main(["estimate", "--input", str(data_dir / "reservoirs.conf"),
                      "--paper-coefficients", "--pl-model", "x", "--vl-model", "y",
@@ -311,6 +325,7 @@ class TestIdw:
         ["--query", "nan", "30"],
         ["--query", "105", "inf"],
         ["--query", "103.107", "27.498", "--max-neighbors", "0"],  # exact hit on a sample
+        ["--query", "105", "30", "--idw-power", "300"],  # every weight underflows to 0.0
     ])
     def test_bad_numbers_exit_code_1(self, argv, tmp_path, data_dir, capsys):
         out = tmp_path / "out"
@@ -330,6 +345,21 @@ class TestIdw:
                      "--min-depth", "nan", "--query", "105", "30",
                      "--output-dir", str(tmp_path)]) == 1
         assert "error: filter stage: min depth must be finite, got nan" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("samples.csv", ["clean", "--kind", "pl"]),
+    ("heatflow.csv", ["idw", "--query", "105", "30"]),
+])
+def test_byte_order_mark_is_accepted(name, argv, tmp_path, data_dir):
+    marked = tmp_path / name
+    marked.write_bytes(b"\xef\xbb\xbf" + (data_dir / name).read_bytes())
+    for source, out in ((data_dir / name, tmp_path / "plain"), (marked, tmp_path / "marked")):
+        assert main([*argv, "--input", str(source), "--output-dir", str(out)]) == 0
+    written = sorted(path.name for path in (tmp_path / "plain").iterdir())
+    assert written == sorted(path.name for path in (tmp_path / "marked").iterdir())
+    for file_name in written:
+        assert (tmp_path / "marked" / file_name).read_bytes() == (tmp_path / "plain" / file_name).read_bytes()
 
 
 def test_module_invocation_help():

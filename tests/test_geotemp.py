@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shale_adsorb.geotemp import (
     EARTH_RADIUS_M,
@@ -14,6 +15,7 @@ from shale_adsorb.geotemp import (
     parse_heatflow,
 )
 from shale_adsorb.dataset import SampleParseError
+from helpers import naive_idw
 
 
 def point(lon, lat, grad_t, depth=1000.0):
@@ -146,6 +148,141 @@ class TestInterpolateGrid:
         lines = grid_to_csv([(102.0, 26.0, 21.5)]).splitlines()
         assert lines[0] == "lon_deg,lat_deg,gradt_c_per_km"
         assert lines[1] == "102.0,26.0,21.5"
+
+
+def lattice_with_repeats():
+    """90 samples on a half-degree lattice, then 10 of them repeated with other gradients.
+
+    Grid nodes on quarter degrees sit exactly on lattice points (exact hits,
+    some on a repeated point), and the repeats put exact distance ties next
+    to each other in the neighbour order.
+    """
+    lattice = [point(100.0 + 0.5 * i, 25.0 + 0.5 * j, 15.0 + 1.7 * ((7 * i + 3 * j) % 11))
+               for j in range(9) for i in range(10)]
+    return lattice + [point(p.lon, p.lat, p.grad_t + 4.25) for p in lattice[::9]]
+
+
+# 29 x 25 nodes on quarter degrees; 725 nodes x 100 samples is more than one
+# block of 2**16 (node, sample) pairs.
+EXACTNESS_GRID = (99.0, 106.0, 24.0, 30.0, 29, 25)
+
+
+class TestIdwExactness:
+    """The IDW kernel equals the per-pair loop (``helpers.naive_idw``) with ``==``."""
+
+    @pytest.mark.parametrize("power", [1.0, 2.0, 3.5])
+    @pytest.mark.parametrize("cap", [None, 1, 8, 100, 105])
+    def test_grid_and_queries_equal_per_pair_loop(self, cap, power):
+        samples = lattice_with_repeats()
+        rows = interpolate_grid(samples, *EXACTNESS_GRID, power=power, max_neighbors=cap)
+        assert len(rows) == 29 * 25
+        assert [g for _, _, g in rows] == [naive_idw(samples, lon, lat, power, cap) for lon, lat, _ in rows]
+        for lon, lat, _ in rows[::7]:
+            assert idw_interpolate(samples, lon, lat, power, cap) == naive_idw(samples, lon, lat, power, cap)
+
+        assert interpolate_grid(samples, 101.3, 101.3, 26.1, 26.1, 1, 1, power, cap) == [
+            (101.3, 26.1, naive_idw(samples, 101.3, 26.1, power, cap))]
+
+        single = samples[:1]
+        rows = interpolate_grid(single, 99.0, 101.0, 24.0, 26.0, 3, 3, power, cap)
+        assert [g for _, _, g in rows] == [naive_idw(single, lon, lat, power, cap) for lon, lat, _ in rows]
+        for lon, lat in ((100.0, 25.0), (103.7, 27.2)):
+            assert idw_interpolate(single, lon, lat, power, cap) == naive_idw(single, lon, lat, power, cap)
+
+    @pytest.mark.parametrize("cap", [None, 8])
+    def test_scattered_points_equal_per_pair_loop(self, cap):
+        # Off-lattice coordinates: thousands of distinct sine, asin and weight
+        # arguments, and no ties.
+        rng = np.random.default_rng(7)
+        samples = [point(float(lon), float(lat), float(g)) for lon, lat, g in
+                   zip(rng.uniform(100, 110, 200), rng.uniform(25, 35, 200), rng.uniform(15, 35, 200))]
+        rows = interpolate_grid(samples, 100.37, 109.91, 25.13, 34.77, 20, 20, 2.0, cap)
+        assert [g for _, _, g in rows] == [naive_idw(samples, lon, lat, 2.0, cap) for lon, lat, _ in rows]
+        for lon, lat in zip(rng.uniform(100, 110, 40).tolist(), rng.uniform(25, 35, 40).tolist()):
+            assert idw_interpolate(samples, lon, lat, 2.0, cap) == naive_idw(samples, lon, lat, 2.0, cap)
+
+    def test_squares_round_like_pow(self):
+        # x * x and x ** 2 (libm pow) differ on about 0.1% of arguments, and
+        # sqrt hides most of that; these pairs are ones where it does not.
+        def distance_with_products(lon1, lat1, lon2, lat2):
+            lon1, lat1, lon2, lat2 = map(math.radians, (lon1, lat1, lon2, lat2))
+            s_lat = math.sin((lat2 - lat1) / 2.0)
+            s_lon = math.sin((lon2 - lon1) / 2.0)
+            a = s_lat * s_lat + math.cos(lat1) * math.cos(lat2) * (s_lon * s_lon)
+            return 2.0 * EARTH_RADIUS_M * math.asin(math.sqrt(a))
+
+        rng = np.random.default_rng(11)
+        pairs = rng.uniform([100, 25, 100, 25], [110, 35, 110, 35], size=(20_000, 4)).tolist()
+        sensitive = [p for p in pairs if distance_with_products(*p) != haversine_m(*p)][:8]
+        moved = 0
+        for lon, lat, s_lon, s_lat in sensitive:
+            samples = [point(s_lon, s_lat, 20.0), point(105.0, 30.0, 30.0)]
+            expected = naive_idw(samples, lon, lat, 1.0, None)
+            assert idw_interpolate(samples, lon, lat, 1.0) == expected
+            assert interpolate_grid(samples, lon, lon, lat, lat, 1, 1, 1.0) == [(lon, lat, expected)]
+            moved += naive_idw(samples, lon, lat, 1.0, None, distance_with_products) != expected
+        assert moved > 0
+
+    def test_signed_zero_sums_like_the_loop(self):
+        # The loop's sums start at +0.0, so all-(-0.0) terms give +0.0, not -0.0.
+        samples = [point(100.0, 25.0, -0.0), point(101.0, 26.0, -0.0), point(102.0, 25.5, 3.0)]
+        for cap in (2, None):
+            got = idw_interpolate(samples, 99.0, 25.0, max_neighbors=cap)
+            assert repr(got) == repr(naive_idw(samples, 99.0, 25.0, 2.0, cap))
+        rows = interpolate_grid(samples, 99.0, 99.5, 25.0, 25.0, 2, 1, max_neighbors=2)
+        assert [repr(g) for _, _, g in rows] == ["0.0", "0.0"]
+
+    def test_inputs_hold_exact_hits_and_ties_across_the_cap(self):
+        samples = lattice_with_repeats()
+        hits = 0
+        ties = {1: 0, 8: 0}
+        for lon, lat, _ in interpolate_grid(samples, *EXACTNESS_GRID):
+            d = sorted(haversine_m(lon, lat, p.lon, p.lat) for p in samples)
+            if d[0] == 0.0:
+                hits += 1
+                continue
+            for cap in ties:
+                ties[cap] += d[cap - 1] == d[cap]
+        assert hits == 90
+        assert all(ties.values()), ties
+
+
+_coordinate = st.tuples(st.floats(100.0, 110.0), st.floats(25.0, 35.0))
+
+
+@st.composite
+def _heatflow_sets(draw):
+    """Heat-flow points in one region, some sharing coordinates."""
+    places = draw(st.lists(_coordinate, min_size=1, max_size=12))
+    picks = draw(st.lists(st.sampled_from(places), min_size=1, max_size=25))
+    return [point(lon, lat, draw(st.floats(10.0, 40.0))) for lon, lat in picks]
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(samples=_heatflow_sets(), query=_coordinate, power=st.sampled_from([1.0, 2.0, 3.5]),
+       cap=st.none() | st.integers(1, 30), data=st.data())
+def test_idw_bounded_by_used_neighbours_and_grid_equals_query(samples, query, power, cap, data):
+    """A value lies within the gradients of the neighbours it used; a grid node equals a query.
+
+    The weighted mean of k neighbours is computed with k products and 2k
+    rounded sums, so it may leave [min, max] by at most 2(k + 1) units of
+    roundoff of the largest gradient.
+    """
+    lon, lat = query
+    value = idw_interpolate(samples, lon, lat, power, cap)
+    distances = [haversine_m(lon, lat, p.lon, p.lat) for p in samples]
+    order = sorted(range(len(samples)), key=distances.__getitem__)
+    used = order[:1] if distances[order[0]] < 1.0 else order[:cap]
+    grads = [samples[i].grad_t for i in used]
+    slack = 2 * (len(used) + 1) * np.finfo(float).eps * max(grads)
+    assert min(grads) - slack <= value <= max(grads) + slack
+
+    lon_lo, lon_hi = sorted(data.draw(st.tuples(st.floats(100.0, 110.0), st.floats(100.0, 110.0))))
+    lat_lo, lat_hi = sorted(data.draw(st.tuples(st.floats(25.0, 35.0), st.floats(25.0, 35.0))))
+    n_lon, n_lat = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+    for node_lon, node_lat, g in interpolate_grid(samples, lon_lo, lon_hi, lat_lo, lat_hi,
+                                                  n_lon, n_lat, power, cap):
+        assert g == idw_interpolate(samples, node_lon, node_lat, power, cap)
 
 
 class TestParseHeatflow:

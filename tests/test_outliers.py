@@ -255,6 +255,11 @@ class TestDetectOutliers:
         records = _clone_cloud_with_planted_outlier()
         with pytest.raises(ValueError, match="threshold must not be NaN"):
             detect_outliers(records, DatasetKind.VL, threshold=math.nan)
+        # R >= 0, so a negative threshold would flag every record.
+        with pytest.raises(ValueError, match=r"threshold must be >= 0, got -1\.0"):
+            detect_outliers(records, DatasetKind.VL, threshold=-1.0)
+        report = detect_outliers(records, DatasetKind.VL, threshold=0.0)
+        assert report.flagged == [r > 0.0 for r in report.r_values]
 
     def test_zero_iqr_propagates(self):
         records = [make_record(i, toc=4.0, temp=float(40 + i), vl=2.0 + 0.1 * i) for i in range(8)]
