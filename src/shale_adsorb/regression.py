@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -26,7 +26,15 @@ CELSIUS_TO_KELVIN = 273.15
 
 
 class SingularSystemError(ValueError):
-    """The normal equations are singular or too ill-conditioned to solve."""
+    """The normal equations are singular or too ill-conditioned to solve.
+
+    ``system`` is the position of the offending system in a stacked solve
+    (0 for a single system).
+    """
+
+    def __init__(self, message: str, system: int = 0):
+        super().__init__(message)
+        self.system = system
 
 
 class ModelKind(Enum):
@@ -141,7 +149,21 @@ class ModelSpec:
 
     def inverse_response(self, linear_value: float) -> float:
         """Map a fitted linear response back to the dependent variable's units."""
-        return _FACTS[self.kind].inverse(linear_value)
+        try:
+            return _FACTS[self.kind].inverse(linear_value)
+        except OverflowError:
+            raise ValueError(
+                f"{self.kind.value} prediction overflows: linear response {linear_value!r} "
+                f"is out of range for {self.dependent_var}"
+            ) from None
+
+    def inverse_responses(self, linear_values: Sequence[float]) -> list[float]:
+        """:meth:`inverse_response` of each value, with one lookup of the inverse."""
+        try:
+            return list(map(_FACTS[self.kind].inverse, linear_values))
+        except OverflowError:
+            # redo per value, so the error names the first one that overflows
+            return [self.inverse_response(value) for value in linear_values]
 
 
 @dataclass
@@ -193,32 +215,54 @@ def build_design(records: Sequence[SampleRecord], spec: ModelSpec) -> DesignSyst
     return DesignSystem(np.array(rows, dtype=float).reshape(len(rows), spec.n_coefficients), np.array(y))
 
 
-def _solve_with_pivoting(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Gaussian elimination with partial pivoting on a small dense system."""
-    a = a.copy()
-    b = b.copy()
-    n = a.shape[0]
-    scale = float(np.abs(a).max())
-    if scale == 0.0:
-        raise SingularSystemError("normal-equation matrix is zero")
+def solve_normal_equations(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve a stack of small dense systems ``a[f] @ w[f] = b[f]``; shapes (F, n, n), (F, n).
+
+    Gaussian elimination with partial pivoting, run on all F systems at
+    once: each keeps its own pivot choice, row swap and row updates, in the
+    elementwise order of a per-system loop, so every system rounds exactly
+    as it would alone. Back substitution takes each row's dot product with
+    ``np.vecdot`` (the ddot kernel a 1-D ``@`` uses). A singular system
+    raises :class:`SingularSystemError` for the first such system in the
+    stack; its ``system`` attribute is that position.
+    """
+    a = np.array(a, dtype=float)
+    b = np.array(b, dtype=float)
+    n = b.shape[1]
+    scale = np.abs(a).max(axis=(1, 2))
+    error = None
+    # A failure at position k makes every later system irrelevant, so the
+    # stack is cut to its first k systems and only they are carried on.
+    zero = np.flatnonzero(scale == 0.0)
+    if zero.size:
+        error = SingularSystemError("normal-equation matrix is zero", system=int(zero[0]))
+        a, b, scale = a[:zero[0]], b[:zero[0]], scale[:zero[0]]
     for col in range(n):
-        pivot_row = col + int(np.argmax(np.abs(a[col:, col])))
-        pivot = a[pivot_row, col]
-        if abs(pivot) <= PIVOT_RTOL * scale:
-            raise SingularSystemError(
-                f"normal equations are singular or ill-conditioned (pivot {pivot:.3e} "
-                f"below {PIVOT_RTOL:.0e} of scale {scale:.3e})"
+        systems = np.arange(len(b))
+        pivot_row = col + np.argmax(np.abs(a[:, col:, col]), axis=1)
+        pivot = a[systems, pivot_row, col]
+        bad = np.flatnonzero(np.abs(pivot) <= PIVOT_RTOL * scale)
+        if bad.size:
+            k = int(bad[0])
+            error = SingularSystemError(
+                f"normal equations are singular or ill-conditioned (pivot {pivot[k]:.3e} "
+                f"below {PIVOT_RTOL:.0e} of scale {scale[k]:.3e})",
+                system=k,
             )
-        if pivot_row != col:
-            a[[col, pivot_row]] = a[[pivot_row, col]]
-            b[[col, pivot_row]] = b[[pivot_row, col]]
+            a, b, scale, systems, pivot_row = a[:k], b[:k], scale[:k], systems[:k], pivot_row[:k]
+        if (pivot_row != col).any():
+            top_a, top_b = a[systems, col], b[systems, col]
+            a[systems, col], b[systems, col] = a[systems, pivot_row], b[systems, pivot_row]
+            a[systems, pivot_row], b[systems, pivot_row] = top_a, top_b
         for row in range(col + 1, n):
-            factor = a[row, col] / a[col, col]
-            a[row, col:] -= factor * a[col, col:]
-            b[row] -= factor * b[col]
-    w = np.zeros(n)
+            factor = a[:, row, col] / a[:, col, col]
+            a[:, row, col:] -= factor[:, None] * a[:, col, col:]
+            b[:, row] -= factor * b[:, col]
+    if error is not None:
+        raise error
+    w = np.zeros(b.shape)
     for row in range(n - 1, -1, -1):
-        w[row] = (b[row] - a[row, row + 1:] @ w[row + 1:]) / a[row, row]
+        w[:, row] = (b[:, row] - np.vecdot(a[:, row, row + 1:], w[:, row + 1:])) / a[:, row, row]
     return w
 
 
@@ -233,7 +277,32 @@ def ols_fit(system: DesignSystem) -> np.ndarray:
         raise SingularSystemError(f"fewer records ({m}) than coefficients ({n})")
     xtx = system.x.T @ system.x
     xty = system.x.T @ system.y
-    return _solve_with_pivoting(xtx, xty)
+    return solve_normal_equations(xtx[None], xty[None])[0]
+
+
+def fit_row_subsets(x: np.ndarray, y: np.ndarray, masks: Iterable[np.ndarray]) -> np.ndarray:
+    """Least-squares coefficients of one design on each boolean row subset, shape (F, n).
+
+    Each subset's rows are copied once and its Gram matrix is ``rows.T @
+    rows`` of that one copy, as :func:`ols_fit` computes it (two separate
+    copies, or a stacked matmul over all subsets, round differently). All
+    systems then go through one :func:`solve_normal_equations` call, so
+    every row equals :func:`ols_fit` on that subset. A subset with fewer rows
+    than coefficients, or a singular one, raises
+    :class:`SingularSystemError` for the first failing subset, with
+    ``system`` set to its position.
+    """
+    n = x.shape[1]
+    grams, moments = [], []
+    for f, mask in enumerate(masks):
+        rows = x.compress(mask, axis=0)  # x[mask], about three times faster
+        if len(rows) < n:
+            # a singular subset before this one is the first failure
+            solve_normal_equations(np.array(grams).reshape(f, n, n), np.array(moments).reshape(f, n))
+            raise SingularSystemError(f"fewer records ({len(rows)}) than coefficients ({n})", system=f)
+        grams.append(rows.T @ rows)
+        moments.append(rows.T @ y[mask])
+    return solve_normal_equations(np.array(grams).reshape(-1, n, n), np.array(moments).reshape(-1, n))
 
 
 def fit(records: Sequence[SampleRecord], spec: ModelSpec) -> FittedModel:

@@ -18,13 +18,11 @@ from scipy.special import stdtrit
 
 from .dataset import SampleRecord, write_csv
 from .regression import (
-    DesignSystem,
     FittedModel,
     ModelSpec,
     SingularSystemError,
     build_design,
-    fit,
-    ols_fit,
+    fit_row_subsets,
 )
 
 DEFAULT_CI_LEVEL = 0.90
@@ -121,12 +119,43 @@ def qq_data(errors: Sequence[float]) -> list[tuple[float, float]]:
     ]
 
 
+def _predict(spec: ModelSpec, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Predictions in natural units: one ``vecdot`` of rows and coefficients, then the inverse.
+
+    ``x`` and ``w`` broadcast as ``np.vecdot`` does. The inverse runs per
+    element in Python (``math.exp`` rounds differently from ``np.exp``), so
+    each value equals :meth:`FittedModel.predict` on that row.
+    """
+    linear = np.vecdot(x, w)
+    return np.array(spec.inverse_responses(linear.ravel().tolist())).reshape(linear.shape)
+
+
+def _dependent_values(records: Sequence[SampleRecord], spec: ModelSpec) -> np.ndarray:
+    """The records' values of the spec's dependent variable (pl or vl)."""
+    return np.array([getattr(rec, spec.dependent_var) for rec in records], dtype=float)
+
+
+def _leave_one_out_masks(m: int):
+    """Training-row masks of the m folds; one array, updated in place per fold."""
+    mask = np.ones(m, dtype=bool)
+    for i in range(m):
+        mask[i] = False
+        yield mask
+        mask[i] = True
+
+
 def loo_cv(records: Sequence[SampleRecord], spec: ModelSpec,
            ci_level: float = DEFAULT_CI_LEVEL) -> ValidationReport:
     """Leave-one-out cross-validation of one model spec.
 
     Each record is held out once, the model is refit from scratch on the
     remaining rows, and the held-out record is predicted in natural units.
+    The design is built once; each fold's normal equations come from its
+    own training rows, all folds are solved in one stacked call, and the
+    held-out rows are predicted with one ``vecdot``. Every fold equals a
+    separate :func:`~shale_adsorb.regression.fit` on its training records.
+    A singular fold raises :class:`SingularSystemError` naming the first
+    such fold and its record id.
     """
     m = len(records)
     if m < spec.n_coefficients + 1:
@@ -134,19 +163,15 @@ def loo_cv(records: Sequence[SampleRecord], spec: ModelSpec,
             f"need at least {spec.n_coefficients + 1} records for leave-one-out, got {m}"
         )
     system = build_design(records, spec)
-    errors: list[float] = []
-    for i in range(m):
-        x_i = np.delete(system.x, i, axis=0)
-        y_i = np.delete(system.y, i)
-        try:
-            w = ols_fit(DesignSystem(x_i, y_i))
-        except SingularSystemError as exc:
-            raise SingularSystemError(
-                f"fold {i} (record {records[i].id}) left a singular training system: {exc}"
-            ) from exc
-        predicted = spec.inverse_response(float(system.x[i] @ w))
-        actual = getattr(records[i], spec.dependent_var)
-        errors.append((actual - predicted) / actual * 100.0)
+    try:
+        w = fit_row_subsets(system.x, system.y, _leave_one_out_masks(m))
+    except SingularSystemError as exc:
+        raise SingularSystemError(
+            f"fold {exc.system} (record {records[exc.system].id}) left a singular training system: {exc}",
+            system=exc.system,
+        ) from exc
+    actual = _dependent_values(records, spec)
+    errors = ((actual - _predict(spec, system.x, w)) / actual * 100.0).tolist()
 
     mean, half_width = error_ci(errors, ci_level)
     abs_errors = [abs(e) for e in errors]
@@ -163,19 +188,9 @@ def loo_cv(records: Sequence[SampleRecord], spec: ModelSpec,
     )
 
 
-def scenario_split(
-    records: Sequence[SampleRecord],
-    scenario: Scenario,
-    test_fraction: float,
-    seed,
-) -> tuple[list[SampleRecord], list[SampleRecord]]:
-    """Deterministic train/test split with the test set drawn from a scenario pool.
-
-    The test-set size is round(test_fraction * len(records)), at least one;
-    test rows are sampled without replacement from the scenario pool by a
-    partial Fisher-Yates shuffle driven by a seeded PCG64 generator, and the
-    training set is everything else.
-    """
+def _split_pool(records: Sequence[SampleRecord], scenario: Scenario,
+                test_fraction: float) -> tuple[list[int], int]:
+    """The scenario's test pool (record indices) and the test-set size."""
     if not 0.0 < test_fraction < 1.0:
         raise ValueError(f"test fraction must be in (0, 1), got {test_fraction}")
     pool = [i for i, rec in enumerate(records) if scenario.in_pool(rec)]
@@ -187,26 +202,65 @@ def scenario_split(
             f"scenario {scenario.value} pool has {len(pool)} records, "
             f"fewer than the requested test size {n_test}"
         )
-    rng = np.random.default_rng(seed)
+    return pool, n_test
+
+
+def _test_mask(n_records: int, pool: list[int], n_test: int, seed) -> np.ndarray:
+    """Boolean mask of the test rows: a partial Fisher-Yates shuffle of the pool.
+
+    Swap i exchanges positions i and j, with j drawn from [i, len(pool)).
+    All n_test draws come from one ``rng.integers(np.arange(n_test),
+    len(pool))`` call, which yields the same values as n_test sequential
+    ``rng.integers(i, len(pool))`` calls.
+    """
+    draws = np.random.default_rng(seed).integers(np.arange(n_test), len(pool))
     idx = list(pool)
-    for i in range(n_test):
-        j = int(rng.integers(i, len(idx)))
+    for i, j in enumerate(draws.tolist()):
         idx[i], idx[j] = idx[j], idx[i]
-    test_set = set(idx[:n_test])
-    train = [rec for i, rec in enumerate(records) if i not in test_set]
-    test = [rec for i, rec in enumerate(records) if i in test_set]
-    return train, test
+    mask = np.zeros(n_records, dtype=bool)
+    mask[idx[:n_test]] = True
+    return mask
+
+
+def scenario_split(
+    records: Sequence[SampleRecord],
+    scenario: Scenario,
+    test_fraction: float,
+    seed,
+) -> tuple[list[SampleRecord], list[SampleRecord]]:
+    """Deterministic train/test split with the test set drawn from a scenario pool.
+
+    The test-set size is round(test_fraction * len(records)), at least one;
+    test rows are sampled without replacement from the scenario pool by a
+    partial Fisher-Yates shuffle driven by a seeded PCG64 generator (swap i
+    exchanges pool positions i and j, j drawn from [i, len(pool)); the draws
+    come from one array call, equal to the sequential scalar draws), and the
+    training set is everything else. Both keep the records' order.
+    :func:`compare_models` draws its splits through the same helper.
+    """
+    pool, n_test = _split_pool(records, scenario, test_fraction)
+    held_out = _test_mask(len(records), pool, n_test, seed).tolist()
+    return ([rec for rec, held in zip(records, held_out) if not held],
+            [rec for rec, held in zip(records, held_out) if held])
+
+
+def _mean_abs_relative_errors_pct(actual: np.ndarray, predicted: np.ndarray):
+    """Mean absolute relative error (%) along the last axis, summed left to right.
+
+    A float for 1-D inputs, a list of floats for 2-D ones.
+    """
+    relative = np.abs((actual - predicted) / actual)
+    return (np.cumsum(relative, axis=-1)[..., -1] / actual.shape[-1] * 100.0).tolist()
 
 
 def mean_abs_relative_error_pct(model: FittedModel, records: Sequence[SampleRecord]) -> float:
     """Mean absolute relative error (%) of a fitted model on a record list."""
     if not records:
         raise ValueError("empty evaluation set")
-    total = 0.0
-    for rec in records:
-        actual = getattr(rec, model.spec.dependent_var)
-        total += abs((actual - model.predict(rec)) / actual)
-    return total / len(records) * 100.0
+    spec = model.spec
+    x = np.array([spec.feature_row(rec) for rec in records], dtype=float)
+    actual = _dependent_values(records, spec)
+    return _mean_abs_relative_errors_pct(actual, _predict(spec, x, np.array(model.coefficients)))
 
 
 def compare_models(
@@ -219,10 +273,17 @@ def compare_models(
 ) -> ComparisonTable:
     """Repeated split-fit-score comparison of several specs on one dataset.
 
-    Each repetition draws one split (all specs share it), fits every spec on
-    the training rows, and scores the mean absolute relative error on the
-    test rows. A final ``Average`` row per spec carries the mean over
-    repetitions, each repetition weighted equally.
+    Each repetition draws one split (all specs share it; see
+    :func:`scenario_split`), fits every spec on the training rows, and
+    scores the mean absolute relative error on the test rows. A final
+    ``Average`` row per spec carries the mean over repetitions, each
+    repetition weighted equally.
+
+    Each spec's design is built once. Its fits over all repetitions are one
+    stacked solve, and its test predictions one ``vecdot``; every number
+    equals a separate ``fit`` and per-record scoring of that split. A
+    singular training system raises :class:`SingularSystemError` naming
+    the first repetition and spec that hit one.
     """
     if repetitions < 1:
         raise ValueError("need at least one repetition")
@@ -230,16 +291,39 @@ def compare_models(
     if len(dependents) != 1:
         raise ValueError(f"all specs must share one dependent variable, got {sorted(dependents)}")
 
+    pool, n_test = _split_pool(records, scenario, test_fraction)
+    test = np.array([_test_mask(len(records), pool, n_test, [seed, rep])
+                     for rep in range(1, repetitions + 1)])
+    test_rows = np.nonzero(test)[1].reshape(repetitions, n_test)
+    actual = _dependent_values(records, specs[0])[test_rows]
+
+    errors_by_spec: list[list[float]] = []
+    failures = []
+    for position, spec in enumerate(specs):
+        system = build_design(records, spec)
+        try:
+            w = fit_row_subsets(system.x, system.y, ~test)
+        except SingularSystemError as exc:
+            failures.append((exc.system, position, exc))
+            continue
+        for coefficients in w.tolist():  # a fitted model's coefficient checks
+            FittedModel(spec, tuple(coefficients), len(records) - n_test)
+        errors_by_spec.append(_mean_abs_relative_errors_pct(
+            actual, _predict(spec, system.x[test_rows], w[:, None, :])))
+    if failures:
+        rep, position, exc = min(failures, key=lambda failure: failure[:2])
+        raise SingularSystemError(
+            f"repetition {rep + 1}: {specs[position].kind.value} training system is singular: {exc}",
+            system=rep,
+        ) from exc
+
     rows: list[tuple[str, str, float]] = []
     per_spec_errors: dict[str, list[float]] = {spec.kind.value: [] for spec in specs}
-    for rep in range(1, repetitions + 1):
-        train, test = scenario_split(records, scenario, test_fraction, seed=[seed, rep])
-        label = scenario.row_label(rep)
-        for spec in specs:
-            model = fit(train, spec)
-            error = mean_abs_relative_error_pct(model, test)
-            rows.append((label, spec.kind.value, error))
-            per_spec_errors[spec.kind.value].append(error)
+    for rep in range(repetitions):
+        label = scenario.row_label(rep + 1)
+        for spec, errors in zip(specs, errors_by_spec):
+            rows.append((label, spec.kind.value, errors[rep]))
+            per_spec_errors[spec.kind.value].append(errors[rep])
     for spec in specs:
         errors = per_spec_errors[spec.kind.value]
         rows.append(("Average", spec.kind.value, sum(errors) / len(errors)))

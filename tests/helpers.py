@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from shale_adsorb.geotemp import EXACT_HIT_DISTANCE_M, haversine_m
+from shale_adsorb.regression import PIVOT_RTOL, FittedModel, SingularSystemError
 
 
 def lstsq_oracle(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -19,6 +20,91 @@ def lstsq_oracle(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def naive_normal_solve(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Normal equations solved by numpy's LAPACK wrapper."""
     return np.linalg.solve(x.T @ x, x.T @ y)
+
+
+def naive_pivot_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-system Gaussian elimination with partial pivoting, the loop the stacked solver replaced."""
+    a = a.copy()
+    b = b.copy()
+    n = a.shape[0]
+    scale = float(np.abs(a).max())
+    if scale == 0.0:
+        raise SingularSystemError("normal-equation matrix is zero")
+    for col in range(n):
+        pivot_row = col + int(np.argmax(np.abs(a[col:, col])))
+        pivot = a[pivot_row, col]
+        if abs(pivot) <= PIVOT_RTOL * scale:
+            raise SingularSystemError(
+                f"normal equations are singular or ill-conditioned (pivot {pivot:.3e} "
+                f"below {PIVOT_RTOL:.0e} of scale {scale:.3e})"
+            )
+        if pivot_row != col:
+            a[[col, pivot_row]] = a[[pivot_row, col]]
+            b[[col, pivot_row]] = b[[pivot_row, col]]
+        for row in range(col + 1, n):
+            factor = a[row, col] / a[col, col]
+            a[row, col:] -= factor * a[col, col:]
+            b[row] -= factor * b[col]
+    w = np.zeros(n)
+    for row in range(n - 1, -1, -1):
+        w[row] = (b[row] - a[row, row + 1:] @ w[row + 1:]) / a[row, row]
+    return w
+
+
+def naive_split(records, scenario, test_fraction, seed):
+    """Partial Fisher-Yates split with one scalar ``rng.integers(i, n)`` draw per swap."""
+    if not 0.0 < test_fraction < 1.0:
+        raise ValueError(f"test fraction must be in (0, 1), got {test_fraction}")
+    pool = [i for i, rec in enumerate(records) if scenario.in_pool(rec)]
+    if not pool:
+        raise ValueError(f"no records match scenario {scenario.value}")
+    n_test = max(1, int(round(test_fraction * len(records))))
+    if n_test > len(pool):
+        raise ValueError(
+            f"scenario {scenario.value} pool has {len(pool)} records, "
+            f"fewer than the requested test size {n_test}"
+        )
+    rng = np.random.default_rng(seed)
+    idx = list(pool)
+    for i in range(n_test):
+        j = int(rng.integers(i, len(idx)))
+        idx[i], idx[j] = idx[j], idx[i]
+    test_set = set(idx[:n_test])
+    train = [rec for i, rec in enumerate(records) if i not in test_set]
+    test = [rec for i, rec in enumerate(records) if i in test_set]
+    return train, test
+
+
+def naive_fit(records, spec) -> FittedModel:
+    """Design rows built per record, normal equations solved by :func:`naive_pivot_solve`."""
+    x = np.array([spec.feature_row(rec) for rec in records], dtype=float).reshape(len(records), -1)
+    y = np.array([spec.response(rec) for rec in records], dtype=float)
+    if len(records) < spec.n_coefficients:
+        raise SingularSystemError(f"fewer records ({len(records)}) than coefficients ({spec.n_coefficients})")
+    w = naive_pivot_solve(x.T @ x, x.T @ y)
+    return FittedModel(spec=spec, coefficients=tuple(float(v) for v in w), n_fit=len(records))
+
+
+def naive_compare(records, specs, scenario, test_fraction, repetitions, seed):
+    """Per-record model comparison rows: split, fit, predict and a left-to-right ``+=`` per record."""
+    rows = []
+    per_spec_errors = {spec.kind.value: [] for spec in specs}
+    for rep in range(1, repetitions + 1):
+        train, test = naive_split(records, scenario, test_fraction, seed=[seed, rep])
+        label = scenario.row_label(rep)
+        for spec in specs:
+            model = naive_fit(train, spec)
+            total = 0.0
+            for rec in test:
+                actual = getattr(rec, spec.dependent_var)
+                total += abs((actual - model.predict(rec)) / actual)
+            error = total / len(test) * 100.0
+            rows.append((label, spec.kind.value, error))
+            per_spec_errors[spec.kind.value].append(error)
+    for spec in specs:
+        errors = per_spec_errors[spec.kind.value]
+        rows.append(("Average", spec.kind.value, sum(errors) / len(errors)))
+    return rows
 
 
 def naive_loo_errors(records, spec) -> list[float]:

@@ -262,6 +262,18 @@ class TestEstimate:
         assert "error: model stage:" in capsys.readouterr().err
         assert not (tmp_path / "out" / "estimates.csv").exists()
 
+    def test_overflowing_prediction_exit_code_1(self, tmp_path, data_dir, capsys):
+        (tmp_path / "pl.txt").write_text("kind=pl-geo\na=1000.0\nb=0.715\nc=1.666\nn_fit=91\n",
+                                         encoding="utf-8")
+        (tmp_path / "vl.txt").write_text(model_to_text(reference_models()[1]), encoding="utf-8")
+        assert main(["estimate", "--input", str(data_dir / "reservoirs.conf"),
+                     "--pl-model", str(tmp_path / "pl.txt"), "--vl-model", str(tmp_path / "vl.txt"),
+                     "--output-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "error: estimate stage: pl-geo prediction overflows: linear response" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out" / "estimates.csv").exists()
+
     def test_config_without_blocks_exit_code_1(self, tmp_path, capsys):
         config = tmp_path / "r.conf"
         config.write_text("# no reservoirs yet\n", encoding="utf-8")

@@ -12,12 +12,14 @@ from shale_adsorb.regression import (
     SingularSystemError,
     build_design,
     fit,
+    fit_row_subsets,
     model_from_text,
     model_to_text,
     ols_fit,
+    solve_normal_equations,
 )
 from conftest import make_record, synthetic_records
-from helpers import lstsq_oracle
+from helpers import lstsq_oracle, naive_pivot_solve
 
 PL_SPEC = ModelSpec(ModelKind.PL_GEO)
 VL_SPEC = ModelSpec(ModelKind.VL_GEO)
@@ -106,6 +108,80 @@ class TestOlsFit:
         ours = ols_fit(DesignSystem(x, y))
         reference = lstsq_oracle(x, y)
         assert ours == pytest.approx(reference, rel=1e-8)
+
+
+def _random_design(rng, m, p):
+    """Intercept first, then regressors with log-uniform column scales in [0.01, 20].
+
+    Column 0 holds the row count on the Gram diagonal, so a large-scale
+    regressor forces a pivot swap there and a small-scale one does not.
+    """
+    scales = np.exp(rng.uniform(math.log(0.01), math.log(20.0), size=p - 1))
+    offsets = rng.uniform(-1.0, 3.0, size=p - 1)
+    regressors = (rng.normal(size=(m, p - 1)) + offsets) * scales
+    x = np.column_stack([np.ones(m), regressors])
+    y = x @ rng.normal(size=p) + 0.1 * rng.normal(size=m)
+    return x, y
+
+
+class TestStackedSolve:
+    def test_equals_per_system_loop(self):
+        rng = np.random.default_rng(2024)
+        systems = swapped = 0
+        for _ in range(30):
+            m = int(rng.integers(8, 801))
+            p = int(rng.integers(2, 4))
+            x, y = _random_design(rng, m, p)
+            masks = [np.ones(m, dtype=bool)] + [rng.random(m) < rng.uniform(0.3, 0.95) for _ in range(40)]
+            masks = [mask for mask in masks if mask.sum() >= p]
+            subsets = [(x[mask], y[mask]) for mask in masks]
+            grams = np.array([xs.T @ xs for xs, _ in subsets])
+            moments = np.array([xs.T @ ys for xs, ys in subsets])
+            stacked = solve_normal_equations(grams, moments)
+            for a, b, w in zip(grams, moments, stacked):
+                assert np.array_equal(w, naive_pivot_solve(a, b))
+            assert np.array_equal(fit_row_subsets(x, y, masks), stacked)
+            systems += len(masks)
+            swapped += int((np.argmax(np.abs(grams[:, :, 0]), axis=1) != 0).sum())
+        assert swapped > 0 and swapped < systems
+
+    def test_single_system_equals_ols_fit(self):
+        rng = np.random.default_rng(7)
+        x, y = _random_design(rng, 50, 3)
+        w = solve_normal_equations((x.T @ x)[None], (x.T @ y)[None])
+        assert w.shape == (1, 3)
+        assert np.array_equal(w[0], ols_fit(DesignSystem(x, y)))
+
+    @pytest.mark.parametrize("stack, first", [
+        ([[[4.0, 1.0], [1.0, 3.0]], [[4.0, 2.0], [2.0, 1.0]], [[0.0, 0.0], [0.0, 5.0]],
+          [[0.0, 0.0], [0.0, 0.0]]], 1),
+        ([[[4.0, 1.0], [1.0, 3.0]], [[0.0, 0.0], [0.0, 0.0]], [[4.0, 2.0], [2.0, 1.0]]], 1),
+        ([[[4.0, 1.0], [1.0, 3.0]], [[2.0, 0.0], [0.0, 2.0]], [[0.0, 0.0], [0.0, 5.0]],
+          [[4.0, 2.0], [2.0, 1.0]]], 2),
+        ([[[4.0, 1.0], [1.0, 3.0]], [[0.0, 0.0], [0.0, 5.0]], [[0.0, 0.0], [0.0, 7.0]]], 1),
+    ], ids=["column-1-before-column-0", "zero-before-singular", "column-0-before-column-1",
+            "two-at-one-column"])
+    def test_first_singular_system_is_reported(self, stack, first):
+        a = np.array(stack)
+        b = np.ones((len(a), 2))
+        with pytest.raises(SingularSystemError) as raised:
+            solve_normal_equations(a, b)
+        assert raised.value.system == first
+        with pytest.raises(SingularSystemError) as oracle:
+            naive_pivot_solve(a[first], b[first])
+        assert str(raised.value) == str(oracle.value)
+
+    def test_subset_failures_reported_in_order(self):
+        x = np.array([[1.0, 2.0], [1.0, 2.0], [1.0, 3.0], [1.0, 5.0]])
+        y = np.array([1.0, 2.0, 3.0, 4.0])
+        full, same_toc, one_row = (np.array(rows, dtype=bool) for rows in
+                                   ([1, 1, 1, 1], [1, 1, 0, 0], [0, 0, 1, 0]))
+        with pytest.raises(SingularSystemError, match="singular") as raised:
+            fit_row_subsets(x, y, [full, same_toc, one_row])
+        assert raised.value.system == 1
+        with pytest.raises(SingularSystemError, match=r"fewer records \(1\)") as raised:
+            fit_row_subsets(x, y, [full, one_row, same_toc])
+        assert raised.value.system == 1
 
 
 class TestFitRecovery:
@@ -199,6 +275,15 @@ class TestPredict:
         assert model.predict(make_record(1, **{**base, "temp": base["temp"] + 1.0})) > p0
         assert model.predict(make_record(1, **{**base, "toc": base["toc"] + 1.0})) < p0
         assert model.predict(make_record(1, **{**base, "ro": base["ro"] + 0.5})) < p0
+
+    @pytest.mark.parametrize("spec, linear", [(PL_SPEC, 1000.0), (ModelSpec(ModelKind.PL_INVTEMP), -1000.0)],
+                             ids=["pl-geo", "pl-invtemp"])
+    def test_overflowing_inverse_names_kind_and_value(self, spec, linear):
+        with pytest.raises(ValueError, match=rf"{spec.kind.value} prediction overflows: linear response {linear!r}"):
+            spec.inverse_response(linear)
+        with pytest.raises(ValueError, match=rf"linear response {linear!r}"):
+            spec.inverse_responses([0.5, linear, 2 * linear])
+        assert spec.inverse_responses([0.5, -0.25]) == [spec.inverse_response(0.5), spec.inverse_response(-0.25)]
 
     def test_missing_field_rejected(self):
         model = FittedModel(PL_SPEC, REFERENCE_PL_COEFFICIENTS, 91)

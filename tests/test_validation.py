@@ -2,19 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from shale_adsorb.regression import ModelKind, ModelSpec, fit
+from shale_adsorb.regression import ModelKind, ModelSpec, SingularSystemError, fit
 from shale_adsorb.validation import (
     Scenario,
     compare_models,
     error_ci,
     loo_cv,
+    mean_abs_relative_error_pct,
     qq_data,
     scenario_split,
 )
 from conftest import make_record, synthetic_records
-from helpers import naive_loo_errors
+from helpers import naive_compare, naive_loo_errors, naive_split
 
 PL_SPEC = ModelSpec(ModelKind.PL_GEO)
 VL_SPEC = ModelSpec(ModelKind.VL_GEO)
@@ -75,8 +77,16 @@ class TestLooCv:
     def test_singular_fold_identified(self):
         # identical toc everywhere makes every training submatrix rank deficient
         records = [make_record(i, toc=2.0, temp=50.0, vl=1.5 + 0.1 * i) for i in range(5)]
-        with pytest.raises(Exception, match="fold 0"):
+        with pytest.raises(SingularSystemError, match=r"fold 0 \(record r0\) left a singular"):
             loo_cv(records, TOCLIN)
+
+    def test_first_singular_fold_need_not_be_fold_0(self):
+        # only record r3 has another toc, so only the fold holding it out is singular
+        records = [make_record(i, toc=3.0 if i == 3 else 2.0, temp=50.0, vl=1.5 + 0.1 * i)
+                   for i in range(6)]
+        with pytest.raises(SingularSystemError, match=r"fold 3 \(record r3\) left a singular") as raised:
+            loo_cv(records, TOCLIN)
+        assert raised.value.system == 3
 
     def test_qq_pairs_have_record_count(self):
         records = synthetic_records(n=12, seed=4, pl_noise=0.05)
@@ -260,3 +270,76 @@ class TestCompareModels:
         lines = table.to_csv().splitlines()
         assert lines[0] == "test_label,model,error_pct"
         assert lines[1].startswith("Test 1,vl-geo,")
+
+    def test_mean_abs_relative_error_matches_per_record_sum(self):
+        records = synthetic_records(n=17, seed=19, vl_noise=0.2)
+        model = fit(records[:9], VL_SPEC)
+        total = 0.0
+        for rec in records[9:]:
+            total += abs((rec.vl - model.predict(rec)) / rec.vl)
+        assert mean_abs_relative_error_pct(model, records[9:]) == total / 8 * 100.0
+
+    def test_singular_training_system_names_repetition_and_spec(self):
+        # r0 is the only record with another toc; a split that tests it leaves a
+        # constant toc column, which both toc forms need.
+        records = [make_record(i, toc=3.0 if i == 0 else 2.0, temp=50.0 + i, vl=1.5 + 0.1 * i)
+                   for i in range(10)]
+        rep = next(r for r in range(1, 50)
+                   if naive_split(records, Scenario.OVERALL, 0.1, [4, r])[1][0].id == "r0")
+        specs = [ModelSpec(ModelKind.VL_TOCPOW), TOCLIN]
+        with pytest.raises(SingularSystemError) as oracle:
+            naive_compare(records, specs, Scenario.OVERALL, 0.1, rep + 2, 4)
+        with pytest.raises(SingularSystemError, match=f"repetition {rep}: vl-tocpow training system") as raised:
+            compare_models(records, specs, Scenario.OVERALL, 0.1, rep + 2, 4)
+        assert str(oracle.value) in str(raised.value)
+
+    def test_first_singular_repetition_wins_over_spec_order(self):
+        # Holding out r1 leaves a constant temperature (vl-geo singular, vl-toclin
+        # fine); holding out r0 a constant toc (both singular). With r1 held out
+        # first, the error names that repetition's second spec.
+        records = [make_record(i, toc=3.0 if i == 0 else 2.0, temp=60.0 if i == 1 else 50.0,
+                               vl=1.5 + 0.1 * i) for i in range(10)]
+        seed = next(s for s in range(200)
+                    if [naive_split(records, Scenario.OVERALL, 0.1, [s, r])[1][0].id
+                        for r in (1, 2)] == ["r1", "r0"])
+        specs = [TOCLIN, VL_SPEC]
+        with pytest.raises(SingularSystemError) as oracle:
+            naive_compare(records, specs, Scenario.OVERALL, 0.1, 2, seed)
+        with pytest.raises(SingularSystemError, match="repetition 1: vl-geo training system") as raised:
+            compare_models(records, specs, Scenario.OVERALL, 0.1, 2, seed)
+        assert str(oracle.value) in str(raised.value)
+
+
+_SPEC_SETS = {
+    "pl": lambda kelvin: [ModelSpec(ModelKind.PL_INVTEMP, invtemp_kelvin=kelvin),
+                          ModelSpec(ModelKind.PL_TOCPOW), PL_SPEC],
+    "vl": lambda kelvin: [ModelSpec(ModelKind.VL_TOCPOW), TOCLIN, VL_SPEC],
+}
+
+_records = st.lists(
+    st.tuples(st.floats(1.5, 12.0), st.floats(30.0, 88.0), st.floats(0.8, 3.5),
+              st.floats(1.7, 11.0), st.floats(1.1, 5.0)),
+    min_size=6, max_size=40,
+)
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(rows=_records, scenario=st.sampled_from(list(Scenario)), dependent=st.sampled_from(["pl", "vl"]),
+       kelvin=st.booleans(), test_fraction=st.sampled_from([0.05, 0.1, 0.2, 0.35, 0.5]),
+       repetitions=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1))
+def test_compare_equals_per_record_path(rows, scenario, dependent, kelvin, test_fraction, repetitions, seed):
+    records = [make_record(i, toc=toc, temp=temp, ro=ro, pl=pl, vl=vl)
+               for i, (toc, temp, ro, pl, vl) in enumerate(rows)]
+    specs = _SPEC_SETS[dependent](kelvin)
+    args = (records, specs, scenario, test_fraction, repetitions, seed)
+    try:
+        expected = naive_compare(*args)
+    except ValueError as exc:
+        with pytest.raises(type(exc)) as raised:
+            compare_models(*args)
+        assert str(exc) in str(raised.value)
+        return
+    assert compare_models(*args).rows == expected
+    for rep in range(1, repetitions + 1):
+        split = scenario_split(records, scenario, test_fraction, [seed, rep])
+        assert split == naive_split(records, scenario, test_fraction, [seed, rep])
