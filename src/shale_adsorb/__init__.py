@@ -22,13 +22,20 @@ from .estimator import (
     ReservoirSpec,
     estimate_adsorbed_gas,
     estimate_reservoir,
+    estimate_reservoirs,
     langmuir_volume,
     parse_reservoirs,
     reference_models,
     reservoir_pressure,
     reservoir_temperature,
 )
-from .geotemp import HeatFlowPoint, filter_heatflow, idw_interpolate, parse_heatflow
+from .geotemp import (
+    HeatFlowTable,
+    InvalidHeatFlowPoint,
+    filter_heatflow,
+    idw_interpolate,
+    parse_heatflow,
+)
 from .outliers import (
     DistanceWeights,
     OutlierReport,

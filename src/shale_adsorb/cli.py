@@ -11,6 +11,7 @@ files, so runs are reproducible byte for byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import os
 import sys
@@ -184,8 +185,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     specs = _stage("reservoir-config", estimator.parse_reservoirs, _read_text(args.input))
     if not specs:
         raise ValueError(f"reservoir-config stage: no reservoir blocks found in {args.input}")
-    rows = [_stage("estimate", estimator.estimate_reservoir, spec, pl_model, vl_model)
-            for spec in specs]
+    rows = _stage("estimate", estimator.estimate_reservoirs, specs, pl_model, vl_model)
     _write(out / "estimates.csv", estimator.estimates_to_csv(rows))
     for row in rows:
         if row.warnings:
@@ -234,7 +234,9 @@ def _add_outlier_options(parser: argparse.ArgumentParser) -> None:
                         help="weighted-relative-error outlier threshold (default 0.85)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="shale-adsorb",
         description="Estimate adsorbed shale-gas content from geological parameters.",

@@ -9,10 +9,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import repeat
+from typing import NamedTuple, Sequence
 
-from .dataset import FIT_RANGES, SampleRecord, read_key_value_blocks, write_csv
-from .regression import FittedModel, ModelKind, ModelSpec
+import numpy as np
+
+from .dataset import ABSOLUTE_ZERO_C, FIT_RANGES, SampleRecord, read_key_value_blocks, write_csv
+from .regression import FittedModel, ModelKind, ModelSpec, predict_rows
 
 WATER_DENSITY_T_PER_M3 = 1.0
 GRAVITY_N_PER_KG = 9.8
@@ -118,6 +121,61 @@ def reservoir_pressure(spec: ReservoirSpec) -> float:
     return GRAVITY_N_PER_KG * spec.alpha * WATER_DENSITY_T_PER_M3 * spec.depth / 1000.0
 
 
+class _Query(NamedTuple):
+    """The sample-record fields a model's regressor row reads."""
+
+    id: str
+    toc: float
+    temp: float
+    ro: float
+
+
+def _predictions(model: FittedModel, queries: list[_Query]) -> np.ndarray:
+    """``model.predict`` of each query: its regressor rows, one ``vecdot`` and the inverse per element."""
+    spec = model.spec
+    x = np.array([spec.feature_row(query) for query in queries], dtype=float)
+    return predict_rows(spec, x.reshape(len(queries), spec.n_coefficients), np.array(model.coefficients))
+
+
+def _contents(
+    toc: Sequence[float],
+    ro: Sequence[float],
+    temp: Sequence[float],
+    pressure: Sequence[float],
+    pl_model: FittedModel,
+    vl_model: FittedModel,
+) -> list[float]:
+    """Adsorbed content (m3/t) of each row of inputs, each step run on all rows at once.
+
+    The steps are those of one row: check the pressure, check the query
+    record (``SampleRecord``'s invariants, and its constructor's message),
+    predict pl then vl, check them as :class:`LangmuirParams` does, and
+    evaluate the isotherm. A failing step raises for the first row it
+    rejects, which need not be the first row that fails: an earlier row may
+    fail a later step.
+    """
+    p = np.array(pressure, dtype=float)
+    bad = np.flatnonzero(~(p > 0))
+    if bad.size:
+        raise ValueError(f"pressure must be positive, got {pressure[bad[0]]}")
+    t, c, r = (np.array(column, dtype=float) for column in (temp, toc, ro))
+    bad = np.flatnonzero(~(np.isfinite(t) & (t > ABSOLUTE_ZERO_C) & np.isfinite(c) & (c > 0)
+                           & np.isfinite(r) & (r > 0)))
+    if bad.size:
+        i = bad[0]
+        SampleRecord(id="query", reservoir="", toc=toc[i], temp=temp[i], ro=ro[i])  # raises
+    queries = list(map(_Query, repeat("query"), toc, temp, ro))
+    # NumPy warns where the Python float arithmetic it replaces does not.
+    with np.errstate(all="ignore"):
+        pl = _predictions(pl_model, queries)
+        vl = _predictions(vl_model, queries)
+        bad = np.flatnonzero(~(np.isfinite(pl) & (pl > 0) & np.isfinite(vl) & (vl > 0)))
+        if bad.size:
+            LangmuirParams(pl=pl[bad[0]].item(), vl=vl[bad[0]].item())  # raises
+        # langmuir_volume at a positive pressure
+        return (vl / (1.0 + pl / p)).tolist()
+
+
 def estimate_adsorbed_gas(
     toc: float,
     ro: float,
@@ -129,13 +187,9 @@ def estimate_adsorbed_gas(
     """Adsorbed gas content (m3/t) from geological parameters alone.
 
     The two fitted models supply the Langmuir parameters, then the isotherm
-    is evaluated at the reservoir pressure.
+    is evaluated at the reservoir pressure, which must be positive.
     """
-    if not pressure > 0:
-        raise ValueError(f"pressure must be positive, got {pressure}")
-    query = SampleRecord(id="query", reservoir="", toc=toc, temp=temp, ro=ro)
-    params = LangmuirParams(pl=pl_model.predict(query), vl=vl_model.predict(query))
-    return langmuir_volume(pressure, params)
+    return _contents([toc], [ro], [temp], [pressure], pl_model, vl_model)[0]
 
 
 @dataclass(frozen=True)
@@ -161,25 +215,49 @@ def fit_range_warnings(toc: float, ro: float, temp: float) -> tuple[str, ...]:
     return tuple(f"{field}-extrapolation" for field, in_range in FIT_RANGES if not in_range(values[field]))
 
 
+def estimate_reservoirs(
+    specs: Sequence[ReservoirSpec],
+    pl_model: FittedModel,
+    vl_model: FittedModel,
+) -> list[EstimateRow]:
+    """Resolve temperature and pressure for each reservoir and estimate its content, as one batch.
+
+    Each row equals the estimate of that reservoir alone. If any reservoir
+    fails, the error is the one the first failing reservoir raises alone.
+    """
+    temps = [reservoir_temperature(spec) for spec in specs]
+    pressures = [reservoir_pressure(spec) for spec in specs]
+    columns = ([spec.toc for spec in specs], [spec.ro for spec in specs], temps, pressures)
+    try:
+        contents = _contents(*columns, pl_model, vl_model)
+    except (ValueError, OverflowError):
+        contents = None
+    if contents is None:
+        # Only on failure: one reservoir at a time, up to the first that raises.
+        for row in zip(*columns):
+            _contents(*([value] for value in row), pl_model, vl_model)
+    return [
+        EstimateRow(
+            reservoir=spec.name,
+            depth_m=spec.depth,
+            toc_pct=spec.toc,
+            ro_pct=spec.ro,
+            temp_c=temp,
+            pressure_mpa=pressure,
+            adsorbed_m3t=content,
+            warnings=fit_range_warnings(spec.toc, spec.ro, temp),
+        )
+        for spec, temp, pressure, content in zip(specs, temps, pressures, contents)
+    ]
+
+
 def estimate_reservoir(
     spec: ReservoirSpec,
     pl_model: FittedModel,
     vl_model: FittedModel,
 ) -> EstimateRow:
     """Resolve temperature and pressure for one reservoir and estimate content."""
-    temp = reservoir_temperature(spec)
-    pressure = reservoir_pressure(spec)
-    content = estimate_adsorbed_gas(spec.toc, spec.ro, temp, pressure, pl_model, vl_model)
-    return EstimateRow(
-        reservoir=spec.name,
-        depth_m=spec.depth,
-        toc_pct=spec.toc,
-        ro_pct=spec.ro,
-        temp_c=temp,
-        pressure_mpa=pressure,
-        adsorbed_m3t=content,
-        warnings=fit_range_warnings(spec.toc, spec.ro, temp),
-    )
+    return estimate_reservoirs([spec], pl_model, vl_model)[0]
 
 
 def estimates_to_csv(rows: Sequence[EstimateRow]) -> str:

@@ -9,13 +9,14 @@ continents.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import repeat
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .dataset import SampleParseError, _parse_float, read_csv_table, write_csv
+from .outliers import nearest_first
 
 EARTH_RADIUS_M = 6_371_000.0
 DEFAULT_MIN_SECTION_DEPTH_M = 500.0
@@ -34,23 +35,51 @@ HEATFLOW_CSV_COLUMNS = ("lon_deg", "lat_deg", "section_depth_m", "gradt_c_per_km
 
 
 @dataclass(frozen=True)
-class HeatFlowPoint:
-    """A georeferenced temperature-gradient measurement."""
+class HeatFlowTable:
+    """Georeferenced temperature-gradient measurements, one read-only float64 array per field.
 
-    lon: float             # degrees east
-    lat: float             # degrees north
-    section_depth: float   # average depth of the measuring section, m
-    grad_t: float          # degC per km
+    Position i of every array is measurement i. The constructor checks each
+    measurement in order (longitude, then latitude in range, then a finite
+    gradient and depth) and raises :class:`InvalidHeatFlowPoint` for the
+    first one that fails.
+    """
+
+    lon: np.ndarray            # degrees east
+    lat: np.ndarray            # degrees north
+    section_depth: np.ndarray  # average depth of the measuring section, m
+    grad_t: np.ndarray         # degC per km
 
     def __post_init__(self):
-        if not -180.0 <= self.lon <= 180.0:
-            raise ValueError(f"longitude out of range: {self.lon!r}")
-        if not -90.0 <= self.lat <= 90.0:
-            raise ValueError(f"latitude out of range: {self.lat!r}")
-        if not math.isfinite(self.grad_t):
-            raise ValueError(f"gradient must be finite, got {self.grad_t!r}")
-        if not math.isfinite(self.section_depth):
-            raise ValueError(f"section depth must be finite, got {self.section_depth!r}")
+        columns = {field.name: np.array(getattr(self, field.name), dtype=float) for field in fields(self)}
+        shapes = {column.shape for column in columns.values()}
+        if len(shapes) != 1 or len(next(iter(shapes))) != 1:
+            raise ValueError(f"heat-flow columns must be 1-D and of one length, got shapes {sorted(shapes)}")
+        for name, column in columns.items():
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        checks = (
+            (self.lon, (-180.0 <= self.lon) & (self.lon <= 180.0), "longitude out of range: {!r}"),
+            (self.lat, (-90.0 <= self.lat) & (self.lat <= 90.0), "latitude out of range: {!r}"),
+            (self.grad_t, np.isfinite(self.grad_t), "gradient must be finite, got {!r}"),
+            (self.section_depth, np.isfinite(self.section_depth), "section depth must be finite, got {!r}"),
+        )
+        bad = np.flatnonzero(~np.logical_and.reduce([ok for _, ok, _ in checks]))
+        if bad.size:
+            i = bad[0]
+            column, _, message = next(check for check in checks if not check[1][i])
+            raise InvalidHeatFlowPoint(int(i), message.format(column[i].item()))
+
+    def __len__(self) -> int:
+        return len(self.lon)
+
+
+class InvalidHeatFlowPoint(ValueError):
+    """A heat-flow measurement breaks an invariant; ``index`` is its position."""
+
+    def __init__(self, index: int, reason: str):
+        super().__init__(f"point {index}: {reason}")
+        self.index = index
+        self.reason = reason
 
 
 def haversine_m(lon1: float, lat1: float, lon2: float, lat2: float) -> float:
@@ -63,13 +92,14 @@ def haversine_m(lon1: float, lat1: float, lon2: float, lat2: float) -> float:
 
 
 def filter_heatflow(
-    points: Sequence[HeatFlowPoint],
+    points: HeatFlowTable,
     min_depth: float = DEFAULT_MIN_SECTION_DEPTH_M,
-) -> list[HeatFlowPoint]:
+) -> HeatFlowTable:
     """Drop points whose measuring section is shallower than ``min_depth``."""
     if not math.isfinite(min_depth):
         raise ValueError(f"min depth must be finite, got {min_depth!r}")
-    return [p for p in points if p.section_depth >= min_depth]
+    keep = points.section_depth >= min_depth
+    return HeatFlowTable(*(getattr(points, field.name)[keep] for field in fields(points)))
 
 
 def _elementwise(func, values: np.ndarray, *args) -> np.ndarray:
@@ -96,7 +126,7 @@ def _sin_sq_half(sample_angles: np.ndarray, query_angles: np.ndarray, step: int)
 
 
 def _idw(
-    samples: Sequence[HeatFlowPoint],
+    samples: HeatFlowTable,
     lons: Sequence[float],
     lats: Sequence[float],
     power: float,
@@ -125,10 +155,10 @@ def _idw(
 
     n = len(samples)
     k = n if max_neighbors is None else min(max_neighbors, n)
-    grads = np.array([p.grad_t for p in samples])
+    grads = samples.grad_t
     # math.radians(x) is the one correctly rounded product x * (pi / 180).
-    sample_lon = np.array([p.lon for p in samples]) * _RADIANS_PER_DEGREE
-    sample_lat = np.array([p.lat for p in samples]) * _RADIANS_PER_DEGREE
+    sample_lon = samples.lon * _RADIANS_PER_DEGREE
+    sample_lat = samples.lat * _RADIANS_PER_DEGREE
     query_lon = np.array(lons, dtype=float) * _RADIANS_PER_DEGREE
     query_lat = np.array(lats, dtype=float) * _RADIANS_PER_DEGREE
     sample_cos = _elementwise(math.cos, sample_lat)
@@ -141,8 +171,7 @@ def _idw(
                                            _sin_sq_half(sample_lon, query_lon, step)):
         a = lat_terms + query_cos[start:start + step, None] * sample_cos * lon_terms
         dist = 2.0 * EARTH_RADIUS_M * _elementwise(math.asin, np.sqrt(a))
-        order = np.argsort(dist, axis=1, kind="stable")[:, :k]
-        nearest = np.take_along_axis(dist, order, axis=1)
+        order, nearest = nearest_first(dist, k)
         block_values = grads[order[:, 0]]
         far = nearest[:, 0] >= EXACT_HIT_DISTANCE_M
         if far.any():
@@ -159,7 +188,7 @@ def _idw(
 
 
 def idw_interpolate(
-    samples: Sequence[HeatFlowPoint],
+    samples: HeatFlowTable,
     lon: float,
     lat: float,
     power: float = DEFAULT_IDW_POWER,
@@ -176,7 +205,7 @@ def idw_interpolate(
 
 
 def interpolate_grid(
-    samples: Sequence[HeatFlowPoint],
+    samples: HeatFlowTable,
     lon_min: float,
     lon_max: float,
     lat_min: float,
@@ -207,21 +236,45 @@ def interpolate_grid(
     return list(zip(node_lons, node_lats, _idw(samples, node_lons, node_lats, power, max_neighbors)))
 
 
-def parse_heatflow(source: str | Iterable[str]) -> list[HeatFlowPoint]:
+def _first_cell_error(rows: list[int], cells: list[str]) -> tuple[int, SampleParseError]:
+    """Position of the first row holding a cell that is not a number, and the error naming that cell."""
+    width = len(HEATFLOW_CSV_COLUMNS)
+    for i, cell in enumerate(cells):
+        try:
+            _parse_float(cell, rows[i // width], HEATFLOW_CSV_COLUMNS[i % width], required=True)
+        except SampleParseError as exc:
+            return i // width, exc
+
+
+def parse_heatflow(source: str | Iterable[str]) -> HeatFlowTable:
     """Parse heat-flow CSV (lon_deg, lat_deg, section_depth_m, gradt_c_per_km).
 
-    Same dialect as the samples CSV; every cell is a required number. Raises
-    :class:`SampleParseError` naming the row and column.
+    Same dialect as the samples CSV; every cell is a required number, read
+    with ``float`` as the samples parser reads one. Raises
+    :class:`SampleParseError` for the first bad row, naming its column
+    (``record`` for an invariant of :class:`HeatFlowTable`); a row's cells
+    are checked before its invariants.
     """
-    points = []
-    for row, cells in read_csv_table(source, HEATFLOW_CSV_COLUMNS, "heat-flow"):
-        values = [_parse_float(cell, row, column, required=True)
-                  for column, cell in zip(HEATFLOW_CSV_COLUMNS, cells)]
-        try:
-            points.append(HeatFlowPoint(*values))
-        except ValueError as exc:
-            raise SampleParseError(row, "record", str(exc)) from exc
-    return points
+    rows, cells = [], []
+    for row, row_cells in read_csv_table(source, HEATFLOW_CSV_COLUMNS, "heat-flow"):
+        rows.append(row)
+        cells += row_cells
+    width = len(HEATFLOW_CSV_COLUMNS)
+    try:
+        values = np.fromiter(map(float, cells), float, len(cells))
+        error = None
+    except ValueError:
+        # The rows before the first bad cell are checked first: an invariant
+        # they break comes before that cell's error.
+        n_good, error = _first_cell_error(rows, cells)
+        values = np.fromiter(map(float, cells[:n_good * width]), float, n_good * width)
+    try:
+        table = HeatFlowTable(*values.reshape(-1, width).T)
+    except InvalidHeatFlowPoint as exc:
+        raise SampleParseError(rows[exc.index], "record", exc.reason) from exc
+    if error is not None:
+        raise error
+    return table
 
 
 def grid_to_csv(rows: Sequence[tuple[float, float, float]]) -> str:

@@ -151,9 +151,8 @@ def _nearest(rows: np.ndarray, columns: list[tuple[float, np.ndarray]], k: int) 
     """Indices and distances of the k nearest records to each record in ``rows``.
 
     Builds the (rows x n) distance block variable by variable, excludes each
-    row's own record, and orders neighbours by (distance, index): every
-    column within the k-th smallest distance is kept, so ties at that
-    distance are all candidates, and a lexsort picks the first k.
+    row's own record, and orders neighbours by (distance, index) with
+    :func:`nearest_first`.
     """
     m = len(rows)
     acc = np.zeros((m, len(columns[0][1])))
@@ -164,6 +163,21 @@ def _nearest(rows: np.ndarray, columns: list[tuple[float, np.ndarray]], k: int) 
         acc += d
     dist = np.sqrt(acc, out=acc)
     dist[np.arange(m), rows] = np.inf
+    return nearest_first(dist, k)
+
+
+def nearest_first(dist: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Columns and values of the k smallest entries in each row of ``dist``, by (value, column).
+
+    That is the first k of a stable ``argsort`` of each row. Below the
+    full width, every column within the row's k-th smallest value is kept,
+    so ties at that value are all candidates, and a lexsort picks the first
+    k; at the full width one stable ``argsort`` is faster.
+    """
+    m, n = dist.shape
+    if k == n:
+        order = np.argsort(dist, axis=1, kind="stable")
+        return order, np.take_along_axis(dist, order, axis=1)
     kth = np.partition(dist, k - 1, axis=1)[:, k - 1]
     r, c = np.nonzero(dist <= kth[:, None])
     dc = dist[r, c]

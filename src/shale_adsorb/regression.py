@@ -208,6 +208,17 @@ class FittedModel:
         return self.spec.inverse_response(linear)
 
 
+def predict_rows(spec: ModelSpec, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Predictions in natural units: one ``vecdot`` of regressor rows and coefficients, then the inverse.
+
+    ``x`` and ``w`` broadcast as ``np.vecdot`` does. The inverse runs per
+    element in Python (``math.exp`` rounds differently from ``np.exp``), so
+    each value equals :meth:`FittedModel.predict` on that row.
+    """
+    linear = np.vecdot(x, w)
+    return np.array(spec.inverse_responses(linear.ravel().tolist())).reshape(linear.shape)
+
+
 def build_design(records: Sequence[SampleRecord], spec: ModelSpec) -> DesignSystem:
     """Assemble the regression system for a cleaned record list."""
     rows = [spec.feature_row(rec) for rec in records]

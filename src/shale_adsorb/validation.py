@@ -8,13 +8,14 @@ zero and hide a large spread.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
 from statistics import NormalDist
 from typing import Sequence
 
 import numpy as np
-from scipy.special import stdtrit
 
 from .dataset import SampleRecord, write_csv
 from .regression import (
@@ -23,6 +24,7 @@ from .regression import (
     SingularSystemError,
     build_design,
     fit_row_subsets,
+    predict_rows,
 )
 
 DEFAULT_CI_LEVEL = 0.90
@@ -93,6 +95,10 @@ def error_ci(errors: Sequence[float], level: float = DEFAULT_CI_LEVEL) -> tuple[
         raise ValueError("need at least two errors for a confidence interval")
     if not 0.0 < level < 1.0:
         raise ValueError(f"confidence level must be in (0, 1), got {level}")
+    # SciPy is imported here, its only use, so that importing the package
+    # (and every other subcommand) does not pay for it.
+    from scipy.special import stdtrit
+
     arr = np.asarray(errors, dtype=float)
     mean = float(arr.mean())
     s = float(arr.std(ddof=1))
@@ -117,17 +123,6 @@ def qq_data(errors: Sequence[float]) -> list[tuple[float, float]]:
         (mean + s * normal.inv_cdf((i - 0.5) / n), float(observed))
         for i, observed in enumerate(arr, start=1)
     ]
-
-
-def _predict(spec: ModelSpec, x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Predictions in natural units: one ``vecdot`` of rows and coefficients, then the inverse.
-
-    ``x`` and ``w`` broadcast as ``np.vecdot`` does. The inverse runs per
-    element in Python (``math.exp`` rounds differently from ``np.exp``), so
-    each value equals :meth:`FittedModel.predict` on that row.
-    """
-    linear = np.vecdot(x, w)
-    return np.array(spec.inverse_responses(linear.ravel().tolist())).reshape(linear.shape)
 
 
 def _dependent_values(records: Sequence[SampleRecord], spec: ModelSpec) -> np.ndarray:
@@ -171,7 +166,7 @@ def loo_cv(records: Sequence[SampleRecord], spec: ModelSpec,
             system=exc.system,
         ) from exc
     actual = _dependent_values(records, spec)
-    errors = ((actual - _predict(spec, system.x, w)) / actual * 100.0).tolist()
+    errors = ((actual - predict_rows(spec, system.x, w)) / actual * 100.0).tolist()
 
     mean, half_width = error_ci(errors, ci_level)
     abs_errors = [abs(e) for e in errors]
@@ -260,7 +255,7 @@ def mean_abs_relative_error_pct(model: FittedModel, records: Sequence[SampleReco
     spec = model.spec
     x = np.array([spec.feature_row(rec) for rec in records], dtype=float)
     actual = _dependent_values(records, spec)
-    return _mean_abs_relative_errors_pct(actual, _predict(spec, x, np.array(model.coefficients)))
+    return _mean_abs_relative_errors_pct(actual, predict_rows(spec, x, np.array(model.coefficients)))
 
 
 def compare_models(
@@ -277,7 +272,8 @@ def compare_models(
     :func:`scenario_split`), fits every spec on the training rows, and
     scores the mean absolute relative error on the test rows. A final
     ``Average`` row per spec carries the mean over repetitions, each
-    repetition weighted equally.
+    repetition weighted equally and summed left to right. Each spec must be
+    of its own kind, since the rows name specs by kind.
 
     Each spec's design is built once. Its fits over all repetitions are one
     stacked solve, and its test predictions one ``vecdot``; every number
@@ -290,6 +286,11 @@ def compare_models(
     dependents = {spec.dependent_var for spec in specs}
     if len(dependents) != 1:
         raise ValueError(f"all specs must share one dependent variable, got {sorted(dependents)}")
+    kinds = [spec.kind for spec in specs]
+    for kind in kinds:
+        if kinds.count(kind) > 1:
+            raise ValueError(f"model kind {kind.value} appears in more than one spec; "
+                             "rows are labelled by kind")
 
     pool, n_test = _split_pool(records, scenario, test_fraction)
     test = np.array([_test_mask(len(records), pool, n_test, [seed, rep])
@@ -309,7 +310,7 @@ def compare_models(
         for coefficients in w.tolist():  # a fitted model's coefficient checks
             FittedModel(spec, tuple(coefficients), len(records) - n_test)
         errors_by_spec.append(_mean_abs_relative_errors_pct(
-            actual, _predict(spec, system.x[test_rows], w[:, None, :])))
+            actual, predict_rows(spec, system.x[test_rows], w[:, None, :])))
     if failures:
         rep, position, exc = min(failures, key=lambda failure: failure[:2])
         raise SingularSystemError(
@@ -317,14 +318,9 @@ def compare_models(
             system=rep,
         ) from exc
 
-    rows: list[tuple[str, str, float]] = []
-    per_spec_errors: dict[str, list[float]] = {spec.kind.value: [] for spec in specs}
-    for rep in range(repetitions):
-        label = scenario.row_label(rep + 1)
-        for spec, errors in zip(specs, errors_by_spec):
-            rows.append((label, spec.kind.value, errors[rep]))
-            per_spec_errors[spec.kind.value].append(errors[rep])
-    for spec in specs:
-        errors = per_spec_errors[spec.kind.value]
-        rows.append(("Average", spec.kind.value, sum(errors) / len(errors)))
+    rows = [(scenario.row_label(rep + 1), spec.kind.value, errors[rep])
+            for rep in range(repetitions) for spec, errors in zip(specs, errors_by_spec)]
+    # reduce adds left to right; the builtin sum() compensates on Python >= 3.12.
+    rows += [("Average", spec.kind.value, reduce(operator.add, errors) / len(errors))
+             for spec, errors in zip(specs, errors_by_spec)]
     return ComparisonTable(rows)

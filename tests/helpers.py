@@ -8,6 +8,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from shale_adsorb.dataset import SampleRecord
+from shale_adsorb.estimator import (
+    GRAVITY_N_PER_KG,
+    WATER_DENSITY_T_PER_M3,
+    EstimateRow,
+    LangmuirParams,
+    fit_range_warnings,
+)
 from shale_adsorb.geotemp import EXACT_HIT_DISTANCE_M, haversine_m
 from shale_adsorb.regression import PIVOT_RTOL, FittedModel, SingularSystemError
 
@@ -86,7 +94,10 @@ def naive_fit(records, spec) -> FittedModel:
 
 
 def naive_compare(records, specs, scenario, test_fraction, repetitions, seed):
-    """Per-record model comparison rows: split, fit, predict and a left-to-right ``+=`` per record."""
+    """Per-record model comparison rows: split, fit, predict, and left-to-right ``+=`` sums.
+
+    One sum per test record and one per ``Average`` row.
+    """
     rows = []
     per_spec_errors = {spec.kind.value: [] for spec in specs}
     for rep in range(1, repetitions + 1):
@@ -102,8 +113,10 @@ def naive_compare(records, specs, scenario, test_fraction, repetitions, seed):
             rows.append((label, spec.kind.value, error))
             per_spec_errors[spec.kind.value].append(error)
     for spec in specs:
-        errors = per_spec_errors[spec.kind.value]
-        rows.append(("Average", spec.kind.value, sum(errors) / len(errors)))
+        total = 0.0
+        for error in per_spec_errors[spec.kind.value]:
+            total += error
+        rows.append(("Average", spec.kind.value, total / repetitions))
     return rows
 
 
@@ -163,14 +176,42 @@ def naive_idw(samples, lon, lat, power, max_neighbors, distance=haversine_m) -> 
     ascending index), the exact hit from the first sample in that order,
     then one weight ``d ** -power`` and one in-order sum term per neighbour.
     """
-    distances = [distance(lon, lat, p.lon, p.lat) for p in samples]
+    grads = samples.grad_t.tolist()
+    distances = [distance(lon, lat, s_lon, s_lat)
+                 for s_lon, s_lat in zip(samples.lon.tolist(), samples.lat.tolist())]
     order = sorted(range(len(samples)), key=distances.__getitem__)
     if distances[order[0]] < EXACT_HIT_DISTANCE_M:
-        return samples[order[0]].grad_t
+        return grads[order[0]]
     numerator = 0.0
     denominator = 0.0
     for i in order[:max_neighbors]:
         w = distances[i] ** -power
-        numerator += w * samples[i].grad_t
+        numerator += w * grads[i]
         denominator += w
     return numerator / denominator
+
+
+def naive_estimate(spec, pl_model, vl_model) -> EstimateRow:
+    """One reservoir at a time, the loop the batched estimate replaced.
+
+    Resolve temperature and pressure, check the pressure, validate a query
+    record, predict each model with ``FittedModel.predict``, validate the
+    Langmuir parameters and evaluate the isotherm.
+    """
+    if spec.temp_override is not None:
+        temp = spec.temp_override
+    else:
+        temp = spec.surface_temp + spec.depth / 1000.0 * spec.grad_t
+    if spec.pressure_override is not None:
+        pressure = spec.pressure_override
+    else:
+        pressure = GRAVITY_N_PER_KG * spec.alpha * WATER_DENSITY_T_PER_M3 * spec.depth / 1000.0
+    if not pressure > 0:
+        raise ValueError(f"pressure must be positive, got {pressure}")
+    query = SampleRecord(id="query", reservoir="", toc=spec.toc, temp=temp, ro=spec.ro)
+    params = LangmuirParams(pl=pl_model.predict(query), vl=vl_model.predict(query))
+    return EstimateRow(
+        reservoir=spec.name, depth_m=spec.depth, toc_pct=spec.toc, ro_pct=spec.ro,
+        temp_c=temp, pressure_mpa=pressure, adsorbed_m3t=params.vl / (1.0 + params.pl / pressure),
+        warnings=fit_range_warnings(spec.toc, spec.ro, temp),
+    )

@@ -21,7 +21,7 @@ from shale_adsorb.estimator import (
     langmuir_volume,
     reservoir_pressure,
 )
-from shale_adsorb.geotemp import HeatFlowPoint, idw_interpolate
+from shale_adsorb.geotemp import HeatFlowTable, idw_interpolate
 from shale_adsorb.outliers import (
     DistanceWeights,
     compute_weights,
@@ -180,20 +180,18 @@ def test_criterion_6_langmuir_invariants():
 
 def test_criterion_7_idw_properties():
     rng = np.random.default_rng(7)
-    samples = [
-        HeatFlowPoint(lon=float(rng.uniform(100, 110)), lat=float(rng.uniform(25, 35)),
-                      section_depth=1000.0, grad_t=float(rng.uniform(15, 35)))
-        for _ in range(15)
-    ]
-    exact_ok = all(idw_interpolate(samples, p.lon, p.lat) == p.grad_t for p in samples)
+    points = [(float(rng.uniform(100, 110)), float(rng.uniform(25, 35)), 1000.0, float(rng.uniform(15, 35)))
+              for _ in range(15)]
+    samples = HeatFlowTable(*zip(*points))
+    exact_ok = all(idw_interpolate(samples, lon, lat) == grad for lon, lat, _, grad in points)
 
-    values = [p.grad_t for p in samples]
+    values = [grad for _, _, _, grad in points]
     bounded_ok = True
     for _ in range(40):
         got = idw_interpolate(samples, float(rng.uniform(100, 110)), float(rng.uniform(25, 35)))
         bounded_ok &= min(values) <= got <= max(values)
 
-    pair = [HeatFlowPoint(-0.5, 0.0, 1000.0, 10.0), HeatFlowPoint(0.5, 0.0, 1000.0, 30.0)]
+    pair = HeatFlowTable([-0.5, 0.5], [0.0, 0.0], [1000.0, 1000.0], [10.0, 30.0])
     symmetry_ok = abs(idw_interpolate(pair, 0.0, 0.0) - 20.0) < 1e-9
 
     _report(7, exact_ok and bounded_ok and symmetry_ok,

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from shale_adsorb.cli import main
+from shale_adsorb.cli import build_parser, main
 from shale_adsorb.dataset import SampleRecord, records_to_csv
 from shale_adsorb.estimator import (
     REFERENCE_PL_COEFFICIENTS,
@@ -380,3 +380,147 @@ def test_module_invocation_help():
     assert proc.returncode == 0
     for name in ("clean", "outliers", "fit", "validate", "compare", "estimate", "idw"):
         assert name in proc.stdout
+
+
+def _run(argv, capsys):
+    """Exit code and stderr of one ``main`` call."""
+    capsys.readouterr()
+    code = main(argv)
+    return code, capsys.readouterr().err
+
+
+GOOD_RESERVOIR = "depth_m=2000\ntoc_pct=3\nro_pct=1.5\ngradt_c_per_km=30\n"
+
+# name -> (pl model file or None for --paper-coefficients, vl model file,
+# bad reservoir block, stderr). Each stderr is what the per-reservoir
+# estimate loop printed.
+BAD_RESERVOIRS = {
+    "zero-pressure": (None, None, "depth_m=0\ntoc_pct=3\nro_pct=1.5\ngradt_c_per_km=30\n",
+                      "error: estimate stage: pressure must be positive, got 0.0\n"),
+    "negative-pressure": (None, None, GOOD_RESERVOIR + "pressure_mpa=-2.5\n",
+                          "error: estimate stage: pressure must be positive, got -2.5\n"),
+    "nan-pressure": (None, None, GOOD_RESERVOIR + "pressure_mpa=nan\n",
+                     "error: estimate stage: pressure must be positive, got nan\n"),
+    "nan-temperature": (None, None, GOOD_RESERVOIR + "temp_c=nan\n",
+                        "error: estimate stage: field temp must be finite, got nan\n"),
+    "infinite-temperature": (None, None, "depth_m=2000\ntoc_pct=3\nro_pct=1.5\ngradt_c_per_km=1e308\n",
+                             "error: estimate stage: field temp must be finite, got inf\n"),
+    "below-absolute-zero": (None, None, GOOD_RESERVOIR + "temp_c=-300\n",
+                            "error: estimate stage: field temp must be > -273.15 degC, got -300.0\n"),
+    "log-domain": (None, None, GOOD_RESERVOIR + "temp_c=0\n", "error: estimate stage: math domain error\n"),
+    "zero-reciprocal-temperature": (
+        "kind=pl-invtemp\na=-50.0\nc=-1.5\nn_fit=10\n", None, GOOD_RESERVOIR + "temp_c=0\n",
+        "error: estimate stage: record query: temperature of exactly 0 breaks the reciprocal model\n"),
+    "exp-overflow": (None, None, "depth_m=2000\ntoc_pct=10000\nro_pct=1.5\ngradt_c_per_km=30\n",
+                     "error: estimate stage: vl-geo prediction overflows: linear response "
+                     "1052.7528148148149 is out of range for vl\n"),
+    "infinite-pl": (None, None, "depth_m=2000\ntoc_pct=3\nro_pct=1e-308\ntemp_c=100\n",
+                    "error: estimate stage: pl must be positive and finite, got inf\n"),
+    "zero-pl": ("kind=pl-geo\na=-200.0\nb=0.715\nc=1.666\nn_fit=10\n", None,
+                "depth_m=2000\ntoc_pct=4000\nro_pct=1.5\ngradt_c_per_km=30\n",
+                "error: estimate stage: pl must be positive and finite, got 0.0\n"),
+    "negative-vl": ("kind=pl-tocpow\nexponent=0.3\nln_scale=1.0\nn_fit=10\n",
+                    "kind=vl-toclin\nslope=-1.0\nintercept=10.0\nn_fit=10\n",
+                    "depth_m=2000\ntoc_pct=30\nro_pct=1.5\ngradt_c_per_km=30\n",
+                    "error: estimate stage: vl must be positive and finite, got -20.0\n"),
+}
+
+
+@pytest.mark.parametrize("position", [0, 2, 4])
+@pytest.mark.parametrize("case", BAD_RESERVOIRS)
+def test_first_bad_reservoir_fails_the_estimate(case, position, tmp_path, capsys):
+    pl_text, vl_text, bad, stderr = BAD_RESERVOIRS[case]
+    blocks = [f"name=G{i}\n{GOOD_RESERVOIR}" for i in range(4)]
+    blocks.insert(position, f"name=B\n{bad}")
+    config = tmp_path / "r.conf"
+    config.write_text("\n".join(blocks), encoding="utf-8")
+    models = ["--paper-coefficients"]
+    if pl_text:
+        pl_model, vl_model = tmp_path / "pl.txt", tmp_path / "vl.txt"
+        pl_model.write_text(pl_text, encoding="utf-8")
+        vl_model.write_text(vl_text or model_to_text(reference_models()[1]), encoding="utf-8")
+        models = ["--pl-model", str(pl_model), "--vl-model", str(vl_model)]
+    out = tmp_path / "out"
+    assert _run(["estimate", "--input", str(config), *models, "--output-dir", str(out)], capsys) == (1, stderr)
+    assert not (out / "estimates.csv").exists()
+
+
+HEATFLOW_HEADER = "lon_deg,lat_deg,section_depth_m,gradt_c_per_km\n"
+GOOD_HEATFLOW_ROW = "104.5,29.1,1200,26.4\n"
+
+# name -> (bad row, its error as the per-row parser printed it, with {row}).
+BAD_HEATFLOW_ROWS = {
+    "empty-cell": ("104.5,,1200,26.4\n", "row {row}, column lat_deg: required numeric field is empty"),
+    "not-a-number": ("104.5,north,1200,26.4\n", "row {row}, column lat_deg: not a number: 'north'"),
+    "nan-longitude": ("nan,29.1,1200,26.4\n", "row {row}, column record: longitude out of range: nan"),
+    "infinite-depth": ("104.5,29.1,inf,26.4\n",
+                       "row {row}, column record: section depth must be finite, got inf"),
+    "infinite-gradient": ("104.5,29.1,1200,-inf\n",
+                          "row {row}, column record: gradient must be finite, got -inf"),
+    "two-bad-cells": ("east,north,1200,26.4\n", "row {row}, column lon_deg: not a number: 'east'"),
+    "two-bad-invariants": ("104.5,95,1200,nan\n", "row {row}, column record: latitude out of range: 95.0"),
+}
+
+
+@pytest.mark.parametrize("position", [0, 2, 4])
+@pytest.mark.parametrize("case", BAD_HEATFLOW_ROWS)
+def test_first_bad_heatflow_row_fails_the_parse(case, position, tmp_path, capsys):
+    bad, message = BAD_HEATFLOW_ROWS[case]
+    rows = [GOOD_HEATFLOW_ROW] * 4
+    rows.insert(position, bad)
+    heatflow = tmp_path / "h.csv"
+    heatflow.write_text(HEATFLOW_HEADER + "".join(rows), encoding="utf-8")
+    argv = ["idw", "--input", str(heatflow), "--query", "105", "30", "--output-dir", str(tmp_path)]
+    assert _run(argv, capsys) == (1, f"error: parse stage: {message.format(row=position + 2)}\n")
+
+
+@pytest.mark.parametrize("rows, stderr", [
+    # an invariant violation before a cell that is not a number
+    (GOOD_HEATFLOW_ROW + "999,29.1,1200,26.4\n104.5,x,1,2\n",
+     "error: parse stage: row 3, column record: longitude out of range: 999.0\n"),
+    # a cell that is not a number before an invariant violation
+    (GOOD_HEATFLOW_ROW + "104.5,x,1,2\n999,29.1,1200,26.4\n",
+     "error: parse stage: row 3, column lat_deg: not a number: 'x'\n"),
+    # blank rows count in the row number
+    (GOOD_HEATFLOW_ROW + "\n \n104.5,x,1,2\n",
+     "error: parse stage: row 5, column lat_deg: not a number: 'x'\n"),
+    # float() syntax: spaces around a number and digit separators
+    (" 104.5 ,2_9.1,1_200,26.4\n",
+     "idw: 1 of 1 points usable (min depth 500.0 m)\nidw: gradient at (105.0000, 30.0000) is 26.40 degC/km\n"),
+], ids=["invariant-first", "parse-first", "blank-rows", "float-syntax"])
+def test_heatflow_errors_name_the_first_bad_row(rows, stderr, tmp_path, capsys):
+    heatflow = tmp_path / "h.csv"
+    heatflow.write_text(HEATFLOW_HEADER + rows, encoding="utf-8")
+    argv = ["idw", "--input", str(heatflow), "--query", "105", "30", "--output-dir", str(tmp_path)]
+    assert _run(argv, capsys) == ((0 if stderr.startswith("idw:") else 1), stderr)
+
+
+def test_importing_the_cli_leaves_scipy_unloaded():
+    # Only validate's confidence interval needs SciPy; it is imported there.
+    code = "import shale_adsorb.cli, sys; assert 'scipy' not in sys.modules"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("first, second", [
+    (["idw", "--input", "data/heatflow.csv", "--query", "105", "30", "--max-neighbors", "8"],
+     ["idw", "--input", "data/heatflow.csv", "--grid", "100", "110", "25", "33", "5", "4"]),
+    (["compare", "--input", "data/samples.csv", "--kind", "pl", "--scenario", "high-t", "--reps", "3",
+      "--seed", "4", "--invtemp-kelvin", "--k", "7"],
+     ["validate", "--input", "data/samples.csv", "--kind", "pl"]),
+], ids=["idw-query-then-grid", "compare-then-validate"])
+def test_parser_built_once_keeps_no_state_between_calls(first, second, tmp_path, data_dir):
+    root = data_dir.parent
+    first = [str(root / arg) if arg.startswith("data/") else arg for arg in first]
+    second = [str(root / arg) if arg.startswith("data/") else arg for arg in second]
+    assert build_parser() is build_parser()
+    assert main([*first, "--output-dir", str(tmp_path / "first")]) == 0
+    assert vars(build_parser().parse_args(second)) == vars(build_parser.__wrapped__().parse_args(second))
+    assert main([*second, "--output-dir", str(tmp_path / "cached")]) == 0
+    fresh = subprocess.run([sys.executable, "-m", "shale_adsorb.cli", *second,
+                            "--output-dir", str(tmp_path / "fresh")], capture_output=True, text=True)
+    assert fresh.returncode == 0, fresh.stderr
+    written = sorted(path.name for path in (tmp_path / "fresh").iterdir())
+    assert written == sorted(path.name for path in (tmp_path / "cached").iterdir())
+    for name in written:
+        assert (tmp_path / "cached" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()

@@ -10,6 +10,7 @@ from shale_adsorb.estimator import (
     ReservoirSpec,
     estimate_adsorbed_gas,
     estimate_reservoir,
+    estimate_reservoirs,
     estimates_to_csv,
     fit_range_warnings,
     langmuir_volume,
@@ -21,6 +22,7 @@ from shale_adsorb.estimator import (
 from shale_adsorb.dataset import FIT_RANGES, DatasetKind, clean
 from shale_adsorb.regression import FittedModel, ModelKind, ModelSpec
 from conftest import make_record
+from helpers import naive_estimate
 
 # Nine reference reservoirs: depth, toc, ro, temperature, expected pressure
 # and expected adsorbed content.
@@ -314,3 +316,116 @@ pressure_mpa=9.1
     def test_bad_line_rejected(self):
         with pytest.raises(ValueError, match="line 2"):
             parse_reservoirs("name=A\nnot a key value pair\n")
+
+
+def _seeded_reservoirs(n, seed):
+    """Reservoirs mixing overrides and defaults, about a tenth outside each fitted range."""
+    rng = np.random.default_rng(seed)
+    specs = []
+    for i in range(n):
+        u = rng.uniform(size=8)
+        toc = float(rng.uniform(0.3, 1.0) if u[0] < 0.05 else rng.uniform(17.0, 30.0) if u[0] < 0.1
+                    else rng.uniform(1.0, 17.0))
+        ro = float(rng.uniform(4.0, 5.0) if u[1] < 0.1 else rng.uniform(0.5, 4.0))
+        depth = float(rng.uniform(50.0, 5000.0))
+        specs.append(ReservoirSpec(
+            name=f"R{i}",
+            depth=round(depth) if u[2] < 0.05 else depth,
+            toc=toc,
+            ro=ro,
+            alpha=float(rng.uniform(0.8, 1.6)) if u[3] < 0.3 else 1.0,
+            surface_temp=float(rng.uniform(5.0, 30.0)) if u[4] < 0.3 else 20.0,
+            grad_t=float(rng.uniform(15.0, 40.0)),
+            temp_override=(float(rng.uniform(90.0, 130.0) if u[6] < 0.25 else rng.uniform(10.0, 90.0))
+                           if u[5] < 0.4 else None),
+            pressure_override=float(rng.uniform(0.5, 60.0)) if u[7] < 0.3 else None,
+        ))
+    return specs
+
+
+# (pl model, vl model) pairs: the reference models and one pair of each other kind.
+MODEL_PAIRS = {
+    "reference": reference_models(),
+    "reference-forms": (FittedModel(ModelSpec(ModelKind.PL_TOCPOW), (0.3, 1.0), 10),
+                        FittedModel(ModelSpec(ModelKind.VL_TOCLIN), (0.3, 0.5), 10)),
+    "invtemp-tocpow": (FittedModel(ModelSpec(ModelKind.PL_INVTEMP), (-50.0, -1.5), 10),
+                       FittedModel(ModelSpec(ModelKind.VL_TOCPOW), (0.5, 0.2), 10)),
+    "invtemp-kelvin": (FittedModel(ModelSpec(ModelKind.PL_INVTEMP, invtemp_kelvin=True), (500.0, -3.0), 10),
+                       FittedModel(ModelSpec(ModelKind.VL_GEO), (0.4, -0.05, 0.6), 10)),
+}
+
+# Pairs whose predictions leave the isotherm's domain for some inputs.
+FAILING_MODEL_PAIRS = {
+    "steep-pl": (FittedModel(ModelSpec(ModelKind.PL_GEO), (-200.0, 0.715, 1.666), 10),
+                 reference_models()[1]),
+    "falling-vl": (MODEL_PAIRS["reference-forms"][0],
+                   FittedModel(ModelSpec(ModelKind.VL_TOCLIN), (-1.0, 10.0), 10)),
+}
+
+
+def _outcome(estimate, *args):
+    """The rows, or the type and message of the error ``estimate`` raises."""
+    try:
+        return estimate(*args)
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+class TestBatchExactness:
+    """The estimate equals the per-reservoir loop (``helpers.naive_estimate``) with ``==``."""
+
+    @pytest.mark.parametrize("models", MODEL_PAIRS.values(), ids=MODEL_PAIRS.keys())
+    def test_rows_equal_per_reservoir_loop(self, models):
+        specs = _seeded_reservoirs(2500, seed=71)
+        expected = [naive_estimate(spec, *models) for spec in specs]
+        assert estimate_reservoirs(specs, *models) == expected
+        assert [estimate_reservoir(spec, *models) for spec in specs[:100]] == expected[:100]
+        warned = sum(bool(row.warnings) for row in expected)
+        assert 0.2 * len(specs) < warned < 0.6 * len(specs)
+
+    # name -> (models, bad reservoir fields); each breaks one step of the estimate.
+    BAD_RESERVOIRS = {
+        "zero-pressure": ("reference", {"depth": 0.0}),
+        "negative-pressure": ("reference", {"pressure_override": -2.5}),
+        "nan-pressure": ("reference", {"pressure_override": math.nan}),
+        "nan-temperature": ("reference", {"temp_override": math.nan}),
+        "infinite-temperature": ("reference", {"grad_t": 1e308}),
+        "below-absolute-zero": ("reference", {"temp_override": -300.0}),
+        "log-domain": ("reference", {"temp_override": 0.0}),
+        "zero-reciprocal-temperature": ("invtemp-tocpow", {"temp_override": 0.0}),
+        "exp-overflow": ("reference", {"toc": 10000.0}),
+        "cube-overflow": ("reference", {"temp_override": 1e200}),
+        "infinite-pl": ("reference", {"ro": 1e-308, "temp_override": 100.0}),
+        "zero-pl": ("steep-pl", {"toc": 4000.0}),
+        "negative-vl": ("falling-vl", {"toc": 30.0}),
+    }
+
+    @pytest.mark.parametrize("position", [0, 3, 7])
+    @pytest.mark.parametrize("case", BAD_RESERVOIRS)
+    def test_first_failing_reservoir_raises_as_in_the_loop(self, case, position):
+        models_name, fields = self.BAD_RESERVOIRS[case]
+        models = {**MODEL_PAIRS, **FAILING_MODEL_PAIRS}[models_name]
+        good = [dict(name=f"G{i}", depth=2000.0, toc=3.0, ro=1.5, grad_t=30.0) for i in range(7)]
+        good.insert(position, dict(good[0], name="B", **fields))
+        specs = [ReservoirSpec(**spec) for spec in good]
+        expected = _outcome(lambda: [naive_estimate(spec, *models) for spec in specs])
+        assert isinstance(expected, tuple), "the bad reservoir must fail"
+        assert _outcome(estimate_reservoirs, specs, *models) == expected
+
+    @pytest.mark.parametrize("first, second", [
+        ("exp-overflow", "zero-pressure"),
+        ("infinite-pl", "nan-temperature"),
+        ("log-domain", "below-absolute-zero"),
+    ])
+    def test_later_step_of_an_earlier_reservoir_wins(self, first, second):
+        # The second bad reservoir fails at an earlier step than the first;
+        # the error is still the first one's, as in a per-reservoir loop.
+        models = MODEL_PAIRS["reference"]
+        base = dict(depth=2000.0, toc=3.0, ro=1.5, grad_t=30.0)
+        specs = [ReservoirSpec(name="G", **base),
+                 ReservoirSpec(name="B1", **dict(base, **self.BAD_RESERVOIRS[first][1])),
+                 ReservoirSpec(name="G2", **base),
+                 ReservoirSpec(name="B2", **dict(base, **self.BAD_RESERVOIRS[second][1]))]
+        expected = _outcome(lambda: [naive_estimate(spec, *models) for spec in specs])
+        assert expected == _outcome(lambda: [naive_estimate(specs[1], *models)])
+        assert _outcome(estimate_reservoirs, specs, *models) == expected

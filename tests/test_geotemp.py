@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from shale_adsorb.geotemp import (
     EARTH_RADIUS_M,
-    HeatFlowPoint,
+    HeatFlowTable,
+    InvalidHeatFlowPoint,
     filter_heatflow,
     grid_to_csv,
     haversine_m,
@@ -19,19 +20,52 @@ from helpers import naive_idw
 
 
 def point(lon, lat, grad_t, depth=1000.0):
-    return HeatFlowPoint(lon=lon, lat=lat, section_depth=depth, grad_t=grad_t)
+    """One measurement as a (lon, lat, section_depth, grad_t) row."""
+    return (lon, lat, depth, grad_t)
 
 
-class TestHeatFlowPoint:
+def table(*points):
+    """The heat-flow table of measurement rows made by :func:`point`."""
+    return HeatFlowTable(*np.array(points, dtype=float).reshape(-1, 4).T)
+
+
+def rows_of(samples):
+    return list(zip(samples.lon.tolist(), samples.lat.tolist(),
+                    samples.section_depth.tolist(), samples.grad_t.tolist()))
+
+
+class TestHeatFlowTable:
     def test_coordinate_ranges_enforced(self):
         with pytest.raises(ValueError, match="longitude"):
-            point(190.0, 0.0, 25.0)
+            table(point(190.0, 0.0, 25.0))
         with pytest.raises(ValueError, match="latitude"):
-            point(0.0, -91.0, 25.0)
+            table(point(0.0, -91.0, 25.0))
 
     def test_non_finite_gradient_rejected(self):
         with pytest.raises(ValueError, match="gradient"):
-            point(0.0, 0.0, math.nan)
+            table(point(0.0, 0.0, math.nan))
+
+    def test_first_bad_point_named_with_checks_in_order(self):
+        # lon, then lat, then gradient, then depth, for the first bad point
+        good = point(104.5, 29.1, 26.4)
+        bad = (point(104.5, 95.0, math.nan, math.inf), point(104.5, 29.1, 26.4, -math.inf),
+               point(math.nan, 95.0, 26.4))
+        with pytest.raises(InvalidHeatFlowPoint) as info:
+            table(good, *bad)
+        assert (info.value.index, info.value.reason) == (1, "latitude out of range: 95.0")
+        assert str(info.value) == "point 1: latitude out of range: 95.0"
+        with pytest.raises(InvalidHeatFlowPoint, match="point 0: section depth must be finite, got -inf"):
+            table(bad[1], bad[2])
+
+    def test_columns_are_read_only_float64_of_one_length(self):
+        samples = table(point(104.5, 29.1, 26.4), point(105, 30, 20, 700))
+        assert len(samples) == 2
+        assert samples.lon.dtype == np.float64
+        with pytest.raises(ValueError):
+            samples.grad_t[0] = 1.0
+        with pytest.raises(ValueError, match="one length"):
+            HeatFlowTable([1.0, 2.0], [1.0], [1.0], [1.0])
+        assert len(table()) == 0
 
 
 class TestHaversine:
@@ -51,87 +85,87 @@ class TestHaversine:
 
 class TestFilterHeatflow:
     def test_threshold_is_inclusive(self):
-        points = [point(0, 0, 20, depth=d) for d in (100.0, 500.0, 900.0)]
+        points = table(*(point(0, 0, 20, depth=d) for d in (100.0, 500.0, 900.0)))
         kept = filter_heatflow(points)
-        assert [p.section_depth for p in kept] == [500.0, 900.0]
+        assert kept.section_depth.tolist() == [500.0, 900.0]
 
     def test_empty_input(self):
-        assert filter_heatflow([]) == []
+        assert rows_of(filter_heatflow(table())) == []
 
     def test_zero_threshold_keeps_all(self):
-        points = [point(0, 0, 20, depth=d) for d in (100.0, 500.0)]
-        assert filter_heatflow(points, min_depth=0.0) == points
+        points = table(*(point(0, 0, 20, depth=d) for d in (100.0, 500.0)))
+        assert rows_of(filter_heatflow(points, min_depth=0.0)) == rows_of(points)
 
     def test_idempotent(self):
-        points = [point(0, 0, 20, depth=d) for d in (100.0, 400.0, 600.0, 2000.0)]
+        points = table(*(point(0, 0, 20, depth=d) for d in (100.0, 400.0, 600.0, 2000.0)))
         once = filter_heatflow(points)
-        assert filter_heatflow(once) == once
+        assert rows_of(filter_heatflow(once)) == rows_of(once)
 
 
 class TestIdwInterpolate:
     def test_exact_hit_returns_sample_value(self):
-        samples = [point(105.0, 30.0, 27.3), point(106.0, 31.0, 18.0)]
+        samples = table(point(105.0, 30.0, 27.3), point(106.0, 31.0, 18.0))
         assert idw_interpolate(samples, 105.0, 30.0) == 27.3
 
     def test_two_equidistant_points_average(self):
-        samples = [point(-0.5, 0.0, 10.0), point(0.5, 0.0, 30.0)]
+        samples = table(point(-0.5, 0.0, 10.0), point(0.5, 0.0, 30.0))
         assert idw_interpolate(samples, 0.0, 0.0) == pytest.approx(20.0, rel=1e-12)
 
     def test_three_point_hand_weights(self):
         # samples along the equator at 1, 2 and 3 degrees from the query:
         # distances scale as 1:2:3, so the squared-inverse weights are
         # 1, 1/4 and 1/9
-        samples = [point(1.0, 0.0, 24.0), point(2.0, 0.0, 30.0), point(3.0, 0.0, 12.0)]
+        samples = table(point(1.0, 0.0, 24.0), point(2.0, 0.0, 30.0), point(3.0, 0.0, 12.0))
         expected = (24.0 + 30.0 / 4 + 12.0 / 9) / (1 + 1.0 / 4 + 1.0 / 9)
         assert idw_interpolate(samples, 0.0, 0.0) == pytest.approx(expected, rel=1e-6)
 
     def test_power_changes_weighting(self):
-        samples = [point(1.0, 0.0, 10.0), point(3.0, 0.0, 30.0)]
+        samples = table(point(1.0, 0.0, 10.0), point(3.0, 0.0, 30.0))
         flat = idw_interpolate(samples, 0.0, 0.0, power=1.0)
         sharp = idw_interpolate(samples, 0.0, 0.0, power=4.0)
         assert sharp < flat  # nearer (low) value dominates more strongly
 
     def test_output_is_convex_combination(self):
         rng = np.random.default_rng(0)
-        samples = [
+        samples = table(*(
             point(float(rng.uniform(100, 110)), float(rng.uniform(25, 35)),
                   float(rng.uniform(15, 35)))
             for _ in range(12)
-        ]
-        values = [p.grad_t for p in samples]
+        ))
+        values = samples.grad_t.tolist()
         for _ in range(20):
             got = idw_interpolate(samples, float(rng.uniform(100, 110)), float(rng.uniform(25, 35)))
             assert min(values) <= got <= max(values)
 
     def test_translation_of_values(self):
         rng = np.random.default_rng(1)
-        samples = [
+        samples = table(*(
             point(float(rng.uniform(100, 110)), float(rng.uniform(25, 35)),
                   float(rng.uniform(15, 35)))
             for _ in range(8)
-        ]
-        shifted = [point(p.lon, p.lat, p.grad_t + 7.5, p.section_depth) for p in samples]
+        ))
+        shifted = HeatFlowTable(samples.lon, samples.lat, samples.section_depth, samples.grad_t + 7.5)
         base = idw_interpolate(samples, 104.2, 28.9)
         assert idw_interpolate(shifted, 104.2, 28.9) == pytest.approx(base + 7.5, rel=1e-12)
 
     def test_max_neighbors_cap(self):
-        samples = [point(1.0, 0.0, 10.0), point(2.0, 0.0, 20.0), point(50.0, 0.0, 1000.0)]
+        samples = table(point(1.0, 0.0, 10.0), point(2.0, 0.0, 20.0), point(50.0, 0.0, 1000.0))
         capped = idw_interpolate(samples, 0.0, 0.0, max_neighbors=2)
         expected = (10.0 + 20.0 / 4) / (1 + 1.0 / 4)
         assert capped == pytest.approx(expected, rel=1e-6)
 
     def test_empty_samples_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            idw_interpolate([], 0.0, 0.0)
+            idw_interpolate(table(), 0.0, 0.0)
 
     def test_bad_power_rejected(self):
         with pytest.raises(ValueError, match="power"):
-            idw_interpolate([point(0, 0, 20)], 1.0, 1.0, power=0.0)
+            idw_interpolate(table(point(0, 0, 20)), 1.0, 1.0, power=0.0)
 
 
 class TestInterpolateGrid:
     def test_row_count_and_extent(self):
-        samples = [point(100.0, 25.0, 20.0), point(110.0, 35.0, 30.0)]
+        samples = table(point(100.0, 25.0, 20.0), point(110.0, 35.0, 30.0))
         rows = interpolate_grid(samples, 100.0, 110.0, 25.0, 35.0, 3, 2)
         assert len(rows) == 6
         lons = sorted({lon for lon, _, _ in rows})
@@ -140,7 +174,7 @@ class TestInterpolateGrid:
         assert lats == [25.0, 35.0]
 
     def test_single_point_grid(self):
-        samples = [point(100.0, 25.0, 20.0)]
+        samples = table(point(100.0, 25.0, 20.0))
         rows = interpolate_grid(samples, 102.0, 102.0, 26.0, 26.0, 1, 1)
         assert rows == [(102.0, 26.0, 20.0)]
 
@@ -159,7 +193,7 @@ def lattice_with_repeats():
     """
     lattice = [point(100.0 + 0.5 * i, 25.0 + 0.5 * j, 15.0 + 1.7 * ((7 * i + 3 * j) % 11))
                for j in range(9) for i in range(10)]
-    return lattice + [point(p.lon, p.lat, p.grad_t + 4.25) for p in lattice[::9]]
+    return table(*lattice, *(point(lon, lat, grad + 4.25) for lon, lat, _, grad in lattice[::9]))
 
 
 # 29 x 25 nodes on quarter degrees; 725 nodes x 100 samples is more than one
@@ -183,7 +217,7 @@ class TestIdwExactness:
         assert interpolate_grid(samples, 101.3, 101.3, 26.1, 26.1, 1, 1, power, cap) == [
             (101.3, 26.1, naive_idw(samples, 101.3, 26.1, power, cap))]
 
-        single = samples[:1]
+        single = table(rows_of(samples)[0])
         rows = interpolate_grid(single, 99.0, 101.0, 24.0, 26.0, 3, 3, power, cap)
         assert [g for _, _, g in rows] == [naive_idw(single, lon, lat, power, cap) for lon, lat, _ in rows]
         for lon, lat in ((100.0, 25.0), (103.7, 27.2)):
@@ -194,8 +228,8 @@ class TestIdwExactness:
         # Off-lattice coordinates: thousands of distinct sine, asin and weight
         # arguments, and no ties.
         rng = np.random.default_rng(7)
-        samples = [point(float(lon), float(lat), float(g)) for lon, lat, g in
-                   zip(rng.uniform(100, 110, 200), rng.uniform(25, 35, 200), rng.uniform(15, 35, 200))]
+        samples = table(*(point(float(lon), float(lat), float(g)) for lon, lat, g in
+                          zip(rng.uniform(100, 110, 200), rng.uniform(25, 35, 200), rng.uniform(15, 35, 200))))
         rows = interpolate_grid(samples, 100.37, 109.91, 25.13, 34.77, 20, 20, 2.0, cap)
         assert [g for _, _, g in rows] == [naive_idw(samples, lon, lat, 2.0, cap) for lon, lat, _ in rows]
         for lon, lat in zip(rng.uniform(100, 110, 40).tolist(), rng.uniform(25, 35, 40).tolist()):
@@ -216,7 +250,7 @@ class TestIdwExactness:
         sensitive = [p for p in pairs if distance_with_products(*p) != haversine_m(*p)][:8]
         moved = 0
         for lon, lat, s_lon, s_lat in sensitive:
-            samples = [point(s_lon, s_lat, 20.0), point(105.0, 30.0, 30.0)]
+            samples = table(point(s_lon, s_lat, 20.0), point(105.0, 30.0, 30.0))
             expected = naive_idw(samples, lon, lat, 1.0, None)
             assert idw_interpolate(samples, lon, lat, 1.0) == expected
             assert interpolate_grid(samples, lon, lon, lat, lat, 1, 1, 1.0) == [(lon, lat, expected)]
@@ -225,7 +259,7 @@ class TestIdwExactness:
 
     def test_signed_zero_sums_like_the_loop(self):
         # The loop's sums start at +0.0, so all-(-0.0) terms give +0.0, not -0.0.
-        samples = [point(100.0, 25.0, -0.0), point(101.0, 26.0, -0.0), point(102.0, 25.5, 3.0)]
+        samples = table(point(100.0, 25.0, -0.0), point(101.0, 26.0, -0.0), point(102.0, 25.5, 3.0))
         for cap in (2, None):
             got = idw_interpolate(samples, 99.0, 25.0, max_neighbors=cap)
             assert repr(got) == repr(naive_idw(samples, 99.0, 25.0, 2.0, cap))
@@ -237,7 +271,7 @@ class TestIdwExactness:
         hits = 0
         ties = {1: 0, 8: 0}
         for lon, lat, _ in interpolate_grid(samples, *EXACTNESS_GRID):
-            d = sorted(haversine_m(lon, lat, p.lon, p.lat) for p in samples)
+            d = sorted(haversine_m(lon, lat, s_lon, s_lat) for s_lon, s_lat, _, _ in rows_of(samples))
             if d[0] == 0.0:
                 hits += 1
                 continue
@@ -255,7 +289,7 @@ def _heatflow_sets(draw):
     """Heat-flow points in one region, some sharing coordinates."""
     places = draw(st.lists(_coordinate, min_size=1, max_size=12))
     picks = draw(st.lists(st.sampled_from(places), min_size=1, max_size=25))
-    return [point(lon, lat, draw(st.floats(10.0, 40.0))) for lon, lat in picks]
+    return table(*(point(lon, lat, draw(st.floats(10.0, 40.0))) for lon, lat in picks))
 
 
 @settings(max_examples=80, deadline=None, database=None)
@@ -270,10 +304,10 @@ def test_idw_bounded_by_used_neighbours_and_grid_equals_query(samples, query, po
     """
     lon, lat = query
     value = idw_interpolate(samples, lon, lat, power, cap)
-    distances = [haversine_m(lon, lat, p.lon, p.lat) for p in samples]
+    distances = [haversine_m(lon, lat, s_lon, s_lat) for s_lon, s_lat, _, _ in rows_of(samples)]
     order = sorted(range(len(samples)), key=distances.__getitem__)
     used = order[:1] if distances[order[0]] < 1.0 else order[:cap]
-    grads = [samples[i].grad_t for i in used]
+    grads = [samples.grad_t[i].item() for i in used]
     slack = 2 * (len(used) + 1) * np.finfo(float).eps * max(grads)
     assert min(grads) - slack <= value <= max(grads) + slack
 
@@ -290,7 +324,7 @@ class TestParseHeatflow:
 
     def test_basic(self):
         points = parse_heatflow(self.TEXT)
-        assert points == [HeatFlowPoint(104.5, 29.1, 1200.0, 26.4)]
+        assert rows_of(points) == [(104.5, 29.1, 1200.0, 26.4)]
 
     def test_bad_header(self):
         with pytest.raises(ValueError, match="header"):
@@ -308,7 +342,8 @@ class TestParseHeatflow:
         # Blank lines are skipped, rows are numbered from the header as row 1,
         # and a short row or an empty file names the row and column.
         header = "lon_deg,lat_deg,section_depth_m,gradt_c_per_km\n"
-        assert parse_heatflow(header + "\n104.5,29.1,1200,26.4\n \n") == parse_heatflow(self.TEXT)
+        blanks = parse_heatflow(header + "\n104.5,29.1,1200,26.4\n \n")
+        assert rows_of(blanks) == rows_of(parse_heatflow(self.TEXT))
         with pytest.raises(SampleParseError, match="row 4, column section_depth_m: expected 4 heat-flow fields") as info:
             parse_heatflow(header + "104.5,29.1,1200,26.4\n\n104.5,29.1\n")
         assert (info.value.row, info.value.column) == (4, "section_depth_m")

@@ -236,6 +236,32 @@ class TestCompareModels:
         assert len(table.rows) == 5 * 3 + 3
         assert sum(1 for label, _, _ in table.rows if label == "Average") == 3
 
+    def test_average_adds_left_to_right(self):
+        # On these errors a correctly rounded sum (and so the compensated
+        # builtin sum() of Python >= 3.12) differs from the left-to-right
+        # one, which every Average row must use.
+        records = synthetic_records(n=40, seed=10, vl_noise=0.2)
+        specs = [VL_SPEC, TOCLIN, ModelSpec(ModelKind.VL_TOCPOW)]
+        table = compare_models(records, specs, Scenario.OVERALL, 0.2, repetitions=12, seed=10)
+        averages = table.averages()
+        sensitive = 0
+        for spec in specs:
+            errors = [error for label, model, error in table.rows
+                      if model == spec.kind.value and label != "Average"]
+            total = 0.0
+            for error in errors:
+                total += error
+            assert averages[spec.kind.value] == total / 12
+            sensitive += math.fsum(errors) / 12 != total / 12
+        assert sensitive
+
+    def test_specs_of_one_kind_rejected(self):
+        records = synthetic_records(n=30, seed=13)
+        specs = [ModelSpec(ModelKind.PL_INVTEMP), PL_SPEC,
+                 ModelSpec(ModelKind.PL_INVTEMP, invtemp_kelvin=True)]
+        with pytest.raises(ValueError, match="model kind pl-invtemp appears in more than one spec"):
+            compare_models(records, specs, Scenario.OVERALL, 0.2, repetitions=2, seed=1)
+
     def test_row_labels_follow_scenario(self):
         records = synthetic_records(n=30, seed=14)
         table = compare_models(records, [VL_SPEC], Scenario.HIGH_TOC, 0.1, repetitions=2, seed=8)
