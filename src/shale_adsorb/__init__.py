@@ -18,8 +18,10 @@ from .dataset import (
 )
 from .estimator import (
     EstimateRow,
+    EstimateTable,
     LangmuirParams,
     ReservoirSpec,
+    ReservoirTable,
     estimate_adsorbed_gas,
     estimate_reservoir,
     estimate_reservoirs,

@@ -182,15 +182,15 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         if pl_model.spec.dependent_var != "pl" or vl_model.spec.dependent_var != "vl":
             raise ValueError("--pl-model must predict pl and --vl-model must predict vl")
 
-    specs = _stage("reservoir-config", estimator.parse_reservoirs, _read_text(args.input))
-    if not specs:
+    reservoirs = _stage("reservoir-config", estimator.parse_reservoirs, _read_text(args.input))
+    if not reservoirs:
         raise ValueError(f"reservoir-config stage: no reservoir blocks found in {args.input}")
-    rows = _stage("estimate", estimator.estimate_reservoirs, specs, pl_model, vl_model)
-    _write(out / "estimates.csv", estimator.estimates_to_csv(rows))
-    for row in rows:
-        if row.warnings:
-            _say(f"warning: {row.reservoir}: outside fitted ranges ({';'.join(row.warnings)})")
-    _say(f"estimate: wrote {len(rows)} reservoirs to {out / 'estimates.csv'}")
+    estimates = _stage("estimate", estimator.estimate_reservoirs, reservoirs, pl_model, vl_model)
+    _write(out / "estimates.csv", estimator.estimates_to_csv(estimates))
+    for name, warnings in zip(reservoirs.names, estimates.warnings()):
+        if warnings:
+            _say(f"warning: {name}: outside fitted ranges ({warnings})")
+    _say(f"estimate: wrote {len(estimates)} reservoirs to {out / 'estimates.csv'}")
     return 0
 
 

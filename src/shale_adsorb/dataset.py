@@ -12,6 +12,7 @@ import io
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -120,6 +121,12 @@ class DatasetKind(Enum):
 
 
 _INDEPENDENT_VARS = {DatasetKind.PL: ("temp", "toc", "ro"), DatasetKind.VL: ("temp", "toc")}
+
+
+def elementwise(func, values: np.ndarray, *args) -> np.ndarray:
+    """``func(x, *args)`` of each element, called on Python floats so that it rounds as ``math`` does."""
+    flat = values.ravel().tolist()
+    return np.fromiter(map(func, flat, *map(repeat, args)), float, len(flat)).reshape(values.shape)
 
 
 def _parse_float(raw: str, row: int, column: str, required: bool) -> float | None:
@@ -303,11 +310,11 @@ def integrate_replicates(records: Sequence[SampleRecord]) -> tuple[list[SampleRe
 #: The geological ranges the models are fitted on: (field, in-range test), in
 #: the order temp, ro, toc. Cleaning rejects a record outside them with
 #: ``<field>-range``; an estimate outside them is tagged
-#: ``<field>-extrapolation``.
+#: ``<field>-extrapolation``. Each test takes a float or a float array.
 FIT_RANGES = (
     ("temp", lambda value: value < 90.0),
     ("ro", lambda value: value < 4.0),
-    ("toc", lambda value: 1.0 <= value <= 17.0),
+    ("toc", lambda value: (1.0 <= value) & (value <= 17.0)),
 )
 
 

@@ -8,9 +8,9 @@ pressure scaled by a pressure coefficient.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import repeat
-from typing import NamedTuple, Sequence
+from dataclasses import dataclass, fields
+from itertools import compress
+from typing import Sequence
 
 import numpy as np
 
@@ -75,7 +75,8 @@ class ReservoirSpec:
 
     Temperature comes from ``temp_override`` when set, otherwise from the
     geothermal gradient; pressure comes from ``pressure_override`` when set,
-    otherwise from depth and the pressure coefficient ``alpha``.
+    otherwise from depth and the pressure coefficient ``alpha``. The
+    invariants are those of :class:`ReservoirTable`.
     """
 
     name: str
@@ -89,63 +90,118 @@ class ReservoirSpec:
     pressure_override: float | None = None  # MPa
 
     def __post_init__(self):
-        if not self.name:
-            raise ValueError("reservoir name must not be empty")
-        if not (math.isfinite(self.depth) and self.depth >= 0):
-            raise ValueError(f"reservoir {self.name}: depth must be >= 0, got {self.depth!r}")
-        if not (math.isfinite(self.alpha) and self.alpha > 0):
-            raise ValueError(f"reservoir {self.name}: alpha must be > 0, got {self.alpha!r}")
-        if not (math.isfinite(self.toc) and self.toc > 0):
-            raise ValueError(f"reservoir {self.name}: toc must be > 0, got {self.toc!r}")
-        if not (math.isfinite(self.ro) and self.ro > 0):
-            raise ValueError(f"reservoir {self.name}: ro must be > 0, got {self.ro!r}")
-        if self.grad_t is None and self.temp_override is None:
-            raise ValueError(
-                f"reservoir {self.name}: needs gradt_c_per_km or temp_c to resolve temperature"
-            )
+        ReservoirTable.from_specs([self])  # raises for a broken invariant
+
+
+@dataclass(frozen=True, eq=False)
+class ReservoirTable:
+    """Reservoirs as columns: position i of every field is reservoir i.
+
+    The numbers are read-only float64 arrays, in the units of
+    :class:`ReservoirSpec`. Each optional input (gradient, temperature and
+    pressure override) has a value array and a presence mask (``has_*``);
+    where the mask is False the value is ignored. The constructor checks
+    each reservoir in order (name, depth, alpha, toc, ro, then a temperature
+    source) and raises a ``ValueError`` for the first reservoir that breaks
+    one, with that reservoir's message. Tables compare by identity.
+    """
+
+    names: tuple[str, ...]
+    depth: np.ndarray
+    toc: np.ndarray
+    ro: np.ndarray
+    alpha: np.ndarray
+    surface_temp: np.ndarray
+    grad_t: np.ndarray
+    has_grad_t: np.ndarray
+    temp_override: np.ndarray
+    has_temp_override: np.ndarray
+    pressure_override: np.ndarray
+    has_pressure_override: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "names", tuple(self.names))
+        for field in fields(self)[1:]:
+            column = np.array(getattr(self, field.name), dtype=bool if field.name.startswith("has_") else float)
+            if column.shape != (len(self.names),):
+                raise ValueError(f"reservoir column {field.name} has shape {column.shape}, "
+                                 f"expected ({len(self.names)},)")
+            column.flags.writeable = False
+            object.__setattr__(self, field.name, column)
+        # (in-range mask, message, value column or None), in checking order
+        checks = (
+            (np.fromiter(map(bool, self.names), bool, len(self.names)),
+             "reservoir name must not be empty", None),
+            (np.isfinite(self.depth) & (self.depth >= 0), "reservoir {name}: depth must be >= 0, got {value!r}",
+             self.depth),
+            (np.isfinite(self.alpha) & (self.alpha > 0), "reservoir {name}: alpha must be > 0, got {value!r}",
+             self.alpha),
+            (np.isfinite(self.toc) & (self.toc > 0), "reservoir {name}: toc must be > 0, got {value!r}", self.toc),
+            (np.isfinite(self.ro) & (self.ro > 0), "reservoir {name}: ro must be > 0, got {value!r}", self.ro),
+            (self.has_grad_t | self.has_temp_override,
+             "reservoir {name}: needs gradt_c_per_km or temp_c to resolve temperature", None),
+        )
+        bad = np.flatnonzero(~np.logical_and.reduce([ok for ok, _, _ in checks]))
+        if bad.size:
+            i = bad[0]
+            _, message, column = next(check for check in checks if not check[0][i])
+            raise ValueError(message.format(name=self.names[i], value=None if column is None else column[i].item()))
+
+    @classmethod
+    def from_specs(cls, specs: Sequence[ReservoirSpec]) -> "ReservoirTable":
+        """The table of the given reservoirs, in order."""
+        def optional(attr: str) -> tuple[list[float], list[bool]]:
+            values = [getattr(spec, attr) for spec in specs]
+            return [math.nan if value is None else value for value in values], [value is not None for value in values]
+
+        return cls(
+            [spec.name for spec in specs],
+            *([getattr(spec, attr) for spec in specs] for attr in ("depth", "toc", "ro", "alpha", "surface_temp")),
+            *optional("grad_t"), *optional("temp_override"), *optional("pressure_override"),
+        )
+
+    def __len__(self) -> int:
+        return len(self.names)
+
+    def temperatures(self) -> np.ndarray:
+        """Reservoir temperatures (degC): the override, or surface + gradient * depth."""
+        with np.errstate(all="ignore"):
+            derived = self.surface_temp + self.depth / 1000.0 * self.grad_t
+        return np.where(self.has_temp_override, self.temp_override, derived)
+
+    def pressures(self) -> np.ndarray:
+        """Reservoir pressures (MPa): the override, or alpha * hydrostatic column."""
+        with np.errstate(all="ignore"):
+            derived = GRAVITY_N_PER_KG * self.alpha * WATER_DENSITY_T_PER_M3 * self.depth / 1000.0
+        return np.where(self.has_pressure_override, self.pressure_override, derived)
 
 
 def reservoir_temperature(spec: ReservoirSpec) -> float:
     """Reservoir temperature (degC): override, or surface + gradient * depth."""
-    if spec.temp_override is not None:
-        return spec.temp_override
-    if spec.grad_t is None:
-        raise ValueError(f"reservoir {spec.name}: no temperature source available")
-    return spec.surface_temp + spec.depth / 1000.0 * spec.grad_t
+    return ReservoirTable.from_specs([spec]).temperatures().item()
 
 
 def reservoir_pressure(spec: ReservoirSpec) -> float:
     """Reservoir pressure (MPa): override, or alpha * hydrostatic column."""
-    if spec.pressure_override is not None:
-        return spec.pressure_override
-    return GRAVITY_N_PER_KG * spec.alpha * WATER_DENSITY_T_PER_M3 * spec.depth / 1000.0
+    return ReservoirTable.from_specs([spec]).pressures().item()
 
 
-class _Query(NamedTuple):
-    """The sample-record fields a model's regressor row reads."""
-
-    id: str
-    toc: float
-    temp: float
-    ro: float
-
-
-def _predictions(model: FittedModel, queries: list[_Query]) -> np.ndarray:
-    """``model.predict`` of each query: its regressor rows, one ``vecdot`` and the inverse per element."""
+def _predictions(model: FittedModel, query: dict[str, np.ndarray]) -> np.ndarray:
+    """``model.predict`` of each query row: its regressors, one ``vecdot`` and the inverse per element."""
     spec = model.spec
-    x = np.array([spec.feature_row(query) for query in queries], dtype=float)
-    return predict_rows(spec, x.reshape(len(queries), spec.n_coefficients), np.array(model.coefficients))
+    x = spec.regressors(query, ("query",) * len(query["toc"]))
+    return predict_rows(spec, x, np.array(model.coefficients))
 
 
 def _contents(
-    toc: Sequence[float],
-    ro: Sequence[float],
-    temp: Sequence[float],
-    pressure: Sequence[float],
+    toc: np.ndarray,
+    ro: np.ndarray,
+    temp: np.ndarray,
+    pressure: np.ndarray,
     pl_model: FittedModel,
     vl_model: FittedModel,
-) -> list[float]:
-    """Adsorbed content (m3/t) of each row of inputs, each step run on all rows at once.
+) -> np.ndarray:
+    """Adsorbed content (m3/t) of each row of float64 inputs, each step run on all rows at once.
 
     The steps are those of one row: check the pressure, check the query
     record (``SampleRecord``'s invariants, and its constructor's message),
@@ -154,26 +210,24 @@ def _contents(
     rejects, which need not be the first row that fails: an earlier row may
     fail a later step.
     """
-    p = np.array(pressure, dtype=float)
-    bad = np.flatnonzero(~(p > 0))
+    bad = np.flatnonzero(~(pressure > 0))
     if bad.size:
-        raise ValueError(f"pressure must be positive, got {pressure[bad[0]]}")
-    t, c, r = (np.array(column, dtype=float) for column in (temp, toc, ro))
-    bad = np.flatnonzero(~(np.isfinite(t) & (t > ABSOLUTE_ZERO_C) & np.isfinite(c) & (c > 0)
-                           & np.isfinite(r) & (r > 0)))
+        raise ValueError(f"pressure must be positive, got {pressure[bad[0]].item()}")
+    bad = np.flatnonzero(~(np.isfinite(temp) & (temp > ABSOLUTE_ZERO_C) & np.isfinite(toc) & (toc > 0)
+                           & np.isfinite(ro) & (ro > 0)))
     if bad.size:
         i = bad[0]
-        SampleRecord(id="query", reservoir="", toc=toc[i], temp=temp[i], ro=ro[i])  # raises
-    queries = list(map(_Query, repeat("query"), toc, temp, ro))
+        SampleRecord(id="query", reservoir="", toc=toc[i].item(), temp=temp[i].item(), ro=ro[i].item())  # raises
+    query = {"toc": toc, "temp": temp, "ro": ro}
     # NumPy warns where the Python float arithmetic it replaces does not.
     with np.errstate(all="ignore"):
-        pl = _predictions(pl_model, queries)
-        vl = _predictions(vl_model, queries)
+        pl = _predictions(pl_model, query)
+        vl = _predictions(vl_model, query)
         bad = np.flatnonzero(~(np.isfinite(pl) & (pl > 0) & np.isfinite(vl) & (vl > 0)))
         if bad.size:
             LangmuirParams(pl=pl[bad[0]].item(), vl=vl[bad[0]].item())  # raises
         # langmuir_volume at a positive pressure
-        return (vl / (1.0 + pl / p)).tolist()
+        return vl / (1.0 + pl / pressure)
 
 
 def estimate_adsorbed_gas(
@@ -189,7 +243,32 @@ def estimate_adsorbed_gas(
     The two fitted models supply the Langmuir parameters, then the isotherm
     is evaluated at the reservoir pressure, which must be positive.
     """
-    return _contents([toc], [ro], [temp], [pressure], pl_model, vl_model)[0]
+    columns = (np.array([value], dtype=float) for value in (toc, ro, temp, pressure))
+    return _contents(*columns, pl_model, vl_model).item()
+
+
+# Warning code of each fitted range, in FIT_RANGES order.
+_WARNING_CODES = tuple(f"{field}-extrapolation" for field, _ in FIT_RANGES)
+
+# The codes of each set of ranges joined by ";", indexed by one bit per range.
+_WARNING_TEXTS = tuple(
+    ";".join(code for k, code in enumerate(_WARNING_CODES) if bits >> k & 1)
+    for bits in range(2 ** len(_WARNING_CODES))
+)
+
+
+def _extrapolated(toc, ro, temp) -> np.ndarray:
+    """Whether the inputs lie outside each range of ``dataset.FIT_RANGES``, on a last axis in its order."""
+    values = {"temp": temp, "ro": ro, "toc": toc}
+    return np.stack([np.logical_not(in_range(values[field])) for field, in_range in FIT_RANGES], axis=-1)
+
+
+def fit_range_warnings(toc: float, ro: float, temp: float) -> tuple[str, ...]:
+    """``<field>-extrapolation`` codes for inputs outside ``dataset.FIT_RANGES``.
+
+    Estimates outside those ranges still run; the codes tag them.
+    """
+    return tuple(compress(_WARNING_CODES, _extrapolated(toc, ro, temp).tolist()))
 
 
 @dataclass(frozen=True)
@@ -206,49 +285,59 @@ class EstimateRow:
     warnings: tuple[str, ...]
 
 
-def fit_range_warnings(toc: float, ro: float, temp: float) -> tuple[str, ...]:
-    """``<field>-extrapolation`` codes for inputs outside ``dataset.FIT_RANGES``.
+@dataclass(frozen=True, eq=False)
+class EstimateTable:
+    """Each reservoir's resolved temperature and pressure and its estimated content, as columns.
 
-    Estimates outside those ranges still run; the codes tag them.
+    ``extrapolated[i, k]`` is True when reservoir i lies outside the k-th
+    range of ``dataset.FIT_RANGES``.
     """
-    values = {"temp": temp, "ro": ro, "toc": toc}
-    return tuple(f"{field}-extrapolation" for field, in_range in FIT_RANGES if not in_range(values[field]))
+
+    reservoirs: ReservoirTable
+    temp: np.ndarray          # degC
+    pressure: np.ndarray      # MPa
+    adsorbed: np.ndarray      # m3/t
+    extrapolated: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.reservoirs)
+
+    def warnings(self) -> list[str]:
+        """Each reservoir's warning codes joined by ``;``, empty when it has none."""
+        bits = self.extrapolated @ (1 << np.arange(len(_WARNING_CODES)))
+        return list(map(_WARNING_TEXTS.__getitem__, bits.tolist()))
+
+    def row(self, i: int) -> EstimateRow:
+        """Reservoir i as one row."""
+        r = self.reservoirs
+        return EstimateRow(
+            reservoir=r.names[i], depth_m=r.depth[i].item(), toc_pct=r.toc[i].item(), ro_pct=r.ro[i].item(),
+            temp_c=self.temp[i].item(), pressure_mpa=self.pressure[i].item(),
+            adsorbed_m3t=self.adsorbed[i].item(),
+            warnings=tuple(compress(_WARNING_CODES, self.extrapolated[i].tolist())),
+        )
 
 
 def estimate_reservoirs(
-    specs: Sequence[ReservoirSpec],
+    reservoirs: ReservoirTable,
     pl_model: FittedModel,
     vl_model: FittedModel,
-) -> list[EstimateRow]:
+) -> EstimateTable:
     """Resolve temperature and pressure for each reservoir and estimate its content, as one batch.
 
     Each row equals the estimate of that reservoir alone. If any reservoir
     fails, the error is the one the first failing reservoir raises alone.
     """
-    temps = [reservoir_temperature(spec) for spec in specs]
-    pressures = [reservoir_pressure(spec) for spec in specs]
-    columns = ([spec.toc for spec in specs], [spec.ro for spec in specs], temps, pressures)
+    temp, pressure = reservoirs.temperatures(), reservoirs.pressures()
+    columns = (reservoirs.toc, reservoirs.ro, temp, pressure)
     try:
-        contents = _contents(*columns, pl_model, vl_model)
-    except (ValueError, OverflowError):
-        contents = None
-    if contents is None:
+        adsorbed = _contents(*columns, pl_model, vl_model)
+    except ValueError:
         # Only on failure: one reservoir at a time, up to the first that raises.
-        for row in zip(*columns):
-            _contents(*([value] for value in row), pl_model, vl_model)
-    return [
-        EstimateRow(
-            reservoir=spec.name,
-            depth_m=spec.depth,
-            toc_pct=spec.toc,
-            ro_pct=spec.ro,
-            temp_c=temp,
-            pressure_mpa=pressure,
-            adsorbed_m3t=content,
-            warnings=fit_range_warnings(spec.toc, spec.ro, temp),
-        )
-        for spec, temp, pressure, content in zip(specs, temps, pressures, contents)
-    ]
+        for i in range(len(reservoirs)):
+            _contents(*(column[i:i + 1] for column in columns), pl_model, vl_model)
+        raise
+    return EstimateTable(reservoirs, temp, pressure, adsorbed, _extrapolated(reservoirs.toc, reservoirs.ro, temp))
 
 
 def estimate_reservoir(
@@ -257,58 +346,84 @@ def estimate_reservoir(
     vl_model: FittedModel,
 ) -> EstimateRow:
     """Resolve temperature and pressure for one reservoir and estimate content."""
-    return estimate_reservoirs([spec], pl_model, vl_model)[0]
+    return estimate_reservoirs(ReservoirTable.from_specs([spec]), pl_model, vl_model).row(0)
 
 
-def estimates_to_csv(rows: Sequence[EstimateRow]) -> str:
-    return write_csv(ESTIMATES_CSV_COLUMNS, ([
-        row.reservoir, repr(row.depth_m), repr(row.toc_pct), repr(row.ro_pct),
-        repr(row.temp_c), repr(row.pressure_mpa), repr(row.adsorbed_m3t),
-        ";".join(row.warnings),
-    ] for row in rows))
+def estimates_to_csv(estimates: EstimateTable) -> str:
+    r = estimates.reservoirs
+    numbers = (r.depth, r.toc, r.ro, estimates.temp, estimates.pressure, estimates.adsorbed)
+    return write_csv(ESTIMATES_CSV_COLUMNS, zip(
+        r.names, *(map(repr, column.tolist()) for column in numbers), estimates.warnings()))
 
 
-_RESERVOIR_KEYS = {
-    "name", "depth_m", "toc_pct", "ro_pct", "alpha",
-    "surface_temp_c", "gradt_c_per_km", "temp_c", "pressure_mpa",
-}
+# The number keys in the order a block's values are read, with the default of
+# an absent key (None: required; NaN: recorded as absent).
+_NUMBER_KEYS = (
+    ("depth_m", None), ("toc_pct", None), ("ro_pct", None), ("alpha", 1.0),
+    ("surface_temp_c", DEFAULT_SURFACE_TEMP_C), ("gradt_c_per_km", math.nan),
+    ("temp_c", math.nan), ("pressure_mpa", math.nan),
+)
+
+_RESERVOIR_KEYS = {"name", *(key for key, _ in _NUMBER_KEYS)}
+
+_REQUIRED_KEYS = tuple(key for key, default in _NUMBER_KEYS if default is None)
+
+# Keys whose presence the table records next to their values.
+_OPTIONAL_KEYS = ("gradt_c_per_km", "temp_c", "pressure_mpa")
 
 
-def parse_reservoirs(text: str) -> list[ReservoirSpec]:
+def _columns(blocks: list[dict[str, str]]) -> list:
+    """The :class:`ReservoirTable` columns of config blocks.
+
+    Raises ``KeyError``, ``TypeError`` or ``ValueError`` when a block lacks
+    the name or a required key, or holds a value that is not a number.
+    """
+    names = [block["name"] for block in blocks]
+    columns: list = [names]
+    for key, default in _NUMBER_KEYS:
+        cells = [block.get(key, default) for block in blocks]
+        columns.append(np.fromiter(map(float, cells), float, len(cells)))
+        if key in _OPTIONAL_KEYS:
+            columns.append(np.fromiter((key in block for block in blocks), bool, len(blocks)))
+    return columns
+
+
+def _block_error(block: dict[str, str]) -> str | None:
+    """The parse error of one config block, in the order the checks run, or None."""
+    if "name" not in block:
+        return "reservoir config block is missing the name key"
+    name = block["name"]
+    for key in _REQUIRED_KEYS:
+        if key not in block:
+            return f"reservoir {name}: missing required key {key}"
+    for key, _ in _NUMBER_KEYS:
+        try:
+            float(block.get(key, 0.0))
+        except ValueError:
+            return f"reservoir {name}: {key} is not a number: {block[key]!r}"
+    return None
+
+
+def parse_reservoirs(text: str) -> ReservoirTable:
     """Parse a key-value reservoir config: one block per reservoir.
 
     Blocks are separated by blank lines (a repeated ``name=`` also starts a
     new block); ``#`` starts a comment line. Keys: name, depth_m, toc_pct,
     ro_pct, alpha, surface_temp_c, gradt_c_per_km, temp_c, pressure_mpa.
+    A malformed line fails the whole config first; after that the error is
+    the first bad block's, and within a block a missing key comes before a
+    value that is not a number, and that before a broken invariant.
     """
     blocks = read_key_value_blocks(text, "reservoir config", keys=_RESERVOIR_KEYS, block_key="name")
-
-    specs = []
-    for block in blocks:
-        if "name" not in block:
-            raise ValueError("reservoir config block is missing the name key")
-        name = block["name"]
-
-        def number(key: str, default: float | None = None) -> float | None:
-            if key not in block:
-                return default
-            try:
-                return float(block[key])
-            except ValueError:
-                raise ValueError(f"reservoir {name}: {key} is not a number: {block[key]!r}") from None
-
-        for required in ("depth_m", "toc_pct", "ro_pct"):
-            if required not in block:
-                raise ValueError(f"reservoir {name}: missing required key {required}")
-        specs.append(ReservoirSpec(
-            name=name,
-            depth=number("depth_m"),
-            toc=number("toc_pct"),
-            ro=number("ro_pct"),
-            alpha=number("alpha", 1.0),
-            surface_temp=number("surface_temp_c", DEFAULT_SURFACE_TEMP_C),
-            grad_t=number("gradt_c_per_km"),
-            temp_override=number("temp_c"),
-            pressure_override=number("pressure_mpa"),
-        ))
-    return specs
+    try:
+        columns = _columns(blocks)
+        error = None
+    except (KeyError, TypeError, ValueError):
+        # The blocks before the first bad one are checked first: an invariant
+        # they break comes before its error.
+        n_good, error = next((i, message) for i, message in enumerate(map(_block_error, blocks)) if message)
+        columns = _columns(blocks[:n_good])
+    table = ReservoirTable(*columns)
+    if error is not None:
+        raise ValueError(error)
+    return table

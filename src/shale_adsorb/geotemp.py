@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .dataset import SampleParseError, _parse_float, read_csv_table, write_csv
+from .dataset import SampleParseError, _parse_float, elementwise, read_csv_table, write_csv
 from .outliers import nearest_first
 
 EARTH_RADIUS_M = 6_371_000.0
@@ -102,12 +102,6 @@ def filter_heatflow(
     return HeatFlowTable(*(getattr(points, field.name)[keep] for field in fields(points)))
 
 
-def _elementwise(func, values: np.ndarray, *args) -> np.ndarray:
-    """``func(x, *args)`` of each element, called on Python floats so that it rounds as ``math`` does."""
-    flat = values.ravel().tolist()
-    return np.fromiter(map(func, flat, *map(repeat, args)), float, len(flat)).reshape(values.shape)
-
-
 def _sin_sq_half(sample_angles: np.ndarray, query_angles: np.ndarray, step: int) -> Iterator[np.ndarray]:
     """Per block of ``step`` queries, ``math.sin((s - q) / 2.0) ** 2`` for every (query, sample) pair.
 
@@ -161,8 +155,8 @@ def _idw(
     sample_lat = samples.lat * _RADIANS_PER_DEGREE
     query_lon = np.array(lons, dtype=float) * _RADIANS_PER_DEGREE
     query_lat = np.array(lats, dtype=float) * _RADIANS_PER_DEGREE
-    sample_cos = _elementwise(math.cos, sample_lat)
-    query_cos = _elementwise(math.cos, query_lat)
+    sample_cos = elementwise(math.cos, sample_lat)
+    query_cos = elementwise(math.cos, query_lat)
 
     values: list[float] = []
     step = max(1, BLOCK_PAIRS // n)
@@ -170,12 +164,12 @@ def _idw(
                                            _sin_sq_half(sample_lat, query_lat, step),
                                            _sin_sq_half(sample_lon, query_lon, step)):
         a = lat_terms + query_cos[start:start + step, None] * sample_cos * lon_terms
-        dist = 2.0 * EARTH_RADIUS_M * _elementwise(math.asin, np.sqrt(a))
+        dist = 2.0 * EARTH_RADIUS_M * elementwise(math.asin, np.sqrt(a))
         order, nearest = nearest_first(dist, k)
         block_values = grads[order[:, 0]]
         far = nearest[:, 0] >= EXACT_HIT_DISTANCE_M
         if far.any():
-            w = _elementwise(pow, nearest[far], -power)
+            w = elementwise(pow, nearest[far], -power)
             # cumsum starts from the first term, not from 0.0: the two differ
             # only where the sum is -0.0, and + 0.0 turns that into 0.0.
             numerator = np.cumsum(w * grads[order[far]], axis=1)[:, -1] + 0.0

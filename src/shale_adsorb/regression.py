@@ -12,11 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .dataset import RO_NORM_PCT, TEMP_NORM_C, TOC_NORM_PCT, SampleRecord, read_key_value_blocks
+from .dataset import RO_NORM_PCT, TEMP_NORM_C, TOC_NORM_PCT, SampleRecord, elementwise, read_key_value_blocks
 
 #: Relative pivot threshold below which the normal equations are treated as
 #: singular rather than solved into garbage coefficients.
@@ -51,28 +51,42 @@ class ModelKind(Enum):
 _KIND_BY_VALUE = {kind.value: kind for kind in ModelKind}
 
 
-def _pl_geo_row(record: SampleRecord, kelvin: bool) -> list[float]:
-    toc_star = record.toc / TOC_NORM_PCT
-    t_star = record.temp / TEMP_NORM_C
-    ro_star = record.ro / RO_NORM_PCT
-    return [toc_star, math.log(t_star / ro_star), 1.0]
+def _rows(*columns: np.ndarray) -> np.ndarray:
+    """Regressor rows of the given columns plus a trailing column of ones for the intercept."""
+    return np.column_stack((*columns, np.ones(len(columns[0]))))
 
 
-def _vl_geo_row(record: SampleRecord, kelvin: bool) -> list[float]:
-    toc_star = record.toc / TOC_NORM_PCT
-    t_star = record.temp / TEMP_NORM_C
-    return [toc_star, t_star ** 3, 1.0]
+def _pl_geo_rows(fields: Mapping[str, np.ndarray], ids: Sequence[str], kelvin: bool) -> np.ndarray:
+    toc_star = fields["toc"] / TOC_NORM_PCT
+    t_star = fields["temp"] / TEMP_NORM_C
+    ro_star = fields["ro"] / RO_NORM_PCT
+    return _rows(toc_star, elementwise(math.log, t_star / ro_star))
 
 
-def _invtemp_row(record: SampleRecord, kelvin: bool) -> list[float]:
-    t = record.temp + CELSIUS_TO_KELVIN if kelvin else record.temp
-    if t == 0.0:
-        raise ValueError(f"record {record.id}: temperature of exactly 0 breaks the reciprocal model")
-    return [1.0 / t, 1.0]
+def _t_star_cubed(temp: float) -> float:
+    try:
+        return (temp / TEMP_NORM_C) ** 3
+    except OverflowError:
+        raise ValueError(
+            f"vl-geo regressor overflows: (temp / {TEMP_NORM_C}) ** 3 is out of range "
+            f"at temperature {temp!r} degC"
+        ) from None
 
 
-def _log_toc_row(record: SampleRecord, kelvin: bool) -> list[float]:
-    return [math.log(record.toc), 1.0]
+def _vl_geo_rows(fields: Mapping[str, np.ndarray], ids: Sequence[str], kelvin: bool) -> np.ndarray:
+    return _rows(fields["toc"] / TOC_NORM_PCT, elementwise(_t_star_cubed, fields["temp"]))
+
+
+def _invtemp_rows(fields: Mapping[str, np.ndarray], ids: Sequence[str], kelvin: bool) -> np.ndarray:
+    t = fields["temp"] + CELSIUS_TO_KELVIN if kelvin else fields["temp"]
+    zero = np.flatnonzero(t == 0.0)
+    if zero.size:
+        raise ValueError(f"record {ids[zero[0]]}: temperature of exactly 0 breaks the reciprocal model")
+    return _rows(1.0 / t)
+
+
+def _log_toc_rows(fields: Mapping[str, np.ndarray], ids: Sequence[str], kelvin: bool) -> np.ndarray:
+    return _rows(elementwise(math.log, fields["toc"]))
 
 
 @dataclass(frozen=True)
@@ -82,25 +96,26 @@ class _KindFacts:
     dependent_var: str
     required_fields: tuple[str, ...]
     coefficient_names: tuple[str, ...]
-    row: Callable[[SampleRecord, bool], list[float]]   # (record, invtemp_kelvin) -> regressors
+    # (field columns, row ids, invtemp_kelvin) -> (m, p) regressor rows
+    rows: Callable[[Mapping[str, np.ndarray], Sequence[str], bool], np.ndarray]
     response: Callable[[float], float]                  # dependent value -> linear response
     inverse: Callable[[float], float]                   # linear response -> dependent value
 
 
 _FACTS = {
     ModelKind.PL_GEO: _KindFacts("pl", ("toc", "temp", "ro"), ("a", "b", "c"),
-                                 _pl_geo_row, math.log, math.exp),
+                                 _pl_geo_rows, math.log, math.exp),
     ModelKind.VL_GEO: _KindFacts("vl", ("toc", "temp"), ("a", "b", "c"),
-                                 _vl_geo_row, math.log, math.exp),
-    ModelKind.PL_INVTEMP: _KindFacts("pl", ("temp",), ("a", "c"), _invtemp_row,
+                                 _vl_geo_rows, math.log, math.exp),
+    ModelKind.PL_INVTEMP: _KindFacts("pl", ("temp",), ("a", "c"), _invtemp_rows,
                                      lambda value: -math.log(value),     # ln(1/pl)
                                      lambda linear: math.exp(-linear)),
     ModelKind.PL_TOCPOW: _KindFacts("pl", ("toc",), ("exponent", "ln_scale"),
-                                    _log_toc_row, math.log, math.exp),
+                                    _log_toc_rows, math.log, math.exp),
     ModelKind.VL_TOCPOW: _KindFacts("vl", ("toc",), ("exponent", "ln_scale"),
-                                    _log_toc_row, math.log, math.exp),
+                                    _log_toc_rows, math.log, math.exp),
     ModelKind.VL_TOCLIN: _KindFacts("vl", ("toc",), ("slope", "intercept"),
-                                    lambda record, kelvin: [record.toc, 1.0],
+                                    lambda fields, ids, kelvin: _rows(fields["toc"]),
                                     lambda value: value, lambda linear: linear),
 }
 
@@ -132,13 +147,40 @@ class ModelSpec:
     def n_coefficients(self) -> int:
         return len(self.coefficient_names)
 
+    def regressors(self, fields: Mapping[str, np.ndarray], ids: Sequence[str]) -> np.ndarray:
+        """Regressor rows, shape (m, p), from float64 columns of the required fields.
+
+        ``ids`` name the rows in errors; a trailing column of ones carries
+        the intercept. Each value is computed as for its row alone (every
+        ``log`` and cube is a ``math`` or builtin call per element). A value
+        outside a transform's domain raises for the first row that step
+        rejects, which need not be the first row that fails.
+        """
+        # NumPy warns where the Python float arithmetic it replaces does not.
+        with np.errstate(all="ignore"):
+            return _FACTS[self.kind].rows(fields, ids, self.invtemp_kelvin)
+
+    def feature_rows(self, records: Sequence[SampleRecord]) -> np.ndarray:
+        """The regressor rows of records, shape (m, p); a failing record raises its own error, the first in order."""
+        try:
+            fields = {}
+            for name in self.required_fields:
+                column = [getattr(record, name) for record in records]
+                if None in column:
+                    record = records[column.index(None)]
+                    raise ValueError(f"record {record.id} is missing field {name} required by {self.kind.value}")
+                fields[name] = np.array(column, dtype=float)
+            return self.regressors(fields, [record.id for record in records])
+        except ValueError:
+            if len(records) > 1:
+                # Only on failure: one record at a time, up to the first that raises.
+                for record in records:
+                    self.feature_row(record)
+            raise
+
     def feature_row(self, record: SampleRecord) -> list[float]:
         """The regressor row for one record; a trailing 1 carries the intercept."""
-        facts = _FACTS[self.kind]
-        for name in facts.required_fields:
-            if getattr(record, name) is None:
-                raise ValueError(f"record {record.id} is missing field {name} required by {self.kind.value}")
-        return facts.row(record, self.invtemp_kelvin)
+        return self.feature_rows([record])[0].tolist()
 
     def response(self, record: SampleRecord) -> float:
         """The transformed dependent value this model regresses on."""
@@ -221,9 +263,9 @@ def predict_rows(spec: ModelSpec, x: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def build_design(records: Sequence[SampleRecord], spec: ModelSpec) -> DesignSystem:
     """Assemble the regression system for a cleaned record list."""
-    rows = [spec.feature_row(rec) for rec in records]
+    x = spec.feature_rows(records)
     y = [spec.response(rec) for rec in records]
-    return DesignSystem(np.array(rows, dtype=float).reshape(len(rows), spec.n_coefficients), np.array(y))
+    return DesignSystem(x, np.array(y))
 
 
 def solve_normal_equations(a: np.ndarray, b: np.ndarray) -> np.ndarray:

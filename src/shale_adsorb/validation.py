@@ -253,7 +253,7 @@ def mean_abs_relative_error_pct(model: FittedModel, records: Sequence[SampleReco
     if not records:
         raise ValueError("empty evaluation set")
     spec = model.spec
-    x = np.array([spec.feature_row(rec) for rec in records], dtype=float)
+    x = spec.feature_rows(records)
     actual = _dependent_values(records, spec)
     return _mean_abs_relative_errors_pct(actual, predict_rows(spec, x, np.array(model.coefficients)))
 

@@ -6,18 +6,43 @@ that agreement is evidence, not tautology.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from shale_adsorb.dataset import SampleRecord
+from shale_adsorb.dataset import RO_NORM_PCT, TEMP_NORM_C, TOC_NORM_PCT, SampleRecord, read_key_value_blocks
 from shale_adsorb.estimator import (
+    DEFAULT_SURFACE_TEMP_C,
     GRAVITY_N_PER_KG,
     WATER_DENSITY_T_PER_M3,
     EstimateRow,
     LangmuirParams,
+    ReservoirSpec,
     fit_range_warnings,
 )
 from shale_adsorb.geotemp import EXACT_HIT_DISTANCE_M, haversine_m
-from shale_adsorb.regression import PIVOT_RTOL, FittedModel, SingularSystemError
+from shale_adsorb.regression import CELSIUS_TO_KELVIN, PIVOT_RTOL, FittedModel, ModelKind, SingularSystemError
+
+
+def naive_feature_row(record, spec) -> list[float]:
+    """One record's regressor row in Python floats, the per-record recipes the column recipes replaced."""
+    for name in spec.required_fields:
+        if getattr(record, name) is None:
+            raise ValueError(f"record {record.id} is missing field {name} required by {spec.kind.value}")
+    kind = spec.kind
+    if kind is ModelKind.PL_GEO:
+        t_star, ro_star = record.temp / TEMP_NORM_C, record.ro / RO_NORM_PCT
+        return [record.toc / TOC_NORM_PCT, math.log(t_star / ro_star), 1.0]
+    if kind is ModelKind.VL_GEO:
+        return [record.toc / TOC_NORM_PCT, (record.temp / TEMP_NORM_C) ** 3, 1.0]
+    if kind is ModelKind.PL_INVTEMP:
+        t = record.temp + CELSIUS_TO_KELVIN if spec.invtemp_kelvin else record.temp
+        if t == 0.0:
+            raise ValueError(f"record {record.id}: temperature of exactly 0 breaks the reciprocal model")
+        return [1.0 / t, 1.0]
+    if kind is ModelKind.VL_TOCLIN:
+        return [record.toc, 1.0]
+    return [math.log(record.toc), 1.0]
 
 
 def lstsq_oracle(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -215,3 +240,48 @@ def naive_estimate(spec, pl_model, vl_model) -> EstimateRow:
         temp_c=temp, pressure_mpa=pressure, adsorbed_m3t=params.vl / (1.0 + params.pl / pressure),
         warnings=fit_range_warnings(spec.toc, spec.ro, temp),
     )
+
+
+_RESERVOIR_KEYS = {"name", "depth_m", "toc_pct", "ro_pct", "alpha",
+                   "surface_temp_c", "gradt_c_per_km", "temp_c", "pressure_mpa"}
+
+
+def naive_parse_reservoirs(text) -> list[ReservoirSpec]:
+    """One block at a time, the parser the columnar ``parse_reservoirs`` replaced.
+
+    Per block: the name, the required keys, each number in key order, then
+    the invariants in the order ``ReservoirSpec`` checked them, each failure
+    raising that block's message.
+    """
+    specs = []
+    for block in read_key_value_blocks(text, "reservoir config", keys=_RESERVOIR_KEYS, block_key="name"):
+        if "name" not in block:
+            raise ValueError("reservoir config block is missing the name key")
+        name = block["name"]
+
+        def number(key, default=None):
+            if key not in block:
+                return default
+            try:
+                return float(block[key])
+            except ValueError:
+                raise ValueError(f"reservoir {name}: {key} is not a number: {block[key]!r}") from None
+
+        for required in ("depth_m", "toc_pct", "ro_pct"):
+            if required not in block:
+                raise ValueError(f"reservoir {name}: missing required key {required}")
+        fields = dict(name=name, depth=number("depth_m"), toc=number("toc_pct"), ro=number("ro_pct"),
+                      alpha=number("alpha", 1.0), surface_temp=number("surface_temp_c", DEFAULT_SURFACE_TEMP_C),
+                      grad_t=number("gradt_c_per_km"), temp_override=number("temp_c"),
+                      pressure_override=number("pressure_mpa"))
+        if not name:
+            raise ValueError("reservoir name must not be empty")
+        if not (math.isfinite(fields["depth"]) and fields["depth"] >= 0):
+            raise ValueError(f"reservoir {name}: depth must be >= 0, got {fields['depth']!r}")
+        for key in ("alpha", "toc", "ro"):
+            if not (math.isfinite(fields[key]) and fields[key] > 0):
+                raise ValueError(f"reservoir {name}: {key} must be > 0, got {fields[key]!r}")
+        if fields["grad_t"] is None and fields["temp_override"] is None:
+            raise ValueError(f"reservoir {name}: needs gradt_c_per_km or temp_c to resolve temperature")
+        specs.append(ReservoirSpec(**fields))
+    return specs

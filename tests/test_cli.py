@@ -414,6 +414,9 @@ BAD_RESERVOIRS = {
     "exp-overflow": (None, None, "depth_m=2000\ntoc_pct=10000\nro_pct=1.5\ngradt_c_per_km=30\n",
                      "error: estimate stage: vl-geo prediction overflows: linear response "
                      "1052.7528148148149 is out of range for vl\n"),
+    "cube-overflow": (None, None, GOOD_RESERVOIR + "temp_c=1e200\n",
+                      "error: estimate stage: vl-geo regressor overflows: (temp / 48.0) ** 3 is out of range "
+                      "at temperature 1e+200 degC\n"),
     "infinite-pl": (None, None, "depth_m=2000\ntoc_pct=3\nro_pct=1e-308\ntemp_c=100\n",
                     "error: estimate stage: pl must be positive and finite, got inf\n"),
     "zero-pl": ("kind=pl-geo\na=-200.0\nb=0.715\nc=1.666\nn_fit=10\n", None,
@@ -443,6 +446,84 @@ def test_first_bad_reservoir_fails_the_estimate(case, position, tmp_path, capsys
     out = tmp_path / "out"
     assert _run(["estimate", "--input", str(config), *models, "--output-dir", str(out)], capsys) == (1, stderr)
     assert not (out / "estimates.csv").exists()
+
+
+def _config_blocks(bad, position):
+    """A reservoir config of four good blocks with ``bad`` inserted at ``position``, blank-line separated."""
+    blocks = [f"name=G{i}\n{GOOD_RESERVOIR}" for i in range(4)]
+    blocks.insert(position, bad)
+    return "\n".join(blocks)
+
+
+# name -> (bad block, its error as the per-block parser printed it). ``{line}``
+# stands for the line number of the block's last line.
+BAD_CONFIG_BLOCKS = {
+    "not-a-number": ("name=B\ndepth_m=deep\ntoc_pct=3\nro_pct=1.5\ngradt_c_per_km=30\n",
+                     "reservoir B: depth_m is not a number: 'deep'"),
+    "optional-not-a-number": ("name=B\n" + GOOD_RESERVOIR + "pressure_mpa=high\n",
+                              "reservoir B: pressure_mpa is not a number: 'high'"),
+    "missing-name": (GOOD_RESERVOIR, "reservoir config block is missing the name key"),
+    "missing-depth": ("name=B\ntoc_pct=3\nro_pct=1.5\ngradt_c_per_km=30\n",
+                      "reservoir B: missing required key depth_m"),
+    "missing-toc": ("name=B\ndepth_m=2000\nro_pct=1.5\ngradt_c_per_km=30\n",
+                    "reservoir B: missing required key toc_pct"),
+    "missing-ro": ("name=B\ndepth_m=2000\ntoc_pct=3\ngradt_c_per_km=30\n",
+                   "reservoir B: missing required key ro_pct"),
+    "unknown-key": ("name=B\n" + GOOD_RESERVOIR + "porosity=4\n",
+                    "reservoir config line {line}: unknown key 'porosity'"),
+    "duplicate-key": ("name=B\n" + GOOD_RESERVOIR + "toc_pct=4\n",
+                      "reservoir config line {line}: duplicate key 'toc_pct' in block"),
+    "empty-name": ("name=\n" + GOOD_RESERVOIR, "reservoir name must not be empty"),
+    "negative-depth": ("name=B\ndepth_m=-1\ntoc_pct=3\nro_pct=1.5\ngradt_c_per_km=30\n",
+                       "reservoir B: depth must be >= 0, got -1.0"),
+    "nan-depth": ("name=B\ndepth_m=nan\ntoc_pct=3\nro_pct=1.5\ngradt_c_per_km=30\n",
+                  "reservoir B: depth must be >= 0, got nan"),
+    "zero-alpha": ("name=B\n" + GOOD_RESERVOIR + "alpha=0\n", "reservoir B: alpha must be > 0, got 0.0"),
+    "zero-toc": ("name=B\ndepth_m=2000\ntoc_pct=0\nro_pct=1.5\ngradt_c_per_km=30\n",
+                 "reservoir B: toc must be > 0, got 0.0"),
+    "negative-ro": ("name=B\ndepth_m=2000\ntoc_pct=3\nro_pct=-1.5\ngradt_c_per_km=30\n",
+                    "reservoir B: ro must be > 0, got -1.5"),
+    "no-temperature-source": ("name=B\ndepth_m=2000\ntoc_pct=3\nro_pct=1.5\n",
+                              "reservoir B: needs gradt_c_per_km or temp_c to resolve temperature"),
+    # a value that is not a number wins over an invariant of the same block
+    "parse-before-invariant": ("name=B\ndepth_m=-1\ntoc_pct=x\nro_pct=1.5\ngradt_c_per_km=30\n",
+                               "reservoir B: toc_pct is not a number: 'x'"),
+    # and a missing key over a value that is not a number
+    "missing-before-number": ("name=B\ndepth_m=x\ntoc_pct=3\ngradt_c_per_km=30\n",
+                              "reservoir B: missing required key ro_pct"),
+}
+
+
+@pytest.mark.parametrize("position", [0, 2, 4])
+@pytest.mark.parametrize("case", BAD_CONFIG_BLOCKS)
+def test_first_bad_config_block_fails_the_parse(case, position, tmp_path, capsys):
+    bad, message = BAD_CONFIG_BLOCKS[case]
+    text = _config_blocks(bad, position)
+    last_line = text[:text.index(bad) + len(bad)].count("\n")
+    config = tmp_path / "r.conf"
+    config.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    argv = ["estimate", "--input", str(config), "--paper-coefficients", "--output-dir", str(out)]
+    assert _run(argv, capsys) == (1, f"error: reservoir-config stage: {message.format(line=last_line)}\n")
+    assert not (out / "estimates.csv").exists()
+
+
+@pytest.mark.parametrize("first, second", [
+    ("negative-depth", "not-a-number"),
+    ("not-a-number", "negative-depth"),
+    ("missing-toc", "unknown-key"),
+    ("empty-name", "missing-name"),
+])
+def test_earlier_bad_config_block_wins(first, second, tmp_path, capsys):
+    # The error is the first bad block's, whichever check each block fails,
+    # except that a malformed line fails the whole file first.
+    text = _config_blocks(BAD_CONFIG_BLOCKS[first][0], 1) + "\n" + BAD_CONFIG_BLOCKS[second][0]
+    expected = BAD_CONFIG_BLOCKS[second if second == "unknown-key" else first][1]
+    config = tmp_path / "r.conf"
+    config.write_text(text, encoding="utf-8")
+    argv = ["estimate", "--input", str(config), "--paper-coefficients", "--output-dir", str(tmp_path)]
+    line = text.count("\n")
+    assert _run(argv, capsys) == (1, f"error: reservoir-config stage: {expected.format(line=line)}\n")
 
 
 HEATFLOW_HEADER = "lon_deg,lat_deg,section_depth_m,gradt_c_per_km\n"

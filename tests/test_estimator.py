@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shale_adsorb.estimator import (
     REFERENCE_PL_COEFFICIENTS,
     REFERENCE_VL_COEFFICIENTS,
     LangmuirParams,
     ReservoirSpec,
+    ReservoirTable,
     estimate_adsorbed_gas,
     estimate_reservoir,
     estimate_reservoirs,
@@ -22,7 +24,7 @@ from shale_adsorb.estimator import (
 from shale_adsorb.dataset import FIT_RANGES, DatasetKind, clean
 from shale_adsorb.regression import FittedModel, ModelKind, ModelSpec
 from conftest import make_record
-from helpers import naive_estimate
+from helpers import naive_estimate, naive_parse_reservoirs
 
 # Nine reference reservoirs: depth, toc, ro, temperature, expected pressure
 # and expected adsorbed content.
@@ -237,11 +239,10 @@ class TestEstimateReservoir:
 
     def test_csv_layout(self):
         pl_model, vl_model = reference_models()
-        row = estimate_reservoir(_spec("Sichuan Basin", 3230, 2.58, 3.03, 86.98),
-                                 pl_model, vl_model)
-        lines = estimates_to_csv([row]).splitlines()
+        table = ReservoirTable.from_specs([_spec("Sichuan Basin", 3230, 2.58, 3.03, 86.98)])
+        lines = estimates_to_csv(estimate_reservoirs(table, pl_model, vl_model)).splitlines()
         assert lines[0] == "reservoir,depth_m,toc_pct,ro_pct,temp_c,pressure_mpa,adsorbed_m3t,warnings"
-        assert lines[1].startswith("Sichuan Basin,3230,2.58,3.03,86.98,")
+        assert lines[1].startswith("Sichuan Basin,3230.0,2.58,3.03,86.98,")
 
 
 class TestReservoirSpecInvariants:
@@ -278,20 +279,18 @@ pressure_mpa=9.1
 """
 
     def test_two_blocks(self):
-        specs = parse_reservoirs(self.CONFIG)
-        assert [s.name for s in specs] == ["Alpha Basin", "Beta Shale"]
-        alpha, beta = specs
-        assert alpha.grad_t == 28.5
-        assert alpha.alpha == 1.0 and alpha.surface_temp == 20.0
-        assert beta.alpha == 1.2
-        assert beta.temp_override == 44.0
-        assert beta.pressure_override == 9.1
+        table = parse_reservoirs(self.CONFIG)
+        assert table.names == ("Alpha Basin", "Beta Shale") and len(table) == 2
+        assert table.has_grad_t.tolist() == [True, False] and table.grad_t[0] == 28.5
+        assert table.alpha.tolist() == [1.0, 1.2]
+        assert table.surface_temp.tolist() == [20.0, 15.0]
+        assert table.has_temp_override.tolist() == [False, True] and table.temp_override[1] == 44.0
+        assert table.has_pressure_override.tolist() == [False, True] and table.pressure_override[1] == 9.1
 
     def test_repeated_name_starts_new_block(self):
         text = "name=A\ndepth_m=1\ntoc_pct=2\nro_pct=1\ntemp_c=30\n" \
                "name=B\ndepth_m=2\ntoc_pct=3\nro_pct=1\ntemp_c=40\n"
-        specs = parse_reservoirs(text)
-        assert [s.name for s in specs] == ["A", "B"]
+        assert parse_reservoirs(text).names == ("A", "B")
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown key"):
@@ -378,7 +377,8 @@ class TestBatchExactness:
     def test_rows_equal_per_reservoir_loop(self, models):
         specs = _seeded_reservoirs(2500, seed=71)
         expected = [naive_estimate(spec, *models) for spec in specs]
-        assert estimate_reservoirs(specs, *models) == expected
+        estimates = estimate_reservoirs(ReservoirTable.from_specs(specs), *models)
+        assert [estimates.row(i) for i in range(len(estimates))] == expected
         assert [estimate_reservoir(spec, *models) for spec in specs[:100]] == expected[:100]
         warned = sum(bool(row.warnings) for row in expected)
         assert 0.2 * len(specs) < warned < 0.6 * len(specs)
@@ -410,7 +410,7 @@ class TestBatchExactness:
         specs = [ReservoirSpec(**spec) for spec in good]
         expected = _outcome(lambda: [naive_estimate(spec, *models) for spec in specs])
         assert isinstance(expected, tuple), "the bad reservoir must fail"
-        assert _outcome(estimate_reservoirs, specs, *models) == expected
+        assert _outcome(estimate_reservoirs, ReservoirTable.from_specs(specs), *models) == expected
 
     @pytest.mark.parametrize("first, second", [
         ("exp-overflow", "zero-pressure"),
@@ -428,4 +428,175 @@ class TestBatchExactness:
                  ReservoirSpec(name="B2", **dict(base, **self.BAD_RESERVOIRS[second][1]))]
         expected = _outcome(lambda: [naive_estimate(spec, *models) for spec in specs])
         assert expected == _outcome(lambda: [naive_estimate(specs[1], *models)])
-        assert _outcome(estimate_reservoirs, specs, *models) == expected
+        assert _outcome(estimate_reservoirs, ReservoirTable.from_specs(specs), *models) == expected
+
+
+def _same_tables(a, b):
+    """Whether two reservoir tables hold the same names and columns (NaN equal to NaN)."""
+    return len(a) == len(b) and a.names == b.names and all(
+        np.array_equal(getattr(a, name), getattr(b, name), equal_nan=name[:4] != "has_")
+        for name in ("depth", "toc", "ro", "alpha", "surface_temp", "grad_t", "has_grad_t",
+                     "temp_override", "has_temp_override", "pressure_override", "has_pressure_override"))
+
+
+def _table(rows):
+    """A table built by its constructor from (name, depth, toc, ro, alpha, grad_t or None, temp or None) rows."""
+    columns = list(zip(*rows))
+    present = [[value is not None for value in column] for column in columns[5:]]
+    values = [[math.nan if value is None else value for value in column] for column in columns[5:]]
+    return ReservoirTable(columns[0], *columns[1:5], [20.0] * len(rows), values[0], present[0],
+                          values[1], present[1], [math.nan] * len(rows), [False] * len(rows))
+
+
+class TestReservoirTable:
+    GOOD = ("G", 2000.0, 3.0, 1.5, 1.0, 30.0, None)
+
+    def test_columns_are_read_only_arrays(self):
+        table = parse_reservoirs(TestParseReservoirs.CONFIG)
+        for name in ("depth", "toc", "ro", "alpha", "surface_temp", "grad_t", "temp_override", "pressure_override"):
+            column = getattr(table, name)
+            assert column.dtype == np.float64 and column.shape == (2,) and not column.flags.writeable
+        for name in ("has_grad_t", "has_temp_override", "has_pressure_override"):
+            assert getattr(table, name).dtype == np.bool_ and not getattr(table, name).flags.writeable
+
+    def test_from_specs_equals_the_parsed_config(self):
+        specs = [ReservoirSpec(name="Alpha Basin", depth=1500.0, toc=3.2, ro=1.4, grad_t=28.5),
+                 ReservoirSpec(name="Beta Shale", depth=900.0, toc=6.0, ro=1.1, alpha=1.2, surface_temp=15.0,
+                               temp_override=44.0, pressure_override=9.1)]
+        assert _same_tables(ReservoirTable.from_specs(specs), parse_reservoirs(TestParseReservoirs.CONFIG))
+
+    def test_columns_of_another_length_rejected(self):
+        with pytest.raises(ValueError, match=r"depth has shape \(2,\), expected \(1,\)"):
+            ReservoirTable(["a"], [1.0, 2.0], [1.0], [1.0], [1.0], [20.0], [30.0], [True],
+                           [math.nan], [False], [math.nan], [False])
+
+    # name -> (changed fields by position in GOOD, message)
+    BAD = {
+        "empty-name": ({0: ""}, "reservoir name must not be empty"),
+        "nan-depth": ({1: math.nan}, "reservoir B: depth must be >= 0, got nan"),
+        "zero-alpha": ({4: 0.0}, "reservoir B: alpha must be > 0, got 0.0"),
+        "infinite-toc": ({2: math.inf}, "reservoir B: toc must be > 0, got inf"),
+        "negative-ro": ({3: -1.0}, "reservoir B: ro must be > 0, got -1.0"),
+        "no-temperature": ({5: None}, "reservoir B: needs gradt_c_per_km or temp_c to resolve temperature"),
+        "depth-before-ro": ({1: -1.0, 3: 0.0}, "reservoir B: depth must be >= 0, got -1.0"),
+    }
+
+    @pytest.mark.parametrize("position", [0, 3, 7])
+    @pytest.mark.parametrize("case", BAD)
+    def test_first_bad_reservoir_raises_its_message(self, case, position):
+        changes, message = self.BAD[case]
+        bad = [self.GOOD[k] if k else "B" for k in range(len(self.GOOD))]
+        for k, value in changes.items():
+            bad[k] = value
+        rows = [self.GOOD] * 7
+        rows.insert(position, tuple(bad))
+        # a later reservoir that fails an earlier check does not win
+        rows.append(("",) + self.GOOD[1:])
+        with pytest.raises(ValueError) as info:
+            _table(rows)
+        assert str(info.value) == message
+        if position == 0:
+            with pytest.raises(ValueError) as single:
+                ReservoirSpec(*bad[:5], grad_t=bad[5])
+            assert str(single.value) == message
+
+
+_names = st.text(alphabet="ABCXYZabcxyz0123456789 _-.()'=#", min_size=1, max_size=12).map(str.strip).filter(bool)
+_positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@st.composite
+def _reservoir_configs(draw):
+    """(reservoir key -> value dicts, config text): random key order, optional keys omitted,
+    comment lines, and blocks started by a blank line or by a repeated ``name=``."""
+    reservoirs = []
+    for _ in range(draw(st.integers(1, 6))):
+        reservoir = {"depth_m": draw(st.floats(min_value=0.0, allow_infinity=False)),
+                     "toc_pct": draw(_positive), "ro_pct": draw(_positive)}
+        optional = {"alpha": _positive, "surface_temp_c": st.floats(), "gradt_c_per_km": st.floats(),
+                    "temp_c": st.floats(), "pressure_mpa": st.floats()}
+        for key, values in optional.items():
+            if draw(st.booleans()):
+                reservoir[key] = draw(values)
+        if "gradt_c_per_km" not in reservoir and "temp_c" not in reservoir:
+            reservoir[draw(st.sampled_from(["gradt_c_per_km", "temp_c"]))] = draw(st.floats())
+        reservoirs.append((draw(_names), reservoir))
+    lines = []
+    for i, (name, reservoir) in enumerate(reservoirs):
+        if i and draw(st.booleans()):
+            lines += [""] * draw(st.integers(1, 2))
+        lines.append(f"name={name}")
+        for key in draw(st.permutations(sorted(reservoir))):
+            if draw(st.integers(0, 4)) == 0:
+                lines.append("# " + draw(_names))
+            space = draw(st.sampled_from(["", " "]))
+            lines.append(f"{space}{key}{space}={space}{reservoir[key]!r}")
+    return reservoirs, "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n"]))
+
+
+def _column(reservoirs, key, default=math.nan):
+    return np.array([reservoir.get(key, default) for _, reservoir in reservoirs])
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(config=_reservoir_configs())
+def test_parse_round_trips_generated_configs(config):
+    reservoirs, text = config
+    table = parse_reservoirs(text)
+    assert len(table) == len(reservoirs)
+    assert table.names == tuple(name for name, _ in reservoirs)
+    for column, key, default in [
+        (table.depth, "depth_m", math.nan), (table.toc, "toc_pct", math.nan), (table.ro, "ro_pct", math.nan),
+        (table.alpha, "alpha", 1.0), (table.surface_temp, "surface_temp_c", 20.0),
+    ]:
+        assert np.array_equal(column, _column(reservoirs, key, default), equal_nan=True)
+    for values, present, key in [(table.grad_t, table.has_grad_t, "gradt_c_per_km"),
+                                 (table.temp_override, table.has_temp_override, "temp_c"),
+                                 (table.pressure_override, table.has_pressure_override, "pressure_mpa")]:
+        assert present.tolist() == [key in reservoir for _, reservoir in reservoirs]
+        assert np.array_equal(values[present], _column(reservoirs, key)[present], equal_nan=True)
+
+
+def _seeded_config(rng, n):
+    """Config text of n blocks, about one in eight with one fault a block can have."""
+    faults = [
+        lambda block: block.update(depth_m="deep"), lambda block: block.pop("toc_pct"),
+        lambda block: block.update(name=""), lambda block: block.update(depth_m="-3"),
+        lambda block: block.update(alpha="0"), lambda block: block.pop("temp_c"),
+        lambda block: block.update(ro_pct="nan"), lambda block: block.update(pressure_mpa="1,5"),
+        lambda block: block.pop("name"), lambda block: block.update(porosity="4"),
+    ]
+    blocks = []
+    for i in range(n):
+        block = {"name": f"R{i}", "depth_m": repr(float(rng.uniform(0.0, 5000.0))),
+                 "toc_pct": repr(float(rng.uniform(0.5, 20.0))), "ro_pct": repr(float(rng.uniform(0.5, 5.0))),
+                 "temp_c": repr(float(rng.uniform(10.0, 120.0)))}
+        if rng.random() < 0.5:
+            block["pressure_mpa"] = repr(float(rng.uniform(1.0, 50.0)))
+        if rng.random() < 0.125:
+            faults[int(rng.integers(len(faults)))](block)
+        blocks.append("".join(f"{key}={value}\n" for key, value in block.items()))
+    return "\n".join(blocks)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_parse_equals_the_per_block_parser(seed):
+    text = _seeded_config(np.random.default_rng(seed), 12)
+    expected = _outcome(lambda: ReservoirTable.from_specs(naive_parse_reservoirs(text)))
+    got = _outcome(parse_reservoirs, text)
+    if isinstance(expected, tuple):
+        assert got == expected
+    else:
+        assert _same_tables(got, expected)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(pl=st.floats(0.01, 100.0), vl=st.floats(0.01, 100.0),
+       pressures=st.lists(st.floats(0.0, 1000.0), min_size=2, max_size=20))
+def test_langmuir_volume_rises_below_vl(pl, vl, pressures):
+    params = LangmuirParams(pl=pl, vl=vl)
+    volumes = [langmuir_volume(pressure, params) for pressure in sorted(pressures)]
+    assert all(a <= b for a, b in zip(volumes, volumes[1:]))
+    assert all(volume < vl for volume in volumes)
+    assert langmuir_volume(pl, params) == vl / 2
+    assert langmuir_volume(0.0, params) == 0.0

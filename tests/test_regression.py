@@ -19,7 +19,7 @@ from shale_adsorb.regression import (
     solve_normal_equations,
 )
 from conftest import make_record, synthetic_records
-from helpers import lstsq_oracle, naive_pivot_solve
+from helpers import lstsq_oracle, naive_feature_row, naive_pivot_solve
 
 PL_SPEC = ModelSpec(ModelKind.PL_GEO)
 VL_SPEC = ModelSpec(ModelKind.VL_GEO)
@@ -59,6 +59,63 @@ class TestBuildDesign:
     def test_missing_dependent_rejected(self):
         with pytest.raises(ValueError, match="pl"):
             build_design([make_record(1, toc=4.0, temp=48.0, ro=1.5)], PL_SPEC)
+
+
+# Every model kind, and the reciprocal-temperature model in kelvin too.
+ALL_SPECS = [ModelSpec(kind) for kind in ModelKind] + [ModelSpec(ModelKind.PL_INVTEMP, invtemp_kelvin=True)]
+
+
+def _wide_records(n, seed):
+    """Records spread over and beyond the fitted ranges, every field present."""
+    rng = np.random.default_rng(seed)
+    return [make_record(i, toc=float(rng.uniform(0.05, 40.0)), temp=float(rng.uniform(0.5, 200.0)),
+                        ro=float(rng.uniform(0.05, 6.0)), pl=float(rng.uniform(0.5, 20.0)),
+                        vl=float(rng.uniform(0.2, 10.0))) for i in range(n)]
+
+
+def _error(func, *args):
+    try:
+        func(*args)
+    except ValueError as exc:
+        return str(exc)
+    raise AssertionError("expected a ValueError")
+
+
+class TestDesignEqualsPerRecordRows:
+    """``build_design`` and ``feature_row`` equal the per-record recipes (``helpers.naive_feature_row``) with ``==``."""
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda spec: f"{spec.kind.value}-{spec.invtemp_kelvin}")
+    def test_rows(self, spec):
+        records = _wide_records(500, seed=17)
+        expected = np.array([naive_feature_row(rec, spec) for rec in records])
+        assert np.array_equal(build_design(records, spec).x, expected)
+        assert [spec.feature_row(rec) for rec in records[:50]] == expected[:50].tolist()
+
+    # name -> (spec, bad record fields); each breaks one row recipe.
+    BAD_RECORDS = {
+        "missing-field": (ModelSpec(ModelKind.PL_GEO), {"ro": None}),
+        "zero-temperature": (ModelSpec(ModelKind.PL_INVTEMP), {"temp": 0.0}),
+        "log-domain": (ModelSpec(ModelKind.PL_GEO), {"temp": -5.0}),
+    }
+
+    @pytest.mark.parametrize("position", [0, 3, 7])
+    @pytest.mark.parametrize("case", BAD_RECORDS)
+    def test_first_failing_record_raises_its_own_error(self, case, position):
+        spec, fields = self.BAD_RECORDS[case]
+        records = [make_record(i, toc=3.0, temp=50.0, ro=1.5, pl=4.0) for i in range(8)]
+        records[position] = make_record("bad", **{**dict(toc=3.0, temp=50.0, ro=1.5, pl=4.0), **fields})
+        # a later record fails another way
+        later = {"missing-field": {"temp": 0.0}, "zero-temperature": {"temp": 0.0}, "log-domain": {"ro": None}}[case]
+        records.append(make_record("later", **{**dict(toc=3.0, temp=50.0, ro=1.5, pl=4.0), **later}))
+        expected = _error(lambda: [naive_feature_row(rec, spec) for rec in records])
+        assert "bad" in expected or case == "log-domain"
+        assert _error(build_design, records, spec) == expected
+        assert _error(spec.feature_row, records[position]) == expected
+
+    def test_cube_overflow_names_kind_and_temperature(self):
+        record = make_record(1, toc=3.0, temp=1e200, vl=2.0)
+        with pytest.raises(ValueError, match=r"^vl-geo regressor overflows: .* at temperature 1e\+200 degC$"):
+            build_design([make_record(0, toc=3.0, temp=50.0, vl=2.0), record], VL_SPEC)
 
 
 class TestOlsFit:
