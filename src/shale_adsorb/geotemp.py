@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .dataset import SampleParseError, _parse_float, elementwise, read_csv_table, write_csv
-from .outliers import nearest_first
+from .outliers import first_k_of_candidates, nearest_first
 
 EARTH_RADIUS_M = 6_371_000.0
 DEFAULT_MIN_SECTION_DEPTH_M = 500.0
@@ -29,19 +29,26 @@ EXACT_HIT_DISTANCE_M = 1.0
 #: distances, 0.5 MiB, plus as many boxed Python floats while ``asin`` runs.
 BLOCK_PAIRS = 2 ** 16
 
+#: With a neighbour cap, a pair is a candidate when its haversine argument
+#: ``a`` is within this factor of the query's k-th smallest. A pair beyond it
+#: is farther by a relative 2**-31 or more, far above the ulp-level rounding
+#: of ``asin`` and the ``2 * R`` product, so at least k points are strictly
+#: nearer and it can be neither a neighbour nor a tie at the cap.
+CANDIDATE_MARGIN = 1.0 + 2.0 ** -30
+
 _RADIANS_PER_DEGREE = math.pi / 180.0
 
 HEATFLOW_CSV_COLUMNS = ("lon_deg", "lat_deg", "section_depth_m", "gradt_c_per_km")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HeatFlowTable:
     """Georeferenced temperature-gradient measurements, one read-only float64 array per field.
 
     Position i of every array is measurement i. The constructor checks each
     measurement in order (longitude, then latitude in range, then a finite
     gradient and depth) and raises :class:`InvalidHeatFlowPoint` for the
-    first one that fails.
+    first one that fails. Tables compare and hash by identity.
     """
 
     lon: np.ndarray            # degrees east
@@ -130,12 +137,18 @@ def _idw(
 
     Works on blocks of queries holding about ``BLOCK_PAIRS`` (query, sample)
     pairs. NumPy does only the correctly rounded steps (+ - * /, ``sqrt``,
-    comparisons, a stable ``argsort`` and a left-to-right ``cumsum``), in the
-    order ``haversine_m`` and the nearest-first weighted sum use. Every
-    ``sin``, ``cos``, ``asin`` and ``pow`` is the ``math`` or builtin call on
-    Python floats: the sine terms once per distinct query latitude or
-    longitude, ``cos`` once per point, ``asin`` once per pair, and the weight
-    ``d ** -power`` only for the neighbours used.
+    comparisons, ``partition``, ``argsort``, ``lexsort`` and a left-to-right
+    ``cumsum``), in the order ``haversine_m`` and the nearest-first weighted
+    sum use. Every ``sin``, ``cos``, ``asin`` and ``pow`` is the ``math`` or
+    builtin call on Python floats: the sine terms once per distinct query
+    latitude or longitude, ``cos`` once per point, and the weight
+    ``d ** -power`` only for the neighbours used. Without a cap below n,
+    ``asin`` runs once per pair and :func:`nearest_first` orders every row.
+    With a cap k < n, ``asin(sqrt(a))`` is monotone in the haversine argument
+    ``a``, so ``asin`` runs only on the candidate pairs within
+    ``CANDIDATE_MARGIN`` of each query's k-th smallest ``a``, and the k
+    nearest are picked among those by (distance, index). Any pair with
+    ``sqrt(a) > 1`` raises the ``ValueError`` that ``math.asin`` raises on it.
     """
     if not samples:
         raise ValueError("cannot interpolate from an empty sample set")
@@ -164,8 +177,16 @@ def _idw(
                                            _sin_sq_half(sample_lat, query_lat, step),
                                            _sin_sq_half(sample_lon, query_lon, step)):
         a = lat_terms + query_cos[start:start + step, None] * sample_cos * lon_terms
-        dist = 2.0 * EARTH_RADIUS_M * elementwise(math.asin, np.sqrt(a))
-        order, nearest = nearest_first(dist, k)
+        root = np.sqrt(a)
+        if (root > 1.0).any():
+            raise ValueError("math domain error")
+        if k == n:
+            order, nearest = nearest_first(2.0 * EARTH_RADIUS_M * elementwise(math.asin, root), n)
+        else:
+            kth = np.partition(a, k - 1, axis=1)[:, k - 1]
+            r, c = np.nonzero(a <= kth[:, None] * CANDIDATE_MARGIN)
+            dist = 2.0 * EARTH_RADIUS_M * elementwise(math.asin, root[r, c])
+            order, nearest = first_k_of_candidates(r, c, dist, len(a), k)
         block_values = grads[order[:, 0]]
         far = nearest[:, 0] >= EXACT_HIT_DISTANCE_M
         if far.any():
@@ -193,7 +214,8 @@ def idw_interpolate(
     Weights are 1 / d**power over all samples (or the ``max_neighbors``
     nearest when set, ties by ascending sample index), summed nearest first.
     A query within one meter of a sample returns that sample's gradient
-    exactly. Costs O(n log n) for n samples, in NumPy.
+    exactly. Costs O(n log n) for n samples in NumPy, plus n ``asin`` calls,
+    or, with ``max_neighbors`` k below n, O(n) in NumPy plus about k.
     """
     return _idw(samples, [lon], [lat], power, max_neighbors)[0]
 
@@ -214,7 +236,8 @@ def interpolate_grid(
     Node counts may be given as floats but must be whole numbers. Every node
     equals ``idw_interpolate`` at its (lon, lat). All nodes go through one
     blocked NumPy pass: O(q * n log n) for q nodes and n samples, with
-    memory bounded per block.
+    memory bounded per block, and q * n ``asin`` calls; with
+    ``max_neighbors`` k below n, O(q * n) NumPy work and about q * k calls.
     """
     if not all(math.isfinite(bound) for bound in (lon_min, lon_max, lat_min, lat_max)):
         raise ValueError(f"grid bounds must be finite, got {(lon_min, lon_max, lat_min, lat_max)!r}")

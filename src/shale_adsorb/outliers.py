@@ -171,19 +171,39 @@ def nearest_first(dist: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 
     That is the first k of a stable ``argsort`` of each row. Below the
     full width, every column within the row's k-th smallest value is kept,
-    so ties at that value are all candidates, and a lexsort picks the first
-    k; at the full width one stable ``argsort`` is faster.
+    so ties at that value are all candidates, and :func:`first_k_of_candidates`
+    picks the first k. At the full width each row is sorted with the default
+    (unstable, SIMD) ``argsort``, and only the rows whose sorted values are
+    not strictly increasing (an equal pair, ``-0.0`` next to ``0.0``, or a
+    NaN) are sorted again with ``kind="stable"``: a strictly increasing row
+    has one sorting permutation, so every row gets the stable one.
     """
     m, n = dist.shape
     if k == n:
-        order = np.argsort(dist, axis=1, kind="stable")
-        return order, np.take_along_axis(dist, order, axis=1)
+        order = np.argsort(dist, axis=1)
+        values = np.take_along_axis(dist, order, axis=1)
+        tied = np.flatnonzero(~(values[:, 1:] > values[:, :-1]).all(axis=1))
+        if tied.size:
+            rows = dist[tied]
+            order[tied] = np.argsort(rows, axis=1, kind="stable")
+            values[tied] = np.take_along_axis(rows, order[tied], axis=1)
+        return order, values
     kth = np.partition(dist, k - 1, axis=1)[:, k - 1]
     r, c = np.nonzero(dist <= kth[:, None])
-    dc = dist[r, c]
-    order = np.lexsort((c, dc, r))
+    return first_k_of_candidates(r, c, dist[r, c], m, k)
+
+
+def first_k_of_candidates(
+    r: np.ndarray, c: np.ndarray, values: np.ndarray, m: int, k: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Columns and values of the k smallest candidates in each of m rows, by (value, column).
+
+    Candidate i is entry (``r[i]``, ``c[i]``) with value ``values[i]``, in
+    row-major order, as ``np.nonzero`` gives them; every row holds at least k.
+    """
+    order = np.lexsort((c, values, r))
     take = order[np.searchsorted(r, np.arange(m))[:, None] + np.arange(k)]
-    return c[take], dc[take]
+    return c[take], values[take]
 
 
 def _relative_error(

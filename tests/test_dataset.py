@@ -3,8 +3,10 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shale_adsorb.dataset import (
+    ABSOLUTE_ZERO_C,
     REASON_MISSING,
     REASON_PL,
     REASON_RO,
@@ -95,6 +97,32 @@ class TestParseSamples:
     def test_accepts_line_iterable(self):
         lines = [HEADER + "\n", "s1,Barnett,4.0,1.5,48,,5.0,2.0\n"]
         assert len(parse_samples(lines)) == 1
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_label = st.text(st.characters(codec="utf-8", exclude_categories=("Cc", "Cs", "Zl", "Zp")),
+                 max_size=12).map(str.strip)
+
+
+@st.composite
+def _sample_records(draw):
+    """Records with every optional field sometimes None, and ids or reservoirs holding commas and quotes."""
+    ids = draw(st.lists(_label.filter(bool), min_size=1, max_size=15, unique=True))
+    return [SampleRecord(id=rec_id, reservoir=draw(_label), toc=draw(_positive),
+                         temp=draw(st.floats(min_value=ABSOLUTE_ZERO_C, exclude_min=True, allow_infinity=False)),
+                         ro=draw(st.none() | _positive), porosity=draw(st.none() | _finite),
+                         pl=draw(st.none() | _positive), vl=draw(st.none() | _positive))
+            for rec_id in ids]
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(records=_sample_records())
+def test_samples_csv_round_trip(records):
+    text = records_to_csv(records)
+    again = parse_samples(text)
+    assert again == records
+    assert records_to_csv(again) == text
 
 
 class TestRecordInvariants:

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shale_adsorb.geotemp import (
+    BLOCK_PAIRS,
     EARTH_RADIUS_M,
+    HEATFLOW_CSV_COLUMNS,
     HeatFlowTable,
     InvalidHeatFlowPoint,
     filter_heatflow,
@@ -15,7 +17,7 @@ from shale_adsorb.geotemp import (
     interpolate_grid,
     parse_heatflow,
 )
-from shale_adsorb.dataset import SampleParseError
+from shale_adsorb.dataset import SampleParseError, write_csv
 from helpers import naive_idw
 
 
@@ -66,6 +68,14 @@ class TestHeatFlowTable:
         with pytest.raises(ValueError, match="one length"):
             HeatFlowTable([1.0, 2.0], [1.0], [1.0], [1.0])
         assert len(table()) == 0
+
+    def test_compares_and_hashes_by_identity(self, data_dir):
+        text = (data_dir / "heatflow.csv").read_text(encoding="utf-8")
+        first, second = parse_heatflow(text), parse_heatflow(text)
+        assert first == first
+        assert first != second
+        assert hash(first) == hash(first)
+        assert isinstance(hash(second), int)
 
 
 class TestHaversine:
@@ -281,6 +291,53 @@ class TestIdwExactness:
         assert all(ties.values()), ties
 
 
+class TestIdwCost:
+    """With a cap k below n, ``math.asin`` runs only on candidate pairs, not on all q * n."""
+
+    def test_capped_grid_calls_asin_only_on_candidates(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        samples = table(*(point(float(lon), float(lat), float(g)) for lon, lat, g in
+                          zip(rng.uniform(100, 110, 300), rng.uniform(25, 35, 300), rng.uniform(15, 35, 300))))
+        grid, q, n, cap = (100.2, 109.7, 25.3, 34.6, 30, 30), 900, 300, 8
+        assert q * n > 4 * BLOCK_PAIRS
+        real_asin = math.asin
+        calls = []
+
+        def counting_asin(x):
+            calls.append(x)
+            return real_asin(x)
+
+        monkeypatch.setattr(math, "asin", counting_asin)
+        capped = interpolate_grid(samples, *grid, max_neighbors=cap)
+        capped_calls = len(calls)
+        calls.clear()
+        interpolate_grid(samples, *grid)
+        full_calls = len(calls)
+        monkeypatch.undo()
+
+        # Every node needs its k nearest distances. Among scattered points no
+        # other distance is near enough a node's k-th to be a candidate.
+        assert capped_calls == q * cap < q * n // 10
+        assert full_calls == q * n
+        assert [g for _, _, g in capped] == [naive_idw(samples, lon, lat, 2.0, cap) for lon, lat, _ in capped]
+
+    def test_asin_domain_error_raised_for_every_cap(self):
+        # Queries are only checked to be finite. This one, past the pole, is
+        # almost antipodal to the first point, and their haversine argument
+        # rounds above 1, where math.asin raises. With a cap that pair is not
+        # a candidate, and the kernel still raises as the per-pair loop does.
+        query = (780.3750505931939, 1037.1891982874113)
+        samples = table(point(-119.62494940680612, 42.81080171258884, 1.0), point(0.0, 0.0, 2.0),
+                        point(10.0, 5.0, 3.0))
+        with pytest.raises(ValueError, match="math domain error"):
+            haversine_m(*query, -119.62494940680612, 42.81080171258884)
+        for cap in (None, 1, 2, 3):
+            with pytest.raises(ValueError, match="math domain error"):
+                idw_interpolate(samples, *query, max_neighbors=cap)
+            with pytest.raises(ValueError, match="math domain error"):
+                interpolate_grid(samples, query[0], query[0], query[1], query[1], 1, 1, max_neighbors=cap)
+
+
 _coordinate = st.tuples(st.floats(100.0, 110.0), st.floats(25.0, 35.0))
 
 
@@ -319,6 +376,37 @@ def test_idw_bounded_by_used_neighbours_and_grid_equals_query(samples, query, po
         assert g == idw_interpolate(samples, node_lon, node_lat, power, cap)
 
 
+@st.composite
+def _mirrored_sets(draw):
+    """Points mirrored about the meridian at 0 degrees, some repeated, and a query on it.
+
+    ``radians(-x)`` is ``-radians(x)`` and ``sin`` is odd, so a point and its
+    mirror are at exactly the same distance from any query on the meridian:
+    ties at the k-th place are common, beside the repeats of one place.
+    """
+    offsets = draw(st.lists(st.tuples(st.floats(0.0, 2.0), st.floats(-3.0, 3.0)), min_size=1, max_size=8))
+    places = [(sign * lon, lat) for lon, lat in offsets for sign in (1.0, -1.0)]
+    picks = draw(st.lists(st.sampled_from(places), min_size=1, max_size=30))
+    samples = table(*(point(lon, lat, draw(st.floats(10.0, 40.0))) for lon, lat in picks))
+    query_lat = draw(st.floats(-3.0, 3.0) | st.sampled_from([lat for _, lat in places]))
+    return samples, query_lat
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(clustered=_mirrored_sets(), power=st.sampled_from([1.0, 2.0, 3.5]), cap=st.integers(1, 30),
+       data=st.data())
+def test_capped_idw_equals_per_pair_loop_on_ties(clustered, power, cap, data):
+    """A capped query and every grid node equal ``helpers.naive_idw`` where distances tie at the cap."""
+    samples, query_lat = clustered
+    assert idw_interpolate(samples, 0.0, query_lat, power, cap) == naive_idw(samples, 0.0, query_lat, power, cap)
+
+    half_width = data.draw(st.sampled_from([0.0, 0.5, 2.0]))
+    lat_lo, lat_hi = sorted(data.draw(st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))))
+    n_lon, n_lat = data.draw(st.sampled_from([1, 3, 5])), data.draw(st.integers(1, 4))
+    rows = interpolate_grid(samples, -half_width, half_width, lat_lo, lat_hi, n_lon, n_lat, power, cap)
+    assert [g for _, _, g in rows] == [naive_idw(samples, lon, lat, power, cap) for lon, lat, _ in rows]
+
+
 class TestParseHeatflow:
     TEXT = "lon_deg,lat_deg,section_depth_m,gradt_c_per_km\n104.5,29.1,1200,26.4\n"
 
@@ -349,3 +437,17 @@ class TestParseHeatflow:
         assert (info.value.row, info.value.column) == (4, "section_depth_m")
         with pytest.raises(SampleParseError, match="row 1, column lon_deg: empty heat-flow file"):
             parse_heatflow("")
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(rows=st.lists(st.tuples(st.floats(-180.0, 180.0), st.floats(-90.0, 90.0), _finite, _finite), max_size=20))
+def test_heatflow_csv_round_trip(rows):
+    """Points written as ``repr`` cells parse back to the same columns, bit for bit."""
+    text = write_csv(HEATFLOW_CSV_COLUMNS, ([repr(value) for value in row] for row in rows))
+    points = parse_heatflow(text)
+    expected = np.array(rows, dtype=float).reshape(-1, 4).T
+    for column, values in zip((points.lon, points.lat, points.section_depth, points.grad_t), expected):
+        assert column.tobytes() == values.tobytes()

@@ -13,6 +13,7 @@ from shale_adsorb.outliers import (
     ZeroIqrError,
     compute_weights,
     detect_outliers,
+    nearest_first,
     quartiles,
     statistical_distance,
     weighted_relative_error,
@@ -373,3 +374,56 @@ def test_row_permutation_keeps_r_flags_and_neighbour_sets(rows, data):
             assert r == pytest.approx(base.r_values[i], rel=1e-12)
             if abs(r - base.threshold) > 1e-9:
                 assert flag == base.flagged[i]
+
+
+def assert_stable_first_k(dist, k):
+    """``nearest_first(dist, k)`` is the first k of a stable ``argsort``, values bit for bit."""
+    order, values = nearest_first(dist, k)
+    expected = np.argsort(dist, axis=1, kind="stable")[:, :k]
+    assert np.array_equal(order, expected)
+    assert values.tobytes() == np.take_along_axis(dist, expected, axis=1).tobytes()
+
+
+class TestNearestFirstFullWidth:
+    """At k == n each row is sorted unstably, and only rows with ties again stably."""
+
+    # 700 columns: wide enough that NumPy's default argsort does not keep
+    # equal values in index order (checked on each tied case below).
+    @pytest.mark.parametrize("case", ["no ties", "all equal", "signed zeros", "infinities", "few values"])
+    def test_equals_stable_argsort(self, case):
+        rng = np.random.default_rng(3)
+        dist = {
+            "no ties": rng.permutation(np.arange(20 * 700.0)).reshape(20, 700),
+            "all equal": np.full((20, 700), 4.5),
+            "signed zeros": rng.choice([-0.0, 0.0, 1.0, -1.0, 0.5], (20, 700)),
+            "infinities": rng.choice([-0.0, 0.0, np.inf, 2.0], (20, 700)),
+            "few values": rng.integers(0, 5, (20, 700)).astype(float),
+        }[case]
+        assert_stable_first_k(dist, 700)
+        if case not in ("no ties", "all equal"):
+            assert (np.argsort(dist, axis=1) != np.argsort(dist, axis=1, kind="stable")).any()
+
+    def test_tied_and_untied_rows_together(self):
+        rng = np.random.default_rng(4)
+        dist = rng.permutation(np.arange(6 * 300.0)).reshape(6, 300)
+        dist[[1, 4], 7] = dist[[1, 4], 200]
+        dist[2, 9] = -0.0
+        dist[2, 10] = 0.0
+        assert_stable_first_k(dist, 300)
+        assert_stable_first_k(dist[:, :1], 1)
+
+
+_small_integer_matrices = st.integers(1, 6).flatmap(
+    lambda m: st.integers(1, 40).flatmap(
+        lambda n: st.lists(st.lists(st.integers(-3, 3).map(float) | st.just(-0.0) | st.just(math.inf),
+                                    min_size=n, max_size=n),
+                           min_size=m, max_size=m)))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(rows=_small_integer_matrices, data=st.data())
+def test_nearest_first_is_a_stable_argsort(rows, data):
+    dist = np.array(rows)
+    n = dist.shape[1]
+    assert_stable_first_k(dist, n)
+    assert_stable_first_k(dist, data.draw(st.integers(1, n)))

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shale_adsorb.estimator import REFERENCE_PL_COEFFICIENTS, REFERENCE_VL_COEFFICIENTS
 from shale_adsorb.regression import (
@@ -403,3 +404,24 @@ class TestModelSerialisation:
         model = FittedModel(VL_SPEC, (0.421, -0.067, 0.563), 184)
         text = "# fitted upstream\n\n" + model_to_text(model).replace("\n", "\n\n")
         assert model_from_text(text) == model
+
+
+@st.composite
+def _fitted_models(draw):
+    """Models of every kind; ``invtemp_kelvin`` is an option of pl-invtemp only."""
+    kind = draw(st.sampled_from(list(ModelKind)))
+    spec = ModelSpec(kind, invtemp_kelvin=kind is ModelKind.PL_INVTEMP and draw(st.booleans()))
+    coefficients = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                 min_size=spec.n_coefficients, max_size=spec.n_coefficients))
+    return FittedModel(spec, tuple(coefficients), draw(st.integers(0, 10 ** 6)))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(model=_fitted_models())
+def test_model_text_round_trip(model):
+    again = model_from_text(model_to_text(model))
+    assert again.spec.kind is model.spec.kind
+    assert again.spec.invtemp_kelvin is model.spec.invtemp_kelvin
+    assert [repr(c) for c in again.coefficients] == [repr(c) for c in model.coefficients]
+    assert again.n_fit == model.n_fit
+    assert again == model
