@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
@@ -127,6 +128,16 @@ def elementwise(func, values: np.ndarray, *args) -> np.ndarray:
     """``func(x, *args)`` of each element, called on Python floats so that it rounds as ``math`` does."""
     flat = values.ravel().tolist()
     return np.fromiter(map(func, flat, *map(repeat, args)), float, len(flat)).reshape(values.shape)
+
+
+def require_int(name: str, value) -> int:
+    """``value`` as an ``int`` by ``operator.index``; a bool or a non-integral number raises ``ValueError``."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _parse_float(raw: str, row: int, column: str, required: bool) -> float | None:

@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .dataset import SampleParseError, _parse_float, elementwise, read_csv_table, write_csv
+from .dataset import SampleParseError, _parse_float, elementwise, read_csv_table, require_int, write_csv
 from .outliers import first_k_of_candidates, nearest_first
 
 EARTH_RADIUS_M = 6_371_000.0
@@ -35,6 +35,8 @@ BLOCK_PAIRS = 2 ** 16
 #: of ``asin`` and the ``2 * R`` product, so at least k points are strictly
 #: nearer and it can be neither a neighbour nor a tie at the cap.
 CANDIDATE_MARGIN = 1.0 + 2.0 ** -30
+
+_ON_GLOBE = "longitude in [-180, 180] and latitude in [-90, 90]"
 
 _RADIANS_PER_DEGREE = math.pi / 180.0
 
@@ -148,17 +150,18 @@ def _idw(
     ``a``, so ``asin`` runs only on the candidate pairs within
     ``CANDIDATE_MARGIN`` of each query's k-th smallest ``a``, and the k
     nearest are picked among those by (distance, index). Any pair with
-    ``sqrt(a) > 1`` raises the ``ValueError`` that ``math.asin`` raises on it.
+    ``sqrt(a) > 1`` raises the ``ValueError`` that ``math.asin`` raises on it;
+    the callers check that every query lies on the globe, and no pair of
+    points on it rounds there.
     """
     if not samples:
         raise ValueError("cannot interpolate from an empty sample set")
     if not (math.isfinite(power) and power > 0):
         raise ValueError(f"power must be positive and finite, got {power}")
-    for lon, lat in zip(lons, lats):
-        if not (math.isfinite(lon) and math.isfinite(lat)):
-            raise ValueError(f"query point must be finite, got ({lon!r}, {lat!r})")
-    if max_neighbors is not None and max_neighbors < 1:
-        raise ValueError(f"max_neighbors must be >= 1, got {max_neighbors}")
+    if max_neighbors is not None:
+        max_neighbors = require_int("max_neighbors", max_neighbors)
+        if max_neighbors < 1:
+            raise ValueError(f"max_neighbors must be >= 1, got {max_neighbors}")
 
     n = len(samples)
     k = n if max_neighbors is None else min(max_neighbors, n)
@@ -216,7 +219,10 @@ def idw_interpolate(
     A query within one meter of a sample returns that sample's gradient
     exactly. Costs O(n log n) for n samples in NumPy, plus n ``asin`` calls,
     or, with ``max_neighbors`` k below n, O(n) in NumPy plus about k.
+    The query must have longitude in [-180, 180] and latitude in [-90, 90].
     """
+    if not (-180.0 <= lon <= 180.0 and -90.0 <= lat <= 90.0):
+        raise ValueError(f"query point must have {_ON_GLOBE}, got ({lon!r}, {lat!r})")
     return _idw(samples, [lon], [lat], power, max_neighbors)[0]
 
 
@@ -233,14 +239,16 @@ def interpolate_grid(
 ) -> list[tuple[float, float, float]]:
     """Interpolated (lon, lat, gradient) rows on an inclusive regular grid.
 
+    The bounds must have longitudes in [-180, 180] and latitudes in [-90, 90].
     Node counts may be given as floats but must be whole numbers. Every node
     equals ``idw_interpolate`` at its (lon, lat). All nodes go through one
     blocked NumPy pass: O(q * n log n) for q nodes and n samples, with
     memory bounded per block, and q * n ``asin`` calls; with
     ``max_neighbors`` k below n, O(q * n) NumPy work and about q * k calls.
     """
-    if not all(math.isfinite(bound) for bound in (lon_min, lon_max, lat_min, lat_max)):
-        raise ValueError(f"grid bounds must be finite, got {(lon_min, lon_max, lat_min, lat_max)!r}")
+    if not (all(-180.0 <= lon <= 180.0 for lon in (lon_min, lon_max))
+            and all(-90.0 <= lat <= 90.0 for lat in (lat_min, lat_max))):
+        raise ValueError(f"grid bounds must have {_ON_GLOBE}, got {(lon_min, lon_max, lat_min, lat_max)!r}")
     if not (float(n_lon).is_integer() and float(n_lat).is_integer()):
         raise ValueError(f"grid node counts must be whole numbers, got {n_lon!r} x {n_lat!r}")
     if n_lon < 1 or n_lat < 1:

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import DatasetKind, SampleRecord, write_csv
+from .dataset import DatasetKind, SampleRecord, require_int, write_csv
 
 DEFAULT_K = 5
 DEFAULT_THRESHOLD = 0.85
@@ -74,15 +74,17 @@ class OutlierReport:
 
         Neighbour lists are semicolon-joined within their cells.
         """
+        ids = self.ids
         return write_csv(
             ("id", "R", "flagged", "neighbor_ids", "neighbor_weights"),
             ([
                 rec_id,
-                repr(self.r_values[i]),
-                str(self.flagged[i]).lower(),
-                ";".join(self.ids[j] for j in self.neighbor_indices[i]),
-                ";".join(repr(w) for w in self.neighbor_weights[i]),
-            ] for i, rec_id in enumerate(self.ids)),
+                repr(r),
+                "true" if flag else "false",
+                ";".join(map(ids.__getitem__, neighbors)),
+                ";".join(map(repr, weights)),
+            ] for rec_id, r, flag, neighbors, weights in zip(
+                ids, self.r_values, self.flagged, self.neighbor_indices, self.neighbor_weights)),
         )
 
 
@@ -129,11 +131,14 @@ def statistical_distance(a: SampleRecord, b: SampleRecord, weights: DistanceWeig
     return math.sqrt(total)
 
 
-def _check_neighbour_count(k: int, n: int) -> None:
+def _check_neighbour_count(k: int, n: int) -> int:
+    """``k`` as an ``int``, checked to be a whole count from 1 to n - 1."""
+    k = require_int("k", k)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if n < k + 1:
         raise ValueError(f"need at least {k + 1} records for k={k}, got {n}")
+    return k
 
 
 def _distance_columns(records: Sequence[SampleRecord], weights: DistanceWeights) -> list[tuple[float, np.ndarray]]:
@@ -206,30 +211,24 @@ def first_k_of_candidates(
     return c[take], values[take]
 
 
-def _relative_error(
-    index: int,
-    neighbors: list[int],
-    dists: np.ndarray,
-    deps: Sequence[float | None],
-    dependent: str,
-) -> tuple[float, list[float]]:
-    """R value and neighbour weights of one record from its ordered neighbours."""
-    k = len(neighbors)
-    total = float(dists.sum())
-    if k == 1 or total == 0.0:
-        # Limit of the weight formula as distances coincide (or single neighbour).
-        w = np.full(k, 1.0 / k)
-    else:
-        w = (total - dists) / ((k - 1) * total)
+def _score(dist: np.ndarray, dep: np.ndarray, dep_neighbors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """R values and neighbour weights of m records from their ordered neighbours.
 
-    dep_i = deps[index]
-    dep_list = [deps[j] for j in neighbors]
-    if dep_i is None or any(v is None for v in dep_list):
-        raise ValueError(f"dependent variable {dependent} missing from record or neighbours")
-    dep_n = np.array(dep_list, dtype=float)
-    numerator = float(w @ np.abs(dep_i - dep_n))
-    denominator = min(float(dep_n.mean()), dep_i)
-    return numerator / denominator, w.tolist()
+    ``dist`` and ``dep_neighbors`` are (m, k): the distances and dependent
+    values of each record's neighbours, nearest first; ``dep`` holds the
+    records' own dependent values. Each step is one array operation, and
+    each row rounds as the same steps on that row alone: a row's ``sum``,
+    ``mean`` and ``vecdot`` are the 1-D ``sum``, ``mean`` and ``@``.
+    """
+    m, k = dist.shape
+    total = dist.sum(axis=1, keepdims=True)
+    # Rows left out keep the uniform weights: the only weight of a single
+    # neighbour, and the limit of the formula as the distances coincide at 0.
+    w = np.divide(total - dist, (k - 1) * total, out=np.full((m, k), 1.0 / k), where=(total != 0.0) & (k > 1))
+    numerator = np.vecdot(w, np.abs(dep[:, None] - dep_neighbors))
+    mean = dep_neighbors.mean(axis=1)
+    # Python's min(mean, dep): the mean unless dep is strictly smaller.
+    return numerator / np.where(dep < mean, dep, mean), w
 
 
 def weighted_relative_error(
@@ -253,13 +252,15 @@ def weighted_relative_error(
     every record. Returns (R, neighbour indices, neighbour weights).
     """
     n = len(records)
-    _check_neighbour_count(k, n)
+    k = _check_neighbour_count(k, n)
     index = range(n)[index]
     idx, dist = _nearest(np.array([index]), _distance_columns(records, weights), k)
     neighbors = idx[0].tolist()
-    deps = [getattr(rec, dependent) for rec in records]
-    r, w = _relative_error(index, neighbors, dist[0], deps, dependent)
-    return r, neighbors, w
+    deps = [getattr(records[j], dependent) for j in (index, *neighbors)]
+    if None in deps:
+        raise ValueError(f"dependent variable {dependent} missing from record or neighbours")
+    r, w = _score(dist, np.array(deps[:1]), np.array([deps[1:]]))
+    return r.item(), neighbors, w[0].tolist()
 
 
 def detect_outliers(
@@ -278,35 +279,34 @@ def detect_outliers(
     distance variables, done in NumPy over blocks of rows so that one block
     holds about ``BLOCK_ELEMENTS`` distances whatever n is. Distances use
     correctly rounded squares, so they agree bit for bit with
-    ``statistical_distance``.
+    ``statistical_distance``. Scoring every record from its k neighbours is
+    then O(n * k) NumPy work in a few whole-array operations, with no
+    per-record Python; each R and weight equals ``weighted_relative_error``
+    for that record bit for bit.
     """
     n = len(records)
-    _check_neighbour_count(k, n)
+    k = _check_neighbour_count(k, n)
     if math.isnan(threshold):
         raise ValueError("threshold must not be NaN")
     if threshold < 0:
         raise ValueError(f"threshold must be >= 0, got {threshold!r}")
     weights = compute_weights(records, kind.independent_vars)
     columns = _distance_columns(records, weights)
-    deps = [getattr(rec, kind.dependent_var) for rec in records]
-    r_values: list[float] = []
-    neighbor_indices: list[list[int]] = []
-    neighbor_weights: list[list[float]] = []
+    dependent = kind.dependent_var
+    deps = [getattr(rec, dependent) for rec in records]
+    if None in deps:
+        raise ValueError(f"dependent variable {dependent} missing from record or neighbours")
+    dep = np.array(deps, dtype=float)
     step = max(1, BLOCK_ELEMENTS // n)
-    for start in range(0, n, step):
-        rows = np.arange(start, min(start + step, n))
-        idx, dist = _nearest(rows, columns, k)
-        for i, neighbors, dists in zip(rows.tolist(), idx.tolist(), dist):
-            r, w = _relative_error(i, neighbors, dists, deps, kind.dependent_var)
-            r_values.append(r)
-            neighbor_indices.append(neighbors)
-            neighbor_weights.append(w)
+    blocks = [_nearest(np.arange(start, min(start + step, n)), columns, k) for start in range(0, n, step)]
+    idx = np.concatenate([block_idx for block_idx, _ in blocks])
+    r, w = _score(np.concatenate([block_dist for _, block_dist in blocks]), dep, dep[idx])
     return OutlierReport(
         ids=[rec.id for rec in records],
-        r_values=r_values,
-        flagged=[r > threshold for r in r_values],
+        r_values=r.tolist(),
+        flagged=(r > threshold).tolist(),
         threshold=threshold,
         k=k,
-        neighbor_indices=neighbor_indices,
-        neighbor_weights=neighbor_weights,
+        neighbor_indices=idx.tolist(),
+        neighbor_weights=w.tolist(),
     )

@@ -194,6 +194,29 @@ def naive_r_values(records, variables, dependent, k) -> np.ndarray:
     return np.array(out)
 
 
+def naive_relative_error(index, neighbors, dists, deps, dependent) -> tuple[float, list[float]]:
+    """R value and neighbour weights of one record, the per-record scorer the columnar one replaced.
+
+    ``neighbors`` are the record's neighbour indices nearest first and
+    ``dists`` their distances; ``deps`` holds every record's dependent value.
+    """
+    k = len(neighbors)
+    dists = np.asarray(dists, dtype=float)
+    total = float(dists.sum())
+    if k == 1 or total == 0.0:
+        w = np.full(k, 1.0 / k)
+    else:
+        w = (total - dists) / ((k - 1) * total)
+    dep_i = deps[index]
+    dep_list = [deps[j] for j in neighbors]
+    if dep_i is None or any(v is None for v in dep_list):
+        raise ValueError(f"dependent variable {dependent} missing from record or neighbours")
+    dep_n = np.array(dep_list, dtype=float)
+    numerator = float(w @ np.abs(dep_i - dep_n))
+    denominator = min(float(dep_n.mean()), dep_i)
+    return numerator / denominator, w.tolist()
+
+
 def naive_idw(samples, lon, lat, power, max_neighbors, distance=haversine_m) -> float:
     """Per-pair inverse-distance weighting, the loop the IDW kernel replaced.
 

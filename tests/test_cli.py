@@ -346,6 +346,23 @@ class TestIdw:
         assert "error: interpolate stage:" in capsys.readouterr().err
         assert not (out / "idw.csv").exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--query", "104.5", "95.0"], "query point must have longitude in [-180, 180] and latitude in [-90, 90], "
+                                       "got (104.5, 95.0)"),
+        (["--query", "400", "30"], "query point must have longitude in [-180, 180] and latitude in [-90, 90], "
+                                   "got (400.0, 30.0)"),
+        (["--grid", "100", "200", "25", "35", "3", "2"],
+         "grid bounds must have longitude in [-180, 180] and latitude in [-90, 90], got (100.0, 200.0, 25.0, 35.0)"),
+        (["--grid", "100", "110", "-95", "35", "3", "2"],
+         "grid bounds must have longitude in [-180, 180] and latitude in [-90, 90], got (100.0, 110.0, -95.0, 35.0)"),
+    ])
+    def test_coordinates_off_the_globe_exit_code_1(self, argv, message, tmp_path, data_dir, capsys):
+        out = tmp_path / "out"
+        assert main(["idw", "--input", str(data_dir / "heatflow.csv"), *argv,
+                     "--output-dir", str(out)]) == 1
+        assert f"error: interpolate stage: {message}\n" in capsys.readouterr().err
+        assert not (out / "idw.csv").exists()
+
     def test_min_depth_filter_can_empty_the_set(self, tmp_path, data_dir, capsys):
         assert main(["idw", "--input", str(data_dir / "heatflow.csv"),
                      "--min-depth", "99999", "--query", "105", "30",

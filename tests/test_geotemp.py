@@ -1,11 +1,14 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from shale_adsorb import geotemp
 from shale_adsorb.geotemp import (
     BLOCK_PAIRS,
+    DEFAULT_IDW_POWER,
     EARTH_RADIUS_M,
     HEATFLOW_CSV_COLUMNS,
     HeatFlowTable,
@@ -172,6 +175,34 @@ class TestIdwInterpolate:
         with pytest.raises(ValueError, match="power"):
             idw_interpolate(table(point(0, 0, 20)), 1.0, 1.0, power=0.0)
 
+    @pytest.mark.parametrize("query", [(104.5, 95.0), (400.0, 30.0), (-180.5, 0.0), (0.0, -90.25),
+                                       (math.nan, 30.0), (105.0, math.inf)])
+    def test_query_off_the_globe_rejected(self, query):
+        samples = table(point(104.0, 30.0, 20.0), point(106.0, 31.0, 30.0))
+        message = (r"query point must have longitude in \[-180, 180\] and latitude in \[-90, 90\], "
+                   rf"got \({re.escape(repr(query[0]))}, {re.escape(repr(query[1]))}\)")
+        with pytest.raises(ValueError, match=message):
+            idw_interpolate(samples, *query)
+
+    def test_query_on_the_edge_of_the_globe_accepted(self):
+        samples = table(point(0.0, 0.0, 20.0), point(90.0, 0.0, 30.0))
+        for lon, lat in [(180.0, 90.0), (-180.0, -90.0), (180.0, 0.0)]:
+            assert idw_interpolate(samples, lon, lat) == naive_idw(samples, lon, lat, DEFAULT_IDW_POWER, None)
+
+    @pytest.mark.parametrize("cap", [2.5, 2.0, True, "2"])
+    def test_non_integer_max_neighbors_rejected(self, cap):
+        samples = table(point(1.0, 0.0, 10.0), point(2.0, 0.0, 20.0), point(50.0, 0.0, 1000.0))
+        message = f"max_neighbors must be an integer, got {re.escape(repr(cap))}"
+        with pytest.raises(ValueError, match=message):
+            idw_interpolate(samples, 0.0, 0.0, max_neighbors=cap)
+        with pytest.raises(ValueError, match=message):
+            interpolate_grid(samples, 0.0, 1.0, 0.0, 1.0, 2, 2, max_neighbors=cap)
+
+    def test_integer_like_max_neighbors_accepted(self):
+        samples = table(point(1.0, 0.0, 10.0), point(2.0, 0.0, 20.0), point(50.0, 0.0, 1000.0))
+        assert idw_interpolate(samples, 0.0, 0.0, max_neighbors=np.int64(2)) == \
+            idw_interpolate(samples, 0.0, 0.0, max_neighbors=2)
+
 
 class TestInterpolateGrid:
     def test_row_count_and_extent(self):
@@ -187,6 +218,21 @@ class TestInterpolateGrid:
         samples = table(point(100.0, 25.0, 20.0))
         rows = interpolate_grid(samples, 102.0, 102.0, 26.0, 26.0, 1, 1)
         assert rows == [(102.0, 26.0, 20.0)]
+
+    @pytest.mark.parametrize("bounds", [(100.0, 110.0, 25.0, 95.0), (-181.0, 110.0, 25.0, 35.0),
+                                        (100.0, 400.0, 25.0, 35.0), (100.0, 110.0, -90.5, 35.0),
+                                        (math.nan, 110.0, 25.0, 35.0), (100.0, 110.0, 25.0, math.inf)])
+    def test_bounds_off_the_globe_rejected(self, bounds):
+        samples = table(point(104.0, 30.0, 20.0), point(106.0, 31.0, 30.0))
+        with pytest.raises(ValueError, match=r"grid bounds must have longitude in \[-180, 180\] and latitude in "
+                                             rf"\[-90, 90\], got {re.escape(repr(bounds))}"):
+            interpolate_grid(samples, *bounds, 3, 2)
+
+    def test_whole_globe_grid_accepted(self):
+        samples = table(point(104.0, 30.0, 20.0), point(106.0, 31.0, 30.0))
+        rows = interpolate_grid(samples, -180.0, 180.0, -90.0, 90.0, 3, 3)
+        assert [(lon, lat) for lon, lat, _ in rows[:3]] == [(-180.0, -90.0), (0.0, -90.0), (180.0, -90.0)]
+        assert rows[-1][:2] == (180.0, 90.0)
 
     def test_csv_layout(self):
         lines = grid_to_csv([(102.0, 26.0, 21.5)]).splitlines()
@@ -322,10 +368,11 @@ class TestIdwCost:
         assert [g for _, _, g in capped] == [naive_idw(samples, lon, lat, 2.0, cap) for lon, lat, _ in capped]
 
     def test_asin_domain_error_raised_for_every_cap(self):
-        # Queries are only checked to be finite. This one, past the pole, is
-        # almost antipodal to the first point, and their haversine argument
-        # rounds above 1, where math.asin raises. With a cap that pair is not
-        # a candidate, and the kernel still raises as the per-pair loop does.
+        # This query, past the pole, is almost antipodal to the first point,
+        # and their haversine argument rounds above 1, where math.asin raises.
+        # The public functions reject it as off the globe, so the kernel is
+        # called directly. With a cap that pair is not a candidate, and the
+        # kernel still raises as the per-pair loop does, alone or in a block.
         query = (780.3750505931939, 1037.1891982874113)
         samples = table(point(-119.62494940680612, 42.81080171258884, 1.0), point(0.0, 0.0, 2.0),
                         point(10.0, 5.0, 3.0))
@@ -333,8 +380,12 @@ class TestIdwCost:
             haversine_m(*query, -119.62494940680612, 42.81080171258884)
         for cap in (None, 1, 2, 3):
             with pytest.raises(ValueError, match="math domain error"):
-                idw_interpolate(samples, *query, max_neighbors=cap)
+                geotemp._idw(samples, [query[0]], [query[1]], DEFAULT_IDW_POWER, cap)
             with pytest.raises(ValueError, match="math domain error"):
+                geotemp._idw(samples, [5.0, query[0]], [1.0, query[1]], DEFAULT_IDW_POWER, cap)
+            with pytest.raises(ValueError, match="query point must have longitude"):
+                idw_interpolate(samples, *query, max_neighbors=cap)
+            with pytest.raises(ValueError, match="grid bounds must have longitude"):
                 interpolate_grid(samples, query[0], query[0], query[1], query[1], 1, 1, max_neighbors=cap)
 
 

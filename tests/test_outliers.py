@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from shale_adsorb.outliers import (
     weighted_relative_error,
 )
 from conftest import make_record
-from helpers import naive_neighbours, naive_r_values
+from helpers import naive_neighbours, naive_r_values, naive_relative_error
 
 
 class TestQuartiles:
@@ -171,6 +172,31 @@ class TestWeightedRelativeError:
         with pytest.raises(ValueError, match="at least 6"):
             weighted_relative_error(0, records, DistanceWeights({"toc": 1.0}), 5, "vl")
 
+    @pytest.mark.parametrize("k", [2.5, 2.0, True, "2", None])
+    def test_non_integer_k_rejected(self, k):
+        records = [make_record(i, toc=float(i + 1), temp=48.0, vl=2.0) for i in range(6)]
+        with pytest.raises(ValueError, match=f"k must be an integer, got {re.escape(repr(k))}"):
+            weighted_relative_error(0, records, DistanceWeights({"toc": 1.0}), k, "vl")
+
+    def test_missing_dependent_checked_only_in_row_and_neighbours(self):
+        # r5 lacks vl. With k = 2 it is a neighbour of r4 (toc 5) but of none
+        # of r0..r3, whose two nearest are at most 1 away.
+        records = [make_record(i, toc=float(i + 1), temp=40.0 + i, vl=2.0 + i) for i in range(5)]
+        records.append(make_record(5, toc=5.5, temp=45.0))
+        weights = DistanceWeights({"toc": 1.0})
+        message = "^dependent variable vl missing from record or neighbours$"
+        for i in range(4):
+            r, neighbors, w = weighted_relative_error(i, records, weights, 2, "vl")
+            assert 5 not in neighbors
+            deps = [rec.vl for rec in records]
+            dists = [statistical_distance(records[i], records[j], weights) for j in neighbors]
+            assert (r, w) == naive_relative_error(i, neighbors, dists, deps, "vl")
+        for i in (4, 5):
+            with pytest.raises(ValueError, match=message):
+                weighted_relative_error(i, records, weights, 2, "vl")
+        with pytest.raises(ValueError, match=message):
+            detect_outliers(records, DatasetKind.VL, k=2)
+
 
 def _clone_cloud_with_planted_outlier(n_clones=24, factor=10.0):
     """Near-identical records plus one record with a scaled dependent value.
@@ -252,6 +278,18 @@ class TestDetectOutliers:
         with pytest.raises(ValueError, match=f"need at least {len(records) + 1} records"):
             detect_outliers(records, DatasetKind.VL, k=len(records))
 
+    @pytest.mark.parametrize("k", [2.5, 2.0, True, "5", None])
+    def test_non_integer_k_rejected(self, k):
+        records = _clone_cloud_with_planted_outlier()
+        with pytest.raises(ValueError, match=f"k must be an integer, got {re.escape(repr(k))}"):
+            detect_outliers(records, DatasetKind.VL, k=k)
+
+    def test_integer_like_k_accepted(self):
+        records = _clone_cloud_with_planted_outlier()
+        report = detect_outliers(records, DatasetKind.VL, k=np.int64(5))
+        assert type(report.k) is int and report.k == 5
+        assert report.r_values == detect_outliers(records, DatasetKind.VL, k=5).r_values
+
     def test_nan_threshold_rejected(self):
         records = _clone_cloud_with_planted_outlier()
         with pytest.raises(ValueError, match="threshold must not be NaN"):
@@ -305,6 +343,23 @@ def _tied_pl_records(n=640):
     return records
 
 
+def assert_scores_equal_per_record_loop(records, kind, k):
+    """Every R and weight of ``detect_outliers`` is ``==`` to :func:`naive_relative_error` of its row.
+
+    The oracle gets the report's neighbours with their ``statistical_distance``.
+    """
+    report = detect_outliers(records, kind, k=k)
+    weights = compute_weights(records, kind.independent_vars)
+    deps = [getattr(rec, kind.dependent_var) for rec in records]
+    for i, neighbors in enumerate(report.neighbor_indices):
+        dists = [statistical_distance(records[i], records[j], weights) for j in neighbors]
+        r, w = naive_relative_error(i, neighbors, dists, deps, kind.dependent_var)
+        assert report.r_values[i] == r, i
+        assert report.neighbor_weights[i] == w, i
+    assert report.flagged == [r > report.threshold for r in report.r_values]
+    return report
+
+
 class TestBlockedKernelExactness:
     """The blocked kernel against a one-row call and a brute-force argsort."""
 
@@ -325,6 +380,21 @@ class TestBlockedKernelExactness:
             assert any(dist[k - 1] == dist[k] for _, dist in wider)
         naive = naive_r_values(records, ("temp", "toc", "ro"), "pl", k)
         assert report.r_values == pytest.approx(list(naive), rel=1e-12)
+
+    # k >= 8 takes NumPy's unrolled pairwise sum of each row.
+    @pytest.mark.parametrize("k", [1, 5, 8, 12, 639])
+    def test_scores_equal_per_record_loop(self, records, k):
+        assert_scores_equal_per_record_loop(records, DatasetKind.PL, k)
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_scores_equal_per_record_loop_when_neighbours_coincide(self, k):
+        # Six copies of each place: every record's k neighbours are copies at
+        # distance 0, so every row takes the uniform weights.
+        records = [make_record(6 * g + c, toc=float(2 + g), temp=30.0 + 7.0 * (g % 3), vl=1.5 + 0.5 * c)
+                   for g in range(5) for c in range(6)]
+        report = assert_scores_equal_per_record_loop(records, DatasetKind.VL, k)
+        assert all(w == [1.0 / k] * k for w in report.neighbor_weights)
+        assert all(j // 6 == i // 6 for i, nb in enumerate(report.neighbor_indices) for j in nb)
 
     @pytest.mark.parametrize("k", [1, 5, 12, 639])
     def test_every_row_equals_single_row_call(self, records, k):
@@ -374,6 +444,19 @@ def test_row_permutation_keeps_r_flags_and_neighbour_sets(rows, data):
             assert r == pytest.approx(base.r_values[i], rel=1e-12)
             if abs(r - base.threshold) > 1e-9:
                 assert flag == base.flagged[i]
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(rows=_vl_rows, data=st.data())
+def test_scores_equal_per_record_loop_property(rows, data):
+    # Repeated places make ties and zero distances.
+    rows = rows + data.draw(st.lists(st.sampled_from(rows), max_size=10))
+    records = [make_record(i, toc=toc, temp=temp, vl=vl) for i, (toc, temp, vl) in enumerate(rows)]
+    try:
+        compute_weights(records, DatasetKind.VL.independent_vars)
+    except ZeroIqrError:
+        assume(False)
+    assert_scores_equal_per_record_loop(records, DatasetKind.VL, data.draw(st.integers(1, len(records) - 1)))
 
 
 def assert_stable_first_k(dist, k):
