@@ -28,8 +28,6 @@ from .estimator import (
     langmuir_volume,
     parse_reservoirs,
     reference_models,
-    reservoir_pressure,
-    reservoir_temperature,
 )
 from .geotemp import (
     HeatFlowTable,
@@ -45,7 +43,6 @@ from .outliers import (
     compute_weights,
     detect_outliers,
     quartiles,
-    statistical_distance,
     weighted_relative_error,
 )
 from .regression import (

@@ -176,16 +176,6 @@ class ReservoirTable:
         return np.where(self.has_pressure_override, self.pressure_override, derived)
 
 
-def reservoir_temperature(spec: ReservoirSpec) -> float:
-    """Reservoir temperature (degC): override, or surface + gradient * depth."""
-    return ReservoirTable.from_specs([spec]).temperatures().item()
-
-
-def reservoir_pressure(spec: ReservoirSpec) -> float:
-    """Reservoir pressure (MPa): override, or alpha * hydrostatic column."""
-    return ReservoirTable.from_specs([spec]).pressures().item()
-
-
 def _predictions(model: FittedModel, query: dict[str, np.ndarray]) -> np.ndarray:
     """``model.predict`` of each query row: its regressors, one ``vecdot`` and the inverse per element."""
     spec = model.spec
@@ -261,14 +251,6 @@ def _extrapolated(toc, ro, temp) -> np.ndarray:
     """Whether the inputs lie outside each range of ``dataset.FIT_RANGES``, on a last axis in its order."""
     values = {"temp": temp, "ro": ro, "toc": toc}
     return np.stack([np.logical_not(in_range(values[field])) for field, in_range in FIT_RANGES], axis=-1)
-
-
-def fit_range_warnings(toc: float, ro: float, temp: float) -> tuple[str, ...]:
-    """``<field>-extrapolation`` codes for inputs outside ``dataset.FIT_RANGES``.
-
-    Estimates outside those ranges still run; the codes tag them.
-    """
-    return tuple(compress(_WARNING_CODES, _extrapolated(toc, ro, temp).tolist()))
 
 
 @dataclass(frozen=True)

@@ -91,15 +91,6 @@ class InvalidHeatFlowPoint(ValueError):
         self.reason = reason
 
 
-def haversine_m(lon1: float, lat1: float, lon2: float, lat2: float) -> float:
-    """Great-circle distance in meters between two lon/lat points."""
-    lon1, lat1, lon2, lat2 = map(math.radians, (lon1, lat1, lon2, lat2))
-    dlon = lon2 - lon1
-    dlat = lat2 - lat1
-    a = math.sin(dlat / 2.0) ** 2 + math.cos(lat1) * math.cos(lat2) * math.sin(dlon / 2.0) ** 2
-    return 2.0 * EARTH_RADIUS_M * math.asin(math.sqrt(a))
-
-
 def filter_heatflow(
     points: HeatFlowTable,
     min_depth: float = DEFAULT_MIN_SECTION_DEPTH_M,
@@ -135,12 +126,12 @@ def _idw(
     power: float,
     max_neighbors: int | None,
 ) -> list[float]:
-    """IDW gradient at each (lon, lat) query, bit for bit the per-pair ``haversine_m`` loop.
+    """IDW gradient at each (lon, lat) query, bit for bit the oracle ``naive_idw`` in ``tests/helpers.py``.
 
     Works on blocks of queries holding about ``BLOCK_PAIRS`` (query, sample)
     pairs. NumPy does only the correctly rounded steps (+ - * /, ``sqrt``,
     comparisons, ``partition``, ``argsort``, ``lexsort`` and a left-to-right
-    ``cumsum``), in the order ``haversine_m`` and the nearest-first weighted
+    ``cumsum``), in the order its ``haversine_m`` and nearest-first weighted
     sum use. Every ``sin``, ``cos``, ``asin`` and ``pow`` is the ``math`` or
     builtin call on Python floats: the sine terms once per distinct query
     latitude or longitude, ``cos`` once per point, and the weight
@@ -240,7 +231,7 @@ def interpolate_grid(
     """Interpolated (lon, lat, gradient) rows on an inclusive regular grid.
 
     The bounds must have longitudes in [-180, 180] and latitudes in [-90, 90].
-    Node counts may be given as floats but must be whole numbers. Every node
+    Node counts may be whole floats, but not fractions or bools. Every node
     equals ``idw_interpolate`` at its (lon, lat). All nodes go through one
     blocked NumPy pass: O(q * n log n) for q nodes and n samples, with
     memory bounded per block, and q * n ``asin`` calls; with
@@ -249,13 +240,13 @@ def interpolate_grid(
     if not (all(-180.0 <= lon <= 180.0 for lon in (lon_min, lon_max))
             and all(-90.0 <= lat <= 90.0 for lat in (lat_min, lat_max))):
         raise ValueError(f"grid bounds must have {_ON_GLOBE}, got {(lon_min, lon_max, lat_min, lat_max)!r}")
-    if not (float(n_lon).is_integer() and float(n_lat).is_integer()):
+    if any(isinstance(count, bool) or not float(count).is_integer() for count in (n_lon, n_lat)):
         raise ValueError(f"grid node counts must be whole numbers, got {n_lon!r} x {n_lat!r}")
     if n_lon < 1 or n_lat < 1:
         raise ValueError("grid needs at least one point per axis")
     n_lon, n_lat = int(n_lon), int(n_lat)
-    lats = [lat_min if n_lat == 1 else lat_min + (lat_max - lat_min) * i / (n_lat - 1) for i in range(n_lat)]
-    lons = [lon_min if n_lon == 1 else lon_min + (lon_max - lon_min) * j / (n_lon - 1) for j in range(n_lon)]
+    lats = [float(lat_min) if n_lat == 1 else lat_min + (lat_max - lat_min) * i / (n_lat - 1) for i in range(n_lat)]
+    lons = [float(lon_min) if n_lon == 1 else lon_min + (lon_max - lon_min) * j / (n_lon - 1) for j in range(n_lon)]
     node_lons = lons * n_lat
     node_lats = [lat for lat in lats for _ in lons]
     return list(zip(node_lons, node_lats, _idw(samples, node_lons, node_lats, power, max_neighbors)))

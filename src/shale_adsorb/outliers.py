@@ -113,24 +113,6 @@ def compute_weights(records: Sequence[SampleRecord], variables: Sequence[str]) -
     return DistanceWeights(weights)
 
 
-def statistical_distance(a: SampleRecord, b: SampleRecord, weights: DistanceWeights) -> float:
-    """Weighted Euclidean distance between two records over the active variables.
-
-    Squares are taken as ``d * d``, which is correctly rounded (``d ** 2``
-    goes through libm ``pow``), so this agrees bit for bit with the blocked
-    neighbour kernel.
-    """
-    total = 0.0
-    for var, w in weights.by_variable.items():
-        va = getattr(a, var)
-        vb = getattr(b, var)
-        if va is None or vb is None:
-            raise ValueError(f"distance variable {var} missing from record {a.id if va is None else b.id}")
-        d = w * (va - vb)
-        total += d * d
-    return math.sqrt(total)
-
-
 def _check_neighbour_count(k: int, n: int) -> int:
     """``k`` as an ``int``, checked to be a whole count from 1 to n - 1."""
     k = require_int("k", k)
@@ -249,7 +231,8 @@ def weighted_relative_error(
     the unweighted neighbour mean.
 
     This is a one-row call of the kernel ``detect_outliers`` runs over
-    every record. Returns (R, neighbour indices, neighbour weights).
+    every record; its oracles are in ``tests/helpers.py``. Returns (R,
+    neighbour indices, neighbour weights).
     """
     n = len(records)
     k = _check_neighbour_count(k, n)
@@ -278,11 +261,11 @@ def detect_outliers(
     The neighbour search is exact brute force: O(n^2 * d) arithmetic for d
     distance variables, done in NumPy over blocks of rows so that one block
     holds about ``BLOCK_ELEMENTS`` distances whatever n is. Distances use
-    correctly rounded squares, so they agree bit for bit with
-    ``statistical_distance``. Scoring every record from its k neighbours is
-    then O(n * k) NumPy work in a few whole-array operations, with no
-    per-record Python; each R and weight equals ``weighted_relative_error``
-    for that record bit for bit.
+    correctly rounded squares, so they agree bit for bit with the oracle
+    ``statistical_distance`` in ``tests/helpers.py``. Scoring every record
+    from its k neighbours is then O(n * k) NumPy work in a few whole-array
+    operations, with no per-record Python; each R and weight equals the
+    oracle ``naive_relative_error`` there bit for bit.
     """
     n = len(records)
     k = _check_neighbour_count(k, n)

@@ -182,12 +182,13 @@ class ModelSpec:
         """The regressor row for one record; a trailing 1 carries the intercept."""
         return self.feature_rows([record])[0].tolist()
 
-    def response(self, record: SampleRecord) -> float:
-        """The transformed dependent value this model regresses on."""
-        value = getattr(record, self.dependent_var)
-        if value is None:
+    def dependent_values(self, records: Sequence[SampleRecord]) -> np.ndarray:
+        """The records' values of the dependent variable (pl or vl) as float64; the first missing one raises."""
+        column = [getattr(record, self.dependent_var) for record in records]
+        if None in column:
+            record = records[column.index(None)]
             raise ValueError(f"record {record.id} is missing dependent variable {self.dependent_var}")
-        return _FACTS[self.kind].response(value)
+        return np.array(column, dtype=float)
 
     def inverse_response(self, linear_value: float) -> float:
         """Map a fitted linear response back to the dependent variable's units."""
@@ -262,10 +263,9 @@ def predict_rows(spec: ModelSpec, x: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def build_design(records: Sequence[SampleRecord], spec: ModelSpec) -> DesignSystem:
-    """Assemble the regression system for a cleaned record list."""
+    """Assemble the regression system for a cleaned record list; the rows are checked before the responses."""
     x = spec.feature_rows(records)
-    y = [spec.response(rec) for rec in records]
-    return DesignSystem(x, np.array(y))
+    return DesignSystem(x, elementwise(_FACTS[spec.kind].response, spec.dependent_values(records)))
 
 
 def solve_normal_equations(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -384,12 +384,17 @@ def model_from_text(text: str) -> FittedModel:
     kind_value = entries.pop("kind")
     if kind_value not in _KIND_BY_VALUE:
         raise ValueError(f"unknown model kind {kind_value!r}")
-    kelvin = entries.pop("kelvin", "false").lower() == "true"
-    spec = ModelSpec(_KIND_BY_VALUE[kind_value], invtemp_kelvin=kelvin)
+    kind = _KIND_BY_VALUE[kind_value]
+    # pl-invtemp's only option; any other value, or any other kind, leaves it an unexpected entry
+    kelvin = kind is ModelKind.PL_INVTEMP and entries.get("kelvin", "").lower() in ("true", "false")
+    spec = ModelSpec(kind, invtemp_kelvin=kelvin and entries.pop("kelvin").lower() == "true")
+    if "n_fit" not in entries:
+        raise ValueError("model file is missing the n_fit entry")
+    n_fit_value = entries.pop("n_fit")
     try:
-        n_fit = int(entries.pop("n_fit"))
-    except KeyError:
-        raise ValueError("model file is missing the n_fit entry") from None
+        n_fit = int(n_fit_value)
+    except ValueError:
+        raise ValueError(f"model file entry n_fit must be a whole number, got {n_fit_value!r}") from None
     coefficients = []
     for name in spec.coefficient_names:
         if name not in entries:

@@ -125,11 +125,6 @@ def qq_data(errors: Sequence[float]) -> list[tuple[float, float]]:
     ]
 
 
-def _dependent_values(records: Sequence[SampleRecord], spec: ModelSpec) -> np.ndarray:
-    """The records' values of the spec's dependent variable (pl or vl)."""
-    return np.array([getattr(rec, spec.dependent_var) for rec in records], dtype=float)
-
-
 def _leave_one_out_masks(m: int):
     """Training-row masks of the m folds; one array, updated in place per fold."""
     mask = np.ones(m, dtype=bool)
@@ -165,7 +160,7 @@ def loo_cv(records: Sequence[SampleRecord], spec: ModelSpec,
             f"fold {exc.system} (record {records[exc.system].id}) left a singular training system: {exc}",
             system=exc.system,
         ) from exc
-    actual = _dependent_values(records, spec)
+    actual = spec.dependent_values(records)
     errors = ((actual - predict_rows(spec, system.x, w)) / actual * 100.0).tolist()
 
     mean, half_width = error_ci(errors, ci_level)
@@ -254,7 +249,7 @@ def mean_abs_relative_error_pct(model: FittedModel, records: Sequence[SampleReco
         raise ValueError("empty evaluation set")
     spec = model.spec
     x = spec.feature_rows(records)
-    actual = _dependent_values(records, spec)
+    actual = spec.dependent_values(records)
     return _mean_abs_relative_errors_pct(actual, predict_rows(spec, x, np.array(model.coefficients)))
 
 
@@ -296,12 +291,13 @@ def compare_models(
     test = np.array([_test_mask(len(records), pool, n_test, [seed, rep])
                      for rep in range(1, repetitions + 1)])
     test_rows = np.nonzero(test)[1].reshape(repetitions, n_test)
-    actual = _dependent_values(records, specs[0])[test_rows]
 
     errors_by_spec: list[list[float]] = []
     failures = []
     for position, spec in enumerate(specs):
         system = build_design(records, spec)
+        # read after the design, so that a record missing a regressor is reported first
+        actual = spec.dependent_values(records)[test_rows]
         try:
             w = fit_row_subsets(system.x, system.y, ~test)
         except SingularSystemError as exc:

@@ -10,7 +10,14 @@ import math
 
 import numpy as np
 
-from shale_adsorb.dataset import RO_NORM_PCT, TEMP_NORM_C, TOC_NORM_PCT, SampleRecord, read_key_value_blocks
+from shale_adsorb.dataset import (
+    FIT_RANGES,
+    RO_NORM_PCT,
+    TEMP_NORM_C,
+    TOC_NORM_PCT,
+    SampleRecord,
+    read_key_value_blocks,
+)
 from shale_adsorb.estimator import (
     DEFAULT_SURFACE_TEMP_C,
     GRAVITY_N_PER_KG,
@@ -18,9 +25,9 @@ from shale_adsorb.estimator import (
     EstimateRow,
     LangmuirParams,
     ReservoirSpec,
-    fit_range_warnings,
 )
-from shale_adsorb.geotemp import EXACT_HIT_DISTANCE_M, haversine_m
+from shale_adsorb.geotemp import EARTH_RADIUS_M, EXACT_HIT_DISTANCE_M
+from shale_adsorb.outliers import DistanceWeights
 from shale_adsorb.regression import CELSIUS_TO_KELVIN, PIVOT_RTOL, FittedModel, ModelKind, SingularSystemError
 
 
@@ -34,7 +41,12 @@ def naive_feature_row(record, spec) -> list[float]:
         t_star, ro_star = record.temp / TEMP_NORM_C, record.ro / RO_NORM_PCT
         return [record.toc / TOC_NORM_PCT, math.log(t_star / ro_star), 1.0]
     if kind is ModelKind.VL_GEO:
-        return [record.toc / TOC_NORM_PCT, (record.temp / TEMP_NORM_C) ** 3, 1.0]
+        try:
+            cube = (record.temp / TEMP_NORM_C) ** 3
+        except OverflowError:
+            raise ValueError(f"vl-geo regressor overflows: (temp / {TEMP_NORM_C}) ** 3 is out of range "
+                             f"at temperature {record.temp!r} degC") from None
+        return [record.toc / TOC_NORM_PCT, cube, 1.0]
     if kind is ModelKind.PL_INVTEMP:
         t = record.temp + CELSIUS_TO_KELVIN if spec.invtemp_kelvin else record.temp
         if t == 0.0:
@@ -43,6 +55,47 @@ def naive_feature_row(record, spec) -> list[float]:
     if kind is ModelKind.VL_TOCLIN:
         return [record.toc, 1.0]
     return [math.log(record.toc), 1.0]
+
+
+# Model kind -> (response, inverse): the dependent value's transform into the
+# linear response the model regresses on, and back.
+NAIVE_TRANSFORMS = {
+    ModelKind.PL_GEO: (math.log, math.exp),
+    ModelKind.VL_GEO: (math.log, math.exp),
+    ModelKind.PL_INVTEMP: (lambda pl: -math.log(pl), lambda linear: math.exp(-linear)),
+    ModelKind.PL_TOCPOW: (math.log, math.exp),
+    ModelKind.VL_TOCPOW: (math.log, math.exp),
+    ModelKind.VL_TOCLIN: (lambda vl: vl, lambda linear: linear),
+}
+
+
+def naive_response(record, spec) -> float:
+    """One record's linear response: its dependent value through the kind's transform."""
+    value = getattr(record, spec.dependent_var)
+    if value is None:
+        raise ValueError(f"record {record.id} is missing dependent variable {spec.dependent_var}")
+    return NAIVE_TRANSFORMS[spec.kind][0](value)
+
+
+def naive_inverse(spec, linear: float) -> float:
+    """A linear response back in the dependent variable's units; an overflow names the kind and value."""
+    try:
+        return NAIVE_TRANSFORMS[spec.kind][1](linear)
+    except OverflowError:
+        raise ValueError(f"{spec.kind.value} prediction overflows: linear response {linear!r} "
+                         f"is out of range for {spec.dependent_var}") from None
+
+
+def naive_predict(model, record) -> float:
+    """One record's prediction: ``np.dot`` of its naive regressor row and the coefficients, then the inverse."""
+    linear = float(np.dot(naive_feature_row(record, model.spec), model.coefficients))
+    return naive_inverse(model.spec, linear)
+
+
+def naive_fit_range_warnings(toc, ro, temp) -> tuple[str, ...]:
+    """``<field>-extrapolation`` for each range of ``dataset.FIT_RANGES`` the inputs lie outside, in its order."""
+    values = {"toc": toc, "ro": ro, "temp": temp}
+    return tuple(f"{field}-extrapolation" for field, in_range in FIT_RANGES if not in_range(values[field]))
 
 
 def lstsq_oracle(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -110,8 +163,8 @@ def naive_split(records, scenario, test_fraction, seed):
 
 def naive_fit(records, spec) -> FittedModel:
     """Design rows built per record, normal equations solved by :func:`naive_pivot_solve`."""
-    x = np.array([spec.feature_row(rec) for rec in records], dtype=float).reshape(len(records), -1)
-    y = np.array([spec.response(rec) for rec in records], dtype=float)
+    x = np.array([naive_feature_row(rec, spec) for rec in records], dtype=float).reshape(len(records), -1)
+    y = np.array([naive_response(rec, spec) for rec in records], dtype=float)
     if len(records) < spec.n_coefficients:
         raise SingularSystemError(f"fewer records ({len(records)}) than coefficients ({spec.n_coefficients})")
     w = naive_pivot_solve(x.T @ x, x.T @ y)
@@ -133,7 +186,7 @@ def naive_compare(records, specs, scenario, test_fraction, repetitions, seed):
             total = 0.0
             for rec in test:
                 actual = getattr(rec, spec.dependent_var)
-                total += abs((actual - model.predict(rec)) / actual)
+                total += abs((actual - naive_predict(model, rec)) / actual)
             error = total / len(test) * 100.0
             rows.append((label, spec.kind.value, error))
             per_spec_errors[spec.kind.value].append(error)
@@ -147,14 +200,14 @@ def naive_compare(records, specs, scenario, test_fraction, repetitions, seed):
 
 def naive_loo_errors(records, spec) -> list[float]:
     """Literal delete-row-and-refit leave-one-out, percent signed errors."""
-    x = np.array([spec.feature_row(rec) for rec in records], dtype=float)
-    y = np.array([spec.response(rec) for rec in records], dtype=float)
+    x = np.array([naive_feature_row(rec, spec) for rec in records], dtype=float)
+    y = np.array([naive_response(rec, spec) for rec in records], dtype=float)
     errors = []
     for i in range(len(records)):
         xi = np.delete(x, i, axis=0)
         yi = np.delete(y, i)
         w = naive_normal_solve(xi, yi)
-        predicted = spec.inverse_response(float(x[i] @ w))
+        predicted = naive_inverse(spec, float(x[i] @ w))
         actual = getattr(records[i], spec.dependent_var)
         errors.append((actual - predicted) / actual * 100.0)
     return errors
@@ -217,6 +270,33 @@ def naive_relative_error(index, neighbors, dists, deps, dependent) -> tuple[floa
     return numerator / denominator, w.tolist()
 
 
+def statistical_distance(a: SampleRecord, b: SampleRecord, weights: DistanceWeights) -> float:
+    """Weighted Euclidean distance between two records over the active variables.
+
+    The per-pair form of the outlier screen's blocked neighbour kernel.
+    Squares are taken as ``d * d``, which is correctly rounded (``d ** 2``
+    goes through libm ``pow``), so this agrees bit for bit with the kernel.
+    """
+    total = 0.0
+    for var, w in weights.by_variable.items():
+        va = getattr(a, var)
+        vb = getattr(b, var)
+        if va is None or vb is None:
+            raise ValueError(f"distance variable {var} missing from record {a.id if va is None else b.id}")
+        d = w * (va - vb)
+        total += d * d
+    return math.sqrt(total)
+
+
+def haversine_m(lon1: float, lat1: float, lon2: float, lat2: float) -> float:
+    """Great-circle distance in meters between two lon/lat points, the per-pair form of the IDW kernel."""
+    lon1, lat1, lon2, lat2 = map(math.radians, (lon1, lat1, lon2, lat2))
+    dlon = lon2 - lon1
+    dlat = lat2 - lat1
+    a = math.sin(dlat / 2.0) ** 2 + math.cos(lat1) * math.cos(lat2) * math.sin(dlon / 2.0) ** 2
+    return 2.0 * EARTH_RADIUS_M * math.asin(math.sqrt(a))
+
+
 def naive_idw(samples, lon, lat, power, max_neighbors, distance=haversine_m) -> float:
     """Per-pair inverse-distance weighting, the loop the IDW kernel replaced.
 
@@ -243,7 +323,7 @@ def naive_estimate(spec, pl_model, vl_model) -> EstimateRow:
     """One reservoir at a time, the loop the batched estimate replaced.
 
     Resolve temperature and pressure, check the pressure, validate a query
-    record, predict each model with ``FittedModel.predict``, validate the
+    record, predict each model with :func:`naive_predict`, validate the
     Langmuir parameters and evaluate the isotherm.
     """
     if spec.temp_override is not None:
@@ -257,11 +337,11 @@ def naive_estimate(spec, pl_model, vl_model) -> EstimateRow:
     if not pressure > 0:
         raise ValueError(f"pressure must be positive, got {pressure}")
     query = SampleRecord(id="query", reservoir="", toc=spec.toc, temp=temp, ro=spec.ro)
-    params = LangmuirParams(pl=pl_model.predict(query), vl=vl_model.predict(query))
+    params = LangmuirParams(pl=naive_predict(pl_model, query), vl=naive_predict(vl_model, query))
     return EstimateRow(
         reservoir=spec.name, depth_m=spec.depth, toc_pct=spec.toc, ro_pct=spec.ro,
         temp_c=temp, pressure_mpa=pressure, adsorbed_m3t=params.vl / (1.0 + params.pl / pressure),
-        warnings=fit_range_warnings(spec.toc, spec.ro, temp),
+        warnings=naive_fit_range_warnings(spec.toc, spec.ro, temp),
     )
 
 

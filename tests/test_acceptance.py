@@ -17,9 +17,9 @@ from shale_adsorb.estimator import (
     REFERENCE_VL_COEFFICIENTS,
     LangmuirParams,
     ReservoirSpec,
+    ReservoirTable,
     estimate_adsorbed_gas,
     langmuir_volume,
-    reservoir_pressure,
 )
 from shale_adsorb.geotemp import HeatFlowTable, idw_interpolate
 from shale_adsorb.outliers import (
@@ -71,10 +71,9 @@ def test_criterion_1_nine_reservoir_reproduction(tmp_path, data_dir):
 
 
 def test_criterion_2_depth_derived_pressures():
-    deviations = []
-    for depth, expected in zip(TABLE_DEPTHS, TABLE_PRESSURES):
-        spec = ReservoirSpec(name="row", depth=depth, toc=2.0, ro=1.0, temp_override=50.0)
-        deviations.append(abs(reservoir_pressure(spec) - expected))
+    specs = [ReservoirSpec(name="row", depth=depth, toc=2.0, ro=1.0, temp_override=50.0) for depth in TABLE_DEPTHS]
+    pressures = ReservoirTable.from_specs(specs).pressures().tolist()
+    deviations = [abs(pressure - expected) for pressure, expected in zip(pressures, TABLE_PRESSURES)]
     _report(2, max(deviations) <= 0.01, f"max pressure deviation {max(deviations):.4f} MPa")
 
 

@@ -14,17 +14,14 @@ from shale_adsorb.estimator import (
     estimate_reservoir,
     estimate_reservoirs,
     estimates_to_csv,
-    fit_range_warnings,
     langmuir_volume,
     parse_reservoirs,
     reference_models,
-    reservoir_pressure,
-    reservoir_temperature,
 )
 from shale_adsorb.dataset import FIT_RANGES, DatasetKind, clean
 from shale_adsorb.regression import FittedModel, ModelKind, ModelSpec
 from conftest import make_record
-from helpers import naive_estimate, naive_parse_reservoirs
+from helpers import naive_estimate, naive_fit_range_warnings, naive_parse_reservoirs
 
 # Nine reference reservoirs: depth, toc, ro, temperature, expected pressure
 # and expected adsorbed content.
@@ -43,6 +40,20 @@ REFERENCE_RESERVOIRS = [
 
 def _spec(name, depth, toc, ro, temp, **kwargs):
     return ReservoirSpec(name=name, depth=depth, toc=toc, ro=ro, temp_override=temp, **kwargs)
+
+
+def _temperatures(*specs):
+    return ReservoirTable.from_specs(specs).temperatures().tolist()
+
+
+def _pressures(*specs):
+    return ReservoirTable.from_specs(specs).pressures().tolist()
+
+
+def _warnings(*inputs):
+    """The joined warning codes of the reference-model estimate of a reservoir at each (toc, ro, temp)."""
+    specs = [_spec(f"R{i}", 2000.0, toc, ro, temp) for i, (toc, ro, temp) in enumerate(inputs)]
+    return estimate_reservoirs(ReservoirTable.from_specs(specs), *reference_models()).warnings()
 
 
 def test_reference_coefficients_are_pinned():
@@ -86,18 +97,18 @@ class TestLangmuirVolume:
 class TestReservoirTemperature:
     def test_zero_depth_returns_surface(self):
         spec = ReservoirSpec(name="x", depth=0.0, toc=2.0, ro=1.0, grad_t=30.0)
-        assert reservoir_temperature(spec) == 20.0
+        assert _temperatures(spec) == [20.0]
 
     def test_gradient_reproduces_back_solved_value(self):
         # the gradient implied by 86.98 degC at 3230 m under a 20 degC surface
         grad = (86.98 - 20.0) / 3.230
         spec = ReservoirSpec(name="x", depth=3230.0, toc=2.58, ro=3.03, grad_t=grad)
-        assert reservoir_temperature(spec) == pytest.approx(86.98, abs=1e-9)
+        assert _temperatures(spec) == pytest.approx([86.98], abs=1e-9)
 
     def test_override_wins_over_gradient(self):
         spec = ReservoirSpec(name="x", depth=4023.0, toc=4.65, ro=1.57,
                              grad_t=25.0, temp_override=95.99)
-        assert reservoir_temperature(spec) == 95.99
+        assert _temperatures(spec) == [95.99]
 
     def test_missing_both_sources_rejected(self):
         with pytest.raises(ValueError, match="gradt_c_per_km or temp_c"):
@@ -110,20 +121,19 @@ class TestReservoirPressure:
     ])
     def test_depth_derived_pressures(self, name, depth, expected):
         spec = _spec(name, depth, 2.0, 1.0, 50.0)
-        assert reservoir_pressure(spec) == pytest.approx(expected, abs=0.01)
+        assert _pressures(spec) == pytest.approx([expected], abs=0.01)
 
     def test_zero_depth(self):
-        assert reservoir_pressure(_spec("x", 0.0, 2.0, 1.0, 50.0)) == 0.0
+        assert _pressures(_spec("x", 0.0, 2.0, 1.0, 50.0)) == [0.0]
 
     def test_alpha_scales_pressure(self):
         base = _spec("x", 1000.0, 2.0, 1.0, 50.0)
         doubled = _spec("x", 1000.0, 2.0, 1.0, 50.0, alpha=2.0)
-        assert reservoir_pressure(base) == pytest.approx(9.8)
-        assert reservoir_pressure(doubled) == pytest.approx(19.6)
+        assert _pressures(base, doubled) == pytest.approx([9.8, 19.6])
 
     def test_override_wins(self):
         spec = _spec("x", 1000.0, 2.0, 1.0, 50.0, pressure_override=31.65)
-        assert reservoir_pressure(spec) == 31.65
+        assert _pressures(spec) == [31.65]
 
 
 class TestEstimateAdsorbedGas:
@@ -200,12 +210,12 @@ class TestEstimateReservoir:
         assert boosted.adsorbed_m3t > base.adsorbed_m3t
 
     def test_extrapolation_warnings(self):
-        assert fit_range_warnings(toc=2.05, ro=1.54, temp=106.19) == ("temp-extrapolation",)
-        assert fit_range_warnings(toc=2.0, ro=4.5, temp=50.0) == ("ro-extrapolation",)
-        assert fit_range_warnings(toc=0.5, ro=1.0, temp=50.0) == ("toc-extrapolation",)
-        assert fit_range_warnings(toc=18.0, ro=4.0, temp=95.0) == (
-            "temp-extrapolation", "ro-extrapolation", "toc-extrapolation")
-        assert fit_range_warnings(toc=4.0, ro=1.5, temp=48.0) == ()
+        inputs = [(2.05, 1.54, 106.19), (2.0, 4.5, 50.0), (0.5, 1.0, 50.0), (18.0, 4.0, 95.0), (4.0, 1.5, 48.0)]
+        assert _warnings(*inputs) == ["temp-extrapolation", "ro-extrapolation", "toc-extrapolation",
+                                      "temp-extrapolation;ro-extrapolation;toc-extrapolation", ""]
+        assert [naive_fit_range_warnings(*row) for row in inputs] == [
+            ("temp-extrapolation",), ("ro-extrapolation",), ("toc-extrapolation",),
+            ("temp-extrapolation", "ro-extrapolation", "toc-extrapolation"), ()]
 
     # (field, value, inside the fitted range): each bound, just inside and
     # just outside.
@@ -222,7 +232,7 @@ class TestEstimateReservoir:
     @pytest.mark.parametrize("field, value, inside", FIT_RANGE_BOUNDS)
     def test_cleaning_rejects_exactly_what_estimates_warn(self, field, value, inside):
         inputs = {"toc": 4.0, "ro": 1.5, "temp": 48.0, field: value}
-        warned = f"{field}-extrapolation" in fit_range_warnings(**inputs)
+        warned = f"{field}-extrapolation" in _warnings((inputs["toc"], inputs["ro"], inputs["temp"]))[0].split(";")
         record = make_record(1, pl=5.0, vl=2.0, **inputs)
         for kind in DatasetKind:
             if field not in kind.independent_vars:

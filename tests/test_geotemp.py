@@ -15,13 +15,12 @@ from shale_adsorb.geotemp import (
     InvalidHeatFlowPoint,
     filter_heatflow,
     grid_to_csv,
-    haversine_m,
     idw_interpolate,
     interpolate_grid,
     parse_heatflow,
 )
 from shale_adsorb.dataset import SampleParseError, write_csv
-from helpers import naive_idw
+from helpers import haversine_m, naive_idw
 
 
 def point(lon, lat, grad_t, depth=1000.0):
@@ -82,6 +81,8 @@ class TestHeatFlowTable:
 
 
 class TestHaversine:
+    """The per-pair oracle ``helpers.haversine_m`` that the IDW kernel is checked against."""
+
     def test_zero_distance(self):
         assert haversine_m(105.0, 30.0, 105.0, 30.0) == 0.0
 
@@ -227,6 +228,23 @@ class TestInterpolateGrid:
         with pytest.raises(ValueError, match=r"grid bounds must have longitude in \[-180, 180\] and latitude in "
                                              rf"\[-90, 90\], got {re.escape(repr(bounds))}"):
             interpolate_grid(samples, *bounds, 3, 2)
+
+    @pytest.mark.parametrize("counts", [(True, 2), (3, False), (True, True), (2.5, 2), (3, 1.5)])
+    def test_bool_or_fractional_node_counts_rejected(self, counts):
+        samples = table(point(104.0, 30.0, 20.0), point(106.0, 31.0, 30.0))
+        message = f"^grid node counts must be whole numbers, got {counts[0]!r} x {counts[1]!r}$"
+        with pytest.raises(ValueError, match=message):
+            interpolate_grid(samples, 100.0, 110.0, 25.0, 35.0, *counts)
+
+    def test_one_node_axis_is_float_with_integer_bounds(self):
+        samples = table(point(104.0, 30.0, 20.0), point(106.0, 31.0, 30.0))
+        rows = interpolate_grid(samples, 100, 110, 25, 35, 1, 2)
+        assert [(type(lon), type(lat)) for lon, lat, _ in rows] == [(float, float)] * 2
+        assert [line.split(",")[:2] for line in grid_to_csv(rows).splitlines()[1:]] == [
+            ["100.0", "25.0"], ["100.0", "35.0"]]
+        rows = interpolate_grid(samples, 100, 110, 25, 35, 2, 1)
+        assert [(repr(lon), repr(lat)) for lon, lat, _ in rows] == [("100.0", "25.0"), ("110.0", "25.0")]
+        assert rows == interpolate_grid(samples, 100.0, 110.0, 25.0, 35.0, 2, 1)
 
     def test_whole_globe_grid_accepted(self):
         samples = table(point(104.0, 30.0, 20.0), point(106.0, 31.0, 30.0))

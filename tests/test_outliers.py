@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from shale_adsorb import outliers
 from shale_adsorb.dataset import DatasetKind
 from shale_adsorb.outliers import (
     BLOCK_ELEMENTS,
@@ -16,11 +17,10 @@ from shale_adsorb.outliers import (
     detect_outliers,
     nearest_first,
     quartiles,
-    statistical_distance,
     weighted_relative_error,
 )
 from conftest import make_record
-from helpers import naive_neighbours, naive_r_values, naive_relative_error
+from helpers import naive_neighbours, naive_r_values, naive_relative_error, statistical_distance
 
 
 class TestQuartiles:
@@ -68,22 +68,28 @@ class TestComputeWeights:
             DistanceWeights({"toc": -1.0})
 
 
+def kernel_distance(a, b, weights):
+    """The distance from record a to record b in the blocked neighbour kernel."""
+    _, dist = outliers._nearest(np.array([0]), outliers._distance_columns([a, b], weights), 1)
+    return dist.item()
+
+
 class TestStatisticalDistance:
     def test_identity_is_zero(self):
         a = make_record(1, toc=3.0, temp=50.0, ro=1.2)
         w = DistanceWeights({"toc": 1.0, "temp": 2.0, "ro": 0.5})
-        assert statistical_distance(a, a, w) == 0.0
+        assert kernel_distance(a, a, w) == 0.0
 
     def test_single_variable(self):
         a = make_record(1, toc=3.0, temp=50.0)
         b = make_record(2, toc=5.0, temp=50.0)
-        assert statistical_distance(a, b, DistanceWeights({"toc": 2.0})) == pytest.approx(4.0)
+        assert kernel_distance(a, b, DistanceWeights({"toc": 2.0})) == pytest.approx(4.0)
 
     def test_two_variables(self):
         a = make_record(1, toc=1.0, temp=10.0)
         b = make_record(2, toc=4.0, temp=14.0)
         w = DistanceWeights({"toc": 1.0, "temp": 2.0})
-        assert statistical_distance(a, b, w) == pytest.approx(math.sqrt(9 + 64))
+        assert kernel_distance(a, b, w) == pytest.approx(math.sqrt(9 + 64))
 
     def test_symmetry(self):
         rng = np.random.default_rng(0)
@@ -91,13 +97,13 @@ class TestStatisticalDistance:
         for _ in range(20):
             a = make_record(1, toc=float(rng.uniform(1, 10)), temp=float(rng.uniform(20, 80)))
             b = make_record(2, toc=float(rng.uniform(1, 10)), temp=float(rng.uniform(20, 80)))
-            assert statistical_distance(a, b, w) == pytest.approx(statistical_distance(b, a, w), abs=1e-15)
+            assert kernel_distance(a, b, w) == pytest.approx(kernel_distance(b, a, w), abs=1e-15)
 
     def test_missing_variable_rejected(self):
         a = make_record(1, toc=3.0, temp=50.0)
         b = make_record(2, toc=5.0, temp=50.0)
         with pytest.raises(ValueError, match="ro"):
-            statistical_distance(a, b, DistanceWeights({"ro": 1.0}))
+            kernel_distance(a, b, DistanceWeights({"ro": 1.0}))
 
 
 class TestWeightedRelativeError:

@@ -20,7 +20,7 @@ from shale_adsorb.regression import (
     solve_normal_equations,
 )
 from conftest import make_record, synthetic_records
-from helpers import lstsq_oracle, naive_feature_row, naive_pivot_solve
+from helpers import lstsq_oracle, naive_feature_row, naive_pivot_solve, naive_response
 
 PL_SPEC = ModelSpec(ModelKind.PL_GEO)
 VL_SPEC = ModelSpec(ModelKind.VL_GEO)
@@ -83,7 +83,8 @@ def _error(func, *args):
 
 
 class TestDesignEqualsPerRecordRows:
-    """``build_design`` and ``feature_row`` equal the per-record recipes (``helpers.naive_feature_row``) with ``==``."""
+    """``build_design`` and ``feature_row`` equal the per-record recipes (``helpers.naive_feature_row``
+    and ``helpers.naive_response``) with ``==``."""
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda spec: f"{spec.kind.value}-{spec.invtemp_kelvin}")
     def test_rows(self, spec):
@@ -91,6 +92,25 @@ class TestDesignEqualsPerRecordRows:
         expected = np.array([naive_feature_row(rec, spec) for rec in records])
         assert np.array_equal(build_design(records, spec).x, expected)
         assert [spec.feature_row(rec) for rec in records[:50]] == expected[:50].tolist()
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda spec: f"{spec.kind.value}-{spec.invtemp_kelvin}")
+    def test_responses(self, spec):
+        records = _wide_records(4000, seed=19)
+        expected = [naive_response(rec, spec) for rec in records]
+        assert build_design(records, spec).y.tolist() == expected
+        assert spec.dependent_values(records).tolist() == [getattr(rec, spec.dependent_var) for rec in records]
+
+    def test_first_missing_dependent_named_after_the_rows(self):
+        records = [make_record(i, toc=3.0, temp=50.0, ro=1.5, pl=4.0) for i in range(6)]
+        records[2] = make_record(2, toc=3.0, temp=50.0, ro=1.5)
+        records[4] = make_record(4, toc=3.0, temp=50.0, ro=1.5)
+        with pytest.raises(ValueError, match="^record r2 is missing dependent variable pl$"):
+            build_design(records, PL_SPEC)
+        with pytest.raises(ValueError, match="^record r2 is missing dependent variable pl$"):
+            PL_SPEC.dependent_values(records)
+        records[5] = make_record(5, toc=3.0, temp=50.0, pl=4.0)  # a later record's row fails first
+        with pytest.raises(ValueError, match="^record r5 is missing field ro required by pl-geo$"):
+            build_design(records, PL_SPEC)
 
     # name -> (spec, bad record fields); each breaks one row recipe.
     BAD_RECORDS = {
@@ -399,6 +419,27 @@ class TestModelSerialisation:
             model_from_text("kind=vl-toclin\na=1.0\na=5.0\n")
         with pytest.raises(ValueError, match="duplicate key 'slope'"):
             model_from_text("kind=vl-toclin\nslope=1\n\nintercept=0\nslope=5\nn_fit=3\n")
+
+    @pytest.mark.parametrize("value", ["true", "TRUE", "True", "false", "False"])
+    def test_kelvin_entry_is_true_or_false_in_any_case(self, value):
+        model = model_from_text(f"kind=pl-invtemp\nkelvin={value}\na=40.0\nc=-2.0\nn_fit=7\n")
+        assert model.spec.invtemp_kelvin is (value.lower() == "true")
+
+    @pytest.mark.parametrize("text", [
+        "kind=pl-invtemp\nkelvin=yes\na=40.0\nc=-2.0\nn_fit=7\n",
+        "kind=pl-invtemp\nkelvin=\na=40.0\nc=-2.0\nn_fit=7\n",
+        "kind=pl-invtemp\nkelvin=1\na=40.0\nc=-2.0\nn_fit=7\n",
+        "kind=pl-geo\nkelvin=true\na=1.0\nb=2.0\nc=3.0\nn_fit=7\n",
+        "kind=vl-toclin\nkelvin=false\nslope=1.0\nintercept=0.0\nn_fit=7\n",
+    ], ids=["yes", "empty", "one", "pl-geo", "vl-toclin"])
+    def test_other_kelvin_entries_are_unexpected(self, text):
+        with pytest.raises(ValueError, match=r"^model file has unexpected entries: \['kelvin'\]$"):
+            model_from_text(text)
+
+    @pytest.mark.parametrize("value", ["3.0", "3.5", "three", ""])
+    def test_n_fit_must_be_a_whole_number(self, value):
+        with pytest.raises(ValueError, match=f"^model file entry n_fit must be a whole number, got '{value}'$"):
+            model_from_text(f"kind=vl-toclin\nslope=1.0\nintercept=0.0\nn_fit={value}\n")
 
     def test_blank_lines_and_comments_ignored(self):
         model = FittedModel(VL_SPEC, (0.421, -0.067, 0.563), 184)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from shale_adsorb.regression import ModelKind, ModelSpec, SingularSystemError, fit
+from shale_adsorb.regression import ModelKind, ModelSpec, SingularSystemError, build_design, fit
 from shale_adsorb.validation import (
     Scenario,
     compare_models,
@@ -369,3 +369,24 @@ def test_compare_equals_per_record_path(rows, scenario, dependent, kelvin, test_
     for rep in range(1, repetitions + 1):
         split = scenario_split(records, scenario, test_fraction, [seed, rep])
         assert split == naive_split(records, scenario, test_fraction, [seed, rep])
+
+
+@pytest.mark.parametrize("row_error", [False, True], ids=["dependent", "row-first"])
+def test_missing_dependent_raises_as_build_design(row_error):
+    # Every stage reads the dependent column after the regressor rows, so
+    # each raises what build_design raises: a missing pl (r4), unless a
+    # record lacks a regressor (r9).
+    records = synthetic_records(n=12, seed=3)
+    model = fit(records, PL_SPEC)
+    records[4] = make_record(4, toc=records[4].toc, temp=records[4].temp, ro=records[4].ro)
+    if row_error:
+        records[9] = make_record(9, toc=records[9].toc, temp=records[9].temp, pl=records[9].pl)
+    message = "record r9 is missing field ro" if row_error else "record r4 is missing dependent variable pl"
+    with pytest.raises(ValueError, match=f"^{message}"):
+        build_design(records, PL_SPEC)
+    with pytest.raises(ValueError, match=f"^{message}"):
+        loo_cv(records, PL_SPEC)
+    with pytest.raises(ValueError, match=f"^{message}"):
+        compare_models(records, [PL_SPEC, ModelSpec(ModelKind.PL_TOCPOW)], Scenario.OVERALL, 0.25, 2, 0)
+    with pytest.raises(ValueError, match=f"^{message}"):
+        mean_abs_relative_error_pct(model, records)
