@@ -245,8 +245,9 @@ def interpolate_grid(
     if n_lon < 1 or n_lat < 1:
         raise ValueError("grid needs at least one point per axis")
     n_lon, n_lat = int(n_lon), int(n_lat)
-    lats = [float(lat_min) if n_lat == 1 else lat_min + (lat_max - lat_min) * i / (n_lat - 1) for i in range(n_lat)]
-    lons = [float(lon_min) if n_lon == 1 else lon_min + (lon_max - lon_min) * j / (n_lon - 1) for j in range(n_lon)]
+    lon_min, lon_max, lat_min, lat_max = map(float, (lon_min, lon_max, lat_min, lat_max))
+    lats = [lat_min if n_lat == 1 else lat_min + (lat_max - lat_min) * i / (n_lat - 1) for i in range(n_lat)]
+    lons = [lon_min if n_lon == 1 else lon_min + (lon_max - lon_min) * j / (n_lon - 1) for j in range(n_lon)]
     node_lons = lons * n_lat
     node_lats = [lat for lat in lats for _ in lons]
     return list(zip(node_lons, node_lats, _idw(samples, node_lons, node_lats, power, max_neighbors)))

@@ -320,42 +320,31 @@ def solve_normal_equations(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def ols_fit(system: DesignSystem) -> np.ndarray:
-    """Least-squares coefficients via the normal equations.
+    """Least-squares coefficients of one system: X'X w = X'y by :func:`fit_systems`, X'X never inverted."""
+    return fit_systems([(system.x, system.y)])[0]
 
-    The n x n system X'X w = X'y is solved directly with partial pivoting;
-    the matrix is never inverted explicitly.
+
+def fit_systems(systems: Iterable[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """Least-squares coefficients of each of one or more ``(rows, y)`` systems, shape (F, n).
+
+    The one place the normal equations are built: ``rows.T @ rows`` (one
+    syrk, which a stacked matmul or a transposed copy would not reproduce)
+    and ``rows.T @ y``, as each system is taken, so a producer may update
+    one buffer between systems. One :func:`solve_normal_equations` call then
+    solves them all, each as it would alone. The first system with fewer
+    rows than coefficients, or singular, raises :class:`SingularSystemError`
+    with ``system`` set to its position.
     """
-    m, n = system.x.shape
-    if m < n:
-        raise SingularSystemError(f"fewer records ({m}) than coefficients ({n})")
-    xtx = system.x.T @ system.x
-    xty = system.x.T @ system.y
-    return solve_normal_equations(xtx[None], xty[None])[0]
-
-
-def fit_row_subsets(x: np.ndarray, y: np.ndarray, masks: Iterable[np.ndarray]) -> np.ndarray:
-    """Least-squares coefficients of one design on each boolean row subset, shape (F, n).
-
-    Each subset's rows are copied once and its Gram matrix is ``rows.T @
-    rows`` of that one copy, as :func:`ols_fit` computes it (two separate
-    copies, or a stacked matmul over all subsets, round differently). All
-    systems then go through one :func:`solve_normal_equations` call, so
-    every row equals :func:`ols_fit` on that subset. A subset with fewer rows
-    than coefficients, or a singular one, raises
-    :class:`SingularSystemError` for the first failing subset, with
-    ``system`` set to its position.
-    """
-    n = x.shape[1]
     grams, moments = [], []
-    for f, mask in enumerate(masks):
-        rows = x.compress(mask, axis=0)  # x[mask], about three times faster
-        if len(rows) < n:
-            # a singular subset before this one is the first failure
-            solve_normal_equations(np.array(grams).reshape(f, n, n), np.array(moments).reshape(f, n))
-            raise SingularSystemError(f"fewer records ({len(rows)}) than coefficients ({n})", system=f)
+    for f, (rows, y) in enumerate(systems):
+        m, n = rows.shape
+        if m < n:
+            if grams:  # a singular system before this one is the first failure
+                solve_normal_equations(np.array(grams), np.array(moments))
+            raise SingularSystemError(f"fewer records ({m}) than coefficients ({n})", system=f)
         grams.append(rows.T @ rows)
-        moments.append(rows.T @ y[mask])
-    return solve_normal_equations(np.array(grams).reshape(-1, n, n), np.array(moments).reshape(-1, n))
+        moments.append(rows.T @ y)
+    return solve_normal_equations(np.array(grams), np.array(moments))
 
 
 def fit(records: Sequence[SampleRecord], spec: ModelSpec) -> FittedModel:
@@ -399,7 +388,11 @@ def model_from_text(text: str) -> FittedModel:
     for name in spec.coefficient_names:
         if name not in entries:
             raise ValueError(f"model file is missing coefficient {name}")
-        coefficients.append(float(entries.pop(name)))
+        value = entries.pop(name)
+        try:
+            coefficients.append(float(value))
+        except ValueError:
+            raise ValueError(f"model file coefficient {name} must be a number, got {value!r}") from None
     if entries:
         raise ValueError(f"model file has unexpected entries: {sorted(entries)}")
     return FittedModel(spec=spec, coefficients=tuple(coefficients), n_fit=n_fit)

@@ -23,7 +23,7 @@ from .regression import (
     ModelSpec,
     SingularSystemError,
     build_design,
-    fit_row_subsets,
+    fit_systems,
     predict_rows,
 )
 
@@ -125,13 +125,16 @@ def qq_data(errors: Sequence[float]) -> list[tuple[float, float]]:
     ]
 
 
-def _leave_one_out_masks(m: int):
-    """Training-row masks of the m folds; one array, updated in place per fold."""
-    mask = np.ones(m, dtype=bool)
-    for i in range(m):
-        mask[i] = False
-        yield mask
-        mask[i] = True
+def _leave_one_out_systems(x: np.ndarray, y: np.ndarray):
+    """Leave-one-out training systems in one rolling buffer: fold i holds every row but row i, in order.
+
+    The buffer is a copy (``x[1:]`` is a view of the design), and each fold moves one row back into place.
+    """
+    rows, ys = x[1:].copy(), y[1:].copy()
+    yield rows, ys
+    for i in range(1, len(y)):
+        rows[i - 1], ys[i - 1] = x[i - 1], y[i - 1]
+        yield rows, ys
 
 
 def loo_cv(records: Sequence[SampleRecord], spec: ModelSpec,
@@ -140,9 +143,10 @@ def loo_cv(records: Sequence[SampleRecord], spec: ModelSpec,
 
     Each record is held out once, the model is refit from scratch on the
     remaining rows, and the held-out record is predicted in natural units.
-    The design is built once; each fold's normal equations come from its
-    own training rows, all folds are solved in one stacked call, and the
-    held-out rows are predicted with one ``vecdot``. Every fold equals a
+    The design is built once. The folds share one training buffer that
+    moves one row per fold, one :func:`~shale_adsorb.regression.fit_systems`
+    call solves them all, and the held-out rows are predicted with one
+    ``vecdot``. Every fold equals a
     separate :func:`~shale_adsorb.regression.fit` on its training records.
     A singular fold raises :class:`SingularSystemError` naming the first
     such fold and its record id.
@@ -154,7 +158,7 @@ def loo_cv(records: Sequence[SampleRecord], spec: ModelSpec,
         )
     system = build_design(records, spec)
     try:
-        w = fit_row_subsets(system.x, system.y, _leave_one_out_masks(m))
+        w = fit_systems(_leave_one_out_systems(system.x, system.y))
     except SingularSystemError as exc:
         raise SingularSystemError(
             f"fold {exc.system} (record {records[exc.system].id}) left a singular training system: {exc}",
@@ -271,7 +275,8 @@ def compare_models(
     of its own kind, since the rows name specs by kind.
 
     Each spec's design is built once. Its fits over all repetitions are one
-    stacked solve, and its test predictions one ``vecdot``; every number
+    :func:`~shale_adsorb.regression.fit_systems` call on a copy of each
+    training set, and its test predictions one ``vecdot``; every number
     equals a separate ``fit`` and per-record scoring of that split. A
     singular training system raises :class:`SingularSystemError` naming
     the first repetition and spec that hit one.
@@ -299,7 +304,7 @@ def compare_models(
         # read after the design, so that a record missing a regressor is reported first
         actual = spec.dependent_values(records)[test_rows]
         try:
-            w = fit_row_subsets(system.x, system.y, ~test)
+            w = fit_systems((system.x.compress(train, axis=0), system.y[train]) for train in ~test)
         except SingularSystemError as exc:
             failures.append((exc.system, position, exc))
             continue

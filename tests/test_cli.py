@@ -255,8 +255,9 @@ class TestEstimate:
         "kind=pl-geo\na=-0.136\nb=0.715\nc=1.666\nn_fit=91.0\n",
         "kind=pl-invtemp\nkelvin=yes\na=-50.0\nc=-1.5\nn_fit=10\n",
         "kind=pl-geo\nkelvin=true\na=-0.136\nb=0.715\nc=1.666\nn_fit=91\n",
+        "kind=pl-geo\na=abc\nb=0.715\nc=1.666\nn_fit=91\n",
     ], ids=["repeated-key", "nan-coefficient", "negative-n_fit", "fractional-n_fit", "kelvin-not-a-bool",
-            "kelvin-on-pl-geo"])
+            "kelvin-on-pl-geo", "coefficient-not-a-number"])
     def test_bad_model_file_exit_code_1(self, pl_text, tmp_path, data_dir, capsys):
         (tmp_path / "pl.txt").write_text(pl_text, encoding="utf-8")
         (tmp_path / "vl.txt").write_text(model_to_text(reference_models()[1]), encoding="utf-8")

@@ -246,6 +246,13 @@ class TestInterpolateGrid:
         assert [(repr(lon), repr(lat)) for lon, lat, _ in rows] == [("100.0", "25.0"), ("110.0", "25.0")]
         assert rows == interpolate_grid(samples, 100.0, 110.0, 25.0, 35.0, 2, 1)
 
+    @pytest.mark.parametrize("counts", [(2, 1), (1, 2), (3, 3)])
+    def test_numpy_scalar_bounds_written_as_floats(self, counts):
+        samples = table(point(104.0, 30.0, 20.0), point(106.0, 31.0, 30.0))
+        rows = interpolate_grid(samples, np.float64(100), np.float64(110), np.float64(25), np.float64(35), *counts)
+        assert {(type(lon), type(lat)) for lon, lat, _ in rows} == {(float, float)}
+        assert grid_to_csv(rows) == grid_to_csv(interpolate_grid(samples, 100.0, 110.0, 25.0, 35.0, *counts))
+
     def test_whole_globe_grid_accepted(self):
         samples = table(point(104.0, 30.0, 20.0), point(106.0, 31.0, 30.0))
         rows = interpolate_grid(samples, -180.0, 180.0, -90.0, 90.0, 3, 3)

@@ -13,12 +13,13 @@ from shale_adsorb.regression import (
     SingularSystemError,
     build_design,
     fit,
-    fit_row_subsets,
+    fit_systems,
     model_from_text,
     model_to_text,
     ols_fit,
     solve_normal_equations,
 )
+from shale_adsorb.validation import _leave_one_out_systems
 from conftest import make_record, synthetic_records
 from helpers import lstsq_oracle, naive_feature_row, naive_pivot_solve, naive_response
 
@@ -218,7 +219,7 @@ class TestStackedSolve:
             stacked = solve_normal_equations(grams, moments)
             for a, b, w in zip(grams, moments, stacked):
                 assert np.array_equal(w, naive_pivot_solve(a, b))
-            assert np.array_equal(fit_row_subsets(x, y, masks), stacked)
+            assert np.array_equal(fit_systems((x.compress(mask, axis=0), y[mask]) for mask in masks), stacked)
             systems += len(masks)
             swapped += int((np.argmax(np.abs(grams[:, :, 0]), axis=1) != 0).sum())
         assert swapped > 0 and swapped < systems
@@ -255,11 +256,26 @@ class TestStackedSolve:
         full, same_toc, one_row = (np.array(rows, dtype=bool) for rows in
                                    ([1, 1, 1, 1], [1, 1, 0, 0], [0, 0, 1, 0]))
         with pytest.raises(SingularSystemError, match="singular") as raised:
-            fit_row_subsets(x, y, [full, same_toc, one_row])
+            fit_systems((x[mask], y[mask]) for mask in [full, same_toc, one_row])
         assert raised.value.system == 1
         with pytest.raises(SingularSystemError, match=r"fewer records \(1\)") as raised:
-            fit_row_subsets(x, y, [full, one_row, same_toc])
+            fit_systems((x[mask], y[mask]) for mask in [full, one_row, same_toc])
         assert raised.value.system == 1
+
+
+class TestLeaveOneOutBuffer:
+    """The rolling fold buffer gives every fold the fit of its own copy of the training rows."""
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("m", [48, 700, 1500])  # a stacked matmul stops matching at m = 700
+    def test_equals_ols_fit_of_each_fold(self, m, p):
+        x, y = _random_design(np.random.default_rng(m + p), m, p)
+        design = x.copy(), y.copy()
+        w = fit_systems(_leave_one_out_systems(x, y))
+        assert w.shape == (m, p)
+        for i in range(m):
+            assert np.array_equal(w[i], ols_fit(DesignSystem(np.delete(x, i, 0), np.delete(y, i))))
+        assert np.array_equal(x, design[0]) and np.array_equal(y, design[1])
 
 
 class TestFitRecovery:
@@ -435,6 +451,16 @@ class TestModelSerialisation:
     def test_other_kelvin_entries_are_unexpected(self, text):
         with pytest.raises(ValueError, match=r"^model file has unexpected entries: \['kelvin'\]$"):
             model_from_text(text)
+
+    @pytest.mark.parametrize("value", ["abc", "", "1.0.0", "0x10"])
+    def test_coefficient_must_be_a_number(self, value):
+        with pytest.raises(ValueError, match=f"^model file coefficient a must be a number, got '{value}'$"):
+            model_from_text(f"kind=pl-geo\na={value}\nb=0.715\nc=1.666\nn_fit=91\n")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+    def test_coefficient_must_be_finite(self, value):
+        with pytest.raises(ValueError, match="^pl-geo coefficients must be finite"):
+            model_from_text(f"kind=pl-geo\na=-0.136\nb={value}\nc=1.666\nn_fit=91\n")
 
     @pytest.mark.parametrize("value", ["3.0", "3.5", "three", ""])
     def test_n_fit_must_be_a_whole_number(self, value):

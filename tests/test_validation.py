@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
+from shale_adsorb import validation
 from shale_adsorb.regression import ModelKind, ModelSpec, SingularSystemError, build_design, fit
 from shale_adsorb.validation import (
     Scenario,
@@ -87,6 +88,21 @@ class TestLooCv:
         with pytest.raises(SingularSystemError, match=r"fold 3 \(record r3\) left a singular") as raised:
             loo_cv(records, TOCLIN)
         assert raised.value.system == 3
+
+    def test_design_left_unchanged(self, monkeypatch):
+        # the fold buffer is a copy: writing rows back into a view would overwrite the design
+        designs = []
+
+        def build_and_keep(records, spec):
+            system = build_design(records, spec)
+            designs.append((system, system.x.copy(), system.y.copy()))
+            return system
+
+        monkeypatch.setattr(validation, "build_design", build_and_keep)
+        records = synthetic_records(n=40, seed=6, pl_noise=0.05)
+        loo_cv(records, PL_SPEC)
+        [(system, x, y)] = designs
+        assert np.array_equal(system.x, x) and np.array_equal(system.y, y)
 
     def test_qq_pairs_have_record_count(self):
         records = synthetic_records(n=12, seed=4, pl_noise=0.05)
