@@ -130,6 +130,26 @@ def elementwise(func, values: np.ndarray, *args) -> np.ndarray:
     return np.fromiter(map(func, flat, *map(repeat, args)), float, len(flat)).reshape(values.shape)
 
 
+def first_failure(run, items: Sequence, alone, errors=ValueError):
+    """``run(items)``, failing as its first failing item fails alone: the one batch rule of every stage.
+
+    Only on failure, ``alone`` runs on each item in order. At the first that
+    raises, ``run`` runs on the items before it, so a rule only ``run``
+    checks, broken by an earlier item, wins over the item's own error. If no
+    item fails alone, the batch's own error stands.
+    """
+    try:
+        return run(items)
+    except errors:
+        for k, item in enumerate(items):
+            try:
+                alone(item)
+            except errors:
+                run(items[:k])
+                raise
+        raise
+
+
 def require_int(name: str, value) -> int:
     """``value`` as an ``int`` by ``operator.index``; a bool or a non-integral number raises ``ValueError``."""
     if not isinstance(value, bool):

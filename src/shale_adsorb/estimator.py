@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import ABSOLUTE_ZERO_C, FIT_RANGES, SampleRecord, read_key_value_blocks, write_csv
+from .dataset import ABSOLUTE_ZERO_C, FIT_RANGES, SampleRecord, first_failure, read_key_value_blocks, write_csv
 from .regression import FittedModel, ModelKind, ModelSpec, predict_rows
 
 WATER_DENSITY_T_PER_M3 = 1.0
@@ -307,18 +307,16 @@ def estimate_reservoirs(
 ) -> EstimateTable:
     """Resolve temperature and pressure for each reservoir and estimate its content, as one batch.
 
-    Each row equals the estimate of that reservoir alone. If any reservoir
-    fails, the error is the one the first failing reservoir raises alone.
+    Each row equals the estimate of that reservoir alone; a failure is the
+    first failing reservoir's, by :func:`~shale_adsorb.dataset.first_failure`.
     """
     temp, pressure = reservoirs.temperatures(), reservoirs.pressures()
     columns = (reservoirs.toc, reservoirs.ro, temp, pressure)
-    try:
-        adsorbed = _contents(*columns, pl_model, vl_model)
-    except ValueError:
-        # Only on failure: one reservoir at a time, up to the first that raises.
-        for i in range(len(reservoirs)):
-            _contents(*(column[i:i + 1] for column in columns), pl_model, vl_model)
-        raise
+    adsorbed = first_failure(
+        lambda rows: _contents(*(column[:len(rows)] for column in columns), pl_model, vl_model),
+        range(len(reservoirs)),
+        lambda i: _contents(*(column[i:i + 1] for column in columns), pl_model, vl_model),
+    )
     return EstimateTable(reservoirs, temp, pressure, adsorbed, _extrapolated(reservoirs.toc, reservoirs.ro, temp))
 
 
@@ -370,20 +368,19 @@ def _columns(blocks: list[dict[str, str]]) -> list:
     return columns
 
 
-def _block_error(block: dict[str, str]) -> str | None:
-    """The parse error of one config block, in the order the checks run, or None."""
+def _check_block(block: dict[str, str]) -> None:
+    """Raise the parse error of one config block, in the order the checks run."""
     if "name" not in block:
-        return "reservoir config block is missing the name key"
+        raise ValueError("reservoir config block is missing the name key")
     name = block["name"]
     for key in _REQUIRED_KEYS:
         if key not in block:
-            return f"reservoir {name}: missing required key {key}"
+            raise ValueError(f"reservoir {name}: missing required key {key}")
     for key, _ in _NUMBER_KEYS:
         try:
             float(block.get(key, 0.0))
         except ValueError:
-            return f"reservoir {name}: {key} is not a number: {block[key]!r}"
-    return None
+            raise ValueError(f"reservoir {name}: {key} is not a number: {block[key]!r}") from None
 
 
 def parse_reservoirs(text: str) -> ReservoirTable:
@@ -393,19 +390,10 @@ def parse_reservoirs(text: str) -> ReservoirTable:
     new block); ``#`` starts a comment line. Keys: name, depth_m, toc_pct,
     ro_pct, alpha, surface_temp_c, gradt_c_per_km, temp_c, pressure_mpa.
     A malformed line fails the whole config first; after that the error is
-    the first bad block's, and within a block a missing key comes before a
-    value that is not a number, and that before a broken invariant.
+    the first bad block's, by :func:`~shale_adsorb.dataset.first_failure`,
+    and within a block a missing key comes before a value that is not a
+    number, and that before a broken invariant.
     """
     blocks = read_key_value_blocks(text, "reservoir config", keys=_RESERVOIR_KEYS, block_key="name")
-    try:
-        columns = _columns(blocks)
-        error = None
-    except (KeyError, TypeError, ValueError):
-        # The blocks before the first bad one are checked first: an invariant
-        # they break comes before its error.
-        n_good, error = next((i, message) for i, message in enumerate(map(_block_error, blocks)) if message)
-        columns = _columns(blocks[:n_good])
-    table = ReservoirTable(*columns)
-    if error is not None:
-        raise ValueError(error)
-    return table
+    return first_failure(lambda prefix: ReservoirTable(*_columns(prefix)), blocks, _check_block,
+                         errors=(KeyError, TypeError, ValueError))

@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .dataset import SampleParseError, _parse_float, elementwise, read_csv_table, require_int, write_csv
+from .dataset import SampleParseError, _parse_float, elementwise, first_failure, read_csv_table, require_int, write_csv
 from .outliers import first_k_of_candidates, nearest_first
 
 EARTH_RADIUS_M = 6_371_000.0
@@ -237,6 +237,7 @@ def interpolate_grid(
     memory bounded per block, and q * n ``asin`` calls; with
     ``max_neighbors`` k below n, O(q * n) NumPy work and about q * k calls.
     """
+    lon_min, lon_max, lat_min, lat_max = map(float, (lon_min, lon_max, lat_min, lat_max))
     if not (all(-180.0 <= lon <= 180.0 for lon in (lon_min, lon_max))
             and all(-90.0 <= lat <= 90.0 for lat in (lat_min, lat_max))):
         raise ValueError(f"grid bounds must have {_ON_GLOBE}, got {(lon_min, lon_max, lat_min, lat_max)!r}")
@@ -245,7 +246,6 @@ def interpolate_grid(
     if n_lon < 1 or n_lat < 1:
         raise ValueError("grid needs at least one point per axis")
     n_lon, n_lat = int(n_lon), int(n_lat)
-    lon_min, lon_max, lat_min, lat_max = map(float, (lon_min, lon_max, lat_min, lat_max))
     lats = [lat_min if n_lat == 1 else lat_min + (lat_max - lat_min) * i / (n_lat - 1) for i in range(n_lat)]
     lons = [lon_min if n_lon == 1 else lon_min + (lon_max - lon_min) * j / (n_lon - 1) for j in range(n_lon)]
     node_lons = lons * n_lat
@@ -253,14 +253,21 @@ def interpolate_grid(
     return list(zip(node_lons, node_lats, _idw(samples, node_lons, node_lats, power, max_neighbors)))
 
 
-def _first_cell_error(rows: list[int], cells: list[str]) -> tuple[int, SampleParseError]:
-    """Position of the first row holding a cell that is not a number, and the error naming that cell."""
-    width = len(HEATFLOW_CSV_COLUMNS)
-    for i, cell in enumerate(cells):
-        try:
-            _parse_float(cell, rows[i // width], HEATFLOW_CSV_COLUMNS[i % width], required=True)
-        except SampleParseError as exc:
-            return i // width, exc
+def _heatflow_table(rows: Sequence[tuple[int, list[str]]]) -> HeatFlowTable:
+    """The table of (row number, cells) pairs; a broken invariant names its row."""
+    cells = [cell for _, row_cells in rows for cell in row_cells]
+    values = np.fromiter(map(float, cells), float, len(cells))
+    try:
+        return HeatFlowTable(*values.reshape(-1, len(HEATFLOW_CSV_COLUMNS)).T)
+    except InvalidHeatFlowPoint as exc:
+        raise SampleParseError(rows[exc.index][0], "record", exc.reason) from exc
+
+
+def _check_cells(row: tuple[int, list[str]]) -> None:
+    """Raise the error of the first cell of a (row number, cells) pair that is not a number."""
+    number, cells = row
+    for column, cell in zip(HEATFLOW_CSV_COLUMNS, cells):
+        _parse_float(cell, number, column, required=True)
 
 
 def parse_heatflow(source: str | Iterable[str]) -> HeatFlowTable:
@@ -268,30 +275,13 @@ def parse_heatflow(source: str | Iterable[str]) -> HeatFlowTable:
 
     Same dialect as the samples CSV; every cell is a required number, read
     with ``float`` as the samples parser reads one. Raises
-    :class:`SampleParseError` for the first bad row, naming its column
+    :class:`SampleParseError` for the first bad row, by
+    :func:`~shale_adsorb.dataset.first_failure`, naming its column
     (``record`` for an invariant of :class:`HeatFlowTable`); a row's cells
     are checked before its invariants.
     """
-    rows, cells = [], []
-    for row, row_cells in read_csv_table(source, HEATFLOW_CSV_COLUMNS, "heat-flow"):
-        rows.append(row)
-        cells += row_cells
-    width = len(HEATFLOW_CSV_COLUMNS)
-    try:
-        values = np.fromiter(map(float, cells), float, len(cells))
-        error = None
-    except ValueError:
-        # The rows before the first bad cell are checked first: an invariant
-        # they break comes before that cell's error.
-        n_good, error = _first_cell_error(rows, cells)
-        values = np.fromiter(map(float, cells[:n_good * width]), float, n_good * width)
-    try:
-        table = HeatFlowTable(*values.reshape(-1, width).T)
-    except InvalidHeatFlowPoint as exc:
-        raise SampleParseError(rows[exc.index], "record", exc.reason) from exc
-    if error is not None:
-        raise error
-    return table
+    rows = list(read_csv_table(source, HEATFLOW_CSV_COLUMNS, "heat-flow"))
+    return first_failure(_heatflow_table, rows, _check_cells)
 
 
 def grid_to_csv(rows: Sequence[tuple[float, float, float]]) -> str:

@@ -16,7 +16,8 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .dataset import RO_NORM_PCT, TEMP_NORM_C, TOC_NORM_PCT, SampleRecord, elementwise, read_key_value_blocks
+from .dataset import (RO_NORM_PCT, TEMP_NORM_C, TOC_NORM_PCT, SampleRecord, elementwise, first_failure,
+                      read_key_value_blocks)
 
 #: Relative pivot threshold below which the normal equations are treated as
 #: singular rather than solved into garbage coefficients.
@@ -160,27 +161,24 @@ class ModelSpec:
         with np.errstate(all="ignore"):
             return _FACTS[self.kind].rows(fields, ids, self.invtemp_kelvin)
 
+    def _rows_of(self, records: Sequence[SampleRecord]) -> np.ndarray:
+        """The regressor rows of records, each check run on all of them at once."""
+        fields = {}
+        for name in self.required_fields:
+            column = [getattr(record, name) for record in records]
+            if None in column:
+                record = records[column.index(None)]
+                raise ValueError(f"record {record.id} is missing field {name} required by {self.kind.value}")
+            fields[name] = np.array(column, dtype=float)
+        return self.regressors(fields, [record.id for record in records])
+
     def feature_rows(self, records: Sequence[SampleRecord]) -> np.ndarray:
-        """The regressor rows of records, shape (m, p); a failing record raises its own error, the first in order."""
-        try:
-            fields = {}
-            for name in self.required_fields:
-                column = [getattr(record, name) for record in records]
-                if None in column:
-                    record = records[column.index(None)]
-                    raise ValueError(f"record {record.id} is missing field {name} required by {self.kind.value}")
-                fields[name] = np.array(column, dtype=float)
-            return self.regressors(fields, [record.id for record in records])
-        except ValueError:
-            if len(records) > 1:
-                # Only on failure: one record at a time, up to the first that raises.
-                for record in records:
-                    self.feature_row(record)
-            raise
+        """The regressor rows of records, shape (m, p); fails as :func:`~shale_adsorb.dataset.first_failure` says."""
+        return first_failure(self._rows_of, records, lambda record: self._rows_of([record]))
 
     def feature_row(self, record: SampleRecord) -> list[float]:
         """The regressor row for one record; a trailing 1 carries the intercept."""
-        return self.feature_rows([record])[0].tolist()
+        return self._rows_of([record])[0].tolist()
 
     def dependent_values(self, records: Sequence[SampleRecord]) -> np.ndarray:
         """The records' values of the dependent variable (pl or vl) as float64; the first missing one raises."""
@@ -201,12 +199,10 @@ class ModelSpec:
             ) from None
 
     def inverse_responses(self, linear_values: Sequence[float]) -> list[float]:
-        """:meth:`inverse_response` of each value, with one lookup of the inverse."""
-        try:
-            return list(map(_FACTS[self.kind].inverse, linear_values))
-        except OverflowError:
-            # redo per value, so the error names the first one that overflows
-            return [self.inverse_response(value) for value in linear_values]
+        """:meth:`inverse_response` of each value, with one lookup of the inverse; fails by ``first_failure``."""
+        inverse = _FACTS[self.kind].inverse
+        return first_failure(lambda values: list(map(inverse, values)), linear_values, self.inverse_response,
+                             errors=(OverflowError, ValueError))
 
 
 @dataclass

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import SampleRecord, write_csv
+from .dataset import SampleRecord, require_int, write_csv
 from .regression import (
     FittedModel,
     ModelSpec,
@@ -279,8 +279,10 @@ def compare_models(
     training set, and its test predictions one ``vecdot``; every number
     equals a separate ``fit`` and per-record scoring of that split. A
     singular training system raises :class:`SingularSystemError` naming
-    the first repetition and spec that hit one.
+    the first repetition and spec that hit one. ``repetitions`` and ``seed``
+    must be integers, not bools.
     """
+    repetitions, seed = require_int("repetitions", repetitions), require_int("seed", seed)
     if repetitions < 1:
         raise ValueError("need at least one repetition")
     dependents = {spec.dependent_var for spec in specs}

@@ -15,7 +15,9 @@ from shale_adsorb.dataset import (
     RO_NORM_PCT,
     TEMP_NORM_C,
     TOC_NORM_PCT,
+    SampleParseError,
     SampleRecord,
+    read_csv_table,
     read_key_value_blocks,
 )
 from shale_adsorb.estimator import (
@@ -26,7 +28,7 @@ from shale_adsorb.estimator import (
     LangmuirParams,
     ReservoirSpec,
 )
-from shale_adsorb.geotemp import EARTH_RADIUS_M, EXACT_HIT_DISTANCE_M
+from shale_adsorb.geotemp import EARTH_RADIUS_M, EXACT_HIT_DISTANCE_M, HEATFLOW_CSV_COLUMNS
 from shale_adsorb.outliers import DistanceWeights
 from shale_adsorb.regression import CELSIUS_TO_KELVIN, PIVOT_RTOL, FittedModel, ModelKind, SingularSystemError
 
@@ -388,3 +390,34 @@ def naive_parse_reservoirs(text) -> list[ReservoirSpec]:
             raise ValueError(f"reservoir {name}: needs gradt_c_per_km or temp_c to resolve temperature")
         specs.append(ReservoirSpec(**fields))
     return specs
+
+
+def naive_parse_heatflow(text) -> list[list[float]]:
+    """One row at a time, the error order the columnar ``parse_heatflow`` must keep.
+
+    Per row: each cell in column order (empty, then not a number), then the
+    invariants in the order ``HeatFlowTable`` checks them, each failure
+    raising that row's ``SampleParseError``. Returns the four columns.
+    """
+    columns = [[], [], [], []]
+    for row, cells in read_csv_table(text, HEATFLOW_CSV_COLUMNS, "heat-flow"):
+        values = []
+        for column, raw in zip(HEATFLOW_CSV_COLUMNS, cells):
+            if raw.strip() == "":
+                raise SampleParseError(row, column, "required numeric field is empty")
+            try:
+                values.append(float(raw.strip()))
+            except ValueError:
+                raise SampleParseError(row, column, f"not a number: {raw!r}") from None
+        lon, lat, depth, grad = values
+        if not -180.0 <= lon <= 180.0:
+            raise SampleParseError(row, "record", f"longitude out of range: {lon!r}")
+        if not -90.0 <= lat <= 90.0:
+            raise SampleParseError(row, "record", f"latitude out of range: {lat!r}")
+        if not math.isfinite(grad):
+            raise SampleParseError(row, "record", f"gradient must be finite, got {grad!r}")
+        if not math.isfinite(depth):
+            raise SampleParseError(row, "record", f"section depth must be finite, got {depth!r}")
+        for column, value in zip(columns, values):
+            column.append(value)
+    return columns

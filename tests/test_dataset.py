@@ -18,6 +18,7 @@ from shale_adsorb.dataset import (
     SampleRecord,
     clean,
     correlation_table,
+    first_failure,
     integrate_replicates,
     parse_samples,
     pearson_correlation,
@@ -123,6 +124,64 @@ def test_samples_csv_round_trip(records):
     again = parse_samples(text)
     assert again == records
     assert records_to_csv(again) == text
+
+
+def _staged_run(calls):
+    """A batch run that checks every item for "x", then every item for "y", then the run-only rule "z"."""
+    def run(items):
+        calls.append(list(items))
+        for bad in ("x", "y", "z"):
+            if bad in items:
+                raise ValueError(f"{bad} at {items.index(bad)}")
+        return len(items)
+    return run
+
+
+def _alone(item):
+    """One item's own checks: "x" and "y", not the run-only "z"."""
+    if item in ("x", "y"):
+        raise ValueError(f"{item} alone")
+
+
+class TestFirstFailure:
+    def test_success_runs_the_batch_once(self):
+        calls, alone_calls = [], []
+        assert first_failure(_staged_run(calls), ["a", "b", "c"], alone_calls.append) == 3
+        assert calls == [["a", "b", "c"]]
+        assert alone_calls == []
+
+    def test_first_item_failing_alone_beats_a_later_item_failing_an_earlier_stage(self):
+        calls = []
+        with pytest.raises(ValueError, match="^y alone$"):
+            first_failure(_staged_run(calls), ["a", "y", "x"], _alone)
+        assert calls == [["a", "y", "x"], ["a"]]
+
+    def test_earlier_item_breaking_a_run_only_rule_wins(self):
+        calls = []
+        with pytest.raises(ValueError, match="^z at 0$"):
+            first_failure(_staged_run(calls), ["z", "a", "x"], _alone)
+        assert calls == [["z", "a", "x"], ["z", "a"]]
+
+    def test_batch_error_stands_when_no_item_fails_alone(self):
+        calls, raised = [], []
+
+        def run(items):
+            try:
+                return _staged_run(calls)(items)
+            except ValueError as exc:
+                raised.append(exc)
+                raise
+
+        with pytest.raises(ValueError, match="^z at 1$") as info:
+            first_failure(run, ["a", "z", "b"], _alone)
+        assert info.value is raised[0]
+        assert calls == [["a", "z", "b"]]
+
+    def test_other_errors_propagate_without_replay(self):
+        alone_calls = []
+        with pytest.raises(ValueError, match="^x at 0$"):
+            first_failure(_staged_run([]), ["x"], alone_calls.append, errors=KeyError)
+        assert alone_calls == []
 
 
 class TestRecordInvariants:

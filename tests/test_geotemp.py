@@ -20,7 +20,7 @@ from shale_adsorb.geotemp import (
     parse_heatflow,
 )
 from shale_adsorb.dataset import SampleParseError, write_csv
-from helpers import haversine_m, naive_idw
+from helpers import haversine_m, naive_idw, naive_parse_heatflow
 
 
 def point(lon, lat, grad_t, depth=1000.0):
@@ -252,6 +252,15 @@ class TestInterpolateGrid:
         rows = interpolate_grid(samples, np.float64(100), np.float64(110), np.float64(25), np.float64(35), *counts)
         assert {(type(lon), type(lat)) for lon, lat, _ in rows} == {(float, float)}
         assert grid_to_csv(rows) == grid_to_csv(interpolate_grid(samples, 100.0, 110.0, 25.0, 35.0, *counts))
+
+    @pytest.mark.parametrize("scalar", [np.float64, np.float32, np.int64, int])
+    def test_range_error_prints_bounds_as_floats(self, scalar):
+        samples = table(point(104.0, 30.0, 20.0), point(106.0, 31.0, 30.0))
+        with pytest.raises(ValueError) as plain:
+            interpolate_grid(samples, 200.0, 110.0, 25.0, 35.0, 2, 1)
+        with pytest.raises(ValueError) as typed:
+            interpolate_grid(samples, scalar(200), scalar(110), 25.0, 35.0, 2, 1)
+        assert str(typed.value) == str(plain.value)
 
     def test_whole_globe_grid_accepted(self):
         samples = table(point(104.0, 30.0, 20.0), point(106.0, 31.0, 30.0))
@@ -513,6 +522,43 @@ class TestParseHeatflow:
         assert (info.value.row, info.value.column) == (4, "section_depth_m")
         with pytest.raises(SampleParseError, match="row 1, column lon_deg: empty heat-flow file"):
             parse_heatflow("")
+
+
+
+def _seeded_heatflow(rng, n):
+    """Heat-flow CSV text of n rows, about one in eight with one fault a row can have."""
+    def any_cell(text):
+        return lambda cells: cells.__setitem__(int(rng.integers(len(cells))), text)
+
+    def cell(position, text):
+        return lambda cells: cells.__setitem__(position, text)
+
+    faults = [any_cell("north"), any_cell(""), cell(0, "999"), cell(1, "-91"), cell(3, "nan"), cell(2, "inf")]
+    rows = []
+    for _ in range(n):
+        cells = [repr(float(rng.uniform(-180.0, 180.0))), repr(float(rng.uniform(-90.0, 90.0))),
+                 repr(float(rng.uniform(0.0, 5000.0))), repr(float(rng.uniform(10.0, 60.0)))]
+        if rng.random() < 0.125:
+            faults[int(rng.integers(len(faults)))](cells)
+        rows.append(cells)
+    return write_csv(HEATFLOW_CSV_COLUMNS, rows)
+
+
+def _parse_outcome(parse, text):
+    """The four columns as lists, or the type, message, row and column of the error ``parse`` raises."""
+    try:
+        columns = parse(text)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "row", None), getattr(exc, "column", None)
+    if isinstance(columns, HeatFlowTable):
+        columns = [column.tolist() for column in (columns.lon, columns.lat, columns.section_depth, columns.grad_t)]
+    return columns
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_parse_heatflow_equals_the_per_row_parser(seed):
+    text = _seeded_heatflow(np.random.default_rng(seed), 12)
+    assert _parse_outcome(parse_heatflow, text) == _parse_outcome(naive_parse_heatflow, text)
 
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -291,6 +292,14 @@ class TestCompareModels:
         second = compare_models(records, [VL_SPEC, TOCLIN], **kwargs)
         assert first.rows == second.rows
         assert first.to_csv() == second.to_csv()
+
+    @pytest.mark.parametrize("name", ["repetitions", "seed"])
+    @pytest.mark.parametrize("value", [2.0, 2.5, True, "2", None])
+    def test_repetitions_and_seed_must_be_integers(self, name, value):
+        records = synthetic_records(n=20, seed=16)
+        kwargs = dict(scenario=Scenario.OVERALL, test_fraction=0.2, repetitions=2, seed=0) | {name: value}
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {re.escape(repr(value))}$"):
+            compare_models(records, [VL_SPEC], **kwargs)
 
     def test_mixed_dependents_rejected(self):
         records = synthetic_records(n=20, seed=16)
