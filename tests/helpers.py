@@ -29,7 +29,7 @@ from shale_adsorb.estimator import (
     ReservoirSpec,
 )
 from shale_adsorb.geotemp import EARTH_RADIUS_M, EXACT_HIT_DISTANCE_M, HEATFLOW_CSV_COLUMNS
-from shale_adsorb.outliers import DistanceWeights
+from shale_adsorb.outliers import BLOCK_ELEMENTS, DistanceWeights, nearest_first
 from shale_adsorb.regression import CELSIUS_TO_KELVIN, PIVOT_RTOL, FittedModel, ModelKind, SingularSystemError
 
 
@@ -272,10 +272,44 @@ def naive_relative_error(index, neighbors, dists, deps, dependent) -> tuple[floa
     return numerator / denominator, w.tolist()
 
 
+def _blocked_nearest(rows: np.ndarray, columns: list[tuple[float, np.ndarray]], k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices and distances of the k nearest records to each record in ``rows``.
+
+    Builds the (rows x n) distance block variable by variable, excludes each
+    row's own record, and orders neighbours by (distance, index) with
+    :func:`nearest_first`.
+    """
+    m = len(rows)
+    acc = np.zeros((m, len(columns[0][1])))
+    for w, col in columns:
+        d = col[rows, None] - col
+        d *= w
+        d *= d
+        acc += d
+    dist = np.sqrt(acc, out=acc)
+    dist[np.arange(m), rows] = np.inf
+    return nearest_first(dist, k)
+
+
+def blocked_neighbours(columns: list[tuple[float, np.ndarray]], k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every record's k nearest by an all-pairs search, the blocked loop the grid search replaced.
+
+    ``columns`` are (weight, values) per distance variable, as
+    ``outliers._distance_columns`` gives them; blocks of rows hold about
+    ``BLOCK_ELEMENTS`` distances. Neighbours are picked by the package's
+    ``nearest_first``, which ``test_nearest_first_is_a_stable_argsort``
+    checks against a stable ``argsort``.
+    """
+    n = len(columns[0][1])
+    step = max(1, BLOCK_ELEMENTS // n)
+    blocks = [_blocked_nearest(np.arange(start, min(start + step, n)), columns, k) for start in range(0, n, step)]
+    return np.concatenate([block_idx for block_idx, _ in blocks]), np.concatenate([block_dist for _, block_dist in blocks])
+
+
 def statistical_distance(a: SampleRecord, b: SampleRecord, weights: DistanceWeights) -> float:
     """Weighted Euclidean distance between two records over the active variables.
 
-    The per-pair form of the outlier screen's blocked neighbour kernel.
+    The per-pair form of the outlier screen's distance kernel, ``outliers._nearest``.
     Squares are taken as ``d * d``, which is correctly rounded (``d ** 2``
     goes through libm ``pow``), so this agrees bit for bit with the kernel.
     """

@@ -2,6 +2,7 @@ import csv
 import io
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from shale_adsorb.outliers import (
     weighted_relative_error,
 )
 from conftest import make_record
-from helpers import naive_neighbours, naive_r_values, naive_relative_error, statistical_distance
+from helpers import blocked_neighbours, naive_neighbours, naive_r_values, naive_relative_error, statistical_distance
 
 
 class TestQuartiles:
@@ -69,8 +70,8 @@ class TestComputeWeights:
 
 
 def kernel_distance(a, b, weights):
-    """The distance from record a to record b in the blocked neighbour kernel."""
-    _, dist = outliers._nearest(np.array([0]), outliers._distance_columns([a, b], weights), 1)
+    """The distance from record a to record b in the neighbour kernel `outliers._nearest`."""
+    _, dist = outliers._nearest(np.array([0]), np.arange(2), outliers._distance_columns([a, b], weights), 1)
     return dist.item()
 
 
@@ -411,6 +412,122 @@ class TestBlockedKernelExactness:
             assert r == report.r_values[i]
             assert neighbors == report.neighbor_indices[i]
             assert w == report.neighbor_weights[i]
+
+
+def assert_grid_equals_blocked(columns, k):
+    """``outliers._neighbours`` equals the blocked all-pairs oracle with ``==``.
+
+    Returns the (rows, candidates) shape of every distance block it built.
+    """
+    blocks = []
+    nearest = outliers._nearest
+
+    def recording(rows, cand, cols, kk):
+        blocks.append((len(rows), len(cand)))
+        return nearest(rows, cand, cols, kk)
+
+    with mock.patch.object(outliers, "_nearest", recording):
+        idx, dist = outliers._neighbours(columns, k)
+    want_idx, want_dist = blocked_neighbours(columns, k)
+    assert np.array_equal(idx, want_idx)
+    assert np.array_equal(dist, want_dist)
+    return blocks
+
+
+def _columns(*values, weights=None):
+    return [(w, np.asarray(col, dtype=float)) for w, col in zip(weights or [1.0] * len(values), values)]
+
+
+def probed_every_row(blocks, n):
+    """Every row went through a probe and a candidate block: the grid has several cells."""
+    return sum(m for m, _ in blocks) == 2 * n
+
+
+class TestGridSearchExactness:
+    """The grid-pruned neighbour search against the blocked all-pairs oracle."""
+
+    @pytest.fixture(scope="class")
+    def records(self):
+        return _tied_pl_records()
+
+    @pytest.mark.parametrize("k", [1, 5, 12, 639])
+    def test_tied_records(self, records, k):
+        columns = outliers._distance_columns(records, compute_weights(records, DatasetKind.PL.independent_vars))
+        blocks = assert_grid_equals_blocked(columns, k)
+        assert probed_every_row(blocks, len(records))
+        if k < 639:
+            assert min(width for _, width in blocks) < len(records)
+        want_idx, _ = blocked_neighbours(columns, k)
+        assert detect_outliers(records, DatasetKind.PL, k=k).neighbor_indices == want_idx.tolist()
+
+    @pytest.mark.parametrize("k", [1, 5, 399])
+    def test_all_duplicates_fill_one_cell(self, k):
+        blocks = assert_grid_equals_blocked(_columns(np.full(400, 3.5), np.full(400, -2.0)), k)
+        assert probed_every_row(blocks, 400)
+        assert all(width == 400 for _, width in blocks)
+
+    @pytest.mark.parametrize("k", [1, 5, 12])
+    def test_far_outlier(self, k):
+        rng = np.random.default_rng(11)
+        temp = np.round(rng.uniform(20.0, 90.0, 600), 2)
+        toc = np.round(rng.uniform(1.0, 17.0, 600), 2)
+        temp[317], toc[317] = -1e6, 1e6
+        blocks = assert_grid_equals_blocked(_columns(temp, toc, weights=[0.4, 1.3]), k)
+        assert probed_every_row(blocks, 600)
+        assert min(width for _, width in blocks) < 600
+
+    @pytest.mark.parametrize("k", [1, 5, 60])
+    def test_tiny_coordinates_across_a_cell_edge(self, k):
+        # Squared differences of 1e-300 underflow to 0, so records either
+        # side of the cell edge at 0 sit at distance 0 from each other.
+        rng = np.random.default_rng(12)
+        columns = _columns(rng.choice([-1e-300, 0.0, 1e-300], 400), rng.choice([1.0, 2.0, 3.0, 4.0], 400))
+        blocks = assert_grid_equals_blocked(columns, k)
+        assert probed_every_row(blocks, 400)
+        _, dist = blocked_neighbours(columns, k)
+        assert not dist.any()
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_overflowing_distances(self, k):
+        # Spreads near 1e150 at weight 1e6: squares overflow, k-th distances
+        # are inf, and the bound keeps every record a candidate.
+        rng = np.random.default_rng(13)
+        columns = _columns(rng.uniform(-1e150, 1e150, 400), rng.uniform(-1e150, 1e150, 400), weights=[1e6, 1e6])
+        with np.errstate(over="ignore"):
+            blocks = assert_grid_equals_blocked(columns, k)
+            _, dist = blocked_neighbours(columns, k)
+        assert probed_every_row(blocks, 400)
+        assert np.isinf(dist[:, -1]).any()
+        assert max(width for _, width in blocks) == 400
+
+    def test_blocks_stay_capped_on_clustered_data(self, monkeypatch):
+        monkeypatch.setattr(outliers, "BLOCK_ELEMENTS", 256)
+        rng = np.random.default_rng(14)
+        centres = rng.uniform(0.0, 100.0, (3, 2))
+        points = centres[rng.integers(3, size=500)] + rng.normal(0.0, 0.01, (500, 2))
+        blocks = assert_grid_equals_blocked(_columns(*points.T), 5)
+        assert probed_every_row(blocks, 500)
+        assert all(m * width <= max(256, width) for m, width in blocks)
+        assert max(width for _, width in blocks) > 256
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(data=st.data())
+def test_grid_search_equals_blocked_property(data):
+    # Few distinct values per variable make exact copies and ties; finite
+    # floats of any size make underflowing and overflowing squares; small
+    # cells give many cells at small n.
+    d = data.draw(st.integers(1, 3))
+    n = data.draw(st.integers(2, 200))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    values = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([0.0, 1e-300, -1e-300, 1e150])
+    columns = [
+        (data.draw(st.floats(2.0 ** -600, 2.0 ** 600)), rng.choice(data.draw(st.lists(values, min_size=1, max_size=6)), n))
+        for _ in range(d)
+    ]
+    k = data.draw(st.integers(1, n - 1))
+    with mock.patch.object(outliers, "CELL_ROWS", data.draw(st.sampled_from([1, 4, 48]))), np.errstate(all="ignore"):
+        assert_grid_equals_blocked(columns, k)
 
 
 _vl_rows = st.lists(
