@@ -13,7 +13,7 @@ import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from itertools import repeat
+from itertools import chain, islice, repeat
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -225,38 +225,76 @@ def read_csv_table(
     The header must equal ``columns`` after stripping, blank rows are
     skipped, and every other row must have one cell per column. Every input
     CSV the package reads goes through here, so all of them share one
-    dialect; the errors are :class:`SampleParseError` naming ``label``.
+    dialect; the errors are :class:`SampleParseError` naming ``label``. A
+    row ``csv.reader`` cannot read (say, a cell over its field size limit)
+    fails in column ``record``.
     """
     if isinstance(source, str):
         source = io.StringIO(source)
-    reader = csv.reader(source)
+    rows = enumerate(csv.reader(source), start=1)
+    row = 0  # the last row read
     try:
-        header = tuple(name.strip() for name in next(reader))
-    except StopIteration:
-        raise SampleParseError(1, columns[0], f"empty {label} file, header row missing") from None
-    if header != tuple(columns):
-        raise SampleParseError(1, columns[0],
-                               f"{label} header must be {','.join(columns)}, got {','.join(header)}")
-    for row, cells in enumerate(reader, start=2):
-        if not "".join(cells).strip():
-            continue
-        if len(cells) != len(columns):
-            raise SampleParseError(row, columns[min(len(cells), len(columns) - 1)],
-                                   f"expected {len(columns)} {label} fields, got {len(cells)}")
-        yield row, cells
+        row, first = next(rows, (1, None))
+        if first is None:
+            raise SampleParseError(1, columns[0], f"empty {label} file, header row missing")
+        header = tuple(name.strip() for name in first)
+        if header != tuple(columns):
+            raise SampleParseError(1, columns[0],
+                                   f"{label} header must be {','.join(columns)}, got {','.join(header)}")
+        for row, cells in rows:
+            if not "".join(cells).strip():
+                continue
+            if len(cells) != len(columns):
+                raise SampleParseError(row, columns[min(len(cells), len(columns) - 1)],
+                                       f"expected {len(columns)} {label} fields, got {len(cells)}")
+            yield row, cells
+    except csv.Error as exc:
+        raise SampleParseError(row + 1, "record", f"unreadable {label} row: {exc}") from None
+
+
+#: Rows joined and checked as one text: enough to share the checks' cost,
+#: few enough that only their cells are alive at once.
+_CSV_CHUNK_ROWS = 256
+
+_QUOTED_CHARS = frozenset(',"\n\r')
 
 
 def write_csv(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
-    """CSV text of a header row and data rows, with ``\\n`` line ends.
+    """CSV text of a header row and data rows of ``str`` cells, with ``\\n`` line ends.
 
     Every CSV file the package writes goes through here, so all of them
-    share one dialect.
+    share one dialect: cells joined by commas, and a cell quoted (in ``"``,
+    with ``"`` doubled) only when it holds a comma, a quote, a CR or an LF.
+    That is the csv module's minimal quoting, save that its writer, with
+    ``\\n`` line ends, leaves a CR cell bare, which no reader reads back.
     """
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return out.getvalue()
+    rows = chain((header,), rows)
+    chunks = []
+    while chunk := list(islice(rows, _CSV_CHUNK_ROWS)):
+        chunks.append(_csv_lines(chunk))
+    return "".join(chunks)
+
+
+def _csv_lines(rows: list[Sequence[str]]) -> str:
+    """The CSV lines of rows, each ending in ``\\n``; cells go through :func:`_quote_cell` only if one may need it.
+
+    Joined, the rows need no quoting unless they hold a quote, a CR or an
+    LF, more commas than their cell counts give, or an empty line (a row of
+    no cells, or of one empty cell, which is written ``""``).
+    """
+    lines = list(map(",".join, rows))
+    joined = "".join(lines)
+    if ('"' in joined or "\r" in joined or "\n" in joined or "" in lines
+            or joined.count(",") != sum(map(len, rows)) - len(lines)):
+        lines = [",".join(map(_quote_cell, cells)) or ('""' if cells else "") for cells in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _quote_cell(cell: str) -> str:
+    """``cell`` as csv's minimal quoting writes it: in ``"`` with ``"`` doubled if it holds a comma, quote, CR or LF."""
+    if _QUOTED_CHARS.isdisjoint(cell):
+        return cell
+    return '"' + cell.replace('"', '""') + '"'
 
 
 def read_key_value_blocks(

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import SampleRecord, require_int, write_csv
+from .dataset import SampleRecord, first_failure, require_int, write_csv
 from .regression import (
     FittedModel,
     ModelSpec,
@@ -257,6 +257,11 @@ def mean_abs_relative_error_pct(model: FittedModel, records: Sequence[SampleReco
     return _mean_abs_relative_errors_pct(actual, predict_rows(spec, x, np.array(model.coefficients)))
 
 
+def _require_finite(values: np.ndarray) -> None:
+    if not np.isfinite(values).all():
+        raise ValueError("values must be finite")
+
+
 def compare_models(
     records: Sequence[SampleRecord],
     specs: Sequence[ModelSpec],
@@ -310,8 +315,9 @@ def compare_models(
         except SingularSystemError as exc:
             failures.append((exc.system, position, exc))
             continue
-        for coefficients in w.tolist():  # a fitted model's coefficient checks
-            FittedModel(spec, tuple(coefficients), len(records) - n_test)
+        # a fitted model's coefficient checks, as the first failing repetition's model fails them
+        first_failure(_require_finite, w, lambda coefficients: FittedModel(
+            spec, tuple(coefficients.tolist()), len(records) - n_test))
         errors_by_spec.append(_mean_abs_relative_errors_pct(
             actual, predict_rows(spec, system.x[test_rows], w[:, None, :])))
     if failures:

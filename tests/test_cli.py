@@ -113,6 +113,16 @@ class TestClean:
         err = capsys.readouterr().err
         assert "parse stage" in err and "row 2" in err
 
+    def test_oversized_cell_exit_code_1(self, tmp_path, capsys):
+        bad = tmp_path / "big.csv"
+        bad.write_text("id,reservoir,toc_pct,ro_pct,temp_c,porosity_pct,pl_mpa,vl_m3t\n"
+                       "s1,x,4,1.5,48,,5,2\n" + "y" * 200_000 + ",x,4,1.5,48,,5,2\n", encoding="utf-8")
+        argv = ["clean", "--input", str(bad), "--kind", "pl", "--output-dir", str(tmp_path / "o")]
+        code, err = _run(argv, capsys)
+        assert (code, err) == (1, "error: parse stage: row 3, column record: unreadable samples row: "
+                                  "field larger than field limit (131072)\n")
+        assert "Traceback" not in err
+
 
 class TestValidatePipeline:
     def test_noiseless_fixture_recovers_coefficients(self, tmp_path, data_dir, capsys):
@@ -367,6 +377,17 @@ class TestIdw:
                      "--output-dir", str(out)]) == 1
         assert f"error: interpolate stage: {message}\n" in capsys.readouterr().err
         assert not (out / "idw.csv").exists()
+
+    def test_oversized_cell_exit_code_1(self, tmp_path, capsys):
+        heatflow = tmp_path / "h.csv"
+        heatflow.write_text(HEATFLOW_HEADER + GOOD_HEATFLOW_ROW + "104.5,29.1,1200," + "9" * 200_000 + "\n",
+                            encoding="utf-8")
+        argv = ["idw", "--input", str(heatflow), "--query", "105", "30", "--output-dir", str(tmp_path)]
+        code, err = _run(argv, capsys)
+        assert (code, err) == (1, "error: parse stage: row 3, column record: unreadable heat-flow row: "
+                                  "field larger than field limit (131072)\n")
+        assert "Traceback" not in err
+        assert not (tmp_path / "idw.csv").exists()
 
     def test_min_depth_filter_can_empty_the_set(self, tmp_path, data_dir, capsys):
         assert main(["idw", "--input", str(data_dir / "heatflow.csv"),

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 from types import SimpleNamespace
 
@@ -22,7 +24,9 @@ from shale_adsorb.dataset import (
     integrate_replicates,
     parse_samples,
     pearson_correlation,
+    read_csv_table,
     records_to_csv,
+    write_csv,
 )
 from shale_adsorb.regression import ModelKind, ModelSpec
 from conftest import make_record
@@ -102,13 +106,14 @@ class TestParseSamples:
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)
 _positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
-_label = st.text(st.characters(codec="utf-8", exclude_categories=("Cc", "Cs", "Zl", "Zp")),
+_label = st.text(st.characters(codec="utf-8", exclude_categories=("Cc", "Cs", "Zl", "Zp"),
+                               include_characters='\r\n,"'),
                  max_size=12).map(str.strip)
 
 
 @st.composite
 def _sample_records(draw):
-    """Records with every optional field sometimes None, and ids or reservoirs holding commas and quotes."""
+    """Records with every optional field sometimes None, and ids or reservoirs holding commas, quotes, CRs and LFs."""
     ids = draw(st.lists(_label.filter(bool), min_size=1, max_size=15, unique=True))
     return [SampleRecord(id=rec_id, reservoir=draw(_label), toc=draw(_positive),
                          temp=draw(st.floats(min_value=ABSOLUTE_ZERO_C, exclude_min=True, allow_infinity=False)),
@@ -124,6 +129,69 @@ def test_samples_csv_round_trip(records):
     again = parse_samples(text)
     assert again == records
     assert records_to_csv(again) == text
+
+
+class TestReadCsvTable:
+    def test_oversized_cell_names_row_and_kind(self):
+        text = f"{HEADER}\ns1,Barnett,4.0,1.5,48,,5.0,2.0\n{'x' * 200_000},Barnett,4.0,1.5,48,,5.0,2.0\n"
+        with pytest.raises(SampleParseError, match=r"^row 3, column record: unreadable samples row: "
+                                                   r"field larger than field limit") as raised:
+            parse_samples(text)
+        assert raised.value.row == 3
+
+    def test_oversized_header_cell_is_row_1(self):
+        with pytest.raises(SampleParseError, match="^row 1, column record: unreadable heat-flow row"):
+            list(read_csv_table("x" * 200_000 + "\n", ("a",), "heat-flow"))
+
+    def test_unquoted_cr_is_a_parse_error(self):
+        # csv.reader refuses a bare CR in an unquoted cell of a string source
+        with pytest.raises(SampleParseError, match="^row 2, column record: unreadable samples row: new-line"):
+            parse_samples(f"{HEADER}\na\rb,Barnett,4.0,1.5,48,,5.0,2.0\n")
+
+    def test_quoted_cr_reads_back(self):
+        [record] = parse_samples(f'{HEADER}\n"a\rb",Barnett,4.0,1.5,48,,5.0,2.0\n')
+        assert record.id == "a\rb"
+        assert parse_samples(records_to_csv([record])) == [record]
+
+
+def _csv_writer_text(header, rows):
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
+_cell = st.text(st.sampled_from([",", '"', "\n", "\r", " ", "a", "7", ".", "é", "漢", "\u2028", "\x85", "\x00"])
+                | st.characters(codec="utf-8", exclude_categories=("Cs",)), max_size=6)
+_row = st.lists(_cell, max_size=5) | st.just([""]) | st.just([])
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(header=_row, rows=st.lists(_row, max_size=20))
+def test_write_csv_is_csv_writer_with_cr_quoted(header, rows):
+    # csv.writer(lineterminator="\n") leaves a CR cell unquoted; write_csv
+    # quotes it as it quotes an LF cell, and differs in nothing else. With
+    # no CR in any cell, this is plain equality.
+    text = write_csv(header, rows)
+    as_lf = [[cell.replace("\r", "\n") for cell in row] for row in [header, *rows]]
+    assert text.replace("\r", "\n") == _csv_writer_text(as_lf[0], as_lf[1:])
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(rows=st.lists(st.lists(_cell, min_size=3, max_size=3), max_size=20))
+def test_written_cells_read_back(rows):
+    text = write_csv(("a", "b", "c"), rows)
+    kept = [row for row in rows if "".join(row).strip()]  # blank rows are skipped on reading
+    assert [cells for _, cells in read_csv_table(text, ("a", "b", "c"), "test")] == kept
+
+
+@pytest.mark.parametrize("position", [0, 254, 255, 256, 599])
+@pytest.mark.parametrize("cell", ['"', ",", "\n", ""])
+def test_write_csv_quotes_across_chunks(position, cell):
+    rows = [[repr(i / 7), "x"] for i in range(600)]
+    rows[position] = [cell] if cell == "" else [cell, "x"]
+    assert write_csv(("v", "w"), iter(rows)) == _csv_writer_text(("v", "w"), rows)
 
 
 def _staged_run(calls):

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from shale_adsorb import dataset
 from shale_adsorb.cli import main
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -74,6 +75,17 @@ def test_outlier_stage_bytes(kind, k, tmp_path, data_dir):
                  "--k", str(k), "--output-dir", str(out)]) == 0
     assert (out / "kept.csv").read_bytes() == (GOLDEN_DIR / f"kept_{kind}.csv").read_bytes()
     assert (out / "outliers.csv").read_bytes() == (GOLDEN_DIR / f"outliers_{kind}_k{k}.csv").read_bytes()
+
+
+def test_plain_cells_skip_the_quoting_helper(tmp_path, data_dir, monkeypatch):
+    def refuse(cell):
+        raise AssertionError(f"plain cell {cell!r} reached the quoting helper")
+
+    monkeypatch.setattr(dataset, "_quote_cell", refuse)
+    out = tmp_path / "out"
+    assert main(["outliers", "--input", str(data_dir / "samples.csv"), "--kind", "pl",
+                 "--output-dir", str(out)]) == 0
+    assert (out / "outliers.csv").read_bytes() == (GOLDEN_DIR / "outliers_pl_k5.csv").read_bytes()
 
 
 def test_fixture_script_reproduces_bundled_data(tmp_path, monkeypatch, data_dir):

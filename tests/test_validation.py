@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from shale_adsorb import validation
-from shale_adsorb.regression import ModelKind, ModelSpec, SingularSystemError, build_design, fit
+from shale_adsorb.regression import (FittedModel, ModelKind, ModelSpec, SingularSystemError, build_design, fit,
+                                    fit_systems)
 from shale_adsorb.validation import (
     Scenario,
     compare_models,
@@ -359,6 +360,27 @@ class TestCompareModels:
         with pytest.raises(SingularSystemError, match="repetition 1: vl-geo training system") as raised:
             compare_models(records, specs, Scenario.OVERALL, 0.1, 2, seed)
         assert str(oracle.value) in str(raised.value)
+
+    def test_non_finite_coefficient_fails_as_its_repetition(self, monkeypatch):
+        records = synthetic_records(n=30, seed=13)
+        stacks = []
+
+        def fit_with_inf(systems):
+            w = fit_systems(systems)
+            w[2, 1] = math.inf  # repetition 3
+            w[4, 0] = math.nan
+            stacks.append(w)
+            return w
+
+        monkeypatch.setattr(validation, "fit_systems", fit_with_inf)
+        with pytest.raises(ValueError) as raised:
+            compare_models(records, [VL_SPEC, TOCLIN], Scenario.OVERALL, 0.2, repetitions=5, seed=7)
+        with pytest.raises(ValueError) as per_repetition:
+            for coefficients in stacks[0].tolist():
+                FittedModel(VL_SPEC, tuple(coefficients), 24)
+        assert str(raised.value) == str(per_repetition.value)
+        assert "inf" in str(raised.value) and "nan" not in str(raised.value)
+        assert len(stacks) == 1
 
 
 _SPEC_SETS = {
