@@ -16,7 +16,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from shale_adsorb.dataset import DatasetKind, SampleRecord, clean, records_to_csv
+from shale_adsorb.dataset import DatasetKind, SampleTable, clean, records_to_csv
 from shale_adsorb.estimator import reference_models
 from shale_adsorb.outliers import detect_outliers
 
@@ -39,37 +39,34 @@ RESERVOIRS = [
 ]
 
 
-def make_samples() -> list[SampleRecord]:
+def make_samples() -> SampleTable:
     pl_model, vl_model = reference_models()
     rng = np.random.default_rng(SEED)
-    records = []
-    while len(records) < N_SAMPLES:
+    rows = []
+    while len(rows) < N_SAMPLES:
         toc = round(float(rng.uniform(1.5, 12.0)), 2)
         ro = round(float(rng.uniform(0.8, 3.5)), 2)
         temp = round(float(rng.uniform(30.0, 88.0)), 2)
-        rec = SampleRecord(id=f"s{len(records) + 1:02d}", reservoir="synthetic",
-                           toc=toc, temp=temp, ro=ro)
-        pl = pl_model.predict(rec)
-        vl = vl_model.predict(rec)
-        if not (1.6 < pl < 11.5 and vl > 1.05):
-            continue
-        records.append(SampleRecord(id=rec.id, reservoir=rec.reservoir,
-                                    toc=toc, temp=temp, ro=ro, pl=pl, vl=vl))
-    return records
+        query = SampleTable([f"s{len(rows) + 1:02d}"], ["synthetic"], [toc], [ro], [temp], *[[np.nan]] * 3)
+        pl = pl_model.predict(query)
+        vl = vl_model.predict(query)
+        if 1.6 < pl < 11.5 and vl > 1.05:
+            rows.append((query.ids[0], "synthetic", toc, ro, temp, np.nan, pl, vl))
+    return SampleTable(*zip(*rows))
 
 
-def check_samples(records: list[SampleRecord]) -> None:
+def check_samples(samples: SampleTable) -> None:
     for kind in (DatasetKind.PL, DatasetKind.VL):
-        assert len(clean(records, kind).rejected) == 0
+        assert len(clean(samples, kind).rejected) == 0
     pools = {
-        "high-t": sum(1 for r in records if r.temp > 65),
-        "high-toc": sum(1 for r in records if r.toc > 5),
-        "high-ro": sum(1 for r in records if r.ro > 2),
+        "high-t": int((samples.temp > 65).sum()),
+        "high-toc": int((samples.toc > 5).sum()),
+        "high-ro": int((samples.ro > 2).sum()),
     }
     for name, count in pools.items():
         assert count >= 12, f"{name} pool too small: {count}"
     for kind in (DatasetKind.PL, DatasetKind.VL):
-        report = detect_outliers(records, kind)
+        report = detect_outliers(samples, kind)
         assert not any(report.flagged), f"{kind} fixture flags outliers"
         assert max(report.r_values) < 0.5, f"{kind} fixture R too close to threshold"
 

@@ -9,7 +9,7 @@ from .dataset import (
     CleaningOutcome,
     DatasetKind,
     SampleParseError,
-    SampleRecord,
+    SampleTable,
     clean,
     correlation_table,
     integrate_replicates,

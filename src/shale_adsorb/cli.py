@@ -74,22 +74,23 @@ def _stage(name: str, func, *args, **kwargs):
         raise ValueError(f"{name} stage: {exc}") from exc
 
 
-def _run_clean_stage(args: argparse.Namespace, out: Path) -> list[dataset.SampleRecord]:
+def _run_clean_stage(args: argparse.Namespace, out: Path) -> dataset.SampleTable:
     kind = DatasetKind(args.kind)
-    records = _stage("parse", dataset.parse_samples, _read_text(args.input))
-    unique, duplicates = dataset.integrate_replicates(records)
+    samples = _stage("parse", dataset.parse_samples, _read_text(args.input))
+    unique, duplicates = dataset.integrate_replicates(samples)
     outcome = _stage("clean", dataset.clean, unique, kind)
 
     _write(out / "kept.csv", dataset.records_to_csv(outcome.kept))
-    rejection_rows = [(rec, dataset.REASON_DUPLICATE) for rec in duplicates] + outcome.rejected
-    _write(out / "rejections.csv", dataset.rejections_to_csv(rejection_rows))
+    _write(out / "rejections.csv", dataset.rejections_to_csv(
+        dataset.SampleTable.concat([duplicates, outcome.rejected]),
+        [dataset.REASON_DUPLICATE] * len(duplicates) + outcome.reasons))
 
     _say(f"clean[{kind.value}]: kept {len(outcome.kept)}, rejected "
          f"{len(outcome.rejected) + len(duplicates)} ({len(duplicates)} duplicate)")
     return outcome.kept
 
 
-def _run_outlier_stage(args: argparse.Namespace, out: Path) -> list[dataset.SampleRecord]:
+def _run_outlier_stage(args: argparse.Namespace, out: Path) -> dataset.SampleTable:
     kind = DatasetKind(args.kind)
     kept = _run_clean_stage(args, out)
     report = _stage("outlier-detection", outliers.detect_outliers, kept, kind,
@@ -101,7 +102,7 @@ def _run_outlier_stage(args: argparse.Namespace, out: Path) -> list[dataset.Samp
     return inlier_records
 
 
-def _run_fit_stage(args: argparse.Namespace, out: Path) -> tuple[FittedModel, list[dataset.SampleRecord]]:
+def _run_fit_stage(args: argparse.Namespace, out: Path) -> tuple[FittedModel, dataset.SampleTable]:
     kind = DatasetKind(args.kind)
     records = _run_outlier_stage(args, out)
     spec = ModelSpec(_GEO_KIND[kind])
@@ -131,12 +132,11 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     out = _out_dir(args)
-    model, records = _run_fit_stage(args, out)
-    report = _stage("leave-one-out", validation.loo_cv, records, model.spec, ci_level=args.ci_level)
+    model, samples = _run_fit_stage(args, out)
+    report = _stage("leave-one-out", validation.loo_cv, samples, model.spec, ci_level=args.ci_level)
 
     _write(out / "loo_errors.csv", dataset.write_csv(
-        ("id", "error_pct"),
-        ([rec.id, repr(error)] for rec, error in zip(records, report.errors_pct))))
+        ("id", "error_pct"), zip(samples.ids, map(repr, report.errors_pct))))
     _write(out / "qq.csv", dataset.write_csv(
         ("expected", "observed"),
         ([repr(expected), repr(observed)] for expected, observed in report.qq_pairs)))

@@ -1,8 +1,8 @@
-"""Adsorption sample records: CSV ingestion, range-based cleaning, and correlation analysis.
+"""Adsorption samples as one column table: CSV ingestion, range-based cleaning, and correlation analysis.
 
-All quantities carry fixed units throughout the package: TOC and vitrinite
-reflectance in %, temperature in degrees Celsius, pressure in MPa, adsorbed
-volume in m3/t, depth in m.
+A :class:`SampleTable` holds the samples from parse to ``kept.csv``, and every stage reads its columns.
+All quantities carry fixed units throughout the package: TOC and vitrinite reflectance in %,
+temperature in degrees Celsius, pressure in MPa, adsorbed volume in m3/t, depth in m.
 """
 
 from __future__ import annotations
@@ -60,47 +60,90 @@ class SampleParseError(ValueError):
         self.column = column
 
 
-def _require_finite(name: str, value: float | None) -> None:
-    if value is not None and not math.isfinite(value):
-        raise ValueError(f"field {name} must be finite, got {value!r}")
+#: The number columns of a :class:`SampleTable` in samples-CSV order, the two
+#: every sample holds a value in, and the order its values are checked finite.
+SAMPLE_COLUMNS = ("toc", "ro", "temp", "porosity", "pl", "vl")
+REQUIRED_COLUMNS = ("toc", "temp")
+_FINITE_ORDER = ("toc", "temp", "ro", "porosity", "pl", "vl")
 
 
-@dataclass(frozen=True)
-class SampleRecord:
-    """One adsorption-experiment data point."""
+@dataclass(frozen=True, eq=False)
+class SampleTable:
+    """Adsorption-experiment samples as columns: position i of every field is sample i.
 
-    id: str
-    reservoir: str
-    toc: float                    # total organic carbon, %
-    temp: float                   # reservoir temperature, degC
-    ro: float | None = None       # vitrinite reflectance, %
-    porosity: float | None = None  # porosity, %
-    pl: float | None = None       # Langmuir pressure, MPa
-    vl: float | None = None       # Langmuir volume, m3/t
+    ``ids`` and ``reservoirs`` are tuples of str; the numbers are read-only
+    float64 arrays, where NaN marks an absent value. ``toc`` and ``temp``
+    are required. The constructor checks each sample in order (every value
+    finite, then toc > 0, temp above absolute zero, and ro, pl and vl > 0
+    when present) and raises a ``ValueError`` with the first failing
+    sample's message. Tables compare by identity.
+    """
+
+    ids: tuple[str, ...]
+    reservoirs: tuple[str, ...]
+    toc: np.ndarray        # total organic carbon, %
+    ro: np.ndarray         # vitrinite reflectance, %
+    temp: np.ndarray       # reservoir temperature, degC
+    porosity: np.ndarray   # porosity, %
+    pl: np.ndarray         # Langmuir pressure, MPa
+    vl: np.ndarray         # Langmuir volume, m3/t
 
     def __post_init__(self):
-        for name in ("toc", "temp", "ro", "porosity", "pl", "vl"):
-            _require_finite(name, getattr(self, name))
-        if self.toc is None or self.toc <= 0:
-            raise ValueError(f"field toc must be > 0, got {self.toc!r}")
-        if self.temp is None or self.temp <= ABSOLUTE_ZERO_C:
-            raise ValueError(f"field temp must be > {ABSOLUTE_ZERO_C} degC, got {self.temp!r}")
-        for name in ("ro", "pl", "vl"):
-            value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise ValueError(f"field {name} must be > 0 when present, got {value!r}")
+        object.__setattr__(self, "ids", tuple(self.ids))
+        object.__setattr__(self, "reservoirs", tuple(self.reservoirs))
+        n = len(self.ids)
+        if len(self.reservoirs) != n:
+            raise ValueError(f"sample column reservoirs has length {len(self.reservoirs)}, expected {n}")
+        for name in SAMPLE_COLUMNS:
+            column = np.array(getattr(self, name), dtype=float)
+            if column.shape != (n,):
+                raise ValueError(f"sample column {name} has shape {column.shape}, expected ({n},)")
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        # (field, in-range mask, rule), in checking order
+        checks = [
+            *((name, np.isfinite(getattr(self, name)) if name in REQUIRED_COLUMNS else ~np.isinf(getattr(self, name)),
+               "must be finite") for name in _FINITE_ORDER),
+            ("toc", self.toc > 0, "must be > 0"),
+            ("temp", self.temp > ABSOLUTE_ZERO_C, f"must be > {ABSOLUTE_ZERO_C} degC"),
+            *((name, ~(getattr(self, name) <= 0), "must be > 0 when present") for name in ("ro", "pl", "vl")),
+        ]
+        bad = np.flatnonzero(~np.logical_and.reduce([ok for _, ok, _ in checks]))
+        if bad.size:
+            i = bad[0]
+            name, _, rule = next(check for check in checks if not check[1][i])
+            raise ValueError(f"field {name} {rule}, got {getattr(self, name)[i].item()!r}")
 
-    def value_key(self) -> tuple:
-        """Key identifying replicate measurements: every field except the opaque id."""
-        return (self.reservoir, self.toc, self.ro, self.temp, self.porosity, self.pl, self.vl)
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def take(self, rows) -> "SampleTable":
+        """The samples at ``rows`` (indices, a slice or a boolean mask), in that order."""
+        picked = np.arange(len(self))[rows]
+        labels = (tuple(map(names.__getitem__, picked.tolist())) for names in (self.ids, self.reservoirs))
+        return SampleTable(*labels, *(getattr(self, name)[picked] for name in SAMPLE_COLUMNS))
+
+    @classmethod
+    def concat(cls, tables: Sequence["SampleTable"]) -> "SampleTable":
+        """The samples of each table in turn."""
+        return cls(sum((table.ids for table in tables), ()), sum((table.reservoirs for table in tables), ()),
+                   *(np.concatenate([getattr(table, name) for table in tables]) for name in SAMPLE_COLUMNS))
+
+    def values(self, name: str, missing: str) -> np.ndarray:
+        """Column ``name``; if a value is absent, ``ValueError(missing)``, ``{id}`` the first such sample's id."""
+        absent = np.flatnonzero(np.isnan(getattr(self, name)))
+        if absent.size:
+            raise ValueError(missing.format(id=self.ids[absent[0]]))
+        return getattr(self, name)
 
 
 @dataclass
 class CleaningOutcome:
-    """Partition of the input records into kept and (record, reason) rejections."""
+    """Partition of the input samples into kept and rejected ones, with each rejected sample's reason."""
 
-    kept: list[SampleRecord]
-    rejected: list[tuple[SampleRecord, str]]
+    kept: SampleTable
+    rejected: SampleTable
+    reasons: list[str]
 
 
 class DatasetKind(Enum):
@@ -172,46 +215,57 @@ def _parse_float(raw: str, row: int, column: str, required: bool) -> float | Non
         raise SampleParseError(row, column, f"not a number: {raw!r}") from None
 
 
-def parse_samples(source: str | Iterable[str]) -> list[SampleRecord]:
-    """Parse samples-CSV content into records, preserving row order.
+def parse_samples(source: str | Iterable[str]) -> SampleTable:
+    """Parse samples-CSV content into a table, preserving row order.
 
     ``source`` may be the file content as a string or any iterable of lines
-    (for example an open text file). Empty optional fields map to ``None``.
-
-    Raises
-    ------
-    SampleParseError
-        On a malformed header, a malformed row, a field that violates a
-        record invariant, or an id already used by an earlier row; the error
-        names the row number and column.
+    (for example an open text file). An empty optional field is absent (NaN).
+    Raises :class:`SampleParseError` naming the row number and column for a
+    malformed header or row, a field that violates a sample invariant, or an
+    id already used by an earlier row. Within a row the id comes first, then
+    each cell in column order, then the invariants; across rows the first
+    failing row's error wins, by :func:`first_failure`.
     """
-    records: list[SampleRecord] = []
+    rows: list[tuple[int, list[str]]] = []
     first_row: dict[str, int] = {}
-    for row, cells in read_csv_table(source, SAMPLES_CSV_COLUMNS, "samples"):
-        rec_id = cells[0].strip()
-        if rec_id == "":
-            raise SampleParseError(row, "id", "id must not be empty")
-        if rec_id in first_row:
-            raise SampleParseError(row, "id", f"duplicate id {rec_id!r}, first used in row {first_row[rec_id]}")
-        first_row[rec_id] = row
-        try:
-            record = SampleRecord(
-                id=rec_id,
-                reservoir=cells[1].strip(),
-                toc=_parse_float(cells[2], row, "toc_pct", required=True),
-                ro=_parse_float(cells[3], row, "ro_pct", required=False),
-                temp=_parse_float(cells[4], row, "temp_c", required=True),
-                porosity=_parse_float(cells[5], row, "porosity_pct", required=False),
-                pl=_parse_float(cells[6], row, "pl_mpa", required=False),
-                vl=_parse_float(cells[7], row, "vl_m3t", required=False),
-            )
-        except SampleParseError:
-            raise
-        except ValueError as exc:
-            # Invariant violations (e.g. toc <= 0) become parse errors with location.
-            raise SampleParseError(row, "record", str(exc)) from exc
-        records.append(record)
-    return records
+    try:
+        for row in read_csv_table(source, SAMPLES_CSV_COLUMNS, "samples"):
+            rows.append(row)
+    finally:  # the rows before one the reader cannot read fail first
+        samples = first_failure(_sample_table, rows, lambda row: _check_row(*row, first_row))
+    return samples
+
+
+def _sample_table(rows: Sequence[tuple[int, list[str]]]) -> SampleTable:
+    """The table of samples-CSV rows; a bad row raises a ``ValueError`` that :func:`_check_row` explains."""
+    cells = [row_cells for _, row_cells in rows]
+    ids, reservoirs = ([row[k].strip() for row in cells] for k in (0, 1))
+    # An empty cell reads as " nan", which no stripped cell is: any other NaN is a cell that reads as NaN.
+    texts = [[row[k].strip() or " nan" for row in cells] for k in range(2, len(SAMPLES_CSV_COLUMNS))]
+    numbers = [np.fromiter(map(float, column), float, len(column)) for column in texts]
+    if "" in ids or len(set(ids)) < len(ids) or any(
+            np.isnan(values).sum() > column.count(" nan") for values, column in zip(numbers, texts)):
+        raise ValueError("an id is empty or used twice, or a cell reads as NaN")
+    return SampleTable(ids, reservoirs, *numbers)
+
+
+def _check_row(row: int, cells: list[str], first_row: dict[str, int]) -> None:
+    """Raise the parse error of one samples-CSV row, given the first row of each id seen before it."""
+    rec_id = cells[0].strip()
+    if rec_id == "":
+        raise SampleParseError(row, "id", "id must not be empty")
+    if rec_id in first_row:
+        raise SampleParseError(row, "id", f"duplicate id {rec_id!r}, first used in row {first_row[rec_id]}")
+    first_row[rec_id] = row
+    values = {name: _parse_float(cell, row, column, required=name in REQUIRED_COLUMNS)
+              for name, column, cell in zip(SAMPLE_COLUMNS, SAMPLES_CSV_COLUMNS[2:], cells[2:])}
+    try:
+        for name in _FINITE_ORDER:
+            if values[name] is not None and not math.isfinite(values[name]):
+                raise ValueError(f"field {name} must be finite, got {values[name]!r}")
+        _sample_table([(row, cells)])
+    except ValueError as exc:
+        raise SampleParseError(row, "record", str(exc)) from exc
 
 
 def read_csv_table(
@@ -338,46 +392,39 @@ def read_key_value_blocks(
     return blocks
 
 
-def records_to_csv(records: Sequence[SampleRecord]) -> str:
-    """Serialise records back to the samples-CSV schema."""
-    return write_csv(SAMPLES_CSV_COLUMNS, (_record_cells(rec) for rec in records))
+def records_to_csv(samples: SampleTable) -> str:
+    """Serialise samples back to the samples-CSV schema."""
+    return write_csv(SAMPLES_CSV_COLUMNS, zip(*_text_columns(samples)))
 
 
-def _record_cells(rec: SampleRecord) -> list[str]:
-    def fmt(value: float | None) -> str:
-        return "" if value is None else repr(value)
-
-    return [rec.id, rec.reservoir, fmt(rec.toc), fmt(rec.ro), fmt(rec.temp),
-            fmt(rec.porosity), fmt(rec.pl), fmt(rec.vl)]
+def rejections_to_csv(rejected: SampleTable, reasons: Sequence[str]) -> str:
+    """Serialise rejected samples as samples-CSV rows plus a reason column."""
+    return write_csv(SAMPLES_CSV_COLUMNS + ("reason",), zip(*_text_columns(rejected), reasons))
 
 
-def rejections_to_csv(rejected: Sequence[tuple[SampleRecord, str]]) -> str:
-    """Serialise (record, reason) pairs as samples-CSV rows plus a reason column."""
-    return write_csv(SAMPLES_CSV_COLUMNS + ("reason",),
-                     (_record_cells(rec) + [reason] for rec, reason in rejected))
+def _text_columns(samples: SampleTable) -> list[Sequence[str]]:
+    """The samples-CSV cells of each column: ``repr`` of each number, ``""`` where it is absent."""
+    return [samples.ids, samples.reservoirs,
+            *(["" if text == "nan" else text for text in map(repr, getattr(samples, name).tolist())]
+              for name in SAMPLE_COLUMNS)]
 
 
-def integrate_replicates(records: Sequence[SampleRecord]) -> tuple[list[SampleRecord], list[SampleRecord]]:
-    """Drop exact replicate measurements, keeping the first occurrence.
+def integrate_replicates(samples: SampleTable) -> tuple[SampleTable, SampleTable]:
+    """Drop exact replicate measurements, keeping the first occurrence; returns (unique, dropped) in input order.
 
-    Two records are replicates when every field except the opaque id matches
-    exactly. Returns (unique, dropped) with input order preserved.
+    Two samples are replicates when every field except the opaque id matches
+    exactly, compared as Python values: ``-0.0`` equals ``0.0``, and an absent
+    value (``None`` in the key) equals only an absent one.
     """
-    seen: set[tuple] = set()
-    unique: list[SampleRecord] = []
-    dropped: list[SampleRecord] = []
-    for rec in records:
-        key = rec.value_key()
-        if key in seen:
-            dropped.append(rec)
-        else:
-            seen.add(key)
-            unique.append(rec)
-    return unique, dropped
+    keys = zip(samples.reservoirs, *(np.where(np.isnan(column), None, column).tolist()
+                                     for column in (getattr(samples, name) for name in SAMPLE_COLUMNS)))
+    first: dict[tuple, int] = {}
+    unique = np.array([first.setdefault(key, i) == i for i, key in enumerate(keys)], dtype=bool)
+    return samples.take(unique), samples.take(~unique)
 
 
 #: The geological ranges the models are fitted on: (field, in-range test), in
-#: the order temp, ro, toc. Cleaning rejects a record outside them with
+#: the order temp, ro, toc. Cleaning rejects a sample outside them with
 #: ``<field>-range``; an estimate outside them is tagged
 #: ``<field>-extrapolation``. Each test takes a float or a float array.
 FIT_RANGES = (
@@ -389,48 +436,42 @@ FIT_RANGES = (
 
 def _fit_range_rules(kind: DatasetKind) -> tuple:
     """One ``<field>-range`` rule per fitted range of the kind's variables."""
-    return tuple(
-        (f"{field}-range", lambda rec, field=field, in_range=in_range: in_range(getattr(rec, field)))
-        for field, in_range in FIT_RANGES if field in kind.independent_vars
-    )
+    return tuple((f"{field}-range", field, test) for field, test in FIT_RANGES if field in kind.independent_vars)
 
 
-# Per-kind cleaning rules: (reason code, keep-test) in evaluation order. A
-# record is rejected with the reason of the first test it fails.
+# Per-kind cleaning rules: (reason code, field, keep-test of its column) in evaluation order. A sample is
+# rejected with the reason of the first test it fails; a table value is finite exactly where it is present.
 _CLEANING_RULES = {
     DatasetKind.PL: (
-        (REASON_MISSING, lambda rec: rec.pl is not None and rec.ro is not None),
+        (REASON_MISSING, "pl", np.isfinite),
+        (REASON_MISSING, "ro", np.isfinite),
         *_fit_range_rules(DatasetKind.PL),
-        (REASON_PL, lambda rec: 1.5 < rec.pl < 12.0),
+        (REASON_PL, "pl", lambda pl: (1.5 < pl) & (pl < 12.0)),
     ),
     DatasetKind.VL: (
-        (REASON_MISSING, lambda rec: rec.vl is not None),
+        (REASON_MISSING, "vl", np.isfinite),
         *_fit_range_rules(DatasetKind.VL),
-        (REASON_VL, lambda rec: rec.vl > 1.0),
+        (REASON_VL, "vl", lambda vl: vl > 1.0),
     ),
 }
 
 
-def clean(records: Sequence[SampleRecord], kind: DatasetKind) -> CleaningOutcome:
-    """Keep the records usable for fitting the dataset kind.
+def clean(samples: SampleTable, kind: DatasetKind) -> CleaningOutcome:
+    """Keep the samples usable for fitting the dataset kind, by one mask per rule.
 
-    A pressure record is kept when pl, ro, toc and temp are all present and
-    temp < 90, ro < 4, 1 <= toc <= 17 and 1.5 < pl < 12; a volume record when
+    A pressure sample is kept when pl, ro, toc and temp are all present and
+    temp < 90, ro < 4, 1 <= toc <= 17 and 1.5 < pl < 12; a volume sample when
     vl, toc and temp are present and temp < 90, 1 <= toc <= 17 and vl > 1.
     Rejections carry the first failing reason code in the fixed order:
     presence, temp, ro, toc, value range.
     """
     rules = _CLEANING_RULES[kind]
-    kept: list[SampleRecord] = []
-    rejected: list[tuple[SampleRecord, str]] = []
-    for rec in records:
-        for reason, keep in rules:
-            if not keep(rec):
-                rejected.append((rec, reason))
-                break
-        else:
-            kept.append(rec)
-    return CleaningOutcome(kept, rejected)
+    first = np.full(len(samples), len(rules))
+    for k in reversed(range(len(rules))):  # an earlier rule overwrites a later one
+        _, field, keep = rules[k]
+        first[~keep(getattr(samples, field))] = k
+    kept = first == len(rules)
+    return CleaningOutcome(samples.take(kept), samples.take(~kept), [rules[k][0] for k in first[~kept].tolist()])
 
 
 def pearson_correlation(x: Sequence[float], y: Sequence[float]) -> float:
@@ -477,26 +518,21 @@ class CorrelationRow:
 
 
 def correlation_table(
-    records: Sequence[SampleRecord],
+    samples: SampleTable,
     pairs: Sequence[tuple[str, str]] = CORRELATION_PAIRS,
 ) -> list[CorrelationRow]:
     """Pairwise-complete data sizes and |r| for each variable pair.
 
-    For each pair only the records where both variables are present are
+    For each pair only the samples where both variables are present are
     used, so the reported ``n`` is the pairwise-complete data size.
     """
     rows = []
     for var_a, var_b in pairs:
-        xs, ys = [], []
-        for rec in records:
-            a = getattr(rec, var_a)
-            b = getattr(rec, var_b)
-            if a is not None and b is not None:
-                xs.append(a)
-                ys.append(b)
+        a, b = getattr(samples, var_a), getattr(samples, var_b)
+        both = np.isfinite(a) & np.isfinite(b)
         try:
-            abs_r = abs(pearson_correlation(xs, ys))
+            abs_r = abs(pearson_correlation(a[both], b[both]))
         except ValueError:
             abs_r = None
-        rows.append(CorrelationRow(var_a, var_b, len(xs), abs_r))
+        rows.append(CorrelationRow(var_a, var_b, int(both.sum()), abs_r))
     return rows

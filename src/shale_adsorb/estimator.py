@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import ABSOLUTE_ZERO_C, FIT_RANGES, SampleRecord, first_failure, read_key_value_blocks, write_csv
+from .dataset import FIT_RANGES, SampleTable, first_failure, read_key_value_blocks, write_csv
 from .regression import FittedModel, ModelKind, ModelSpec, predict_rows
 
 WATER_DENSITY_T_PER_M3 = 1.0
@@ -176,13 +176,6 @@ class ReservoirTable:
         return np.where(self.has_pressure_override, self.pressure_override, derived)
 
 
-def _predictions(model: FittedModel, query: dict[str, np.ndarray]) -> np.ndarray:
-    """``model.predict`` of each query row: its regressors, one ``vecdot`` and the inverse per element."""
-    spec = model.spec
-    x = spec.regressors(query, ("query",) * len(query["toc"]))
-    return predict_rows(spec, x, np.array(model.coefficients))
-
-
 def _contents(
     toc: np.ndarray,
     ro: np.ndarray,
@@ -194,25 +187,22 @@ def _contents(
     """Adsorbed content (m3/t) of each row of float64 inputs, each step run on all rows at once.
 
     The steps are those of one row: check the pressure, check the query
-    record (``SampleRecord``'s invariants, and its constructor's message),
-    predict pl then vl, check them as :class:`LangmuirParams` does, and
-    evaluate the isotherm. A failing step raises for the first row it
-    rejects, which need not be the first row that fails: an earlier row may
-    fail a later step.
+    samples (``SampleTable``'s invariants, with ro present), predict pl then
+    vl, check them as :class:`LangmuirParams` does, and evaluate the
+    isotherm. A failing step raises for the first row it rejects, which need
+    not be the first row that fails: an earlier row may fail a later step.
     """
     bad = np.flatnonzero(~(pressure > 0))
     if bad.size:
         raise ValueError(f"pressure must be positive, got {pressure[bad[0]].item()}")
-    bad = np.flatnonzero(~(np.isfinite(temp) & (temp > ABSOLUTE_ZERO_C) & np.isfinite(toc) & (toc > 0)
-                           & np.isfinite(ro) & (ro > 0)))
-    if bad.size:
-        i = bad[0]
-        SampleRecord(id="query", reservoir="", toc=toc[i].item(), temp=temp[i].item(), ro=ro[i].item())  # raises
-    query = {"toc": toc, "temp": temp, "ro": ro}
+    query = SampleTable(("query",) * len(toc), ("",) * len(toc), toc, ro, temp, *np.full((3, len(toc)), math.nan))
+    if np.isnan(ro).any():
+        raise ValueError("field ro must be finite, got nan")
     # NumPy warns where the Python float arithmetic it replaces does not.
     with np.errstate(all="ignore"):
-        pl = _predictions(pl_model, query)
-        vl = _predictions(vl_model, query)
+        # model.predict of each query row: its regressors, one vecdot and the inverse per element
+        pl, vl = (predict_rows(model.spec, model.spec.regressors(query), np.array(model.coefficients))
+                  for model in (pl_model, vl_model))
         bad = np.flatnonzero(~(np.isfinite(pl) & (pl > 0) & np.isfinite(vl) & (vl > 0)))
         if bad.size:
             LangmuirParams(pl=pl[bad[0]].item(), vl=vl[bad[0]].item())  # raises

@@ -16,7 +16,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .dataset import DatasetKind, SampleRecord, require_int, write_csv
+from .dataset import DatasetKind, SampleTable, require_int, write_csv
 
 DEFAULT_K = 5
 DEFAULT_THRESHOLD = 0.85
@@ -67,11 +67,11 @@ class OutlierReport:
     def flagged_ids(self) -> list[str]:
         return [i for i, f in zip(self.ids, self.flagged) if f]
 
-    def inliers(self, records: Sequence[SampleRecord]) -> list[SampleRecord]:
-        """The records that were not flagged, in input order."""
-        if len(records) != len(self.flagged):
+    def inliers(self, samples: SampleTable) -> SampleTable:
+        """The samples that were not flagged, in input order."""
+        if len(samples) != len(self.flagged):
             raise ValueError("record list does not match this report")
-        return [rec for rec, f in zip(records, self.flagged) if not f]
+        return samples.take(np.logical_not(self.flagged))
 
     def to_csv(self) -> str:
         """Serialise as ``id,R,flagged,neighbor_ids,neighbor_weights``.
@@ -100,17 +100,11 @@ def quartiles(values: Sequence[float]) -> tuple[float, float]:
     return float(q1), float(q3)
 
 
-def compute_weights(records: Sequence[SampleRecord], variables: Sequence[str]) -> DistanceWeights:
+def compute_weights(samples: SampleTable, variables: Sequence[str]) -> DistanceWeights:
     """IQR-based distance weight for each active variable, over the full dataset."""
     weights: dict[str, float] = {}
     for var in variables:
-        values = []
-        for rec in records:
-            value = getattr(rec, var)
-            if value is None:
-                raise ValueError(f"record {rec.id} is missing distance variable {var}")
-            values.append(value)
-        q1, q3 = quartiles(values)
+        q1, q3 = quartiles(samples.values(var, f"record {{id}} is missing distance variable {var}"))
         if q3 - q1 == 0.0:
             raise ZeroIqrError(var)
         weights[var] = IQR_WEIGHT_SCALE / (q3 - q1)
@@ -127,15 +121,10 @@ def _check_neighbour_count(k: int, n: int) -> int:
     return k
 
 
-def _distance_columns(records: Sequence[SampleRecord], weights: DistanceWeights) -> list[tuple[float, np.ndarray]]:
+def _distance_columns(samples: SampleTable, weights: DistanceWeights) -> list[tuple[float, np.ndarray]]:
     """(weight, values) per distance variable, in ``weights.by_variable`` order."""
-    columns = []
-    for var, w in weights.by_variable.items():
-        values = [getattr(rec, var) for rec in records]
-        if None in values:
-            raise ValueError(f"distance variable {var} missing from record {records[values.index(None)].id}")
-        columns.append((w, np.array(values, dtype=float)))
-    return columns
+    return [(w, samples.values(var, f"distance variable {var} missing from record {{id}}"))
+            for var, w in weights.by_variable.items()]
 
 
 def _nearest(
@@ -307,7 +296,7 @@ def _score(dist: np.ndarray, dep: np.ndarray, dep_neighbors: np.ndarray) -> tupl
 
 def weighted_relative_error(
     index: int,
-    records: Sequence[SampleRecord],
+    samples: SampleTable,
     weights: DistanceWeights,
     k: int,
     dependent: str,
@@ -326,20 +315,19 @@ def weighted_relative_error(
     every record; its oracles are in ``tests/helpers.py``. Returns (R,
     neighbour indices, neighbour weights).
     """
-    n = len(records)
+    n = len(samples)
     k = _check_neighbour_count(k, n)
     index = range(n)[index]
-    idx, dist = _nearest(np.array([index]), np.arange(n), _distance_columns(records, weights), k)
+    idx, dist = _nearest(np.array([index]), np.arange(n), _distance_columns(samples, weights), k)
     neighbors = idx[0].tolist()
-    deps = [getattr(records[j], dependent) for j in (index, *neighbors)]
-    if None in deps:
-        raise ValueError(f"dependent variable {dependent} missing from record or neighbours")
-    r, w = _score(dist, np.array(deps[:1]), np.array([deps[1:]]))
+    deps = samples.take([index, *neighbors]).values(
+        dependent, f"dependent variable {dependent} missing from record or neighbours")
+    r, w = _score(dist, deps[:1], deps[None, 1:])
     return r.item(), neighbors, w[0].tolist()
 
 
 def detect_outliers(
-    records: Sequence[SampleRecord],
+    samples: SampleTable,
     kind: DatasetKind,
     k: int = DEFAULT_K,
     threshold: float = DEFAULT_THRESHOLD,
@@ -365,23 +353,20 @@ def detect_outliers(
     per-record Python; each R and weight equals the oracle
     ``naive_relative_error`` there bit for bit.
     """
-    n = len(records)
+    n = len(samples)
     k = _check_neighbour_count(k, n)
     if math.isnan(threshold):
         raise ValueError("threshold must not be NaN")
     if threshold < 0:
         raise ValueError(f"threshold must be >= 0, got {threshold!r}")
-    weights = compute_weights(records, kind.independent_vars)
-    columns = _distance_columns(records, weights)
+    weights = compute_weights(samples, kind.independent_vars)
+    columns = _distance_columns(samples, weights)
     dependent = kind.dependent_var
-    deps = [getattr(rec, dependent) for rec in records]
-    if None in deps:
-        raise ValueError(f"dependent variable {dependent} missing from record or neighbours")
-    dep = np.array(deps, dtype=float)
+    dep = samples.values(dependent, f"dependent variable {dependent} missing from record or neighbours")
     idx, dist = _neighbours(columns, k)
     r, w = _score(dist, dep, dep[idx])
     return OutlierReport(
-        ids=[rec.id for rec in records],
+        ids=list(samples.ids),
         r_values=r.tolist(),
         flagged=(r > threshold).tolist(),
         threshold=threshold,

@@ -12,11 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .dataset import (RO_NORM_PCT, TEMP_NORM_C, TOC_NORM_PCT, SampleRecord, elementwise, first_failure,
+from .dataset import (RO_NORM_PCT, TEMP_NORM_C, TOC_NORM_PCT, SampleTable, elementwise, first_failure,
                       read_key_value_blocks)
 
 #: Relative pivot threshold below which the normal equations are treated as
@@ -57,10 +57,10 @@ def _rows(*columns: np.ndarray) -> np.ndarray:
     return np.column_stack((*columns, np.ones(len(columns[0]))))
 
 
-def _pl_geo_rows(fields: Mapping[str, np.ndarray], ids: Sequence[str], kelvin: bool) -> np.ndarray:
-    toc_star = fields["toc"] / TOC_NORM_PCT
-    t_star = fields["temp"] / TEMP_NORM_C
-    ro_star = fields["ro"] / RO_NORM_PCT
+def _pl_geo_rows(samples: SampleTable, kelvin: bool) -> np.ndarray:
+    toc_star = samples.toc / TOC_NORM_PCT
+    t_star = samples.temp / TEMP_NORM_C
+    ro_star = samples.ro / RO_NORM_PCT
     return _rows(toc_star, elementwise(math.log, t_star / ro_star))
 
 
@@ -74,20 +74,20 @@ def _t_star_cubed(temp: float) -> float:
         ) from None
 
 
-def _vl_geo_rows(fields: Mapping[str, np.ndarray], ids: Sequence[str], kelvin: bool) -> np.ndarray:
-    return _rows(fields["toc"] / TOC_NORM_PCT, elementwise(_t_star_cubed, fields["temp"]))
+def _vl_geo_rows(samples: SampleTable, kelvin: bool) -> np.ndarray:
+    return _rows(samples.toc / TOC_NORM_PCT, elementwise(_t_star_cubed, samples.temp))
 
 
-def _invtemp_rows(fields: Mapping[str, np.ndarray], ids: Sequence[str], kelvin: bool) -> np.ndarray:
-    t = fields["temp"] + CELSIUS_TO_KELVIN if kelvin else fields["temp"]
+def _invtemp_rows(samples: SampleTable, kelvin: bool) -> np.ndarray:
+    t = samples.temp + CELSIUS_TO_KELVIN if kelvin else samples.temp
     zero = np.flatnonzero(t == 0.0)
     if zero.size:
-        raise ValueError(f"record {ids[zero[0]]}: temperature of exactly 0 breaks the reciprocal model")
+        raise ValueError(f"record {samples.ids[zero[0]]}: temperature of exactly 0 breaks the reciprocal model")
     return _rows(1.0 / t)
 
 
-def _log_toc_rows(fields: Mapping[str, np.ndarray], ids: Sequence[str], kelvin: bool) -> np.ndarray:
-    return _rows(elementwise(math.log, fields["toc"]))
+def _log_toc_rows(samples: SampleTable, kelvin: bool) -> np.ndarray:
+    return _rows(elementwise(math.log, samples.toc))
 
 
 @dataclass(frozen=True)
@@ -97,8 +97,8 @@ class _KindFacts:
     dependent_var: str
     required_fields: tuple[str, ...]
     coefficient_names: tuple[str, ...]
-    # (field columns, row ids, invtemp_kelvin) -> (m, p) regressor rows
-    rows: Callable[[Mapping[str, np.ndarray], Sequence[str], bool], np.ndarray]
+    # (samples holding every required field, invtemp_kelvin) -> (m, p) regressor rows
+    rows: Callable[[SampleTable, bool], np.ndarray]
     response: Callable[[float], float]                  # dependent value -> linear response
     inverse: Callable[[float], float]                   # linear response -> dependent value
 
@@ -116,7 +116,7 @@ _FACTS = {
     ModelKind.VL_TOCPOW: _KindFacts("vl", ("toc",), ("exponent", "ln_scale"),
                                     _log_toc_rows, math.log, math.exp),
     ModelKind.VL_TOCLIN: _KindFacts("vl", ("toc",), ("slope", "intercept"),
-                                    lambda fields, ids, kelvin: _rows(fields["toc"]),
+                                    lambda samples, kelvin: _rows(samples.toc),
                                     lambda value: value, lambda linear: linear),
 }
 
@@ -148,45 +148,34 @@ class ModelSpec:
     def n_coefficients(self) -> int:
         return len(self.coefficient_names)
 
-    def regressors(self, fields: Mapping[str, np.ndarray], ids: Sequence[str]) -> np.ndarray:
-        """Regressor rows, shape (m, p), from float64 columns of the required fields.
+    def regressors(self, samples: SampleTable) -> np.ndarray:
+        """Regressor rows, shape (m, p), of a sample table, each step run on all samples at once.
 
-        ``ids`` name the rows in errors; a trailing column of ones carries
-        the intercept. Each value is computed as for its row alone (every
-        ``log`` and cube is a ``math`` or builtin call per element). A value
-        outside a transform's domain raises for the first row that step
-        rejects, which need not be the first row that fails.
+        A trailing column of ones carries the intercept. Each value is
+        computed as for its sample alone (every ``log`` and cube is a
+        ``math`` or builtin call per element). A step raises for the first
+        sample it rejects, which need not be the first sample that fails: a
+        missing field first, then a value outside a transform's domain.
         """
+        for name in self.required_fields:
+            samples.values(name, f"record {{id}} is missing field {name} required by {self.kind.value}")
         # NumPy warns where the Python float arithmetic it replaces does not.
         with np.errstate(all="ignore"):
-            return _FACTS[self.kind].rows(fields, ids, self.invtemp_kelvin)
+            return _FACTS[self.kind].rows(samples, self.invtemp_kelvin)
 
-    def _rows_of(self, records: Sequence[SampleRecord]) -> np.ndarray:
-        """The regressor rows of records, each check run on all of them at once."""
-        fields = {}
-        for name in self.required_fields:
-            column = [getattr(record, name) for record in records]
-            if None in column:
-                record = records[column.index(None)]
-                raise ValueError(f"record {record.id} is missing field {name} required by {self.kind.value}")
-            fields[name] = np.array(column, dtype=float)
-        return self.regressors(fields, [record.id for record in records])
+    def feature_rows(self, samples: SampleTable) -> np.ndarray:
+        """The regressor rows of samples, shape (m, p); fails as :func:`~shale_adsorb.dataset.first_failure` says."""
+        return first_failure(lambda rows: self.regressors(samples.take(rows) if len(rows) < len(samples) else samples),
+                             range(len(samples)), lambda i: self.regressors(samples.take([i])))
 
-    def feature_rows(self, records: Sequence[SampleRecord]) -> np.ndarray:
-        """The regressor rows of records, shape (m, p); fails as :func:`~shale_adsorb.dataset.first_failure` says."""
-        return first_failure(self._rows_of, records, lambda record: self._rows_of([record]))
+    def feature_row(self, sample: SampleTable) -> list[float]:
+        """The regressor row of a one-sample table; a trailing 1 carries the intercept."""
+        [row] = self.regressors(sample).tolist()
+        return row
 
-    def feature_row(self, record: SampleRecord) -> list[float]:
-        """The regressor row for one record; a trailing 1 carries the intercept."""
-        return self._rows_of([record])[0].tolist()
-
-    def dependent_values(self, records: Sequence[SampleRecord]) -> np.ndarray:
-        """The records' values of the dependent variable (pl or vl) as float64; the first missing one raises."""
-        column = [getattr(record, self.dependent_var) for record in records]
-        if None in column:
-            record = records[column.index(None)]
-            raise ValueError(f"record {record.id} is missing dependent variable {self.dependent_var}")
-        return np.array(column, dtype=float)
+    def dependent_values(self, samples: SampleTable) -> np.ndarray:
+        """The samples' values of the dependent variable (pl or vl); the first missing one raises."""
+        return samples.values(self.dependent_var, f"record {{id}} is missing dependent variable {self.dependent_var}")
 
     def inverse_response(self, linear_value: float) -> float:
         """Map a fitted linear response back to the dependent variable's units."""
@@ -240,9 +229,9 @@ class FittedModel:
         if self.n_fit < 0:
             raise ValueError(f"n_fit must be >= 0, got {self.n_fit}")
 
-    def predict(self, record: SampleRecord) -> float:
-        """Predicted dependent value (pl in MPa or vl in m3/t) for one record."""
-        row = self.spec.feature_row(record)
+    def predict(self, sample: SampleTable) -> float:
+        """Predicted dependent value (pl in MPa or vl in m3/t) for a one-sample table."""
+        row = self.spec.feature_row(sample)
         linear = float(np.dot(row, self.coefficients))
         return self.spec.inverse_response(linear)
 
@@ -258,10 +247,10 @@ def predict_rows(spec: ModelSpec, x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.array(spec.inverse_responses(linear.ravel().tolist())).reshape(linear.shape)
 
 
-def build_design(records: Sequence[SampleRecord], spec: ModelSpec) -> DesignSystem:
-    """Assemble the regression system for a cleaned record list; the rows are checked before the responses."""
-    x = spec.feature_rows(records)
-    return DesignSystem(x, elementwise(_FACTS[spec.kind].response, spec.dependent_values(records)))
+def build_design(samples: SampleTable, spec: ModelSpec) -> DesignSystem:
+    """Assemble the regression system for a cleaned sample table; the rows are checked before the responses."""
+    x = spec.feature_rows(samples)
+    return DesignSystem(x, elementwise(_FACTS[spec.kind].response, spec.dependent_values(samples)))
 
 
 def solve_normal_equations(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -343,11 +332,11 @@ def fit_systems(systems: Iterable[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
     return solve_normal_equations(np.array(grams), np.array(moments))
 
 
-def fit(records: Sequence[SampleRecord], spec: ModelSpec) -> FittedModel:
+def fit(samples: SampleTable, spec: ModelSpec) -> FittedModel:
     """Build the design system for ``spec`` and solve it."""
-    system = build_design(records, spec)
+    system = build_design(samples, spec)
     w = ols_fit(system)
-    return FittedModel(spec=spec, coefficients=tuple(float(v) for v in w), n_fit=len(records))
+    return FittedModel(spec=spec, coefficients=tuple(float(v) for v in w), n_fit=len(samples))
 
 
 def model_to_text(model: FittedModel) -> str:

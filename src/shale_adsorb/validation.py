@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import SampleRecord, first_failure, require_int, write_csv
+from .dataset import SampleTable, first_failure, require_int, write_csv
 from .regression import (
     FittedModel,
     ModelSpec,
@@ -58,19 +58,16 @@ class Scenario(Enum):
     HIGH_TOC = "high-toc"
     HIGH_RO = "high-ro"
 
-    def in_pool(self, record: SampleRecord) -> bool:
-        return _SCENARIO_POOLS[self][0](record)
-
     def row_label(self, repetition: int) -> str:
-        return f"{_SCENARIO_POOLS[self][1]}{repetition}"
+        return f"{_SCENARIO_POOLS[self][2]}{repetition}"
 
 
-# Scenario -> (test-pool predicate, comparison row-label prefix).
+# Scenario -> (field, bound, row-label prefix): the test pool is the samples whose field exceeds the bound.
 _SCENARIO_POOLS = {
-    Scenario.OVERALL: (lambda record: True, "Test "),
-    Scenario.HIGH_T: (lambda record: record.temp > 65.0, "HighT"),
-    Scenario.HIGH_TOC: (lambda record: record.toc > 5.0, "HighTOC"),
-    Scenario.HIGH_RO: (lambda record: record.ro is not None and record.ro > 2.0, "HighRo"),
+    Scenario.OVERALL: ("toc", -math.inf, "Test "),
+    Scenario.HIGH_T: ("temp", 65.0, "HighT"),
+    Scenario.HIGH_TOC: ("toc", 5.0, "HighTOC"),
+    Scenario.HIGH_RO: ("ro", 2.0, "HighRo"),
 }
 
 
@@ -137,7 +134,7 @@ def _leave_one_out_systems(x: np.ndarray, y: np.ndarray):
         yield rows, ys
 
 
-def loo_cv(records: Sequence[SampleRecord], spec: ModelSpec,
+def loo_cv(samples: SampleTable, spec: ModelSpec,
            ci_level: float = DEFAULT_CI_LEVEL) -> ValidationReport:
     """Leave-one-out cross-validation of one model spec.
 
@@ -151,20 +148,20 @@ def loo_cv(records: Sequence[SampleRecord], spec: ModelSpec,
     A singular fold raises :class:`SingularSystemError` naming the first
     such fold and its record id.
     """
-    m = len(records)
+    m = len(samples)
     if m < spec.n_coefficients + 1:
         raise ValueError(
             f"need at least {spec.n_coefficients + 1} records for leave-one-out, got {m}"
         )
-    system = build_design(records, spec)
+    system = build_design(samples, spec)
     try:
         w = fit_systems(_leave_one_out_systems(system.x, system.y))
     except SingularSystemError as exc:
         raise SingularSystemError(
-            f"fold {exc.system} (record {records[exc.system].id}) left a singular training system: {exc}",
+            f"fold {exc.system} (record {samples.ids[exc.system]}) left a singular training system: {exc}",
             system=exc.system,
         ) from exc
-    actual = spec.dependent_values(records)
+    actual = spec.dependent_values(samples)
     errors = ((actual - predict_rows(spec, system.x, w)) / actual * 100.0).tolist()
 
     mean, half_width = error_ci(errors, ci_level)
@@ -182,15 +179,16 @@ def loo_cv(records: Sequence[SampleRecord], spec: ModelSpec,
     )
 
 
-def _split_pool(records: Sequence[SampleRecord], scenario: Scenario,
+def _split_pool(samples: SampleTable, scenario: Scenario,
                 test_fraction: float) -> tuple[list[int], int]:
-    """The scenario's test pool (record indices) and the test-set size."""
+    """The scenario's test pool (sample indices) and the test-set size."""
     if not 0.0 < test_fraction < 1.0:
         raise ValueError(f"test fraction must be in (0, 1), got {test_fraction}")
-    pool = [i for i, rec in enumerate(records) if scenario.in_pool(rec)]
+    field, bound, _ = _SCENARIO_POOLS[scenario]
+    pool = np.flatnonzero(getattr(samples, field) > bound).tolist()
     if not pool:
         raise ValueError(f"no records match scenario {scenario.value}")
-    n_test = max(1, int(round(test_fraction * len(records))))
+    n_test = max(1, int(round(test_fraction * len(samples))))
     if n_test > len(pool):
         raise ValueError(
             f"scenario {scenario.value} pool has {len(pool)} records, "
@@ -217,11 +215,11 @@ def _test_mask(n_records: int, pool: list[int], n_test: int, seed) -> np.ndarray
 
 
 def scenario_split(
-    records: Sequence[SampleRecord],
+    samples: SampleTable,
     scenario: Scenario,
     test_fraction: float,
     seed,
-) -> tuple[list[SampleRecord], list[SampleRecord]]:
+) -> tuple[SampleTable, SampleTable]:
     """Deterministic train/test split with the test set drawn from a scenario pool.
 
     The test-set size is round(test_fraction * len(records)), at least one;
@@ -229,13 +227,12 @@ def scenario_split(
     partial Fisher-Yates shuffle driven by a seeded PCG64 generator (swap i
     exchanges pool positions i and j, j drawn from [i, len(pool)); the draws
     come from one array call, equal to the sequential scalar draws), and the
-    training set is everything else. Both keep the records' order.
+    training set is everything else. Both keep the samples' order.
     :func:`compare_models` draws its splits through the same helper.
     """
-    pool, n_test = _split_pool(records, scenario, test_fraction)
-    held_out = _test_mask(len(records), pool, n_test, seed).tolist()
-    return ([rec for rec, held in zip(records, held_out) if not held],
-            [rec for rec, held in zip(records, held_out) if held])
+    pool, n_test = _split_pool(samples, scenario, test_fraction)
+    held_out = _test_mask(len(samples), pool, n_test, seed)
+    return samples.take(~held_out), samples.take(held_out)
 
 
 def _mean_abs_relative_errors_pct(actual: np.ndarray, predicted: np.ndarray):
@@ -247,13 +244,13 @@ def _mean_abs_relative_errors_pct(actual: np.ndarray, predicted: np.ndarray):
     return (np.cumsum(relative, axis=-1)[..., -1] / actual.shape[-1] * 100.0).tolist()
 
 
-def mean_abs_relative_error_pct(model: FittedModel, records: Sequence[SampleRecord]) -> float:
-    """Mean absolute relative error (%) of a fitted model on a record list."""
-    if not records:
+def mean_abs_relative_error_pct(model: FittedModel, samples: SampleTable) -> float:
+    """Mean absolute relative error (%) of a fitted model on a sample table."""
+    if not len(samples):
         raise ValueError("empty evaluation set")
     spec = model.spec
-    x = spec.feature_rows(records)
-    actual = spec.dependent_values(records)
+    x = spec.feature_rows(samples)
+    actual = spec.dependent_values(samples)
     return _mean_abs_relative_errors_pct(actual, predict_rows(spec, x, np.array(model.coefficients)))
 
 
@@ -263,7 +260,7 @@ def _require_finite(values: np.ndarray) -> None:
 
 
 def compare_models(
-    records: Sequence[SampleRecord],
+    samples: SampleTable,
     specs: Sequence[ModelSpec],
     scenario: Scenario,
     test_fraction: float,
@@ -299,17 +296,17 @@ def compare_models(
             raise ValueError(f"model kind {kind.value} appears in more than one spec; "
                              "rows are labelled by kind")
 
-    pool, n_test = _split_pool(records, scenario, test_fraction)
-    test = np.array([_test_mask(len(records), pool, n_test, [seed, rep])
+    pool, n_test = _split_pool(samples, scenario, test_fraction)
+    test = np.array([_test_mask(len(samples), pool, n_test, [seed, rep])
                      for rep in range(1, repetitions + 1)])
     test_rows = np.nonzero(test)[1].reshape(repetitions, n_test)
 
     errors_by_spec: list[list[float]] = []
     failures = []
     for position, spec in enumerate(specs):
-        system = build_design(records, spec)
-        # read after the design, so that a record missing a regressor is reported first
-        actual = spec.dependent_values(records)[test_rows]
+        system = build_design(samples, spec)
+        # read after the design, so that a sample missing a regressor is reported first
+        actual = spec.dependent_values(samples)[test_rows]
         try:
             w = fit_systems((system.x.compress(train, axis=0), system.y[train]) for train in ~test)
         except SingularSystemError as exc:
@@ -317,7 +314,7 @@ def compare_models(
             continue
         # a fitted model's coefficient checks, as the first failing repetition's model fails them
         first_failure(_require_finite, w, lambda coefficients: FittedModel(
-            spec, tuple(coefficients.tolist()), len(records) - n_test))
+            spec, tuple(coefficients.tolist()), len(samples) - n_test))
         errors_by_spec.append(_mean_abs_relative_errors_pct(
             actual, predict_rows(spec, system.x[test_rows], w[:, None, :])))
     if failures:

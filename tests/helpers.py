@@ -7,16 +7,17 @@ that agreement is evidence, not tautology.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from shale_adsorb.dataset import (
+    ABSOLUTE_ZERO_C,
     FIT_RANGES,
     RO_NORM_PCT,
     TEMP_NORM_C,
     TOC_NORM_PCT,
     SampleParseError,
-    SampleRecord,
     read_csv_table,
     read_key_value_blocks,
 )
@@ -31,6 +32,78 @@ from shale_adsorb.estimator import (
 from shale_adsorb.geotemp import EARTH_RADIUS_M, EXACT_HIT_DISTANCE_M, HEATFLOW_CSV_COLUMNS
 from shale_adsorb.outliers import BLOCK_ELEMENTS, DistanceWeights, nearest_first
 from shale_adsorb.regression import CELSIUS_TO_KELVIN, PIVOT_RTOL, FittedModel, ModelKind, SingularSystemError
+from shale_adsorb.validation import Scenario
+
+
+class Row(NamedTuple):
+    """One sample, in samples-CSV column order; ``None`` is an absent value."""
+
+    id: str
+    reservoir: str
+    toc: float
+    ro: float | None
+    temp: float
+    porosity: float | None = None
+    pl: float | None = None
+    vl: float | None = None
+
+
+def sample_rows(samples) -> list[Row]:
+    """Each sample of a ``SampleTable`` as a :class:`Row`, read from its zipped columns."""
+    numbers = (getattr(samples, name).tolist() for name in Row._fields[2:])
+    return [Row(*cells[:2], *(None if math.isnan(value) else value for value in cells[2:]))
+            for cells in zip(samples.ids, samples.reservoirs, *numbers)]
+
+
+def naive_check_sample(record: Row) -> None:
+    """One sample's invariants, in the order and with the messages ``SampleTable`` gives them.
+
+    An absent toc or temp is not finite (the table holds NaN there).
+    """
+    for name in ("toc", "temp", "ro", "porosity", "pl", "vl"):
+        value = getattr(record, name)
+        if value is None and name in ("toc", "temp"):
+            value = math.nan
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"field {name} must be finite, got {value!r}")
+    if record.toc <= 0:
+        raise ValueError(f"field toc must be > 0, got {record.toc!r}")
+    if record.temp <= ABSOLUTE_ZERO_C:
+        raise ValueError(f"field temp must be > {ABSOLUTE_ZERO_C} degC, got {record.temp!r}")
+    for name in ("ro", "pl", "vl"):
+        value = getattr(record, name)
+        if value is not None and value <= 0:
+            raise ValueError(f"field {name} must be > 0 when present, got {value!r}")
+
+
+# Per-kind cleaning rules, one record at a time: (reason code, keep-test) in evaluation order.
+NAIVE_CLEANING_RULES = {
+    "pl": (
+        ("missing-field", lambda rec: rec.pl is not None and rec.ro is not None),
+        ("temp-range", lambda rec: rec.temp < 90.0),
+        ("ro-range", lambda rec: rec.ro < 4.0),
+        ("toc-range", lambda rec: 1.0 <= rec.toc <= 17.0),
+        ("pl-range", lambda rec: 1.5 < rec.pl < 12.0),
+    ),
+    "vl": (
+        ("missing-field", lambda rec: rec.vl is not None),
+        ("temp-range", lambda rec: rec.temp < 90.0),
+        ("toc-range", lambda rec: 1.0 <= rec.toc <= 17.0),
+        ("vl-range", lambda rec: rec.vl > 1.0),
+    ),
+}
+
+
+def naive_clean(records, kind) -> tuple[list[Row], list[tuple[Row, str]]]:
+    """Kept records and (record, reason) rejections, each record rejected by the first rule it fails."""
+    kept, rejected = [], []
+    for rec in records:
+        reason = next((reason for reason, keep in NAIVE_CLEANING_RULES[kind.value] if not keep(rec)), None)
+        if reason is None:
+            kept.append(rec)
+        else:
+            rejected.append((rec, reason))
+    return kept, rejected
 
 
 def naive_feature_row(record, spec) -> list[float]:
@@ -139,11 +212,20 @@ def naive_pivot_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return w
 
 
+# Scenario -> whether one record is in its test pool.
+NAIVE_POOLS = {
+    Scenario.OVERALL: lambda record: True,
+    Scenario.HIGH_T: lambda record: record.temp > 65.0,
+    Scenario.HIGH_TOC: lambda record: record.toc > 5.0,
+    Scenario.HIGH_RO: lambda record: record.ro is not None and record.ro > 2.0,
+}
+
+
 def naive_split(records, scenario, test_fraction, seed):
     """Partial Fisher-Yates split with one scalar ``rng.integers(i, n)`` draw per swap."""
     if not 0.0 < test_fraction < 1.0:
         raise ValueError(f"test fraction must be in (0, 1), got {test_fraction}")
-    pool = [i for i, rec in enumerate(records) if scenario.in_pool(rec)]
+    pool = [i for i, rec in enumerate(records) if NAIVE_POOLS[scenario](rec)]
     if not pool:
         raise ValueError(f"no records match scenario {scenario.value}")
     n_test = max(1, int(round(test_fraction * len(records))))
@@ -306,7 +388,7 @@ def blocked_neighbours(columns: list[tuple[float, np.ndarray]], k: int) -> tuple
     return np.concatenate([block_idx for block_idx, _ in blocks]), np.concatenate([block_dist for _, block_dist in blocks])
 
 
-def statistical_distance(a: SampleRecord, b: SampleRecord, weights: DistanceWeights) -> float:
+def statistical_distance(a: Row, b: Row, weights: DistanceWeights) -> float:
     """Weighted Euclidean distance between two records over the active variables.
 
     The per-pair form of the outlier screen's distance kernel, ``outliers._nearest``.
@@ -372,7 +454,8 @@ def naive_estimate(spec, pl_model, vl_model) -> EstimateRow:
         pressure = GRAVITY_N_PER_KG * spec.alpha * WATER_DENSITY_T_PER_M3 * spec.depth / 1000.0
     if not pressure > 0:
         raise ValueError(f"pressure must be positive, got {pressure}")
-    query = SampleRecord(id="query", reservoir="", toc=spec.toc, temp=temp, ro=spec.ro)
+    query = Row("query", "", spec.toc, spec.ro, temp)
+    naive_check_sample(query)
     params = LangmuirParams(pl=naive_predict(pl_model, query), vl=naive_predict(vl_model, query))
     return EstimateRow(
         reservoir=spec.name, depth_m=spec.depth, toc_pct=spec.toc, ro_pct=spec.ro,

@@ -5,14 +5,15 @@ import sys
 import pytest
 
 from shale_adsorb.cli import build_parser, main
-from shale_adsorb.dataset import SampleRecord, records_to_csv
+from shale_adsorb.dataset import SampleTable, records_to_csv
 from shale_adsorb.estimator import (
     REFERENCE_PL_COEFFICIENTS,
     REFERENCE_VL_COEFFICIENTS,
     reference_models,
 )
 from shale_adsorb.regression import model_from_text, model_to_text
-from conftest import make_record, synthetic_records
+from conftest import make_record, synthetic_records, table
+from helpers import Row, sample_rows
 
 EXPECTED_CONTENTS = {
     "Sichuan Basin": 1.34,
@@ -41,21 +42,20 @@ def read_csv(path):
 def pl_fixture_10(tmp_path):
     """Ten pressure records, three of which violate the range rules."""
     good = synthetic_records(n=7, seed=40)
-    bad = [
+    bad = table([
         make_record("bad-temp", toc=4.0, temp=95.0, ro=1.5, pl=5.0, vl=2.0),
         make_record("bad-toc", toc=0.5, temp=48.0, ro=1.5, pl=5.0, vl=2.0),
         make_record("bad-missing", toc=4.0, temp=48.0, pl=5.0, vl=2.0),  # no ro
-    ]
-    return write_samples(tmp_path / "samples.csv", good + bad)
+    ])
+    return write_samples(tmp_path / "samples.csv", SampleTable.concat([good, bad]))
 
 
 def planted_outlier_records():
     records = synthetic_records(n=24, seed=2)
     _, vl_model = reference_models()
-    probe = SampleRecord(id="probe", reservoir="synthetic", toc=14.0, temp=85.0)
-    planted = SampleRecord(id="planted", reservoir="synthetic", toc=14.0, temp=85.0,
-                           ro=2.0, vl=10.0 * vl_model.predict(probe))
-    return records + [planted]
+    probe = table([Row("probe", "synthetic", 14.0, None, 85.0)])
+    planted = Row("planted", "synthetic", 14.0, 2.0, 85.0, vl=10.0 * vl_model.predict(probe))
+    return SampleTable.concat([records, table([planted])])
 
 
 class TestClean:
@@ -80,10 +80,8 @@ class TestClean:
 
     def test_duplicates_reported(self, tmp_path, capsys):
         records = synthetic_records(n=5, seed=41)
-        twin = SampleRecord(id="copy", reservoir=records[0].reservoir, toc=records[0].toc,
-                            temp=records[0].temp, ro=records[0].ro,
-                            pl=records[0].pl, vl=records[0].vl)
-        path = write_samples(tmp_path / "dup.csv", records + [twin])
+        twin = sample_rows(records)[0]._replace(id="copy")
+        path = write_samples(tmp_path / "dup.csv", SampleTable.concat([records, table([twin])]))
         out = tmp_path / "out"
         assert main(["clean", "--input", path, "--kind", "pl", "--output-dir", str(out)]) == 0
         assert "(1 duplicate)" in capsys.readouterr().err
@@ -92,11 +90,11 @@ class TestClean:
 
     def test_duplicate_id_exit_code_1(self, tmp_path, capsys):
         records = synthetic_records(n=5, seed=41)
-        path = write_samples(tmp_path / "dup.csv", records + [records[2]])
+        path = write_samples(tmp_path / "dup.csv", SampleTable.concat([records, records.take([2])]))
         assert main(["clean", "--input", path, "--kind", "pl",
                      "--output-dir", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
-        assert "parse stage" in err and f"duplicate id '{records[2].id}', first used in row 4" in err
+        assert "parse stage" in err and f"duplicate id '{records.ids[2]}', first used in row 4" in err
 
     def test_missing_file_exit_code_2(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.csv")
@@ -217,10 +215,17 @@ class TestCompare:
     def test_empty_scenario_pool_fails_cleanly(self, tmp_path, capsys):
         records = [make_record(i, toc=3.0 + 0.2 * i, temp=40.0 + i, ro=1.0 + 0.1 * i,
                                pl=4.0 + 0.1 * i, vl=2.0 + 0.1 * i) for i in range(12)]
-        path = write_samples(tmp_path / "cool.csv", records)
+        path = write_samples(tmp_path / "cool.csv", table(records))
         assert main(["compare", "--input", path, "--kind", "pl", "--scenario", "high-t",
                      "--output-dir", str(tmp_path / "o")]) == 1
         assert "high-t" in capsys.readouterr().err
+
+    def test_negative_seed_exit_code_1(self, tmp_path, data_dir, capsys):
+        argv = ["compare", "--input", str(data_dir / "samples.csv"), "--kind", "pl", "--seed", "-1",
+                "--output-dir", str(tmp_path / "o")]
+        code, err = _run(argv, capsys)
+        assert code == 1
+        assert err.endswith("error: compare stage: expected non-negative integer\n")
 
     def test_row_count(self, tmp_path, data_dir):
         out = tmp_path / "out"

@@ -1,7 +1,7 @@
 import csv
 import io
 import math
-from types import SimpleNamespace
+import re
 
 import numpy as np
 import pytest
@@ -16,8 +16,9 @@ from shale_adsorb.dataset import (
     REASON_TOC,
     REASON_VL,
     DatasetKind,
+    SAMPLE_COLUMNS,
     SampleParseError,
-    SampleRecord,
+    SampleTable,
     clean,
     correlation_table,
     first_failure,
@@ -26,10 +27,12 @@ from shale_adsorb.dataset import (
     pearson_correlation,
     read_csv_table,
     records_to_csv,
+    rejections_to_csv,
     write_csv,
 )
 from shale_adsorb.regression import ModelKind, ModelSpec
-from conftest import make_record
+from conftest import make_record, table
+from helpers import Row, naive_check_sample, naive_clean, sample_rows
 
 HEADER = "id,reservoir,toc_pct,ro_pct,temp_c,porosity_pct,pl_mpa,vl_m3t"
 
@@ -38,7 +41,7 @@ class TestParseSamples:
     def test_basic_row(self):
         records = parse_samples(HEADER + "\ns1,Barnett,4.0,1.5,48,,5.0,2.0\n")
         assert len(records) == 1
-        rec = records[0]
+        [rec] = sample_rows(records)
         assert rec.id == "s1"
         assert rec.reservoir == "Barnett"
         assert rec.toc == 4.0
@@ -49,7 +52,7 @@ class TestParseSamples:
         assert rec.vl == 2.0
 
     def test_header_only(self):
-        assert parse_samples(HEADER + "\n") == []
+        assert sample_rows(parse_samples(HEADER + "\n")) == []
 
     def test_non_numeric_required_field(self):
         with pytest.raises(SampleParseError) as err:
@@ -86,9 +89,34 @@ class TestParseSamples:
             parse_samples(text)
         assert (info.value.row, info.value.column) == (4, "id")
 
+    @pytest.mark.parametrize("rows,message", [
+        (("s1,B,-4.0,1.5,48,,5.0,2.0", "s2,B,abc,1.5,48,,5.0,2.0"),
+         "row 2, column record: field toc must be > 0, got -4.0"),
+        (("s1,B,abc,1.5,48,,5.0,2.0", "s2,B,-4.0,1.5,48,,5.0,2.0"),
+         "row 2, column toc_pct: not a number: 'abc'"),
+        (("s1,B,4.0,1.5,48,,5.0,2.0", "s2,B,4.0,-1.5,48,,x,2.0"),
+         "row 3, column pl_mpa: not a number: 'x'"),
+        (("s1,B,4.0,nan,48,,5.0,2.0", "s2,B,4.0,1.5,48,,x,2.0"),
+         "row 2, column record: field ro must be finite, got nan"),
+        (("s1,B,4.0,1.5,48,,5.0,2.0", "s1,B,-4.0,1.5,48,,5.0,2.0"),
+         "row 3, column id: duplicate id 's1', first used in row 2"),
+        (("s1,B,4.0,-1.5,48,,5.0,2.0", "s1,B,4.0,1.5,48,,5.0,2.0"),
+         "row 2, column record: field ro must be > 0 when present, got -1.5"),
+        (("s1,B,4.0,1.5,48,,5.0,2.0", "s2,B,4.0,-1.5,48,,5.0,2.0", "s3,B,4.0"),
+         "row 3, column record: field ro must be > 0 when present, got -1.5"),
+        (("s1,B,inf,nan,48,,5.0,2.0",), "row 2, column record: field toc must be finite, got inf"),
+        (("s1,B,4.0,nan,48,,5.0,-2.0",), "row 2, column record: field ro must be finite, got nan"),
+        (("s1,B,4.0,1.5,-300,,5.0,-2.0",), "row 2, column record: field temp must be > -273.15 degC, got -300.0"),
+    ], ids=["invariant-then-unparsable", "unparsable-then-invariant", "cell-before-invariant-in-row",
+            "nan-then-unparsable", "duplicate-id-before-invariant", "invariant-before-duplicate-id",
+            "invariant-before-short-row", "finite-checks-toc-first", "finite-before-sign", "temp-before-vl"])
+    def test_first_bad_row_fails_the_parse(self, rows, message):
+        with pytest.raises(SampleParseError, match=f"^{re.escape(message)}$"):
+            parse_samples("\n".join((HEADER, *rows)) + "\n")
+
     def test_blank_lines_skipped(self):
         records = parse_samples(HEADER + "\n\ns1,Barnett,4.0,,48,,,\n\n")
-        assert [r.id for r in records] == ["s1"]
+        assert records.ids == ("s1",)
 
     def test_order_preserved_and_roundtrip(self):
         records = [
@@ -96,8 +124,8 @@ class TestParseSamples:
             make_record(2, toc=2.0, temp=60.0),
             make_record(3, toc=8.0, temp=24.0, porosity=3.5, vl=1.6),
         ]
-        again = parse_samples(records_to_csv(records))
-        assert again == records
+        again = parse_samples(records_to_csv(table(records)))
+        assert sample_rows(again) == records
 
     def test_accepts_line_iterable(self):
         lines = [HEADER + "\n", "s1,Barnett,4.0,1.5,48,,5.0,2.0\n"]
@@ -111,23 +139,33 @@ _label = st.text(st.characters(codec="utf-8", exclude_categories=("Cc", "Cs", "Z
                  max_size=12).map(str.strip)
 
 
+_signed_zeros = st.sampled_from([-0.0, 0.0])
+
+
 @st.composite
-def _sample_records(draw):
-    """Records with every optional field sometimes None, and ids or reservoirs holding commas, quotes, CRs and LFs."""
-    ids = draw(st.lists(_label.filter(bool), min_size=1, max_size=15, unique=True))
-    return [SampleRecord(id=rec_id, reservoir=draw(_label), toc=draw(_positive),
-                         temp=draw(st.floats(min_value=ABSOLUTE_ZERO_C, exclude_min=True, allow_infinity=False)),
-                         ro=draw(st.none() | _positive), porosity=draw(st.none() | _finite),
-                         pl=draw(st.none() | _positive), vl=draw(st.none() | _positive))
-            for rec_id in ids]
+def _sample_tables(draw):
+    """Tables with optional values sometimes absent, signed zeros, and ids or names holding commas, quotes, CRs and LFs."""
+    ids = draw(st.lists(_label.filter(bool), max_size=15, unique=True))
+
+    def column(values, optional=True):
+        return draw(st.lists(st.just(math.nan) | values if optional else values, min_size=len(ids), max_size=len(ids)))
+
+    temps = st.floats(min_value=ABSOLUTE_ZERO_C, exclude_min=True, allow_infinity=False) | _signed_zeros
+    return SampleTable(ids, draw(st.lists(_label, min_size=len(ids), max_size=len(ids))),
+                       toc=column(_positive, optional=False), ro=column(_positive),
+                       temp=column(temps, optional=False), porosity=column(_finite | _signed_zeros),
+                       pl=column(_positive), vl=column(_positive))
 
 
 @settings(max_examples=100, deadline=None, database=None)
-@given(records=_sample_records())
-def test_samples_csv_round_trip(records):
-    text = records_to_csv(records)
+@given(samples=_sample_tables())
+def test_samples_csv_round_trip(samples):
+    # repr tells -0.0 from 0.0 and an absent value (nan) from any number
+    text = records_to_csv(samples)
     again = parse_samples(text)
-    assert again == records
+    assert (again.ids, again.reservoirs) == (samples.ids, samples.reservoirs)
+    for name in SAMPLE_COLUMNS:
+        assert list(map(repr, getattr(again, name).tolist())) == list(map(repr, getattr(samples, name).tolist()))
     assert records_to_csv(again) == text
 
 
@@ -149,9 +187,9 @@ class TestReadCsvTable:
             parse_samples(f"{HEADER}\na\rb,Barnett,4.0,1.5,48,,5.0,2.0\n")
 
     def test_quoted_cr_reads_back(self):
-        [record] = parse_samples(f'{HEADER}\n"a\rb",Barnett,4.0,1.5,48,,5.0,2.0\n')
-        assert record.id == "a\rb"
-        assert parse_samples(records_to_csv([record])) == [record]
+        record = parse_samples(f'{HEADER}\n"a\rb",Barnett,4.0,1.5,48,,5.0,2.0\n')
+        assert record.ids == ("a\rb",)
+        assert sample_rows(parse_samples(records_to_csv(record))) == sample_rows(record)
 
 
 def _csv_writer_text(header, rows):
@@ -253,27 +291,84 @@ class TestFirstFailure:
 
 
 class TestRecordInvariants:
+    """Each sample's values are checked when a SampleTable is built."""
+
     def test_rejects_nonpositive_toc(self):
         with pytest.raises(ValueError, match="toc"):
-            make_record(1, toc=0.0, temp=48.0)
+            table([make_record(1, toc=0.0, temp=48.0)])
 
     def test_rejects_sub_absolute_zero_temp(self):
         with pytest.raises(ValueError, match="temp"):
-            make_record(1, toc=4.0, temp=-300.0)
+            table([make_record(1, toc=4.0, temp=-300.0)])
 
     @pytest.mark.parametrize("field", ["ro", "pl", "vl"])
     def test_rejects_nonpositive_optionals(self, field):
         with pytest.raises(ValueError, match=field):
-            make_record(1, toc=4.0, temp=48.0, **{field: -1.0})
+            table([make_record(1, toc=4.0, temp=48.0, **{field: -1.0})])
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="finite"):
-            make_record(1, toc=math.inf, temp=48.0)
+            table([make_record(1, toc=math.inf, temp=48.0)])
+
+
+class TestSampleTable:
+    @pytest.mark.parametrize("field", ["toc", "temp"])
+    def test_required_value_absent(self, field):
+        with pytest.raises(ValueError, match=f"^field {field} must be finite, got nan$"):
+            table([make_record(1, **{"toc": 4.0, "temp": 48.0, field: None})])
+
+    def test_columns_must_match_ids(self):
+        with pytest.raises(ValueError, match=r"^sample column ro has shape \(1,\), expected \(2,\)$"):
+            SampleTable(["a", "b"], ["r", "r"], [1.0, 2.0], [1.0], [40.0, 50.0], *[[math.nan] * 2] * 3)
+        with pytest.raises(ValueError, match="^sample column reservoirs has length 1, expected 2$"):
+            SampleTable(["a", "b"], ["r"], *[[1.0, 2.0]] * 6)
+
+    def test_columns_are_read_only(self):
+        samples = table([make_record(1, toc=4.0, temp=48.0)])
+        with pytest.raises(ValueError, match="read-only"):
+            samples.toc[0] = 5.0
+
+    def test_take_and_concat(self):
+        rows = [make_record(i, toc=1.0 + i, temp=40.0, vl=None if i % 2 else 2.0) for i in range(5)]
+        samples = table(rows)
+        assert sample_rows(samples.take([3, 0, -1])) == [rows[3], rows[0], rows[4]]
+        assert sample_rows(samples.take(samples.toc > 3.0)) == rows[3:]
+        assert sample_rows(samples.take(slice(1, 3))) == rows[1:3]
+        assert len(samples.take([])) == 0
+        assert sample_rows(SampleTable.concat([samples.take([4]), samples, samples.take([])])) == [rows[4], *rows]
+
+    def test_values_names_the_first_absent_sample(self):
+        samples = table([make_record(i, toc=4.0, temp=48.0, ro=None if i in (2, 3) else 1.0) for i in range(4)])
+        with pytest.raises(ValueError, match="^no ro in r2$"):
+            samples.values("ro", "no ro in {id}")
+        assert samples.values("toc", "no toc in {id}") is samples.toc
+
+
+_maybe_bad = st.none() | st.sampled_from([-1.0, -0.0, 0.0, 1.5, -300.0, math.inf, -math.inf])
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(values=st.lists(st.tuples(*[_maybe_bad] * 6), max_size=6))
+def test_table_invariants_are_the_first_bad_rows(values):
+    # the table raises as the per-row checks of its first failing row do
+    rows = [Row(f"s{i}", "r", *row) for i, row in enumerate(values)]
+    expected = None
+    for row in rows:
+        try:
+            naive_check_sample(row)
+        except ValueError as exc:
+            expected = str(exc)
+            break
+    if expected is None:
+        assert sample_rows(table(rows)) == rows
+    else:
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+            table(rows)
 
 
 class TestCleanPl:
     def test_in_bounds_kept(self):
-        outcome = clean([make_record(1, toc=4, ro=1.5, temp=48, pl=5.0)], DatasetKind.PL)
+        outcome = clean(table([make_record(1, toc=4, ro=1.5, temp=48, pl=5.0)]), DatasetKind.PL)
         assert len(outcome.kept) == 1 and not outcome.rejected
 
     @pytest.mark.parametrize("kwargs,reason", [
@@ -288,24 +383,24 @@ class TestCleanPl:
         (dict(toc=17.5, ro=1.5, temp=48, pl=5.0), REASON_TOC),
     ])
     def test_rejections(self, kwargs, reason):
-        outcome = clean([make_record(1, **kwargs)], DatasetKind.PL)
+        outcome = clean(table([make_record(1, **kwargs)]), DatasetKind.PL)
         assert not outcome.kept
-        assert outcome.rejected[0][1] == reason
+        assert outcome.reasons[0] == reason
 
     @pytest.mark.parametrize("toc", [1.0, 17.0])
     def test_toc_interval_inclusive(self, toc):
-        outcome = clean([make_record(1, toc=toc, ro=1.5, temp=48, pl=5.0)], DatasetKind.PL)
+        outcome = clean(table([make_record(1, toc=toc, ro=1.5, temp=48, pl=5.0)]), DatasetKind.PL)
         assert len(outcome.kept) == 1
 
     def test_first_failing_reason_wins(self):
         # violates temp, ro and toc; evaluation order reports temp first
-        outcome = clean([make_record(1, toc=0.5, ro=5.0, temp=95, pl=5.0)], DatasetKind.PL)
-        assert outcome.rejected[0][1] == REASON_TEMP
+        outcome = clean(table([make_record(1, toc=0.5, ro=5.0, temp=95, pl=5.0)]), DatasetKind.PL)
+        assert outcome.reasons[0] == REASON_TEMP
 
 
 class TestCleanVl:
     def test_in_bounds_kept(self):
-        outcome = clean([make_record(1, toc=4, temp=48, vl=2.0)], DatasetKind.VL)
+        outcome = clean(table([make_record(1, toc=4, temp=48, vl=2.0)]), DatasetKind.VL)
         assert len(outcome.kept) == 1
 
     @pytest.mark.parametrize("kwargs,reason", [
@@ -316,11 +411,11 @@ class TestCleanVl:
         (dict(toc=4, temp=48, vl=1.0), REASON_VL),   # strict bound
     ])
     def test_rejections(self, kwargs, reason):
-        outcome = clean([make_record(1, **kwargs)], DatasetKind.VL)
-        assert outcome.rejected[0][1] == reason
+        outcome = clean(table([make_record(1, **kwargs)]), DatasetKind.VL)
+        assert outcome.reasons[0] == reason
 
     def test_ro_not_required(self):
-        outcome = clean([make_record(1, toc=4, temp=48, vl=2.0)], DatasetKind.VL)
+        outcome = clean(table([make_record(1, toc=4, temp=48, vl=2.0)]), DatasetKind.VL)
         assert len(outcome.kept) == 1
 
 
@@ -343,34 +438,57 @@ def _random_records(seed, n=60):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_cleaning_partitions_input(kind, seed):
     records = _random_records(seed)
-    outcome = clean(records, kind)
-    rejected_records = [rec for rec, _ in outcome.rejected]
-    assert sorted(r.id for r in outcome.kept + rejected_records) == sorted(r.id for r in records)
-    assert not set(r.id for r in outcome.kept) & set(r.id for r in rejected_records)
+    outcome = clean(table(records), kind)
+    assert sorted(outcome.kept.ids + outcome.rejected.ids) == sorted(r.id for r in records)
+    assert not set(outcome.kept.ids) & set(outcome.rejected.ids)
+    assert len(outcome.reasons) == len(outcome.rejected)
+
+
+@pytest.mark.parametrize("kind", [DatasetKind.PL, DatasetKind.VL])
+@pytest.mark.parametrize("seed", [0, 1, 2, 7])
+def test_cleaning_masks_equal_per_record_rules(kind, seed):
+    records = _random_records(seed, n=200)
+    outcome = clean(table(records), kind)
+    kept, rejected = naive_clean(records, kind)
+    assert sample_rows(outcome.kept) == kept
+    assert list(zip(sample_rows(outcome.rejected), outcome.reasons)) == rejected
+    assert len({reason for _, reason in rejected}) >= 4
 
 
 @pytest.mark.parametrize("kind", [DatasetKind.PL, DatasetKind.VL])
 def test_cleaning_idempotent(kind):
     records = _random_records(seed=7)
-    first = clean(records, kind)
+    first = clean(table(records), kind)
     second = clean(first.kept, kind)
-    assert second.kept == first.kept
-    assert not second.rejected
+    assert sample_rows(second.kept) == sample_rows(first.kept)
+    assert not second.rejected and second.reasons == []
+
+
+def test_rejections_csv_adds_the_reason():
+    rejected = table([make_record(1, toc=4.0, temp=95.0, porosity=-0.0),
+                      make_record("x,y", toc=0.5, temp=48.0, vl=2.5)])
+    assert rejections_to_csv(rejected, ["temp-range", "toc-range"]) == (
+        HEADER + ",reason\nr1,r,4.0,,95.0,-0.0,,,temp-range\n\"rx,y\",r,0.5,,48.0,,,2.5,toc-range\n")
 
 
 class TestIntegrateReplicates:
     def test_exact_duplicate_dropped(self):
         a = make_record(1, toc=4, temp=48, pl=5.0)
-        b = SampleRecord(id="other-id", reservoir="r", toc=4, temp=48, pl=5.0)
-        unique, dropped = integrate_replicates([a, b])
-        assert unique == [a]
-        assert dropped == [b]
+        b = a._replace(id="other-id")
+        unique, dropped = integrate_replicates(table([a, b]))
+        assert sample_rows(unique) == [a]
+        assert sample_rows(dropped) == [b]
+
+    def test_signed_zero_porosity_is_a_replicate(self):
+        text = HEADER + "\ns1,B,4.0,1.5,48,-0.0,5.0,2.0\ns2,B,4.0,1.5,48,0.0,5.0,2.0\ns3,B,4.0,1.5,48,,5.0,2.0\n"
+        unique, dropped = integrate_replicates(parse_samples(text))
+        assert (len(unique), len(dropped)) == (2, 1)
 
     def test_different_reservoir_not_a_duplicate(self):
         a = make_record(1, toc=4, temp=48, reservoir="A")
         b = make_record(2, toc=4, temp=48, reservoir="B")
-        unique, dropped = integrate_replicates([a, b])
-        assert unique == [a, b] and not dropped
+        unique, dropped = integrate_replicates(table([a, b]))
+        assert sample_rows(unique) == [a, b] and not dropped
 
 
 class TestToDimensionless:
@@ -381,33 +499,36 @@ class TestToDimensionless:
 
     def test_normalising_constants(self):
         rec = make_record(1, toc=4.0, temp=48.0, ro=1.75)
-        assert self.PL_GEO.feature_row(rec) == [1.0, 0.0, 1.0]   # ln(t_star / ro_star) = ln 1
-        assert self.VL_GEO.feature_row(rec) == [1.0, 1.0, 1.0]
+        assert self.PL_GEO.feature_row(table([rec])) == [1.0, 0.0, 1.0]   # ln(t_star / ro_star) = ln 1
+        assert self.VL_GEO.feature_row(table([rec])) == [1.0, 1.0, 1.0]
 
     def test_reference_reservoir_inputs(self):
         rec = make_record(1, toc=2.58, temp=86.98, ro=3.03)
-        toc_star, log_ratio, _ = self.PL_GEO.feature_row(rec)
-        _, t_star_cubed, _ = self.VL_GEO.feature_row(rec)
+        toc_star, log_ratio, _ = self.PL_GEO.feature_row(table([rec]))
+        _, t_star_cubed, _ = self.VL_GEO.feature_row(table([rec]))
         assert toc_star == pytest.approx(2.58 / 4.0, rel=1e-15)
         assert t_star_cubed == pytest.approx((86.98 / 48.0) ** 3, rel=1e-15)
         assert log_ratio == pytest.approx(math.log((86.98 / 48.0) / (3.03 / 1.75)), rel=1e-15)
 
     def test_absent_ro_stays_absent(self):
         rec = make_record(1, toc=8.0, temp=24.0)
-        assert self.VL_GEO.feature_row(rec) == [2.0, 0.125, 1.0]
+        assert self.VL_GEO.feature_row(table([rec])) == [2.0, 0.125, 1.0]
         with pytest.raises(ValueError, match="missing field ro"):
-            self.PL_GEO.feature_row(rec)
+            self.PL_GEO.feature_row(table([rec]))
 
     def test_linear_in_toc(self):
-        base = self.VL_GEO.feature_row(make_record(1, toc=3.1, temp=50.0))
-        doubled = self.VL_GEO.feature_row(make_record(1, toc=6.2, temp=50.0))
+        base = self.VL_GEO.feature_row(table([make_record(1, toc=3.1, temp=50.0)]))
+        doubled = self.VL_GEO.feature_row(table([make_record(1, toc=6.2, temp=50.0)]))
         assert doubled[0] == pytest.approx(2 * base[0], rel=1e-15)
 
     def test_missing_inputs_rejected(self):
-        broken = SimpleNamespace(id="broken", toc=None, temp=48.0, ro=None)
-        for spec in (self.PL_GEO, self.VL_GEO):
-            with pytest.raises(ValueError, match="missing field toc"):
-                spec.feature_row(broken)
+        # toc and temp are required by every table, so only ro can be missing
+        samples = table([make_record(1, toc=4.0, temp=48.0, ro=1.5), make_record(2, toc=4.0, temp=48.0)])
+        with pytest.raises(ValueError, match="^record r2 is missing field ro required by pl-geo$"):
+            self.PL_GEO.feature_rows(samples)
+        assert self.VL_GEO.feature_rows(samples).shape == (2, 3)
+        with pytest.raises(ValueError, match="too many values"):
+            self.VL_GEO.feature_row(samples)
 
 
 class TestPearsonCorrelation:
@@ -461,7 +582,7 @@ class TestCorrelationTable:
             make_record(3, toc=4, temp=60, porosity=4.0),
             make_record(4, toc=5, temp=70),
         ]
-        rows = {(r.var_a, r.var_b): r for r in correlation_table(records)}
+        rows = {(r.var_a, r.var_b): r for r in correlation_table(table(records))}
         assert rows[("temp", "toc")].n == 4
         assert rows[("temp", "ro")].n == 2
         assert rows[("toc", "porosity")].n == 2
@@ -470,5 +591,17 @@ class TestCorrelationTable:
 
     def test_abs_r_is_absolute(self):
         records = [make_record(i, toc=float(i + 1), temp=80.0 - 10 * i) for i in range(4)]
-        rows = {(r.var_a, r.var_b): r for r in correlation_table(records)}
+        rows = {(r.var_a, r.var_b): r for r in correlation_table(table(records))}
         assert rows[("temp", "toc")].abs_r == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equals_per_record_pairs(self, seed):
+        rng = np.random.default_rng(seed)
+        records = [make_record(i, toc=float(rng.uniform(1, 10)), temp=float(rng.uniform(20, 90)),
+                               ro=float(rng.uniform(0.5, 3)) if rng.random() < 0.7 else None,
+                               porosity=float(rng.uniform(1, 9)) if rng.random() < 0.4 else None)
+                   for i in range(40)]
+        for row in correlation_table(table(records)):
+            pairs = [(getattr(rec, row.var_a), getattr(rec, row.var_b)) for rec in records]
+            xs, ys = zip(*[(a, b) for a, b in pairs if a is not None and b is not None])
+            assert (row.n, row.abs_r) == (len(xs), abs(pearson_correlation(xs, ys)))

@@ -20,7 +20,7 @@ from shale_adsorb.estimator import (
 )
 from shale_adsorb.dataset import FIT_RANGES, DatasetKind, clean
 from shale_adsorb.regression import FittedModel, ModelKind, ModelSpec
-from conftest import make_record
+from conftest import make_record, table
 from helpers import naive_estimate, naive_fit_range_warnings, naive_parse_reservoirs
 
 # Nine reference reservoirs: depth, toc, ro, temperature, expected pressure
@@ -237,7 +237,7 @@ class TestEstimateReservoir:
         for kind in DatasetKind:
             if field not in kind.independent_vars:
                 continue
-            rejected = [reason for _, reason in clean([record], kind).rejected]
+            rejected = clean(table([record]), kind).reasons
             assert rejected == ([] if inside else [f"{field}-range"])
         assert warned is not inside
 

@@ -20,7 +20,7 @@ from shale_adsorb.outliers import (
     quartiles,
     weighted_relative_error,
 )
-from conftest import make_record
+from conftest import make_record, table
 from helpers import blocked_neighbours, naive_neighbours, naive_r_values, naive_relative_error, statistical_distance
 
 
@@ -46,23 +46,23 @@ class TestQuartiles:
 class TestComputeWeights:
     def test_iqr_of_two(self):
         records = [make_record(i, toc=v, temp=48.0) for i, v in enumerate([2.0, 2.0, 4.0, 4.0])]
-        weights = compute_weights(records, ["toc"])
+        weights = compute_weights(table(records), ["toc"])
         assert weights.by_variable["toc"] == pytest.approx(5.0)
 
     def test_iqr_of_ten(self):
         records = [make_record(i, toc=4.0, temp=v) for i, v in enumerate([0.0, 0.0, 10.0, 10.0])]
-        weights = compute_weights(records, ["temp"])
+        weights = compute_weights(table(records), ["temp"])
         assert weights.by_variable["temp"] == pytest.approx(1.0)
 
     def test_zero_iqr_names_variable(self):
         records = [make_record(i, toc=4.0, temp=48.0) for i in range(4)]
         with pytest.raises(ZeroIqrError, match="toc"):
-            compute_weights(records, ["toc"])
+            compute_weights(table(records), ["toc"])
 
     def test_missing_variable_rejected(self):
         records = [make_record(i, toc=4.0, temp=48.0) for i in range(3)]
         with pytest.raises(ValueError, match="ro"):
-            compute_weights(records, ["ro"])
+            compute_weights(table(records), ["ro"])
 
     def test_weights_must_be_positive(self):
         with pytest.raises(ValueError, match="positive"):
@@ -71,7 +71,7 @@ class TestComputeWeights:
 
 def kernel_distance(a, b, weights):
     """The distance from record a to record b in the neighbour kernel `outliers._nearest`."""
-    _, dist = outliers._nearest(np.array([0]), np.arange(2), outliers._distance_columns([a, b], weights), 1)
+    _, dist = outliers._nearest(np.array([0]), np.arange(2), outliers._distance_columns(table([a, b]), weights), 1)
     return dist.item()
 
 
@@ -117,7 +117,7 @@ class TestWeightedRelativeError:
             make_record(2, toc=13.0, temp=48.0, vl=2.0),
         ]
         w = DistanceWeights({"toc": 1.0})
-        r, neighbors, weights = weighted_relative_error(0, records, w, k=2, dependent="vl")
+        r, neighbors, weights = weighted_relative_error(0, table(records), w, k=2, dependent="vl")
         assert neighbors == [1, 2]
         assert weights == pytest.approx([0.75, 0.25])
         assert r == pytest.approx(1.0, abs=1e-12)
@@ -128,17 +128,17 @@ class TestWeightedRelativeError:
             make_record(1, toc=4.0, temp=48.0, vl=3.0),
             make_record(2, toc=6.0, temp=48.0, vl=5.0),
         ]
-        _, _, weights = weighted_relative_error(0, records, DistanceWeights({"toc": 1.0}), 2, "vl")
+        _, _, weights = weighted_relative_error(0, table(records), DistanceWeights({"toc": 1.0}), 2, "vl")
         assert weights == pytest.approx([0.5, 0.5])
 
     def test_duplicate_neighbours_get_uniform_weights(self):
         records = [make_record(i, toc=5.0, temp=48.0, vl=2.0 + i) for i in range(4)]
-        _, _, weights = weighted_relative_error(0, records, DistanceWeights({"temp": 1.0}), 3, "vl")
+        _, _, weights = weighted_relative_error(0, table(records), DistanceWeights({"temp": 1.0}), 3, "vl")
         assert weights == pytest.approx([1 / 3] * 3)
 
     def test_zero_when_neighbours_share_value(self):
         records = [make_record(i, toc=float(2 + i), temp=48.0, vl=2.0) for i in range(5)]
-        r, _, _ = weighted_relative_error(2, records, DistanceWeights({"toc": 1.0}), 3, "vl")
+        r, _, _ = weighted_relative_error(2, table(records), DistanceWeights({"toc": 1.0}), 3, "vl")
         assert r == 0.0
 
     def test_weights_sum_to_one_and_respect_distance_order(self):
@@ -149,9 +149,10 @@ class TestWeightedRelativeError:
                             vl=float(rng.uniform(1.1, 5)))
                 for i in range(15)
             ]
-            weights = compute_weights(records, ["toc", "temp"])
+            samples = table(records)
+            weights = compute_weights(samples, ["toc", "temp"])
             for i in range(len(records)):
-                _, neighbors, w = weighted_relative_error(i, records, weights, 5, "vl")
+                _, neighbors, w = weighted_relative_error(i, samples, weights, 5, "vl")
                 assert sum(w) == pytest.approx(1.0, abs=1e-12)
                 dists = [statistical_distance(records[i], records[j], weights) for j in neighbors]
                 for (d1, w1), (d2, w2) in zip(zip(dists, w), list(zip(dists, w))[1:]):
@@ -167,9 +168,10 @@ class TestWeightedRelativeError:
         ]
         base = DistanceWeights({"toc": 0.8, "temp": 0.2})
         scaled = DistanceWeights({"toc": 0.8 * 37.0, "temp": 0.2 * 37.0})
+        samples = table(records)
         for i in range(10):
-            r1, n1, w1 = weighted_relative_error(i, records, base, 4, "vl")
-            r2, n2, w2 = weighted_relative_error(i, records, scaled, 4, "vl")
+            r1, n1, w1 = weighted_relative_error(i, samples, base, 4, "vl")
+            r2, n2, w2 = weighted_relative_error(i, samples, scaled, 4, "vl")
             assert n1 == n2
             assert w1 == pytest.approx(w2, abs=1e-12)
             assert r1 == pytest.approx(r2, rel=1e-12)
@@ -177,13 +179,13 @@ class TestWeightedRelativeError:
     def test_dataset_too_small(self):
         records = [make_record(i, toc=float(i + 1), temp=48.0, vl=2.0) for i in range(5)]
         with pytest.raises(ValueError, match="at least 6"):
-            weighted_relative_error(0, records, DistanceWeights({"toc": 1.0}), 5, "vl")
+            weighted_relative_error(0, table(records), DistanceWeights({"toc": 1.0}), 5, "vl")
 
     @pytest.mark.parametrize("k", [2.5, 2.0, True, "2", None])
     def test_non_integer_k_rejected(self, k):
         records = [make_record(i, toc=float(i + 1), temp=48.0, vl=2.0) for i in range(6)]
         with pytest.raises(ValueError, match=f"k must be an integer, got {re.escape(repr(k))}"):
-            weighted_relative_error(0, records, DistanceWeights({"toc": 1.0}), k, "vl")
+            weighted_relative_error(0, table(records), DistanceWeights({"toc": 1.0}), k, "vl")
 
     def test_missing_dependent_checked_only_in_row_and_neighbours(self):
         # r5 lacks vl. With k = 2 it is a neighbour of r4 (toc 5) but of none
@@ -192,17 +194,18 @@ class TestWeightedRelativeError:
         records.append(make_record(5, toc=5.5, temp=45.0))
         weights = DistanceWeights({"toc": 1.0})
         message = "^dependent variable vl missing from record or neighbours$"
+        samples = table(records)
         for i in range(4):
-            r, neighbors, w = weighted_relative_error(i, records, weights, 2, "vl")
+            r, neighbors, w = weighted_relative_error(i, samples, weights, 2, "vl")
             assert 5 not in neighbors
             deps = [rec.vl for rec in records]
             dists = [statistical_distance(records[i], records[j], weights) for j in neighbors]
             assert (r, w) == naive_relative_error(i, neighbors, dists, deps, "vl")
         for i in (4, 5):
             with pytest.raises(ValueError, match=message):
-                weighted_relative_error(i, records, weights, 2, "vl")
+                weighted_relative_error(i, samples, weights, 2, "vl")
         with pytest.raises(ValueError, match=message):
-            detect_outliers(records, DatasetKind.VL, k=2)
+            detect_outliers(table(records), DatasetKind.VL, k=2)
 
 
 def _clone_cloud_with_planted_outlier(n_clones=24, factor=10.0):
@@ -226,7 +229,7 @@ def _clone_cloud_with_planted_outlier(n_clones=24, factor=10.0):
 class TestDetectOutliers:
     def test_planted_outlier_is_unique_flag(self):
         records = _clone_cloud_with_planted_outlier()
-        report = detect_outliers(records, DatasetKind.VL)
+        report = detect_outliers(table(records), DatasetKind.VL)
         assert report.flagged_ids() == [records[-1].id]
         # brute-force confirmation that exactly one R exceeds the threshold
         naive = naive_r_values(records, ("temp", "toc"), "vl", 5)
@@ -240,18 +243,18 @@ class TestDetectOutliers:
             make_record(i, toc=float(rng.uniform(1, 10)), temp=float(rng.uniform(25, 85)), vl=2.5)
             for i in range(12)
         ]
-        report = detect_outliers(records, DatasetKind.VL)
+        report = detect_outliers(table(records), DatasetKind.VL)
         assert not any(report.flagged)
         assert report.r_values == pytest.approx([0.0] * 12, abs=1e-15)
 
     def test_infinite_threshold_flags_nothing(self):
         records = _clone_cloud_with_planted_outlier()
-        report = detect_outliers(records, DatasetKind.VL, threshold=math.inf)
+        report = detect_outliers(table(records), DatasetKind.VL, threshold=math.inf)
         assert not any(report.flagged)
 
     def test_flag_matches_threshold_rule(self):
         records = _clone_cloud_with_planted_outlier()
-        report = detect_outliers(records, DatasetKind.VL, threshold=0.85)
+        report = detect_outliers(table(records), DatasetKind.VL, threshold=0.85)
         for r, f in zip(report.r_values, report.flagged):
             assert f == (r > 0.85)
 
@@ -262,17 +265,17 @@ class TestDetectOutliers:
                         ro=float(rng.uniform(1, 3)), pl=float(rng.uniform(2, 9)))
             for i in range(12)
         ]
-        report = detect_outliers(records, DatasetKind.PL)
+        report = detect_outliers(table(records), DatasetKind.PL)
         naive = naive_r_values(records, ("temp", "toc", "ro"), "pl", 5)
         assert report.r_values == pytest.approx(list(naive), rel=1e-12)
 
     def test_reordering_does_not_change_flags(self):
         records = _clone_cloud_with_planted_outlier()
-        report = detect_outliers(records, DatasetKind.VL)
+        report = detect_outliers(table(records), DatasetKind.VL)
         rng = np.random.default_rng(9)
         shuffled = list(records)
         rng.shuffle(shuffled)
-        shuffled_report = detect_outliers(shuffled, DatasetKind.VL)
+        shuffled_report = detect_outliers(table(shuffled), DatasetKind.VL)
         assert set(shuffled_report.flagged_ids()) == set(report.flagged_ids())
         by_id = dict(zip(shuffled_report.ids, shuffled_report.r_values))
         for rec_id, r in zip(report.ids, report.r_values):
@@ -281,47 +284,47 @@ class TestDetectOutliers:
     def test_k_checked_up_front(self):
         records = _clone_cloud_with_planted_outlier()
         with pytest.raises(ValueError, match="k must be >= 1"):
-            detect_outliers(records, DatasetKind.VL, k=0)
+            detect_outliers(table(records), DatasetKind.VL, k=0)
         with pytest.raises(ValueError, match=f"need at least {len(records) + 1} records"):
-            detect_outliers(records, DatasetKind.VL, k=len(records))
+            detect_outliers(table(records), DatasetKind.VL, k=len(records))
 
     @pytest.mark.parametrize("k", [2.5, 2.0, True, "5", None])
     def test_non_integer_k_rejected(self, k):
         records = _clone_cloud_with_planted_outlier()
         with pytest.raises(ValueError, match=f"k must be an integer, got {re.escape(repr(k))}"):
-            detect_outliers(records, DatasetKind.VL, k=k)
+            detect_outliers(table(records), DatasetKind.VL, k=k)
 
     def test_integer_like_k_accepted(self):
         records = _clone_cloud_with_planted_outlier()
-        report = detect_outliers(records, DatasetKind.VL, k=np.int64(5))
+        report = detect_outliers(table(records), DatasetKind.VL, k=np.int64(5))
         assert type(report.k) is int and report.k == 5
-        assert report.r_values == detect_outliers(records, DatasetKind.VL, k=5).r_values
+        assert report.r_values == detect_outliers(table(records), DatasetKind.VL, k=5).r_values
 
     def test_nan_threshold_rejected(self):
         records = _clone_cloud_with_planted_outlier()
         with pytest.raises(ValueError, match="threshold must not be NaN"):
-            detect_outliers(records, DatasetKind.VL, threshold=math.nan)
+            detect_outliers(table(records), DatasetKind.VL, threshold=math.nan)
         # R >= 0, so a negative threshold would flag every record.
         with pytest.raises(ValueError, match=r"threshold must be >= 0, got -1\.0"):
-            detect_outliers(records, DatasetKind.VL, threshold=-1.0)
-        report = detect_outliers(records, DatasetKind.VL, threshold=0.0)
+            detect_outliers(table(records), DatasetKind.VL, threshold=-1.0)
+        report = detect_outliers(table(records), DatasetKind.VL, threshold=0.0)
         assert report.flagged == [r > 0.0 for r in report.r_values]
 
     def test_zero_iqr_propagates(self):
         records = [make_record(i, toc=4.0, temp=float(40 + i), vl=2.0 + 0.1 * i) for i in range(8)]
         with pytest.raises(ZeroIqrError, match="toc"):
-            detect_outliers(records, DatasetKind.VL)
+            detect_outliers(table(records), DatasetKind.VL)
 
     def test_inliers_filters_flagged(self):
         records = _clone_cloud_with_planted_outlier()
-        report = detect_outliers(records, DatasetKind.VL)
-        inliers = report.inliers(records)
+        report = detect_outliers(table(records), DatasetKind.VL)
+        inliers = report.inliers(table(records))
         assert len(inliers) == len(records) - 1
-        assert records[-1] not in inliers
+        assert records[-1].id not in inliers.ids
 
     def test_csv_serialisation(self):
         records = _clone_cloud_with_planted_outlier()
-        report = detect_outliers(records, DatasetKind.VL)
+        report = detect_outliers(table(records), DatasetKind.VL)
         rows = list(csv.reader(io.StringIO(report.to_csv())))
         assert rows[0] == ["id", "R", "flagged", "neighbor_ids", "neighbor_weights"]
         assert len(rows) == len(records) + 1
@@ -355,8 +358,8 @@ def assert_scores_equal_per_record_loop(records, kind, k):
 
     The oracle gets the report's neighbours with their ``statistical_distance``.
     """
-    report = detect_outliers(records, kind, k=k)
-    weights = compute_weights(records, kind.independent_vars)
+    report = detect_outliers(table(records), kind, k=k)
+    weights = compute_weights(table(records), kind.independent_vars)
     deps = [getattr(rec, kind.dependent_var) for rec in records]
     for i, neighbors in enumerate(report.neighbor_indices):
         dists = [statistical_distance(records[i], records[j], weights) for j in neighbors]
@@ -379,7 +382,7 @@ class TestBlockedKernelExactness:
 
     @pytest.mark.parametrize("k", [1, 5, 12, 639])
     def test_neighbours_match_stable_argsort(self, records, k):
-        report = detect_outliers(records, DatasetKind.PL, k=k)
+        report = detect_outliers(table(records), DatasetKind.PL, k=k)
         wider = naive_neighbours(records, ("temp", "toc", "ro"), min(k + 1, len(records) - 1))
         assert report.neighbor_indices == [order[:k] for order, _ in wider]
         if k < len(records) - 1:
@@ -405,10 +408,11 @@ class TestBlockedKernelExactness:
 
     @pytest.mark.parametrize("k", [1, 5, 12, 639])
     def test_every_row_equals_single_row_call(self, records, k):
-        report = detect_outliers(records, DatasetKind.PL, k=k)
-        weights = compute_weights(records, DatasetKind.PL.independent_vars)
+        samples = table(records)
+        report = detect_outliers(samples, DatasetKind.PL, k=k)
+        weights = compute_weights(samples, DatasetKind.PL.independent_vars)
         for i in range(len(records)):
-            r, neighbors, w = weighted_relative_error(i, records, weights, k, "pl")
+            r, neighbors, w = weighted_relative_error(i, samples, weights, k, "pl")
             assert r == report.r_values[i]
             assert neighbors == report.neighbor_indices[i]
             assert w == report.neighbor_weights[i]
@@ -452,13 +456,14 @@ class TestGridSearchExactness:
 
     @pytest.mark.parametrize("k", [1, 5, 12, 639])
     def test_tied_records(self, records, k):
-        columns = outliers._distance_columns(records, compute_weights(records, DatasetKind.PL.independent_vars))
+        samples = table(records)
+        columns = outliers._distance_columns(samples, compute_weights(samples, DatasetKind.PL.independent_vars))
         blocks = assert_grid_equals_blocked(columns, k)
         assert probed_every_row(blocks, len(records))
         if k < 639:
             assert min(width for _, width in blocks) < len(records)
         want_idx, _ = blocked_neighbours(columns, k)
-        assert detect_outliers(records, DatasetKind.PL, k=k).neighbor_indices == want_idx.tolist()
+        assert detect_outliers(table(records), DatasetKind.PL, k=k).neighbor_indices == want_idx.tolist()
 
     @pytest.mark.parametrize("k", [1, 5, 399])
     def test_all_duplicates_fill_one_cell(self, k):
@@ -541,12 +546,12 @@ _vl_rows = st.lists(
 def test_row_permutation_keeps_r_flags_and_neighbour_sets(rows, data):
     records = [make_record(i, toc=toc, temp=temp, vl=vl) for i, (toc, temp, vl) in enumerate(rows)]
     try:
-        weights = compute_weights(records, DatasetKind.VL.independent_vars)
+        weights = compute_weights(table(records), DatasetKind.VL.independent_vars)
     except ZeroIqrError:
         assume(False)
     perm = data.draw(st.permutations(range(len(records))))
-    base = detect_outliers(records, DatasetKind.VL)
-    moved = detect_outliers([records[j] for j in perm], DatasetKind.VL)
+    base = detect_outliers(table(records), DatasetKind.VL)
+    moved = detect_outliers(table([records[j] for j in perm]), DatasetKind.VL)
     moved_by_id = {
         rec_id: (r, flag, {moved.ids[j] for j in neighbors})
         for rec_id, r, flag, neighbors in zip(moved.ids, moved.r_values, moved.flagged,
@@ -576,7 +581,7 @@ def test_scores_equal_per_record_loop_property(rows, data):
     rows = rows + data.draw(st.lists(st.sampled_from(rows), max_size=10))
     records = [make_record(i, toc=toc, temp=temp, vl=vl) for i, (toc, temp, vl) in enumerate(rows)]
     try:
-        compute_weights(records, DatasetKind.VL.independent_vars)
+        compute_weights(table(records), DatasetKind.VL.independent_vars)
     except ZeroIqrError:
         assume(False)
     assert_scores_equal_per_record_loop(records, DatasetKind.VL, data.draw(st.integers(1, len(records) - 1)))

@@ -20,8 +20,8 @@ from shale_adsorb.regression import (
     solve_normal_equations,
 )
 from shale_adsorb.validation import _leave_one_out_systems
-from conftest import make_record, synthetic_records
-from helpers import lstsq_oracle, naive_feature_row, naive_pivot_solve, naive_response
+from conftest import make_record, synthetic_records, table
+from helpers import lstsq_oracle, naive_feature_row, naive_pivot_solve, naive_response, sample_rows
 
 PL_SPEC = ModelSpec(ModelKind.PL_GEO)
 VL_SPEC = ModelSpec(ModelKind.VL_GEO)
@@ -29,38 +29,38 @@ VL_SPEC = ModelSpec(ModelKind.VL_GEO)
 
 class TestBuildDesign:
     def test_pl_geo_row(self):
-        system = build_design([make_record(1, toc=4.0, temp=48.0, ro=1.75, pl=math.exp(2.0))], PL_SPEC)
+        system = build_design(table([make_record(1, toc=4.0, temp=48.0, ro=1.75, pl=math.exp(2.0))]), PL_SPEC)
         assert system.x[0] == pytest.approx([1.0, 0.0, 1.0], abs=1e-15)
         assert system.y[0] == pytest.approx(2.0, rel=1e-15)
 
     def test_vl_geo_row(self):
-        system = build_design([make_record(1, toc=4.0, temp=48.0, vl=math.e)], VL_SPEC)
+        system = build_design(table([make_record(1, toc=4.0, temp=48.0, vl=math.e)]), VL_SPEC)
         assert system.x[0] == pytest.approx([1.0, 1.0, 1.0], abs=1e-15)
         assert system.y[0] == pytest.approx(1.0, rel=1e-15)
 
     def test_toclin_row_is_untransformed(self):
-        system = build_design([make_record(1, toc=3.0, temp=48.0, vl=2.5)], ModelSpec(ModelKind.VL_TOCLIN))
+        system = build_design(table([make_record(1, toc=3.0, temp=48.0, vl=2.5)]), ModelSpec(ModelKind.VL_TOCLIN))
         assert system.x[0] == pytest.approx([3.0, 1.0])
         assert system.y[0] == 2.5
 
     def test_invtemp_row(self):
         spec = ModelSpec(ModelKind.PL_INVTEMP)
-        system = build_design([make_record(1, toc=3.0, temp=50.0, pl=4.0)], spec)
+        system = build_design(table([make_record(1, toc=3.0, temp=50.0, pl=4.0)]), spec)
         assert system.x[0] == pytest.approx([0.02, 1.0])
         assert system.y[0] == pytest.approx(-math.log(4.0), rel=1e-15)
 
     def test_invtemp_kelvin_switch(self):
         spec = ModelSpec(ModelKind.PL_INVTEMP, invtemp_kelvin=True)
-        system = build_design([make_record(1, toc=3.0, temp=50.0, pl=4.0)], spec)
+        system = build_design(table([make_record(1, toc=3.0, temp=50.0, pl=4.0)]), spec)
         assert system.x[0][0] == pytest.approx(1.0 / 323.15)
 
     def test_missing_field_names_record_and_field(self):
         with pytest.raises(ValueError, match=r"r1.*ro"):
-            build_design([make_record(1, toc=4.0, temp=48.0, pl=5.0)], PL_SPEC)
+            build_design(table([make_record(1, toc=4.0, temp=48.0, pl=5.0)]), PL_SPEC)
 
     def test_missing_dependent_rejected(self):
         with pytest.raises(ValueError, match="pl"):
-            build_design([make_record(1, toc=4.0, temp=48.0, ro=1.5)], PL_SPEC)
+            build_design(table([make_record(1, toc=4.0, temp=48.0, ro=1.5)]), PL_SPEC)
 
 
 # Every model kind, and the reciprocal-temperature model in kelvin too.
@@ -91,27 +91,27 @@ class TestDesignEqualsPerRecordRows:
     def test_rows(self, spec):
         records = _wide_records(500, seed=17)
         expected = np.array([naive_feature_row(rec, spec) for rec in records])
-        assert np.array_equal(build_design(records, spec).x, expected)
-        assert [spec.feature_row(rec) for rec in records[:50]] == expected[:50].tolist()
+        assert np.array_equal(build_design(table(records), spec).x, expected)
+        assert [spec.feature_row(table([rec])) for rec in records[:50]] == expected[:50].tolist()
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda spec: f"{spec.kind.value}-{spec.invtemp_kelvin}")
     def test_responses(self, spec):
         records = _wide_records(4000, seed=19)
         expected = [naive_response(rec, spec) for rec in records]
-        assert build_design(records, spec).y.tolist() == expected
-        assert spec.dependent_values(records).tolist() == [getattr(rec, spec.dependent_var) for rec in records]
+        assert build_design(table(records), spec).y.tolist() == expected
+        assert spec.dependent_values(table(records)).tolist() == [getattr(rec, spec.dependent_var) for rec in records]
 
     def test_first_missing_dependent_named_after_the_rows(self):
         records = [make_record(i, toc=3.0, temp=50.0, ro=1.5, pl=4.0) for i in range(6)]
         records[2] = make_record(2, toc=3.0, temp=50.0, ro=1.5)
         records[4] = make_record(4, toc=3.0, temp=50.0, ro=1.5)
         with pytest.raises(ValueError, match="^record r2 is missing dependent variable pl$"):
-            build_design(records, PL_SPEC)
+            build_design(table(records), PL_SPEC)
         with pytest.raises(ValueError, match="^record r2 is missing dependent variable pl$"):
-            PL_SPEC.dependent_values(records)
+            PL_SPEC.dependent_values(table(records))
         records[5] = make_record(5, toc=3.0, temp=50.0, pl=4.0)  # a later record's row fails first
         with pytest.raises(ValueError, match="^record r5 is missing field ro required by pl-geo$"):
-            build_design(records, PL_SPEC)
+            build_design(table(records), PL_SPEC)
 
     # name -> (spec, bad record fields); each breaks one row recipe.
     BAD_RECORDS = {
@@ -131,13 +131,13 @@ class TestDesignEqualsPerRecordRows:
         records.append(make_record("later", **{**dict(toc=3.0, temp=50.0, ro=1.5, pl=4.0), **later}))
         expected = _error(lambda: [naive_feature_row(rec, spec) for rec in records])
         assert "bad" in expected or case == "log-domain"
-        assert _error(build_design, records, spec) == expected
-        assert _error(spec.feature_row, records[position]) == expected
+        assert _error(build_design, table(records), spec) == expected
+        assert _error(spec.feature_row, table([records[position]])) == expected
 
     def test_cube_overflow_names_kind_and_temperature(self):
         record = make_record(1, toc=3.0, temp=1e200, vl=2.0)
         with pytest.raises(ValueError, match=r"^vl-geo regressor overflows: .* at temperature 1e\+200 degC$"):
-            build_design([make_record(0, toc=3.0, temp=50.0, vl=2.0), record], VL_SPEC)
+            build_design(table([make_record(0, toc=3.0, temp=50.0, vl=2.0), record]), VL_SPEC)
 
 
 class TestOlsFit:
@@ -311,7 +311,7 @@ class TestFitRecovery:
             make_record(i, toc=3.0, temp=t, pl=math.exp(-(a / t + c)))
             for i, t in enumerate([30.0, 45.0, 60.0, 75.0, 90.0])
         ]
-        model = fit(records, spec)
+        model = fit(table(records), spec)
         assert model.coefficients == pytest.approx([a, c], rel=1e-9)
 
     def test_tocpow_roundtrip(self):
@@ -321,7 +321,7 @@ class TestFitRecovery:
             make_record(i, toc=t, temp=50.0, vl=scale * t ** exponent)
             for i, t in enumerate([1.0, 2.0, 4.0, 8.0])
         ]
-        model = fit(records, spec)
+        model = fit(table(records), spec)
         assert model.coefficients == pytest.approx([exponent, math.log(scale)], rel=1e-9)
 
     def test_toclin_roundtrip(self):
@@ -330,45 +330,45 @@ class TestFitRecovery:
             make_record(i, toc=t, temp=50.0, vl=0.45 * t + 1.2)
             for i, t in enumerate([1.0, 3.0, 5.0, 9.0])
         ]
-        model = fit(records, spec)
+        model = fit(table(records), spec)
         assert model.coefficients == pytest.approx([0.45, 1.2], rel=1e-9)
 
 
 class TestPredict:
     def test_pl_geo_reference_point(self):
         model = FittedModel(PL_SPEC, REFERENCE_PL_COEFFICIENTS, 91)
-        predicted = model.predict(make_record(1, toc=2.58, temp=86.98, ro=3.03))
+        predicted = model.predict(table([make_record(1, toc=2.58, temp=86.98, ro=3.03)]))
         assert predicted == pytest.approx(5.007, abs=2e-3)
         assert round(predicted, 2) == 5.01
 
     def test_vl_geo_reference_point(self):
         model = FittedModel(VL_SPEC, REFERENCE_VL_COEFFICIENTS, 184)
-        predicted = model.predict(make_record(1, toc=6.90, temp=83.23))
+        predicted = model.predict(table([make_record(1, toc=6.90, temp=83.23)]))
         assert predicted == pytest.approx(2.56, abs=5e-3)
 
     def test_toclin_identity_coefficients(self):
         model = FittedModel(ModelSpec(ModelKind.VL_TOCLIN), (1.0, 0.0), 5)
-        assert model.predict(make_record(1, toc=3.0, temp=48.0)) == pytest.approx(3.0)
+        assert model.predict(table([make_record(1, toc=3.0, temp=48.0)])) == pytest.approx(3.0)
 
     def test_invtemp_inverse_is_reciprocal_of_exp(self):
         model = FittedModel(ModelSpec(ModelKind.PL_INVTEMP), (40.0, -2.0), 5)
         t = 60.0
         expected = 1.0 / math.exp(40.0 / t - 2.0)
-        assert model.predict(make_record(1, toc=3.0, temp=t)) == pytest.approx(expected, rel=1e-12)
+        assert model.predict(table([make_record(1, toc=3.0, temp=t)])) == pytest.approx(expected, rel=1e-12)
 
     def test_interpolation_case_reproduces_training_values(self):
         records = synthetic_records(n=3, seed=5)
         model = fit(records, PL_SPEC)
-        for rec in records:
-            assert model.predict(rec) == pytest.approx(rec.pl, rel=1e-9)
+        for i, rec in enumerate(sample_rows(records)):
+            assert model.predict(records.take([i])) == pytest.approx(rec.pl, rel=1e-9)
 
     def test_pl_geo_monotonicity(self):
         model = FittedModel(PL_SPEC, REFERENCE_PL_COEFFICIENTS, 91)
         base = dict(toc=2.58, temp=86.98, ro=3.03)
-        p0 = model.predict(make_record(1, **base))
-        assert model.predict(make_record(1, **{**base, "temp": base["temp"] + 1.0})) > p0
-        assert model.predict(make_record(1, **{**base, "toc": base["toc"] + 1.0})) < p0
-        assert model.predict(make_record(1, **{**base, "ro": base["ro"] + 0.5})) < p0
+        p0 = model.predict(table([make_record(1, **base)]))
+        assert model.predict(table([make_record(1, **{**base, "temp": base["temp"] + 1.0})])) > p0
+        assert model.predict(table([make_record(1, **{**base, "toc": base["toc"] + 1.0})])) < p0
+        assert model.predict(table([make_record(1, **{**base, "ro": base["ro"] + 0.5})])) < p0
 
     @pytest.mark.parametrize("spec, linear", [(PL_SPEC, 1000.0), (ModelSpec(ModelKind.PL_INVTEMP), -1000.0)],
                              ids=["pl-geo", "pl-invtemp"])
@@ -382,7 +382,7 @@ class TestPredict:
     def test_missing_field_rejected(self):
         model = FittedModel(PL_SPEC, REFERENCE_PL_COEFFICIENTS, 91)
         with pytest.raises(ValueError, match="ro"):
-            model.predict(make_record(1, toc=2.58, temp=86.98))
+            model.predict(table([make_record(1, toc=2.58, temp=86.98)]))
 
     def test_coefficient_arity_enforced(self):
         with pytest.raises(ValueError, match="coefficients"):

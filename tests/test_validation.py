@@ -18,8 +18,8 @@ from shale_adsorb.validation import (
     qq_data,
     scenario_split,
 )
-from conftest import make_record, synthetic_records
-from helpers import naive_compare, naive_loo_errors, naive_split
+from conftest import make_record, synthetic_records, table
+from helpers import naive_compare, naive_loo_errors, naive_split, sample_rows
 
 PL_SPEC = ModelSpec(ModelKind.PL_GEO)
 VL_SPEC = ModelSpec(ModelKind.VL_GEO)
@@ -45,7 +45,7 @@ class TestLooCv:
         # m = n + 1: every fold interpolates its three training rows exactly.
         records = synthetic_records(n=4, seed=2, pl_noise=0.2)
         report = loo_cv(records, PL_SPEC)
-        oracle = naive_loo_errors(records, PL_SPEC)
+        oracle = naive_loo_errors(sample_rows(records), PL_SPEC)
         assert report.errors_pct == pytest.approx(oracle, rel=1e-9)
 
     def test_linear_five_record_oracle(self):
@@ -53,7 +53,7 @@ class TestLooCv:
             make_record(i, toc=t, temp=50.0, vl=v)
             for i, (t, v) in enumerate([(1.0, 1.4), (2.0, 2.1), (3.0, 2.2), (4.0, 3.3), (5.0, 3.6)])
         ]
-        report = loo_cv(records, TOCLIN)
+        report = loo_cv(table(records), TOCLIN)
         oracle = naive_loo_errors(records, TOCLIN)
         assert report.errors_pct == pytest.approx(oracle, rel=1e-10)
 
@@ -61,16 +61,17 @@ class TestLooCv:
     def test_matches_naive_refit_on_noisy_data(self, seed):
         records = synthetic_records(n=18, seed=10 + seed, vl_noise=0.15)
         report = loo_cv(records, VL_SPEC)
-        oracle = naive_loo_errors(records, VL_SPEC)
+        oracle = naive_loo_errors(sample_rows(records), VL_SPEC)
         for ours, theirs in zip(report.errors_pct, oracle):
             assert abs(ours - theirs) <= 1e-12 * max(1.0, abs(theirs))
 
     def test_folds_equal_from_scratch_fits(self):
         records = synthetic_records(n=10, seed=20, pl_noise=0.1)
         report = loo_cv(records, PL_SPEC)
-        for i, rec in enumerate(records):
-            model = fit(records[:i] + records[i + 1:], PL_SPEC)
-            expected = (rec.pl - model.predict(rec)) / rec.pl * 100.0
+        rows = sample_rows(records)
+        for i, rec in enumerate(rows):
+            model = fit(table(rows[:i] + rows[i + 1:]), PL_SPEC)
+            expected = (rec.pl - model.predict(records.take([i]))) / rec.pl * 100.0
             assert report.errors_pct[i] == pytest.approx(expected, abs=1e-12)
 
     def test_too_few_records_rejected(self):
@@ -81,14 +82,14 @@ class TestLooCv:
         # identical toc everywhere makes every training submatrix rank deficient
         records = [make_record(i, toc=2.0, temp=50.0, vl=1.5 + 0.1 * i) for i in range(5)]
         with pytest.raises(SingularSystemError, match=r"fold 0 \(record r0\) left a singular"):
-            loo_cv(records, TOCLIN)
+            loo_cv(table(records), TOCLIN)
 
     def test_first_singular_fold_need_not_be_fold_0(self):
         # only record r3 has another toc, so only the fold holding it out is singular
         records = [make_record(i, toc=3.0 if i == 3 else 2.0, temp=50.0, vl=1.5 + 0.1 * i)
                    for i in range(6)]
         with pytest.raises(SingularSystemError, match=r"fold 3 \(record r3\) left a singular") as raised:
-            loo_cv(records, TOCLIN)
+            loo_cv(table(records), TOCLIN)
         assert raised.value.system == 3
 
     def test_design_left_unchanged(self, monkeypatch):
@@ -191,20 +192,20 @@ class TestScenarioSplit:
         records = synthetic_records(n=10, seed=6)
         train, test = scenario_split(records, Scenario.OVERALL, 0.2, seed=1)
         assert len(test) == 2 and len(train) == 8
-        assert sorted(r.id for r in train + test) == sorted(r.id for r in records)
-        assert not set(r.id for r in train) & set(r.id for r in test)
+        assert sorted(train.ids + test.ids) == sorted(records.ids)
+        assert not set(train.ids) & set(test.ids)
 
     def test_same_seed_same_split(self):
         records = synthetic_records(n=20, seed=7)
         first = scenario_split(records, Scenario.OVERALL, 0.25, seed=123)
         second = scenario_split(records, Scenario.OVERALL, 0.25, seed=123)
-        assert first == second
+        assert [sample_rows(part) for part in first] == [sample_rows(part) for part in second]
 
     def test_different_seed_usually_differs(self):
         records = synthetic_records(n=20, seed=7)
         _, test1 = scenario_split(records, Scenario.OVERALL, 0.25, seed=1)
         _, test2 = scenario_split(records, Scenario.OVERALL, 0.25, seed=2)
-        assert {r.id for r in test1} != {r.id for r in test2}
+        assert set(test1.ids) != set(test2.ids)
 
     def test_scenario_pool_membership(self):
         records = synthetic_records(n=30, seed=8)
@@ -214,18 +215,18 @@ class TestScenarioSplit:
             (Scenario.HIGH_RO, lambda r: r.ro > 2.0),
         ]:
             _, test = scenario_split(records, scenario, 0.1, seed=3)
-            assert all(check(r) for r in test)
+            assert all(check(r) for r in sample_rows(test))
 
     def test_empty_pool_rejected(self):
         records = [make_record(i, toc=2.0 + 0.1 * i, temp=40.0 + i, vl=2.0) for i in range(10)]
         with pytest.raises(ValueError, match="high-t"):
-            scenario_split(records, Scenario.HIGH_T, 0.2, seed=0)
+            scenario_split(table(records), Scenario.HIGH_T, 0.2, seed=0)
 
     def test_pool_smaller_than_test_size_rejected(self):
         records = [make_record(i, toc=2.0, temp=40.0 + i, vl=2.0) for i in range(9)]
         records.append(make_record(9, toc=2.0, temp=80.0, vl=2.0))
         with pytest.raises(ValueError, match="pool has 1"):
-            scenario_split(records, Scenario.HIGH_T, 0.3, seed=0)
+            scenario_split(table(records), Scenario.HIGH_T, 0.3, seed=0)
 
     def test_bad_fraction_rejected(self):
         records = synthetic_records(n=10, seed=9)
@@ -325,11 +326,11 @@ class TestCompareModels:
 
     def test_mean_abs_relative_error_matches_per_record_sum(self):
         records = synthetic_records(n=17, seed=19, vl_noise=0.2)
-        model = fit(records[:9], VL_SPEC)
+        model = fit(records.take(slice(9)), VL_SPEC)
         total = 0.0
-        for rec in records[9:]:
-            total += abs((rec.vl - model.predict(rec)) / rec.vl)
-        assert mean_abs_relative_error_pct(model, records[9:]) == total / 8 * 100.0
+        for i, rec in enumerate(sample_rows(records)[9:], start=9):
+            total += abs((rec.vl - model.predict(records.take([i]))) / rec.vl)
+        assert mean_abs_relative_error_pct(model, records.take(slice(9, None))) == total / 8 * 100.0
 
     def test_singular_training_system_names_repetition_and_spec(self):
         # r0 is the only record with another toc; a split that tests it leaves a
@@ -342,7 +343,7 @@ class TestCompareModels:
         with pytest.raises(SingularSystemError) as oracle:
             naive_compare(records, specs, Scenario.OVERALL, 0.1, rep + 2, 4)
         with pytest.raises(SingularSystemError, match=f"repetition {rep}: vl-tocpow training system") as raised:
-            compare_models(records, specs, Scenario.OVERALL, 0.1, rep + 2, 4)
+            compare_models(table(records), specs, Scenario.OVERALL, 0.1, rep + 2, 4)
         assert str(oracle.value) in str(raised.value)
 
     def test_first_singular_repetition_wins_over_spec_order(self):
@@ -358,7 +359,7 @@ class TestCompareModels:
         with pytest.raises(SingularSystemError) as oracle:
             naive_compare(records, specs, Scenario.OVERALL, 0.1, 2, seed)
         with pytest.raises(SingularSystemError, match="repetition 1: vl-geo training system") as raised:
-            compare_models(records, specs, Scenario.OVERALL, 0.1, 2, seed)
+            compare_models(table(records), specs, Scenario.OVERALL, 0.1, 2, seed)
         assert str(oracle.value) in str(raised.value)
 
     def test_non_finite_coefficient_fails_as_its_repetition(self, monkeypatch):
@@ -403,19 +404,19 @@ _records = st.lists(
 def test_compare_equals_per_record_path(rows, scenario, dependent, kelvin, test_fraction, repetitions, seed):
     records = [make_record(i, toc=toc, temp=temp, ro=ro, pl=pl, vl=vl)
                for i, (toc, temp, ro, pl, vl) in enumerate(rows)]
-    specs = _SPEC_SETS[dependent](kelvin)
-    args = (records, specs, scenario, test_fraction, repetitions, seed)
+    samples = table(records)
+    args = (_SPEC_SETS[dependent](kelvin), scenario, test_fraction, repetitions, seed)
     try:
-        expected = naive_compare(*args)
+        expected = naive_compare(records, *args)
     except ValueError as exc:
         with pytest.raises(type(exc)) as raised:
-            compare_models(*args)
+            compare_models(samples, *args)
         assert str(exc) in str(raised.value)
         return
-    assert compare_models(*args).rows == expected
+    assert compare_models(samples, *args).rows == expected
     for rep in range(1, repetitions + 1):
-        split = scenario_split(records, scenario, test_fraction, [seed, rep])
-        assert split == naive_split(records, scenario, test_fraction, [seed, rep])
+        split = scenario_split(samples, scenario, test_fraction, [seed, rep])
+        assert [sample_rows(part) for part in split] == list(naive_split(records, scenario, test_fraction, [seed, rep]))
 
 
 @pytest.mark.parametrize("row_error", [False, True], ids=["dependent", "row-first"])
@@ -425,9 +426,11 @@ def test_missing_dependent_raises_as_build_design(row_error):
     # record lacks a regressor (r9).
     records = synthetic_records(n=12, seed=3)
     model = fit(records, PL_SPEC)
-    records[4] = make_record(4, toc=records[4].toc, temp=records[4].temp, ro=records[4].ro)
+    rows = [row._replace(id=f"r{i}") for i, row in enumerate(sample_rows(records))]
+    rows[4] = rows[4]._replace(pl=None)
     if row_error:
-        records[9] = make_record(9, toc=records[9].toc, temp=records[9].temp, pl=records[9].pl)
+        rows[9] = rows[9]._replace(ro=None)
+    records = table(rows)
     message = "record r9 is missing field ro" if row_error else "record r4 is missing dependent variable pl"
     with pytest.raises(ValueError, match=f"^{message}"):
         build_design(records, PL_SPEC)
