@@ -236,6 +236,9 @@ def interpolate_grid(
     blocked NumPy pass: O(q * n log n) for q nodes and n samples, with
     memory bounded per block, and q * n ``asin`` calls; with
     ``max_neighbors`` k below n, O(q * n) NumPy work and about q * k calls.
+    Either way it makes one ``math.sin`` call per (distinct query latitude
+    or longitude in a block, sample): 68,805 for 695 samples on a 40 x 40
+    grid, where one per (distinct grid angle, sample) would be 55,600.
     """
     lon_min, lon_max, lat_min, lat_max = map(float, (lon_min, lon_max, lat_min, lat_max))
     if not (all(-180.0 <= lon <= 180.0 for lon in (lon_min, lon_max))
@@ -278,10 +281,16 @@ def parse_heatflow(source: str | Iterable[str]) -> HeatFlowTable:
     :class:`SampleParseError` for the first bad row, by
     :func:`~shale_adsorb.dataset.first_failure`, naming its column
     (``record`` for an invariant of :class:`HeatFlowTable`); a row's cells
-    are checked before its invariants.
+    are checked before its invariants, and a bad row before a later row the
+    reader cannot read.
     """
-    rows = list(read_csv_table(source, HEATFLOW_CSV_COLUMNS, "heat-flow"))
-    return first_failure(_heatflow_table, rows, _check_cells)
+    rows: list[tuple[int, list[str]]] = []
+    try:
+        for row in read_csv_table(source, HEATFLOW_CSV_COLUMNS, "heat-flow"):
+            rows.append(row)
+    finally:  # the rows before one the reader cannot read fail first
+        points = first_failure(_heatflow_table, rows, _check_cells)
+    return points
 
 
 def grid_to_csv(rows: Sequence[tuple[float, float, float]]) -> str:

@@ -214,6 +214,100 @@ def _test_mask(n_records: int, pool: list[int], n_test: int, seed) -> np.ndarray
     return mask
 
 
+_MASK32 = 0xFFFFFFFF
+_PCG_MULT_HI, _PCG_MULT_LO = 2549297995355413924, 4865540595714422341  # PCG64's 128-bit multiplier
+
+
+def _hash32(value: np.ndarray, const: int, mult: int) -> tuple[np.ndarray, int]:
+    """SeedSequence's hash step on uint32 lanes: the hashed value and the next hash constant."""
+    next_const = const * mult & _MASK32
+    value = (value ^ np.uint32(const)) * np.uint32(next_const)
+    return value ^ (value >> 16), next_const
+
+
+def _pcg_step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray):
+    """One PCG64 step, state * multiplier + increment mod 2**128, on (high, low) uint64 limbs.
+
+    The high limb of ``lo * multiplier`` is built from 32-bit halves.
+    """
+    lo0, lo1, m0, m1 = lo & _MASK32, lo >> 32, _PCG_MULT_LO & _MASK32, _PCG_MULT_LO >> 32
+    p00, p01, p10 = lo0 * m0, lo0 * m1, lo1 * m0
+    carry = ((p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)) >> 32
+    product = lo * _PCG_MULT_LO
+    new_lo = product + inc_lo
+    new_hi = (lo1 * m1 + (p01 >> 32) + (p10 >> 32) + carry + lo * _PCG_MULT_HI + hi * _PCG_MULT_LO
+              + inc_hi + (new_lo < product))
+    return new_hi, new_lo
+
+
+def _split_draws(seed: int, repetitions: int, n_test: int, high: int) -> np.ndarray:
+    """Row ``rep - 1`` is ``np.random.default_rng([seed, rep]).integers(np.arange(n_test), high)``.
+
+    All repetitions are drawn at once, one lane each, by NumPy's own steps
+    on uint32/uint64 arrays: ``SeedSequence`` pool hashing of ``[seed,
+    rep]``, ``generate_state(4, uint64)``, ``pcg_setseq_128_srandom_r``,
+    PCG64 steps with the XSL-RR output split into 32-bit draws low half
+    first, and Lemire's bounded draw for each ``[i, high)``. (NumPy takes no
+    bits for a range of one, but only the last draw can have one, so taking
+    them changes nothing.) A lane that reaches Lemire's rejection branch is
+    redrawn by ``default_rng`` alone. ``high`` must be at most 2**32.
+    NEP 19 keeps ``SeedSequence`` and PCG64 streams stable across NumPy
+    versions, but not ``Generator.integers``; the tests compare this kernel
+    ``==`` with ``default_rng`` and report such a change.
+    """
+    if seed < 0:
+        raise ValueError("expected non-negative integer")  # as SeedSequence raises it
+    reps = np.arange(1, repetitions + 1, dtype=np.uint32)
+    words = [np.full(repetitions, seed >> 32 * k & _MASK32, np.uint32)
+             for k in range(max(1, -(-seed.bit_length() // 32)))] + [reps]
+    pool, const = [], 0x43B0D7E5
+    for k in range(4):  # SeedSequence.mix_entropy
+        value, const = _hash32(words[k] if k < len(words) else np.zeros_like(reps), const, 0x931E8875)
+        pool.append(value)
+    mixes = [(src, dst) for src in range(4) for dst in range(4) if src != dst]
+    for src, dst in mixes + [(src, dst) for src in range(4, len(words)) for dst in range(4)]:
+        value, const = _hash32((pool if src < 4 else words)[src], const, 0x931E8875)
+        mixed = np.uint32(0xCA01F9DD) * pool[dst] - np.uint32(0x4973F715) * value
+        pool[dst] = mixed ^ (mixed >> 16)
+    state, const = [], 0x8B51F9DD
+    for k in range(8):  # SeedSequence.generate_state(4, np.uint64)
+        value, const = _hash32(pool[k % 4], const, 0x58F38DED)
+        state.append(value.astype(np.uint64))
+    s_hi, s_lo, i_hi, i_lo = (state[2 * k] | state[2 * k + 1] << 32 for k in range(4))
+    inc = i_hi << 1 | i_lo >> 63, i_lo << 1 | 1
+    lo = inc[1] + s_lo  # from state 0, the first step leaves the increment
+    hi, lo = _pcg_step(inc[0] + s_hi + (lo < s_lo), lo, *inc)
+    outputs = np.empty((repetitions, -(-n_test // 2)), np.uint64)
+    for k in range(outputs.shape[1]):
+        hi, lo = _pcg_step(hi, lo, *inc)
+        x, rot = hi ^ lo, hi >> 58
+        outputs[:, k] = x >> rot | x << (64 - rot & 63)
+    bits = np.stack([outputs & _MASK32, outputs >> 32], axis=2).reshape(repetitions, -1)[:, :n_test]
+    bound = np.arange(high, high - n_test, -1, dtype=np.uint64)
+    scaled = bits * bound
+    draws = np.arange(n_test) + (scaled >> 32).astype(np.int64)
+    rejected = ((scaled & _MASK32) < (2 ** 32 - bound) % bound).any(axis=1)
+    for lane in np.flatnonzero(rejected).tolist():
+        draws[lane] = np.random.default_rng([seed, lane + 1]).integers(np.arange(n_test), high)
+    return draws
+
+
+def _test_masks(n_records: int, pool: list[int], n_test: int, seed: int, repetitions: int) -> np.ndarray:
+    """``_test_mask(n_records, pool, n_test, [seed, rep])`` for rep = 1..repetitions, as rows.
+
+    The Fisher-Yates swaps run on every repetition's copy of the pool at
+    once, from the draws of :func:`_split_draws`.
+    """
+    draws = _split_draws(seed, repetitions, n_test, len(pool))
+    idx = np.tile(np.array(pool, dtype=np.int64), (repetitions, 1))
+    lanes = np.arange(repetitions)
+    for i, j in enumerate(draws.T):
+        idx[:, i], idx[lanes, j] = idx[lanes, j], idx[:, i].copy()
+    mask = np.zeros((repetitions, n_records), dtype=bool)
+    mask[lanes[:, None], idx[:, :n_test]] = True
+    return mask
+
+
 def scenario_split(
     samples: SampleTable,
     scenario: Scenario,
@@ -228,7 +322,6 @@ def scenario_split(
     exchanges pool positions i and j, j drawn from [i, len(pool)); the draws
     come from one array call, equal to the sequential scalar draws), and the
     training set is everything else. Both keep the samples' order.
-    :func:`compare_models` draws its splits through the same helper.
     """
     pool, n_test = _split_pool(samples, scenario, test_fraction)
     held_out = _test_mask(len(samples), pool, n_test, seed)
@@ -269,8 +362,10 @@ def compare_models(
 ) -> ComparisonTable:
     """Repeated split-fit-score comparison of several specs on one dataset.
 
-    Each repetition draws one split (all specs share it; see
-    :func:`scenario_split`), fits every spec on the training rows, and
+    Repetition ``rep`` draws one split, the one :func:`scenario_split`
+    draws with seed ``[seed, rep]``; all specs share it, and the splits of
+    all repetitions are drawn at once (:func:`_split_draws`). Each
+    repetition fits every spec on the training rows, and
     scores the mean absolute relative error on the test rows. A final
     ``Average`` row per spec carries the mean over repetitions, each
     repetition weighted equally and summed left to right. Each spec must be
@@ -297,8 +392,7 @@ def compare_models(
                              "rows are labelled by kind")
 
     pool, n_test = _split_pool(samples, scenario, test_fraction)
-    test = np.array([_test_mask(len(samples), pool, n_test, [seed, rep])
-                     for rep in range(1, repetitions + 1)])
+    test = _test_masks(len(samples), pool, n_test, seed, repetitions)
     test_rows = np.nonzero(test)[1].reshape(repetitions, n_test)
 
     errors_by_spec: list[list[float]] = []

@@ -5,15 +5,17 @@ import sys
 import pytest
 
 from shale_adsorb.cli import build_parser, main
-from shale_adsorb.dataset import SampleTable, records_to_csv
+from shale_adsorb.dataset import DatasetKind, SampleTable, parse_samples, records_to_csv
 from shale_adsorb.estimator import (
     REFERENCE_PL_COEFFICIENTS,
     REFERENCE_VL_COEFFICIENTS,
     reference_models,
 )
-from shale_adsorb.regression import model_from_text, model_to_text
+from shale_adsorb.outliers import detect_outliers
+from shale_adsorb.regression import ModelKind, ModelSpec, model_from_text, model_to_text
+from shale_adsorb.validation import Scenario
 from conftest import make_record, synthetic_records, table
-from helpers import Row, sample_rows
+from helpers import Row, naive_compare, sample_rows
 
 EXPECTED_CONTENTS = {
     "Sichuan Basin": 1.34,
@@ -226,6 +228,20 @@ class TestCompare:
         code, err = _run(argv, capsys)
         assert code == 1
         assert err.endswith("error: compare stage: expected non-negative integer\n")
+
+    def test_seed_above_64_bits_equals_per_record_compare(self, tmp_path, data_dir):
+        out = tmp_path / "out"
+        argv = ["compare", "--input", str(data_dir / "samples.csv"), "--kind", "pl", "--reps", "6",
+                "--seed", "18446744073709551616", "--output-dir", str(out)]
+        assert main(argv) == 0
+        args = build_parser().parse_args(argv)
+        kept = parse_samples((out / "kept.csv").read_text(encoding="utf-8"))
+        inliers = detect_outliers(kept, DatasetKind.PL, k=args.k, threshold=args.threshold).inliers(kept)
+        specs = [ModelSpec(kind) for kind in (ModelKind.PL_INVTEMP, ModelKind.PL_TOCPOW, ModelKind.PL_GEO)]
+        expected = naive_compare(sample_rows(inliers), specs, Scenario.OVERALL, 0.2, 6, 2 ** 64)
+        rows = read_csv(out / "comparison.csv")
+        assert [(row["test_label"], row["model"], row["error_pct"]) for row in rows] == [
+            (label, model, repr(error)) for label, model, error in expected]
 
     def test_row_count(self, tmp_path, data_dir):
         out = tmp_path / "out"

@@ -523,6 +523,12 @@ class TestParseHeatflow:
         with pytest.raises(SampleParseError, match="row 1, column lon_deg: empty heat-flow file"):
             parse_heatflow("")
 
+    def test_bad_row_fails_before_a_later_unreadable_row(self):
+        # Row 2's longitude is off the globe; row 3 has two cells. Row 2 fails first, as in parse_samples.
+        text = "lon_deg,lat_deg,section_depth_m,gradt_c_per_km\n200,29.1,1200,26.4\n104.5,29.1\n"
+        with pytest.raises(SampleParseError, match=r"^row 2, column record: longitude out of range: 200\.0$"):
+            parse_heatflow(text)
+
 
 
 def _seeded_heatflow(rng, n):

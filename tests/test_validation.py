@@ -400,7 +400,7 @@ _records = st.lists(
 @settings(max_examples=80, deadline=None, database=None)
 @given(rows=_records, scenario=st.sampled_from(list(Scenario)), dependent=st.sampled_from(["pl", "vl"]),
        kelvin=st.booleans(), test_fraction=st.sampled_from([0.05, 0.1, 0.2, 0.35, 0.5]),
-       repetitions=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1))
+       repetitions=st.integers(1, 6), seed=st.integers(0, 2 ** 80))
 def test_compare_equals_per_record_path(rows, scenario, dependent, kelvin, test_fraction, repetitions, seed):
     records = [make_record(i, toc=toc, temp=temp, ro=ro, pl=pl, vl=vl)
                for i, (toc, temp, ro, pl, vl) in enumerate(rows)]
@@ -417,6 +417,64 @@ def test_compare_equals_per_record_path(rows, scenario, dependent, kelvin, test_
     for rep in range(1, repetitions + 1):
         split = scenario_split(samples, scenario, test_fraction, [seed, rep])
         assert [sample_rows(part) for part in split] == list(naive_split(records, scenario, test_fraction, [seed, rep]))
+
+
+def _generator_draws(seed, repetitions, n_test, high):
+    return np.array([np.random.default_rng([seed, rep]).integers(np.arange(n_test), high)
+                     for rep in range(1, repetitions + 1)])
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(seed=st.integers(0, 2 ** 200), repetitions=st.integers(1, 8),
+       shape=st.integers(1, 1000).flatmap(lambda high: st.tuples(st.integers(1, high), st.just(high))))
+def test_split_draws_equal_default_rng(seed, repetitions, shape):
+    # Seeds of up to seven 32-bit words; n_test == high ends with a range of one, for which NumPy takes no bits.
+    n_test, high = shape
+    assert np.array_equal(validation._split_draws(seed, repetitions, n_test, high),
+                          _generator_draws(seed, repetitions, n_test, high))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(seed=st.integers(0, 2 ** 200), repetitions=st.integers(1, 8), n_test=st.integers(1, 4),
+       high=st.integers(2 ** 31 + 1, 2 ** 32))
+def test_split_draws_equal_default_rng_where_rejection_is_common(seed, repetitions, n_test, high):
+    # A draw below high reaches the rejection branch with chance (2**32 - high) / 2**32, up to one half.
+    assert np.array_equal(validation._split_draws(seed, repetitions, n_test, high),
+                          _generator_draws(seed, repetitions, n_test, high))
+
+
+def _count_default_rng(monkeypatch):
+    """The seeds of every later ``np.random.default_rng`` call, as a list that grows."""
+    calls, default_rng = [], np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed=None: calls.append(seed) or default_rng(seed))
+    return calls
+
+
+def test_split_draws_redraw_rejected_lanes(monkeypatch):
+    # At high = 2**31 + 1 about half of all draws reach Lemire's rejection branch, so with two
+    # draws a lane most often falls back to default_rng, and some lanes keep the batch draws.
+    expected = _generator_draws(2 ** 40 + 3, 12, 2, 2 ** 31 + 1)
+    calls = _count_default_rng(monkeypatch)
+    assert np.array_equal(validation._split_draws(2 ** 40 + 3, 12, 2, 2 ** 31 + 1), expected)
+    assert 0 < len(calls) < 12
+
+
+@pytest.mark.parametrize("seed", [0, 11, 2 ** 64])
+@pytest.mark.parametrize("pool, n_test", [(range(145), 29), (range(3, 145, 2), 28), (range(140, 145), 5)])
+def test_test_masks_equal_per_repetition_masks(seed, pool, n_test):
+    pool = list(pool)
+    expected = [validation._test_mask(145, pool, n_test, [seed, rep]) for rep in range(1, 201)]
+    assert np.array_equal(validation._test_masks(145, pool, n_test, seed, 200), np.array(expected))
+
+
+def test_compare_draws_without_default_rng(monkeypatch):
+    # model-compare's shape: about 145 samples, three specs, 200 repetitions, a fifth held out.
+    records = synthetic_records(n=145, seed=21, pl_noise=0.1)
+    specs = _SPEC_SETS["pl"](False)
+    calls = _count_default_rng(monkeypatch)
+    for seed in (0, 11, 2 ** 64):
+        compare_models(records, specs, Scenario.OVERALL, 0.2, 200, seed)
+    assert calls == []
 
 
 @pytest.mark.parametrize("row_error", [False, True], ids=["dependent", "row-first"])
