@@ -351,26 +351,48 @@ def _quote_cell(cell: str) -> str:
     return '"' + cell.replace('"', '""') + '"'
 
 
+# The key=value reader splits its text this many characters at a time, each
+# chunk running on to the first line feed at or past that length.
+_CHUNK_CHARS = 2**16
+
+
+def _lines(text: str) -> Iterator[str]:
+    """The lines of ``text.splitlines()``, split one chunk of whole lines at a time.
+
+    Each chunk but the last ends just after a ``\\n``. That ends the chunk's
+    last line whatever break it belongs to (``\\r\\n`` included), so the
+    lines are the whole text's.
+    """
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _CHUNK_CHARS - 1) + 1 or len(text)  # no \n left: to the end
+        yield from text[start:end].splitlines()
+        start = end
+
+
 def read_key_value_blocks(
     text: str,
     label: str,
     keys: set[str] | None = None,
     block_key: str | None = None,
-) -> list[dict[str, str]]:
-    """Parse ``key=value`` lines into blocks; ``#`` starts a comment line.
+) -> Iterator[dict[str, str]]:
+    """Yield the blocks of ``key=value`` lines, each as it closes; ``#`` starts a comment line.
 
     Without ``block_key`` the whole text is one block and blank lines are
     ignored. With it, a blank line ends a block and a ``block_key`` entry
     starts a new one. A key outside ``keys`` (when given) or repeated within
-    a block is an error naming ``label`` and the line number.
+    a block is an error naming ``label`` and the line number, raised when the
+    reader reaches that line. The text is split one chunk of lines at a time
+    and each key is the one object in ``keys``, so the reader holds one chunk
+    and one block, never every line.
     """
-    blocks: list[dict[str, str]] = []
+    shared = None if keys is None else {key: key for key in keys}
     current: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_lines(text), start=1):
         line = raw.strip()
         if not line:
             if block_key is not None and current:
-                blocks.append(current)
+                yield current
                 current = {}
             continue
         if line.startswith("#"):
@@ -379,17 +401,18 @@ def read_key_value_blocks(
             raise ValueError(f"{label} line {lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if keys is not None and key not in keys:
-            raise ValueError(f"{label} line {lineno}: unknown key {key!r}")
+        if shared is not None:
+            if key not in shared:
+                raise ValueError(f"{label} line {lineno}: unknown key {key!r}")
+            key = shared[key]
         if key == block_key and current:
-            blocks.append(current)
+            yield current
             current = {}
         if key in current:
             raise ValueError(f"{label} line {lineno}: duplicate key {key!r} in block")
         current[key] = value.strip()
     if current:
-        blocks.append(current)
-    return blocks
+        yield current
 
 
 def records_to_csv(samples: SampleTable) -> str:

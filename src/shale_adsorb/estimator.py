@@ -8,9 +8,10 @@ pressure scaled by a pressure coefficient.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, fields
 from itertools import compress
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -297,16 +298,33 @@ def estimate_reservoirs(
 ) -> EstimateTable:
     """Resolve temperature and pressure for each reservoir and estimate its content, as one batch.
 
-    Each row equals the estimate of that reservoir alone; a failure is the
-    first failing reservoir's, by :func:`~shale_adsorb.dataset.first_failure`.
+    Each row equals the estimate of that reservoir alone, and a failure is
+    the first failing reservoir's own error. Every step of the batch works
+    row by row, so a run of rows fails exactly when one of its rows fails
+    alone. The first failing row is found by bisecting the prefix length,
+    each probe running only the rows past the longest prefix known to pass:
+    about log2(n) calls, over about n rows in all.
     """
     temp, pressure = reservoirs.temperatures(), reservoirs.pressures()
     columns = (reservoirs.toc, reservoirs.ro, temp, pressure)
-    adsorbed = first_failure(
-        lambda rows: _contents(*(column[:len(rows)] for column in columns), pl_model, vl_model),
-        range(len(reservoirs)),
-        lambda i: _contents(*(column[i:i + 1] for column in columns), pl_model, vl_model),
-    )
+
+    def contents(start: int, stop: int) -> np.ndarray:
+        return _contents(*(column[start:stop] for column in columns), pl_model, vl_model)
+
+    try:
+        adsorbed = contents(0, len(reservoirs))
+    except ValueError:
+        passed, failed = 0, len(reservoirs)  # the rows before `passed` pass; those before `failed` do not
+        while failed - passed > 1:
+            middle = (passed + failed) // 2
+            try:
+                contents(passed, middle)
+            except ValueError:
+                failed = middle
+            else:
+                passed = middle
+        contents(passed, failed)  # the first failing row, which raises its own error
+        raise
     return EstimateTable(reservoirs, temp, pressure, adsorbed, _extrapolated(reservoirs.toc, reservoirs.ro, temp))
 
 
@@ -342,19 +360,30 @@ _REQUIRED_KEYS = tuple(key for key, default in _NUMBER_KEYS if default is None)
 _OPTIONAL_KEYS = ("gradt_c_per_km", "temp_c", "pressure_mpa")
 
 
-def _columns(blocks: list[dict[str, str]]) -> list:
-    """The :class:`ReservoirTable` columns of config blocks.
+def _columns(blocks: Iterable[dict[str, str]]) -> list:
+    """The :class:`ReservoirTable` columns of config blocks, read in one pass.
 
-    Raises ``KeyError``, ``TypeError`` or ``ValueError`` when a block lacks
-    the name or a required key, or holds a value that is not a number.
+    The numbers go into ``array("d")`` columns and the presence of each
+    optional key into a byte mask, so no block outlives its row. Raises
+    ``KeyError``, ``TypeError`` or ``ValueError`` when a block lacks the name
+    or a required key, or holds a value that is not a number.
     """
-    names = [block["name"] for block in blocks]
+    names: list[str] = []
     columns: list = [names]
+    numbers = []  # (append to the key's column, key, default)
+    masks = []  # (append to the key's presence mask, key)
     for key, default in _NUMBER_KEYS:
-        cells = [block.get(key, default) for block in blocks]
-        columns.append(np.fromiter(map(float, cells), float, len(cells)))
+        columns.append(array("d"))
+        numbers.append((columns[-1].append, key, default))
         if key in _OPTIONAL_KEYS:
-            columns.append(np.fromiter((key in block for block in blocks), bool, len(blocks)))
+            columns.append(bytearray())
+            masks.append((columns[-1].append, key))
+    for block in blocks:
+        names.append(block["name"])
+        for append, key, default in numbers:
+            append(float(block.get(key, default)))
+        for append, key in masks:
+            append(key in block)
     return columns
 
 
@@ -383,7 +412,17 @@ def parse_reservoirs(text: str) -> ReservoirTable:
     the first bad block's, by :func:`~shale_adsorb.dataset.first_failure`,
     and within a block a missing key comes before a value that is not a
     number, and that before a broken invariant.
+
+    The blocks stream from the reader into the columns, so the parse holds
+    the columns and one chunk of text, not every line and block. Only a
+    failed parse reads the blocks again into a list, to find that error.
     """
-    blocks = read_key_value_blocks(text, "reservoir config", keys=_RESERVOIR_KEYS, block_key="name")
-    return first_failure(lambda prefix: ReservoirTable(*_columns(prefix)), blocks, _check_block,
-                         errors=(KeyError, TypeError, ValueError))
+    def blocks():
+        return read_key_value_blocks(text, "reservoir config", keys=_RESERVOIR_KEYS, block_key="name")
+
+    errors = (KeyError, TypeError, ValueError)
+    try:
+        return ReservoirTable(*_columns(blocks()))
+    except errors:  # read again, so a malformed line anywhere fails first
+        return first_failure(lambda prefix: ReservoirTable(*_columns(prefix)), list(blocks()), _check_block,
+                             errors=errors)

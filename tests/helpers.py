@@ -476,7 +476,7 @@ def naive_parse_reservoirs(text) -> list[ReservoirSpec]:
     raising that block's message.
     """
     specs = []
-    for block in read_key_value_blocks(text, "reservoir config", keys=_RESERVOIR_KEYS, block_key="name"):
+    for block in list(read_key_value_blocks(text, "reservoir config", keys=_RESERVOIR_KEYS, block_key="name")):
         if "name" not in block:
             raise ValueError("reservoir config block is missing the name key")
         name = block["name"]

@@ -2,11 +2,13 @@ import csv
 import io
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from shale_adsorb import dataset
 from shale_adsorb.dataset import (
     ABSOLUTE_ZERO_C,
     REASON_MISSING,
@@ -26,6 +28,7 @@ from shale_adsorb.dataset import (
     parse_samples,
     pearson_correlation,
     read_csv_table,
+    read_key_value_blocks,
     records_to_csv,
     rejections_to_csv,
     write_csv,
@@ -230,6 +233,47 @@ def test_write_csv_quotes_across_chunks(position, cell):
     rows = [[repr(i / 7), "x"] for i in range(600)]
     rows[position] = [cell] if cell == "" else [cell, "x"]
     assert write_csv(("v", "w"), iter(rows)) == _csv_writer_text(("v", "w"), rows)
+
+
+# Every line break str.splitlines knows, and the pieces of key=value lines.
+_LINE_BREAKS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+_key_value_text = st.lists(st.sampled_from([*_LINE_BREAKS, "\n\n", "=", "#", " ", "name", "a", "b", "x", "1"]),
+                           max_size=60).map("".join)
+
+
+def _read_outcome(text, keys, block_key):
+    """The blocks the reader yields, or the type and message of its error."""
+    try:
+        return list(read_key_value_blocks(text, "test", keys=keys, block_key=block_key))
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(text=_key_value_text, chunk=st.integers(1, 8))
+def test_chunked_reader_equals_the_whole_text(text, chunk):
+    # With no chunking (the text is shorter than the default chunk), the
+    # reader sees text.splitlines(); chunks of 1-8 characters change nothing,
+    # the line numbers of its errors included.
+    whole = [_read_outcome(text, {"name", "a", "b"}, "name"), _read_outcome(text, None, None)]
+    with mock.patch.object(dataset, "_CHUNK_CHARS", chunk):
+        assert list(dataset._lines(text)) == text.splitlines()
+        assert [_read_outcome(text, {"name", "a", "b"}, "name"), _read_outcome(text, None, None)] == whole
+
+
+class TestReadKeyValueBlocks:
+    def test_blocks_come_before_a_later_error(self):
+        blocks = read_key_value_blocks("name=A\nx=1\n\nname=B\nnot a pair\n", "test", block_key="name")
+        assert next(blocks) == {"name": "A", "x": "1"}
+        with pytest.raises(ValueError, match="^test line 5: expected key=value"):
+            next(blocks)
+
+    def test_keys_are_the_given_objects(self):
+        keys = {"name", "depth_m"}
+        blocks = list(read_key_value_blocks("name=A\ndepth_m=1\n\n name = B\n", "test", keys, "name"))
+        assert blocks == [{"name": "A", "depth_m": "1"}, {"name": "B"}]
+        shared = {key: key for key in keys}
+        assert all(key is shared[key] for block in blocks for key in block)
 
 
 def _staged_run(calls):

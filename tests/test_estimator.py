@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from shale_adsorb import estimator
 from shale_adsorb.estimator import (
     REFERENCE_PL_COEFFICIENTS,
     REFERENCE_VL_COEFFICIENTS,
@@ -441,6 +443,47 @@ class TestBatchExactness:
         assert _outcome(estimate_reservoirs, ReservoirTable.from_specs(specs), *models) == expected
 
 
+class TestFailingRowBisect:
+    """On failure the batch is bisected, with the per-reservoir loop's error in few ``_contents`` calls."""
+
+    N = 1000
+
+    @staticmethod
+    def _check(faults, monkeypatch):
+        """Estimate N good reservoirs with the BAD_RESERVOIRS case of each (position, case) in ``faults``."""
+        base = dict(depth=2000.0, toc=3.0, ro=1.5, grad_t=30.0)
+        bad = {position: TestBatchExactness.BAD_RESERVOIRS[case][1] for position, case in faults}
+        specs = [ReservoirSpec(name=f"R{i}", **dict(base, **bad.get(i, {})))
+                 for i in range(TestFailingRowBisect.N)]
+        models = MODEL_PAIRS["reference"]
+        expected = _outcome(lambda: [naive_estimate(spec, *models) for spec in specs])
+        assert isinstance(expected, tuple), "a bad reservoir must fail"
+        rows, contents = [], estimator._contents
+        monkeypatch.setattr(estimator, "_contents", lambda toc, *args: rows.append(len(toc)) or contents(toc, *args))
+        assert _outcome(estimate_reservoirs, ReservoirTable.from_specs(specs), *models) == expected
+        assert len(rows) <= 2 * math.ceil(math.log2(len(specs))) + 2
+        assert sum(rows) <= 2 * len(specs) + 1  # each probe runs only rows not yet known to pass
+        return expected
+
+    @pytest.mark.parametrize("position", [0, N // 2, N - 1])
+    @pytest.mark.parametrize("case", ["zero-pressure", "nan-temperature", "log-domain", "exp-overflow",
+                                      "infinite-pl"])
+    def test_one_bad_reservoir(self, case, position, monkeypatch):
+        self._check([(position, case)], monkeypatch)
+
+    @pytest.mark.parametrize("positions", [(0, 1), (0, N - 1), (N // 2 - 1, N // 2), (N - 2, N - 1), (17, 700)])
+    @pytest.mark.parametrize("first, second", [
+        ("exp-overflow", "zero-pressure"),
+        ("infinite-pl", "nan-temperature"),
+        ("log-domain", "below-absolute-zero"),
+    ])
+    def test_later_step_of_an_earlier_reservoir_wins(self, first, second, positions, monkeypatch):
+        # The later reservoir fails an earlier step, so the batch itself
+        # raises the later one's error; the earlier one's still wins.
+        expected = self._check(list(zip(positions, (first, second))), monkeypatch)
+        assert expected == self._check([(positions[0], first)], monkeypatch)
+
+
 def _same_tables(a, b):
     """Whether two reservoir tables hold the same names and columns (NaN equal to NaN)."""
     return len(a) == len(b) and a.names == b.names and all(
@@ -598,6 +641,30 @@ def test_parse_equals_the_per_block_parser(seed):
         assert got == expected
     else:
         assert _same_tables(got, expected)
+
+
+def test_parse_memory_is_a_few_times_the_text():
+    # 20,000 blocks shaped like the benchmark's: the streamed parse holds the
+    # columns and one chunk of text, not a list of every line and a dict per block.
+    rng = np.random.default_rng(18)
+    blocks = []
+    for i in range(20000):
+        lines = [f"name=R{i:05d}", f"depth_m={round(rng.uniform(500, 3000))}.0",
+                 f"toc_pct={round(rng.uniform(1.2, 12), 2)}", f"ro_pct={round(rng.uniform(0.6, 3.8), 2)}"]
+        temperature = ("temp_c", 30, 88) if i % 2 else ("gradt_c_per_km", 15, 22)
+        lines.append(f"{temperature[0]}={round(rng.uniform(*temperature[1:]), 2)}")
+        if i % 3 == 0:
+            lines.append(f"pressure_mpa={round(rng.uniform(5, 45), 2)}")
+        blocks.append("\n".join(lines) + "\n")
+    text = "\n".join(blocks)
+    tracemalloc.start()
+    try:
+        table = parse_reservoirs(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table) == 20000
+    assert peak < 4 * len(text), f"peak {peak} B is {peak / len(text):.1f} times the text"
 
 
 @settings(max_examples=200, deadline=None, database=None)
