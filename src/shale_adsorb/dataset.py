@@ -176,21 +176,29 @@ def elementwise(func, values: np.ndarray, *args) -> np.ndarray:
 def first_failure(run, items: Sequence, alone, errors=ValueError):
     """``run(items)``, failing as its first failing item fails alone: the one batch rule of every stage.
 
-    Only on failure, ``alone`` runs on each item in order. At the first that
-    raises, ``run`` runs on the items before it, so a rule only ``run``
-    checks, broken by an earlier item, wins over the item's own error. If no
-    item fails alone, the batch's own error stands.
+    ``run`` must be row-local: a slice of ``items`` fails exactly when one
+    of its items fails in it. Only on failure, the first failing item is
+    found by bisecting the prefix length, each probe running ``run`` only on
+    the items past those known to pass: at most ceil(log2(n)) + 1 runs over
+    at most 2n items. Then ``alone`` runs once, on that item, and raises its
+    own error. If it passes, the item breaks a rule only ``run`` checks, and
+    the error stands that ``run`` raised on a slice whose only failure it is.
     """
     try:
         return run(items)
-    except errors:
-        for k, item in enumerate(items):
-            try:
-                alone(item)
-            except errors:
-                run(items[:k])
-                raise
-        raise
+    except errors as exc:
+        error = exc
+    passed, failed = 0, len(items)  # the items before `passed` pass; those before `failed` do not
+    while failed - passed > 1:
+        middle = (passed + failed) // 2
+        try:
+            run(items[passed:middle])
+        except errors as exc:
+            failed, error = middle, exc
+        else:
+            passed = middle
+    alone(items[passed])
+    raise error
 
 
 def require_int(name: str, value) -> int:
@@ -224,46 +232,48 @@ def parse_samples(source: str | Iterable[str]) -> SampleTable:
     malformed header or row, a field that violates a sample invariant, or an
     id already used by an earlier row. Within a row the id comes first, then
     each cell in column order, then the invariants; across rows the first
-    failing row's error wins, by :func:`first_failure`.
+    failing row's error wins, by :func:`first_failure`. Every row is checked
+    on its own against one map of each id to the first row that uses it, so
+    the checks are row-local, as that bisect needs.
     """
     rows: list[tuple[int, list[str]]] = []
-    first_row: dict[str, int] = {}
     try:
         for row in read_csv_table(source, SAMPLES_CSV_COLUMNS, "samples"):
             rows.append(row)
     finally:  # the rows before one the reader cannot read fail first
-        samples = first_failure(_sample_table, rows, lambda row: _check_row(*row, first_row))
+        first_row = {cells[0].strip(): row for row, cells in reversed(rows)}
+        samples = first_failure(lambda part: _sample_table(part, first_row), rows,
+                                lambda row: _check_row(*row, first_row))
     return samples
 
 
-def _sample_table(rows: Sequence[tuple[int, list[str]]]) -> SampleTable:
-    """The table of samples-CSV rows; a bad row raises a ``ValueError`` that :func:`_check_row` explains."""
+def _sample_table(rows: Sequence[tuple[int, list[str]]], first_row: dict[str, int]) -> SampleTable:
+    """The table of samples-CSV rows, given each id's first row; a bad row raises what :func:`_check_row` explains."""
     cells = [row_cells for _, row_cells in rows]
     ids, reservoirs = ([row[k].strip() for row in cells] for k in (0, 1))
     # An empty cell reads as " nan", which no stripped cell is: any other NaN is a cell that reads as NaN.
     texts = [[row[k].strip() or " nan" for row in cells] for k in range(2, len(SAMPLES_CSV_COLUMNS))]
     numbers = [np.fromiter(map(float, column), float, len(column)) for column in texts]
-    if "" in ids or len(set(ids)) < len(ids) or any(
+    if "" in ids or list(map(first_row.__getitem__, ids)) != [row for row, _ in rows] or any(
             np.isnan(values).sum() > column.count(" nan") for values, column in zip(numbers, texts)):
         raise ValueError("an id is empty or used twice, or a cell reads as NaN")
     return SampleTable(ids, reservoirs, *numbers)
 
 
 def _check_row(row: int, cells: list[str], first_row: dict[str, int]) -> None:
-    """Raise the parse error of one samples-CSV row, given the first row of each id seen before it."""
+    """Raise the parse error of one samples-CSV row alone, given each id's first row; any later row repeats it."""
     rec_id = cells[0].strip()
     if rec_id == "":
         raise SampleParseError(row, "id", "id must not be empty")
-    if rec_id in first_row:
+    if first_row[rec_id] != row:
         raise SampleParseError(row, "id", f"duplicate id {rec_id!r}, first used in row {first_row[rec_id]}")
-    first_row[rec_id] = row
     values = {name: _parse_float(cell, row, column, required=name in REQUIRED_COLUMNS)
               for name, column, cell in zip(SAMPLE_COLUMNS, SAMPLES_CSV_COLUMNS[2:], cells[2:])}
     try:
         for name in _FINITE_ORDER:
             if values[name] is not None and not math.isfinite(values[name]):
                 raise ValueError(f"field {name} must be finite, got {values[name]!r}")
-        _sample_table([(row, cells)])
+        _sample_table([(row, cells)], first_row)
     except ValueError as exc:
         raise SampleParseError(row, "record", str(exc)) from exc
 

@@ -299,32 +299,18 @@ def estimate_reservoirs(
     """Resolve temperature and pressure for each reservoir and estimate its content, as one batch.
 
     Each row equals the estimate of that reservoir alone, and a failure is
-    the first failing reservoir's own error. Every step of the batch works
-    row by row, so a run of rows fails exactly when one of its rows fails
-    alone. The first failing row is found by bisecting the prefix length,
-    each probe running only the rows past the longest prefix known to pass:
-    about log2(n) calls, over about n rows in all.
+    the first failing reservoir's own error, by
+    :func:`~shale_adsorb.dataset.first_failure`: every step of the batch
+    works row by row, so a run of rows fails exactly when one of its rows
+    fails alone.
     """
     temp, pressure = reservoirs.temperatures(), reservoirs.pressures()
     columns = (reservoirs.toc, reservoirs.ro, temp, pressure)
 
-    def contents(start: int, stop: int) -> np.ndarray:
-        return _contents(*(column[start:stop] for column in columns), pl_model, vl_model)
+    def contents(rows: range) -> np.ndarray:
+        return _contents(*(column[rows.start:rows.stop] for column in columns), pl_model, vl_model)
 
-    try:
-        adsorbed = contents(0, len(reservoirs))
-    except ValueError:
-        passed, failed = 0, len(reservoirs)  # the rows before `passed` pass; those before `failed` do not
-        while failed - passed > 1:
-            middle = (passed + failed) // 2
-            try:
-                contents(passed, middle)
-            except ValueError:
-                failed = middle
-            else:
-                passed = middle
-        contents(passed, failed)  # the first failing row, which raises its own error
-        raise
+    adsorbed = first_failure(contents, range(len(reservoirs)), lambda i: contents(range(i, i + 1)))
     return EstimateTable(reservoirs, temp, pressure, adsorbed, _extrapolated(reservoirs.toc, reservoirs.ro, temp))
 
 
@@ -424,5 +410,5 @@ def parse_reservoirs(text: str) -> ReservoirTable:
     try:
         return ReservoirTable(*_columns(blocks()))
     except errors:  # read again, so a malformed line anywhere fails first
-        return first_failure(lambda prefix: ReservoirTable(*_columns(prefix)), list(blocks()), _check_block,
+        return first_failure(lambda part: ReservoirTable(*_columns(part)), list(blocks()), _check_block,
                              errors=errors)

@@ -198,19 +198,24 @@ def _split_pool(samples: SampleTable, scenario: Scenario,
 
 
 def _test_mask(n_records: int, pool: list[int], n_test: int, seed) -> np.ndarray:
-    """Boolean mask of the test rows: a partial Fisher-Yates shuffle of the pool.
+    """Boolean mask of the test rows: a partial Fisher-Yates shuffle of the pool, by :func:`_shuffled_masks`.
 
-    Swap i exchanges positions i and j, with j drawn from [i, len(pool)).
     All n_test draws come from one ``rng.integers(np.arange(n_test),
     len(pool))`` call, which yields the same values as n_test sequential
     ``rng.integers(i, len(pool))`` calls.
     """
-    draws = np.random.default_rng(seed).integers(np.arange(n_test), len(pool))
-    idx = list(pool)
-    for i, j in enumerate(draws.tolist()):
-        idx[i], idx[j] = idx[j], idx[i]
-    mask = np.zeros(n_records, dtype=bool)
-    mask[idx[:n_test]] = True
+    return _shuffled_masks(n_records, pool, np.random.default_rng(seed).integers(np.arange(n_test), len(pool))[None])[0]
+
+
+def _shuffled_masks(n_records: int, pool: list[int], draws: np.ndarray) -> np.ndarray:
+    """Row r: the first n_test pool positions after swaps i <-> draws[r, i], on every row's pool copy at once."""
+    repetitions, n_test = draws.shape
+    idx = np.tile(np.array(pool, dtype=np.int64), (repetitions, 1))
+    lanes = np.arange(repetitions)
+    for i, j in enumerate(draws.T):
+        idx[:, i], idx[lanes, j] = idx[lanes, j], idx[:, i].copy()
+    mask = np.zeros((repetitions, n_records), dtype=bool)
+    mask[lanes[:, None], idx[:, :n_test]] = True
     return mask
 
 
@@ -295,17 +300,9 @@ def _split_draws(seed: int, repetitions: int, n_test: int, high: int) -> np.ndar
 def _test_masks(n_records: int, pool: list[int], n_test: int, seed: int, repetitions: int) -> np.ndarray:
     """``_test_mask(n_records, pool, n_test, [seed, rep])`` for rep = 1..repetitions, as rows.
 
-    The Fisher-Yates swaps run on every repetition's copy of the pool at
-    once, from the draws of :func:`_split_draws`.
+    Every repetition's swaps run at once, from the draws of :func:`_split_draws`.
     """
-    draws = _split_draws(seed, repetitions, n_test, len(pool))
-    idx = np.tile(np.array(pool, dtype=np.int64), (repetitions, 1))
-    lanes = np.arange(repetitions)
-    for i, j in enumerate(draws.T):
-        idx[:, i], idx[lanes, j] = idx[lanes, j], idx[:, i].copy()
-    mask = np.zeros((repetitions, n_records), dtype=bool)
-    mask[lanes[:, None], idx[:, :n_test]] = True
-    return mask
+    return _shuffled_masks(n_records, pool, _split_draws(seed, repetitions, n_test, len(pool)))
 
 
 def scenario_split(

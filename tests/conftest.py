@@ -50,6 +50,23 @@ def synthetic_records(n=30, seed=0, pl_noise=0.0, vl_noise=0.0):
     return table(rows)
 
 
+def count_first_failure(monkeypatch, module):
+    """Count the calls ``module``'s stages make through ``first_failure``.
+
+    Returns two lists: the number of items of each ``run`` call, and the item
+    of each ``alone`` call.
+    """
+    runs, alone_items = [], []
+    real = module.first_failure
+
+    def counted(run, items, alone, errors=ValueError):
+        return real(lambda part: runs.append(len(part)) or run(part), items,
+                    lambda item: alone_items.append(item) or alone(item), errors)
+
+    monkeypatch.setattr(module, "first_failure", counted)
+    return runs, alone_items
+
+
 @pytest.fixture(scope="session")
 def data_dir() -> Path:
     return DATA_DIR

@@ -76,6 +76,26 @@ def naive_check_sample(record: Row) -> None:
             raise ValueError(f"field {name} must be > 0 when present, got {value!r}")
 
 
+def linear_first_failure(run, items, alone, errors=ValueError):
+    """The batch rule by linear replay: ``run(items)``, failing as its first failing item fails alone.
+
+    Only on failure, ``alone`` runs on each item in order. At the first that
+    raises, ``run`` runs on the items before it, so a rule only ``run``
+    checks, broken by an earlier item, wins over the item's own error. If no
+    item fails alone, the batch's own error stands.
+    """
+    try:
+        return run(items)
+    except errors:
+        for k, item in enumerate(items):
+            try:
+                alone(item)
+            except errors:
+                run(items[:k])
+                raise
+        raise
+
+
 # Per-kind cleaning rules, one record at a time: (reason code, keep-test) in evaluation order.
 NAIVE_CLEANING_RULES = {
     "pl": (

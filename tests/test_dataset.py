@@ -34,8 +34,8 @@ from shale_adsorb.dataset import (
     write_csv,
 )
 from shale_adsorb.regression import ModelKind, ModelSpec
-from conftest import make_record, table
-from helpers import Row, naive_check_sample, naive_clean, sample_rows
+from conftest import count_first_failure, make_record, table
+from helpers import Row, linear_first_failure, naive_check_sample, naive_clean, sample_rows
 
 HEADER = "id,reservoir,toc_pct,ro_pct,temp_c,porosity_pct,pl_mpa,vl_m3t"
 
@@ -304,13 +304,13 @@ class TestFirstFailure:
         calls = []
         with pytest.raises(ValueError, match="^y alone$"):
             first_failure(_staged_run(calls), ["a", "y", "x"], _alone)
-        assert calls == [["a", "y", "x"], ["a"]]
+        assert calls == [["a", "y", "x"], ["a"], ["y"]]
 
     def test_earlier_item_breaking_a_run_only_rule_wins(self):
         calls = []
         with pytest.raises(ValueError, match="^z at 0$"):
             first_failure(_staged_run(calls), ["z", "a", "x"], _alone)
-        assert calls == [["z", "a", "x"], ["z", "a"]]
+        assert calls == [["z", "a", "x"], ["z"]]
 
     def test_batch_error_stands_when_no_item_fails_alone(self):
         calls, raised = [], []
@@ -322,16 +322,107 @@ class TestFirstFailure:
                 raised.append(exc)
                 raise
 
-        with pytest.raises(ValueError, match="^z at 1$") as info:
+        # the error of the probe whose only failure is "z", not the whole batch's
+        with pytest.raises(ValueError, match="^z at 0$") as info:
             first_failure(run, ["a", "z", "b"], _alone)
-        assert info.value is raised[0]
-        assert calls == [["a", "z", "b"]]
+        assert info.value is raised[-1]
+        assert calls == [["a", "z", "b"], ["a"], ["z"]]
 
     def test_other_errors_propagate_without_replay(self):
         alone_calls = []
         with pytest.raises(ValueError, match="^x at 0$"):
             first_failure(_staged_run([]), ["x"], alone_calls.append, errors=KeyError)
         assert alone_calls == []
+
+
+# Checking steps of the property's run; its run-only rule is checked at one of them.
+_STEPS = 3
+
+
+@st.composite
+def _fault_items(draw):
+    """Items (position, fault, step): good, failing alone at a step, or breaking the run-only rule.
+
+    The run-only rule is one step that checks the items in row order, as
+    every caller's table invariants are, so all its faults share a step.
+    """
+    run_step = draw(st.integers(0, _STEPS - 1))
+    faults = draw(st.lists(st.one_of(
+        st.just(("good", 0)), st.just(("good", 0)),
+        st.tuples(st.just("alone"), st.integers(0, _STEPS - 1)), st.just(("run", run_step))), max_size=40))
+    return [(position, *fault) for position, fault in enumerate(faults)]
+
+
+def _step_run(items):
+    """Each step in turn checks every item in order; a message names the item's position, not its place in items."""
+    for step in range(_STEPS):
+        for position, fault, fault_step in items:
+            if fault != "good" and fault_step == step:
+                raise ValueError(f"step {step}: item {position} breaks a {fault} rule")
+    return [position for position, _, _ in items]
+
+
+def _step_alone(item):
+    position, fault, step = item
+    if fault == "alone":
+        raise ValueError(f"item {position} fails alone at step {step}")
+
+
+def _rule_outcome(rule, *args):
+    """The result, or the type and message of the error ``rule`` raises."""
+    try:
+        return rule(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fault_items())
+def test_first_failure_equals_the_linear_replay(items):
+    runs, alone_items = [], []
+    outcome = _rule_outcome(first_failure, lambda part: runs.append(len(part)) or _step_run(part), items,
+                            lambda item: alone_items.append(item) or _step_alone(item))
+    assert outcome == _rule_outcome(linear_first_failure, _step_run, items, _step_alone)
+    assert len(runs) <= (math.ceil(math.log2(len(items))) + 1 if items else 1)
+    assert sum(runs) <= 2 * len(items) and len(alone_items) <= 1
+
+
+class TestFailingRowBisect:
+    """A bad samples-CSV row fails the parse with its own error in few ``_sample_table`` runs."""
+
+    N = 1000
+    GOOD = "s{},B,4.0,1.5,48,,5.0,2.0"
+    # name -> (the bad row at a position, its error); the row number is the position + 2
+    BAD_ROWS = {
+        "bad-cell": ("s{},B,abc,1.5,48,,5.0,2.0", "row {}, column toc_pct: not a number: 'abc'"),
+        "repeated-id": ("s0,B,4.0,1.5,48,,5.0,2.0", "row {}, column id: duplicate id 's0', first used in row 2"),
+    }
+
+    def _check(self, faults, monkeypatch):
+        """Parse N rows with the BAD_ROWS case of each (position, case) in ``faults``; the first one's error wins."""
+        bad = {position: self.BAD_ROWS[case][0] for position, case in faults}
+        text = "\n".join([HEADER, *(bad.get(i, self.GOOD).format(i) for i in range(self.N))]) + "\n"
+        checked, check_row = [], dataset._check_row
+        monkeypatch.setattr(dataset, "_check_row", lambda *args: checked.append(args[0]) or check_row(*args))
+        runs, _ = count_first_failure(monkeypatch, dataset)
+        position, case = faults[0]
+        with pytest.raises(SampleParseError, match=f"^{re.escape(self.BAD_ROWS[case][1].format(position + 2))}$"):
+            parse_samples(text)
+        assert checked == [position + 2]
+        assert len(runs) <= 2 * math.ceil(math.log2(self.N)) + 2
+        assert sum(runs) <= 2 * self.N + 1  # each probe runs only rows not yet known to pass
+
+    @pytest.mark.parametrize("position", [1, N // 2, N - 1])
+    @pytest.mark.parametrize("case", BAD_ROWS)
+    def test_one_bad_row(self, case, position, monkeypatch):
+        self._check([(position, case)], monkeypatch)
+
+    def test_bad_first_row(self, monkeypatch):
+        self._check([(0, "bad-cell")], monkeypatch)
+
+    @pytest.mark.parametrize("first, second", [("bad-cell", "repeated-id"), ("repeated-id", "bad-cell")])
+    def test_earlier_row_wins(self, first, second, monkeypatch):
+        self._check([(17, first), (700, second)], monkeypatch)
 
 
 class TestRecordInvariants:

@@ -19,8 +19,9 @@ from shale_adsorb.regression import (
     ols_fit,
     solve_normal_equations,
 )
+from shale_adsorb import regression
 from shale_adsorb.validation import _leave_one_out_systems
-from conftest import make_record, synthetic_records, table
+from conftest import count_first_failure, make_record, synthetic_records, table
 from helpers import lstsq_oracle, naive_feature_row, naive_pivot_solve, naive_response, sample_rows
 
 PL_SPEC = ModelSpec(ModelKind.PL_GEO)
@@ -138,6 +139,36 @@ class TestDesignEqualsPerRecordRows:
         record = make_record(1, toc=3.0, temp=1e200, vl=2.0)
         with pytest.raises(ValueError, match=r"^vl-geo regressor overflows: .* at temperature 1e\+200 degC$"):
             build_design(table([make_record(0, toc=3.0, temp=50.0, vl=2.0), record]), VL_SPEC)
+
+
+class TestFailingRowBisect:
+    """A bad sample fails ``feature_rows`` with the per-record recipe's error in few batch runs."""
+
+    N = 1000
+
+    def _check(self, faults, monkeypatch):
+        """Rows of N good samples with the BAD_RECORDS case of each (position, case) in ``faults``; the first wins."""
+        base = dict(toc=3.0, temp=50.0, ro=1.5, pl=4.0)
+        bad = {position: TestDesignEqualsPerRecordRows.BAD_RECORDS[case][1] for position, case in faults}
+        records = [make_record(i, **{**base, **bad.get(i, {})}) for i in range(self.N)]
+        spec = TestDesignEqualsPerRecordRows.BAD_RECORDS[faults[0][1]][0]
+        expected = _error(lambda: [naive_feature_row(rec, spec) for rec in records])
+        samples = table(records)
+        runs, alone_items = count_first_failure(monkeypatch, regression)
+        assert _error(spec.feature_rows, samples) == expected
+        assert alone_items == [faults[0][0]]  # the one one-sample regressors call
+        assert len(runs) <= 2 * math.ceil(math.log2(self.N)) + 2
+        assert sum(runs) <= 2 * self.N + 1  # each probe runs only rows not yet known to pass
+
+    @pytest.mark.parametrize("position", [0, N // 2, N - 1])
+    @pytest.mark.parametrize("case", ["missing-field", "log-domain"])
+    def test_one_bad_sample(self, case, position, monkeypatch):
+        self._check([(position, case)], monkeypatch)
+
+    @pytest.mark.parametrize("positions", [(0, 1), (17, 700), (N - 2, N - 1)])
+    def test_later_step_of_an_earlier_sample_wins(self, positions, monkeypatch):
+        # the later sample lacks ro, which the batch checks before it takes any log
+        self._check(list(zip(positions, ("log-domain", "missing-field"))), monkeypatch)
 
 
 class TestOlsFit:
