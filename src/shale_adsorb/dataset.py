@@ -11,10 +11,11 @@ import csv
 import io
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
+from functools import cache
 from itertools import chain, islice, repeat
-from typing import Iterable, Iterator, Sequence
+from typing import ClassVar, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -60,6 +61,67 @@ class SampleParseError(ValueError):
         self.column = column
 
 
+@dataclass(frozen=True, eq=False)
+class ColumnTable:
+    """Equal-length columns, position i of each being row i. Tables compare by identity.
+
+    A subclass declares its fields: ``tuple[str, ...]`` labels and ``np.ndarray``
+    columns, stored as read-only float64 (bool for a ``has_*`` mask). A field
+    whose length differs from the first field's raises a ``ValueError`` naming
+    ``label``. ``checks`` holds the row invariants in order, each (array field,
+    test, message), where ``test`` maps that column (or the whole table, for
+    field None) to the mask of rows that pass. The first failing row's first
+    failing check raises :meth:`row_error`, its message formatted with the
+    row's ``value`` of the field and its ``name``, the row's first field.
+    """
+
+    label: ClassVar[str]
+    checks: ClassVar[tuple]
+
+    def __post_init__(self):
+        n = None
+        for name, dtype in _column_types(type(self)):
+            if dtype is tuple:
+                column = tuple(getattr(self, name))
+                n = len(column) if n is None else n
+                if len(column) != n:
+                    raise ValueError(f"{self.label} column {name} has length {len(column)}, expected {n}")
+            else:
+                column = np.array(getattr(self, name), dtype=dtype)
+                n = column.size if n is None else n
+                if column.shape != (n,):
+                    raise ValueError(f"{self.label} column {name} has shape {column.shape}, expected ({n},)")
+                column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        masks = [test(self if field is None else getattr(self, field)) for field, test, _ in self.checks]
+        if not np.logical_and.reduce(masks, axis=None):  # one bool: the error is built only for a failing table
+            i = np.flatnonzero(~np.logical_and.reduce(masks))[0].item()
+            field, _, message = next(check for check, mask in zip(self.checks, masks) if not mask[i])
+            value = None if field is None else getattr(self, field)[i].item()
+            raise self.row_error(i, message.format(value=value, name=getattr(self, _column_types(type(self))[0][0])[i]))
+
+    def row_error(self, row: int, message: str) -> ValueError:
+        """The error of row ``row`` failing a check."""
+        return ValueError(message)
+
+    def __len__(self) -> int:
+        return len(getattr(self, _column_types(type(self))[0][0]))
+
+    def take(self, rows):
+        """The rows at ``rows`` (indices, a slice or a boolean mask), in that order."""
+        picked = np.arange(len(self))[rows]
+        columns = (getattr(self, name) for name, _ in _column_types(type(self)))
+        return type(self)(*(tuple(map(column.__getitem__, picked.tolist())) if isinstance(column, tuple)
+                            else column[picked] for column in columns))
+
+
+@cache
+def _column_types(table: type) -> tuple[tuple[str, type], ...]:
+    """(name, ``tuple`` or the array dtype) of each field of a :class:`ColumnTable` subclass, in order."""
+    return tuple((field.name, tuple if str(field.type).startswith("tuple") else
+                  bool if field.name.startswith("has_") else float) for field in fields(table))
+
+
 #: The number columns of a :class:`SampleTable` in samples-CSV order, the two
 #: every sample holds a value in, and the order its values are checked finite.
 SAMPLE_COLUMNS = ("toc", "ro", "temp", "porosity", "pl", "vl")
@@ -68,15 +130,13 @@ _FINITE_ORDER = ("toc", "temp", "ro", "porosity", "pl", "vl")
 
 
 @dataclass(frozen=True, eq=False)
-class SampleTable:
-    """Adsorption-experiment samples as columns: position i of every field is sample i.
+class SampleTable(ColumnTable):
+    """Adsorption-experiment samples as a :class:`ColumnTable`.
 
-    ``ids`` and ``reservoirs`` are tuples of str; the numbers are read-only
-    float64 arrays, where NaN marks an absent value. ``toc`` and ``temp``
-    are required. The constructor checks each sample in order (every value
-    finite, then toc > 0, temp above absolute zero, and ro, pl and vl > 0
-    when present) and raises a ``ValueError`` with the first failing
-    sample's message. Tables compare by identity.
+    ``ids`` and ``reservoirs`` are labels; NaN marks an absent number.
+    ``toc`` and ``temp`` are required. Each sample is checked in order: every
+    value finite, then toc > 0, temp above absolute zero, and ro, pl and vl
+    > 0 when present; a failure raises a ``ValueError``.
     """
 
     ids: tuple[str, ...]
@@ -88,40 +148,15 @@ class SampleTable:
     pl: np.ndarray         # Langmuir pressure, MPa
     vl: np.ndarray         # Langmuir volume, m3/t
 
-    def __post_init__(self):
-        object.__setattr__(self, "ids", tuple(self.ids))
-        object.__setattr__(self, "reservoirs", tuple(self.reservoirs))
-        n = len(self.ids)
-        if len(self.reservoirs) != n:
-            raise ValueError(f"sample column reservoirs has length {len(self.reservoirs)}, expected {n}")
-        for name in SAMPLE_COLUMNS:
-            column = np.array(getattr(self, name), dtype=float)
-            if column.shape != (n,):
-                raise ValueError(f"sample column {name} has shape {column.shape}, expected ({n},)")
-            column.flags.writeable = False
-            object.__setattr__(self, name, column)
-        # (field, in-range mask, rule), in checking order
-        checks = [
-            *((name, np.isfinite(getattr(self, name)) if name in REQUIRED_COLUMNS else ~np.isinf(getattr(self, name)),
-               "must be finite") for name in _FINITE_ORDER),
-            ("toc", self.toc > 0, "must be > 0"),
-            ("temp", self.temp > ABSOLUTE_ZERO_C, f"must be > {ABSOLUTE_ZERO_C} degC"),
-            *((name, ~(getattr(self, name) <= 0), "must be > 0 when present") for name in ("ro", "pl", "vl")),
-        ]
-        bad = np.flatnonzero(~np.logical_and.reduce([ok for _, ok, _ in checks]))
-        if bad.size:
-            i = bad[0]
-            name, _, rule = next(check for check in checks if not check[1][i])
-            raise ValueError(f"field {name} {rule}, got {getattr(self, name)[i].item()!r}")
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    def take(self, rows) -> "SampleTable":
-        """The samples at ``rows`` (indices, a slice or a boolean mask), in that order."""
-        picked = np.arange(len(self))[rows]
-        labels = (tuple(map(names.__getitem__, picked.tolist())) for names in (self.ids, self.reservoirs))
-        return SampleTable(*labels, *(getattr(self, name)[picked] for name in SAMPLE_COLUMNS))
+    label = "sample"
+    checks = (
+        *((name, np.isfinite if name in REQUIRED_COLUMNS else lambda column: ~np.isinf(column),
+           f"field {name} must be finite, got {{value!r}}") for name in _FINITE_ORDER),
+        ("toc", lambda toc: toc > 0, "field toc must be > 0, got {value!r}"),
+        ("temp", lambda temp: temp > ABSOLUTE_ZERO_C, f"field temp must be > {ABSOLUTE_ZERO_C} degC, got {{value!r}}"),
+        *((name, lambda column: ~(column <= 0), f"field {name} must be > 0 when present, got {{value!r}}")
+          for name in ("ro", "pl", "vl")),
+    )
 
     @classmethod
     def concat(cls, tables: Sequence["SampleTable"]) -> "SampleTable":
@@ -211,6 +246,13 @@ def require_int(name: str, value) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def parse_number(text: str, kind: type = float):
+    """``kind(text)``, where a ``_``, which ``float`` and ``int`` read as digit grouping, raises ``ValueError`` too."""
+    if "_" in text:
+        raise ValueError(f"not a number: {text!r}")
+    return kind(text)
+
+
 def _parse_float(raw: str, row: int, column: str, required: bool) -> float | None:
     text = raw.strip()
     if text == "":
@@ -218,7 +260,7 @@ def _parse_float(raw: str, row: int, column: str, required: bool) -> float | Non
             raise SampleParseError(row, column, "required numeric field is empty")
         return None
     try:
-        return float(text)
+        return parse_number(text)
     except ValueError:
         raise SampleParseError(row, column, f"not a number: {raw!r}") from None
 
@@ -227,7 +269,8 @@ def parse_samples(source: str | Iterable[str]) -> SampleTable:
     """Parse samples-CSV content into a table, preserving row order.
 
     ``source`` may be the file content as a string or any iterable of lines
-    (for example an open text file). An empty optional field is absent (NaN).
+    (for example an open text file). An empty optional field is absent (NaN);
+    any other cell is read by :func:`parse_number`.
     Raises :class:`SampleParseError` naming the row number and column for a
     malformed header or row, a field that violates a sample invariant, or an
     id already used by an earlier row. Within a row the id comes first, then
@@ -255,8 +298,9 @@ def _sample_table(rows: Sequence[tuple[int, list[str]]], first_row: dict[str, in
     texts = [[row[k].strip() or " nan" for row in cells] for k in range(2, len(SAMPLES_CSV_COLUMNS))]
     numbers = [np.fromiter(map(float, column), float, len(column)) for column in texts]
     if "" in ids or list(map(first_row.__getitem__, ids)) != [row for row, _ in rows] or any(
-            np.isnan(values).sum() > column.count(" nan") for values, column in zip(numbers, texts)):
-        raise ValueError("an id is empty or used twice, or a cell reads as NaN")
+            "_" in "".join(column) or np.isnan(values).sum() > column.count(" nan")
+            for values, column in zip(numbers, texts)):
+        raise ValueError("an id is empty or used twice, or a cell holds a _ or reads as NaN")
     return SampleTable(ids, reservoirs, *numbers)
 
 

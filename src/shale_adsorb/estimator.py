@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, fields
-from itertools import compress
+from dataclasses import dataclass
+from itertools import compress, islice
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dataset import FIT_RANGES, SampleTable, first_failure, read_key_value_blocks, write_csv
+from .dataset import FIT_RANGES, ColumnTable, SampleTable, first_failure, parse_number, read_key_value_blocks, write_csv
 from .regression import FittedModel, ModelKind, ModelSpec, predict_rows
 
 WATER_DENSITY_T_PER_M3 = 1.0
@@ -95,16 +95,13 @@ class ReservoirSpec:
 
 
 @dataclass(frozen=True, eq=False)
-class ReservoirTable:
-    """Reservoirs as columns: position i of every field is reservoir i.
+class ReservoirTable(ColumnTable):
+    """Reservoirs as a :class:`~shale_adsorb.dataset.ColumnTable`, in the units of :class:`ReservoirSpec`.
 
-    The numbers are read-only float64 arrays, in the units of
-    :class:`ReservoirSpec`. Each optional input (gradient, temperature and
-    pressure override) has a value array and a presence mask (``has_*``);
-    where the mask is False the value is ignored. The constructor checks
-    each reservoir in order (name, depth, alpha, toc, ro, then a temperature
-    source) and raises a ``ValueError`` for the first reservoir that breaks
-    one, with that reservoir's message. Tables compare by identity.
+    Each optional input (gradient, temperature and pressure override) has a
+    value array and a presence mask (``has_*``); where the mask is False the
+    value is ignored. Each reservoir is checked in order (name, depth, alpha,
+    toc, ro, then a temperature source); a failure raises a ``ValueError``.
     """
 
     names: tuple[str, ...]
@@ -120,33 +117,16 @@ class ReservoirTable:
     pressure_override: np.ndarray
     has_pressure_override: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "names", tuple(self.names))
-        for field in fields(self)[1:]:
-            column = np.array(getattr(self, field.name), dtype=bool if field.name.startswith("has_") else float)
-            if column.shape != (len(self.names),):
-                raise ValueError(f"reservoir column {field.name} has shape {column.shape}, "
-                                 f"expected ({len(self.names)},)")
-            column.flags.writeable = False
-            object.__setattr__(self, field.name, column)
-        # (in-range mask, message, value column or None), in checking order
-        checks = (
-            (np.fromiter(map(bool, self.names), bool, len(self.names)),
-             "reservoir name must not be empty", None),
-            (np.isfinite(self.depth) & (self.depth >= 0), "reservoir {name}: depth must be >= 0, got {value!r}",
-             self.depth),
-            (np.isfinite(self.alpha) & (self.alpha > 0), "reservoir {name}: alpha must be > 0, got {value!r}",
-             self.alpha),
-            (np.isfinite(self.toc) & (self.toc > 0), "reservoir {name}: toc must be > 0, got {value!r}", self.toc),
-            (np.isfinite(self.ro) & (self.ro > 0), "reservoir {name}: ro must be > 0, got {value!r}", self.ro),
-            (self.has_grad_t | self.has_temp_override,
-             "reservoir {name}: needs gradt_c_per_km or temp_c to resolve temperature", None),
-        )
-        bad = np.flatnonzero(~np.logical_and.reduce([ok for ok, _, _ in checks]))
-        if bad.size:
-            i = bad[0]
-            _, message, column = next(check for check in checks if not check[0][i])
-            raise ValueError(message.format(name=self.names[i], value=None if column is None else column[i].item()))
+    label = "reservoir"
+    checks = (
+        (None, lambda table: np.fromiter(map(bool, table.names), bool, len(table)), "reservoir name must not be empty"),
+        ("depth", lambda depth: np.isfinite(depth) & (depth >= 0),
+         "reservoir {name}: depth must be >= 0, got {value!r}"),
+        *((key, lambda column: np.isfinite(column) & (column > 0),
+           f"reservoir {{name}}: {key} must be > 0, got {{value!r}}") for key in ("alpha", "toc", "ro")),
+        (None, lambda table: table.has_grad_t | table.has_temp_override,
+         "reservoir {name}: needs gradt_c_per_km or temp_c to resolve temperature"),
+    )
 
     @classmethod
     def from_specs(cls, specs: Sequence[ReservoirSpec]) -> "ReservoirTable":
@@ -160,9 +140,6 @@ class ReservoirTable:
             *([getattr(spec, attr) for spec in specs] for attr in ("depth", "toc", "ro", "alpha", "surface_temp")),
             *optional("grad_t"), *optional("temp_override"), *optional("pressure_override"),
         )
-
-    def __len__(self) -> int:
-        return len(self.names)
 
     def temperatures(self) -> np.ndarray:
         """Reservoir temperatures (degC): the override, or surface + gradient * depth."""
@@ -330,12 +307,12 @@ def estimates_to_csv(estimates: EstimateTable) -> str:
         r.names, *(map(repr, column.tolist()) for column in numbers), estimates.warnings()))
 
 
-# The number keys in the order a block's values are read, with the default of
-# an absent key (None: required; NaN: recorded as absent).
+# The number keys in the order a block's values are read, with the text read
+# for an absent key (None: required; "nan": recorded as absent).
 _NUMBER_KEYS = (
-    ("depth_m", None), ("toc_pct", None), ("ro_pct", None), ("alpha", 1.0),
-    ("surface_temp_c", DEFAULT_SURFACE_TEMP_C), ("gradt_c_per_km", math.nan),
-    ("temp_c", math.nan), ("pressure_mpa", math.nan),
+    ("depth_m", None), ("toc_pct", None), ("ro_pct", None), ("alpha", "1.0"),
+    ("surface_temp_c", repr(DEFAULT_SURFACE_TEMP_C)), ("gradt_c_per_km", "nan"),
+    ("temp_c", "nan"), ("pressure_mpa", "nan"),
 )
 
 _RESERVOIR_KEYS = {"name", *(key for key, _ in _NUMBER_KEYS)}
@@ -345,31 +322,39 @@ _REQUIRED_KEYS = tuple(key for key, default in _NUMBER_KEYS if default is None)
 # Keys whose presence the table records next to their values.
 _OPTIONAL_KEYS = ("gradt_c_per_km", "temp_c", "pressure_mpa")
 
+# Config blocks read into the columns at a time.
+_CHUNK_BLOCKS = 256
+
 
 def _columns(blocks: Iterable[dict[str, str]]) -> list:
-    """The :class:`ReservoirTable` columns of config blocks, read in one pass.
+    """The :class:`ReservoirTable` columns of config blocks, read in one pass of chunks of blocks.
 
     The numbers go into ``array("d")`` columns and the presence of each
-    optional key into a byte mask, so no block outlives its row. Raises
+    optional key into a byte mask, so no block outlives its chunk. Raises
     ``KeyError``, ``TypeError`` or ``ValueError`` when a block lacks the name
-    or a required key, or holds a value that is not a number.
+    or a required key, or holds a value that is not a number, such as one
+    holding a ``_``, which ``float`` reads as digit grouping.
     """
     names: list[str] = []
     columns: list = [names]
-    numbers = []  # (append to the key's column, key, default)
-    masks = []  # (append to the key's presence mask, key)
+    numbers = []  # (key, text of an absent key, its column)
+    masks = []  # (key, its presence mask)
     for key, default in _NUMBER_KEYS:
         columns.append(array("d"))
-        numbers.append((columns[-1].append, key, default))
+        numbers.append((key, default, columns[-1]))
         if key in _OPTIONAL_KEYS:
             columns.append(bytearray())
-            masks.append((columns[-1].append, key))
-    for block in blocks:
-        names.append(block["name"])
-        for append, key, default in numbers:
-            append(float(block.get(key, default)))
-        for append, key in masks:
-            append(key in block)
+            masks.append((key, columns[-1]))
+    blocks = iter(blocks)
+    while chunk := list(islice(blocks, _CHUNK_BLOCKS)):
+        names.extend(block["name"] for block in chunk)
+        for key, default, column in numbers:
+            texts = [block.get(key, default) for block in chunk]
+            if "_" in "".join(texts):
+                raise ValueError(f"reservoir config {key}: a value holds a _")
+            column.extend(map(float, texts))
+        for key, mask in masks:
+            mask.extend(key in block for block in chunk)
     return columns
 
 
@@ -383,7 +368,7 @@ def _check_block(block: dict[str, str]) -> None:
             raise ValueError(f"reservoir {name}: missing required key {key}")
     for key, _ in _NUMBER_KEYS:
         try:
-            float(block.get(key, 0.0))
+            parse_number(block.get(key, "0"))
         except ValueError:
             raise ValueError(f"reservoir {name}: {key} is not a number: {block[key]!r}") from None
 

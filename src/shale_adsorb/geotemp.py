@@ -9,13 +9,15 @@ continents.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .dataset import SampleParseError, _parse_float, elementwise, first_failure, read_csv_table, require_int, write_csv
+from .dataset import (
+    ColumnTable, SampleParseError, _parse_float, elementwise, first_failure, read_csv_table, require_int, write_csv,
+)
 from .outliers import first_k_of_candidates, nearest_first
 
 EARTH_RADIUS_M = 6_371_000.0
@@ -43,45 +45,6 @@ _RADIANS_PER_DEGREE = math.pi / 180.0
 HEATFLOW_CSV_COLUMNS = ("lon_deg", "lat_deg", "section_depth_m", "gradt_c_per_km")
 
 
-@dataclass(frozen=True, eq=False)
-class HeatFlowTable:
-    """Georeferenced temperature-gradient measurements, one read-only float64 array per field.
-
-    Position i of every array is measurement i. The constructor checks each
-    measurement in order (longitude, then latitude in range, then a finite
-    gradient and depth) and raises :class:`InvalidHeatFlowPoint` for the
-    first one that fails. Tables compare and hash by identity.
-    """
-
-    lon: np.ndarray            # degrees east
-    lat: np.ndarray            # degrees north
-    section_depth: np.ndarray  # average depth of the measuring section, m
-    grad_t: np.ndarray         # degC per km
-
-    def __post_init__(self):
-        columns = {field.name: np.array(getattr(self, field.name), dtype=float) for field in fields(self)}
-        shapes = {column.shape for column in columns.values()}
-        if len(shapes) != 1 or len(next(iter(shapes))) != 1:
-            raise ValueError(f"heat-flow columns must be 1-D and of one length, got shapes {sorted(shapes)}")
-        for name, column in columns.items():
-            column.flags.writeable = False
-            object.__setattr__(self, name, column)
-        checks = (
-            (self.lon, (-180.0 <= self.lon) & (self.lon <= 180.0), "longitude out of range: {!r}"),
-            (self.lat, (-90.0 <= self.lat) & (self.lat <= 90.0), "latitude out of range: {!r}"),
-            (self.grad_t, np.isfinite(self.grad_t), "gradient must be finite, got {!r}"),
-            (self.section_depth, np.isfinite(self.section_depth), "section depth must be finite, got {!r}"),
-        )
-        bad = np.flatnonzero(~np.logical_and.reduce([ok for _, ok, _ in checks]))
-        if bad.size:
-            i = bad[0]
-            column, _, message = next(check for check in checks if not check[1][i])
-            raise InvalidHeatFlowPoint(int(i), message.format(column[i].item()))
-
-    def __len__(self) -> int:
-        return len(self.lon)
-
-
 class InvalidHeatFlowPoint(ValueError):
     """A heat-flow measurement breaks an invariant; ``index`` is its position."""
 
@@ -91,6 +54,30 @@ class InvalidHeatFlowPoint(ValueError):
         self.reason = reason
 
 
+@dataclass(frozen=True, eq=False)
+class HeatFlowTable(ColumnTable):
+    """Georeferenced temperature-gradient measurements as a :class:`~shale_adsorb.dataset.ColumnTable`.
+
+    Each measurement is checked in order (longitude, then latitude in range,
+    then a finite gradient and depth); a failure raises
+    :class:`InvalidHeatFlowPoint`.
+    """
+
+    lon: np.ndarray            # degrees east
+    lat: np.ndarray            # degrees north
+    section_depth: np.ndarray  # average depth of the measuring section, m
+    grad_t: np.ndarray         # degC per km
+
+    label = "heat-flow"
+    checks = (
+        ("lon", lambda lon: (-180.0 <= lon) & (lon <= 180.0), "longitude out of range: {value!r}"),
+        ("lat", lambda lat: (-90.0 <= lat) & (lat <= 90.0), "latitude out of range: {value!r}"),
+        ("grad_t", np.isfinite, "gradient must be finite, got {value!r}"),
+        ("section_depth", np.isfinite, "section depth must be finite, got {value!r}"),
+    )
+    row_error = InvalidHeatFlowPoint
+
+
 def filter_heatflow(
     points: HeatFlowTable,
     min_depth: float = DEFAULT_MIN_SECTION_DEPTH_M,
@@ -98,8 +85,7 @@ def filter_heatflow(
     """Drop points whose measuring section is shallower than ``min_depth``."""
     if not math.isfinite(min_depth):
         raise ValueError(f"min depth must be finite, got {min_depth!r}")
-    keep = points.section_depth >= min_depth
-    return HeatFlowTable(*(getattr(points, field.name)[keep] for field in fields(points)))
+    return points.take(points.section_depth >= min_depth)
 
 
 def _sin_sq_half(sample_angles: np.ndarray, query_angles: np.ndarray, step: int) -> Iterator[np.ndarray]:
@@ -259,6 +245,8 @@ def interpolate_grid(
 def _heatflow_table(rows: Sequence[tuple[int, list[str]]]) -> HeatFlowTable:
     """The table of (row number, cells) pairs; a broken invariant names its row."""
     cells = [cell for _, row_cells in rows for cell in row_cells]
+    if "_" in "".join(cells):  # float reads "_" as digit grouping
+        raise ValueError("a heat-flow cell holds a _")
     values = np.fromiter(map(float, cells), float, len(cells))
     try:
         return HeatFlowTable(*values.reshape(-1, len(HEATFLOW_CSV_COLUMNS)).T)
@@ -277,8 +265,8 @@ def parse_heatflow(source: str | Iterable[str]) -> HeatFlowTable:
     """Parse heat-flow CSV (lon_deg, lat_deg, section_depth_m, gradt_c_per_km).
 
     Same dialect as the samples CSV; every cell is a required number, read
-    with ``float`` as the samples parser reads one. Raises
-    :class:`SampleParseError` for the first bad row, by
+    by :func:`~shale_adsorb.dataset.parse_number` as a samples cell is.
+    Raises :class:`SampleParseError` for the first bad row, by
     :func:`~shale_adsorb.dataset.first_failure`, naming its column
     (``record`` for an invariant of :class:`HeatFlowTable`); a row's cells
     are checked before its invariants, and a bad row before a later row the

@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .dataset import (RO_NORM_PCT, TEMP_NORM_C, TOC_NORM_PCT, SampleTable, elementwise, first_failure,
+from .dataset import (RO_NORM_PCT, TEMP_NORM_C, TOC_NORM_PCT, SampleTable, elementwise, first_failure, parse_number,
                       read_key_value_blocks)
 
 #: Relative pivot threshold below which the normal equations are treated as
@@ -351,7 +351,7 @@ def model_to_text(model: FittedModel) -> str:
 
 
 def model_from_text(text: str) -> FittedModel:
-    """Parse a model file produced by :func:`model_to_text`."""
+    """Parse a model file produced by :func:`model_to_text`, its numbers by :func:`~.dataset.parse_number`."""
     entries = next(iter(read_key_value_blocks(text, "model file")), {})
     if "kind" not in entries:
         raise ValueError("model file is missing the kind entry")
@@ -366,7 +366,7 @@ def model_from_text(text: str) -> FittedModel:
         raise ValueError("model file is missing the n_fit entry")
     n_fit_value = entries.pop("n_fit")
     try:
-        n_fit = int(n_fit_value)
+        n_fit = parse_number(n_fit_value, int)
     except ValueError:
         raise ValueError(f"model file entry n_fit must be a whole number, got {n_fit_value!r}") from None
     coefficients = []
@@ -375,7 +375,7 @@ def model_from_text(text: str) -> FittedModel:
             raise ValueError(f"model file is missing coefficient {name}")
         value = entries.pop(name)
         try:
-            coefficients.append(float(value))
+            coefficients.append(parse_number(value))
         except ValueError:
             raise ValueError(f"model file coefficient {name} must be a number, got {value!r}") from None
     if entries:

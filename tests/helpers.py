@@ -505,6 +505,8 @@ def naive_parse_reservoirs(text) -> list[ReservoirSpec]:
             if key not in block:
                 return default
             try:
+                if "_" in block[key]:  # float's digit grouping
+                    raise ValueError
                 return float(block[key])
             except ValueError:
                 raise ValueError(f"reservoir {name}: {key} is not a number: {block[key]!r}") from None
@@ -543,6 +545,8 @@ def naive_parse_heatflow(text) -> list[list[float]]:
             if raw.strip() == "":
                 raise SampleParseError(row, column, "required numeric field is empty")
             try:
+                if "_" in raw:  # float's digit grouping
+                    raise ValueError
                 values.append(float(raw.strip()))
             except ValueError:
                 raise SampleParseError(row, column, f"not a number: {raw!r}") from None

@@ -629,10 +629,13 @@ def test_first_bad_heatflow_row_fails_the_parse(case, position, tmp_path, capsys
     # blank rows count in the row number
     (GOOD_HEATFLOW_ROW + "\n \n104.5,x,1,2\n",
      "error: parse stage: row 5, column lat_deg: not a number: 'x'\n"),
-    # float() syntax: spaces around a number and digit separators
-    (" 104.5 ,2_9.1,1_200,26.4\n",
+    # float() syntax: spaces around a number
+    (" 104.5 , 29.1,1200 ,26.4\n",
      "idw: 1 of 1 points usable (min depth 500.0 m)\nidw: gradient at (105.0000, 30.0000) is 26.40 degC/km\n"),
-], ids=["invariant-first", "parse-first", "blank-rows", "float-syntax"])
+    # but not float()'s digit grouping
+    (GOOD_HEATFLOW_ROW + "104.5,29.1,1_200,26.4\n",
+     "error: parse stage: row 3, column section_depth_m: not a number: '1_200'\n"),
+], ids=["invariant-first", "parse-first", "blank-rows", "float-syntax", "digit-grouping"])
 def test_heatflow_errors_name_the_first_bad_row(rows, stderr, tmp_path, capsys):
     heatflow = tmp_path / "h.csv"
     heatflow.write_text(HEATFLOW_HEADER + rows, encoding="utf-8")

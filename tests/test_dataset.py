@@ -19,6 +19,7 @@ from shale_adsorb.dataset import (
     REASON_VL,
     DatasetKind,
     SAMPLE_COLUMNS,
+    ColumnTable,
     SampleParseError,
     SampleTable,
     clean,
@@ -33,6 +34,8 @@ from shale_adsorb.dataset import (
     rejections_to_csv,
     write_csv,
 )
+from shale_adsorb.estimator import ReservoirTable
+from shale_adsorb.geotemp import HeatFlowTable, InvalidHeatFlowPoint
 from shale_adsorb.regression import ModelKind, ModelSpec
 from conftest import count_first_failure, make_record, table
 from helpers import Row, linear_first_failure, naive_check_sample, naive_clean, sample_rows
@@ -53,6 +56,18 @@ class TestParseSamples:
         assert rec.porosity is None
         assert rec.pl == 5.0
         assert rec.vl == 2.0
+
+    @pytest.mark.parametrize("row, column, cell", [
+        ("s2,B,4_0,1.5,48,,5.0,2.0", "toc_pct", "4_0"),
+        ("s2,B,4.0,1.5,48, 1_0,5.0,2.0", "porosity_pct", " 1_0"),
+    ])
+    def test_digit_grouping_is_not_a_number(self, row, column, cell):
+        # float("4_0") is 40.0, but a samples cell is not Python syntax; ids and names may hold "_"
+        good = "s_1,Big_Basin,4.0,1.5,48,,5.0,2.0\n"
+        assert sample_rows(parse_samples(HEADER + "\n" + good))[0].reservoir == "Big_Basin"
+        with pytest.raises(SampleParseError, match=f"^row 3, column {column}: not a number: '{cell}'$") as info:
+            parse_samples(HEADER + "\n" + good + row + "\n")
+        assert (info.value.row, info.value.column) == (3, column)
 
     def test_header_only(self):
         assert sample_rows(parse_samples(HEADER + "\n")) == []
@@ -477,6 +492,77 @@ class TestSampleTable:
         with pytest.raises(ValueError, match="^no ro in r2$"):
             samples.values("ro", "no ro in {id}")
         assert samples.values("toc", "no toc in {id}") is samples.toc
+
+
+NAN = math.nan
+
+# table -> (three good rows as columns, the last field cut to two rows and its message,
+#           two bad rows (field -> values at rows 1 and 2) and the error they raise)
+COLUMN_TABLES = {
+    "samples": (SampleTable, dict(ids=["a", "b", "c"], reservoirs=["r", "r", "s"], toc=[1.0, 2.0, 3.0],
+                                  ro=[1.0, NAN, 2.0], temp=[40.0, 50.0, 60.0], porosity=[NAN, 5.0, NAN],
+                                  pl=[2.0, 3.0, 4.0], vl=[NAN, 1.0, 2.0]),
+                r"^sample column vl has shape \(2,\), expected \(3,\)$",
+                # row 1 breaks the temp and vl checks, row 2 the first (finite toc)
+                dict(temp=[-300.0, 60.0], vl=[-1.0, 2.0], toc=[2.0, math.inf]),
+                (ValueError, "field temp must be > -273.15 degC, got -300.0")),
+    "reservoirs": (ReservoirTable, dict(names=["A", "B", "C"], depth=[1000.0, 2000.0, 3000.0], toc=[2.0, 3.0, 4.0],
+                                        ro=[1.0, 1.5, 2.0], alpha=[1.0, 1.2, 1.0], surface_temp=[20.0, 15.0, 20.0],
+                                        grad_t=[30.0, NAN, 25.0], has_grad_t=[True, False, True],
+                                        temp_override=[NAN, 80.0, NAN], has_temp_override=[False, True, False],
+                                        pressure_override=[NAN, NAN, 30.0],
+                                        has_pressure_override=[False, False, True]),
+                   r"^reservoir column has_pressure_override has shape \(2,\), expected \(3,\)$",
+                   # row 1 breaks the ro check and has no temperature source, row 2 the first (a name)
+                   dict(ro=[0.0, 2.0], has_temp_override=[False, False], names=["B", ""]),
+                   (ValueError, "reservoir B: ro must be > 0, got 0.0")),
+    "heat-flow": (HeatFlowTable, dict(lon=[100.0, 101.0, 102.0], lat=[20.0, 21.0, 22.0],
+                                      section_depth=[600.0, 700.0, 800.0], grad_t=[25.0, 26.0, 27.0]),
+                  r"^heat-flow column grad_t has shape \(2,\), expected \(3,\)$",
+                  # row 1 breaks the gradient and depth checks, row 2 the first (longitude)
+                  dict(grad_t=[NAN, 27.0], section_depth=[math.inf, 800.0], lon=[101.0, 200.0]),
+                  (InvalidHeatFlowPoint, "point 1: gradient must be finite, got nan")),
+}
+
+
+def _table_fields(table, names):
+    """The named fields of a column table as lists, NaN as None."""
+    return {name: [None if value != value else value for value in list(getattr(table, name))] for name in names}
+
+
+@pytest.mark.parametrize("case", COLUMN_TABLES)
+def test_column_table_rule(case):
+    cls, columns, short_message, bad_rows, (error, message) = COLUMN_TABLES[case]
+    assert issubclass(cls, ColumnTable)
+    table = cls(**columns)
+    assert len(table) == 3
+    for name, values in columns.items():
+        column = getattr(table, name)
+        if isinstance(values[0], str):
+            assert column == tuple(values)
+        else:
+            assert column.dtype == (np.bool_ if name.startswith("has_") else np.float64)
+            assert column.shape == (3,) and not column.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = column[1]
+    last = list(columns)[-1]
+    with pytest.raises(ValueError, match=short_message):
+        cls(**{**columns, last: columns[last][:2]})
+
+    rows = _table_fields(table, columns)
+    for picked, order in [([2, 0], [2, 0]), (slice(1, None), [1, 2]), (np.array([True, False, True]), [0, 2]),
+                          ([], [])]:
+        expected = {name: [values[i] for i in order] for name, values in rows.items()}
+        assert _table_fields(table.take(picked), columns) == expected
+
+    again = cls(**columns)
+    assert table == table and table != again and hash(table) == hash(table)
+    assert len({table, again}) == 2
+
+    broken = {name: values[:1] + bad_rows.get(name, values[1:]) for name, values in columns.items()}
+    with pytest.raises(error) as info:
+        cls(**broken)
+    assert type(info.value) is error and str(info.value) == message
 
 
 _maybe_bad = st.none() | st.sampled_from([-1.0, -0.0, 0.0, 1.5, -300.0, math.inf, -math.inf])

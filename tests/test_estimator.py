@@ -320,6 +320,20 @@ pressure_mpa=9.1
         with pytest.raises(ValueError, match="depth_m"):
             parse_reservoirs("name=A\ndepth_m=deep\ntoc_pct=2\nro_pct=1\ntemp_c=30\n")
 
+    @pytest.mark.parametrize("key, value", [("depth_m", "1_000"), ("alpha", "1_0"), ("temp_c", "3_0")])
+    @pytest.mark.parametrize("position", [0, 299])
+    def test_digit_grouping_is_not_a_number(self, key, value, position):
+        # float("1_000") is 1000.0, but a config value is not Python syntax; names may hold "_"
+        blocks = [dict(name=f"Big_Basin_{i}", depth_m="1000", toc_pct="2", ro_pct="1", temp_c="30") for i in range(300)]
+
+        def config():
+            return "\n".join("".join(f"{k}={v}\n" for k, v in block.items()) for block in blocks)
+
+        assert parse_reservoirs(config()).names[-1] == "Big_Basin_299"
+        blocks[position][key] = value
+        with pytest.raises(ValueError, match=f"^reservoir Big_Basin_{position}: {key} is not a number: '{value}'$"):
+            parse_reservoirs(config())
+
     def test_duplicate_key_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             parse_reservoirs("name=A\ndepth_m=1\ndepth_m=2\ntoc_pct=2\nro_pct=1\ntemp_c=30\n")
@@ -618,6 +632,7 @@ def _seeded_config(rng, n):
         lambda block: block.update(alpha="0"), lambda block: block.pop("temp_c"),
         lambda block: block.update(ro_pct="nan"), lambda block: block.update(pressure_mpa="1,5"),
         lambda block: block.pop("name"), lambda block: block.update(porosity="4"),
+        lambda block: block.update(toc_pct="1_0"),
     ]
     blocks = []
     for i in range(n):

@@ -67,7 +67,7 @@ class TestHeatFlowTable:
         assert samples.lon.dtype == np.float64
         with pytest.raises(ValueError):
             samples.grad_t[0] = 1.0
-        with pytest.raises(ValueError, match="one length"):
+        with pytest.raises(ValueError, match=r"^heat-flow column lat has shape \(1,\), expected \(2,\)$"):
             HeatFlowTable([1.0, 2.0], [1.0], [1.0], [1.0])
         assert len(table()) == 0
 
@@ -507,6 +507,15 @@ class TestParseHeatflow:
         with pytest.raises(ValueError, match=r"row 2.*lat_deg"):
             parse_heatflow("lon_deg,lat_deg,section_depth_m,gradt_c_per_km\n104.5,north,1200,26.4\n")
 
+    @pytest.mark.parametrize("position", [0, 299])
+    def test_digit_grouping_is_not_a_number(self, position):
+        # float("1_200") is 1200.0, but a heat-flow cell is not Python syntax
+        rows = ["104.5,29.1,1200,26.4\n"] * 300
+        rows[position] = "104.5,29.1,1_200,26.4\n"
+        with pytest.raises(SampleParseError, match=f"^row {position + 2}, column section_depth_m: "
+                                                   "not a number: '1_200'$"):
+            parse_heatflow(self.TEXT.splitlines(keepends=True)[0] + "".join(rows))
+
     def test_out_of_range_coordinate_cites_row(self):
         with pytest.raises(ValueError, match="row 2"):
             parse_heatflow("lon_deg,lat_deg,section_depth_m,gradt_c_per_km\n999,29.1,1200,26.4\n")
@@ -539,7 +548,8 @@ def _seeded_heatflow(rng, n):
     def cell(position, text):
         return lambda cells: cells.__setitem__(position, text)
 
-    faults = [any_cell("north"), any_cell(""), cell(0, "999"), cell(1, "-91"), cell(3, "nan"), cell(2, "inf")]
+    faults = [any_cell("north"), any_cell(""), cell(0, "999"), cell(1, "-91"), cell(3, "nan"), cell(2, "inf"),
+              any_cell("1_0")]
     rows = []
     for _ in range(n):
         cells = [repr(float(rng.uniform(-180.0, 180.0))), repr(float(rng.uniform(-90.0, 90.0))),

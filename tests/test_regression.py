@@ -483,7 +483,7 @@ class TestModelSerialisation:
         with pytest.raises(ValueError, match=r"^model file has unexpected entries: \['kelvin'\]$"):
             model_from_text(text)
 
-    @pytest.mark.parametrize("value", ["abc", "", "1.0.0", "0x10"])
+    @pytest.mark.parametrize("value", ["abc", "", "1.0.0", "0x10", "1_0.5"])
     def test_coefficient_must_be_a_number(self, value):
         with pytest.raises(ValueError, match=f"^model file coefficient a must be a number, got '{value}'$"):
             model_from_text(f"kind=pl-geo\na={value}\nb=0.715\nc=1.666\nn_fit=91\n")
@@ -493,7 +493,7 @@ class TestModelSerialisation:
         with pytest.raises(ValueError, match="^pl-geo coefficients must be finite"):
             model_from_text(f"kind=pl-geo\na=-0.136\nb={value}\nc=1.666\nn_fit=91\n")
 
-    @pytest.mark.parametrize("value", ["3.0", "3.5", "three", ""])
+    @pytest.mark.parametrize("value", ["3.0", "3.5", "three", "", "1_0"])
     def test_n_fit_must_be_a_whole_number(self, value):
         with pytest.raises(ValueError, match=f"^model file entry n_fit must be a whole number, got '{value}'$"):
             model_from_text(f"kind=vl-toclin\nslope=1.0\nintercept=0.0\nn_fit={value}\n")
