@@ -23,6 +23,7 @@ from .regression import FittedModel, ModelKind, ModelSpec, fit as fit_model, mod
 from .validation import Scenario
 
 LOG_ENV_VAR = "SHALE_ADSORB_LOG"
+_LOG_LEVELS = {"debug": logging.DEBUG, "info": logging.INFO, "warning": logging.WARNING, "error": logging.ERROR}
 
 log = logging.getLogger("shale_adsorb")
 
@@ -35,14 +36,20 @@ _GEO_KIND = {DatasetKind.PL: ModelKind.PL_GEO, DatasetKind.VL: ModelKind.VL_GEO}
 
 
 def _configure_logging() -> None:
-    level_name = os.environ.get(LOG_ENV_VAR, "warning").strip().lower()
-    levels = {"debug": logging.DEBUG, "info": logging.INFO,
-              "warning": logging.WARNING, "error": logging.ERROR}
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=levels.get(level_name, logging.WARNING),
-        format="%(name)s %(levelname)s: %(message)s",
-    )
+    """Log to stderr at the level ``SHALE_ADSORB_LOG`` names (``warning`` if unset); others are a usage error."""
+    value = os.environ.get(LOG_ENV_VAR, "")
+    level_name = value.strip().lower() or "warning"
+    if level_name not in _LOG_LEVELS:
+        build_parser().error(f"{LOG_ENV_VAR} must be one of {', '.join(_LOG_LEVELS)}; got {value!r}")
+    logging.basicConfig(stream=sys.stderr, level=_LOG_LEVELS[level_name],
+                        format="%(name)s %(levelname)s: %(message)s")
+
+
+def _number(kind: type):
+    """An argparse ``type`` reading ``kind`` by ``dataset.parse_number``: a ``_`` is a usage error naming the option."""
+    parse = functools.partial(dataset.parse_number, kind=kind)
+    parse.__name__ = kind.__name__  # argparse names the type in its message
+    return parse
 
 
 def _say(message: str) -> None:
@@ -228,9 +235,9 @@ def _add_kind_option(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_outlier_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--k", type=int, default=outliers.DEFAULT_K,
+    parser.add_argument("--k", type=_number(int), default=outliers.DEFAULT_K,
                         help="neighbour count for outlier screening (default 5)")
-    parser.add_argument("--threshold", type=float, default=outliers.DEFAULT_THRESHOLD,
+    parser.add_argument("--threshold", type=_number(float), default=outliers.DEFAULT_THRESHOLD,
                         help="weighted-relative-error outlier threshold (default 0.85)")
 
 
@@ -264,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_options(p)
     _add_kind_option(p)
     _add_outlier_options(p)
-    p.add_argument("--ci-level", type=float, default=validation.DEFAULT_CI_LEVEL,
+    p.add_argument("--ci-level", type=_number(float), default=validation.DEFAULT_CI_LEVEL,
                    help="confidence level for error intervals (default 0.90)")
     p.set_defaults(func=cmd_validate)
 
@@ -275,10 +282,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", default="overall",
                    choices=[s.value for s in Scenario],
                    help="test-pool restriction (default overall)")
-    p.add_argument("--test-fraction", type=float, default=0.2,
+    p.add_argument("--test-fraction", type=_number(float), default=0.2,
                    help="fraction of all records used as test data (default 0.2)")
-    p.add_argument("--reps", type=int, default=5, help="number of repetitions (default 5)")
-    p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
+    p.add_argument("--reps", type=_number(int), default=5, help="number of repetitions (default 5)")
+    p.add_argument("--seed", type=_number(int), default=0, help="random seed (default 0)")
     p.add_argument("--invtemp-kelvin", action="store_true",
                    help="use absolute temperature in the reciprocal-temperature reference model")
     p.set_defaults(func=cmd_compare)
@@ -293,16 +300,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("idw", help="interpolate temperature gradient from heat-flow data")
     _add_io_options(p)
-    p.add_argument("--min-depth", type=float, default=geotemp.DEFAULT_MIN_SECTION_DEPTH_M,
+    p.add_argument("--min-depth", type=_number(float), default=geotemp.DEFAULT_MIN_SECTION_DEPTH_M,
                    help="minimum measuring-section depth in meters (default 500)")
-    p.add_argument("--idw-power", type=float, default=geotemp.DEFAULT_IDW_POWER,
+    p.add_argument("--idw-power", type=_number(float), default=geotemp.DEFAULT_IDW_POWER,
                    help="inverse-distance exponent (default 2)")
-    p.add_argument("--max-neighbors", type=int, default=None,
+    p.add_argument("--max-neighbors", type=_number(int), default=None,
                    help="optionally cap interpolation to the N nearest samples")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--query", nargs=2, type=float, metavar=("LON", "LAT"),
+    group.add_argument("--query", nargs=2, type=_number(float), metavar=("LON", "LAT"),
                        help="interpolate at a single lon/lat point")
-    group.add_argument("--grid", nargs=6, type=float,
+    group.add_argument("--grid", nargs=6, type=_number(float),
                        metavar=("LONMIN", "LONMAX", "LATMIN", "LATMAX", "NLON", "NLAT"),
                        help="interpolate on an inclusive regular grid")
     p.set_defaults(func=cmd_idw)

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
-from typing import Iterable, Iterator, Sequence
+from itertools import product, repeat
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -88,21 +88,13 @@ def filter_heatflow(
     return points.take(points.section_depth >= min_depth)
 
 
-def _sin_sq_half(sample_angles: np.ndarray, query_angles: np.ndarray, step: int) -> Iterator[np.ndarray]:
-    """Per block of ``step`` queries, ``math.sin((s - q) / 2.0) ** 2`` for every (query, sample) pair.
-
-    The terms are computed once per distinct query angle in a block, and
-    reused by the next block when its distinct angles are the same, as the
-    longitudes of a grid's rows are.
-    """
-    seen = terms = None
-    for start in range(0, len(query_angles), step):
-        distinct, inverse = np.unique(query_angles[start:start + step], return_inverse=True)
-        if not np.array_equal(distinct, seen):
-            half = (sample_angles - distinct[:, None]) / 2.0
-            squares = map(pow, map(math.sin, half.ravel().tolist()), repeat(2))
-            seen, terms = distinct, np.fromiter(squares, float, half.size).reshape(half.shape)
-        yield terms[inverse]
+def _sin_sq_half(sample_angles: np.ndarray, grid_angles: np.ndarray) -> np.ndarray:
+    """``math.sin((s - q) / 2.0) ** 2`` per grid angle q (row) and sample angle s (column), a row at a time."""
+    terms = np.empty((len(grid_angles), len(sample_angles)))
+    for row, angle in zip(terms, grid_angles.tolist()):
+        half = ((sample_angles - angle) / 2.0).tolist()
+        row[:] = np.fromiter(map(pow, map(math.sin, half), repeat(2)), float, len(half))
+    return terms
 
 
 def _idw(
@@ -112,23 +104,24 @@ def _idw(
     power: float,
     max_neighbors: int | None,
 ) -> list[float]:
-    """IDW gradient at each (lon, lat) query, bit for bit the oracle ``naive_idw`` in ``tests/helpers.py``.
+    """IDW gradient at each node of ``lats`` x ``lons``, latitude-major, bit for bit ``helpers.naive_idw``.
 
-    Works on blocks of queries holding about ``BLOCK_PAIRS`` (query, sample)
-    pairs. NumPy does only the correctly rounded steps (+ - * /, ``sqrt``,
-    comparisons, ``partition``, ``argsort``, ``lexsort`` and a left-to-right
-    ``cumsum``), in the order its ``haversine_m`` and nearest-first weighted
-    sum use. Every ``sin``, ``cos``, ``asin`` and ``pow`` is the ``math`` or
-    builtin call on Python floats: the sine terms once per distinct query
-    latitude or longitude, ``cos`` once per point, and the weight
+    A query is a 1 x 1 grid. The sine terms are two tables of (len(lats) +
+    len(lons)) * n floats, one per (grid angle, sample); blocks of about
+    ``BLOCK_PAIRS`` (node, sample) pairs take their rows. NumPy does only the
+    correctly rounded steps (+ - * /, ``sqrt``, comparisons, ``partition``,
+    ``argsort``, ``lexsort`` and a left-to-right ``cumsum``), in the order
+    its ``haversine_m`` and nearest-first weighted sum use. Every ``sin``,
+    ``cos``, ``asin`` and ``pow`` is the ``math`` or builtin call on Python
+    floats: ``cos`` once per grid latitude and per sample, and the weight
     ``d ** -power`` only for the neighbours used. Without a cap below n,
     ``asin`` runs once per pair and :func:`nearest_first` orders every row.
     With a cap k < n, ``asin(sqrt(a))`` is monotone in the haversine argument
     ``a``, so ``asin`` runs only on the candidate pairs within
-    ``CANDIDATE_MARGIN`` of each query's k-th smallest ``a``, and the k
+    ``CANDIDATE_MARGIN`` of each node's k-th smallest ``a``, and the k
     nearest are picked among those by (distance, index). Any pair with
     ``sqrt(a) > 1`` raises the ``ValueError`` that ``math.asin`` raises on it;
-    the callers check that every query lies on the globe, and no pair of
+    the callers check that every node lies on the globe, and no pair of
     points on it rounds there.
     """
     if not samples:
@@ -146,17 +139,19 @@ def _idw(
     # math.radians(x) is the one correctly rounded product x * (pi / 180).
     sample_lon = samples.lon * _RADIANS_PER_DEGREE
     sample_lat = samples.lat * _RADIANS_PER_DEGREE
-    query_lon = np.array(lons, dtype=float) * _RADIANS_PER_DEGREE
-    query_lat = np.array(lats, dtype=float) * _RADIANS_PER_DEGREE
+    grid_lon = np.array(lons, dtype=float) * _RADIANS_PER_DEGREE
+    grid_lat = np.array(lats, dtype=float) * _RADIANS_PER_DEGREE
+    lat_table = _sin_sq_half(sample_lat, grid_lat)
+    lon_table = _sin_sq_half(sample_lon, grid_lon)
+    lat_cos = elementwise(math.cos, grid_lat)
     sample_cos = elementwise(math.cos, sample_lat)
-    query_cos = elementwise(math.cos, query_lat)
 
     values: list[float] = []
+    nodes = len(grid_lat) * len(grid_lon)
     step = max(1, BLOCK_PAIRS // n)
-    for start, lat_terms, lon_terms in zip(range(0, len(query_lat), step),
-                                           _sin_sq_half(sample_lat, query_lat, step),
-                                           _sin_sq_half(sample_lon, query_lon, step)):
-        a = lat_terms + query_cos[start:start + step, None] * sample_cos * lon_terms
+    for start in range(0, nodes, step):
+        row, column = np.divmod(np.arange(start, min(start + step, nodes)), len(grid_lon))
+        a = lat_table[row] + lat_cos[row, None] * sample_cos * lon_table[column]
         root = np.sqrt(a)
         if (root > 1.0).any():
             raise ValueError("math domain error")
@@ -194,8 +189,8 @@ def idw_interpolate(
     Weights are 1 / d**power over all samples (or the ``max_neighbors``
     nearest when set, ties by ascending sample index), summed nearest first.
     A query within one meter of a sample returns that sample's gradient
-    exactly. Costs O(n log n) for n samples in NumPy, plus n ``asin`` calls,
-    or, with ``max_neighbors`` k below n, O(n) in NumPy plus about k.
+    exactly. Costs O(n log n) for n samples in NumPy, 2n ``sin`` and n ``asin``
+    calls, or, with ``max_neighbors`` k below n, O(n), 2n ``sin`` and about k.
     The query must have longitude in [-180, 180] and latitude in [-90, 90].
     """
     if not (-180.0 <= lon <= 180.0 and -90.0 <= lat <= 90.0):
@@ -222,9 +217,8 @@ def interpolate_grid(
     blocked NumPy pass: O(q * n log n) for q nodes and n samples, with
     memory bounded per block, and q * n ``asin`` calls; with
     ``max_neighbors`` k below n, O(q * n) NumPy work and about q * k calls.
-    Either way it makes one ``math.sin`` call per (distinct query latitude
-    or longitude in a block, sample): 68,805 for 695 samples on a 40 x 40
-    grid, where one per (distinct grid angle, sample) would be 55,600.
+    Either way it makes (n_lat + n_lon) * n ``math.sin`` calls, one per (grid
+    angle, sample): 55,600 for 695 samples on a 40 x 40 grid.
     """
     lon_min, lon_max, lat_min, lat_max = map(float, (lon_min, lon_max, lat_min, lat_max))
     if not (all(-180.0 <= lon <= 180.0 for lon in (lon_min, lon_max))
@@ -237,9 +231,8 @@ def interpolate_grid(
     n_lon, n_lat = int(n_lon), int(n_lat)
     lats = [lat_min if n_lat == 1 else lat_min + (lat_max - lat_min) * i / (n_lat - 1) for i in range(n_lat)]
     lons = [lon_min if n_lon == 1 else lon_min + (lon_max - lon_min) * j / (n_lon - 1) for j in range(n_lon)]
-    node_lons = lons * n_lat
-    node_lats = [lat for lat in lats for _ in lons]
-    return list(zip(node_lons, node_lats, _idw(samples, node_lons, node_lats, power, max_neighbors)))
+    values = _idw(samples, lons, lats, power, max_neighbors)
+    return [(lon, lat, value) for (lat, lon), value in zip(product(lats, lons), values)]
 
 
 def _heatflow_table(rows: Sequence[tuple[int, list[str]]]) -> HeatFlowTable:

@@ -672,3 +672,53 @@ def test_parser_built_once_keeps_no_state_between_calls(first, second, tmp_path,
     assert written == sorted(path.name for path in (tmp_path / "cached").iterdir())
     for name in written:
         assert (tmp_path / "cached" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+
+
+def _with_input(argv, data_dir):
+    """``argv`` reading the bundled heat-flow file for ``idw``, else the bundled pl samples."""
+    if argv[0] == "idw":
+        return [argv[0], "--input", str(data_dir / "heatflow.csv"), *argv[1:]]
+    return [argv[0], "--input", str(data_dir / "samples.csv"), "--kind", "pl", *argv[1:]]
+
+
+@pytest.mark.parametrize("argv, kind, value", [
+    (["idw", "--min-depth", "5_00", "--query", "105", "30"], "float", "5_00"),
+    (["idw", "--idw-power", "2_0", "--query", "105", "30"], "float", "2_0"),
+    (["idw", "--query", "10_5", "30"], "float", "10_5"),
+    (["idw", "--grid", "100", "110", "25", "35", "4", "1_0"], "float", "1_0"),
+    (["idw", "--max-neighbors", "1_0", "--query", "105", "30"], "int", "1_0"),
+    (["outliers", "--threshold", "0_85"], "float", "0_85"),
+    (["outliers", "--k", "1_0"], "int", "1_0"),
+    (["validate", "--ci-level", "0_9"], "float", "0_9"),
+    (["compare", "--test-fraction", "0_2"], "float", "0_2"),
+    (["compare", "--reps", "1_0"], "int", "1_0"),
+    (["compare", "--seed", "1_1"], "int", "1_1"),
+], ids=lambda case: case[1] if isinstance(case, list) else None)
+def test_number_option_with_underscore_is_a_usage_error(argv, kind, value, tmp_path, data_dir, capsys):
+    # float() and int() read "_" as digit grouping; the options read numbers as the input files do.
+    with pytest.raises(SystemExit) as info:
+        main([*_with_input(argv, data_dir), "--output-dir", str(tmp_path)])
+    assert info.value.code == 2
+    assert f"error: argument {argv[1]}: invalid {kind} value: '{value}'\n" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["validate", "--ci-level", "nan"], "error: leave-one-out stage: confidence level must be in (0, 1), got nan\n"),
+    (["compare", "--test-fraction", "nan"], "error: compare stage: test fraction must be in (0, 1), got nan\n"),
+], ids=["ci-level", "test-fraction"])
+def test_nan_number_option_fails_its_stage(argv, message, tmp_path, data_dir, capsys):
+    code, err = _run([*_with_input(argv, data_dir), "--output-dir", str(tmp_path)], capsys)
+    assert code == 1
+    assert err.endswith(message)
+
+
+@pytest.mark.parametrize("value", ["verbose", "warn", "0"])
+def test_unknown_log_level_is_a_usage_error(value, monkeypatch, tmp_path, data_dir, capsys):
+    monkeypatch.setenv("SHALE_ADSORB_LOG", value)
+    with pytest.raises(SystemExit) as info:
+        main(["clean", "--input", str(data_dir / "samples.csv"), "--kind", "pl", "--output-dir", str(tmp_path)])
+    assert info.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        f"error: SHALE_ADSORB_LOG must be one of debug, info, warning, error; got '{value}'\n")
+    assert not any(tmp_path.iterdir())

@@ -371,6 +371,35 @@ class TestIdwExactness:
         assert all(ties.values()), ties
 
 
+def poles_and_antimeridian():
+    """The lattice plus points at latitude +-90 and longitude +-180, some at both."""
+    edges = [(180.0, 10.0), (-180.0, -20.0), (0.0, 90.0), (45.0, -90.0), (180.0, 90.0), (-180.0, -90.0),
+             (-180.0, 10.0)]
+    return table(*rows_of(lattice_with_repeats()), *(point(lon, lat, 20.0 + i) for i, (lon, lat) in enumerate(edges)))
+
+
+# Nodes of a grid are taken from its sine tables by (row, column): a single
+# row or a single column that spans blocks, and a grid whose nodes and points
+# sit on the poles and on both sides of the antimeridian.
+EDGE_GRIDS = {
+    "one-row": (lattice_with_repeats, (99.0, 106.0, 27.0, 27.0, 701, 1)),
+    "one-column": (lattice_with_repeats, (103.0, 103.0, 24.0, 30.0, 1, 701)),
+    "poles-and-antimeridian": (poles_and_antimeridian, (-180.0, 180.0, -90.0, 90.0, 41, 19)),
+}
+
+
+@pytest.mark.parametrize("cap", [None, 8])
+@pytest.mark.parametrize("case", EDGE_GRIDS)
+def test_edge_grids_equal_per_pair_loop(case, cap):
+    make, grid = EDGE_GRIDS[case]
+    samples = make()
+    rows = interpolate_grid(samples, *grid, max_neighbors=cap)
+    assert len(rows) == grid[4] * grid[5] > BLOCK_PAIRS // len(samples)
+    assert [g for _, _, g in rows] == [naive_idw(samples, lon, lat, 2.0, cap) for lon, lat, _ in rows]
+    for lon, lat, g in rows[::37]:
+        assert idw_interpolate(samples, lon, lat, max_neighbors=cap) == g
+
+
 class TestIdwCost:
     """With a cap k below n, ``math.asin`` runs only on candidate pairs, not on all q * n."""
 
@@ -400,6 +429,29 @@ class TestIdwCost:
         assert capped_calls == q * cap < q * n // 10
         assert full_calls == q * n
         assert [g for _, _, g in capped] == [naive_idw(samples, lon, lat, 2.0, cap) for lon, lat, _ in capped]
+
+    @pytest.mark.parametrize("cap", [None, 8])
+    def test_sine_per_grid_angle_and_cosine_per_latitude(self, cap, monkeypatch):
+        rng = np.random.default_rng(17)
+        samples = table(*(point(float(lon), float(lat), float(g)) for lon, lat, g in
+                          zip(rng.uniform(100, 110, 300), rng.uniform(25, 35, 300), rng.uniform(15, 35, 300))))
+        n_lon, n_lat, n = 29, 31, 300
+        assert n_lon * n_lat * n > 4 * BLOCK_PAIRS
+        calls = {"sin": 0, "cos": 0}
+        for name in calls:
+            def counting(x, real=getattr(math, name), name=name):
+                calls[name] += 1
+                return real(x)
+            monkeypatch.setattr(math, name, counting)
+
+        interpolate_grid(samples, 100.2, 109.7, 25.3, 34.6, n_lon, n_lat, max_neighbors=cap)
+        grid_calls = dict(calls)
+        calls.update(sin=0, cos=0)
+        idw_interpolate(samples, 104.1, 29.9, max_neighbors=cap)
+        monkeypatch.undo()
+
+        assert grid_calls == {"sin": (n_lat + n_lon) * n, "cos": n_lat + n}
+        assert calls == {"sin": 2 * n, "cos": 1 + n}
 
     def test_asin_domain_error_raised_for_every_cap(self):
         # This query, past the pole, is almost antipodal to the first point,
