@@ -26,6 +26,9 @@ LOG_ENV_VAR = "SHALE_ADSORB_LOG"
 _LOG_LEVELS = {"debug": logging.DEBUG, "info": logging.INFO, "warning": logging.WARNING, "error": logging.ERROR}
 
 log = logging.getLogger("shale_adsorb")
+# The package logger's own stderr handler: each main points it at the current sys.stderr.
+_log_handler = logging.StreamHandler()
+_log_handler.setFormatter(logging.Formatter("%(name)s %(levelname)s: %(message)s"))
 
 _COMPARE_SPECS = {
     DatasetKind.PL: (ModelKind.PL_INVTEMP, ModelKind.PL_TOCPOW, ModelKind.PL_GEO),
@@ -36,13 +39,20 @@ _GEO_KIND = {DatasetKind.PL: ModelKind.PL_GEO, DatasetKind.VL: ModelKind.VL_GEO}
 
 
 def _configure_logging() -> None:
-    """Log to stderr at the level ``SHALE_ADSORB_LOG`` names (``warning`` if unset); others are a usage error."""
+    """Log to stderr at the level ``SHALE_ADSORB_LOG`` names (``warning`` if unset); others are a usage error.
+
+    Each call applies the current value and ``sys.stderr``. Only the package
+    logger is configured, and it does not propagate, so a host's root
+    handlers are neither replaced nor fed a second copy.
+    """
     value = os.environ.get(LOG_ENV_VAR, "")
     level_name = value.strip().lower() or "warning"
     if level_name not in _LOG_LEVELS:
         build_parser().error(f"{LOG_ENV_VAR} must be one of {', '.join(_LOG_LEVELS)}; got {value!r}")
-    logging.basicConfig(stream=sys.stderr, level=_LOG_LEVELS[level_name],
-                        format="%(name)s %(levelname)s: %(message)s")
+    _log_handler.stream = sys.stderr  # not setStream, which flushes the previous stream, perhaps closed
+    log.addHandler(_log_handler)
+    log.setLevel(_LOG_LEVELS[level_name])
+    log.propagate = False
 
 
 def _number(kind: type):

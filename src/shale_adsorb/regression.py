@@ -309,25 +309,34 @@ def ols_fit(system: DesignSystem) -> np.ndarray:
     return fit_systems([(system.x, system.y)])[0]
 
 
-def fit_systems(systems: Iterable[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+def fit_systems(systems: Iterable[tuple[np.ndarray, ...]]) -> np.ndarray:
     """Least-squares coefficients of each of one or more ``(rows, y)`` systems, shape (F, n).
 
     The one place the normal equations are built: ``rows.T @ rows`` (one
     syrk, which a stacked matmul or a transposed copy would not reproduce)
     and ``rows.T @ y``, as each system is taken, so a producer may update
-    one buffer between systems. One :func:`solve_normal_equations` call then
-    solves them all, each as it would alone. The first system with fewer
-    rows than coefficients, or singular, raises :class:`SingularSystemError`
-    with ``system`` set to its position.
+    one buffer between systems. A system may be ``(rows, y, wide)``, where
+    ``wide`` is a contiguous copy of ``rows`` followed by zero columns; its
+    Gram is then the leading n×n block of ``wide.T @ wide``. For n = 3 and
+    one zero column that block is bit-identical to ``rows.T @ rows`` on
+    OpenBLAS, and the 4-wide syrk takes the register-blocked kernel rather
+    than the 3-column edge path, about 1.6× faster at 1.4k rows and 2.3× at
+    9k (OpenBLAS 0.3.31, AVX-512, 2 cores). The moment stays
+    ``rows.T @ y`` on the n-wide rows: a gemv on ``wide`` or on a strided
+    ``wide[:, :n]`` view rounds differently. One
+    :func:`solve_normal_equations` call then solves them all, each as it
+    would alone. The first system with fewer rows than coefficients, or
+    singular, raises :class:`SingularSystemError` with ``system`` set to
+    its position.
     """
     grams, moments = [], []
-    for f, (rows, y) in enumerate(systems):
+    for f, (rows, y, *wide) in enumerate(systems):
         m, n = rows.shape
         if m < n:
             if grams:  # a singular system before this one is the first failure
                 solve_normal_equations(np.array(grams), np.array(moments))
             raise SingularSystemError(f"fewer records ({m}) than coefficients ({n})", system=f)
-        grams.append(rows.T @ rows)
+        grams.append((wide[0].T @ wide[0])[:n, :n] if wide else rows.T @ rows)
         moments.append(rows.T @ y)
     return solve_normal_equations(np.array(grams), np.array(moments))
 

@@ -1,6 +1,9 @@
 import csv
+import logging
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +31,16 @@ EXPECTED_CONTENTS = {
     "Barnett Shale": 1.88,
     "Posidonia Shale": 0.52,
 }
+
+
+def _child_env():
+    """This environment with the repository's ``src`` first on ``PYTHONPATH``.
+
+    pytest's ``pythonpath`` setting does not reach a child ``python``, so an
+    uninstalled checkout needs this for the child to import the package.
+    """
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]))}
 
 
 def write_samples(path, records):
@@ -440,7 +453,7 @@ def test_byte_order_mark_is_accepted(name, argv, tmp_path, data_dir):
 
 def test_module_invocation_help():
     proc = subprocess.run([sys.executable, "-m", "shale_adsorb.cli", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0
     for name in ("clean", "outliers", "fit", "validate", "compare", "estimate", "idw"):
         assert name in proc.stdout
@@ -646,7 +659,7 @@ def test_heatflow_errors_name_the_first_bad_row(rows, stderr, tmp_path, capsys):
 def test_importing_the_cli_leaves_scipy_unloaded():
     # Only validate's confidence interval needs SciPy; it is imported there.
     code = "import shale_adsorb.cli, sys; assert 'scipy' not in sys.modules"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
 
 
@@ -666,7 +679,8 @@ def test_parser_built_once_keeps_no_state_between_calls(first, second, tmp_path,
     assert vars(build_parser().parse_args(second)) == vars(build_parser.__wrapped__().parse_args(second))
     assert main([*second, "--output-dir", str(tmp_path / "cached")]) == 0
     fresh = subprocess.run([sys.executable, "-m", "shale_adsorb.cli", *second,
-                            "--output-dir", str(tmp_path / "fresh")], capture_output=True, text=True)
+                            "--output-dir", str(tmp_path / "fresh")], capture_output=True, text=True,
+                           env=_child_env())
     assert fresh.returncode == 0, fresh.stderr
     written = sorted(path.name for path in (tmp_path / "fresh").iterdir())
     assert written == sorted(path.name for path in (tmp_path / "cached").iterdir())
@@ -722,3 +736,22 @@ def test_unknown_log_level_is_a_usage_error(value, monkeypatch, tmp_path, data_d
     assert capsys.readouterr().err.endswith(
         f"error: SHALE_ADSORB_LOG must be one of debug, info, warning, error; got '{value}'\n")
     assert not any(tmp_path.iterdir())
+
+
+def test_each_main_applies_the_current_log_setting(monkeypatch, tmp_path, data_dir, capsys):
+    root = logging.getLogger()
+    host = logging.NullHandler()
+    monkeypatch.setattr(root, "handlers", [*root.handlers, host])
+    monkeypatch.setattr(root, "level", root.level)
+    root_before = list(root.handlers), root.level
+    argv = ["clean", "--input", str(data_dir / "samples.csv"), "--kind", "pl", "--output-dir", str(tmp_path)]
+    wrote = f"shale_adsorb INFO: wrote {tmp_path / 'kept.csv'}\n"
+    for value, logged in [(None, False), ("info", True), ("warning", False)]:
+        if value is None:
+            monkeypatch.delenv("SHALE_ADSORB_LOG", raising=False)
+        else:
+            monkeypatch.setenv("SHALE_ADSORB_LOG", value)
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert (wrote in capsys.readouterr().err) is logged, value
+    assert (list(root.handlers), root.level) == root_before

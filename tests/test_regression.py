@@ -308,6 +308,26 @@ class TestLeaveOneOutBuffer:
             assert np.array_equal(w[i], ols_fit(DesignSystem(np.delete(x, i, 0), np.delete(y, i))))
         assert np.array_equal(x, design[0]) and np.array_equal(y, design[1])
 
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_odd_width_above_one_carries_a_zero_padded_copy(self, p):
+        x, y = _random_design(np.random.default_rng(p), 48, p)
+        for rows, _, *wide in _leave_one_out_systems(x, y):
+            assert len(wide) == (p == 3)
+            for buffer in wide:
+                assert buffer.flags.c_contiguous
+                assert np.array_equal(buffer, np.pad(rows, ((0, 0), (0, 1))))
+
+
+def test_host_padded_syrk_leading_block_equals_the_narrow_syrk():
+    # The leave-one-out fold Grams of 3-column designs are taken from a
+    # syrk of the rows plus one zero column (validation._leave_one_out_systems).
+    for m in [*range(4, 301), 700, 1500, 9000]:
+        x, _ = _random_design(np.random.default_rng(m), m, 3)
+        wide = np.pad(x, ((0, 0), (0, 1)))
+        assert np.array_equal((wide.T @ wide)[:3, :3], x.T @ x), (
+            f"host BLAS fact fails at m = {m}: the leading 3x3 block of the syrk of the rows plus one "
+            "zero column is not bit-identical to the 3-column syrk")
+
 
 class TestFitRecovery:
     def test_pl_geo_recovers_generating_coefficients(self):
