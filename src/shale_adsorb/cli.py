@@ -77,11 +77,17 @@ def _write(path: Path, content: str) -> None:
     log.info("wrote %s", path)
 
 
-def _read_text(path: str) -> str:
-    # utf-8-sig drops a leading byte-order mark, which would otherwise stay
-    # in the first header cell.
-    with open(path, "r", encoding="utf-8-sig") as handle:
-        return handle.read()
+def _parse_file(parse, path: str):
+    """``parse`` of the text of file ``path``; a file that exists but cannot be read is a ``ValueError`` naming it."""
+    try:
+        # utf-8-sig drops a leading byte-order mark, which would otherwise stay in the first header cell.
+        with open(path, "r", encoding="utf-8-sig") as handle:
+            text = handle.read()
+    except FileNotFoundError:
+        raise  # exit 2, not a stage's failure
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValueError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from exc
+    return parse(text)
 
 
 def _stage(name: str, func, *args, **kwargs):
@@ -93,7 +99,7 @@ def _stage(name: str, func, *args, **kwargs):
 
 def _run_clean_stage(args: argparse.Namespace, out: Path) -> dataset.SampleTable:
     kind = DatasetKind(args.kind)
-    samples = _stage("parse", dataset.parse_samples, _read_text(args.input))
+    samples = _stage("parse", _parse_file, dataset.parse_samples, args.input)
     unique, duplicates = dataset.integrate_replicates(samples)
     outcome = _stage("clean", dataset.clean, unique, kind)
 
@@ -194,12 +200,12 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     else:
         if not (args.pl_model and args.vl_model):
             raise ValueError("estimate needs --paper-coefficients or both --pl-model and --vl-model")
-        pl_model = _stage("model", model_from_text, _read_text(args.pl_model))
-        vl_model = _stage("model", model_from_text, _read_text(args.vl_model))
+        pl_model = _stage("model", _parse_file, model_from_text, args.pl_model)
+        vl_model = _stage("model", _parse_file, model_from_text, args.vl_model)
         if pl_model.spec.dependent_var != "pl" or vl_model.spec.dependent_var != "vl":
             raise ValueError("--pl-model must predict pl and --vl-model must predict vl")
 
-    reservoirs = _stage("reservoir-config", estimator.parse_reservoirs, _read_text(args.input))
+    reservoirs = _stage("reservoir-config", _parse_file, estimator.parse_reservoirs, args.input)
     if not reservoirs:
         raise ValueError(f"reservoir-config stage: no reservoir blocks found in {args.input}")
     estimates = _stage("estimate", estimator.estimate_reservoirs, reservoirs, pl_model, vl_model)
@@ -213,7 +219,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 def cmd_idw(args: argparse.Namespace) -> int:
     out = _out_dir(args)
-    points = _stage("parse", geotemp.parse_heatflow, _read_text(args.input))
+    points = _stage("parse", _parse_file, geotemp.parse_heatflow, args.input)
     usable = _stage("filter", geotemp.filter_heatflow, points, min_depth=args.min_depth)
     if not usable:
         raise ValueError(f"filter stage: no heat-flow points at or below {args.min_depth} m")

@@ -66,7 +66,9 @@ class ColumnTable:
     """Equal-length columns, position i of each being row i. Tables compare by identity.
 
     A subclass declares its fields: ``tuple[str, ...]`` labels and ``np.ndarray``
-    columns, stored as read-only float64 (bool for a ``has_*`` mask). A field
+    columns, stored as read-only float64 arrays. In every table NaN is the
+    one mark of an absent number (a ``None`` given for one reads as NaN), so
+    the checks of a column of optional values let NaN pass. A field
     whose length differs from the first field's raises a ``ValueError`` naming
     ``label``. ``checks`` holds the row invariants in order, each (array field,
     test, message), where ``test`` maps that column (or the whole table, for
@@ -118,8 +120,7 @@ class ColumnTable:
 @cache
 def _column_types(table: type) -> tuple[tuple[str, type], ...]:
     """(name, ``tuple`` or the array dtype) of each field of a :class:`ColumnTable` subclass, in order."""
-    return tuple((field.name, tuple if str(field.type).startswith("tuple") else
-                  bool if field.name.startswith("has_") else float) for field in fields(table))
+    return tuple((field.name, tuple if str(field.type).startswith("tuple") else float) for field in fields(table))
 
 
 #: The number columns of a :class:`SampleTable` in samples-CSV order, the two
@@ -127,6 +128,8 @@ def _column_types(table: type) -> tuple[tuple[str, type], ...]:
 SAMPLE_COLUMNS = ("toc", "ro", "temp", "porosity", "pl", "vl")
 REQUIRED_COLUMNS = ("toc", "temp")
 _FINITE_ORDER = ("toc", "temp", "ro", "porosity", "pl", "vl")
+#: The text an absent input value is read as: NaN, yet no stripped text, so any other NaN is a value reading as NaN.
+ABSENT_TEXT = " nan"
 
 
 @dataclass(frozen=True, eq=False)
@@ -294,11 +297,10 @@ def _sample_table(rows: Sequence[tuple[int, list[str]]], first_row: dict[str, in
     """The table of samples-CSV rows, given each id's first row; a bad row raises what :func:`_check_row` explains."""
     cells = [row_cells for _, row_cells in rows]
     ids, reservoirs = ([row[k].strip() for row in cells] for k in (0, 1))
-    # An empty cell reads as " nan", which no stripped cell is: any other NaN is a cell that reads as NaN.
-    texts = [[row[k].strip() or " nan" for row in cells] for k in range(2, len(SAMPLES_CSV_COLUMNS))]
+    texts = [[row[k].strip() or ABSENT_TEXT for row in cells] for k in range(2, len(SAMPLES_CSV_COLUMNS))]
     numbers = [np.fromiter(map(float, column), float, len(column)) for column in texts]
     if "" in ids or list(map(first_row.__getitem__, ids)) != [row for row, _ in rows] or any(
-            "_" in "".join(column) or np.isnan(values).sum() > column.count(" nan")
+            "_" in "".join(column) or np.isnan(values).sum() > column.count(ABSENT_TEXT)
             for values, column in zip(numbers, texts)):
         raise ValueError("an id is empty or used twice, or a cell holds a _ or reads as NaN")
     return SampleTable(ids, reservoirs, *numbers)

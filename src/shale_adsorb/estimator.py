@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import compress, islice
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dataset import FIT_RANGES, ColumnTable, SampleTable, first_failure, parse_number, read_key_value_blocks, write_csv
+from .dataset import (ABSENT_TEXT, FIT_RANGES, ColumnTable, SampleTable, first_failure, parse_number,
+                      read_key_value_blocks, write_csv)
 from .regression import FittedModel, ModelKind, ModelSpec, predict_rows
 
 WATER_DENSITY_T_PER_M3 = 1.0
@@ -76,8 +77,9 @@ class ReservoirSpec:
 
     Temperature comes from ``temp_override`` when set, otherwise from the
     geothermal gradient; pressure comes from ``pressure_override`` when set,
-    otherwise from depth and the pressure coefficient ``alpha``. The
-    invariants are those of :class:`ReservoirTable`.
+    otherwise from depth and the pressure coefficient ``alpha``. An optional
+    input is set when it is neither ``None`` nor NaN: NaN marks it absent, as
+    in every column table. The invariants are those of :class:`ReservoirTable`.
     """
 
     name: str
@@ -98,10 +100,11 @@ class ReservoirSpec:
 class ReservoirTable(ColumnTable):
     """Reservoirs as a :class:`~shale_adsorb.dataset.ColumnTable`, in the units of :class:`ReservoirSpec`.
 
-    Each optional input (gradient, temperature and pressure override) has a
-    value array and a presence mask (``has_*``); where the mask is False the
-    value is ignored. Each reservoir is checked in order (name, depth, alpha,
-    toc, ro, then a temperature source); a failure raises a ``ValueError``.
+    NaN marks an absent optional input (gradient, temperature and pressure
+    override), as it marks an absent sample value. Each reservoir is checked
+    in order: name, depth, alpha, toc, ro, a finite surface temperature, each
+    optional input finite when present, then a temperature source (gradient
+    or temperature override); a failure raises a ``ValueError``.
     """
 
     names: tuple[str, ...]
@@ -111,11 +114,8 @@ class ReservoirTable(ColumnTable):
     alpha: np.ndarray
     surface_temp: np.ndarray
     grad_t: np.ndarray
-    has_grad_t: np.ndarray
     temp_override: np.ndarray
-    has_temp_override: np.ndarray
     pressure_override: np.ndarray
-    has_pressure_override: np.ndarray
 
     label = "reservoir"
     checks = (
@@ -124,34 +124,29 @@ class ReservoirTable(ColumnTable):
          "reservoir {name}: depth must be >= 0, got {value!r}"),
         *((key, lambda column: np.isfinite(column) & (column > 0),
            f"reservoir {{name}}: {key} must be > 0, got {{value!r}}") for key in ("alpha", "toc", "ro")),
-        (None, lambda table: table.has_grad_t | table.has_temp_override,
+        *((key, np.isfinite if key == "surface_temp" else lambda column: ~np.isinf(column),
+           f"reservoir {{name}}: {key} must be finite, got {{value!r}}")
+          for key in ("surface_temp", "grad_t", "temp_override", "pressure_override")),
+        (None, lambda table: ~(np.isnan(table.grad_t) & np.isnan(table.temp_override)),
          "reservoir {name}: needs gradt_c_per_km or temp_c to resolve temperature"),
     )
 
     @classmethod
     def from_specs(cls, specs: Sequence[ReservoirSpec]) -> "ReservoirTable":
-        """The table of the given reservoirs, in order."""
-        def optional(attr: str) -> tuple[list[float], list[bool]]:
-            values = [getattr(spec, attr) for spec in specs]
-            return [math.nan if value is None else value for value in values], [value is not None for value in values]
-
-        return cls(
-            [spec.name for spec in specs],
-            *([getattr(spec, attr) for spec in specs] for attr in ("depth", "toc", "ro", "alpha", "surface_temp")),
-            *optional("grad_t"), *optional("temp_override"), *optional("pressure_override"),
-        )
+        """The table of the given reservoirs, in order; a ``None`` input is NaN in its column."""
+        return cls(*([getattr(spec, field.name) for spec in specs] for field in fields(ReservoirSpec)))
 
     def temperatures(self) -> np.ndarray:
-        """Reservoir temperatures (degC): the override, or surface + gradient * depth."""
+        """Reservoir temperatures (degC): the override where present, else surface + gradient * depth."""
         with np.errstate(all="ignore"):
             derived = self.surface_temp + self.depth / 1000.0 * self.grad_t
-        return np.where(self.has_temp_override, self.temp_override, derived)
+        return np.where(np.isnan(self.temp_override), derived, self.temp_override)
 
     def pressures(self) -> np.ndarray:
-        """Reservoir pressures (MPa): the override, or alpha * hydrostatic column."""
+        """Reservoir pressures (MPa): the override where present, else alpha * hydrostatic column."""
         with np.errstate(all="ignore"):
             derived = GRAVITY_N_PER_KG * self.alpha * WATER_DENSITY_T_PER_M3 * self.depth / 1000.0
-        return np.where(self.has_pressure_override, self.pressure_override, derived)
+        return np.where(np.isnan(self.pressure_override), derived, self.pressure_override)
 
 
 def _contents(
@@ -308,19 +303,16 @@ def estimates_to_csv(estimates: EstimateTable) -> str:
 
 
 # The number keys in the order a block's values are read, with the text read
-# for an absent key (None: required; "nan": recorded as absent).
+# for an absent key (None: required; ABSENT_TEXT: NaN, marking it absent).
 _NUMBER_KEYS = (
     ("depth_m", None), ("toc_pct", None), ("ro_pct", None), ("alpha", "1.0"),
-    ("surface_temp_c", repr(DEFAULT_SURFACE_TEMP_C)), ("gradt_c_per_km", "nan"),
-    ("temp_c", "nan"), ("pressure_mpa", "nan"),
+    ("surface_temp_c", repr(DEFAULT_SURFACE_TEMP_C)), ("gradt_c_per_km", ABSENT_TEXT),
+    ("temp_c", ABSENT_TEXT), ("pressure_mpa", ABSENT_TEXT),
 )
 
 _RESERVOIR_KEYS = {"name", *(key for key, _ in _NUMBER_KEYS)}
 
 _REQUIRED_KEYS = tuple(key for key, default in _NUMBER_KEYS if default is None)
-
-# Keys whose presence the table records next to their values.
-_OPTIONAL_KEYS = ("gradt_c_per_km", "temp_c", "pressure_mpa")
 
 # Config blocks read into the columns at a time.
 _CHUNK_BLOCKS = 256
@@ -329,22 +321,15 @@ _CHUNK_BLOCKS = 256
 def _columns(blocks: Iterable[dict[str, str]]) -> list:
     """The :class:`ReservoirTable` columns of config blocks, read in one pass of chunks of blocks.
 
-    The numbers go into ``array("d")`` columns and the presence of each
-    optional key into a byte mask, so no block outlives its chunk. Raises
-    ``KeyError``, ``TypeError`` or ``ValueError`` when a block lacks the name
-    or a required key, or holds a value that is not a number, such as one
-    holding a ``_``, which ``float`` reads as digit grouping.
+    The numbers go into ``array("d")`` columns, NaN where a gradient,
+    temperature or pressure key is absent, so no block outlives its chunk.
+    Raises ``KeyError``, ``TypeError`` or ``ValueError`` when a block lacks
+    the name or a required key, or holds a value that is not a number, such
+    as one holding a ``_``, which ``float`` reads as digit grouping, or a
+    NaN for one of those three keys, which would read as its absence.
     """
     names: list[str] = []
-    columns: list = [names]
-    numbers = []  # (key, text of an absent key, its column)
-    masks = []  # (key, its presence mask)
-    for key, default in _NUMBER_KEYS:
-        columns.append(array("d"))
-        numbers.append((key, default, columns[-1]))
-        if key in _OPTIONAL_KEYS:
-            columns.append(bytearray())
-            masks.append((key, columns[-1]))
+    numbers = [(key, default, array("d")) for key, default in _NUMBER_KEYS]
     blocks = iter(blocks)
     while chunk := list(islice(blocks, _CHUNK_BLOCKS)):
         names.extend(block["name"] for block in chunk)
@@ -352,10 +337,11 @@ def _columns(blocks: Iterable[dict[str, str]]) -> list:
             texts = [block.get(key, default) for block in chunk]
             if "_" in "".join(texts):
                 raise ValueError(f"reservoir config {key}: a value holds a _")
+            start = len(column)
             column.extend(map(float, texts))
-        for key, mask in masks:
-            mask.extend(key in block for block in chunk)
-    return columns
+            if default == ABSENT_TEXT and np.isnan(column[start:]).sum() > texts.count(ABSENT_TEXT):
+                raise ValueError(f"reservoir config {key}: a value reads as NaN")
+    return [names, *(column for _, _, column in numbers)]
 
 
 def _check_block(block: dict[str, str]) -> None:
@@ -366,9 +352,10 @@ def _check_block(block: dict[str, str]) -> None:
     for key in _REQUIRED_KEYS:
         if key not in block:
             raise ValueError(f"reservoir {name}: missing required key {key}")
-    for key, _ in _NUMBER_KEYS:
+    for key, default in _NUMBER_KEYS:
         try:
-            parse_number(block.get(key, "0"))
+            if math.isnan(parse_number(block.get(key, "0"))) and default == ABSENT_TEXT:
+                raise ValueError  # would read as the key's absence
         except ValueError:
             raise ValueError(f"reservoir {name}: {key} is not a number: {block[key]!r}") from None
 
@@ -379,6 +366,8 @@ def parse_reservoirs(text: str) -> ReservoirTable:
     Blocks are separated by blank lines (a repeated ``name=`` also starts a
     new block); ``#`` starts a comment line. Keys: name, depth_m, toc_pct,
     ro_pct, alpha, surface_temp_c, gradt_c_per_km, temp_c, pressure_mpa.
+    An absent gradt_c_per_km, temp_c or pressure_mpa is NaN in its column,
+    so a value of one of them that reads as NaN is not a number.
     A malformed line fails the whole config first; after that the error is
     the first bad block's, by :func:`~shale_adsorb.dataset.first_failure`,
     and within a block a missing key comes before a value that is not a

@@ -320,8 +320,7 @@ def fit_systems(systems: Iterable[tuple[np.ndarray, ...]]) -> np.ndarray:
     Gram is then the leading n×n block of ``wide.T @ wide``. For n = 3 and
     one zero column that block is bit-identical to ``rows.T @ rows`` on
     OpenBLAS, and the 4-wide syrk takes the register-blocked kernel rather
-    than the 3-column edge path, about 1.6× faster at 1.4k rows and 2.3× at
-    9k (OpenBLAS 0.3.31, AVX-512, 2 cores). The moment stays
+    than the slower 3-column edge path. The moment stays
     ``rows.T @ y`` on the n-wide rows: a gemv on ``wide`` or on a strided
     ``wide[:, :n]`` view rounds differently. One
     :func:`solve_normal_equations` call then solves them all, each as it

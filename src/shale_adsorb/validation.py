@@ -131,10 +131,10 @@ def _leave_one_out_systems(x: np.ndarray, y: np.ndarray):
     column, that moves the same way. It is each fold's third item, so
     :func:`~shale_adsorb.regression.fit_systems` takes the fold's Gram from
     the leading block of its syrk, which OpenBLAS computes bit-identically
-    to the narrow syrk for 3 columns, 1.6-2.3x faster at 1.4k-9k rows. The
-    moments still use the narrow rows. One column is not padded: its Gram
-    is a dot product, which the padded syrk does not reproduce. Even widths
-    are not padded either: at 1,449 rows, 2 columns padded to 4 were slower.
+    to the narrow syrk for 3 columns, and faster. The moments still use the
+    narrow rows. One column is not padded: its Gram is a dot product, which
+    the padded syrk does not reproduce. Even widths are not padded either:
+    at 1,449 rows, 2 columns padded to 4 were slower.
     """
     rows, ys = x[1:].copy(), y[1:].copy()
     p = x.shape[1]
@@ -157,11 +157,10 @@ def loo_cv(samples: SampleTable, spec: ModelSpec,
     moves one row per fold, one :func:`~shale_adsorb.regression.fit_systems`
     call solves them all, and the held-out rows are predicted with one
     ``vecdot``. A three-column design's fold Grams come from a second,
-    zero-padded 4-wide buffer (:func:`_leave_one_out_systems`), bit-identical
-    and about 20 instead of 25–35 ms at 1.4k rows, 0.5–0.8 instead of
-    0.8–1.2 s at 9k on a shared 2-core AVX-512 host; the moments stay
-    three-wide. Every fold equals a separate
-    :func:`~shale_adsorb.regression.fit` on its training records.
+    zero-padded 4-wide buffer (:func:`_leave_one_out_systems`), which is
+    bit-identical and faster; the moments stay three-wide. Every fold
+    equals a separate :func:`~shale_adsorb.regression.fit` on its training
+    records.
     A singular fold raises :class:`SingularSystemError` naming the first
     such fold and its record id.
     """

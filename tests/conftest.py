@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from shale_adsorb.dataset import SampleTable, parse_samples
-from shale_adsorb.estimator import reference_models
+from shale_adsorb.estimator import ReservoirTable, reference_models
 from helpers import Row
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "data"
@@ -22,6 +22,16 @@ def table(rows):
     ids, reservoirs, *numbers = zip(*rows) if rows else [()] * len(Row._fields)
     return SampleTable(ids, reservoirs, *([math.nan if value is None else value for value in column]
                                           for column in numbers))
+
+
+def reservoir_table(rows):
+    """The ReservoirTable of (name, depth, toc, ro, alpha, surface_temp, grad_t, temp, pressure) rows, in order.
+
+    The constructor is called directly, NaN where a row holds None.
+    """
+    rows = list(rows)
+    names, *numbers = zip(*rows) if rows else [()] * 9
+    return ReservoirTable(names, *([math.nan if value is None else value for value in column] for column in numbers))
 
 
 def synthetic_records(n=30, seed=0, pl_noise=0.0, vl_noise=0.0):

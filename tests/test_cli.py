@@ -451,6 +451,53 @@ def test_byte_order_mark_is_accepted(name, argv, tmp_path, data_dir):
         assert (tmp_path / "marked" / file_name).read_bytes() == (tmp_path / "plain" / file_name).read_bytes()
 
 
+# Each command with one input file given as {bad} -> the stage that reads that file.
+UNREADABLE_INPUTS = {
+    "clean": (["clean", "--kind", "pl", "--input", "{bad}"], "parse"),
+    "idw": (["idw", "--query", "105", "30", "--input", "{bad}"], "parse"),
+    "estimate-pl-model": (["estimate", "--input", "{data}/reservoirs.conf", "--pl-model", "{bad}",
+                           "--vl-model", "{vl_model}"], "model"),
+    "estimate-config": (["estimate", "--input", "{bad}", "--paper-coefficients"], "reservoir-config"),
+}
+
+
+@pytest.mark.parametrize("content", ["not-utf-8", "directory", "missing"])
+@pytest.mark.parametrize("command", UNREADABLE_INPUTS)
+def test_unreadable_input_fails_the_stage_that_reads_it(command, content, tmp_path, data_dir, capsys):
+    argv, stage = UNREADABLE_INPUTS[command]
+    bad = tmp_path / "input"
+    if content == "not-utf-8":
+        bad.write_bytes(b"\xff" + (data_dir / "samples.csv").read_bytes())
+    elif content == "directory":
+        bad.mkdir()
+    vl_model = tmp_path / "vl.txt"
+    vl_model.write_text(model_to_text(reference_models()[1]), encoding="utf-8")
+    argv = [arg.format(bad=bad, data=data_dir, vl_model=vl_model) for arg in argv]
+    expected = {
+        "not-utf-8": (1, f"error: {stage} stage: cannot read {bad}: "
+                         "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"),
+        "directory": (1, f"error: {stage} stage: cannot read {bad}: Is a directory\n"),
+        "missing": (2, f"error: file not found: {bad}\n"),
+    }[content]
+    assert _run([*argv, "--output-dir", str(tmp_path / "out")], capsys) == expected
+    assert not any((tmp_path / "out").glob("*.csv"))
+
+
+def test_failing_property_leaves_the_rest_of_the_run_reported(tmp_path):
+    # Hypothesis's failure report imports libcst, which warns on import; under the
+    # repository's warnings-as-errors setting that must not abort the session.
+    (tmp_path / "test_property.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\ndef test_fails(x):\n    assert x < 5\n\n\n"
+        "def test_passes():\n    pass\n", encoding="utf-8")
+    ini = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-c", str(ini), "--rootdir", str(tmp_path),
+                           "-p", "no:cacheprovider", "test_property.py"],
+                          capture_output=True, text=True, cwd=tmp_path, env=_child_env())
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1].startswith("1 failed, 1 passed in "), proc.stdout[-2000:]
+
+
 def test_module_invocation_help():
     proc = subprocess.run([sys.executable, "-m", "shale_adsorb.cli", "--help"],
                           capture_output=True, text=True, env=_child_env())
@@ -476,10 +523,6 @@ BAD_RESERVOIRS = {
                       "error: estimate stage: pressure must be positive, got 0.0\n"),
     "negative-pressure": (None, None, GOOD_RESERVOIR + "pressure_mpa=-2.5\n",
                           "error: estimate stage: pressure must be positive, got -2.5\n"),
-    "nan-pressure": (None, None, GOOD_RESERVOIR + "pressure_mpa=nan\n",
-                     "error: estimate stage: pressure must be positive, got nan\n"),
-    "nan-temperature": (None, None, GOOD_RESERVOIR + "temp_c=nan\n",
-                        "error: estimate stage: field temp must be finite, got nan\n"),
     "infinite-temperature": (None, None, "depth_m=2000\ntoc_pct=3\nro_pct=1.5\ngradt_c_per_km=1e308\n",
                              "error: estimate stage: field temp must be finite, got inf\n"),
     "below-absolute-zero": (None, None, GOOD_RESERVOIR + "temp_c=-300\n",
@@ -539,6 +582,12 @@ BAD_CONFIG_BLOCKS = {
                      "reservoir B: depth_m is not a number: 'deep'"),
     "optional-not-a-number": ("name=B\n" + GOOD_RESERVOIR + "pressure_mpa=high\n",
                               "reservoir B: pressure_mpa is not a number: 'high'"),
+    # an absent optional key reads as NaN, so a NaN value would pass for absent
+    "nan-pressure": ("name=B\n" + GOOD_RESERVOIR + "pressure_mpa=nan\n",
+                     "reservoir B: pressure_mpa is not a number: 'nan'"),
+    "nan-temperature": ("name=B\n" + GOOD_RESERVOIR + "temp_c=nan\n", "reservoir B: temp_c is not a number: 'nan'"),
+    "nan-gradient-beside-temperature": ("name=B\ndepth_m=2000\ntoc_pct=3\nro_pct=1.5\ntemp_c=50\n"
+                                        "gradt_c_per_km=NaN\n", "reservoir B: gradt_c_per_km is not a number: 'NaN'"),
     "missing-name": (GOOD_RESERVOIR, "reservoir config block is missing the name key"),
     "missing-depth": ("name=B\ntoc_pct=3\nro_pct=1.5\ngradt_c_per_km=30\n",
                       "reservoir B: missing required key depth_m"),
@@ -562,6 +611,18 @@ BAD_CONFIG_BLOCKS = {
                     "reservoir B: ro must be > 0, got -1.5"),
     "no-temperature-source": ("name=B\ndepth_m=2000\ntoc_pct=3\nro_pct=1.5\n",
                               "reservoir B: needs gradt_c_per_km or temp_c to resolve temperature"),
+    # a present value must be finite, even where the temperature override leaves it unused
+    "nan-surface-temperature-beside-temperature": (
+        "name=B\ndepth_m=2000\ntoc_pct=3\nro_pct=1.5\ntemp_c=50\nsurface_temp_c=nan\n",
+        "reservoir B: surface_temp must be finite, got nan"),
+    "infinite-surface-temperature": ("name=B\n" + GOOD_RESERVOIR + "surface_temp_c=-inf\n",
+                                     "reservoir B: surface_temp must be finite, got -inf"),
+    "infinite-gradient-beside-temperature": ("name=B\ndepth_m=2000\ntoc_pct=3\nro_pct=1.5\ntemp_c=50\n"
+                                             "gradt_c_per_km=inf\n", "reservoir B: grad_t must be finite, got inf"),
+    "infinite-temperature": ("name=B\n" + GOOD_RESERVOIR + "temp_c=inf\n",
+                             "reservoir B: temp_override must be finite, got inf"),
+    "infinite-pressure": ("name=B\n" + GOOD_RESERVOIR + "pressure_mpa=-inf\n",
+                          "reservoir B: pressure_override must be finite, got -inf"),
     # a value that is not a number wins over an invariant of the same block
     "parse-before-invariant": ("name=B\ndepth_m=-1\ntoc_pct=x\nro_pct=1.5\ngradt_c_per_km=30\n",
                                "reservoir B: toc_pct is not a number: 'x'"),

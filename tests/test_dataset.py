@@ -508,13 +508,11 @@ COLUMN_TABLES = {
                 (ValueError, "field temp must be > -273.15 degC, got -300.0")),
     "reservoirs": (ReservoirTable, dict(names=["A", "B", "C"], depth=[1000.0, 2000.0, 3000.0], toc=[2.0, 3.0, 4.0],
                                         ro=[1.0, 1.5, 2.0], alpha=[1.0, 1.2, 1.0], surface_temp=[20.0, 15.0, 20.0],
-                                        grad_t=[30.0, NAN, 25.0], has_grad_t=[True, False, True],
-                                        temp_override=[NAN, 80.0, NAN], has_temp_override=[False, True, False],
-                                        pressure_override=[NAN, NAN, 30.0],
-                                        has_pressure_override=[False, False, True]),
-                   r"^reservoir column has_pressure_override has shape \(2,\), expected \(3,\)$",
+                                        grad_t=[30.0, NAN, 25.0], temp_override=[NAN, 80.0, NAN],
+                                        pressure_override=[NAN, NAN, 30.0]),
+                   r"^reservoir column pressure_override has shape \(2,\), expected \(3,\)$",
                    # row 1 breaks the ro check and has no temperature source, row 2 the first (a name)
-                   dict(ro=[0.0, 2.0], has_temp_override=[False, False], names=["B", ""]),
+                   dict(ro=[0.0, 2.0], temp_override=[NAN, NAN], names=["B", ""]),
                    (ValueError, "reservoir B: ro must be > 0, got 0.0")),
     "heat-flow": (HeatFlowTable, dict(lon=[100.0, 101.0, 102.0], lat=[20.0, 21.0, 22.0],
                                       section_depth=[600.0, 700.0, 800.0], grad_t=[25.0, 26.0, 27.0]),
@@ -541,7 +539,7 @@ def test_column_table_rule(case):
         if isinstance(values[0], str):
             assert column == tuple(values)
         else:
-            assert column.dtype == (np.bool_ if name.startswith("has_") else np.float64)
+            assert column.dtype == np.float64
             assert column.shape == (3,) and not column.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 column[0] = column[1]

@@ -1,5 +1,7 @@
 import math
+import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from shale_adsorb.estimator import (
 )
 from shale_adsorb.dataset import FIT_RANGES, DatasetKind, clean
 from shale_adsorb.regression import FittedModel, ModelKind, ModelSpec
-from conftest import make_record, table
+from conftest import make_record, reservoir_table, table
 from helpers import naive_estimate, naive_fit_range_warnings, naive_parse_reservoirs
 
 # Nine reference reservoirs: depth, toc, ro, temperature, expected pressure
@@ -293,11 +295,11 @@ pressure_mpa=9.1
     def test_two_blocks(self):
         table = parse_reservoirs(self.CONFIG)
         assert table.names == ("Alpha Basin", "Beta Shale") and len(table) == 2
-        assert table.has_grad_t.tolist() == [True, False] and table.grad_t[0] == 28.5
+        assert np.isnan(table.grad_t).tolist() == [False, True] and table.grad_t[0] == 28.5
         assert table.alpha.tolist() == [1.0, 1.2]
         assert table.surface_temp.tolist() == [20.0, 15.0]
-        assert table.has_temp_override.tolist() == [False, True] and table.temp_override[1] == 44.0
-        assert table.has_pressure_override.tolist() == [False, True] and table.pressure_override[1] == 9.1
+        assert np.isnan(table.temp_override).tolist() == [True, False] and table.temp_override[1] == 44.0
+        assert np.isnan(table.pressure_override).tolist() == [True, False] and table.pressure_override[1] == 9.1
 
     def test_repeated_name_starts_new_block(self):
         text = "name=A\ndepth_m=1\ntoc_pct=2\nro_pct=1\ntemp_c=30\n" \
@@ -409,12 +411,25 @@ class TestBatchExactness:
         warned = sum(bool(row.warnings) for row in expected)
         assert 0.2 * len(specs) < warned < 0.6 * len(specs)
 
+    def test_nan_input_estimates_as_none_does(self):
+        # NaN marks an absent input in a ReservoirSpec, as in every column table
+        specs = _seeded_reservoirs(500, seed=72)
+        specs.append(ReservoirSpec(name="T", depth=2000.0, toc=3.0, ro=1.5, temp_override=50.0))
+        optional = ("grad_t", "temp_override", "pressure_override")
+        nan_specs = [replace(spec, **{key: math.nan for key in optional if getattr(spec, key) is None})
+                     for spec in specs]
+        assert sum(math.isnan(spec.temp_override) for spec in nan_specs) > 200
+        models = reference_models()
+        expected = estimate_reservoirs(ReservoirTable.from_specs(specs), *models)
+        got = estimate_reservoirs(ReservoirTable.from_specs(nan_specs), *models)
+        assert [got.row(i) for i in range(len(got))] == [expected.row(i) for i in range(len(expected))]
+        assert [estimate_reservoir(spec, *models) for spec in nan_specs[-50:]] == \
+               [expected.row(i) for i in range(len(specs) - 50, len(specs))]
+
     # name -> (models, bad reservoir fields); each breaks one step of the estimate.
     BAD_RESERVOIRS = {
         "zero-pressure": ("reference", {"depth": 0.0}),
         "negative-pressure": ("reference", {"pressure_override": -2.5}),
-        "nan-pressure": ("reference", {"pressure_override": math.nan}),
-        "nan-temperature": ("reference", {"temp_override": math.nan}),
         "infinite-temperature": ("reference", {"grad_t": 1e308}),
         "below-absolute-zero": ("reference", {"temp_override": -300.0}),
         "log-domain": ("reference", {"temp_override": 0.0}),
@@ -440,7 +455,7 @@ class TestBatchExactness:
 
     @pytest.mark.parametrize("first, second", [
         ("exp-overflow", "zero-pressure"),
-        ("infinite-pl", "nan-temperature"),
+        ("infinite-pl", "below-absolute-zero"),
         ("log-domain", "below-absolute-zero"),
     ])
     def test_later_step_of_an_earlier_reservoir_wins(self, first, second):
@@ -480,7 +495,7 @@ class TestFailingRowBisect:
         return expected
 
     @pytest.mark.parametrize("position", [0, N // 2, N - 1])
-    @pytest.mark.parametrize("case", ["zero-pressure", "nan-temperature", "log-domain", "exp-overflow",
+    @pytest.mark.parametrize("case", ["zero-pressure", "below-absolute-zero", "log-domain", "exp-overflow",
                                       "infinite-pl"])
     def test_one_bad_reservoir(self, case, position, monkeypatch):
         self._check([(position, case)], monkeypatch)
@@ -488,7 +503,7 @@ class TestFailingRowBisect:
     @pytest.mark.parametrize("positions", [(0, 1), (0, N - 1), (N // 2 - 1, N // 2), (N - 2, N - 1), (17, 700)])
     @pytest.mark.parametrize("first, second", [
         ("exp-overflow", "zero-pressure"),
-        ("infinite-pl", "nan-temperature"),
+        ("infinite-pl", "below-absolute-zero"),
         ("log-domain", "below-absolute-zero"),
     ])
     def test_later_step_of_an_earlier_reservoir_wins(self, first, second, positions, monkeypatch):
@@ -501,30 +516,19 @@ class TestFailingRowBisect:
 def _same_tables(a, b):
     """Whether two reservoir tables hold the same names and columns (NaN equal to NaN)."""
     return len(a) == len(b) and a.names == b.names and all(
-        np.array_equal(getattr(a, name), getattr(b, name), equal_nan=name[:4] != "has_")
-        for name in ("depth", "toc", "ro", "alpha", "surface_temp", "grad_t", "has_grad_t",
-                     "temp_override", "has_temp_override", "pressure_override", "has_pressure_override"))
-
-
-def _table(rows):
-    """A table built by its constructor from (name, depth, toc, ro, alpha, grad_t or None, temp or None) rows."""
-    columns = list(zip(*rows))
-    present = [[value is not None for value in column] for column in columns[5:]]
-    values = [[math.nan if value is None else value for value in column] for column in columns[5:]]
-    return ReservoirTable(columns[0], *columns[1:5], [20.0] * len(rows), values[0], present[0],
-                          values[1], present[1], [math.nan] * len(rows), [False] * len(rows))
+        np.array_equal(getattr(a, name), getattr(b, name), equal_nan=True)
+        for name in ("depth", "toc", "ro", "alpha", "surface_temp", "grad_t", "temp_override", "pressure_override"))
 
 
 class TestReservoirTable:
-    GOOD = ("G", 2000.0, 3.0, 1.5, 1.0, 30.0, None)
+    # name, depth, toc, ro, alpha, surface_temp, grad_t, temp_override, pressure_override
+    GOOD = ("G", 2000.0, 3.0, 1.5, 1.0, 20.0, 30.0, None, None)
 
     def test_columns_are_read_only_arrays(self):
         table = parse_reservoirs(TestParseReservoirs.CONFIG)
         for name in ("depth", "toc", "ro", "alpha", "surface_temp", "grad_t", "temp_override", "pressure_override"):
             column = getattr(table, name)
             assert column.dtype == np.float64 and column.shape == (2,) and not column.flags.writeable
-        for name in ("has_grad_t", "has_temp_override", "has_pressure_override"):
-            assert getattr(table, name).dtype == np.bool_ and not getattr(table, name).flags.writeable
 
     def test_from_specs_equals_the_parsed_config(self):
         specs = [ReservoirSpec(name="Alpha Basin", depth=1500.0, toc=3.2, ro=1.4, grad_t=28.5),
@@ -534,8 +538,7 @@ class TestReservoirTable:
 
     def test_columns_of_another_length_rejected(self):
         with pytest.raises(ValueError, match=r"depth has shape \(2,\), expected \(1,\)"):
-            ReservoirTable(["a"], [1.0, 2.0], [1.0], [1.0], [1.0], [20.0], [30.0], [True],
-                           [math.nan], [False], [math.nan], [False])
+            ReservoirTable(["a"], [1.0, 2.0], [1.0], [1.0], [1.0], [20.0], [30.0], [math.nan], [math.nan])
 
     # name -> (changed fields by position in GOOD, message)
     BAD = {
@@ -544,8 +547,21 @@ class TestReservoirTable:
         "zero-alpha": ({4: 0.0}, "reservoir B: alpha must be > 0, got 0.0"),
         "infinite-toc": ({2: math.inf}, "reservoir B: toc must be > 0, got inf"),
         "negative-ro": ({3: -1.0}, "reservoir B: ro must be > 0, got -1.0"),
-        "no-temperature": ({5: None}, "reservoir B: needs gradt_c_per_km or temp_c to resolve temperature"),
+        "no-temperature": ({6: None}, "reservoir B: needs gradt_c_per_km or temp_c to resolve temperature"),
         "depth-before-ro": ({1: -1.0, 3: 0.0}, "reservoir B: depth must be >= 0, got -1.0"),
+        # an input the temperature override makes unused is checked all the same
+        "nan-surface-temp": ({5: math.nan, 7: 50.0}, "reservoir B: surface_temp must be finite, got nan"),
+        "infinite-surface-temp": ({5: math.inf, 7: 50.0}, "reservoir B: surface_temp must be finite, got inf"),
+        "infinite-gradient": ({6: -math.inf, 7: 50.0}, "reservoir B: grad_t must be finite, got -inf"),
+        "infinite-temperature": ({7: math.inf}, "reservoir B: temp_override must be finite, got inf"),
+        "infinite-pressure": ({8: -math.inf}, "reservoir B: pressure_override must be finite, got -inf"),
+        # NaN marks an absent input
+        "nan-temperature-is-absent": ({6: math.nan, 7: math.nan},
+                                      "reservoir B: needs gradt_c_per_km or temp_c to resolve temperature"),
+        "ro-before-surface-temp": ({3: 0.0, 5: math.nan}, "reservoir B: ro must be > 0, got 0.0"),
+        "surface-temp-before-gradient": ({5: math.nan, 6: math.inf},
+                                         "reservoir B: surface_temp must be finite, got nan"),
+        "finite-before-source": ({6: None, 8: math.inf}, "reservoir B: pressure_override must be finite, got inf"),
     }
 
     @pytest.mark.parametrize("position", [0, 3, 7])
@@ -560,16 +576,18 @@ class TestReservoirTable:
         # a later reservoir that fails an earlier check does not win
         rows.append(("",) + self.GOOD[1:])
         with pytest.raises(ValueError) as info:
-            _table(rows)
+            reservoir_table(rows)
         assert str(info.value) == message
         if position == 0:
             with pytest.raises(ValueError) as single:
-                ReservoirSpec(*bad[:5], grad_t=bad[5])
+                ReservoirSpec(*bad)
             assert str(single.value) == message
 
 
 _names = st.text(alphabet="ABCXYZabcxyz0123456789 _-.()'=#", min_size=1, max_size=12).map(str.strip).filter(bool)
 _positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_OPTIONAL_KEYS = ("alpha", "surface_temp_c", "gradt_c_per_km", "temp_c", "pressure_mpa")
 
 
 @st.composite
@@ -580,13 +598,11 @@ def _reservoir_configs(draw):
     for _ in range(draw(st.integers(1, 6))):
         reservoir = {"depth_m": draw(st.floats(min_value=0.0, allow_infinity=False)),
                      "toc_pct": draw(_positive), "ro_pct": draw(_positive)}
-        optional = {"alpha": _positive, "surface_temp_c": st.floats(), "gradt_c_per_km": st.floats(),
-                    "temp_c": st.floats(), "pressure_mpa": st.floats()}
-        for key, values in optional.items():
+        for key in _OPTIONAL_KEYS:
             if draw(st.booleans()):
-                reservoir[key] = draw(values)
+                reservoir[key] = draw(_positive if key == "alpha" else _finite)
         if "gradt_c_per_km" not in reservoir and "temp_c" not in reservoir:
-            reservoir[draw(st.sampled_from(["gradt_c_per_km", "temp_c"]))] = draw(st.floats())
+            reservoir[draw(st.sampled_from(["gradt_c_per_km", "temp_c"]))] = draw(_finite)
         reservoirs.append((draw(_names), reservoir))
     lines = []
     for i, (name, reservoir) in enumerate(reservoirs):
@@ -606,8 +622,8 @@ def _column(reservoirs, key, default=math.nan):
 
 
 @settings(max_examples=150, deadline=None, database=None)
-@given(config=_reservoir_configs())
-def test_parse_round_trips_generated_configs(config):
+@given(config=_reservoir_configs(), data=st.data())
+def test_parse_round_trips_generated_configs(config, data):
     reservoirs, text = config
     table = parse_reservoirs(text)
     assert len(table) == len(reservoirs)
@@ -615,13 +631,19 @@ def test_parse_round_trips_generated_configs(config):
     for column, key, default in [
         (table.depth, "depth_m", math.nan), (table.toc, "toc_pct", math.nan), (table.ro, "ro_pct", math.nan),
         (table.alpha, "alpha", 1.0), (table.surface_temp, "surface_temp_c", 20.0),
+        (table.grad_t, "gradt_c_per_km", math.nan), (table.temp_override, "temp_c", math.nan),
+        (table.pressure_override, "pressure_mpa", math.nan),
     ]:
         assert np.array_equal(column, _column(reservoirs, key, default), equal_nan=True)
-    for values, present, key in [(table.grad_t, table.has_grad_t, "gradt_c_per_km"),
-                                 (table.temp_override, table.has_temp_override, "temp_c"),
-                                 (table.pressure_override, table.has_pressure_override, "pressure_mpa")]:
-        assert present.tolist() == [key in reservoir for _, reservoir in reservoirs]
-        assert np.array_equal(values[present], _column(reservoirs, key)[present], equal_nan=True)
+
+    # A present optional value that is not finite fails its block, whether or not the estimate would use it.
+    i = data.draw(st.integers(0, len(reservoirs) - 1))
+    bad = [dict(reservoir) for _, reservoir in reservoirs]
+    bad[i][data.draw(st.sampled_from(_OPTIONAL_KEYS))] = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    text = "\n".join(f"name={name}\n" + "".join(f"{key}={value!r}\n" for key, value in reservoir.items())
+                     for (name, _), reservoir in zip(reservoirs, bad))
+    with pytest.raises(ValueError, match=f"^reservoir {re.escape(reservoirs[i][0])}: "):
+        parse_reservoirs(text)
 
 
 def _seeded_config(rng, n):
