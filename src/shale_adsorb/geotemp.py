@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product, repeat
+from itertools import product
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -28,7 +28,7 @@ DEFAULT_IDW_POWER = 2.0
 EXACT_HIT_DISTANCE_M = 1.0
 
 #: (query, sample) pairs held by one block of the IDW kernel: 2**16 float64
-#: distances, 0.5 MiB, plus as many boxed Python floats while ``asin`` runs.
+#: distances, 0.5 MiB, plus a few arrays of as many floats while ``asin`` runs.
 BLOCK_PAIRS = 2 ** 16
 
 #: With a neighbour cap, a pair is a candidate when its haversine argument
@@ -89,11 +89,14 @@ def filter_heatflow(
 
 
 def _sin_sq_half(sample_angles: np.ndarray, grid_angles: np.ndarray) -> np.ndarray:
-    """``math.sin((s - q) / 2.0) ** 2`` per grid angle q (row) and sample angle s (column), a row at a time."""
+    """``math.sin((s - q) / 2.0) ** 2`` per grid angle q (row) and sample angle s (column), a row at a time.
+
+    Row by row, the kernel's temporaries stay one row each; over the whole
+    table they would be about four more tables.
+    """
     terms = np.empty((len(grid_angles), len(sample_angles)))
     for row, angle in zip(terms, grid_angles.tolist()):
-        half = ((sample_angles - angle) / 2.0).tolist()
-        row[:] = np.fromiter(map(pow, map(math.sin, half), repeat(2)), float, len(half))
+        row[:] = elementwise(np.power, elementwise(np.sin, (sample_angles - angle) / 2.0), 2.0)
     return terms
 
 
@@ -112,17 +115,18 @@ def _idw(
     correctly rounded steps (+ - * /, ``sqrt``, comparisons, ``partition``,
     ``argsort``, ``lexsort`` and a left-to-right ``cumsum``), in the order
     its ``haversine_m`` and nearest-first weighted sum use. Every ``sin``,
-    ``cos``, ``asin`` and ``pow`` is the ``math`` or builtin call on Python
-    floats: ``cos`` once per grid latitude and per sample, and the weight
+    ``cos``, ``asin`` and power is a :func:`~shale_adsorb.dataset.elementwise`
+    call, which rounds each element as the ``math`` or builtin call does:
+    ``cos`` once per grid latitude and per sample, and the weight
     ``d ** -power`` only for the neighbours used. Without a cap below n,
     ``asin`` runs once per pair and :func:`nearest_first` orders every row.
     With a cap k < n, ``asin(sqrt(a))`` is monotone in the haversine argument
     ``a``, so ``asin`` runs only on the candidate pairs within
     ``CANDIDATE_MARGIN`` of each node's k-th smallest ``a``, and the k
-    nearest are picked among those by (distance, index). Any pair with
-    ``sqrt(a) > 1`` raises the ``ValueError`` that ``math.asin`` raises on it;
-    the callers check that every node lies on the globe, and no pair of
-    points on it rounds there.
+    nearest are picked among those by (distance, index). The kernel never
+    raises, so any pair with ``sqrt(a) > 1`` raises here the ``ValueError``
+    that ``math.asin`` raises on it; the callers check that every node lies
+    on the globe, and no pair of points on it rounds there.
     """
     if not samples:
         raise ValueError("cannot interpolate from an empty sample set")
@@ -143,8 +147,8 @@ def _idw(
     grid_lat = np.array(lats, dtype=float) * _RADIANS_PER_DEGREE
     lat_table = _sin_sq_half(sample_lat, grid_lat)
     lon_table = _sin_sq_half(sample_lon, grid_lon)
-    lat_cos = elementwise(math.cos, grid_lat)
-    sample_cos = elementwise(math.cos, sample_lat)
+    lat_cos = elementwise(np.cos, grid_lat)
+    sample_cos = elementwise(np.cos, sample_lat)
 
     values: list[float] = []
     nodes = len(grid_lat) * len(grid_lon)
@@ -156,16 +160,16 @@ def _idw(
         if (root > 1.0).any():
             raise ValueError("math domain error")
         if k == n:
-            order, nearest = nearest_first(2.0 * EARTH_RADIUS_M * elementwise(math.asin, root), n)
+            order, nearest = nearest_first(2.0 * EARTH_RADIUS_M * elementwise(np.arcsin, root), n)
         else:
             kth = np.partition(a, k - 1, axis=1)[:, k - 1]
             r, c = np.nonzero(a <= kth[:, None] * CANDIDATE_MARGIN)
-            dist = 2.0 * EARTH_RADIUS_M * elementwise(math.asin, root[r, c])
+            dist = 2.0 * EARTH_RADIUS_M * elementwise(np.arcsin, root[r, c])
             order, nearest = first_k_of_candidates(r, c, dist, len(a), k)
         block_values = grads[order[:, 0]]
         far = nearest[:, 0] >= EXACT_HIT_DISTANCE_M
         if far.any():
-            w = elementwise(pow, nearest[far], -power)
+            w = elementwise(np.power, nearest[far], -power)
             # cumsum starts from the first term, not from 0.0: the two differ
             # only where the sum is -0.0, and + 0.0 turns that into 0.0.
             numerator = np.cumsum(w * grads[order[far]], axis=1)[:, -1] + 0.0
@@ -189,8 +193,10 @@ def idw_interpolate(
     Weights are 1 / d**power over all samples (or the ``max_neighbors``
     nearest when set, ties by ascending sample index), summed nearest first.
     A query within one meter of a sample returns that sample's gradient
-    exactly. Costs O(n log n) for n samples in NumPy, 2n ``sin`` and n ``asin``
-    calls, or, with ``max_neighbors`` k below n, O(n), 2n ``sin`` and about k.
+    exactly. Costs O(n log n) for n samples in NumPy, with 2n ``sin`` and n
+    ``asin`` evaluations, or, with ``max_neighbors`` k below n, O(n), 2n
+    ``sin`` and about k ``asin``; each is one element of a
+    :func:`~shale_adsorb.dataset.elementwise` call, not a Python call.
     The query must have longitude in [-180, 180] and latitude in [-90, 90].
     """
     if not (-180.0 <= lon <= 180.0 and -90.0 <= lat <= 90.0):
@@ -215,10 +221,12 @@ def interpolate_grid(
     Node counts may be whole floats, but not fractions or bools. Every node
     equals ``idw_interpolate`` at its (lon, lat). All nodes go through one
     blocked NumPy pass: O(q * n log n) for q nodes and n samples, with
-    memory bounded per block, and q * n ``asin`` calls; with
-    ``max_neighbors`` k below n, O(q * n) NumPy work and about q * k calls.
-    Either way it makes (n_lat + n_lon) * n ``math.sin`` calls, one per (grid
-    angle, sample): 55,600 for 695 samples on a 40 x 40 grid.
+    memory bounded per block, and q * n ``asin`` evaluations; with
+    ``max_neighbors`` k below n, O(q * n) NumPy work and about q * k.
+    Either way it takes (n_lat + n_lon) * n sines, one per (grid angle,
+    sample): 55,600 for 695 samples on a 40 x 40 grid. Each is one element
+    of a :func:`~shale_adsorb.dataset.elementwise` call, which rounds as
+    ``math`` does.
     """
     lon_min, lon_max, lat_min, lat_max = map(float, (lon_min, lon_max, lat_min, lat_max))
     if not (all(-180.0 <= lon <= 180.0 for lon in (lon_min, lon_max))

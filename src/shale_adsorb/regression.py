@@ -57,25 +57,40 @@ def _rows(*columns: np.ndarray) -> np.ndarray:
     return np.column_stack((*columns, np.ones(len(columns[0]))))
 
 
+def _log(values: np.ndarray) -> np.ndarray:
+    """``math.log`` of each value: a value of 0 or below raises its ``ValueError``, and NaN stays NaN."""
+    if (values <= 0.0).any():
+        raise ValueError("math domain error")
+    return elementwise(np.log, values)
+
+
+def _exp(values: np.ndarray) -> np.ndarray:
+    """``math.exp`` of each value, but an overflow is ``inf``: the caller raises for it."""
+    return elementwise(np.exp, values)
+
+
+def _first_overflow(results: np.ndarray, arguments: np.ndarray) -> int | None:
+    """Flat index of the first infinite result of a finite argument, where ``math`` raises ``OverflowError``."""
+    overflow = np.flatnonzero(np.isinf(results) & np.isfinite(arguments))
+    return int(overflow[0]) if overflow.size else None
+
+
 def _pl_geo_rows(samples: SampleTable, kelvin: bool) -> np.ndarray:
     toc_star = samples.toc / TOC_NORM_PCT
     t_star = samples.temp / TEMP_NORM_C
     ro_star = samples.ro / RO_NORM_PCT
-    return _rows(toc_star, elementwise(math.log, t_star / ro_star))
-
-
-def _t_star_cubed(temp: float) -> float:
-    try:
-        return (temp / TEMP_NORM_C) ** 3
-    except OverflowError:
-        raise ValueError(
-            f"vl-geo regressor overflows: (temp / {TEMP_NORM_C}) ** 3 is out of range "
-            f"at temperature {temp!r} degC"
-        ) from None
+    return _rows(toc_star, _log(t_star / ro_star))
 
 
 def _vl_geo_rows(samples: SampleTable, kelvin: bool) -> np.ndarray:
-    return _rows(samples.toc / TOC_NORM_PCT, elementwise(_t_star_cubed, samples.temp))
+    t_star = samples.temp / TEMP_NORM_C
+    cubes = elementwise(np.power, t_star, 3.0)
+    if (i := _first_overflow(cubes, t_star)) is not None:
+        raise ValueError(
+            f"vl-geo regressor overflows: (temp / {TEMP_NORM_C}) ** 3 is out of range "
+            f"at temperature {samples.temp[i].item()!r} degC"
+        )
+    return _rows(samples.toc / TOC_NORM_PCT, cubes)
 
 
 def _invtemp_rows(samples: SampleTable, kelvin: bool) -> np.ndarray:
@@ -87,7 +102,7 @@ def _invtemp_rows(samples: SampleTable, kelvin: bool) -> np.ndarray:
 
 
 def _log_toc_rows(samples: SampleTable, kelvin: bool) -> np.ndarray:
-    return _rows(elementwise(math.log, samples.toc))
+    return _rows(_log(samples.toc))
 
 
 @dataclass(frozen=True)
@@ -99,25 +114,25 @@ class _KindFacts:
     coefficient_names: tuple[str, ...]
     # (samples holding every required field, invtemp_kelvin) -> (m, p) regressor rows
     rows: Callable[[SampleTable, bool], np.ndarray]
-    response: Callable[[float], float]                  # dependent value -> linear response
-    inverse: Callable[[float], float]                   # linear response -> dependent value
+    response: Callable[[np.ndarray], np.ndarray]        # dependent values -> linear responses
+    inverse: Callable[[np.ndarray], np.ndarray]         # linear responses -> dependent values
 
 
 _FACTS = {
     ModelKind.PL_GEO: _KindFacts("pl", ("toc", "temp", "ro"), ("a", "b", "c"),
-                                 _pl_geo_rows, math.log, math.exp),
+                                 _pl_geo_rows, _log, _exp),
     ModelKind.VL_GEO: _KindFacts("vl", ("toc", "temp"), ("a", "b", "c"),
-                                 _vl_geo_rows, math.log, math.exp),
+                                 _vl_geo_rows, _log, _exp),
     ModelKind.PL_INVTEMP: _KindFacts("pl", ("temp",), ("a", "c"), _invtemp_rows,
-                                     lambda value: -math.log(value),     # ln(1/pl)
-                                     lambda linear: math.exp(-linear)),
+                                     lambda values: -_log(values),     # ln(1/pl)
+                                     lambda linear: _exp(-linear)),
     ModelKind.PL_TOCPOW: _KindFacts("pl", ("toc",), ("exponent", "ln_scale"),
-                                    _log_toc_rows, math.log, math.exp),
+                                    _log_toc_rows, _log, _exp),
     ModelKind.VL_TOCPOW: _KindFacts("vl", ("toc",), ("exponent", "ln_scale"),
-                                    _log_toc_rows, math.log, math.exp),
+                                    _log_toc_rows, _log, _exp),
     ModelKind.VL_TOCLIN: _KindFacts("vl", ("toc",), ("slope", "intercept"),
                                     lambda samples, kelvin: _rows(samples.toc),
-                                    lambda value: value, lambda linear: linear),
+                                    lambda values: values, lambda linear: linear),
 }
 
 
@@ -152,8 +167,9 @@ class ModelSpec:
         """Regressor rows, shape (m, p), of a sample table, each step run on all samples at once.
 
         A trailing column of ones carries the intercept. Each value is
-        computed as for its sample alone (every ``log`` and cube is a
-        ``math`` or builtin call per element). A step raises for the first
+        computed as for its sample alone: every ``log`` and cube is one
+        :func:`~shale_adsorb.dataset.elementwise` call, which rounds each
+        element as the ``math`` or builtin call does. A step raises for the first
         sample it rejects, which need not be the first sample that fails: a
         missing field first, then a value outside a transform's domain.
         """
@@ -179,19 +195,23 @@ class ModelSpec:
 
     def inverse_response(self, linear_value: float) -> float:
         """Map a fitted linear response back to the dependent variable's units."""
-        try:
-            return _FACTS[self.kind].inverse(linear_value)
-        except OverflowError:
-            raise ValueError(
-                f"{self.kind.value} prediction overflows: linear response {linear_value!r} "
-                f"is out of range for {self.dependent_var}"
-            ) from None
+        [value] = self.inverse_responses([linear_value])
+        return value
 
     def inverse_responses(self, linear_values: Sequence[float]) -> list[float]:
-        """:meth:`inverse_response` of each value, with one lookup of the inverse; fails by ``first_failure``."""
-        inverse = _FACTS[self.kind].inverse
-        return first_failure(lambda values: list(map(inverse, values)), linear_values, self.inverse_response,
-                             errors=(OverflowError, ValueError))
+        """:meth:`inverse_response` of each value, by :func:`_inverse_responses`."""
+        return _inverse_responses(self, np.array(linear_values, dtype=float)).tolist()
+
+
+def _inverse_responses(spec: ModelSpec, linear: np.ndarray) -> np.ndarray:
+    """The dependent values of an array of linear responses; the first that overflows raises."""
+    values = _FACTS[spec.kind].inverse(linear)
+    if (i := _first_overflow(values, linear)) is not None:
+        raise ValueError(
+            f"{spec.kind.value} prediction overflows: linear response {linear.flat[i].item()!r} "
+            f"is out of range for {spec.dependent_var}"
+        )
+    return values
 
 
 @dataclass
@@ -239,18 +259,18 @@ class FittedModel:
 def predict_rows(spec: ModelSpec, x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Predictions in natural units: one ``vecdot`` of regressor rows and coefficients, then the inverse.
 
-    ``x`` and ``w`` broadcast as ``np.vecdot`` does. The inverse runs per
-    element in Python (``math.exp`` rounds differently from ``np.exp``), so
-    each value equals :meth:`FittedModel.predict` on that row.
+    ``x`` and ``w`` broadcast as ``np.vecdot`` does. The inverse is one
+    :func:`~shale_adsorb.dataset.elementwise` call, which rounds as
+    ``math.exp`` does (NumPy's forward ``exp`` loop does not), so each
+    value equals :meth:`FittedModel.predict` on that row.
     """
-    linear = np.vecdot(x, w)
-    return np.array(spec.inverse_responses(linear.ravel().tolist())).reshape(linear.shape)
+    return _inverse_responses(spec, np.vecdot(x, w))
 
 
 def build_design(samples: SampleTable, spec: ModelSpec) -> DesignSystem:
     """Assemble the regression system for a cleaned sample table; the rows are checked before the responses."""
     x = spec.feature_rows(samples)
-    return DesignSystem(x, elementwise(_FACTS[spec.kind].response, spec.dependent_values(samples)))
+    return DesignSystem(x, _FACTS[spec.kind].response(spec.dependent_values(samples)))
 
 
 def solve_normal_equations(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -492,8 +492,9 @@ def naive_parse_reservoirs(text) -> list[ReservoirSpec]:
     """One block at a time, the parser the columnar ``parse_reservoirs`` replaced.
 
     Per block: the name, the required keys, each number in key order, then
-    the invariants in the order ``ReservoirSpec`` checked them, each failure
-    raising that block's message.
+    the invariants in the order ``ReservoirTable`` checks them, each failure
+    raising that block's message. A gradient, temperature or pressure that
+    reads as NaN is not a number, since NaN marks the key absent.
     """
     specs = []
     for block in list(read_key_value_blocks(text, "reservoir config", keys=_RESERVOIR_KEYS, block_key="name")):
@@ -507,7 +508,10 @@ def naive_parse_reservoirs(text) -> list[ReservoirSpec]:
             try:
                 if "_" in block[key]:  # float's digit grouping
                     raise ValueError
-                return float(block[key])
+                value = float(block[key])
+                if math.isnan(value) and key in ("gradt_c_per_km", "temp_c", "pressure_mpa"):
+                    raise ValueError
+                return value
             except ValueError:
                 raise ValueError(f"reservoir {name}: {key} is not a number: {block[key]!r}") from None
 
@@ -525,6 +529,11 @@ def naive_parse_reservoirs(text) -> list[ReservoirSpec]:
         for key in ("alpha", "toc", "ro"):
             if not (math.isfinite(fields[key]) and fields[key] > 0):
                 raise ValueError(f"reservoir {name}: {key} must be > 0, got {fields[key]!r}")
+        if not math.isfinite(fields["surface_temp"]):
+            raise ValueError(f"reservoir {name}: surface_temp must be finite, got {fields['surface_temp']!r}")
+        for key in ("grad_t", "temp_override", "pressure_override"):
+            if fields[key] is not None and math.isinf(fields[key]):
+                raise ValueError(f"reservoir {name}: {key} must be finite, got {fields[key]!r}")
         if fields["grad_t"] is None and fields["temp_override"] is None:
             raise ValueError(f"reservoir {name}: needs gradt_c_per_km or temp_c to resolve temperature")
         specs.append(ReservoirSpec(**fields))

@@ -654,7 +654,9 @@ def _seeded_config(rng, n):
         lambda block: block.update(alpha="0"), lambda block: block.pop("temp_c"),
         lambda block: block.update(ro_pct="nan"), lambda block: block.update(pressure_mpa="1,5"),
         lambda block: block.pop("name"), lambda block: block.update(porosity="4"),
-        lambda block: block.update(toc_pct="1_0"),
+        lambda block: block.update(toc_pct="1_0"), lambda block: block.update(temp_c="nan"),
+        lambda block: block.update(pressure_mpa="NaN"), lambda block: block.update(gradt_c_per_km="inf"),
+        lambda block: block.update(surface_temp_c="-inf"),
     ]
     blocks = []
     for i in range(n):

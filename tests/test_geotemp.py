@@ -19,7 +19,7 @@ from shale_adsorb.geotemp import (
     interpolate_grid,
     parse_heatflow,
 )
-from shale_adsorb.dataset import SampleParseError, write_csv
+from shale_adsorb.dataset import SampleParseError, elementwise, write_csv
 from helpers import haversine_m, naive_idw, naive_parse_heatflow
 
 
@@ -400,8 +400,20 @@ def test_edge_grids_equal_per_pair_loop(case, cap):
         assert idw_interpolate(samples, lon, lat, max_neighbors=cap) == g
 
 
+def count_kernel_elements(monkeypatch) -> dict[str, int]:
+    """Elements that ``geotemp`` passes to the per-element kernel from now on, per ufunc name."""
+    counts: dict[str, int] = {}
+
+    def counting(ufunc, *operands):
+        counts[ufunc.__name__] = counts.get(ufunc.__name__, 0) + np.broadcast(*operands).size
+        return elementwise(ufunc, *operands)
+
+    monkeypatch.setattr(geotemp, "elementwise", counting)
+    return counts
+
+
 class TestIdwCost:
-    """With a cap k below n, ``math.asin`` runs only on candidate pairs, not on all q * n."""
+    """With a cap k below n, ``asin`` runs only on candidate pairs, not on all q * n."""
 
     def test_capped_grid_calls_asin_only_on_candidates(self, monkeypatch):
         rng = np.random.default_rng(13)
@@ -409,19 +421,11 @@ class TestIdwCost:
                           zip(rng.uniform(100, 110, 300), rng.uniform(25, 35, 300), rng.uniform(15, 35, 300))))
         grid, q, n, cap = (100.2, 109.7, 25.3, 34.6, 30, 30), 900, 300, 8
         assert q * n > 4 * BLOCK_PAIRS
-        real_asin = math.asin
-        calls = []
-
-        def counting_asin(x):
-            calls.append(x)
-            return real_asin(x)
-
-        monkeypatch.setattr(math, "asin", counting_asin)
+        counts = count_kernel_elements(monkeypatch)
         capped = interpolate_grid(samples, *grid, max_neighbors=cap)
-        capped_calls = len(calls)
-        calls.clear()
+        capped_calls = counts.pop("arcsin")
         interpolate_grid(samples, *grid)
-        full_calls = len(calls)
+        full_calls = counts.pop("arcsin")
         monkeypatch.undo()
 
         # Every node needs its k nearest distances. Among scattered points no
@@ -437,21 +441,16 @@ class TestIdwCost:
                           zip(rng.uniform(100, 110, 300), rng.uniform(25, 35, 300), rng.uniform(15, 35, 300))))
         n_lon, n_lat, n = 29, 31, 300
         assert n_lon * n_lat * n > 4 * BLOCK_PAIRS
-        calls = {"sin": 0, "cos": 0}
-        for name in calls:
-            def counting(x, real=getattr(math, name), name=name):
-                calls[name] += 1
-                return real(x)
-            monkeypatch.setattr(math, name, counting)
+        counts = count_kernel_elements(monkeypatch)
 
         interpolate_grid(samples, 100.2, 109.7, 25.3, 34.6, n_lon, n_lat, max_neighbors=cap)
-        grid_calls = dict(calls)
-        calls.update(sin=0, cos=0)
+        grid_calls = {name: counts.pop(name) for name in ("sin", "cos")}
         idw_interpolate(samples, 104.1, 29.9, max_neighbors=cap)
+        query_calls = {name: counts.pop(name) for name in ("sin", "cos")}
         monkeypatch.undo()
 
         assert grid_calls == {"sin": (n_lat + n_lon) * n, "cos": n_lat + n}
-        assert calls == {"sin": 2 * n, "cos": 1 + n}
+        assert query_calls == {"sin": 2 * n, "cos": 1 + n}
 
     def test_asin_domain_error_raised_for_every_cap(self):
         # This query, past the pole, is almost antipodal to the first point,

@@ -6,13 +6,19 @@ per-kind rules became data tables (one directory per case below); any
 change to them is a change in the program's output, not only in its code.
 ``golden/samples_rejects.csv`` is an input: it hits every rejection reason
 and holds a replicate, which the bundled ``data/samples.csv`` does not.
+``golden/host_probe.json`` holds the arithmetic results of the host that
+captured them (``host_probe.py``); every test here compares this host's
+first, so that on another host it fails naming the assumption that differs.
 """
 
 import importlib.util
+import json
+from functools import cache
 from pathlib import Path
 
 import pytest
 
+import host_probe
 from shale_adsorb import dataset
 from shale_adsorb.cli import main
 
@@ -49,6 +55,40 @@ CASES = {
     "idw_grid": [*_IDW, "--grid", "100", "110", "25", "35", "5", "4"],
     "idw_grid_nearest": [*_IDW, "--grid", "100", "110", "25", "35", "5", "4", "--max-neighbors", "3"],
 }
+
+
+@cache
+def host_difference() -> str | None:
+    """The failure message naming the first probe whose result differs from the capture host's, or None."""
+    captured = json.loads((GOLDEN_DIR / "host_probe.json").read_text(encoding="utf-8"))
+    results = host_probe.probe()
+    for name in sorted(captured["probes"].keys() | results.keys()):
+        if results.get(name) != captured["probes"].get(name):
+            return (f"host arithmetic differs from the capture host: {name} (captured on {captured['versions']}, "
+                    f"running on {host_probe.versions()})")
+    return None
+
+
+@pytest.fixture(autouse=True)
+def capture_host_arithmetic():
+    """Fail before any byte comparison when this host's arithmetic differs from the capture host's."""
+    if difference := host_difference():
+        pytest.fail(difference)
+
+
+def test_host_arithmetic_equals_the_capture_host():
+    assert host_difference() is None
+
+
+def test_a_changed_probe_result_names_its_probe(monkeypatch):
+    results = host_probe.probe()
+    results["math.sin"] = "0x1p+0"
+    monkeypatch.setattr(host_probe, "probe", lambda: results)
+    host_difference.cache_clear()
+    try:
+        assert host_difference().startswith("host arithmetic differs from the capture host: math.sin (")
+    finally:
+        host_difference.cache_clear()
 
 
 def run_case(name: str, out: Path, data_dir: Path) -> None:

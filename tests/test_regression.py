@@ -22,6 +22,7 @@ from shale_adsorb.regression import (
 from shale_adsorb import regression
 from shale_adsorb.validation import _leave_one_out_systems
 from conftest import count_first_failure, make_record, synthetic_records, table
+from host_probe import KERNEL_CASES, kernel_mismatches
 from helpers import lstsq_oracle, naive_feature_row, naive_pivot_solve, naive_response, sample_rows
 
 PL_SPEC = ModelSpec(ModelKind.PL_GEO)
@@ -327,6 +328,43 @@ def test_host_padded_syrk_leading_block_equals_the_narrow_syrk():
         assert np.array_equal((wide.T @ wide)[:3, :3], x.T @ x), (
             f"host BLAS fact fails at m = {m}: the leading 3x3 block of the syrk of the rows plus one "
             "zero column is not bit-identical to the 3-column syrk")
+
+
+#: Arguments where libm and NumPy's own loops meet their edges: zeros, one,
+#: the least subnormal, tiny, huge and non-finite values.
+_EDGES = [0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1e-300, 1e-30, 0.5, 2.0, 1e15, 1e22, 1e300, -1e300,
+          1.7976931348623157e308, math.inf, -math.inf, math.nan]
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_CASES))
+def test_host_elementwise_kernel_equals_math(name):
+    # The kernel runs NumPy's plain loops, which call the C library per
+    # element as math does; a NumPy that vectorises negative strides fails here.
+    ufunc, call, draw = KERNEL_CASES[name]
+    rng = np.random.default_rng(24)
+    args = np.concatenate([draw(rng, 100_000), np.exp(rng.uniform(-700.0, 700.0, 20_000)),
+                           -np.exp(rng.uniform(-700.0, 700.0, 20_000)), rng.uniform(-750.0, 750.0, 20_000), _EDGES])
+    assert kernel_mismatches(ufunc, call, args) == []
+    assert [x for x in _EDGES if kernel_mismatches(ufunc, call, np.array([x]))] == []
+
+
+@pytest.mark.parametrize("exponent", [2, 3, -1, -2, 0.5, 2.5])
+def test_host_elementwise_power_equals_python_power(exponent):
+    # Python's float ** int is pow(x, float(n)), with a negative base's sign
+    # taken out first; a fractional power of a negative base is complex, so
+    # those bases are left out.
+    rng = np.random.default_rng(25)
+    edges = np.abs(_EDGES)
+    bases = np.concatenate([rng.uniform(0.0, 1.0, 40_000), rng.uniform(1.0, 2.1e7, 40_000),
+                            rng.uniform(0.0, 10.0, 20_000), np.exp(rng.uniform(-700.0, 700.0, 20_000)), edges])
+    if isinstance(exponent, int):
+        bases, edges = np.concatenate([bases, -bases]), np.concatenate([edges, -edges])
+
+    def power(x):
+        return x ** exponent
+
+    assert kernel_mismatches(np.power, power, bases, float(exponent)) == []
+    assert [x for x in edges.tolist() if kernel_mismatches(np.power, power, np.array([x]), float(exponent))] == []
 
 
 class TestFitRecovery:
