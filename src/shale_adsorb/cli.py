@@ -17,6 +17,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import dataset, estimator, geotemp, outliers, validation
 from .dataset import DatasetKind
 from .regression import FittedModel, ModelKind, ModelSpec, fit as fit_model, model_from_text, model_to_text
@@ -64,12 +66,6 @@ def _number(kind: type):
 
 def _say(message: str) -> None:
     print(message, file=sys.stderr)
-
-
-def _out_dir(args: argparse.Namespace) -> Path:
-    out = Path(args.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 def _write(path: Path, content: str) -> None:
@@ -138,44 +134,26 @@ def _run_fit_stage(args: argparse.Namespace, out: Path) -> tuple[FittedModel, da
     return model, records
 
 
-def cmd_clean(args: argparse.Namespace) -> int:
-    _run_clean_stage(args, _out_dir(args))
-    return 0
-
-
-def cmd_outliers(args: argparse.Namespace) -> int:
-    _run_outlier_stage(args, _out_dir(args))
-    return 0
-
-
-def cmd_fit(args: argparse.Namespace) -> int:
-    _run_fit_stage(args, _out_dir(args))
-    return 0
-
-
-def cmd_validate(args: argparse.Namespace) -> int:
-    out = _out_dir(args)
+def cmd_validate(args: argparse.Namespace, out: Path) -> None:
     model, samples = _run_fit_stage(args, out)
     report = _stage("leave-one-out", validation.loo_cv, samples, model.spec, ci_level=args.ci_level)
 
     _write(out / "loo_errors.csv", dataset.write_csv(
-        ("id", "error_pct"), zip(samples.ids, map(repr, report.errors_pct))))
+        ("id", "error_pct"), [samples.ids, np.array(report.errors_pct, dtype=float)]))
     _write(out / "qq.csv", dataset.write_csv(
-        ("expected", "observed"),
-        ([repr(expected), repr(observed)] for expected, observed in report.qq_pairs)))
+        ("expected", "observed"), list(np.array(report.qq_pairs, dtype=float).reshape(-1, 2).T)))
     summary = ("mean_error_pct", "ci_half_width_pct", "abs_mean_error_pct",
                "abs_ci_half_width_pct", "ci_level", "n")
+    # repr, not a float column: n is an int, written 48, not 48.0
     _write(out / "validation_summary.csv", dataset.write_csv(
-        ("stat", "value"), ([name, repr(getattr(report, name))] for name in summary)))
+        ("stat", "value"), [summary, [repr(getattr(report, name)) for name in summary]]))
 
     _say(f"validate: mean error {report.mean_error_pct:.2f}% "
          f"(+/- {report.ci_half_width_pct:.2f}%), mean |error| {report.abs_mean_error_pct:.2f}% "
          f"(+/- {report.abs_ci_half_width_pct:.2f}%), {args.ci_level:.0%} CI, n={report.n}")
-    return 0
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
-    out = _out_dir(args)
+def cmd_compare(args: argparse.Namespace, out: Path) -> None:
     kind = DatasetKind(args.kind)
     records = _run_outlier_stage(args, out)
     specs = [
@@ -188,11 +166,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
     _write(out / "comparison.csv", table.to_csv())
     for model, error in table.averages().items():
         _say(f"compare[{args.scenario}]: {model} average error {error:.2f}%")
-    return 0
 
 
-def cmd_estimate(args: argparse.Namespace) -> int:
-    out = _out_dir(args)
+def cmd_estimate(args: argparse.Namespace, out: Path) -> None:
     if args.paper_coefficients:
         if args.pl_model or args.vl_model:
             raise ValueError("--paper-coefficients cannot be combined with --pl-model/--vl-model")
@@ -214,11 +190,9 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         if warnings:
             _say(f"warning: {name}: outside fitted ranges ({warnings})")
     _say(f"estimate: wrote {len(estimates)} reservoirs to {out / 'estimates.csv'}")
-    return 0
 
 
-def cmd_idw(args: argparse.Namespace) -> int:
-    out = _out_dir(args)
+def cmd_idw(args: argparse.Namespace, out: Path) -> None:
     points = _stage("parse", _parse_file, geotemp.parse_heatflow, args.input)
     usable = _stage("filter", geotemp.filter_heatflow, points, min_depth=args.min_depth)
     if not usable:
@@ -237,7 +211,6 @@ def cmd_idw(args: argparse.Namespace) -> int:
                       lon_min, lon_max, lat_min, lat_max, n_lon, n_lat,
                       power=args.idw_power, max_neighbors=args.max_neighbors)
     _write(out / "idw.csv", geotemp.grid_to_csv(rows))
-    return 0
 
 
 def _add_io_options(parser: argparse.ArgumentParser) -> None:
@@ -269,19 +242,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("clean", help="apply the range filters and write kept/rejected records")
     _add_io_options(p)
     _add_kind_option(p)
-    p.set_defaults(func=cmd_clean)
+    p.set_defaults(func=_run_clean_stage)
 
     p = sub.add_parser("outliers", help="clean, then flag K-NN outliers")
     _add_io_options(p)
     _add_kind_option(p)
     _add_outlier_options(p)
-    p.set_defaults(func=cmd_outliers)
+    p.set_defaults(func=_run_outlier_stage)
 
     p = sub.add_parser("fit", help="clean, drop outliers, and fit the geological-parameter model")
     _add_io_options(p)
     _add_kind_option(p)
     _add_outlier_options(p)
-    p.set_defaults(func=cmd_fit)
+    p.set_defaults(func=_run_fit_stage)
 
     p = sub.add_parser("validate", help="full pipeline through leave-one-out validation")
     _add_io_options(p)
@@ -337,7 +310,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     _configure_logging()
     try:
-        return args.func(args)
+        out = Path(args.output_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        args.func(args, out)
+        return 0
     except FileNotFoundError as exc:
         _say(f"error: file not found: {exc.filename or exc}")
         return 2

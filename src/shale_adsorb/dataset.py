@@ -14,7 +14,6 @@ import operator
 from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cache
-from itertools import chain, islice
 from typing import ClassVar, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -109,12 +108,15 @@ class ColumnTable:
     def __len__(self) -> int:
         return len(getattr(self, _column_types(type(self))[0][0]))
 
+    def columns(self) -> list:
+        """Every field, in order."""
+        return [getattr(self, name) for name, _ in _column_types(type(self))]
+
     def take(self, rows):
         """The rows at ``rows`` (indices, a slice or a boolean mask), in that order."""
         picked = np.arange(len(self))[rows]
-        columns = (getattr(self, name) for name, _ in _column_types(type(self)))
         return type(self)(*(tuple(map(column.__getitem__, picked.tolist())) if isinstance(column, tuple)
-                            else column[picked] for column in columns))
+                            else column[picked] for column in self.columns()))
 
 
 @cache
@@ -392,14 +394,14 @@ _CSV_CHUNK_ROWS = 256
 _QUOTED_CHARS = frozenset(',"\n\r')
 
 
-def repr_cells(column: np.ndarray) -> Iterator[str]:
-    """The ``repr`` cell of each float of a column, read ``_CSV_CHUNK_ROWS`` at a time, so few floats are alive at once."""
-    return chain.from_iterable(map(repr, column[start:start + _CSV_CHUNK_ROWS].tolist())
-                               for start in range(0, len(column), _CSV_CHUNK_ROWS))
+def write_csv(header: Sequence[str], columns: Sequence[Sequence[str] | np.ndarray]) -> str:
+    """CSV text of a header row and one column per header cell, with ``\\n`` line ends.
 
-
-def write_csv(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
-    """CSV text of a header row and data rows of ``str`` cells, with ``\\n`` line ends.
+    A column is a sequence of ``str`` cells or a 1-D float64 array, whose
+    cells are the ``repr`` of each float and ``""`` for NaN, the one mark of
+    an absent number, made ``_CSV_CHUNK_ROWS`` rows at a time, so few floats
+    are alive at once. A column count other than the header's, or columns
+    of unequal length, raise ``ValueError``.
 
     Every CSV file the package writes goes through here, so all of them
     share one dialect: cells joined by commas, and a cell quoted (in ``"``,
@@ -407,11 +409,24 @@ def write_csv(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
     That is the csv module's minimal quoting, save that its writer, with
     ``\\n`` line ends, leaves a CR cell bare, which no reader reads back.
     """
-    rows = chain((header,), rows)
-    chunks = []
-    while chunk := list(islice(rows, _CSV_CHUNK_ROWS)):
-        chunks.append(_csv_lines(chunk))
+    lengths = list(map(len, columns))
+    if len(lengths) != len(header) or len(set(lengths)) > 1:
+        raise ValueError(f"expected {len(header)} columns of one length, got lengths {lengths}")
+    chunks = [_csv_lines([header])]
+    for start in range(0, max(lengths, default=0), _CSV_CHUNK_ROWS):
+        cells = (_cells(column[start:start + _CSV_CHUNK_ROWS]) for column in columns)
+        chunks.append(_csv_lines(list(zip(*cells))))
     return "".join(chunks)
+
+
+def _cells(column: Sequence[str] | np.ndarray) -> Sequence[str]:
+    """The cells of a column: a float array's ``repr`` texts, ``""`` for NaN; any other column as it is."""
+    if not isinstance(column, np.ndarray):
+        return column
+    cells = list(map(repr, column.tolist()))
+    for i in np.flatnonzero(np.isnan(column)).tolist():
+        cells[i] = ""
+    return cells
 
 
 def _csv_lines(rows: list[Sequence[str]]) -> str:
@@ -502,19 +517,12 @@ def read_key_value_blocks(
 
 def records_to_csv(samples: SampleTable) -> str:
     """Serialise samples back to the samples-CSV schema."""
-    return write_csv(SAMPLES_CSV_COLUMNS, zip(*_text_columns(samples)))
+    return write_csv(SAMPLES_CSV_COLUMNS, samples.columns())
 
 
 def rejections_to_csv(rejected: SampleTable, reasons: Sequence[str]) -> str:
     """Serialise rejected samples as samples-CSV rows plus a reason column."""
-    return write_csv(SAMPLES_CSV_COLUMNS + ("reason",), zip(*_text_columns(rejected), reasons))
-
-
-def _text_columns(samples: SampleTable) -> list[Sequence[str]]:
-    """The samples-CSV cells of each column: ``repr`` of each number, ``""`` where it is absent."""
-    return [samples.ids, samples.reservoirs,
-            *(["" if text == "nan" else text for text in map(repr, getattr(samples, name).tolist())]
-              for name in SAMPLE_COLUMNS)]
+    return write_csv(SAMPLES_CSV_COLUMNS + ("reason",), [*rejected.columns(), reasons])
 
 
 def integrate_replicates(samples: SampleTable) -> tuple[SampleTable, SampleTable]:

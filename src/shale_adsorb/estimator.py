@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .dataset import (ABSENT_TEXT, FIT_RANGES, ColumnTable, SampleTable, first_failure, parse_number,
-                      read_key_value_blocks, repr_cells, write_csv)
+                      read_key_value_blocks, write_csv)
 from .regression import FittedModel, ModelKind, ModelSpec, predict_rows
 
 WATER_DENSITY_T_PER_M3 = 1.0
@@ -159,15 +159,16 @@ def _contents(
 ) -> np.ndarray:
     """Adsorbed content (m3/t) of each row of float64 inputs, each step run on all rows at once.
 
-    The steps are those of one row: check the pressure, check the query
-    samples (``SampleTable``'s invariants, with ro present), predict pl then
-    vl, check them as :class:`LangmuirParams` does, and evaluate the
-    isotherm. A failing step raises for the first row it rejects, which need
-    not be the first row that fails: an earlier row may fail a later step.
+    The steps are those of one row: check the pressure is positive and
+    finite, check the query samples (``SampleTable``'s invariants, with ro
+    present), predict pl then vl, check them as :class:`LangmuirParams`
+    does, and evaluate the isotherm. A failing step raises for the first
+    row it rejects, which need not be the first row that fails: an earlier
+    row may fail a later step.
     """
-    bad = np.flatnonzero(~(pressure > 0))
+    bad = np.flatnonzero(~(np.isfinite(pressure) & (pressure > 0)))
     if bad.size:
-        raise ValueError(f"pressure must be positive, got {pressure[bad[0]].item()}")
+        raise ValueError(f"pressure must be positive and finite, got {pressure[bad[0]].item()}")
     query = SampleTable(("query",) * len(toc), ("",) * len(toc), toc, ro, temp, *np.full((3, len(toc)), math.nan))
     if np.isnan(ro).any():
         raise ValueError("field ro must be finite, got nan")
@@ -194,7 +195,7 @@ def estimate_adsorbed_gas(
     """Adsorbed gas content (m3/t) from geological parameters alone.
 
     The two fitted models supply the Langmuir parameters, then the isotherm
-    is evaluated at the reservoir pressure, which must be positive.
+    is evaluated at the reservoir pressure, which must be positive and finite.
     """
     columns = (np.array([value], dtype=float) for value in (toc, ro, temp, pressure))
     return _contents(*columns, pl_model, vl_model).item()
@@ -271,8 +272,8 @@ def estimate_reservoirs(
     """Resolve temperature and pressure for each reservoir and estimate its content, as one batch.
 
     Each row equals the estimate of that reservoir alone, and a failure is
-    the first failing reservoir's own error, by
-    :func:`~shale_adsorb.dataset.first_failure`: every step of the batch
+    the first failing reservoir's own error, prefixed ``reservoir {name}: ``,
+    by :func:`~shale_adsorb.dataset.first_failure`: every step of the batch
     works row by row, so a run of rows fails exactly when one of its rows
     fails alone.
     """
@@ -282,7 +283,13 @@ def estimate_reservoirs(
     def contents(rows: range) -> np.ndarray:
         return _contents(*(column[rows.start:rows.stop] for column in columns), pl_model, vl_model)
 
-    adsorbed = first_failure(contents, range(len(reservoirs)), lambda i: contents(range(i, i + 1)))
+    def alone(i: int) -> None:
+        try:
+            contents(range(i, i + 1))
+        except ValueError as exc:
+            raise ValueError(f"reservoir {reservoirs.names[i]}: {exc}") from exc
+
+    adsorbed = first_failure(contents, range(len(reservoirs)), alone)
     return EstimateTable(reservoirs, temp, pressure, adsorbed, _extrapolated(reservoirs.toc, reservoirs.ro, temp))
 
 
@@ -297,8 +304,8 @@ def estimate_reservoir(
 
 def estimates_to_csv(estimates: EstimateTable) -> str:
     r = estimates.reservoirs
-    numbers = (r.depth, r.toc, r.ro, estimates.temp, estimates.pressure, estimates.adsorbed)
-    return write_csv(ESTIMATES_CSV_COLUMNS, zip(r.names, *map(repr_cells, numbers), estimates.warnings()))
+    return write_csv(ESTIMATES_CSV_COLUMNS, [r.names, r.depth, r.toc, r.ro, estimates.temp, estimates.pressure,
+                                             estimates.adsorbed, estimates.warnings()])
 
 
 # The number keys in the order a block's values are read, with the text read

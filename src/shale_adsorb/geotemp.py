@@ -283,5 +283,4 @@ def parse_heatflow(source: str | Iterable[str]) -> HeatFlowTable:
 
 
 def grid_to_csv(rows: Sequence[tuple[float, float, float]]) -> str:
-    return write_csv(("lon_deg", "lat_deg", "gradt_c_per_km"),
-                     ([repr(lon), repr(lat), repr(grad)] for lon, lat, grad in rows))
+    return write_csv(("lon_deg", "lat_deg", "gradt_c_per_km"), list(np.array(rows, dtype=float).reshape(-1, 3).T))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -79,17 +79,24 @@ class OutlierReport:
         Neighbour lists are semicolon-joined within their cells.
         """
         ids = self.ids
-        return write_csv(
-            ("id", "R", "flagged", "neighbor_ids", "neighbor_weights"),
-            ([
-                rec_id,
-                repr(r),
-                "true" if flag else "false",
-                ";".join(map(ids.__getitem__, neighbors)),
-                ";".join(map(repr, weights)),
-            ] for rec_id, r, flag, neighbors, weights in zip(
-                ids, self.r_values, self.flagged, self.neighbor_indices, self.neighbor_weights)),
-        )
+        return write_csv(("id", "R", "flagged", "neighbor_ids", "neighbor_weights"), [
+            ids, np.array(self.r_values, dtype=float), ["true" if flag else "false" for flag in self.flagged],
+            _JoinedCells(self.neighbor_indices, ids.__getitem__), _JoinedCells(self.neighbor_weights, repr),
+        ])
+
+
+@dataclass(frozen=True)
+class _JoinedCells:
+    """A column whose cell i is ``";".join(map(text, lists[i]))``, joined only for the rows ``write_csv`` slices."""
+
+    lists: Sequence[Sequence]
+    text: Callable
+
+    def __len__(self) -> int:
+        return len(self.lists)
+
+    def __getitem__(self, rows: slice) -> list[str]:
+        return [";".join(map(self.text, cells)) for cells in self.lists[rows]]
 
 
 def quartiles(values: Sequence[float]) -> tuple[float, float]:

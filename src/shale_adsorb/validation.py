@@ -78,8 +78,8 @@ class ComparisonTable:
     rows: list[tuple[str, str, float]]
 
     def to_csv(self) -> str:
-        return write_csv(("test_label", "model", "error_pct"),
-                         ([label, model, repr(error)] for label, model, error in self.rows))
+        labels, models, errors = zip(*self.rows) if self.rows else ((), (), ())
+        return write_csv(("test_label", "model", "error_pct"), [labels, models, np.array(errors, dtype=float)])
 
     def averages(self) -> dict[str, float]:
         return {model: error for label, model, error in self.rows if label == "Average"}

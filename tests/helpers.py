@@ -460,9 +460,10 @@ def naive_idw(samples, lon, lat, power, max_neighbors, distance=haversine_m) -> 
 def naive_estimate(spec, pl_model, vl_model) -> EstimateRow:
     """One reservoir at a time, the loop the batched estimate replaced.
 
-    Resolve temperature and pressure, check the pressure, validate a query
-    record, predict each model with :func:`naive_predict`, validate the
-    Langmuir parameters and evaluate the isotherm.
+    Resolve temperature and pressure, check the pressure is positive and
+    finite, validate a query record, predict each model with
+    :func:`naive_predict`, validate the Langmuir parameters and evaluate the
+    isotherm. A failure is a ``ValueError`` prefixed ``reservoir {name}: ``.
     """
     if spec.temp_override is not None:
         temp = spec.temp_override
@@ -472,11 +473,14 @@ def naive_estimate(spec, pl_model, vl_model) -> EstimateRow:
         pressure = spec.pressure_override
     else:
         pressure = GRAVITY_N_PER_KG * spec.alpha * WATER_DENSITY_T_PER_M3 * spec.depth / 1000.0
-    if not pressure > 0:
-        raise ValueError(f"pressure must be positive, got {pressure}")
-    query = Row("query", "", spec.toc, spec.ro, temp)
-    naive_check_sample(query)
-    params = LangmuirParams(pl=naive_predict(pl_model, query), vl=naive_predict(vl_model, query))
+    try:
+        if not (pressure > 0 and math.isfinite(pressure)):
+            raise ValueError(f"pressure must be positive and finite, got {pressure}")
+        query = Row("query", "", spec.toc, spec.ro, temp)
+        naive_check_sample(query)
+        params = LangmuirParams(pl=naive_predict(pl_model, query), vl=naive_predict(vl_model, query))
+    except ValueError as exc:
+        raise ValueError(f"reservoir {spec.name}: {exc}") from exc
     return EstimateRow(
         reservoir=spec.name, depth_m=spec.depth, toc_pct=spec.toc, ro_pct=spec.ro,
         temp_c=temp, pressure_mpa=pressure, adsorbed_m3t=params.vl / (1.0 + params.pl / pressure),

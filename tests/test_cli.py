@@ -319,7 +319,7 @@ class TestEstimate:
                      "--pl-model", str(tmp_path / "pl.txt"), "--vl-model", str(tmp_path / "vl.txt"),
                      "--output-dir", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
-        assert "error: estimate stage: pl-geo prediction overflows: linear response" in err
+        assert "error: estimate stage: reservoir Yangtze Platform: pl-geo prediction overflows: linear response" in err
         assert "Traceback" not in err
         assert not (tmp_path / "out" / "estimates.csv").exists()
 
@@ -517,35 +517,38 @@ GOOD_RESERVOIR = "depth_m=2000\ntoc_pct=3\nro_pct=1.5\ngradt_c_per_km=30\n"
 
 # name -> (pl model file or None for --paper-coefficients, vl model file,
 # bad reservoir block, stderr). Each stderr is what the per-reservoir
-# estimate loop printed.
+# estimate loop printed, with the reservoir's name.
 BAD_RESERVOIRS = {
     "zero-pressure": (None, None, "depth_m=0\ntoc_pct=3\nro_pct=1.5\ngradt_c_per_km=30\n",
-                      "error: estimate stage: pressure must be positive, got 0.0\n"),
+                      "error: estimate stage: reservoir B: pressure must be positive and finite, got 0.0\n"),
     "negative-pressure": (None, None, GOOD_RESERVOIR + "pressure_mpa=-2.5\n",
-                          "error: estimate stage: pressure must be positive, got -2.5\n"),
+                          "error: estimate stage: reservoir B: pressure must be positive and finite, got -2.5\n"),
     "infinite-temperature": (None, None, "depth_m=2000\ntoc_pct=3\nro_pct=1.5\ngradt_c_per_km=1e308\n",
-                             "error: estimate stage: field temp must be finite, got inf\n"),
+                             "error: estimate stage: reservoir B: field temp must be finite, got inf\n"),
     "below-absolute-zero": (None, None, GOOD_RESERVOIR + "temp_c=-300\n",
-                            "error: estimate stage: field temp must be > -273.15 degC, got -300.0\n"),
-    "log-domain": (None, None, GOOD_RESERVOIR + "temp_c=0\n", "error: estimate stage: math domain error\n"),
+                            "error: estimate stage: reservoir B: field temp must be > -273.15 degC, got -300.0\n"),
+    "log-domain": (None, None, GOOD_RESERVOIR + "temp_c=0\n",
+                   "error: estimate stage: reservoir B: math domain error\n"),
     "zero-reciprocal-temperature": (
         "kind=pl-invtemp\na=-50.0\nc=-1.5\nn_fit=10\n", None, GOOD_RESERVOIR + "temp_c=0\n",
-        "error: estimate stage: record query: temperature of exactly 0 breaks the reciprocal model\n"),
+        "error: estimate stage: reservoir B: record query: temperature of exactly 0 breaks the reciprocal model\n"),
     "exp-overflow": (None, None, "depth_m=2000\ntoc_pct=10000\nro_pct=1.5\ngradt_c_per_km=30\n",
-                     "error: estimate stage: vl-geo prediction overflows: linear response "
+                     "error: estimate stage: reservoir B: vl-geo prediction overflows: linear response "
                      "1052.7528148148149 is out of range for vl\n"),
     "cube-overflow": (None, None, GOOD_RESERVOIR + "temp_c=1e200\n",
-                      "error: estimate stage: vl-geo regressor overflows: (temp / 48.0) ** 3 is out of range "
-                      "at temperature 1e+200 degC\n"),
+                      "error: estimate stage: reservoir B: vl-geo regressor overflows: (temp / 48.0) ** 3 "
+                      "is out of range at temperature 1e+200 degC\n"),
     "infinite-pl": (None, None, "depth_m=2000\ntoc_pct=3\nro_pct=1e-308\ntemp_c=100\n",
-                    "error: estimate stage: pl must be positive and finite, got inf\n"),
+                    "error: estimate stage: reservoir B: pl must be positive and finite, got inf\n"),
     "zero-pl": ("kind=pl-geo\na=-200.0\nb=0.715\nc=1.666\nn_fit=10\n", None,
                 "depth_m=2000\ntoc_pct=4000\nro_pct=1.5\ngradt_c_per_km=30\n",
-                "error: estimate stage: pl must be positive and finite, got 0.0\n"),
+                "error: estimate stage: reservoir B: pl must be positive and finite, got 0.0\n"),
     "negative-vl": ("kind=pl-tocpow\nexponent=0.3\nln_scale=1.0\nn_fit=10\n",
                     "kind=vl-toclin\nslope=-1.0\nintercept=10.0\nn_fit=10\n",
                     "depth_m=2000\ntoc_pct=30\nro_pct=1.5\ngradt_c_per_km=30\n",
-                    "error: estimate stage: vl must be positive and finite, got -20.0\n"),
+                    "error: estimate stage: reservoir B: vl must be positive and finite, got -20.0\n"),
+    "overflowing-pressure": (None, None, "depth_m=1000\ntoc_pct=3\nro_pct=1.5\ngradt_c_per_km=30\nalpha=1e308\n",
+                             "error: estimate stage: reservoir B: pressure must be positive and finite, got inf\n"),
 }
 
 

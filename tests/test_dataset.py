@@ -220,34 +220,80 @@ def _csv_writer_text(header, rows):
 
 _cell = st.text(st.sampled_from([",", '"', "\n", "\r", " ", "a", "7", ".", "é", "漢", "\u2028", "\x85", "\x00"])
                 | st.characters(codec="utf-8", exclude_categories=("Cs",)), max_size=6)
-_row = st.lists(_cell, max_size=5) | st.just([""]) | st.just([])
+
+
+@st.composite
+def _table(draw, width=st.integers(0, 5)):
+    """(header, columns) of a rectangular table of text cells, given as columns; a cell is often empty."""
+    cell = _cell | st.just("")
+    w, n = draw(width), draw(st.integers(0, 20))
+    header = draw(st.lists(cell, min_size=w, max_size=w))
+    return header, [draw(st.lists(cell, min_size=n, max_size=n)) for _ in header]
 
 
 @settings(max_examples=300, deadline=None, database=None)
-@given(header=_row, rows=st.lists(_row, max_size=20))
-def test_write_csv_is_csv_writer_with_cr_quoted(header, rows):
+@given(table=_table())
+def test_write_csv_is_csv_writer_with_cr_quoted(table):
     # csv.writer(lineterminator="\n") leaves a CR cell unquoted; write_csv
     # quotes it as it quotes an LF cell, and differs in nothing else. With
-    # no CR in any cell, this is plain equality.
-    text = write_csv(header, rows)
-    as_lf = [[cell.replace("\r", "\n") for cell in row] for row in [header, *rows]]
+    # no CR in any cell, this is plain equality. A one-column table holds
+    # lone empty cells, which are written "".
+    header, columns = table
+    text = write_csv(header, columns)
+    as_lf = [[cell.replace("\r", "\n") for cell in row] for row in [header, *zip(*columns)]]
     assert text.replace("\r", "\n") == _csv_writer_text(as_lf[0], as_lf[1:])
 
 
 @settings(max_examples=200, deadline=None, database=None)
-@given(rows=st.lists(st.lists(_cell, min_size=3, max_size=3), max_size=20))
-def test_written_cells_read_back(rows):
-    text = write_csv(("a", "b", "c"), rows)
-    kept = [row for row in rows if "".join(row).strip()]  # blank rows are skipped on reading
+@given(table=_table(width=st.just(3)))
+def test_written_cells_read_back(table):
+    _, columns = table
+    text = write_csv(("a", "b", "c"), columns)
+    kept = [list(row) for row in zip(*columns) if "".join(row).strip()]  # blank rows are skipped on reading
     assert [cells for _, cells in read_csv_table(text, ("a", "b", "c"), "test")] == kept
 
 
 @pytest.mark.parametrize("position", [0, 254, 255, 256, 599])
 @pytest.mark.parametrize("cell", ['"', ",", "\n", ""])
 def test_write_csv_quotes_across_chunks(position, cell):
-    rows = [[repr(i / 7), "x"] for i in range(600)]
-    rows[position] = [cell] if cell == "" else [cell, "x"]
-    assert write_csv(("v", "w"), iter(rows)) == _csv_writer_text(("v", "w"), rows)
+    # 256 rows are turned into lines at a time; a lone empty cell is a one-column table's
+    values = [repr(i / 7) for i in range(600)]
+    values[position] = cell
+    columns = [values] if cell == "" else [values, ["x"] * 600]
+    header = ("v", "w")[:len(columns)]
+    assert write_csv(header, columns) == _csv_writer_text(header, zip(*columns))
+
+
+_floats = st.floats() | st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-310])
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(values=st.lists(st.tuples(_floats, _floats), max_size=20), repeat=st.sampled_from([1, 15]))
+def test_float_columns_read_back_bit_for_bit(values, repeat):
+    # NaN, the absent number, is an empty cell; -0.0, the infinities and the
+    # subnormals keep their bits. Repeated 15 times, a table spans two chunks.
+    columns = list(np.tile(np.array(values, dtype=float).reshape(-1, 2), (repeat, 1)).T)
+    ids = [f"r{i}" for i in range(len(values) * repeat)]
+    text = write_csv(("id", "x", "y"), [ids, *columns])
+    rows = [cells for _, cells in read_csv_table(text, ("id", "x", "y"), "test")]
+    assert [cells[0] for cells in rows] == ids
+    for k, column in enumerate(columns, start=1):
+        cells = [cells[k] for cells in rows]
+        assert cells == ["" if math.isnan(value) else repr(value) for value in column.tolist()]
+        read = np.array([float(cell) if cell else math.nan for cell in cells], dtype=float)
+        assert read.tobytes() == np.where(np.isnan(column), math.nan, column).tobytes()
+
+
+@pytest.mark.parametrize("header, columns", [
+    (("a", "b"), [["1"]]),
+    (("a",), [["1"], ["2"]]),
+    ((), [[]]),
+    (("a", "b"), [["1", "2"], np.array([1.0])]),
+    (("a", "b", "c"), [["1"], ["2"], []]),
+])
+def test_write_csv_rejects_a_table_not_of_header_width_and_one_length(header, columns):
+    with pytest.raises(ValueError, match=rf"^expected {len(header)} columns of one length, got lengths \["):
+        write_csv(header, columns)
 
 
 # Every line break str.splitlines knows, and the pieces of key=value lines.

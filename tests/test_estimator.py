@@ -439,6 +439,7 @@ class TestBatchExactness:
         "infinite-pl": ("reference", {"ro": 1e-308, "temp_override": 100.0}),
         "zero-pl": ("steep-pl", {"toc": 4000.0}),
         "negative-vl": ("falling-vl", {"toc": 30.0}),
+        "overflowing-pressure": ("reference", {"depth": 1000.0, "alpha": 1e308}),
     }
 
     @pytest.mark.parametrize("position", [0, 3, 7])

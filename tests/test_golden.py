@@ -117,15 +117,16 @@ def test_outlier_stage_bytes(kind, k, tmp_path, data_dir):
     assert (out / "outliers.csv").read_bytes() == (GOLDEN_DIR / f"outliers_{kind}_k{k}.csv").read_bytes()
 
 
-def test_plain_cells_skip_the_quoting_helper(tmp_path, data_dir, monkeypatch):
+@pytest.mark.parametrize("name", ["outliers_pl", "estimate_paper", "idw_grid"])
+def test_plain_cells_skip_the_quoting_helper(name, tmp_path, data_dir, monkeypatch):
     def refuse(cell):
         raise AssertionError(f"plain cell {cell!r} reached the quoting helper")
 
     monkeypatch.setattr(dataset, "_quote_cell", refuse)
     out = tmp_path / "out"
-    assert main(["outliers", "--input", str(data_dir / "samples.csv"), "--kind", "pl",
-                 "--output-dir", str(out)]) == 0
-    assert (out / "outliers.csv").read_bytes() == (GOLDEN_DIR / "outliers_pl_k5.csv").read_bytes()
+    run_case(name, out, data_dir)
+    for path in out.iterdir():
+        assert path.read_bytes() == (GOLDEN_DIR / name / path.name).read_bytes(), path.name
 
 
 def test_fixture_script_reproduces_bundled_data(tmp_path, monkeypatch, data_dir):
