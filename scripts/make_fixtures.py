@@ -3,8 +3,11 @@
 
 The sample fixture is drawn with a fixed seed and generated noiselessly
 from the reference coefficient sets, so the fitting pipeline recovers those
-coefficients exactly and every scenario pool is populated. Rerunning this
-script reproduces the committed files byte for byte.
+coefficients exactly and every scenario pool is populated. A second,
+paper-sized sample file (301 entries, as the paper's data set) is drawn by
+the benchmark's noisy generator, ``perfbench/inputs.samples_csv``, so that
+it holds noise, gross outliers, replicates, twins and out-of-range rows.
+Rerunning this script reproduces the committed files byte for byte.
 """
 
 from __future__ import annotations
@@ -14,8 +17,10 @@ from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
+from perfbench.inputs import samples_csv
 from shale_adsorb.dataset import DatasetKind, SampleTable, clean, records_to_csv
 from shale_adsorb.estimator import reference_models
 from shale_adsorb.outliers import detect_outliers
@@ -23,7 +28,14 @@ from shale_adsorb.outliers import detect_outliers
 SEED = 20240801
 N_SAMPLES = 48
 
-DATA_DIR = Path(__file__).resolve().parents[1] / "data"
+DATA_DIR = ROOT / "data"
+
+# The paper-sized noisy sample file: seed, row count, log-noise and the
+# fractions of gross outliers, replicates, twins and out-of-range rows.
+PAPER_SEED = 2017
+PAPER_SAMPLES = 301
+PAPER_MIX = {"noise": 0.08, "outlier_frac": 0.03, "replicate_frac": 0.05, "twin_frac": 0.02,
+             "out_of_range_frac": 0.05}
 
 RESERVOIRS = [
     # name, depth_m, toc_pct, ro_pct, temp_c
@@ -97,9 +109,12 @@ def main() -> None:
     records = make_samples()
     check_samples(records)
     (DATA_DIR / "samples.csv").write_text(records_to_csv(records), encoding="utf-8")
+    (DATA_DIR / "samples_paper.csv").write_text(
+        samples_csv(np.random.default_rng(PAPER_SEED), PAPER_SAMPLES, **PAPER_MIX), encoding="utf-8")
     write_reservoirs()
     write_heatflow()
-    print(f"wrote {len(records)} samples, {len(RESERVOIRS)} reservoirs, 20 heat-flow points to {DATA_DIR}")
+    print(f"wrote {len(records)} samples, {PAPER_SAMPLES} noisy samples, {len(RESERVOIRS)} reservoirs, "
+          f"20 heat-flow points to {DATA_DIR}")
 
 
 if __name__ == "__main__":

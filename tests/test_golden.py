@@ -4,6 +4,10 @@ The files under ``golden/`` were written by the CLI before the neighbour
 search was vectorised (``kept_*.csv``, ``outliers_*.csv``) and before the
 per-kind rules became data tables (one directory per case below); any
 change to them is a change in the program's output, not only in its code.
+The ``paper_*`` cases run on ``data/samples_paper.csv``, the paper-sized
+noisy fixture: they pin flagged records, leave-one-out errors well above
+rounding and, for vl, the multi-cell neighbour grid; they were written
+before the stage reports kept their NumPy arrays up to the writer.
 ``golden/samples_rejects.csv`` is an input: it hits every rejection reason
 and holds a replicate, which the bundled ``data/samples.csv`` does not.
 ``golden/host_probe.json`` holds the arithmetic results of the host that
@@ -28,6 +32,7 @@ FIXTURE_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "make_fixture
 _SAMPLES = ["--input", "{data}/samples.csv"]
 _COMPARE = ["compare", *_SAMPLES, "--reps", "3", "--seed", "11"]
 _IDW = ["idw", "--input", "{data}/heatflow.csv"]
+_PAPER = ["--input", "{data}/samples_paper.csv"]
 
 # Case name (the golden directory) -> argv before ``--output-dir``.
 CASES = {
@@ -54,6 +59,18 @@ CASES = {
     "idw_query": [*_IDW, "--query", "105", "30"],
     "idw_grid": [*_IDW, "--grid", "100", "110", "25", "35", "5", "4"],
     "idw_grid_nearest": [*_IDW, "--grid", "100", "110", "25", "35", "5", "4", "--max-neighbors", "3"],
+    **{
+        f"paper_outliers_{kind}_k{k}": ["outliers", *_PAPER, "--kind", kind, "--k", str(k)]
+        for kind in ("pl", "vl")
+        for k in (5, 12)
+    },
+    **{f"paper_validate_{kind}": ["validate", *_PAPER, "--kind", kind] for kind in ("pl", "vl")},
+    **{
+        f"paper_compare_{kind}_{scenario}": ["compare", *_PAPER, "--reps", "3", "--seed", "11",
+                                             "--kind", kind, "--scenario", scenario]
+        for kind in ("pl", "vl")
+        for scenario in ("overall", "high-t")
+    },
 }
 
 
@@ -135,5 +152,5 @@ def test_fixture_script_reproduces_bundled_data(tmp_path, monkeypatch, data_dir)
     spec.loader.exec_module(script)
     monkeypatch.setattr(script, "DATA_DIR", tmp_path)
     script.main()
-    for name in ("samples.csv", "reservoirs.conf", "heatflow.csv"):
+    for name in ("samples.csv", "samples_paper.csv", "reservoirs.conf", "heatflow.csv"):
         assert (tmp_path / name).read_bytes() == (data_dir / name).read_bytes(), name
