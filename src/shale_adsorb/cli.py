@@ -138,10 +138,8 @@ def cmd_validate(args: argparse.Namespace, out: Path) -> None:
     model, samples = _run_fit_stage(args, out)
     report = _stage("leave-one-out", validation.loo_cv, samples, model.spec, ci_level=args.ci_level)
 
-    _write(out / "loo_errors.csv", dataset.write_csv(
-        ("id", "error_pct"), [samples.ids, np.array(report.errors_pct, dtype=float)]))
-    _write(out / "qq.csv", dataset.write_csv(
-        ("expected", "observed"), list(np.array(report.qq_pairs, dtype=float).reshape(-1, 2).T)))
+    _write(out / "loo_errors.csv", dataset.write_csv(("id", "error_pct"), [samples.ids, report.errors_pct]))
+    _write(out / "qq.csv", dataset.write_csv(("expected", "observed"), list(report.qq_pairs.T)))
     summary = ("mean_error_pct", "ci_half_width_pct", "abs_mean_error_pct",
                "abs_ci_half_width_pct", "ci_level", "n")
     # repr, not a float column: n is an int, written 48, not 48.0
@@ -203,14 +201,14 @@ def cmd_idw(args: argparse.Namespace, out: Path) -> None:
         lon, lat = args.query
         value = _stage("interpolate", geotemp.idw_interpolate, usable, lon, lat,
                        power=args.idw_power, max_neighbors=args.max_neighbors)
-        rows = [(lon, lat, value)]
+        grid = np.array([[lon, lat, value]])
         _say(f"idw: gradient at ({lon:.4f}, {lat:.4f}) is {value:.2f} degC/km")
     else:
         lon_min, lon_max, lat_min, lat_max, n_lon, n_lat = args.grid
-        rows = _stage("interpolate", geotemp.interpolate_grid, usable,
+        grid = _stage("interpolate", geotemp.interpolate_grid, usable,
                       lon_min, lon_max, lat_min, lat_max, n_lon, n_lat,
                       power=args.idw_power, max_neighbors=args.max_neighbors)
-    _write(out / "idw.csv", geotemp.grid_to_csv(rows))
+    _write(out / "idw.csv", geotemp.grid_to_csv(grid))
 
 
 def _add_io_options(parser: argparse.ArgumentParser) -> None:

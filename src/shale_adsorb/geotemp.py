@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -106,7 +105,7 @@ def _idw(
     lats: Sequence[float],
     power: float,
     max_neighbors: int | None,
-) -> list[float]:
+) -> np.ndarray:
     """IDW gradient at each node of ``lats`` x ``lons``, latitude-major, bit for bit ``helpers.naive_idw``.
 
     A query is a 1 x 1 grid. The sine terms are two tables of (len(lats) +
@@ -150,8 +149,8 @@ def _idw(
     lat_cos = elementwise(np.cos, grid_lat)
     sample_cos = elementwise(np.cos, sample_lat)
 
-    values: list[float] = []
     nodes = len(grid_lat) * len(grid_lon)
+    values = np.empty(nodes)
     step = max(1, BLOCK_PAIRS // n)
     for start in range(0, nodes, step):
         row, column = np.divmod(np.arange(start, min(start + step, nodes)), len(grid_lon))
@@ -177,7 +176,7 @@ def _idw(
             if not denominator.all():
                 raise ValueError(f"inverse-distance weights underflow to zero at power {power}")
             block_values[far] = numerator / denominator
-        values.extend(block_values.tolist())
+        values[start:start + step] = block_values
     return values
 
 
@@ -201,7 +200,7 @@ def idw_interpolate(
     """
     if not (-180.0 <= lon <= 180.0 and -90.0 <= lat <= 90.0):
         raise ValueError(f"query point must have {_ON_GLOBE}, got ({lon!r}, {lat!r})")
-    return _idw(samples, [lon], [lat], power, max_neighbors)[0]
+    return _idw(samples, [lon], [lat], power, max_neighbors).item()
 
 
 def interpolate_grid(
@@ -214,11 +213,12 @@ def interpolate_grid(
     n_lat: int | float,
     power: float = DEFAULT_IDW_POWER,
     max_neighbors: int | None = None,
-) -> list[tuple[float, float, float]]:
-    """Interpolated (lon, lat, gradient) rows on an inclusive regular grid.
+) -> np.ndarray:
+    """Interpolated gradient on an inclusive regular grid: a (nodes, 3) float64 array of lon, lat and value.
 
-    The bounds must have longitudes in [-180, 180] and latitudes in [-90, 90].
-    Node counts may be whole floats, but not fractions or bools. Every node
+    Nodes are latitude-major: longitude varies fastest. The bounds must have
+    longitudes in [-180, 180] and latitudes in [-90, 90]. Node counts may be
+    whole floats, but not fractions or bools. Every node
     equals ``idw_interpolate`` at its (lon, lat). All nodes go through one
     blocked NumPy pass: O(q * n log n) for q nodes and n samples, with
     memory bounded per block, and q * n ``asin`` evaluations; with
@@ -240,7 +240,7 @@ def interpolate_grid(
     lats = [lat_min if n_lat == 1 else lat_min + (lat_max - lat_min) * i / (n_lat - 1) for i in range(n_lat)]
     lons = [lon_min if n_lon == 1 else lon_min + (lon_max - lon_min) * j / (n_lon - 1) for j in range(n_lon)]
     values = _idw(samples, lons, lats, power, max_neighbors)
-    return [(lon, lat, value) for (lat, lon), value in zip(product(lats, lons), values)]
+    return np.column_stack([np.tile(lons, n_lat), np.repeat(lats, n_lon), values])
 
 
 def _heatflow_table(rows: Sequence[tuple[int, list[str]]]) -> HeatFlowTable:
@@ -282,5 +282,6 @@ def parse_heatflow(source: str | Iterable[str]) -> HeatFlowTable:
     return points
 
 
-def grid_to_csv(rows: Sequence[tuple[float, float, float]]) -> str:
-    return write_csv(("lon_deg", "lat_deg", "gradt_c_per_km"), list(np.array(rows, dtype=float).reshape(-1, 3).T))
+def grid_to_csv(grid: np.ndarray) -> str:
+    """CSV of a (nodes, 3) array of lon, lat and gradient, as :func:`interpolate_grid` returns."""
+    return write_csv(("lon_deg", "lat_deg", "gradt_c_per_km"), list(grid.T))

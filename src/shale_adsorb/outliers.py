@@ -52,17 +52,17 @@ class DistanceWeights:
                 raise ValueError(f"weight for {name} must be positive and finite, got {w!r}")
 
 
-@dataclass
+@dataclass(eq=False)
 class OutlierReport:
-    """Per-record weighted relative errors and the resulting outlier flags."""
+    """Per-record weighted relative errors (float64) and outlier flags (bool), with (n, k) neighbour arrays."""
 
     ids: list[str]
-    r_values: list[float]
-    flagged: list[bool]
+    r_values: np.ndarray
+    flagged: np.ndarray
     threshold: float
     k: int
-    neighbor_indices: list[list[int]]
-    neighbor_weights: list[list[float]]
+    neighbor_indices: np.ndarray
+    neighbor_weights: np.ndarray
 
     def flagged_ids(self) -> list[str]:
         return [i for i, f in zip(self.ids, self.flagged) if f]
@@ -71,7 +71,7 @@ class OutlierReport:
         """The samples that were not flagged, in input order."""
         if len(samples) != len(self.flagged):
             raise ValueError("record list does not match this report")
-        return samples.take(np.logical_not(self.flagged))
+        return samples.take(~self.flagged)
 
     def to_csv(self) -> str:
         """Serialise as ``id,R,flagged,neighbor_ids,neighbor_weights``.
@@ -80,23 +80,23 @@ class OutlierReport:
         """
         ids = self.ids
         return write_csv(("id", "R", "flagged", "neighbor_ids", "neighbor_weights"), [
-            ids, np.array(self.r_values, dtype=float), ["true" if flag else "false" for flag in self.flagged],
+            ids, self.r_values, np.where(self.flagged, "true", "false").tolist(),
             _JoinedCells(self.neighbor_indices, ids.__getitem__), _JoinedCells(self.neighbor_weights, repr),
         ])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _JoinedCells:
-    """A column whose cell i is ``";".join(map(text, lists[i]))``, joined only for the rows ``write_csv`` slices."""
+    """Cell i: row i of ``matrix`` as Python numbers, each through ``text``, ``;``-joined; made per slice taken."""
 
-    lists: Sequence[Sequence]
+    matrix: np.ndarray
     text: Callable
 
     def __len__(self) -> int:
-        return len(self.lists)
+        return len(self.matrix)
 
     def __getitem__(self, rows: slice) -> list[str]:
-        return [";".join(map(self.text, cells)) for cells in self.lists[rows]]
+        return [";".join(map(self.text, cells)) for cells in self.matrix[rows].tolist()]
 
 
 def quartiles(values: Sequence[float]) -> tuple[float, float]:
@@ -373,11 +373,6 @@ def detect_outliers(
     idx, dist = _neighbours(columns, k)
     r, w = _score(dist, dep, dep[idx])
     return OutlierReport(
-        ids=list(samples.ids),
-        r_values=r.tolist(),
-        flagged=(r > threshold).tolist(),
-        threshold=threshold,
-        k=k,
-        neighbor_indices=idx.tolist(),
-        neighbor_weights=w.tolist(),
+        ids=list(samples.ids), r_values=r, flagged=r > threshold, threshold=threshold, k=k,
+        neighbor_indices=idx, neighbor_weights=w,
     )

@@ -30,24 +30,26 @@ from .regression import (
 DEFAULT_CI_LEVEL = 0.90
 
 
-@dataclass
+@dataclass(eq=False)
 class ValidationReport:
     """Leave-one-out relative errors with summary statistics and Q-Q pairs.
 
-    ``errors_pct`` are signed per-record errors, 100 * (actual - predicted)
-    / actual, in the dependent variable's natural units. ``mean_error_pct``
-    and ``ci_half_width_pct`` summarise the signed list; the ``abs_*``
-    fields summarise the magnitudes, which is what comparison tables report.
+    ``errors_pct`` is a float64 array of signed per-record errors, 100 *
+    (actual - predicted) / actual, in the dependent variable's natural
+    units. ``mean_error_pct`` and ``ci_half_width_pct`` summarise the signed
+    errors; the ``abs_*`` fields summarise the magnitudes, which is what
+    comparison tables report. ``qq_pairs`` is the (n, 2) array of
+    :func:`qq_data`.
     """
 
-    errors_pct: list[float]
+    errors_pct: np.ndarray
     mean_error_pct: float
     ci_half_width_pct: float
     abs_mean_error_pct: float
     abs_ci_half_width_pct: float
     ci_level: float
     n: int
-    qq_pairs: list[tuple[float, float]]
+    qq_pairs: np.ndarray
 
 
 class Scenario(Enum):
@@ -71,18 +73,20 @@ _SCENARIO_POOLS = {
 }
 
 
-@dataclass
+@dataclass(eq=False)
 class ComparisonTable:
-    """Long-format comparison rows: (test label, model kind, error %)."""
+    """Long-format comparison columns, one entry per row: test label, model kind and a float64 error %."""
 
-    rows: list[tuple[str, str, float]]
+    labels: list[str]
+    models: list[str]
+    errors_pct: np.ndarray
 
     def to_csv(self) -> str:
-        labels, models, errors = zip(*self.rows) if self.rows else ((), (), ())
-        return write_csv(("test_label", "model", "error_pct"), [labels, models, np.array(errors, dtype=float)])
+        return write_csv(("test_label", "model", "error_pct"), [self.labels, self.models, self.errors_pct])
 
     def averages(self) -> dict[str, float]:
-        return {model: error for label, model, error in self.rows if label == "Average"}
+        return {model: error for label, model, error in zip(self.labels, self.models, self.errors_pct.tolist())
+                if label == "Average"}
 
 
 def error_ci(errors: Sequence[float], level: float = DEFAULT_CI_LEVEL) -> tuple[float, float]:
@@ -103,8 +107,8 @@ def error_ci(errors: Sequence[float], level: float = DEFAULT_CI_LEVEL) -> tuple[
     return mean, t * s / math.sqrt(n)
 
 
-def qq_data(errors: Sequence[float]) -> list[tuple[float, float]]:
-    """Normal Q-Q pairs: (expected quantile, observed error), ascending.
+def qq_data(errors: Sequence[float]) -> np.ndarray:
+    """Normal Q-Q pairs: an (n, 2) float64 array of (expected quantile, observed error) rows, ascending.
 
     Expected quantiles are standard-normal quantiles at plotting positions
     (i - 0.5) / n, rescaled by the sample mean and standard deviation.
@@ -116,10 +120,7 @@ def qq_data(errors: Sequence[float]) -> list[tuple[float, float]]:
     mean = float(arr.mean())
     s = float(arr.std(ddof=1))
     normal = NormalDist()
-    return [
-        (mean + s * normal.inv_cdf((i - 0.5) / n), float(observed))
-        for i, observed in enumerate(arr, start=1)
-    ]
+    return np.column_stack([[mean + s * normal.inv_cdf((i - 0.5) / n) for i in range(1, n + 1)], arr])
 
 
 def _leave_one_out_systems(x: np.ndarray, y: np.ndarray):
@@ -178,11 +179,10 @@ def loo_cv(samples: SampleTable, spec: ModelSpec,
             system=exc.system,
         ) from exc
     actual = spec.dependent_values(samples)
-    errors = ((actual - predict_rows(spec, system.x, w)) / actual * 100.0).tolist()
+    errors = (actual - predict_rows(spec, system.x, w)) / actual * 100.0
 
     mean, half_width = error_ci(errors, ci_level)
-    abs_errors = [abs(e) for e in errors]
-    abs_mean, abs_half_width = error_ci(abs_errors, ci_level)
+    abs_mean, abs_half_width = error_ci(np.abs(errors), ci_level)
     return ValidationReport(
         errors_pct=errors,
         mean_error_pct=mean,
@@ -431,9 +431,8 @@ def compare_models(
             system=rep,
         ) from exc
 
-    rows = [(scenario.row_label(rep + 1), spec.kind.value, errors[rep])
-            for rep in range(repetitions) for spec, errors in zip(specs, errors_by_spec)]
+    models = [spec.kind.value for spec in specs]
+    labels = [scenario.row_label(rep + 1) for rep in range(repetitions) for _ in specs] + ["Average"] * len(specs)
     # reduce adds left to right; the builtin sum() compensates on Python >= 3.12.
-    rows += [("Average", spec.kind.value, reduce(operator.add, errors) / len(errors))
-             for spec, errors in zip(specs, errors_by_spec)]
-    return ComparisonTable(rows)
+    averages = [reduce(operator.add, errors) / len(errors) for errors in errors_by_spec]
+    return ComparisonTable(labels, models * (repetitions + 1), np.append(np.stack(errors_by_spec, axis=1), averages))

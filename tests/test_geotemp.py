@@ -210,6 +210,8 @@ class TestInterpolateGrid:
         samples = table(point(100.0, 25.0, 20.0), point(110.0, 35.0, 30.0))
         rows = interpolate_grid(samples, 100.0, 110.0, 25.0, 35.0, 3, 2)
         assert len(rows) == 6
+        assert rows.dtype == np.float64 and rows.shape == (6, 3)
+        assert rows[:, :2].tolist() == [[lon, lat] for lat in (25.0, 35.0) for lon in (100.0, 105.0, 110.0)]
         lons = sorted({lon for lon, _, _ in rows})
         lats = sorted({lat for _, lat, _ in rows})
         assert lons == [100.0, 105.0, 110.0]
@@ -218,7 +220,7 @@ class TestInterpolateGrid:
     def test_single_point_grid(self):
         samples = table(point(100.0, 25.0, 20.0))
         rows = interpolate_grid(samples, 102.0, 102.0, 26.0, 26.0, 1, 1)
-        assert rows == [(102.0, 26.0, 20.0)]
+        assert rows.tolist() == [[102.0, 26.0, 20.0]]
 
     @pytest.mark.parametrize("bounds", [(100.0, 110.0, 25.0, 95.0), (-181.0, 110.0, 25.0, 35.0),
                                         (100.0, 400.0, 25.0, 35.0), (100.0, 110.0, -90.5, 35.0),
@@ -239,18 +241,18 @@ class TestInterpolateGrid:
     def test_one_node_axis_is_float_with_integer_bounds(self):
         samples = table(point(104.0, 30.0, 20.0), point(106.0, 31.0, 30.0))
         rows = interpolate_grid(samples, 100, 110, 25, 35, 1, 2)
-        assert [(type(lon), type(lat)) for lon, lat, _ in rows] == [(float, float)] * 2
+        assert rows.dtype == np.float64
         assert [line.split(",")[:2] for line in grid_to_csv(rows).splitlines()[1:]] == [
             ["100.0", "25.0"], ["100.0", "35.0"]]
         rows = interpolate_grid(samples, 100, 110, 25, 35, 2, 1)
-        assert [(repr(lon), repr(lat)) for lon, lat, _ in rows] == [("100.0", "25.0"), ("110.0", "25.0")]
-        assert rows == interpolate_grid(samples, 100.0, 110.0, 25.0, 35.0, 2, 1)
+        assert [(repr(lon), repr(lat)) for lon, lat, _ in rows.tolist()] == [("100.0", "25.0"), ("110.0", "25.0")]
+        assert rows.tolist() == interpolate_grid(samples, 100.0, 110.0, 25.0, 35.0, 2, 1).tolist()
 
     @pytest.mark.parametrize("counts", [(2, 1), (1, 2), (3, 3)])
     def test_numpy_scalar_bounds_written_as_floats(self, counts):
         samples = table(point(104.0, 30.0, 20.0), point(106.0, 31.0, 30.0))
         rows = interpolate_grid(samples, np.float64(100), np.float64(110), np.float64(25), np.float64(35), *counts)
-        assert {(type(lon), type(lat)) for lon, lat, _ in rows} == {(float, float)}
+        assert rows.dtype == np.float64
         assert grid_to_csv(rows) == grid_to_csv(interpolate_grid(samples, 100.0, 110.0, 25.0, 35.0, *counts))
 
     @pytest.mark.parametrize("scalar", [np.float64, np.float32, np.int64, int])
@@ -265,11 +267,11 @@ class TestInterpolateGrid:
     def test_whole_globe_grid_accepted(self):
         samples = table(point(104.0, 30.0, 20.0), point(106.0, 31.0, 30.0))
         rows = interpolate_grid(samples, -180.0, 180.0, -90.0, 90.0, 3, 3)
-        assert [(lon, lat) for lon, lat, _ in rows[:3]] == [(-180.0, -90.0), (0.0, -90.0), (180.0, -90.0)]
-        assert rows[-1][:2] == (180.0, 90.0)
+        assert rows[:3, :2].tolist() == [[-180.0, -90.0], [0.0, -90.0], [180.0, -90.0]]
+        assert rows[-1, :2].tolist() == [180.0, 90.0]
 
     def test_csv_layout(self):
-        lines = grid_to_csv([(102.0, 26.0, 21.5)]).splitlines()
+        lines = grid_to_csv(np.array([[102.0, 26.0, 21.5]])).splitlines()
         assert lines[0] == "lon_deg,lat_deg,gradt_c_per_km"
         assert lines[1] == "102.0,26.0,21.5"
 
@@ -298,17 +300,17 @@ class TestIdwExactness:
     @pytest.mark.parametrize("cap", [None, 1, 8, 100, 105])
     def test_grid_and_queries_equal_per_pair_loop(self, cap, power):
         samples = lattice_with_repeats()
-        rows = interpolate_grid(samples, *EXACTNESS_GRID, power=power, max_neighbors=cap)
+        rows = interpolate_grid(samples, *EXACTNESS_GRID, power=power, max_neighbors=cap).tolist()
         assert len(rows) == 29 * 25
         assert [g for _, _, g in rows] == [naive_idw(samples, lon, lat, power, cap) for lon, lat, _ in rows]
         for lon, lat, _ in rows[::7]:
             assert idw_interpolate(samples, lon, lat, power, cap) == naive_idw(samples, lon, lat, power, cap)
 
-        assert interpolate_grid(samples, 101.3, 101.3, 26.1, 26.1, 1, 1, power, cap) == [
-            (101.3, 26.1, naive_idw(samples, 101.3, 26.1, power, cap))]
+        assert interpolate_grid(samples, 101.3, 101.3, 26.1, 26.1, 1, 1, power, cap).tolist() == [
+            [101.3, 26.1, naive_idw(samples, 101.3, 26.1, power, cap)]]
 
         single = table(rows_of(samples)[0])
-        rows = interpolate_grid(single, 99.0, 101.0, 24.0, 26.0, 3, 3, power, cap)
+        rows = interpolate_grid(single, 99.0, 101.0, 24.0, 26.0, 3, 3, power, cap).tolist()
         assert [g for _, _, g in rows] == [naive_idw(single, lon, lat, power, cap) for lon, lat, _ in rows]
         for lon, lat in ((100.0, 25.0), (103.7, 27.2)):
             assert idw_interpolate(single, lon, lat, power, cap) == naive_idw(single, lon, lat, power, cap)
@@ -320,7 +322,7 @@ class TestIdwExactness:
         rng = np.random.default_rng(7)
         samples = table(*(point(float(lon), float(lat), float(g)) for lon, lat, g in
                           zip(rng.uniform(100, 110, 200), rng.uniform(25, 35, 200), rng.uniform(15, 35, 200))))
-        rows = interpolate_grid(samples, 100.37, 109.91, 25.13, 34.77, 20, 20, 2.0, cap)
+        rows = interpolate_grid(samples, 100.37, 109.91, 25.13, 34.77, 20, 20, 2.0, cap).tolist()
         assert [g for _, _, g in rows] == [naive_idw(samples, lon, lat, 2.0, cap) for lon, lat, _ in rows]
         for lon, lat in zip(rng.uniform(100, 110, 40).tolist(), rng.uniform(25, 35, 40).tolist()):
             assert idw_interpolate(samples, lon, lat, 2.0, cap) == naive_idw(samples, lon, lat, 2.0, cap)
@@ -343,7 +345,7 @@ class TestIdwExactness:
             samples = table(point(s_lon, s_lat, 20.0), point(105.0, 30.0, 30.0))
             expected = naive_idw(samples, lon, lat, 1.0, None)
             assert idw_interpolate(samples, lon, lat, 1.0) == expected
-            assert interpolate_grid(samples, lon, lon, lat, lat, 1, 1, 1.0) == [(lon, lat, expected)]
+            assert interpolate_grid(samples, lon, lon, lat, lat, 1, 1, 1.0).tolist() == [[lon, lat, expected]]
             moved += naive_idw(samples, lon, lat, 1.0, None, distance_with_products) != expected
         assert moved > 0
 
@@ -354,7 +356,7 @@ class TestIdwExactness:
             got = idw_interpolate(samples, 99.0, 25.0, max_neighbors=cap)
             assert repr(got) == repr(naive_idw(samples, 99.0, 25.0, 2.0, cap))
         rows = interpolate_grid(samples, 99.0, 99.5, 25.0, 25.0, 2, 1, max_neighbors=2)
-        assert [repr(g) for _, _, g in rows] == ["0.0", "0.0"]
+        assert [repr(g) for _, _, g in rows.tolist()] == ["0.0", "0.0"]
 
     def test_inputs_hold_exact_hits_and_ties_across_the_cap(self):
         samples = lattice_with_repeats()

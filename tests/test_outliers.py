@@ -298,7 +298,7 @@ class TestDetectOutliers:
         records = _clone_cloud_with_planted_outlier()
         report = detect_outliers(table(records), DatasetKind.VL, k=np.int64(5))
         assert type(report.k) is int and report.k == 5
-        assert report.r_values == detect_outliers(table(records), DatasetKind.VL, k=5).r_values
+        assert report.r_values.tolist() == detect_outliers(table(records), DatasetKind.VL, k=5).r_values.tolist()
 
     def test_nan_threshold_rejected(self):
         records = _clone_cloud_with_planted_outlier()
@@ -308,7 +308,7 @@ class TestDetectOutliers:
         with pytest.raises(ValueError, match=r"threshold must be >= 0, got -1\.0"):
             detect_outliers(table(records), DatasetKind.VL, threshold=-1.0)
         report = detect_outliers(table(records), DatasetKind.VL, threshold=0.0)
-        assert report.flagged == [r > 0.0 for r in report.r_values]
+        assert report.flagged.tolist() == [r > 0.0 for r in report.r_values.tolist()]
 
     def test_zero_iqr_propagates(self):
         records = [make_record(i, toc=4.0, temp=float(40 + i), vl=2.0 + 0.1 * i) for i in range(8)]
@@ -321,6 +321,18 @@ class TestDetectOutliers:
         inliers = report.inliers(table(records))
         assert len(inliers) == len(records) - 1
         assert records[-1].id not in inliers.ids
+
+    def test_report_keeps_arrays(self):
+        records = _clone_cloud_with_planted_outlier()
+        report = detect_outliers(table(records), DatasetKind.VL, k=4)
+        n = len(records)
+        assert report.r_values.dtype == np.float64 and report.r_values.shape == (n,)
+        assert report.flagged.dtype == bool and report.flagged.shape == (n,)
+        assert report.neighbor_indices.shape == report.neighbor_weights.shape == (n, 4)
+        assert report.neighbor_weights.dtype == np.float64
+        rows = list(csv.reader(io.StringIO(report.to_csv())))[1:]
+        assert [row[2] for row in rows] == ["true" if flag else "false" for flag in report.flagged.tolist()]
+        assert [row[4] for row in rows] == [";".join(map(repr, w)) for w in report.neighbor_weights.tolist()]
 
     def test_csv_serialisation(self):
         records = _clone_cloud_with_planted_outlier()
@@ -361,12 +373,12 @@ def assert_scores_equal_per_record_loop(records, kind, k):
     report = detect_outliers(table(records), kind, k=k)
     weights = compute_weights(table(records), kind.independent_vars)
     deps = [getattr(rec, kind.dependent_var) for rec in records]
-    for i, neighbors in enumerate(report.neighbor_indices):
+    for i, neighbors in enumerate(report.neighbor_indices.tolist()):
         dists = [statistical_distance(records[i], records[j], weights) for j in neighbors]
         r, w = naive_relative_error(i, neighbors, dists, deps, kind.dependent_var)
-        assert report.r_values[i] == r, i
-        assert report.neighbor_weights[i] == w, i
-    assert report.flagged == [r > report.threshold for r in report.r_values]
+        assert report.r_values[i].item() == r, i
+        assert report.neighbor_weights[i].tolist() == w, i
+    assert report.flagged.tolist() == [r > report.threshold for r in report.r_values.tolist()]
     return report
 
 
@@ -384,7 +396,7 @@ class TestBlockedKernelExactness:
     def test_neighbours_match_stable_argsort(self, records, k):
         report = detect_outliers(table(records), DatasetKind.PL, k=k)
         wider = naive_neighbours(records, ("temp", "toc", "ro"), min(k + 1, len(records) - 1))
-        assert report.neighbor_indices == [order[:k] for order, _ in wider]
+        assert report.neighbor_indices.tolist() == [order[:k] for order, _ in wider]
         if k < len(records) - 1:
             # some record has a tie straddling its k-th neighbour
             assert any(dist[k - 1] == dist[k] for _, dist in wider)
@@ -403,7 +415,7 @@ class TestBlockedKernelExactness:
         records = [make_record(6 * g + c, toc=float(2 + g), temp=30.0 + 7.0 * (g % 3), vl=1.5 + 0.5 * c)
                    for g in range(5) for c in range(6)]
         report = assert_scores_equal_per_record_loop(records, DatasetKind.VL, k)
-        assert all(w == [1.0 / k] * k for w in report.neighbor_weights)
+        assert all(w == [1.0 / k] * k for w in report.neighbor_weights.tolist())
         assert all(j // 6 == i // 6 for i, nb in enumerate(report.neighbor_indices) for j in nb)
 
     @pytest.mark.parametrize("k", [1, 5, 12, 639])
@@ -413,9 +425,9 @@ class TestBlockedKernelExactness:
         weights = compute_weights(samples, DatasetKind.PL.independent_vars)
         for i in range(len(records)):
             r, neighbors, w = weighted_relative_error(i, samples, weights, k, "pl")
-            assert r == report.r_values[i]
-            assert neighbors == report.neighbor_indices[i]
-            assert w == report.neighbor_weights[i]
+            assert r == report.r_values[i].item()
+            assert neighbors == report.neighbor_indices[i].tolist()
+            assert w == report.neighbor_weights[i].tolist()
 
 
 def assert_grid_equals_blocked(columns, k):
@@ -463,7 +475,7 @@ class TestGridSearchExactness:
         if k < 639:
             assert min(width for _, width in blocks) < len(records)
         want_idx, _ = blocked_neighbours(columns, k)
-        assert detect_outliers(table(records), DatasetKind.PL, k=k).neighbor_indices == want_idx.tolist()
+        assert np.array_equal(detect_outliers(table(records), DatasetKind.PL, k=k).neighbor_indices, want_idx)
 
     @pytest.mark.parametrize("k", [1, 5, 399])
     def test_all_duplicates_fill_one_cell(self, k):

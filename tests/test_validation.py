@@ -1,5 +1,6 @@
 import math
 import re
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -114,6 +115,13 @@ class TestLooCv:
         report = loo_cv(records, PL_SPEC)
         assert len(report.qq_pairs) == 12
 
+    def test_report_keeps_float64_arrays(self):
+        records = synthetic_records(n=12, seed=4, pl_noise=0.05)
+        report = loo_cv(records, PL_SPEC)
+        assert report.errors_pct.dtype == np.float64 and report.errors_pct.shape == (12,)
+        assert report.qq_pairs.dtype == np.float64 and report.qq_pairs.shape == (12, 2)
+        assert np.array_equal(report.qq_pairs, qq_data(report.errors_pct.tolist()))
+
 
 class TestErrorCi:
     def test_constant_errors_have_zero_width(self):
@@ -161,6 +169,12 @@ class TestErrorCi:
 
 
 class TestQqData:
+    def test_expected_quantiles_are_per_element_inv_cdf(self):
+        errors = [3.5, -1.25, 0.5, 7.0, 2.0]
+        mean, s = float(np.mean(errors)), float(np.std(errors, ddof=1))
+        expected = [mean + s * NormalDist().inv_cdf((i - 0.5) / 5) for i in range(1, 6)]
+        assert qq_data(errors).tolist() == [list(pair) for pair in zip(expected, sorted(errors))]
+
     def test_symmetric_middle_equals_mean(self):
         pairs = qq_data([-1.0, 0.0, 1.0])
         assert pairs[1][0] == pytest.approx(0.0, abs=1e-12)
@@ -236,11 +250,16 @@ class TestScenarioSplit:
             scenario_split(records, Scenario.OVERALL, 1.0, seed=0)
 
 
+def _rows(table):
+    """The (test label, model kind, error %) rows of a comparison table, errors as Python floats."""
+    return list(zip(table.labels, table.models, table.errors_pct.tolist()))
+
+
 class TestCompareModels:
     def test_noiseless_generating_spec_scores_zero(self):
         records = synthetic_records(n=25, seed=11)
         table = compare_models(records, [VL_SPEC], Scenario.OVERALL, 0.2, repetitions=3, seed=5)
-        for _, _, error in table.rows:
+        for _, _, error in _rows(table):
             assert error == pytest.approx(0.0, abs=1e-9)
 
     def test_generating_spec_beats_alternative(self):
@@ -254,8 +273,8 @@ class TestCompareModels:
         records = synthetic_records(n=30, seed=13)
         specs = [VL_SPEC, TOCLIN, ModelSpec(ModelKind.VL_TOCPOW)]
         table = compare_models(records, specs, Scenario.OVERALL, 0.2, repetitions=5, seed=7)
-        assert len(table.rows) == 5 * 3 + 3
-        assert sum(1 for label, _, _ in table.rows if label == "Average") == 3
+        assert len(_rows(table)) == 5 * 3 + 3
+        assert sum(1 for label, _, _ in _rows(table) if label == "Average") == 3
 
     def test_average_adds_left_to_right(self):
         # On these errors a correctly rounded sum (and so the compensated
@@ -267,7 +286,7 @@ class TestCompareModels:
         averages = table.averages()
         sensitive = 0
         for spec in specs:
-            errors = [error for label, model, error in table.rows
+            errors = [error for label, model, error in _rows(table)
                       if model == spec.kind.value and label != "Average"]
             total = 0.0
             for error in errors:
@@ -286,7 +305,7 @@ class TestCompareModels:
     def test_row_labels_follow_scenario(self):
         records = synthetic_records(n=30, seed=14)
         table = compare_models(records, [VL_SPEC], Scenario.HIGH_TOC, 0.1, repetitions=2, seed=8)
-        labels = [label for label, _, _ in table.rows]
+        labels = [label for label, _, _ in _rows(table)]
         assert labels == ["HighTOC1", "HighTOC2", "Average"]
 
     def test_reproducible_with_same_seed(self):
@@ -294,7 +313,7 @@ class TestCompareModels:
         kwargs = dict(scenario=Scenario.OVERALL, test_fraction=0.2, repetitions=3, seed=9)
         first = compare_models(records, [VL_SPEC, TOCLIN], **kwargs)
         second = compare_models(records, [VL_SPEC, TOCLIN], **kwargs)
-        assert first.rows == second.rows
+        assert _rows(first) == _rows(second)
         assert first.to_csv() == second.to_csv()
 
     @pytest.mark.parametrize("name", ["repetitions", "seed"])
@@ -333,6 +352,13 @@ class TestCompareModels:
         for i, rec in enumerate(sample_rows(records)[9:], start=9):
             total += abs((rec.vl - model.predict(records.take([i]))) / rec.vl)
         assert mean_abs_relative_error_pct(model, records.take(slice(9, None))) == total / 8 * 100.0
+
+    def test_table_keeps_columns(self):
+        records = synthetic_records(n=30, seed=13)
+        table = compare_models(records, [VL_SPEC, TOCLIN], Scenario.OVERALL, 0.2, repetitions=4, seed=7)
+        assert table.errors_pct.dtype == np.float64
+        assert len(table.labels) == len(table.models) == len(table.errors_pct) == 5 * 2
+        assert table.models == ["vl-geo", "vl-toclin"] * 5
 
     def test_singular_training_system_names_repetition_and_spec(self):
         # r0 is the only record with another toc; a split that tests it leaves a
@@ -415,7 +441,7 @@ def test_compare_equals_per_record_path(rows, scenario, dependent, kelvin, test_
             compare_models(samples, *args)
         assert str(exc) in str(raised.value)
         return
-    assert compare_models(samples, *args).rows == expected
+    assert _rows(compare_models(samples, *args)) == expected
     for rep in range(1, repetitions + 1):
         split = scenario_split(samples, scenario, test_fraction, [seed, rep])
         assert [sample_rows(part) for part in split] == list(naive_split(records, scenario, test_fraction, [seed, rep]))
