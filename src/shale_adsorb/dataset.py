@@ -400,8 +400,9 @@ def write_csv(header: Sequence[str], columns: Sequence[Sequence[str] | np.ndarra
     A column is a sequence of ``str`` cells or a 1-D float64 array, whose
     cells are the ``repr`` of each float and ``""`` for NaN, the one mark of
     an absent number, made ``_CSV_CHUNK_ROWS`` rows at a time, so few floats
-    are alive at once. A column count other than the header's, or columns
-    of unequal length, raise ``ValueError``.
+    are alive at once. Any other array (bool, int, 2-D), a column count
+    other than the header's, or columns of unequal length, raise
+    ``ValueError``.
 
     Every CSV file the package writes goes through here, so all of them
     share one dialect: cells joined by commas, and a cell quoted (in ``"``,
@@ -409,6 +410,9 @@ def write_csv(header: Sequence[str], columns: Sequence[Sequence[str] | np.ndarra
     That is the csv module's minimal quoting, save that its writer, with
     ``\\n`` line ends, leaves a CR cell bare, which no reader reads back.
     """
+    for column in columns:
+        if isinstance(column, np.ndarray) and (column.dtype != np.float64 or column.ndim != 1):
+            raise ValueError(f"an array column must be 1-D float64, got {column.ndim}-D {column.dtype}")
     lengths = list(map(len, columns))
     if len(lengths) != len(header) or len(set(lengths)) > 1:
         raise ValueError(f"expected {len(header)} columns of one length, got lengths {lengths}")

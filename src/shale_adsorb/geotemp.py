@@ -218,10 +218,10 @@ def interpolate_grid(
 
     Nodes are latitude-major: longitude varies fastest. The bounds must have
     longitudes in [-180, 180] and latitudes in [-90, 90]. Node counts may be
-    whole floats, but not fractions or bools. Every node
-    equals ``idw_interpolate`` at its (lon, lat). All nodes go through one
-    blocked NumPy pass: O(q * n log n) for q nodes and n samples, with
-    memory bounded per block, and q * n ``asin`` evaluations; with
+    whole floats, but not fractions or bools. Every node equals
+    ``idw_interpolate`` at its (lon, lat). All nodes go through one blocked
+    NumPy pass: O(q * n log n) for q nodes and n samples, with memory
+    bounded per block, and q * n ``asin`` evaluations; with
     ``max_neighbors`` k below n, O(q * n) NumPy work and about q * k.
     Either way it takes (n_lat + n_lon) * n sines, one per (grid angle,
     sample): 55,600 for 695 samples on a 40 x 40 grid. Each is one element

@@ -344,10 +344,11 @@ def scenario_split(
 def _mean_abs_relative_errors_pct(actual: np.ndarray, predicted: np.ndarray):
     """Mean absolute relative error (%) along the last axis, summed left to right.
 
-    A float for 1-D inputs, a list of floats for 2-D ones.
+    A float64 array of the inputs' leading shape: 0-d for 1-D inputs, one
+    value per row for 2-D ones.
     """
     relative = np.abs((actual - predicted) / actual)
-    return (np.cumsum(relative, axis=-1)[..., -1] / actual.shape[-1] * 100.0).tolist()
+    return np.asarray(np.cumsum(relative, axis=-1)[..., -1] / actual.shape[-1] * 100.0)
 
 
 def mean_abs_relative_error_pct(model: FittedModel, samples: SampleTable) -> float:
@@ -357,7 +358,7 @@ def mean_abs_relative_error_pct(model: FittedModel, samples: SampleTable) -> flo
     spec = model.spec
     x = spec.feature_rows(samples)
     actual = spec.dependent_values(samples)
-    return _mean_abs_relative_errors_pct(actual, predict_rows(spec, x, np.array(model.coefficients)))
+    return _mean_abs_relative_errors_pct(actual, predict_rows(spec, x, np.array(model.coefficients))).item()
 
 
 def _require_finite(values: np.ndarray) -> None:
@@ -408,7 +409,7 @@ def compare_models(
     test = _test_masks(len(samples), pool, n_test, seed, repetitions)
     test_rows = np.nonzero(test)[1].reshape(repetitions, n_test)
 
-    errors_by_spec: list[list[float]] = []
+    errors_by_spec: list[np.ndarray] = []
     failures = []
     for position, spec in enumerate(specs):
         system = build_design(samples, spec)

@@ -296,6 +296,18 @@ def test_write_csv_rejects_a_table_not_of_header_width_and_one_length(header, co
         write_csv(header, columns)
 
 
+@pytest.mark.parametrize("column, kind", [
+    (np.array([True, False]), "1-D bool"),
+    (np.array([1, 2]), "1-D int64"),
+    (np.array([[1.0, 2.0], [3.0, 4.0]]), "2-D float64"),
+    (np.array(1.0), "0-D float64"),
+])
+def test_write_csv_rejects_an_array_column_other_than_1d_float64(column, kind):
+    # repr would write a bool as True/False and a 2-D row as quoted list text.
+    with pytest.raises(ValueError, match=f"^an array column must be 1-D float64, got {kind}$"):
+        write_csv(("id", "x"), [["a", "b"], column])
+
+
 # Every line break str.splitlines knows, and the pieces of key=value lines.
 _LINE_BREAKS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 _key_value_text = st.lists(st.sampled_from([*_LINE_BREAKS, "\n\n", "=", "#", " ", "name", "a", "b", "x", "1"]),

@@ -353,6 +353,17 @@ class TestCompareModels:
             total += abs((rec.vl - model.predict(records.take([i]))) / rec.vl)
         assert mean_abs_relative_error_pct(model, records.take(slice(9, None))) == total / 8 * 100.0
 
+    def test_mean_abs_relative_errors_are_float64_arrays(self):
+        actual = np.array([[2.0, 4.0, 5.0], [1.0, 3.0, 8.0]])
+        predicted = np.array([[2.5, 3.0, 5.0], [1.5, 3.5, 6.0]])
+        rows = validation._mean_abs_relative_errors_pct(actual, predicted)
+        one = validation._mean_abs_relative_errors_pct(actual[1], predicted[1])
+        assert isinstance(rows, np.ndarray) and rows.dtype == np.float64 and rows.shape == (2,)
+        assert isinstance(one, np.ndarray) and one.dtype == np.float64 and one.shape == ()
+        assert one == rows[1]
+        records = synthetic_records(n=17, seed=19, vl_noise=0.2)
+        assert type(mean_abs_relative_error_pct(fit(records, VL_SPEC), records)) is float
+
     def test_table_keeps_columns(self):
         records = synthetic_records(n=30, seed=13)
         table = compare_models(records, [VL_SPEC, TOCLIN], Scenario.OVERALL, 0.2, repetitions=4, seed=7)
