@@ -7,11 +7,15 @@ zero and hide a large spread.
 
 from __future__ import annotations
 
+import ctypes
+import importlib.machinery
+import importlib.util
 import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from functools import reduce
+from functools import cache, reduce
+from pathlib import Path
 from statistics import NormalDist
 from typing import Sequence
 
@@ -28,6 +32,13 @@ from .regression import (
 )
 
 DEFAULT_CI_LEVEL = 0.90
+
+# SciPy major.minor versions on which the capsule's ``t_ppf`` was checked ``==`` the public ``stdtrit``.
+_T_PPF_CHECKED_SCIPY = ("1.17",)
+
+_capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", ctypes.pythonapi))
+_capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi))
 
 
 @dataclass(eq=False)
@@ -96,15 +107,66 @@ def error_ci(errors: Sequence[float], level: float = DEFAULT_CI_LEVEL) -> tuple[
         raise ValueError("need at least two errors for a confidence interval")
     if not 0.0 < level < 1.0:
         raise ValueError(f"confidence level must be in (0, 1), got {level}")
-    # SciPy is imported here, its only use, so that importing the package
-    # (and every other subcommand) does not pay for it.
-    from scipy.special import stdtrit
-
     arr = np.asarray(errors, dtype=float)
     mean = float(arr.mean())
     s = float(arr.std(ddof=1))
-    t = float(stdtrit(n - 1, (1.0 + level) / 2.0))
+    # SciPy is imported on the first call (``_t_ppf``), its only use, so that importing the package (and every
+    # other subcommand) does not pay for it; ``validate`` loads one extension module of it, not ``scipy.special``.
+    t = _t_quantile(n - 1, (1.0 + level) / 2.0)
     return mean, t * s / math.sqrt(n)
+
+
+def _t_quantile(df: float, p: float) -> float:
+    """SciPy's ``stdtrit(df, p)``, the Student-t quantile, bit for bit."""
+    return float(_t_ppf()(df, p))
+
+
+@cache
+def _t_ppf():
+    """The function behind SciPy's ``stdtrit``, loaded once per process.
+
+    The C function of :func:`_capsule_t_ppf` where it can be taken, else the
+    public ``scipy.special.stdtrit``.
+    """
+    t_ppf = _capsule_t_ppf()
+    if t_ppf is None:
+        from scipy.special import stdtrit as t_ppf
+    return t_ppf
+
+
+def _capsule_t_ppf():
+    """``double t_ppf(double df, double p)`` of ``scipy.special._ufuncs_cxx`` through ``ctypes``, or None.
+
+    It is the C++ function that the ``stdtrit`` ufunc calls, so its results
+    are ``stdtrit``'s. Loading that one extension module alone skips
+    ``scipy.special``'s package import, with ``numpy.f2py`` and
+    ``numpy.testing``: about 0.2 s and 16 MiB of a fresh ``validate``. The
+    module is not put in ``sys.modules``; a later ``import scipy.special``
+    loads it as usual.
+
+    None unless SciPy's version is in ``_T_PPF_CHECKED_SCIPY`` and the
+    capsule's name is ``void *``: another signature behind the same name
+    would crash, not raise. None too when any load step raises.
+    """
+    import scipy
+
+    if ".".join(scipy.__version__.split(".")[:2]) not in _T_PPF_CHECKED_SCIPY:
+        return None
+    path = Path(scipy.__file__).parent / "special" / f"_ufuncs_cxx{importlib.machinery.EXTENSION_SUFFIXES[0]}"
+    try:
+        # The spec name must end in ``_ufuncs_cxx``: it names the module's ``PyInit`` function.
+        spec = importlib.util.spec_from_file_location("scipy.special._ufuncs_cxx", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        capsule = module.__pyx_capi__["_export_t_ppf_double"]
+        if _capsule_name(capsule) != b"void *":
+            return None
+        # The capsule holds the address of a pointer to the function; calling the capsule's own pointer crashes.
+        address = ctypes.c_void_p.from_address(_capsule_pointer(capsule, b"void *")).value
+    except (ImportError, OSError, AttributeError, KeyError, TypeError, ValueError):
+        return None
+    # CPython never unloads an extension module, so the address outlives ``module``.
+    return ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_double, ctypes.c_double)(address)
 
 
 def qq_data(errors: Sequence[float]) -> np.ndarray:

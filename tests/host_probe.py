@@ -3,7 +3,9 @@
 Every golden output file depends on this host's BLAS and libm rounding:
 the FMA chain of a short ``np.dot``, OpenBLAS's syrk order, the C
 library's ``sin``, ``cos``, ``asin``, ``pow``, ``log`` and ``exp``, and the
-per-element kernel ``dataset.elementwise`` rounding as they do.
+per-element kernel ``dataset.elementwise`` rounding as they do. The
+``validation_summary.csv`` files also depend on SciPy's ``stdtrit``, which
+is not correctly rounded.
 :func:`probe` evaluates each of these on fixed inputs and returns its result
 as hex floats or a boolean. ``golden/host_probe.json`` holds the results of
 the host that captured the goldens, and ``test_golden`` compares them before
@@ -91,14 +93,20 @@ def probe() -> dict[str, str | bool]:
     for e in (2.0, 3.0, -2.0):
         results[f"elementwise power {e!r} equals pow"] = not kernel_mismatches(
             np.power, lambda x, e=e: x ** e, rng.uniform(-1e4, 1e4, 4096), e)
+    from scipy.special import stdtrit
+
+    results["scipy.special.stdtrit"] = _hex([stdtrit(df, p) for df in (1, 4, 29, 47, 300, 1e6)
+                                             for p in (0.55, 0.95, 0.995)])
     return results
 
 
 def versions() -> dict[str, str]:
-    """The Python, NumPy and BLAS versions, named in a failure message only."""
+    """The Python, NumPy, BLAS and SciPy versions, named in a failure message only."""
+    import scipy
+
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"python": platform.python_version(), "numpy": np.__version__,
-            "blas": f"{blas.get('name')} {blas.get('version')}"}
+            "blas": f"{blas.get('name')} {blas.get('version')}", "scipy": scipy.__version__}
 
 
 if __name__ == "__main__":

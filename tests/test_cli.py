@@ -727,6 +727,26 @@ def test_importing_the_cli_leaves_scipy_unloaded():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_validate_leaves_scipy_special_unloaded(tmp_path, data_dir):
+    # Where the capsule route holds, validate's t quantile loads one extension module, not scipy.special.
+    from shale_adsorb import validation
+
+    if validation._capsule_t_ppf() is None:
+        pytest.skip("the capsule route does not hold on this SciPy")
+    argv = ["validate", "--input", str(data_dir / "samples.csv"), "--kind", "pl", "--output-dir", str(tmp_path)]
+    code = "\n".join([
+        "import sys",
+        "from shale_adsorb import cli, validation",
+        f"assert cli.main({argv!r}) == 0",
+        "loaded = sorted({'scipy.special', 'numpy.f2py', 'numpy.testing'} & sys.modules.keys())",
+        "assert not loaded, loaded",
+        "from scipy.special import stdtrit",
+        "assert validation._t_quantile(47, 0.95) == float(stdtrit(47, 0.95))",
+    ])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.parametrize("first, second", [
     (["idw", "--input", "data/heatflow.csv", "--query", "105", "30", "--max-neighbors", "8"],
      ["idw", "--input", "data/heatflow.csv", "--grid", "100", "110", "25", "33", "5", "4"]),

@@ -7,7 +7,9 @@ change to them is a change in the program's output, not only in its code.
 The ``paper_*`` cases run on ``data/samples_paper.csv``, the paper-sized
 noisy fixture: they pin flagged records, leave-one-out errors well above
 rounding and, for vl, the multi-cell neighbour grid; they were written
-before the stage reports kept their NumPy arrays up to the writer.
+before the stage reports kept their NumPy arrays up to the writer. Their
+outlier-stage files are stored once, under ``paper_outliers_<kind>_k5``
+(``SHARED_FILES``), and every case that writes them compares against that copy.
 ``golden/samples_rejects.csv`` is an input: it hits every rejection reason
 and holds a replicate, which the bundled ``data/samples.csv`` does not.
 ``golden/host_probe.json`` holds the arithmetic results of the host that
@@ -73,6 +75,24 @@ CASES = {
     },
 }
 
+# Paper case -> (the case directory holding the copies, the file names it writes that equal them). Every
+# paper case of a kind writes the same kept.csv and rejections.csv, and at the default k = 5 the same
+# outliers.csv, so each of these files is stored once.
+SHARED_FILES = {
+    **{f"paper_outliers_{kind}_k12": (f"paper_outliers_{kind}_k5", ("kept.csv", "rejections.csv"))
+       for kind in ("pl", "vl")},
+    **{f"paper_{case}_{kind}{suffix}": (f"paper_outliers_{kind}_k5", ("kept.csv", "outliers.csv", "rejections.csv"))
+       for kind in ("pl", "vl")
+       for case, suffix in (("validate", ""), ("compare", "_overall"), ("compare", "_high-t"))},
+}
+
+
+def expected_files(name: str) -> dict[str, Path]:
+    """Each file name the case writes -> the golden file its bytes must equal."""
+    files = {path.name: path for path in (GOLDEN_DIR / name).iterdir()}
+    owner, shared = SHARED_FILES.get(name, (name, ()))
+    return {**files, **{file_name: GOLDEN_DIR / owner / file_name for file_name in shared}}
+
 
 @cache
 def host_difference() -> str | None:
@@ -117,11 +137,20 @@ def run_case(name: str, out: Path, data_dir: Path) -> None:
 def test_subcommand_bytes(name, tmp_path, data_dir):
     out = tmp_path / "out"
     run_case(name, out, data_dir)
-    expected = GOLDEN_DIR / name
+    expected = expected_files(name)
     written = sorted(path.name for path in out.iterdir())
-    assert written == sorted(path.name for path in expected.iterdir())
+    assert written == sorted(expected)
     for file_name in written:
-        assert (out / file_name).read_bytes() == (expected / file_name).read_bytes(), file_name
+        assert (out / file_name).read_bytes() == expected[file_name].read_bytes(), file_name
+
+
+def test_each_paper_golden_file_is_stored_once():
+    stored = {}
+    for path in sorted(GOLDEN_DIR.glob("paper_*/*")):
+        stored.setdefault(path.read_bytes(), []).append(path.relative_to(GOLDEN_DIR).as_posix())
+    assert [paths for paths in stored.values() if len(paths) > 1] == []
+    for name, (_, shared) in SHARED_FILES.items():
+        assert not any((GOLDEN_DIR / name / file_name).exists() for file_name in shared), name
 
 
 @pytest.mark.parametrize("k", [5, 12])

@@ -1,11 +1,15 @@
+import ctypes
+import importlib.util
 import math
 import re
 from statistics import NormalDist
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings, strategies as st
 from scipy import stats
+from scipy.special import stdtrit
 
 from shale_adsorb import validation
 from shale_adsorb.dataset import DatasetKind, clean, integrate_replicates, parse_samples
@@ -166,6 +170,56 @@ class TestErrorCi:
             for level in (1e-9, 0.5, 0.8, 0.9, 0.95, 0.975, 0.99, 0.999, 1 - 1e-9):
                 t = float(stats.t.ppf((1.0 + level) / 2.0, n - 1))
                 assert error_ci(values, level)[1] == t * s / math.sqrt(n), (n, level)
+
+
+def _t_cases():
+    """Seeded (df, p) pairs with the edges: df = 1, df of a million and more, p at and near 0.5 and near 1."""
+    rng = np.random.default_rng(27)
+    dfs = [1, 2, 3, 29, 47, 1e6, 3.5e6, 1e7, *rng.integers(1, 3000, 30).tolist(), *rng.uniform(1.0, 1e7, 10).tolist()]
+    ps = [0.5, 0.5 + 2 ** -40, 0.5 + 1e-9, 0.55, 0.9, 0.95, 0.975, 0.995, 1 - 1e-9, 1 - 2 ** -40,
+          *rng.uniform(0.5, 1.0, 4).tolist()]
+    return [(df, p) for df in dfs for p in ps]
+
+
+def _refuse(*args):
+    raise AssertionError(f"reached with {args!r}")
+
+
+@pytest.fixture
+def fresh_t_ppf():
+    """``_t_ppf`` loads again in the test and is cleared after it, so no route outlives the test."""
+    validation._t_ppf.cache_clear()
+    yield
+    validation._t_ppf.cache_clear()
+
+
+@pytest.mark.usefixtures("fresh_t_ppf")
+class TestTQuantile:
+    def test_capsule_route_is_taken_on_a_checked_scipy(self):
+        checked = ".".join(scipy.__version__.split(".")[:2]) in validation._T_PPF_CHECKED_SCIPY
+        assert isinstance(validation._t_ppf(), ctypes._CFuncPtr) == checked
+
+    def test_equals_public_stdtrit(self):
+        cases = _t_cases()
+        assert [validation._t_quantile(df, p) for df, p in cases] == [float(stdtrit(df, p)) for df, p in cases]
+
+    @pytest.mark.parametrize("breakage", ["unchecked-version", "capsule-name", "load-raises"])
+    def test_public_stdtrit_when_the_capsule_route_does_not_hold(self, breakage, monkeypatch):
+        # The capsule's pointer is never taken on a failed guard: an untested signature would crash.
+        monkeypatch.setattr(validation, "_capsule_pointer", _refuse)
+        if breakage == "unchecked-version":
+            monkeypatch.setattr(scipy, "__version__", "1.16.2")
+            monkeypatch.setattr(importlib.util, "spec_from_file_location", _refuse)
+        elif breakage == "capsule-name":
+            monkeypatch.setattr(validation, "_capsule_name", lambda capsule: b"double (double, double)")
+        else:
+            def fail(*args):
+                raise ImportError("cannot load")
+
+            monkeypatch.setattr(importlib.util, "spec_from_file_location", fail)
+        assert validation._t_ppf() is stdtrit
+        cases = _t_cases()[::7]
+        assert [validation._t_quantile(df, p) for df, p in cases] == [float(stdtrit(df, p)) for df, p in cases]
 
 
 class TestQqData:
