@@ -306,29 +306,50 @@ def parse_samples(source: str | Iterable[str]) -> SampleTable:
     failing row's error wins, by :func:`first_failure`. Every row is checked
     on its own against one map of each id to the first row that uses it, so
     the checks are row-local, as that bisect needs.
+
+    A plain text (see :func:`plain_csv_columns`) is split whole and read as one
+    table. Anything else, and a plain text with any fault, goes through
+    :func:`read_csv_table`'s ``csv.reader``, which gives the same rows and
+    is the one source of every error.
     """
+    plain = plain_csv_columns(source, SAMPLES_CSV_COLUMNS)
+    if plain is not None:
+        try:
+            return _sample_table(plain)
+        except ValueError:
+            pass  # read_csv_table's rows below name the first bad row's own error
     rows: list[tuple[int, list[str]]] = []
     try:
         for row in read_csv_table(source, SAMPLES_CSV_COLUMNS, "samples"):
             rows.append(row)
     finally:  # the rows before one the reader cannot read fail first
         first_row = {cells[0].strip(): row for row, cells in reversed(rows)}
-        samples = first_failure(lambda part: _sample_table(part, first_row), rows,
+        samples = first_failure(lambda part: _rows_table(part, first_row), rows,
                                 lambda row: _check_row(*row, first_row))
     return samples
 
 
-def _sample_table(rows: Sequence[tuple[int, list[str]]], first_row: dict[str, int]) -> SampleTable:
-    """The table of samples-CSV rows, given each id's first row; a bad row raises what :func:`_check_row` explains."""
-    cells = [row_cells for _, row_cells in rows]
-    ids, reservoirs = ([row[k].strip() for row in cells] for k in (0, 1))
-    texts = [[row[k].strip() or ABSENT_TEXT for row in cells] for k in range(2, len(SAMPLES_CSV_COLUMNS))]
+def _sample_table(columns: Sequence[Sequence[str]]) -> SampleTable:
+    """The table of the samples-CSV columns of cells.
+
+    An empty or repeated id, a cell holding a ``_`` or reading as NaN, or
+    any other broken invariant of :class:`SampleTable` raises ``ValueError``.
+    """
+    ids, reservoirs = (list(map(str.strip, column)) for column in columns[:2])
+    texts = [[cell.strip() or ABSENT_TEXT for cell in column] for column in columns[2:]]
     numbers = [np.fromiter(map(float, column), float, len(column)) for column in texts]
-    if "" in ids or list(map(first_row.__getitem__, ids)) != [row for row, _ in rows] or any(
+    if "" in ids or len(set(ids)) < len(ids) or any(
             "_" in "".join(column) or np.isnan(values).sum() > column.count(ABSENT_TEXT)
             for values, column in zip(numbers, texts)):
         raise ValueError("an id is empty or used twice, or a cell holds a _ or reads as NaN")
     return SampleTable(ids, reservoirs, *numbers)
+
+
+def _rows_table(rows: Sequence[tuple[int, list[str]]], first_row: dict[str, int]) -> SampleTable:
+    """The table of samples-CSV rows, given each id's first row; a bad row raises what :func:`_check_row` explains."""
+    if [first_row[cells[0].strip()] for _, cells in rows] != [row for row, _ in rows]:
+        raise ValueError("an id is used in an earlier row")
+    return _sample_table(list(zip(*(cells for _, cells in rows))) or [()] * len(SAMPLES_CSV_COLUMNS))
 
 
 def _check_row(row: int, cells: list[str], first_row: dict[str, int]) -> None:
@@ -344,7 +365,7 @@ def _check_row(row: int, cells: list[str], first_row: dict[str, int]) -> None:
         for name in _FINITE_ORDER:
             if values[name] is not None and not math.isfinite(values[name]):
                 raise ValueError(f"field {name} must be finite, got {values[name]!r}")
-        _sample_table([(row, cells)], first_row)
+        _rows_table([(row, cells)], first_row)
     except ValueError as exc:
         raise SampleParseError(row, "record", str(exc)) from exc
 
@@ -358,11 +379,13 @@ def read_csv_table(
 
     ``source`` may be the file content as a string or any iterable of lines.
     The header must equal ``columns`` after stripping, blank rows are
-    skipped, and every other row must have one cell per column. Every input
-    CSV the package reads goes through here, so all of them share one
-    dialect; the errors are :class:`SampleParseError` naming ``label``. A
-    row ``csv.reader`` cannot read (say, a cell over its field size limit)
-    fails in column ``record``.
+    skipped, and every other row must have one cell per column. This is the
+    one exact reader, ``csv.reader`` row by row: every input CSV the package
+    reads goes through here unless :func:`plain_csv_columns` splits it whole
+    to the same cells, so all of them share one dialect; the errors are
+    :class:`SampleParseError` naming ``label``, and only this reader raises
+    them. A row ``csv.reader`` cannot read (say, a cell over its field size
+    limit) fails in column ``record``.
     """
     if isinstance(source, str):
         source = io.StringIO(source)
@@ -385,6 +408,33 @@ def read_csv_table(
             yield row, cells
     except csv.Error as exc:
         raise SampleParseError(row + 1, "record", f"unreadable {label} row: {exc}") from None
+
+
+def plain_csv_columns(source: str | Iterable[str], columns: Sequence[str]) -> list[list[str]] | None:
+    """The data cells of a plain CSV text, one list per column, split whole; ``None`` for any other source.
+
+    Plain text is a ``str`` with no quote, CR or NUL and no line longer than
+    ``csv.field_size_limit()``, whose header equals ``columns`` after
+    stripping and whose every line holds one cell per column. ``csv.reader``
+    reads each line of such a text as its split at the commas, so these are
+    the cells :func:`read_csv_table` yields. One ``split`` makes them all,
+    each line feed its own cell between two rows, with no list per row.
+    This never raises: a row it keeps may still be blank or bad, so a
+    caller that finds any fault in the cells reads the text again with
+    :func:`read_csv_table`, which names the error.
+    """
+    if not isinstance(source, str) or '"' in source or "\r" in source or "\0" in source:
+        return None
+    text = source[:-1] if source.endswith("\n") else source
+    cells = text.replace("\n", ",\n,").split(",")
+    width = len(columns) + 1  # a row's cells and the line feed after it
+    lines = text.count("\n") + 1
+    limit = csv.field_size_limit()
+    if (len(cells) != lines * width - 1 or cells[width - 1::width].count("\n") != lines - 1
+            or tuple(map(str.strip, cells[:width - 1])) != tuple(columns)
+            or len(text) > limit and max(map(len, text.split("\n"))) > limit):
+        return None
+    return [cells[k::width] for k in range(width, 2 * width - 1)]
 
 
 #: Rows joined and checked as one text: enough to share the checks' cost,

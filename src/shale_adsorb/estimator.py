@@ -96,6 +96,25 @@ class ReservoirSpec:
         ReservoirTable.from_specs([self])  # raises for a broken invariant
 
 
+def _reservoir_checks(names: dict[str, str]) -> tuple:
+    """The row invariants of :class:`ReservoirTable` in order; a message names field ``f`` as ``names.get(f, f)``."""
+    def name(field: str) -> str:
+        return names.get(field, field)
+
+    return (
+        (None, lambda table: np.fromiter(map(bool, table.names), bool, len(table)), "reservoir name must not be empty"),
+        ("depth", lambda depth: np.isfinite(depth) & (depth >= 0),
+         f"reservoir {{name}}: {name('depth')} must be >= 0, got {{value!r}}"),
+        *((field, lambda column: np.isfinite(column) & (column > 0),
+           f"reservoir {{name}}: {name(field)} must be > 0, got {{value!r}}") for field in ("alpha", "toc", "ro")),
+        *((field, np.isfinite if field == "surface_temp" else lambda column: ~np.isinf(column),
+           f"reservoir {{name}}: {name(field)} must be finite, got {{value!r}}")
+          for field in ("surface_temp", "grad_t", "temp_override", "pressure_override")),
+        (None, lambda table: ~(np.isnan(table.grad_t) & np.isnan(table.temp_override)),
+         "reservoir {name}: needs gradt_c_per_km or temp_c to resolve temperature"),
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class ReservoirTable(ColumnTable):
     """Reservoirs as a :class:`~shale_adsorb.dataset.ColumnTable`, in the units of :class:`ReservoirSpec`.
@@ -118,18 +137,7 @@ class ReservoirTable(ColumnTable):
     pressure_override: np.ndarray
 
     label = "reservoir"
-    checks = (
-        (None, lambda table: np.fromiter(map(bool, table.names), bool, len(table)), "reservoir name must not be empty"),
-        ("depth", lambda depth: np.isfinite(depth) & (depth >= 0),
-         "reservoir {name}: depth must be >= 0, got {value!r}"),
-        *((key, lambda column: np.isfinite(column) & (column > 0),
-           f"reservoir {{name}}: {key} must be > 0, got {{value!r}}") for key in ("alpha", "toc", "ro")),
-        *((key, np.isfinite if key == "surface_temp" else lambda column: ~np.isinf(column),
-           f"reservoir {{name}}: {key} must be finite, got {{value!r}}")
-          for key in ("surface_temp", "grad_t", "temp_override", "pressure_override")),
-        (None, lambda table: ~(np.isnan(table.grad_t) & np.isnan(table.temp_override)),
-         "reservoir {name}: needs gradt_c_per_km or temp_c to resolve temperature"),
-    )
+    checks = _reservoir_checks({})
 
     @classmethod
     def from_specs(cls, specs: Sequence[ReservoirSpec]) -> "ReservoirTable":
@@ -308,17 +316,25 @@ def estimates_to_csv(estimates: EstimateTable) -> str:
                                              estimates.adsorbed, estimates.warnings()])
 
 
-# The number keys in the order a block's values are read, with the text read
-# for an absent key (None: required; ABSENT_TEXT: NaN, marking it absent).
+# The number fields of a ReservoirTable in column order, each with the config
+# key it is read from, which the parse's messages name, and the text read for
+# an absent key (None: required; ABSENT_TEXT: NaN, marking it absent).
 _NUMBER_KEYS = (
-    ("depth_m", None), ("toc_pct", None), ("ro_pct", None), ("alpha", "1.0"),
-    ("surface_temp_c", repr(DEFAULT_SURFACE_TEMP_C)), ("gradt_c_per_km", ABSENT_TEXT),
-    ("temp_c", ABSENT_TEXT), ("pressure_mpa", ABSENT_TEXT),
+    ("depth", "depth_m", None), ("toc", "toc_pct", None), ("ro", "ro_pct", None), ("alpha", "alpha", "1.0"),
+    ("surface_temp", "surface_temp_c", repr(DEFAULT_SURFACE_TEMP_C)), ("grad_t", "gradt_c_per_km", ABSENT_TEXT),
+    ("temp_override", "temp_c", ABSENT_TEXT), ("pressure_override", "pressure_mpa", ABSENT_TEXT),
 )
 
-_RESERVOIR_KEYS = {"name", *(key for key, _ in _NUMBER_KEYS)}
+_RESERVOIR_KEYS = {"name", *(key for _, key, _ in _NUMBER_KEYS)}
 
-_REQUIRED_KEYS = tuple(key for key, default in _NUMBER_KEYS if default is None)
+_REQUIRED_KEYS = tuple(key for _, key, default in _NUMBER_KEYS if default is None)
+
+
+class _ConfigReservoirs(ReservoirTable):
+    """A :class:`ReservoirTable` whose invariant messages name each field by its config key, as a parse error does."""
+
+    checks = _reservoir_checks({field: key for field, key, _ in _NUMBER_KEYS})
+
 
 # Config blocks read into the columns at a time.
 _CHUNK_BLOCKS = 256
@@ -335,7 +351,7 @@ def _columns(blocks: Iterable[dict[str, str]]) -> list:
     NaN for one of those three keys, which would read as its absence.
     """
     names: list[str] = []
-    numbers = [(key, default, array("d")) for key, default in _NUMBER_KEYS]
+    numbers = [(key, default, array("d")) for _, key, default in _NUMBER_KEYS]
     blocks = iter(blocks)
     while chunk := list(islice(blocks, _CHUNK_BLOCKS)):
         names.extend(block["name"] for block in chunk)
@@ -358,7 +374,7 @@ def _check_block(block: dict[str, str]) -> None:
     for key in _REQUIRED_KEYS:
         if key not in block:
             raise ValueError(f"reservoir {name}: missing required key {key}")
-    for key, default in _NUMBER_KEYS:
+    for _, key, default in _NUMBER_KEYS:
         try:
             if math.isnan(parse_number(block.get(key, "0"))) and default == ABSENT_TEXT:
                 raise ValueError  # would read as the key's absence
@@ -377,7 +393,8 @@ def parse_reservoirs(text: str) -> ReservoirTable:
     A malformed line fails the whole config first; after that the error is
     the first bad block's, by :func:`~shale_adsorb.dataset.first_failure`,
     and within a block a missing key comes before a value that is not a
-    number, and that before a broken invariant.
+    number, and that before a broken invariant. Every message names the
+    config key (``depth_m``), not the table's field (``depth``).
 
     The blocks stream from the reader into the columns, so the parse holds
     the columns and one chunk of text, not every line and block. Only a
@@ -389,6 +406,6 @@ def parse_reservoirs(text: str) -> ReservoirTable:
     errors = (KeyError, TypeError, ValueError)
     try:
         return ReservoirTable(*_columns(blocks()))
-    except errors:  # read again, so a malformed line anywhere fails first
-        return first_failure(lambda part: ReservoirTable(*_columns(part)), list(blocks()), _check_block,
+    except errors:  # read again, so a malformed line anywhere fails first; the messages name config keys
+        return first_failure(lambda part: _ConfigReservoirs(*_columns(part)), list(blocks()), _check_block,
                              errors=errors)

@@ -15,7 +15,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .dataset import (
-    ColumnTable, SampleParseError, _parse_float, elementwise, first_failure, read_csv_table, require_int, write_csv,
+    ColumnTable, SampleParseError, _parse_float, elementwise, first_failure, plain_csv_columns, read_csv_table,
+    require_int, write_csv,
 )
 from .outliers import first_k_of_candidates, nearest_first
 
@@ -243,14 +244,17 @@ def interpolate_grid(
     return np.column_stack([np.tile(lons, n_lat), np.repeat(lats, n_lon), values])
 
 
-def _heatflow_table(rows: Sequence[tuple[int, list[str]]]) -> HeatFlowTable:
-    """The table of (row number, cells) pairs; a broken invariant names its row."""
-    cells = [cell for _, row_cells in rows for cell in row_cells]
-    if "_" in "".join(cells):  # float reads "_" as digit grouping
+def _heatflow_table(columns: Sequence[Sequence[str]]) -> HeatFlowTable:
+    """The table of the heat-flow-CSV columns of cells; a cell holding a ``_`` or not a number raises ``ValueError``."""
+    if "_" in "".join(map("".join, columns)):  # float reads "_" as digit grouping
         raise ValueError("a heat-flow cell holds a _")
-    values = np.fromiter(map(float, cells), float, len(cells))
+    return HeatFlowTable(*(np.fromiter(map(float, column), float, len(column)) for column in columns))
+
+
+def _rows_table(rows: Sequence[tuple[int, list[str]]]) -> HeatFlowTable:
+    """The table of (row number, cells) pairs; a broken invariant names its row."""
     try:
-        return HeatFlowTable(*values.reshape(-1, len(HEATFLOW_CSV_COLUMNS)).T)
+        return _heatflow_table(list(zip(*(cells for _, cells in rows))) or [()] * len(HEATFLOW_CSV_COLUMNS))
     except InvalidHeatFlowPoint as exc:
         raise SampleParseError(rows[exc.index][0], "record", exc.reason) from exc
 
@@ -272,13 +276,25 @@ def parse_heatflow(source: str | Iterable[str]) -> HeatFlowTable:
     (``record`` for an invariant of :class:`HeatFlowTable`); a row's cells
     are checked before its invariants, and a bad row before a later row the
     reader cannot read.
+
+    A plain text (see :func:`~shale_adsorb.dataset.plain_csv_columns`) is
+    split whole and read as one table. Anything else, and a plain text with
+    any fault, goes through :func:`~shale_adsorb.dataset.read_csv_table`'s
+    ``csv.reader``, which gives the same rows and is the one source of
+    every error.
     """
+    plain = plain_csv_columns(source, HEATFLOW_CSV_COLUMNS)
+    if plain is not None:
+        try:
+            return _heatflow_table(plain)
+        except ValueError:
+            pass  # read_csv_table's rows below name the first bad row's own error
     rows: list[tuple[int, list[str]]] = []
     try:
         for row in read_csv_table(source, HEATFLOW_CSV_COLUMNS, "heat-flow"):
             rows.append(row)
     finally:  # the rows before one the reader cannot read fail first
-        points = first_failure(_heatflow_table, rows, _check_cells)
+        points = first_failure(_rows_table, rows, _check_cells)
     return points
 
 

@@ -15,6 +15,7 @@ from shale_adsorb.dataset import (
     ABSOLUTE_ZERO_C,
     FIT_RANGES,
     RO_NORM_PCT,
+    SAMPLES_CSV_COLUMNS,
     TEMP_NORM_C,
     TOC_NORM_PCT,
     SampleParseError,
@@ -497,8 +498,9 @@ def naive_parse_reservoirs(text) -> list[ReservoirSpec]:
 
     Per block: the name, the required keys, each number in key order, then
     the invariants in the order ``ReservoirTable`` checks them, each failure
-    raising that block's message. A gradient, temperature or pressure that
-    reads as NaN is not a number, since NaN marks the key absent.
+    raising that block's message, which names the config key. A gradient,
+    temperature or pressure that reads as NaN is not a number, since NaN
+    marks the key absent.
     """
     specs = []
     for block in list(read_key_value_blocks(text, "reservoir config", keys=_RESERVOIR_KEYS, block_key="name")):
@@ -529,15 +531,16 @@ def naive_parse_reservoirs(text) -> list[ReservoirSpec]:
         if not name:
             raise ValueError("reservoir name must not be empty")
         if not (math.isfinite(fields["depth"]) and fields["depth"] >= 0):
-            raise ValueError(f"reservoir {name}: depth must be >= 0, got {fields['depth']!r}")
-        for key in ("alpha", "toc", "ro"):
-            if not (math.isfinite(fields[key]) and fields[key] > 0):
-                raise ValueError(f"reservoir {name}: {key} must be > 0, got {fields[key]!r}")
+            raise ValueError(f"reservoir {name}: depth_m must be >= 0, got {fields['depth']!r}")
+        for field, key in (("alpha", "alpha"), ("toc", "toc_pct"), ("ro", "ro_pct")):
+            if not (math.isfinite(fields[field]) and fields[field] > 0):
+                raise ValueError(f"reservoir {name}: {key} must be > 0, got {fields[field]!r}")
         if not math.isfinite(fields["surface_temp"]):
-            raise ValueError(f"reservoir {name}: surface_temp must be finite, got {fields['surface_temp']!r}")
-        for key in ("grad_t", "temp_override", "pressure_override"):
-            if fields[key] is not None and math.isinf(fields[key]):
-                raise ValueError(f"reservoir {name}: {key} must be finite, got {fields[key]!r}")
+            raise ValueError(f"reservoir {name}: surface_temp_c must be finite, got {fields['surface_temp']!r}")
+        for field, key in (("grad_t", "gradt_c_per_km"), ("temp_override", "temp_c"),
+                           ("pressure_override", "pressure_mpa")):
+            if fields[field] is not None and math.isinf(fields[field]):
+                raise ValueError(f"reservoir {name}: {key} must be finite, got {fields[field]!r}")
         if fields["grad_t"] is None and fields["temp_override"] is None:
             raise ValueError(f"reservoir {name}: needs gradt_c_per_km or temp_c to resolve temperature")
         specs.append(ReservoirSpec(**fields))
@@ -547,9 +550,11 @@ def naive_parse_reservoirs(text) -> list[ReservoirSpec]:
 def naive_parse_heatflow(text) -> list[list[float]]:
     """One row at a time, the error order the columnar ``parse_heatflow`` must keep.
 
-    Per row: each cell in column order (empty, then not a number), then the
-    invariants in the order ``HeatFlowTable`` checks them, each failure
-    raising that row's ``SampleParseError``. Returns the four columns.
+    The rows come from ``read_csv_table``, ``csv.reader`` row by row, never
+    from the whole-text split of plain input. Per row: each cell in column
+    order (empty, then not a number), then the invariants in the order
+    ``HeatFlowTable`` checks them, each failure raising that row's
+    ``SampleParseError``. Returns the four columns.
     """
     columns = [[], [], [], []]
     for row, cells in read_csv_table(text, HEATFLOW_CSV_COLUMNS, "heat-flow"):
@@ -574,4 +579,47 @@ def naive_parse_heatflow(text) -> list[list[float]]:
             raise SampleParseError(row, "record", f"section depth must be finite, got {depth!r}")
         for column, value in zip(columns, values):
             column.append(value)
+    return columns
+
+
+def naive_parse_samples(text) -> list[list]:
+    """One row at a time, the error order the columnar ``parse_samples`` must keep.
+
+    The rows come from ``read_csv_table``, ``csv.reader`` row by row, never
+    from the whole-text split of plain input. Per row: the id (empty, then
+    used by an earlier row), each number cell in column order (empty where
+    required, then not a number), then the invariants of
+    :func:`naive_check_sample`, each failure raising that row's
+    ``SampleParseError``. Returns the eight columns: ids, reservoirs, and
+    the numbers, NaN where absent.
+    """
+    columns = [[] for _ in SAMPLES_CSV_COLUMNS]
+    first_row = {}
+    for row, cells in read_csv_table(text, SAMPLES_CSV_COLUMNS, "samples"):
+        rec_id = cells[0].strip()
+        if rec_id == "":
+            raise SampleParseError(row, "id", "id must not be empty")
+        if rec_id in first_row:
+            raise SampleParseError(row, "id", f"duplicate id {rec_id!r}, first used in row {first_row[rec_id]}")
+        first_row[rec_id] = row
+        values = []
+        for column, raw in zip(SAMPLES_CSV_COLUMNS[2:], cells[2:]):
+            if raw.strip() == "":
+                if column in ("toc_pct", "temp_c"):
+                    raise SampleParseError(row, column, "required numeric field is empty")
+                values.append(None)
+                continue
+            try:
+                if "_" in raw:  # float's digit grouping
+                    raise ValueError
+                values.append(float(raw.strip()))
+            except ValueError:
+                raise SampleParseError(row, column, f"not a number: {raw!r}") from None
+        record = Row(rec_id, cells[1].strip(), *values)
+        try:
+            naive_check_sample(record)
+        except ValueError as exc:
+            raise SampleParseError(row, "record", str(exc)) from None
+        for column, value in zip(columns, record):
+            column.append(math.nan if value is None else value)
     return columns

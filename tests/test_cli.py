@@ -604,28 +604,29 @@ BAD_CONFIG_BLOCKS = {
                       "reservoir config line {line}: duplicate key 'toc_pct' in block"),
     "empty-name": ("name=\n" + GOOD_RESERVOIR, "reservoir name must not be empty"),
     "negative-depth": ("name=B\ndepth_m=-1\ntoc_pct=3\nro_pct=1.5\ngradt_c_per_km=30\n",
-                       "reservoir B: depth must be >= 0, got -1.0"),
+                       "reservoir B: depth_m must be >= 0, got -1.0"),
     "nan-depth": ("name=B\ndepth_m=nan\ntoc_pct=3\nro_pct=1.5\ngradt_c_per_km=30\n",
-                  "reservoir B: depth must be >= 0, got nan"),
+                  "reservoir B: depth_m must be >= 0, got nan"),
     "zero-alpha": ("name=B\n" + GOOD_RESERVOIR + "alpha=0\n", "reservoir B: alpha must be > 0, got 0.0"),
     "zero-toc": ("name=B\ndepth_m=2000\ntoc_pct=0\nro_pct=1.5\ngradt_c_per_km=30\n",
-                 "reservoir B: toc must be > 0, got 0.0"),
+                 "reservoir B: toc_pct must be > 0, got 0.0"),
     "negative-ro": ("name=B\ndepth_m=2000\ntoc_pct=3\nro_pct=-1.5\ngradt_c_per_km=30\n",
-                    "reservoir B: ro must be > 0, got -1.5"),
+                    "reservoir B: ro_pct must be > 0, got -1.5"),
     "no-temperature-source": ("name=B\ndepth_m=2000\ntoc_pct=3\nro_pct=1.5\n",
                               "reservoir B: needs gradt_c_per_km or temp_c to resolve temperature"),
     # a present value must be finite, even where the temperature override leaves it unused
     "nan-surface-temperature-beside-temperature": (
         "name=B\ndepth_m=2000\ntoc_pct=3\nro_pct=1.5\ntemp_c=50\nsurface_temp_c=nan\n",
-        "reservoir B: surface_temp must be finite, got nan"),
+        "reservoir B: surface_temp_c must be finite, got nan"),
     "infinite-surface-temperature": ("name=B\n" + GOOD_RESERVOIR + "surface_temp_c=-inf\n",
-                                     "reservoir B: surface_temp must be finite, got -inf"),
+                                     "reservoir B: surface_temp_c must be finite, got -inf"),
     "infinite-gradient-beside-temperature": ("name=B\ndepth_m=2000\ntoc_pct=3\nro_pct=1.5\ntemp_c=50\n"
-                                             "gradt_c_per_km=inf\n", "reservoir B: grad_t must be finite, got inf"),
+                                             "gradt_c_per_km=inf\n",
+                                             "reservoir B: gradt_c_per_km must be finite, got inf"),
     "infinite-temperature": ("name=B\n" + GOOD_RESERVOIR + "temp_c=inf\n",
-                             "reservoir B: temp_override must be finite, got inf"),
+                             "reservoir B: temp_c must be finite, got inf"),
     "infinite-pressure": ("name=B\n" + GOOD_RESERVOIR + "pressure_mpa=-inf\n",
-                          "reservoir B: pressure_override must be finite, got -inf"),
+                          "reservoir B: pressure_mpa must be finite, got -inf"),
     # a value that is not a number wins over an invariant of the same block
     "parse-before-invariant": ("name=B\ndepth_m=-1\ntoc_pct=x\nro_pct=1.5\ngradt_c_per_km=30\n",
                                "reservoir B: toc_pct is not a number: 'x'"),

@@ -19,6 +19,7 @@ from shale_adsorb.dataset import (
     REASON_VL,
     DatasetKind,
     SAMPLE_COLUMNS,
+    SAMPLES_CSV_COLUMNS,
     ColumnTable,
     SampleParseError,
     SampleTable,
@@ -37,8 +38,8 @@ from shale_adsorb.dataset import (
 from shale_adsorb.estimator import ReservoirTable
 from shale_adsorb.geotemp import HeatFlowTable, InvalidHeatFlowPoint
 from shale_adsorb.regression import ModelKind, ModelSpec
-from conftest import count_first_failure, make_record, table
-from helpers import Row, linear_first_failure, naive_check_sample, naive_clean, sample_rows
+from conftest import count_first_failure, csv_texts, make_record, seeded_csv, table
+from helpers import Row, linear_first_failure, naive_check_sample, naive_clean, naive_parse_samples, sample_rows
 
 HEADER = "id,reservoir,toc_pct,ro_pct,temp_c,porosity_pct,pl_mpa,vl_m3t"
 
@@ -185,6 +186,60 @@ def test_samples_csv_round_trip(samples):
     for name in SAMPLE_COLUMNS:
         assert list(map(repr, getattr(again, name).tolist())) == list(map(repr, getattr(samples, name).tolist()))
     assert records_to_csv(again) == text
+
+
+def _seeded_samples(rng, n):
+    """Samples CSV text of n rows with :func:`conftest.seeded_csv`'s faults and those of a samples row."""
+    def cell(position, text):
+        return lambda cells: cells.__setitem__(position, text)
+
+    def any_number(text):
+        return lambda cells: cells.__setitem__(int(rng.integers(2, len(SAMPLES_CSV_COLUMNS))), text)
+
+    faults = [cell(0, ""), cell(0, f"s{int(rng.integers(n))}"), any_number("north"), any_number("1_0"),
+              any_number("inf"), cell(2, ""), cell(4, ""), cell(2, "-4"), cell(4, "-300"), cell(3, "nan"),
+              cell(6, "0")]
+
+    def optional(value):
+        return "" if rng.random() < 0.3 else repr(value)
+
+    rows = [[f"s{i}", str(rng.choice(["Barnett", "Longmaxi", ""])), repr(float(rng.uniform(0.5, 20.0))),
+             optional(float(rng.uniform(0.5, 4.0))), repr(float(rng.uniform(10.0, 120.0))),
+             optional(float(rng.uniform(0.0, 10.0))), optional(float(rng.uniform(1.0, 12.0))),
+             optional(float(rng.uniform(0.5, 6.0)))] for i in range(n)]
+    return seeded_csv(rng, SAMPLES_CSV_COLUMNS, rows, faults)
+
+
+def _samples_outcome(parse, text):
+    """The ids, the reservoirs and the number columns' bytes, or the type, message, row and column of the error."""
+    try:
+        columns = parse(text)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "row", None), getattr(exc, "column", None)
+    if isinstance(columns, SampleTable):
+        columns = [columns.ids, columns.reservoirs, *(getattr(columns, name) for name in SAMPLE_COLUMNS)]
+    return [tuple(columns[0]), tuple(columns[1]), *(np.asarray(column, dtype=float).tobytes()
+                                                    for column in columns[2:])]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_parse_samples_equals_the_per_row_parser(seed):
+    text = _seeded_samples(np.random.default_rng(seed), 12)
+    assert _samples_outcome(parse_samples, text) == _samples_outcome(naive_parse_samples, text)
+
+
+def test_a_cell_moved_to_the_next_row_fails_the_short_row():
+    # Split whole, the 7 and 9 cells of these lines line up with the line
+    # feed as row 2's absent vl and x as the separator: two good rows.
+    text = f"{HEADER}\ns1,B,4.0,1.5,48,,5.0\nx,s2,B,4.0,1.5,48,,5.0,2.0\n"
+    assert _samples_outcome(parse_samples, text) == _samples_outcome(naive_parse_samples, text) == (
+        SampleParseError, "row 2, column vl_m3t: expected 8 samples fields, got 7", 2, "vl_m3t")
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(text=csv_texts(SAMPLES_CSV_COLUMNS))
+def test_parse_samples_of_any_text_equals_the_per_row_parser(text):
+    assert _samples_outcome(parse_samples, text) == _samples_outcome(naive_parse_samples, text)
 
 
 class TestReadCsvTable:

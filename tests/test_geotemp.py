@@ -20,6 +20,7 @@ from shale_adsorb.geotemp import (
     parse_heatflow,
 )
 from shale_adsorb.dataset import SampleParseError, elementwise, write_csv
+from conftest import csv_texts, seeded_csv
 from helpers import haversine_m, naive_idw, naive_parse_heatflow
 
 
@@ -594,7 +595,7 @@ class TestParseHeatflow:
 
 
 def _seeded_heatflow(rng, n):
-    """Heat-flow CSV text of n rows, about one in eight with one fault a row can have."""
+    """Heat-flow CSV text of n rows with :func:`conftest.seeded_csv`'s faults and those of a heat-flow row."""
     def any_cell(text):
         return lambda cells: cells.__setitem__(int(rng.integers(len(cells))), text)
 
@@ -603,30 +604,38 @@ def _seeded_heatflow(rng, n):
 
     faults = [any_cell("north"), any_cell(""), cell(0, "999"), cell(1, "-91"), cell(3, "nan"), cell(2, "inf"),
               any_cell("1_0")]
-    rows = []
-    for _ in range(n):
-        cells = [repr(float(rng.uniform(-180.0, 180.0))), repr(float(rng.uniform(-90.0, 90.0))),
-                 repr(float(rng.uniform(0.0, 5000.0))), repr(float(rng.uniform(10.0, 60.0)))]
-        if rng.random() < 0.125:
-            faults[int(rng.integers(len(faults)))](cells)
-        rows.append(cells)
-    return write_csv(HEATFLOW_CSV_COLUMNS, list(zip(*rows)))
+    rows = [[repr(float(rng.uniform(-180.0, 180.0))), repr(float(rng.uniform(-90.0, 90.0))),
+             repr(float(rng.uniform(0.0, 5000.0))), repr(float(rng.uniform(10.0, 60.0)))] for _ in range(n)]
+    return seeded_csv(rng, HEATFLOW_CSV_COLUMNS, rows, faults)
 
 
 def _parse_outcome(parse, text):
-    """The four columns as lists, or the type, message, row and column of the error ``parse`` raises."""
+    """The four columns' bytes, or the type, message, row and column of the error ``parse`` raises."""
     try:
         columns = parse(text)
     except ValueError as exc:
         return type(exc), str(exc), getattr(exc, "row", None), getattr(exc, "column", None)
     if isinstance(columns, HeatFlowTable):
-        columns = [column.tolist() for column in (columns.lon, columns.lat, columns.section_depth, columns.grad_t)]
-    return columns
+        columns = (columns.lon, columns.lat, columns.section_depth, columns.grad_t)
+    return [np.asarray(column, dtype=float).tobytes() for column in columns]
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_parse_heatflow_equals_the_per_row_parser(seed):
     text = _seeded_heatflow(np.random.default_rng(seed), 12)
+    assert _parse_outcome(parse_heatflow, text) == _parse_outcome(naive_parse_heatflow, text)
+
+
+def test_a_cell_moved_to_the_row_before_fails_the_long_row():
+    # the flat cells would be two good rows, but the lines hold 5 and 3
+    text = "lon_deg,lat_deg,section_depth_m,gradt_c_per_km\n104.5,29.1,1200,26.4,27.0\n29.1,1200,26.4\n"
+    assert _parse_outcome(parse_heatflow, text) == _parse_outcome(naive_parse_heatflow, text) == (
+        SampleParseError, "row 2, column gradt_c_per_km: expected 4 heat-flow fields, got 5", 2, "gradt_c_per_km")
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(text=csv_texts(HEATFLOW_CSV_COLUMNS))
+def test_parse_heatflow_of_any_text_equals_the_per_row_parser(text):
     assert _parse_outcome(parse_heatflow, text) == _parse_outcome(naive_parse_heatflow, text)
 
 
