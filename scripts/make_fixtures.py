@@ -60,8 +60,8 @@ def make_samples() -> SampleTable:
         ro = round(float(rng.uniform(0.8, 3.5)), 2)
         temp = round(float(rng.uniform(30.0, 88.0)), 2)
         query = SampleTable([f"s{len(rows) + 1:02d}"], ["synthetic"], [toc], [ro], [temp], *[[np.nan]] * 3)
-        pl = pl_model.predict(query)
-        vl = vl_model.predict(query)
+        pl = pl_model.predict(query).item()
+        vl = vl_model.predict(query).item()
         if 1.6 < pl < 11.5 and vl > 1.05:
             rows.append((query.ids[0], "synthetic", toc, ro, temp, np.nan, pl, vl))
     return SampleTable(*zip(*rows))

@@ -17,7 +17,7 @@ import numpy as np
 
 from .dataset import (ABSENT_TEXT, FIT_RANGES, ColumnTable, SampleTable, first_failure, parse_number,
                       read_key_value_blocks, write_csv)
-from .regression import FittedModel, ModelKind, ModelSpec, predict_rows
+from .regression import FittedModel, ModelKind, ModelSpec
 
 WATER_DENSITY_T_PER_M3 = 1.0
 GRAVITY_N_PER_KG = 9.8
@@ -182,9 +182,7 @@ def _contents(
         raise ValueError("field ro must be finite, got nan")
     # NumPy warns where the Python float arithmetic it replaces does not.
     with np.errstate(all="ignore"):
-        # model.predict of each query row: its regressors, one vecdot and the inverse per element
-        pl, vl = (predict_rows(model.spec, model.spec.regressors(query), np.array(model.coefficients))
-                  for model in (pl_model, vl_model))
+        pl, vl = pl_model.predict(query), vl_model.predict(query)
         bad = np.flatnonzero(~(np.isfinite(pl) & (pl > 0) & np.isfinite(vl) & (vl > 0)))
         if bad.size:
             LangmuirParams(pl=pl[bad[0]].item(), vl=vl[bad[0]].item())  # raises
@@ -390,15 +388,16 @@ def parse_reservoirs(text: str) -> ReservoirTable:
     ro_pct, alpha, surface_temp_c, gradt_c_per_km, temp_c, pressure_mpa.
     An absent gradt_c_per_km, temp_c or pressure_mpa is NaN in its column,
     so a value of one of them that reads as NaN is not a number.
-    A malformed line fails the whole config first; after that the error is
-    the first bad block's, by :func:`~shale_adsorb.dataset.first_failure`,
-    and within a block a missing key comes before a value that is not a
-    number, and that before a broken invariant. Every message names the
-    config key (``depth_m``), not the table's field (``depth``).
+    The error is the first fault by line: the first bad block closed before
+    a malformed line, by :func:`~shale_adsorb.dataset.first_failure`, else
+    that line. Within a block a missing key comes before a value that is
+    not a number, and that before a broken invariant. Every message names
+    the config key (``depth_m``), not the table's field (``depth``).
 
     The blocks stream from the reader into the columns, so the parse holds
     the columns and one chunk of text, not every line and block. Only a
-    failed parse reads the blocks again into a list, to find that error.
+    failed parse reads the blocks again into a list, up to a malformed
+    line, to find that error.
     """
     def blocks():
         return read_key_value_blocks(text, "reservoir config", keys=_RESERVOIR_KEYS, block_key="name")
@@ -406,6 +405,13 @@ def parse_reservoirs(text: str) -> ReservoirTable:
     errors = (KeyError, TypeError, ValueError)
     try:
         return ReservoirTable(*_columns(blocks()))
-    except errors:  # read again, so a malformed line anywhere fails first; the messages name config keys
-        return first_failure(lambda part: _ConfigReservoirs(*_columns(part)), list(blocks()), _check_block,
-                             errors=errors)
+    except errors:
+        pass  # read again, to name the first fault; the messages name config keys
+    read: list[dict[str, str]] = []
+    try:
+        for block in blocks():
+            read.append(block)
+    finally:  # the blocks closed before a line the reader cannot read fail first
+        reservoirs = first_failure(lambda part: _ConfigReservoirs(*_columns(part)), read, _check_block,
+                                   errors=errors)
+    return reservoirs

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -184,34 +184,9 @@ class ModelSpec:
         return first_failure(lambda rows: self.regressors(samples.take(rows) if len(rows) < len(samples) else samples),
                              range(len(samples)), lambda i: self.regressors(samples.take([i])))
 
-    def feature_row(self, sample: SampleTable) -> list[float]:
-        """The regressor row of a one-sample table; a trailing 1 carries the intercept."""
-        [row] = self.regressors(sample).tolist()
-        return row
-
     def dependent_values(self, samples: SampleTable) -> np.ndarray:
         """The samples' values of the dependent variable (pl or vl); the first missing one raises."""
         return samples.values(self.dependent_var, f"record {{id}} is missing dependent variable {self.dependent_var}")
-
-    def inverse_response(self, linear_value: float) -> float:
-        """Map a fitted linear response back to the dependent variable's units."""
-        [value] = self.inverse_responses([linear_value])
-        return value
-
-    def inverse_responses(self, linear_values: Sequence[float]) -> list[float]:
-        """:meth:`inverse_response` of each value, by :func:`_inverse_responses`."""
-        return _inverse_responses(self, np.array(linear_values, dtype=float)).tolist()
-
-
-def _inverse_responses(spec: ModelSpec, linear: np.ndarray) -> np.ndarray:
-    """The dependent values of an array of linear responses; the first that overflows raises."""
-    values = _FACTS[spec.kind].inverse(linear)
-    if (i := _first_overflow(values, linear)) is not None:
-        raise ValueError(
-            f"{spec.kind.value} prediction overflows: linear response {linear.flat[i].item()!r} "
-            f"is out of range for {spec.dependent_var}"
-        )
-    return values
 
 
 @dataclass
@@ -249,11 +224,18 @@ class FittedModel:
         if self.n_fit < 0:
             raise ValueError(f"n_fit must be >= 0, got {self.n_fit}")
 
-    def predict(self, sample: SampleTable) -> float:
-        """Predicted dependent value (pl in MPa or vl in m3/t) for a one-sample table."""
-        row = self.spec.feature_row(sample)
-        linear = float(np.dot(row, self.coefficients))
-        return self.spec.inverse_response(linear)
+    def predict(self, samples: SampleTable) -> np.ndarray:
+        """Predicted dependent values (pl in MPa or vl in m3/t), a float64 array with one per sample.
+
+        Each value is :func:`predict_rows` of the sample's regressor row. A
+        failure is the first failing sample's own error, by
+        :func:`~shale_adsorb.dataset.first_failure`.
+        """
+        def run(rows: range) -> np.ndarray:
+            part = samples.take(rows) if len(rows) < len(samples) else samples
+            return predict_rows(self.spec, self.spec.regressors(part), np.array(self.coefficients))
+
+        return first_failure(run, range(len(samples)), lambda i: run(range(i, i + 1)))
 
 
 def predict_rows(spec: ModelSpec, x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -262,9 +244,17 @@ def predict_rows(spec: ModelSpec, x: np.ndarray, w: np.ndarray) -> np.ndarray:
     ``x`` and ``w`` broadcast as ``np.vecdot`` does. The inverse is one
     :func:`~shale_adsorb.dataset.elementwise` call, which rounds as
     ``math.exp`` does (NumPy's forward ``exp`` loop does not), so each
-    value equals :meth:`FittedModel.predict` on that row.
+    value equals the prediction of its row alone. The first value that
+    overflows raises.
     """
-    return _inverse_responses(spec, np.vecdot(x, w))
+    linear = np.vecdot(x, w)
+    values = _FACTS[spec.kind].inverse(linear)
+    if (i := _first_overflow(values, linear)) is not None:
+        raise ValueError(
+            f"{spec.kind.value} prediction overflows: linear response {linear.flat[i].item()!r} "
+            f"is out of range for {spec.dependent_var}"
+        )
+    return values
 
 
 def build_design(samples: SampleTable, spec: ModelSpec) -> DesignSystem:

@@ -49,8 +49,8 @@ def synthetic_records(n=30, seed=0, pl_noise=0.0, vl_noise=0.0):
         ro = float(rng.uniform(0.8, 3.5))
         temp = float(rng.uniform(30.0, 88.0))
         base = Row(f"g{len(rows):03d}", "synthetic", toc, ro, temp)
-        pl = pl_model.predict(table([base]))
-        vl = vl_model.predict(table([base]))
+        pl = pl_model.predict(table([base])).item()
+        vl = vl_model.predict(table([base])).item()
         if not (1.6 < pl < 11.5 and vl > 1.05):
             continue
         if pl_noise:

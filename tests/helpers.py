@@ -496,14 +496,16 @@ _RESERVOIR_KEYS = {"name", "depth_m", "toc_pct", "ro_pct", "alpha",
 def naive_parse_reservoirs(text) -> list[ReservoirSpec]:
     """One block at a time, the parser the columnar ``parse_reservoirs`` replaced.
 
-    Per block: the name, the required keys, each number in key order, then
-    the invariants in the order ``ReservoirTable`` checks them, each failure
-    raising that block's message, which names the config key. A gradient,
-    temperature or pressure that reads as NaN is not a number, since NaN
-    marks the key absent.
+    Each block is checked as the reader yields it, so a bad block closed
+    before a malformed line fails first. Per block: the name, the required
+    keys, each number in key order, then the invariants in the order
+    ``ReservoirTable`` checks them, each failure raising that block's
+    message, which names the config key. A gradient, temperature or
+    pressure that reads as NaN is not a number, since NaN marks the key
+    absent.
     """
     specs = []
-    for block in list(read_key_value_blocks(text, "reservoir config", keys=_RESERVOIR_KEYS, block_key="name")):
+    for block in read_key_value_blocks(text, "reservoir config", keys=_RESERVOIR_KEYS, block_key="name"):
         if "name" not in block:
             raise ValueError("reservoir config block is missing the name key")
         name = block["name"]

@@ -69,7 +69,7 @@ def planted_outlier_records():
     records = synthetic_records(n=24, seed=2)
     _, vl_model = reference_models()
     probe = table([Row("probe", "synthetic", 14.0, None, 85.0)])
-    planted = Row("planted", "synthetic", 14.0, 2.0, 85.0, vl=10.0 * vl_model.predict(probe))
+    planted = Row("planted", "synthetic", 14.0, 2.0, 85.0, vl=10.0 * vl_model.predict(probe).item())
     return SampleTable.concat([records, table([planted])])
 
 
@@ -658,14 +658,12 @@ def test_first_bad_config_block_fails_the_parse(case, position, tmp_path, capsys
 ])
 def test_earlier_bad_config_block_wins(first, second, tmp_path, capsys):
     # The error is the first bad block's, whichever check each block fails,
-    # except that a malformed line fails the whole file first.
+    # and a block closed before a malformed line fails before that line.
     text = _config_blocks(BAD_CONFIG_BLOCKS[first][0], 1) + "\n" + BAD_CONFIG_BLOCKS[second][0]
-    expected = BAD_CONFIG_BLOCKS[second if second == "unknown-key" else first][1]
     config = tmp_path / "r.conf"
     config.write_text(text, encoding="utf-8")
     argv = ["estimate", "--input", str(config), "--paper-coefficients", "--output-dir", str(tmp_path)]
-    line = text.count("\n")
-    assert _run(argv, capsys) == (1, f"error: reservoir-config stage: {expected.format(line=line)}\n")
+    assert _run(argv, capsys) == (1, f"error: reservoir-config stage: {BAD_CONFIG_BLOCKS[first][1]}\n")
 
 
 HEATFLOW_HEADER = "lon_deg,lat_deg,section_depth_m,gradt_c_per_km\n"

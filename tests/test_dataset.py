@@ -824,33 +824,37 @@ class TestIntegrateReplicates:
 
 
 class TestToDimensionless:
-    """The normalisation by dataset-wide means inside ``ModelSpec.feature_row``."""
+    """The normalisation by dataset-wide means inside ``ModelSpec.feature_rows``."""
 
     PL_GEO = ModelSpec(ModelKind.PL_GEO)
     VL_GEO = ModelSpec(ModelKind.VL_GEO)
 
+    @staticmethod
+    def row(spec, rec):
+        return spec.feature_rows(table([rec]))[0].tolist()
+
     def test_normalising_constants(self):
         rec = make_record(1, toc=4.0, temp=48.0, ro=1.75)
-        assert self.PL_GEO.feature_row(table([rec])) == [1.0, 0.0, 1.0]   # ln(t_star / ro_star) = ln 1
-        assert self.VL_GEO.feature_row(table([rec])) == [1.0, 1.0, 1.0]
+        assert self.row(self.PL_GEO, rec) == [1.0, 0.0, 1.0]   # ln(t_star / ro_star) = ln 1
+        assert self.row(self.VL_GEO, rec) == [1.0, 1.0, 1.0]
 
     def test_reference_reservoir_inputs(self):
         rec = make_record(1, toc=2.58, temp=86.98, ro=3.03)
-        toc_star, log_ratio, _ = self.PL_GEO.feature_row(table([rec]))
-        _, t_star_cubed, _ = self.VL_GEO.feature_row(table([rec]))
+        toc_star, log_ratio, _ = self.row(self.PL_GEO, rec)
+        _, t_star_cubed, _ = self.row(self.VL_GEO, rec)
         assert toc_star == pytest.approx(2.58 / 4.0, rel=1e-15)
         assert t_star_cubed == pytest.approx((86.98 / 48.0) ** 3, rel=1e-15)
         assert log_ratio == pytest.approx(math.log((86.98 / 48.0) / (3.03 / 1.75)), rel=1e-15)
 
     def test_absent_ro_stays_absent(self):
         rec = make_record(1, toc=8.0, temp=24.0)
-        assert self.VL_GEO.feature_row(table([rec])) == [2.0, 0.125, 1.0]
+        assert self.row(self.VL_GEO, rec) == [2.0, 0.125, 1.0]
         with pytest.raises(ValueError, match="missing field ro"):
-            self.PL_GEO.feature_row(table([rec]))
+            self.row(self.PL_GEO, rec)
 
     def test_linear_in_toc(self):
-        base = self.VL_GEO.feature_row(table([make_record(1, toc=3.1, temp=50.0)]))
-        doubled = self.VL_GEO.feature_row(table([make_record(1, toc=6.2, temp=50.0)]))
+        base = self.row(self.VL_GEO, make_record(1, toc=3.1, temp=50.0))
+        doubled = self.row(self.VL_GEO, make_record(1, toc=6.2, temp=50.0))
         assert doubled[0] == pytest.approx(2 * base[0], rel=1e-15)
 
     def test_missing_inputs_rejected(self):
@@ -859,8 +863,6 @@ class TestToDimensionless:
         with pytest.raises(ValueError, match="^record r2 is missing field ro required by pl-geo$"):
             self.PL_GEO.feature_rows(samples)
         assert self.VL_GEO.feature_rows(samples).shape == (2, 3)
-        with pytest.raises(ValueError, match="too many values"):
-            self.VL_GEO.feature_row(samples)
 
 
 class TestPearsonCorrelation:

@@ -322,6 +322,19 @@ pressure_mpa=9.1
         with pytest.raises(ValueError, match="depth_m"):
             parse_reservoirs("name=A\ndepth_m=deep\ntoc_pct=2\nro_pct=1\ntemp_c=30\n")
 
+    @pytest.mark.parametrize("a_depth, b_depth, message", [
+        ("-1", "2000", "reservoir A: depth_m must be >= 0, got -1.0"),
+        ("2000", "2000", "reservoir config line 11: expected key=value, got 'bogus line'"),
+        # block B is not closed at the malformed line, so the line fails first
+        ("2000", "-1", "reservoir config line 11: expected key=value, got 'bogus line'"),
+    ], ids=["closed-block-first", "only-the-line", "open-block"])
+    def test_block_closed_before_a_malformed_line_fails_first(self, a_depth, b_depth, message):
+        # block A is lines 1-5, and line 11 is malformed
+        text = (f"name=A\ndepth_m={a_depth}\ntoc_pct=3\nro_pct=1.5\ngradt_c_per_km=30\n\n"
+                f"name=B\ndepth_m={b_depth}\ntoc_pct=3\nro_pct=1.5\nbogus line\ngradt_c_per_km=30\n")
+        assert _outcome(parse_reservoirs, text) == (ValueError, message)
+        assert _outcome(naive_parse_reservoirs, text) == (ValueError, message)
+
     @pytest.mark.parametrize("key, value", [("depth_m", "1_000"), ("alpha", "1_0"), ("temp_c", "3_0")])
     @pytest.mark.parametrize("position", [0, 299])
     def test_digit_grouping_is_not_a_number(self, key, value, position):
@@ -681,6 +694,48 @@ def test_parse_equals_the_per_block_parser(seed):
         assert got == expected
     else:
         assert _same_tables(got, expected)
+
+
+GOOD_BLOCK = "name={name}\ndepth_m=2000\ntoc_pct=3\nro_pct=1.5\ngradt_c_per_km=30\n"
+
+# Faults of a config, each as (text, message): ``{name}`` is the block's name
+# and ``{line}`` the number of the text's last line.
+BAD_BLOCKS = [
+    ("name={name}\ndepth_m=-1\ntoc_pct=3\nro_pct=1.5\ngradt_c_per_km=30\n",
+     "reservoir {name}: depth_m must be >= 0, got -1.0"),
+    ("name={name}\ndepth_m=2000\nro_pct=1.5\ngradt_c_per_km=30\n", "reservoir {name}: missing required key toc_pct"),
+    ("name={name}\ndepth_m=deep\ntoc_pct=3\nro_pct=1.5\ngradt_c_per_km=30\n",
+     "reservoir {name}: depth_m is not a number: 'deep'"),
+    ("name={name}\ndepth_m=2000\ntoc_pct=3\nro_pct=1.5\n",
+     "reservoir {name}: needs gradt_c_per_km or temp_c to resolve temperature"),
+]
+MALFORMED_LINES = [
+    ("bogus line\n", "reservoir config line {line}: expected key=value, got 'bogus line'"),
+    ("porosity=4\n", "reservoir config line {line}: unknown key 'porosity'"),
+    (GOOD_BLOCK + "toc_pct=4\n", "reservoir config line {line}: duplicate key 'toc_pct' in block"),
+    # a malformed line inside a bad block: the block is not closed, so the line is its first fault
+    (BAD_BLOCKS[0][0] + "bogus line\n", "reservoir config line {line}: expected key=value, got 'bogus line'"),
+]
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(items=st.lists(st.one_of(st.just((GOOD_BLOCK, None)), st.sampled_from(BAD_BLOCKS),
+                                st.sampled_from(MALFORMED_LINES)), min_size=1, max_size=8))
+def test_the_earliest_fault_by_line_fails_the_parse(items):
+    texts, messages = [], []
+    for k, (item, message) in enumerate(items):
+        texts.append(item.format(name=f"R{k}"))
+        end = "".join(texts).count("\n")
+        messages.append(message and message.format(name=f"R{k}", line=end))
+        texts.append("\n")
+    text = "".join(texts)
+    expected = next((message for message in messages if message), None)
+    got = _outcome(parse_reservoirs, text)
+    if expected is None:
+        assert len(got) == len(items)
+    else:
+        assert got == (ValueError, expected)
+        assert _outcome(naive_parse_reservoirs, text) == got
 
 
 def test_parse_memory_is_a_few_times_the_text():

@@ -17,13 +17,14 @@ from shale_adsorb.regression import (
     model_from_text,
     model_to_text,
     ols_fit,
+    predict_rows,
     solve_normal_equations,
 )
 from shale_adsorb import regression
 from shale_adsorb.validation import _leave_one_out_systems
 from conftest import count_first_failure, make_record, synthetic_records, table
 from host_probe import KERNEL_CASES, kernel_mismatches
-from helpers import lstsq_oracle, naive_feature_row, naive_pivot_solve, naive_response, sample_rows
+from helpers import lstsq_oracle, naive_feature_row, naive_pivot_solve, naive_predict, naive_response, sample_rows
 
 PL_SPEC = ModelSpec(ModelKind.PL_GEO)
 VL_SPEC = ModelSpec(ModelKind.VL_GEO)
@@ -86,7 +87,7 @@ def _error(func, *args):
 
 
 class TestDesignEqualsPerRecordRows:
-    """``build_design`` and ``feature_row`` equal the per-record recipes (``helpers.naive_feature_row``
+    """``build_design`` and ``feature_rows`` equal the per-record recipes (``helpers.naive_feature_row``
     and ``helpers.naive_response``) with ``==``."""
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda spec: f"{spec.kind.value}-{spec.invtemp_kelvin}")
@@ -94,7 +95,7 @@ class TestDesignEqualsPerRecordRows:
         records = _wide_records(500, seed=17)
         expected = np.array([naive_feature_row(rec, spec) for rec in records])
         assert np.array_equal(build_design(table(records), spec).x, expected)
-        assert [spec.feature_row(table([rec])) for rec in records[:50]] == expected[:50].tolist()
+        assert [spec.feature_rows(table([rec]))[0].tolist() for rec in records[:50]] == expected[:50].tolist()
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda spec: f"{spec.kind.value}-{spec.invtemp_kelvin}")
     def test_responses(self, spec):
@@ -134,7 +135,7 @@ class TestDesignEqualsPerRecordRows:
         expected = _error(lambda: [naive_feature_row(rec, spec) for rec in records])
         assert "bad" in expected or case == "log-domain"
         assert _error(build_design, table(records), spec) == expected
-        assert _error(spec.feature_row, table([records[position]])) == expected
+        assert _error(spec.feature_rows, table([records[position]])) == expected
 
     def test_cube_overflow_names_kind_and_temperature(self):
         record = make_record(1, toc=3.0, temp=1e200, vl=2.0)
@@ -426,47 +427,62 @@ class TestFitRecovery:
 class TestPredict:
     def test_pl_geo_reference_point(self):
         model = FittedModel(PL_SPEC, REFERENCE_PL_COEFFICIENTS, 91)
-        predicted = model.predict(table([make_record(1, toc=2.58, temp=86.98, ro=3.03)]))
+        predicted = model.predict(table([make_record(1, toc=2.58, temp=86.98, ro=3.03)])).item()
         assert predicted == pytest.approx(5.007, abs=2e-3)
         assert round(predicted, 2) == 5.01
 
     def test_vl_geo_reference_point(self):
         model = FittedModel(VL_SPEC, REFERENCE_VL_COEFFICIENTS, 184)
-        predicted = model.predict(table([make_record(1, toc=6.90, temp=83.23)]))
+        predicted = model.predict(table([make_record(1, toc=6.90, temp=83.23)])).item()
         assert predicted == pytest.approx(2.56, abs=5e-3)
 
     def test_toclin_identity_coefficients(self):
         model = FittedModel(ModelSpec(ModelKind.VL_TOCLIN), (1.0, 0.0), 5)
-        assert model.predict(table([make_record(1, toc=3.0, temp=48.0)])) == pytest.approx(3.0)
+        assert model.predict(table([make_record(1, toc=3.0, temp=48.0)])).item() == pytest.approx(3.0)
 
     def test_invtemp_inverse_is_reciprocal_of_exp(self):
         model = FittedModel(ModelSpec(ModelKind.PL_INVTEMP), (40.0, -2.0), 5)
         t = 60.0
         expected = 1.0 / math.exp(40.0 / t - 2.0)
-        assert model.predict(table([make_record(1, toc=3.0, temp=t)])) == pytest.approx(expected, rel=1e-12)
+        assert model.predict(table([make_record(1, toc=3.0, temp=t)])).item() == pytest.approx(expected, rel=1e-12)
 
     def test_interpolation_case_reproduces_training_values(self):
         records = synthetic_records(n=3, seed=5)
         model = fit(records, PL_SPEC)
         for i, rec in enumerate(sample_rows(records)):
-            assert model.predict(records.take([i])) == pytest.approx(rec.pl, rel=1e-9)
+            assert model.predict(records.take([i])).item() == pytest.approx(rec.pl, rel=1e-9)
 
     def test_pl_geo_monotonicity(self):
         model = FittedModel(PL_SPEC, REFERENCE_PL_COEFFICIENTS, 91)
         base = dict(toc=2.58, temp=86.98, ro=3.03)
-        p0 = model.predict(table([make_record(1, **base)]))
-        assert model.predict(table([make_record(1, **{**base, "temp": base["temp"] + 1.0})])) > p0
-        assert model.predict(table([make_record(1, **{**base, "toc": base["toc"] + 1.0})])) < p0
-        assert model.predict(table([make_record(1, **{**base, "ro": base["ro"] + 0.5})])) < p0
+
+        def predict(**fields):
+            return model.predict(table([make_record(1, **{**base, **fields})])).item()
+
+        p0 = predict()
+        assert predict(temp=base["temp"] + 1.0) > p0
+        assert predict(toc=base["toc"] + 1.0) < p0
+        assert predict(ro=base["ro"] + 0.5) < p0
 
     @pytest.mark.parametrize("spec, linear", [(PL_SPEC, 1000.0), (ModelSpec(ModelKind.PL_INVTEMP), -1000.0)],
                              ids=["pl-geo", "pl-invtemp"])
     def test_overflowing_inverse_names_kind_and_value(self, spec, linear):
+        # only the intercept is nonzero, so each row's linear response is its last regressor
+        w = np.zeros(spec.n_coefficients)
+        w[-1] = 1.0
+
+        def rows(*linears):
+            x = np.zeros((len(linears), spec.n_coefficients))
+            x[:, -1] = linears
+            return x
+
+        model = FittedModel(spec, tuple((linear * w).tolist()), 5)
         with pytest.raises(ValueError, match=rf"{spec.kind.value} prediction overflows: linear response {linear!r}"):
-            spec.inverse_response(linear)
+            model.predict(table([make_record(1, toc=3.0, temp=50.0, ro=1.5)]))
         with pytest.raises(ValueError, match=rf"linear response {linear!r}"):
-            spec.inverse_responses([0.5, linear, 2 * linear])
-        assert spec.inverse_responses([0.5, -0.25]) == [spec.inverse_response(0.5), spec.inverse_response(-0.25)]
+            predict_rows(spec, rows(0.5, linear, 2 * linear), w)
+        assert predict_rows(spec, rows(0.5, -0.25), w).tolist() == [predict_rows(spec, rows(0.5), w).item(),
+                                                                    predict_rows(spec, rows(-0.25), w).item()]
 
     def test_missing_field_rejected(self):
         model = FittedModel(PL_SPEC, REFERENCE_PL_COEFFICIENTS, 91)
@@ -485,6 +501,39 @@ class TestPredict:
     def test_negative_n_fit_rejected(self):
         with pytest.raises(ValueError, match="n_fit"):
             FittedModel(PL_SPEC, (1.0, 2.0, 3.0), -4)
+
+
+class TestPredictEqualsPerRecord:
+    """``FittedModel.predict`` of a table equals ``helpers.naive_predict`` of each record with ``==``, and a
+    bad record fails the table with its own error."""
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda spec: f"{spec.kind.value}-{spec.invtemp_kelvin}")
+    def test_table(self, spec):
+        model = fit(table(_wide_records(200, seed=23)), spec)
+        records = _wide_records(300, seed=29)
+        predicted = model.predict(table(records))
+        assert predicted.dtype == np.float64 and predicted.shape == (300,)
+        assert predicted.tolist() == [naive_predict(model, rec) for rec in records]
+
+    MODEL = FittedModel(PL_SPEC, (0.5, 0.7, 1.6), 91)
+    # name -> bad record fields; each fails MODEL's prediction its own way.
+    BAD_RECORDS = {"missing-field": {"ro": None}, "log-domain": {"temp": -5.0}, "overflowing-inverse": {"toc": 1e4}}
+
+    @pytest.mark.parametrize("position", [0, 100, 199])
+    @pytest.mark.parametrize("case", BAD_RECORDS)
+    def test_bad_record_raises_its_own_error(self, case, position):
+        records = _wide_records(200, seed=31)
+        records[position] = records[position]._replace(id="bad", **self.BAD_RECORDS[case])
+        expected = _error(naive_predict, self.MODEL, records[position])
+        assert _error(self.MODEL.predict, table(records)) == expected
+
+    def test_earlier_overflow_wins_over_a_later_missing_field(self):
+        records = _wide_records(200, seed=31)
+        records[50] = records[50]._replace(toc=1e4)
+        records[150] = records[150]._replace(ro=None)
+        expected = _error(lambda: [naive_predict(self.MODEL, rec) for rec in records])
+        assert "overflows" in expected
+        assert _error(self.MODEL.predict, table(records)) == expected
 
 
 class TestModelSerialisation:

@@ -78,7 +78,7 @@ class TestLooCv:
         rows = sample_rows(records)
         for i, rec in enumerate(rows):
             model = fit(table(rows[:i] + rows[i + 1:]), PL_SPEC)
-            expected = (rec.pl - model.predict(records.take([i]))) / rec.pl * 100.0
+            expected = (rec.pl - model.predict(records.take([i])).item()) / rec.pl * 100.0
             assert report.errors_pct[i] == pytest.approx(expected, abs=1e-12)
 
     def test_too_few_records_rejected(self):
@@ -404,7 +404,7 @@ class TestCompareModels:
         model = fit(records.take(slice(9)), VL_SPEC)
         total = 0.0
         for i, rec in enumerate(sample_rows(records)[9:], start=9):
-            total += abs((rec.vl - model.predict(records.take([i]))) / rec.vl)
+            total += abs((rec.vl - model.predict(records.take([i])).item()) / rec.vl)
         assert mean_abs_relative_error_pct(model, records.take(slice(9, None))) == total / 8 * 100.0
 
     def test_mean_abs_relative_errors_are_float64_arrays(self):
