@@ -306,6 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.command == "compare" and args.invtemp_kelvin and args.kind != "pl":
+        build_parser().error("--invtemp-kelvin needs --kind pl: --kind vl compares no pl-invtemp model")
     _configure_logging()
     try:
         out = Path(args.output_dir)

@@ -45,6 +45,7 @@ REASON_TOC = "toc-range"
 REASON_PL = "pl-range"
 REASON_VL = "vl-range"
 REASON_DUPLICATE = "duplicate"
+_RANGE_REASONS = {"temp": REASON_TEMP, "ro": REASON_RO, "toc": REASON_TOC}  # by FIT_RANGES field
 
 
 class SampleParseError(ValueError):
@@ -605,8 +606,8 @@ FIT_RANGES = (
 
 
 def _fit_range_rules(kind: DatasetKind) -> tuple:
-    """One ``<field>-range`` rule per fitted range of the kind's variables."""
-    return tuple((f"{field}-range", field, test) for field, test in FIT_RANGES if field in kind.independent_vars)
+    """One rule per fitted range of the kind's variables, rejecting with that range's ``REASON_*`` code."""
+    return tuple((_RANGE_REASONS[field], field, test) for field, test in FIT_RANGES if field in kind.independent_vars)
 
 
 # Per-kind cleaning rules: (reason code, field, keep-test of its column) in evaluation order. A sample is

@@ -17,7 +17,7 @@ import numpy as np
 
 from .dataset import (ABSENT_TEXT, FIT_RANGES, ColumnTable, SampleTable, first_failure, parse_number,
                       read_key_value_blocks, write_csv)
-from .regression import FittedModel, ModelKind, ModelSpec
+from .regression import FittedModel, ModelKind, ModelSpec, predict_rows
 
 WATER_DENSITY_T_PER_M3 = 1.0
 GRAVITY_N_PER_KG = 9.8
@@ -169,10 +169,10 @@ def _contents(
 
     The steps are those of one row: check the pressure is positive and
     finite, check the query samples (``SampleTable``'s invariants, with ro
-    present), predict pl then vl, check them as :class:`LangmuirParams`
-    does, and evaluate the isotherm. A failing step raises for the first
-    row it rejects, which need not be the first row that fails: an earlier
-    row may fail a later step.
+    present), predict pl then vl by ``predict_rows``, check them as
+    :class:`LangmuirParams` does, and evaluate the isotherm. It does not
+    localise: a failing step raises for its first rejected row, not always
+    the first failing row, since an earlier row may fail a later step.
     """
     bad = np.flatnonzero(~(np.isfinite(pressure) & (pressure > 0)))
     if bad.size:
@@ -182,7 +182,8 @@ def _contents(
         raise ValueError("field ro must be finite, got nan")
     # NumPy warns where the Python float arithmetic it replaces does not.
     with np.errstate(all="ignore"):
-        pl, vl = pl_model.predict(query), vl_model.predict(query)
+        pl, vl = (predict_rows(model.spec, model.spec.regressors(query), np.array(model.coefficients))
+                  for model in (pl_model, vl_model))
         bad = np.flatnonzero(~(np.isfinite(pl) & (pl > 0) & np.isfinite(vl) & (vl > 0)))
         if bad.size:
             LangmuirParams(pl=pl[bad[0]].item(), vl=vl[bad[0]].item())  # raises

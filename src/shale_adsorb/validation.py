@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import SampleTable, first_failure, require_int, write_csv
+from .dataset import SampleTable, require_int, write_csv
 from .regression import (
     FittedModel,
     ModelSpec,
@@ -423,11 +423,6 @@ def mean_abs_relative_error_pct(model: FittedModel, samples: SampleTable) -> flo
     return _mean_abs_relative_errors_pct(actual, predict_rows(spec, x, np.array(model.coefficients))).item()
 
 
-def _require_finite(values: np.ndarray) -> None:
-    if not np.isfinite(values).all():
-        raise ValueError("values must be finite")
-
-
 def compare_models(
     samples: SampleTable,
     specs: Sequence[ModelSpec],
@@ -482,9 +477,9 @@ def compare_models(
         except SingularSystemError as exc:
             failures.append((exc.system, position, exc))
             continue
-        # a fitted model's coefficient checks, as the first failing repetition's model fails them
-        first_failure(_require_finite, w, lambda coefficients: FittedModel(
-            spec, tuple(coefficients.tolist()), len(samples) - n_test))
+        # the first repetition with a non-finite coefficient fails as its fitted model does
+        for coefficients in w[~np.isfinite(w).all(axis=1)][:1]:
+            FittedModel(spec, tuple(coefficients.tolist()), len(samples) - n_test)
         errors_by_spec.append(_mean_abs_relative_errors_pct(
             actual, predict_rows(spec, system.x[test_rows], w[:, None, :])))
     if failures:

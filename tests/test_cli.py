@@ -235,6 +235,16 @@ class TestCompare:
                      "--output-dir", str(tmp_path / "o")]) == 1
         assert "high-t" in capsys.readouterr().err
 
+    def test_invtemp_kelvin_with_kind_vl_is_a_usage_error(self, tmp_path, data_dir, capsys):
+        # the vl forms have no reciprocal-temperature model, so the option would be ignored
+        with pytest.raises(SystemExit) as info:
+            main(["compare", "--input", str(data_dir / "samples.csv"), "--kind", "vl", "--reps", "2",
+                  "--invtemp-kelvin", "--output-dir", str(tmp_path / "o")])
+        assert info.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "error: --invtemp-kelvin needs --kind pl: --kind vl compares no pl-invtemp model\n")
+        assert not any(tmp_path.iterdir())
+
     def test_negative_seed_exit_code_1(self, tmp_path, data_dir, capsys):
         argv = ["compare", "--input", str(data_dir / "samples.csv"), "--kind", "pl", "--seed", "-1",
                 "--output-dir", str(tmp_path / "o")]

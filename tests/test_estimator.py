@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shale_adsorb import estimator
+from shale_adsorb import estimator, regression
 from shale_adsorb.estimator import (
     REFERENCE_PL_COEFFICIENTS,
     REFERENCE_VL_COEFFICIENTS,
@@ -503,9 +503,13 @@ class TestFailingRowBisect:
         assert isinstance(expected, tuple), "a bad reservoir must fail"
         rows, contents = [], estimator._contents
         monkeypatch.setattr(estimator, "_contents", lambda toc, *args: rows.append(len(toc)) or contents(toc, *args))
+        predictions, predict_rows = [], regression.predict_rows
+        for module in (regression, estimator):  # FittedModel.predict's binding too, should the estimate use it
+            monkeypatch.setattr(module, "predict_rows", lambda *args: predictions.append(1) or predict_rows(*args))
         assert _outcome(estimate_reservoirs, ReservoirTable.from_specs(specs), *models) == expected
         assert len(rows) <= 2 * math.ceil(math.log2(len(specs))) + 2
         assert sum(rows) <= 2 * len(specs) + 1  # each probe runs only rows not yet known to pass
+        assert len(predictions) <= 2 * len(rows)  # pl and vl, one batch each per run: no bisect inside a probe
         return expected
 
     @pytest.mark.parametrize("position", [0, N // 2, N - 1])
