@@ -168,16 +168,12 @@ def cmd_compare(args: argparse.Namespace, out: Path) -> None:
 
 def cmd_estimate(args: argparse.Namespace, out: Path) -> None:
     if args.paper_coefficients:
-        if args.pl_model or args.vl_model:
-            raise ValueError("--paper-coefficients cannot be combined with --pl-model/--vl-model")
         pl_model, vl_model = estimator.reference_models()
     else:
-        if not (args.pl_model and args.vl_model):
-            raise ValueError("estimate needs --paper-coefficients or both --pl-model and --vl-model")
         pl_model = _stage("model", _parse_file, model_from_text, args.pl_model)
         vl_model = _stage("model", _parse_file, model_from_text, args.vl_model)
         if pl_model.spec.dependent_var != "pl" or vl_model.spec.dependent_var != "vl":
-            raise ValueError("--pl-model must predict pl and --vl-model must predict vl")
+            raise ValueError("model stage: --pl-model must predict pl and --vl-model must predict vl")
 
     reservoirs = _stage("reservoir-config", _parse_file, estimator.parse_reservoirs, args.input)
     if not reservoirs:
@@ -308,6 +304,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "compare" and args.invtemp_kelvin and args.kind != "pl":
         build_parser().error("--invtemp-kelvin needs --kind pl: --kind vl compares no pl-invtemp model")
+    if args.command == "estimate" and args.paper_coefficients and (args.pl_model or args.vl_model):
+        build_parser().error("--paper-coefficients cannot be combined with --pl-model/--vl-model")
+    if args.command == "estimate" and not (args.paper_coefficients or args.pl_model and args.vl_model):
+        build_parser().error("estimate needs --paper-coefficients or both --pl-model and --vl-model")
     _configure_logging()
     try:
         out = Path(args.output_dir)

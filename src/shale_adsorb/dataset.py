@@ -237,7 +237,7 @@ def elementwise(ufunc: np.ufunc, *operands) -> np.ndarray:
     return np.ascontiguousarray(reversed_values[::-1]).reshape(shape)
 
 
-def first_failure(run, items: Sequence, alone, errors=ValueError):
+def first_failure(run, items: Sequence, alone):
     """``run(items)``, failing as its first failing item fails alone: the one batch rule of every stage.
 
     ``run`` must be row-local: a slice of ``items`` fails exactly when one
@@ -250,19 +250,42 @@ def first_failure(run, items: Sequence, alone, errors=ValueError):
     """
     try:
         return run(items)
-    except errors as exc:
+    except ValueError as exc:
         error = exc
     passed, failed = 0, len(items)  # the items before `passed` pass; those before `failed` do not
     while failed - passed > 1:
         middle = (passed + failed) // 2
         try:
             run(items[passed:middle])
-        except errors as exc:
+        except ValueError as exc:
             failed, error = middle, exc
         else:
             passed = middle
     alone(items[passed])
     raise error
+
+
+def read_whole(fast, read, localise):
+    """``fast()``, the whole input read at once; on its ``ValueError``, ``localise`` of the items ``read()`` yields.
+
+    The one parse-error order of every input file: the earliest fault wins.
+    Only on failure, ``read()`` yields the input's items one by one, raising
+    at the first it cannot read, and ``localise`` runs on the items read so
+    far, raising the first bad one's own error (by :func:`first_failure`).
+    So a bad item before an unreadable one fails first, and if no item read
+    is bad, the reader's own error stands.
+    """
+    try:
+        return fast()
+    except ValueError:
+        pass  # read again, to name the earliest fault
+    items: list = []
+    try:
+        for item in read():
+            items.append(item)
+    finally:  # the items before one the reader cannot read fail first
+        result = localise(items)
+    return result
 
 
 def require_int(name: str, value) -> int:
@@ -311,23 +334,16 @@ def parse_samples(source: str | Iterable[str]) -> SampleTable:
     A plain text (see :func:`plain_csv_columns`) is split whole and read as one
     table. Anything else, and a plain text with any fault, goes through
     :func:`read_csv_table`'s ``csv.reader``, which gives the same rows and
-    is the one source of every error.
+    is the one source of every error; :func:`read_whole` runs the two.
     """
-    plain = plain_csv_columns(source, SAMPLES_CSV_COLUMNS)
-    if plain is not None:
-        try:
-            return _sample_table(plain)
-        except ValueError:
-            pass  # read_csv_table's rows below name the first bad row's own error
-    rows: list[tuple[int, list[str]]] = []
-    try:
-        for row in read_csv_table(source, SAMPLES_CSV_COLUMNS, "samples"):
-            rows.append(row)
-    finally:  # the rows before one the reader cannot read fail first
-        first_row = {cells[0].strip(): row for row, cells in reversed(rows)}
-        samples = first_failure(lambda part: _rows_table(part, first_row), rows,
-                                lambda row: _check_row(*row, first_row))
-    return samples
+    return read_whole(lambda: _sample_table(plain_csv_columns(source, SAMPLES_CSV_COLUMNS)),
+                      lambda: read_csv_table(source, SAMPLES_CSV_COLUMNS, "samples"), _first_failing_row)
+
+
+def _first_failing_row(rows: list[tuple[int, list[str]]]) -> SampleTable:
+    """The table of samples-CSV rows, raising the first bad row's own error, by :func:`first_failure`."""
+    first_row = {cells[0].strip(): row for row, cells in reversed(rows)}
+    return first_failure(lambda part: _rows_table(part, first_row), rows, lambda row: _check_row(*row, first_row))
 
 
 def _sample_table(columns: Sequence[Sequence[str]]) -> SampleTable:
@@ -411,8 +427,8 @@ def read_csv_table(
         raise SampleParseError(row + 1, "record", f"unreadable {label} row: {exc}") from None
 
 
-def plain_csv_columns(source: str | Iterable[str], columns: Sequence[str]) -> list[list[str]] | None:
-    """The data cells of a plain CSV text, one list per column, split whole; ``None`` for any other source.
+def plain_csv_columns(source: str | Iterable[str], columns: Sequence[str]) -> list[list[str]]:
+    """The data cells of a plain CSV text, one list per column, split whole; ``ValueError`` for any other source.
 
     Plain text is a ``str`` with no quote, CR or NUL and no line longer than
     ``csv.field_size_limit()``, whose header equals ``columns`` after
@@ -420,12 +436,12 @@ def plain_csv_columns(source: str | Iterable[str], columns: Sequence[str]) -> li
     reads each line of such a text as its split at the commas, so these are
     the cells :func:`read_csv_table` yields. One ``split`` makes them all,
     each line feed its own cell between two rows, with no list per row.
-    This never raises: a row it keeps may still be blank or bad, so a
-    caller that finds any fault in the cells reads the text again with
-    :func:`read_csv_table`, which names the error.
+    A row it keeps may still be blank or bad, so a caller that finds any
+    fault in the cells, as for this ``ValueError``, reads the text again
+    with :func:`read_csv_table`, which names the error.
     """
     if not isinstance(source, str) or '"' in source or "\r" in source or "\0" in source:
-        return None
+        raise ValueError("not a plain CSV text")
     text = source[:-1] if source.endswith("\n") else source
     cells = text.replace("\n", ",\n,").split(",")
     width = len(columns) + 1  # a row's cells and the line feed after it
@@ -434,7 +450,7 @@ def plain_csv_columns(source: str | Iterable[str], columns: Sequence[str]) -> li
     if (len(cells) != lines * width - 1 or cells[width - 1::width].count("\n") != lines - 1
             or tuple(map(str.strip, cells[:width - 1])) != tuple(columns)
             or len(text) > limit and max(map(len, text.split("\n"))) > limit):
-        return None
+        raise ValueError("not a plain CSV text")
     return [cells[k::width] for k in range(width, 2 * width - 1)]
 
 

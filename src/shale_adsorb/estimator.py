@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .dataset import (ABSENT_TEXT, FIT_RANGES, ColumnTable, SampleTable, first_failure, parse_number,
-                      read_key_value_blocks, write_csv)
+                      read_key_value_blocks, read_whole, write_csv)
 from .regression import FittedModel, ModelKind, ModelSpec, predict_rows
 
 WATER_DENSITY_T_PER_M3 = 1.0
@@ -317,16 +317,16 @@ def estimates_to_csv(estimates: EstimateTable) -> str:
 
 # The number fields of a ReservoirTable in column order, each with the config
 # key it is read from, which the parse's messages name, and the text read for
-# an absent key (None: required; ABSENT_TEXT: NaN, marking it absent).
+# an absent key ("": required, since "" is no number; ABSENT_TEXT: NaN, marking it absent).
 _NUMBER_KEYS = (
-    ("depth", "depth_m", None), ("toc", "toc_pct", None), ("ro", "ro_pct", None), ("alpha", "alpha", "1.0"),
+    ("depth", "depth_m", ""), ("toc", "toc_pct", ""), ("ro", "ro_pct", ""), ("alpha", "alpha", "1.0"),
     ("surface_temp", "surface_temp_c", repr(DEFAULT_SURFACE_TEMP_C)), ("grad_t", "gradt_c_per_km", ABSENT_TEXT),
     ("temp_override", "temp_c", ABSENT_TEXT), ("pressure_override", "pressure_mpa", ABSENT_TEXT),
 )
 
 _RESERVOIR_KEYS = {"name", *(key for _, key, _ in _NUMBER_KEYS)}
 
-_REQUIRED_KEYS = tuple(key for _, key, default in _NUMBER_KEYS if default is None)
+_REQUIRED_KEYS = tuple(key for _, key, default in _NUMBER_KEYS if not default)
 
 
 class _ConfigReservoirs(ReservoirTable):
@@ -344,16 +344,17 @@ def _columns(blocks: Iterable[dict[str, str]]) -> list:
 
     The numbers go into ``array("d")`` columns, NaN where a gradient,
     temperature or pressure key is absent, so no block outlives its chunk.
-    Raises ``KeyError``, ``TypeError`` or ``ValueError`` when a block lacks
-    the name or a required key, or holds a value that is not a number, such
-    as one holding a ``_``, which ``float`` reads as digit grouping, or a
-    NaN for one of those three keys, which would read as its absence.
+    A missing name reads as an empty one, which the table rejects. Raises
+    ``ValueError`` when a block lacks a required key or holds a value that
+    is not a number, such as one holding a ``_``, which ``float`` reads as
+    digit grouping, or a NaN for one of those three keys, which would read
+    as its absence.
     """
     names: list[str] = []
     numbers = [(key, default, array("d")) for _, key, default in _NUMBER_KEYS]
     blocks = iter(blocks)
     while chunk := list(islice(blocks, _CHUNK_BLOCKS)):
-        names.extend(block["name"] for block in chunk)
+        names.extend(block.get("name", "") for block in chunk)
         for key, default, column in numbers:
             texts = [block.get(key, default) for block in chunk]
             if "_" in "".join(texts):
@@ -398,21 +399,10 @@ def parse_reservoirs(text: str) -> ReservoirTable:
     The blocks stream from the reader into the columns, so the parse holds
     the columns and one chunk of text, not every line and block. Only a
     failed parse reads the blocks again into a list, up to a malformed
-    line, to find that error.
+    line, to find that error, by :func:`~shale_adsorb.dataset.read_whole`.
     """
     def blocks():
         return read_key_value_blocks(text, "reservoir config", keys=_RESERVOIR_KEYS, block_key="name")
 
-    errors = (KeyError, TypeError, ValueError)
-    try:
-        return ReservoirTable(*_columns(blocks()))
-    except errors:
-        pass  # read again, to name the first fault; the messages name config keys
-    read: list[dict[str, str]] = []
-    try:
-        for block in blocks():
-            read.append(block)
-    finally:  # the blocks closed before a line the reader cannot read fail first
-        reservoirs = first_failure(lambda part: _ConfigReservoirs(*_columns(part)), read, _check_block,
-                                   errors=errors)
-    return reservoirs
+    return read_whole(lambda: ReservoirTable(*_columns(blocks())), blocks,
+                      lambda read: first_failure(lambda part: _ConfigReservoirs(*_columns(part)), read, _check_block))

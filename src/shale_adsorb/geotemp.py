@@ -16,7 +16,7 @@ import numpy as np
 
 from .dataset import (
     ColumnTable, SampleParseError, _parse_float, elementwise, first_failure, plain_csv_columns, read_csv_table,
-    require_int, write_csv,
+    read_whole, require_int, write_csv,
 )
 from .outliers import first_k_of_candidates, nearest_first
 
@@ -281,21 +281,11 @@ def parse_heatflow(source: str | Iterable[str]) -> HeatFlowTable:
     split whole and read as one table. Anything else, and a plain text with
     any fault, goes through :func:`~shale_adsorb.dataset.read_csv_table`'s
     ``csv.reader``, which gives the same rows and is the one source of
-    every error.
+    every error; :func:`~shale_adsorb.dataset.read_whole` runs the two.
     """
-    plain = plain_csv_columns(source, HEATFLOW_CSV_COLUMNS)
-    if plain is not None:
-        try:
-            return _heatflow_table(plain)
-        except ValueError:
-            pass  # read_csv_table's rows below name the first bad row's own error
-    rows: list[tuple[int, list[str]]] = []
-    try:
-        for row in read_csv_table(source, HEATFLOW_CSV_COLUMNS, "heat-flow"):
-            rows.append(row)
-    finally:  # the rows before one the reader cannot read fail first
-        points = first_failure(_rows_table, rows, _check_cells)
-    return points
+    return read_whole(lambda: _heatflow_table(plain_csv_columns(source, HEATFLOW_CSV_COLUMNS)),
+                      lambda: read_csv_table(source, HEATFLOW_CSV_COLUMNS, "heat-flow"),
+                      lambda rows: first_failure(_rows_table, rows, _check_cells))
 
 
 def grid_to_csv(grid: np.ndarray) -> str:

@@ -70,9 +70,9 @@ def count_first_failure(monkeypatch, module):
     runs, alone_items = [], []
     real = module.first_failure
 
-    def counted(run, items, alone, errors=ValueError):
+    def counted(run, items, alone):
         return real(lambda part: runs.append(len(part)) or run(part), items,
-                    lambda item: alone_items.append(item) or alone(item), errors)
+                    lambda item: alone_items.append(item) or alone(item))
 
     monkeypatch.setattr(module, "first_failure", counted)
     return runs, alone_items

@@ -77,7 +77,7 @@ def naive_check_sample(record: Row) -> None:
             raise ValueError(f"field {name} must be > 0 when present, got {value!r}")
 
 
-def linear_first_failure(run, items, alone, errors=ValueError):
+def linear_first_failure(run, items, alone):
     """The batch rule by linear replay: ``run(items)``, failing as its first failing item fails alone.
 
     Only on failure, ``alone`` runs on each item in order. At the first that
@@ -87,11 +87,11 @@ def linear_first_failure(run, items, alone, errors=ValueError):
     """
     try:
         return run(items)
-    except errors:
+    except ValueError:
         for k, item in enumerate(items):
             try:
                 alone(item)
-            except errors:
+            except ValueError:
                 run(items[:k])
                 raise
         raise

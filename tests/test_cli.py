@@ -342,10 +342,33 @@ class TestEstimate:
         assert not (tmp_path / "out" / "estimates.csv").exists()
 
     def test_flag_and_files_are_mutually_exclusive(self, tmp_path, data_dir, capsys):
-        assert main(["estimate", "--input", str(data_dir / "reservoirs.conf"),
-                     "--paper-coefficients", "--pl-model", "x", "--vl-model", "y",
-                     "--output-dir", str(tmp_path)]) == 1
+        with pytest.raises(SystemExit) as info:
+            main(["estimate", "--input", str(data_dir / "reservoirs.conf"),
+                  "--paper-coefficients", "--pl-model", "x", "--vl-model", "y",
+                  "--output-dir", str(tmp_path)])
+        assert info.value.code == 2
         assert "cannot be combined" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("models", [[], ["--pl-model", "x"]], ids=["neither", "pl-only"])
+    def test_estimate_needs_coefficients_or_both_model_files(self, models, tmp_path, data_dir, capsys):
+        # a usage error, checked before any stage runs, so no output directory is made
+        with pytest.raises(SystemExit) as info:
+            main(["estimate", "--input", str(data_dir / "reservoirs.conf"), *models,
+                  "--output-dir", str(tmp_path / "o")])
+        assert info.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "error: estimate needs --paper-coefficients or both --pl-model and --vl-model\n")
+        assert not any(tmp_path.iterdir())
+
+    def test_model_file_of_the_wrong_kind_fails_the_model_stage(self, tmp_path, data_dir, capsys):
+        vl_model = tmp_path / "model_vl.txt"
+        vl_model.write_text(model_to_text(reference_models()[1]), encoding="utf-8")
+        out = tmp_path / "out"
+        argv = ["estimate", "--input", str(data_dir / "reservoirs.conf"), "--pl-model", str(vl_model),
+                "--vl-model", str(vl_model), "--output-dir", str(out)]
+        assert _run(argv, capsys) == (
+            1, "error: model stage: --pl-model must predict pl and --vl-model must predict vl\n")
+        assert not (out / "estimates.csv").exists()
 
     def test_missing_temperature_source_names_fields(self, tmp_path, capsys):
         config = tmp_path / "r.conf"

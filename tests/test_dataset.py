@@ -457,9 +457,15 @@ class TestFirstFailure:
         assert calls == [["a", "z", "b"], ["a"], ["z"]]
 
     def test_other_errors_propagate_without_replay(self):
-        alone_calls = []
-        with pytest.raises(ValueError, match="^x at 0$"):
-            first_failure(_staged_run([]), ["x"], alone_calls.append, errors=KeyError)
+        calls, alone_calls = [], []
+
+        def run(items):
+            calls.append(items)
+            raise KeyError("x")
+
+        with pytest.raises(KeyError, match="^'x'$"):
+            first_failure(run, ["a", "b", "c"], alone_calls.append)
+        assert calls == [["a", "b", "c"]]
         assert alone_calls == []
 
 

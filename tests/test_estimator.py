@@ -335,6 +335,19 @@ pressure_mpa=9.1
         assert _outcome(parse_reservoirs, text) == (ValueError, message)
         assert _outcome(naive_parse_reservoirs, text) == (ValueError, message)
 
+    @pytest.mark.parametrize("name_line, message", [
+        ("", "reservoir config block is missing the name key"),
+        ("name=\n", "reservoir name must not be empty"),
+    ], ids=["no-name-key", "empty-name"])
+    @pytest.mark.parametrize("later", ["name=B\ndepth_m=-1\ntoc_pct=3\nro_pct=1.5\ngradt_c_per_km=30\n",
+                                       "name=B\ndepth_m=x\ntoc_pct=3\nro_pct=1.5\ngradt_c_per_km=30\n",
+                                       "name=B\ndepth_m=2000\n"], ids=["invariant", "not-a-number", "missing-key"])
+    def test_a_missing_name_and_an_empty_one_keep_their_messages(self, name_line, message, later):
+        # both read as an empty name in the columns; the first block's own message wins over the later block's
+        text = f"{name_line}depth_m=2000\ntoc_pct=3\nro_pct=1.5\ngradt_c_per_km=30\n\n{later}"
+        assert _outcome(parse_reservoirs, text) == (ValueError, message)
+        assert _outcome(naive_parse_reservoirs, text) == (ValueError, message)
+
     @pytest.mark.parametrize("key, value", [("depth_m", "1_000"), ("alpha", "1_0"), ("temp_c", "3_0")])
     @pytest.mark.parametrize("position", [0, 299])
     def test_digit_grouping_is_not_a_number(self, key, value, position):
