@@ -131,8 +131,6 @@ def _column_types(table: type) -> tuple[tuple[str, type], ...]:
 SAMPLE_COLUMNS = ("toc", "ro", "temp", "porosity", "pl", "vl")
 REQUIRED_COLUMNS = ("toc", "temp")
 _FINITE_ORDER = ("toc", "temp", "ro", "porosity", "pl", "vl")
-#: The text an absent input value is read as: NaN, yet no stripped text, so any other NaN is a value reading as NaN.
-ABSENT_TEXT = " nan"
 
 
 @dataclass(frozen=True, eq=False)
@@ -349,24 +347,30 @@ def _first_failing_row(rows: list[tuple[int, list[str]]]) -> SampleTable:
 def _sample_table(columns: Sequence[Sequence[str]]) -> SampleTable:
     """The table of the samples-CSV columns of cells.
 
-    An empty or repeated id, a cell holding a ``_`` or reading as NaN, or
-    any other broken invariant of :class:`SampleTable` raises ``ValueError``.
+    A number cell is read as ``float`` reads it, which strips it, and an
+    empty one is absent. An empty or repeated id, a whitespace-only number
+    cell, a cell holding a ``_`` or reading as NaN, or any other broken
+    invariant of :class:`SampleTable` raises ``ValueError``.
     """
     ids, reservoirs = (list(map(str.strip, column)) for column in columns[:2])
-    texts = [[cell.strip() or ABSENT_TEXT for cell in column] for column in columns[2:]]
-    numbers = [np.fromiter(map(float, column), float, len(column)) for column in texts]
+    numbers = [np.fromiter(map(float, [cell or "nan" for cell in column]), float, len(column))
+               for column in columns[2:]]
     if "" in ids or len(set(ids)) < len(ids) or any(
-            "_" in "".join(column) or np.isnan(values).sum() > column.count(ABSENT_TEXT)
-            for values, column in zip(numbers, texts)):
+            "_" in "".join(column) or np.isnan(values).sum() > column.count("")
+            for values, column in zip(numbers, columns[2:])):
         raise ValueError("an id is empty or used twice, or a cell holds a _ or reads as NaN")
     return SampleTable(ids, reservoirs, *numbers)
 
 
 def _rows_table(rows: Sequence[tuple[int, list[str]]], first_row: dict[str, int]) -> SampleTable:
-    """The table of samples-CSV rows, given each id's first row; a bad row raises what :func:`_check_row` explains."""
+    """The table of samples-CSV rows, given each id's first row; a bad row raises what :func:`_check_row` explains.
+
+    The cells are stripped, so a whitespace-only number cell is absent, as an empty one is.
+    """
     if [first_row[cells[0].strip()] for _, cells in rows] != [row for row, _ in rows]:
         raise ValueError("an id is used in an earlier row")
-    return _sample_table(list(zip(*(cells for _, cells in rows))) or [()] * len(SAMPLES_CSV_COLUMNS))
+    return _sample_table(list(zip(*(map(str.strip, cells) for _, cells in rows)))
+                         or [()] * len(SAMPLES_CSV_COLUMNS))
 
 
 def _check_row(row: int, cells: list[str], first_row: dict[str, int]) -> None:

@@ -8,15 +8,13 @@ pressure scaled by a pressure coefficient.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass, fields
-from itertools import compress, islice
-from typing import Iterable, Sequence
+from itertools import chain, compress, repeat
+from typing import Sequence
 
 import numpy as np
 
-from .dataset import (ABSENT_TEXT, FIT_RANGES, ColumnTable, SampleTable, first_failure, parse_number,
-                      read_key_value_blocks, read_whole, write_csv)
+from .dataset import FIT_RANGES, ColumnTable, SampleTable, first_failure, read_key_value_blocks, read_whole, write_csv
 from .regression import FittedModel, ModelKind, ModelSpec, predict_rows
 
 WATER_DENSITY_T_PER_M3 = 1.0
@@ -316,17 +314,25 @@ def estimates_to_csv(estimates: EstimateTable) -> str:
 
 
 # The number fields of a ReservoirTable in column order, each with the config
-# key it is read from, which the parse's messages name, and the text read for
-# an absent key ("": required, since "" is no number; ABSENT_TEXT: NaN, marking it absent).
+# key it is read from, which the parse's messages name, and the value of an
+# absent key: None for a required one, NaN marking an optional input absent.
 _NUMBER_KEYS = (
-    ("depth", "depth_m", ""), ("toc", "toc_pct", ""), ("ro", "ro_pct", ""), ("alpha", "alpha", "1.0"),
-    ("surface_temp", "surface_temp_c", repr(DEFAULT_SURFACE_TEMP_C)), ("grad_t", "gradt_c_per_km", ABSENT_TEXT),
-    ("temp_override", "temp_c", ABSENT_TEXT), ("pressure_override", "pressure_mpa", ABSENT_TEXT),
+    ("depth", "depth_m", None), ("toc", "toc_pct", None), ("ro", "ro_pct", None), ("alpha", "alpha", 1.0),
+    ("surface_temp", "surface_temp_c", DEFAULT_SURFACE_TEMP_C), ("grad_t", "gradt_c_per_km", math.nan),
+    ("temp_override", "temp_c", math.nan), ("pressure_override", "pressure_mpa", math.nan),
 )
 
-_RESERVOIR_KEYS = {"name", *(key for _, key, _ in _NUMBER_KEYS)}
+# Each config key's column: the name, then the number keys in column order.
+_KEY_COLUMNS = {key: k for k, key in enumerate(("name", *(key for _, key, _ in _NUMBER_KEYS)))}
 
-_REQUIRED_KEYS = tuple(key for _, key, default in _NUMBER_KEYS if not default)
+_REQUIRED_KEYS = tuple(key for _, key, default in _NUMBER_KEYS if default is None)
+
+# The line breaks of ``str.splitlines`` other than "\n".
+_OTHER_LINE_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+# A plain config is read in chunks of whole blocks, each running on to the
+# first blank line at or past this many characters.
+_CHUNK_CHARS = 2**16
 
 
 class _ConfigReservoirs(ReservoirTable):
@@ -335,35 +341,88 @@ class _ConfigReservoirs(ReservoirTable):
     checks = _reservoir_checks({field: key for field, key, _ in _NUMBER_KEYS})
 
 
-# Config blocks read into the columns at a time.
-_CHUNK_BLOCKS = 256
+def _column(n: int, rows, texts: Sequence[str], default: float | None) -> np.ndarray:
+    """The column of n blocks: the number of ``texts[j]`` in block ``rows[j]``, ``default`` in the others.
 
-
-def _columns(blocks: Iterable[dict[str, str]]) -> list:
-    """The :class:`ReservoirTable` columns of config blocks, read in one pass of chunks of blocks.
-
-    The numbers go into ``array("d")`` columns, NaN where a gradient,
-    temperature or pressure key is absent, so no block outlives its chunk.
-    A missing name reads as an empty one, which the table rejects. Raises
-    ``ValueError`` when a block lacks a required key or holds a value that
-    is not a number, such as one holding a ``_``, which ``float`` reads as
-    digit grouping, or a NaN for one of those three keys, which would read
-    as its absence.
+    The config's one number rule. Raises ``ValueError`` when a required key
+    (``default`` None) is absent from a block, or a text is not a number:
+    one holding a ``_``, which ``float`` reads as digit grouping, or one
+    reading as NaN where NaN marks the key absent.
     """
-    names: list[str] = []
-    numbers = [(key, default, array("d")) for _, key, default in _NUMBER_KEYS]
-    blocks = iter(blocks)
-    while chunk := list(islice(blocks, _CHUNK_BLOCKS)):
-        names.extend(block.get("name", "") for block in chunk)
-        for key, default, column in numbers:
-            texts = [block.get(key, default) for block in chunk]
-            if "_" in "".join(texts):
-                raise ValueError(f"reservoir config {key}: a value holds a _")
-            start = len(column)
-            column.extend(map(float, texts))
-            if default == ABSENT_TEXT and np.isnan(column[start:]).sum() > texts.count(ABSENT_TEXT):
-                raise ValueError(f"reservoir config {key}: a value reads as NaN")
-    return [names, *(column for _, _, column in numbers)]
+    if default is None and len(texts) < n or "_" in "".join(texts):
+        raise ValueError("a required key is absent or a value holds a _")
+    values = np.fromiter(map(float, texts), float, len(texts))
+    if default is not None and math.isnan(default) and np.isnan(values).any():
+        raise ValueError("a value reads as NaN")
+    column = np.full(n, math.nan if default is None else default)
+    column[rows] = values
+    return column
+
+
+def _plain_columns(text: str) -> list:
+    """The :class:`ReservoirTable` columns of a plain config, read whole; ``ValueError`` for any other text.
+
+    A plain config breaks lines only at ``\\n``. Before its first ``name=``
+    line come only blank and ``#`` lines; from there on, every line is an
+    exact ``key=value`` (a config key, one ``=``), one blank line comes
+    between two blocks, each block starts with ``name=`` and holds no other
+    ``name=``, and the text ends after at most one ``\\n``. The blocks
+    :func:`~shale_adsorb.dataset.read_key_value_blocks` reads from it are
+    then the runs of lines between blank lines. The text is read by
+    :func:`_plain_chunk_columns` a chunk of whole blocks at a time, so the
+    read holds the columns and one chunk, not every line.
+    """
+    start = 0 if text.startswith("name=") else text.find("\nname=") + 1
+    end = len(text) - text.endswith("\n")
+    if start >= end or any(char in text for char in _OTHER_LINE_BREAKS) or any(
+            line[:1] not in ("", "#") for line in text[:start].split("\n")[:-1]):
+        raise ValueError("not a plain reservoir config")
+    parts = []
+    while start < end:
+        stop = text.find("\n\n", start + _CHUNK_CHARS, end)
+        stop = end if stop < 0 else stop
+        parts.append(_plain_chunk_columns(text[start:stop]))
+        start = stop + 2
+    names, *numbers = zip(*parts)
+    return [list(chain.from_iterable(names)), *map(np.concatenate, numbers)]
+
+
+def _plain_chunk_columns(chunk: str) -> list:
+    """The :class:`ReservoirTable` columns of whole blocks of a plain config; ``ValueError`` for any fault.
+
+    One ``split`` makes every key and value, each line feed its own item
+    between two lines, one ``map`` gives each key's column, a running count
+    of ``name`` keys gives each line's block, one ``bincount`` finds a key
+    repeated in a block, and :func:`_column` reads only the values present.
+    """
+    # a blank line left after the collapse (of "\n\n\n" or more) holds no "=", so the count of items fails
+    items = chunk.replace("\n\n", "\n").replace("\n", "=\n=").split("=")
+    keys, values = items[0::3], items[1::3]
+    columns = np.array(list(map(_KEY_COLUMNS.get, keys, repeat(-1))), np.intp)
+    blocks = chunk.count("\n\n") + 1
+    block = np.cumsum(columns == 0) - 1
+    if (len(items) != 3 * len(keys) - 1 or items[2::3].count("\n") != len(keys) - 1  # one "=" per line
+            or not chunk.startswith("name=") or chunk.count("\n\nname=") != blocks - 1  # a name starts each block
+            or block[-1] != blocks - 1 or columns.min() < 0  # no other name, no unknown key
+            or np.bincount(block * len(_KEY_COLUMNS) + columns).max() > 1):  # no key twice in a block
+        raise ValueError("not a plain reservoir config")
+    rows = [np.flatnonzero(columns == k) for k in range(len(_KEY_COLUMNS))]
+    texts = [list(map(values.__getitem__, lines.tolist())) for lines in rows]
+    return [list(map(str.strip, texts[0])),
+            *(_column(blocks, block[lines], column_texts, default)
+              for lines, column_texts, (_, _, default) in zip(rows[1:], texts[1:], _NUMBER_KEYS))]
+
+
+def _block_columns(blocks: Sequence[dict[str, str]]) -> list:
+    """The :class:`ReservoirTable` columns of config blocks.
+
+    A missing name reads as an empty one, which the table rejects.
+    """
+    columns: list = [[block.get("name", "") for block in blocks]]
+    for _, key, default in _NUMBER_KEYS:
+        rows = [i for i, block in enumerate(blocks) if key in block]
+        columns.append(_column(len(blocks), rows, [blocks[i][key] for i in rows], default))
+    return columns
 
 
 def _check_block(block: dict[str, str]) -> None:
@@ -375,11 +434,11 @@ def _check_block(block: dict[str, str]) -> None:
         if key not in block:
             raise ValueError(f"reservoir {name}: missing required key {key}")
     for _, key, default in _NUMBER_KEYS:
-        try:
-            if math.isnan(parse_number(block.get(key, "0"))) and default == ABSENT_TEXT:
-                raise ValueError  # would read as the key's absence
-        except ValueError:
-            raise ValueError(f"reservoir {name}: {key} is not a number: {block[key]!r}") from None
+        if key in block:
+            try:
+                _column(1, [0], [block[key]], default)
+            except ValueError:
+                raise ValueError(f"reservoir {name}: {key} is not a number: {block[key]!r}") from None
 
 
 def parse_reservoirs(text: str) -> ReservoirTable:
@@ -396,13 +455,18 @@ def parse_reservoirs(text: str) -> ReservoirTable:
     not a number, and that before a broken invariant. Every message names
     the config key (``depth_m``), not the table's field (``depth``).
 
-    The blocks stream from the reader into the columns, so the parse holds
-    the columns and one chunk of text, not every line and block. Only a
-    failed parse reads the blocks again into a list, up to a malformed
-    line, to find that error, by :func:`~shale_adsorb.dataset.read_whole`.
+    A plain config (see :func:`_plain_columns`) is read whole, a chunk of
+    blocks at a time, straight into the columns. Anything else, and a plain
+    config with any fault, is read again by
+    :func:`~shale_adsorb.dataset.read_key_value_blocks`, line by line, up
+    to a malformed line, and the blocks read are checked by
+    :func:`~shale_adsorb.dataset.first_failure`; that reader and the checks
+    are the one source of every error. :func:`~shale_adsorb.dataset.read_whole`
+    runs the two.
     """
     def blocks():
-        return read_key_value_blocks(text, "reservoir config", keys=_RESERVOIR_KEYS, block_key="name")
+        return read_key_value_blocks(text, "reservoir config", keys=set(_KEY_COLUMNS), block_key="name")
 
-    return read_whole(lambda: ReservoirTable(*_columns(blocks())), blocks,
-                      lambda read: first_failure(lambda part: _ConfigReservoirs(*_columns(part)), read, _check_block))
+    return read_whole(lambda: ReservoirTable(*_plain_columns(text)), blocks,
+                      lambda read: first_failure(lambda part: _ConfigReservoirs(*_block_columns(part)), read,
+                                                 _check_block))

@@ -360,6 +360,15 @@ class TestEstimate:
             "error: estimate needs --paper-coefficients or both --pl-model and --vl-model\n")
         assert not any(tmp_path.iterdir())
 
+    def test_a_usage_error_is_argparse_message_naming_no_stage(self, tmp_path, data_dir, capsys):
+        with pytest.raises(SystemExit):
+            main(["estimate", "--input", str(data_dir / "reservoirs.conf"), "--output-dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert err.startswith("usage: shale-adsorb ")
+        assert err.splitlines()[-1] == (
+            "shale-adsorb: error: estimate needs --paper-coefficients or both --pl-model and --vl-model")
+        assert "stage" not in err
+
     def test_model_file_of_the_wrong_kind_fails_the_model_stage(self, tmp_path, data_dir, capsys):
         vl_model = tmp_path / "model_vl.txt"
         vl_model.write_text(model_to_text(reference_models()[1]), encoding="utf-8")

@@ -236,6 +236,23 @@ def test_a_cell_moved_to_the_next_row_fails_the_short_row():
         SampleParseError, "row 2, column vl_m3t: expected 8 samples fields, got 7", 2, "vl_m3t")
 
 
+@pytest.mark.parametrize("cell, ro", [
+    (" ", math.nan), ("\t", math.nan), (" 2.5 ", 2.5),
+    (" nan", "row 2, column record: field ro must be finite, got nan"),
+    (" 1_0", "row 2, column ro_pct: not a number: ' 1_0'"),
+], ids=["space", "tab", "spaces-around", "spaced-nan", "spaced-grouping"])
+def test_a_number_cell_of_plain_text_reads_as_float_reads_it(cell, ro):
+    # the whole-text split hands float each number cell unstripped; only an empty cell is absent,
+    # so a whitespace-only one is read again by csv.reader, and " nan" is a value reading as NaN
+    text = f"{HEADER}\ns1,Barnett,4.0,{cell},48,,5.0,2.0\ns2,Barnett,4.0,1.5,48,,5.0,2.0\n"
+    got = _samples_outcome(parse_samples, text)
+    assert got == _samples_outcome(naive_parse_samples, text)
+    if isinstance(ro, str):
+        assert got[:2] == (SampleParseError, ro)
+    else:
+        assert np.array_equal(parse_samples(text).ro, [ro, 1.5], equal_nan=True)
+
+
 @settings(max_examples=300, deadline=None, database=None)
 @given(text=csv_texts(SAMPLES_CSV_COLUMNS))
 def test_parse_samples_of_any_text_equals_the_per_row_parser(text):

@@ -22,7 +22,7 @@ from shale_adsorb.estimator import (
     parse_reservoirs,
     reference_models,
 )
-from shale_adsorb.dataset import FIT_RANGES, DatasetKind, clean
+from shale_adsorb.dataset import FIT_RANGES, DatasetKind, clean, read_key_value_blocks
 from shale_adsorb.regression import FittedModel, ModelKind, ModelSpec
 from conftest import make_record, reservoir_table, table
 from helpers import naive_estimate, naive_fit_range_warnings, naive_parse_reservoirs
@@ -755,9 +755,8 @@ def test_the_earliest_fault_by_line_fails_the_parse(items):
         assert _outcome(naive_parse_reservoirs, text) == got
 
 
-def test_parse_memory_is_a_few_times_the_text():
-    # 20,000 blocks shaped like the benchmark's: the streamed parse holds the
-    # columns and one chunk of text, not a list of every line and a dict per block.
+def _benchmark_shaped_config():
+    """20,000 blocks shaped like the benchmark's."""
     rng = np.random.default_rng(18)
     blocks = []
     for i in range(20000):
@@ -768,7 +767,12 @@ def test_parse_memory_is_a_few_times_the_text():
         if i % 3 == 0:
             lines.append(f"pressure_mpa={round(rng.uniform(5, 45), 2)}")
         blocks.append("\n".join(lines) + "\n")
-    text = "\n".join(blocks)
+    return "\n".join(blocks)
+
+
+def test_parse_memory_is_a_few_times_the_text():
+    # the parse holds the columns and one chunk of text, not a list of every line and a dict per block
+    text = _benchmark_shaped_config()
     tracemalloc.start()
     try:
         table = parse_reservoirs(text)
@@ -777,6 +781,129 @@ def test_parse_memory_is_a_few_times_the_text():
         tracemalloc.stop()
     assert len(table) == 20000
     assert peak < 4 * len(text), f"peak {peak} B is {peak / len(text):.1f} times the text"
+
+
+def test_a_plain_config_never_reaches_the_line_reader(monkeypatch, data_dir):
+    # a silent fallback to the per-line reader would keep every result and lose the whole read's speed
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:])
+        return read_key_value_blocks(*args, **kwargs)
+
+    monkeypatch.setattr(estimator, "read_key_value_blocks", counted)
+    assert len(parse_reservoirs((data_dir / "reservoirs.conf").read_text(encoding="utf-8"))) == 9
+    assert len(parse_reservoirs(_benchmark_shaped_config())) == 20000
+    assert calls == []
+    with pytest.raises(ValueError, match="^reservoir A: missing required key depth_m$"):
+        parse_reservoirs("name=A\n")
+    assert calls == [("reservoir config",)]
+
+
+def _pick(rng, lines, test):
+    """The index of a random line passing ``test``, or None."""
+    found = [k for k, line in enumerate(lines) if test(line)]
+    return found[int(rng.integers(len(found)))] if found else None
+
+
+def _edit_line(test, edit):
+    """A layout feature that applies ``edit`` to a random line passing ``test``."""
+    def feature(rng, text):
+        lines = text.split("\n")
+        k = _pick(rng, lines, test)
+        if k is not None:
+            lines[k] = edit(lines[k])
+        return "\n".join(lines)
+    return feature
+
+
+def _insert_line(line, where=lambda line: "=" in line):
+    """A layout feature that inserts ``line`` after a random line passing ``where``."""
+    def feature(rng, text):
+        lines = text.split("\n")
+        k = _pick(rng, lines, where)
+        lines.insert(k + 1, line)
+        return "\n".join(lines)
+    return feature
+
+
+def _unstripped_nan(key):
+    """A layout feature that gives a random block ``key= nan``: a NaN, which marks the key absent, so no number."""
+    def feature(rng, text):
+        lines = text.split("\n")
+        k = _pick(rng, lines, lambda line: line.startswith("name="))
+        end = next((j for j in range(k, len(lines)) if not lines[j]), len(lines))
+        lines[k + 1:end] = [line for line in lines[k + 1:end] if not line.startswith(f"{key}=")] + [f"{key}= nan"]
+        return "\n".join(lines)
+    return feature
+
+
+def _move_equals(rng, text):
+    # "a\n1=b=2" in place of "a=1\nb=2": a split of every line at "=" that only counts the "=" reads it the same
+    lines = text.split("\n")
+    k = _pick(rng, lines[:-1], lambda line: "=" in line)
+    if "=" in lines[k + 1]:
+        (key, value), line = lines[k].split("=", 1), lines[k + 1]
+        lines[k:k + 2] = [key, f"{value}={line}"]
+    return "\n".join(lines)
+
+
+def _drop_separator(rng, text):
+    lines = text.split("\n")
+    k = _pick(rng, lines[:-1], lambda line: not line)
+    del lines[k]
+    return "\n".join(lines)
+
+
+def _raise_separator(rng, text):
+    # the blank line between two blocks moved up one line, into the first block
+    lines = text.split("\n")
+    k = _pick(rng, lines[:-1], lambda line: not line)
+    lines[k - 1:k + 1] = lines[k], lines[k - 1]
+    return "\n".join(lines)
+
+
+# Each layout a plain config does not have, as (rng, seeded config text) -> text.
+LAYOUT_FEATURES = {
+    "crlf": lambda rng, text: text.replace("\n", "\r\n"),
+    "nel-in-name": _edit_line(lambda line: line.startswith("name="), lambda line: line + "\x85x"),
+    "line-separator-in-name": _edit_line(lambda line: line.startswith("name="), lambda line: line + "\u2028x"),
+    "blanks-around-equals": _edit_line(lambda line: "=" in line, lambda line: line.replace("=", " = ")),
+    "blank-after-equals": _edit_line(lambda line: "=" in line, lambda line: line.replace("=", "= \t") + " "),
+    "blank-before-key": _edit_line(lambda line: "=" in line, lambda line: "  " + line),
+    "comment-in-block": _insert_line("# a comment"),
+    "whitespace-only-line": _insert_line(" \t", where=lambda line: True),
+    "blank-run": _insert_line("", where=lambda line: not line),
+    "leading-comment-and-blank": lambda rng, text: "# a header\n\n#\n" + text,
+    "equals-moved-to-next-line": _move_equals,
+    "equals-in-name": _edit_line(lambda line: line.startswith("name="), lambda line: line + "=x"),
+    "name-without-blank-before": _drop_separator,
+    "blank-inside-block": _raise_separator,
+    "blank-inside-block-and-name-without-blank-before": lambda rng, text: _drop_separator(
+        rng, _raise_separator(rng, text)),
+    "equals-in-last-line": lambda rng, text: text.rstrip("\n") + "=1\n",
+    "last-line-without-equals": lambda rng, text: text.rstrip("\n").rpartition("=")[0] + "\n",
+    "first-block-without-name": lambda rng, text: text.split("\n", 1)[1],
+    "no-final-newline": lambda rng, text: text.rstrip("\n"),
+    "temp-nan": _unstripped_nan("temp_c"),
+    "pressure-nan": _unstripped_nan("pressure_mpa"),
+    "gradient-nan": _unstripped_nan("gradt_c_per_km"),
+}
+
+
+def _column_bytes(table):
+    return table.names, *(column.tobytes() for column in table.columns()[1:])
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("chunk_chars", [1, 100, 2**16])  # a chunk of each block, of a few, of the whole text
+@pytest.mark.parametrize("feature", LAYOUT_FEATURES.values(), ids=LAYOUT_FEATURES.keys())
+def test_parse_of_any_layout_equals_the_per_block_parser(feature, chunk_chars, seed, monkeypatch):
+    monkeypatch.setattr(estimator, "_CHUNK_CHARS", chunk_chars)
+    rng = np.random.default_rng(seed)
+    text = feature(rng, _seeded_config(rng, 6))
+    expected = _outcome(lambda: _column_bytes(ReservoirTable.from_specs(naive_parse_reservoirs(text))))
+    assert _outcome(lambda: _column_bytes(parse_reservoirs(text))) == expected
 
 
 @settings(max_examples=200, deadline=None, database=None)
