@@ -207,21 +207,69 @@ def cmd_idw(args: argparse.Namespace, out: Path) -> None:
     _write(out / "idw.csv", geotemp.grid_to_csv(grid))
 
 
-def _add_io_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--input", required=True, help="input file path")
-    parser.add_argument("--output-dir", default=".", help="directory for output files")
-
-
 def _add_kind_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--kind", required=True, choices=["pl", "vl"],
                         help="which dependent variable's dataset to process")
 
 
 def _add_outlier_options(parser: argparse.ArgumentParser) -> None:
+    _add_kind_option(parser)
     parser.add_argument("--k", type=_number(int), default=outliers.DEFAULT_K,
                         help="neighbour count for outlier screening (default 5)")
     parser.add_argument("--threshold", type=_number(float), default=outliers.DEFAULT_THRESHOLD,
                         help="weighted-relative-error outlier threshold (default 0.85)")
+
+
+def _add_validate_options(parser: argparse.ArgumentParser) -> None:
+    _add_outlier_options(parser)
+    parser.add_argument("--ci-level", type=_number(float), default=validation.DEFAULT_CI_LEVEL,
+                        help="confidence level for error intervals (default 0.90)")
+
+
+def _add_compare_options(parser: argparse.ArgumentParser) -> None:
+    _add_outlier_options(parser)
+    parser.add_argument("--scenario", default="overall", choices=[s.value for s in Scenario],
+                        help="test-pool restriction (default overall)")
+    parser.add_argument("--test-fraction", type=_number(float), default=0.2,
+                        help="fraction of all records used as test data (default 0.2)")
+    parser.add_argument("--reps", type=_number(int), default=5, help="number of repetitions (default 5)")
+    parser.add_argument("--seed", type=_number(int), default=0, help="random seed (default 0)")
+    parser.add_argument("--invtemp-kelvin", action="store_true",
+                        help="use absolute temperature in the reciprocal-temperature reference model")
+
+
+def _add_estimate_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--paper-coefficients", action="store_true",
+                        help="use the built-in reference coefficients instead of model files")
+    parser.add_argument("--pl-model", help="path to a fitted pressure-model file")
+    parser.add_argument("--vl-model", help="path to a fitted volume-model file")
+
+
+def _add_idw_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--min-depth", type=_number(float), default=geotemp.DEFAULT_MIN_SECTION_DEPTH_M,
+                        help="minimum measuring-section depth in meters (default 500)")
+    parser.add_argument("--idw-power", type=_number(float), default=geotemp.DEFAULT_IDW_POWER,
+                        help="inverse-distance exponent (default 2)")
+    parser.add_argument("--max-neighbors", type=_number(int), default=None,
+                        help="optionally cap interpolation to the N nearest samples")
+    group = parser.add_mutually_exclusive_group(required=True)
+    group.add_argument("--query", nargs=2, type=_number(float), metavar=("LON", "LAT"),
+                       help="interpolate at a single lon/lat point")
+    group.add_argument("--grid", nargs=6, type=_number(float),
+                       metavar=("LONMIN", "LONMAX", "LATMIN", "LATMAX", "NLON", "NLAT"),
+                       help="interpolate on an inclusive regular grid")
+
+
+# Each subcommand, in help order -> (its help, its handler, the adder of its options after --input and --output-dir).
+_COMMANDS = {
+    "clean": ("apply the range filters and write kept/rejected records", _run_clean_stage, _add_kind_option),
+    "outliers": ("clean, then flag K-NN outliers", _run_outlier_stage, _add_outlier_options),
+    "fit": ("clean, drop outliers, and fit the geological-parameter model", _run_fit_stage, _add_outlier_options),
+    "validate": ("full pipeline through leave-one-out validation", cmd_validate, _add_validate_options),
+    "compare": ("score the model against the reference forms on random splits", cmd_compare, _add_compare_options),
+    "estimate": ("estimate adsorbed content for configured reservoirs", cmd_estimate, _add_estimate_options),
+    "idw": ("interpolate temperature gradient from heat-flow data", cmd_idw, _add_idw_options),
+}
 
 
 @functools.cache
@@ -232,71 +280,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Estimate adsorbed shale-gas content from geological parameters.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("clean", help="apply the range filters and write kept/rejected records")
-    _add_io_options(p)
-    _add_kind_option(p)
-    p.set_defaults(func=_run_clean_stage)
-
-    p = sub.add_parser("outliers", help="clean, then flag K-NN outliers")
-    _add_io_options(p)
-    _add_kind_option(p)
-    _add_outlier_options(p)
-    p.set_defaults(func=_run_outlier_stage)
-
-    p = sub.add_parser("fit", help="clean, drop outliers, and fit the geological-parameter model")
-    _add_io_options(p)
-    _add_kind_option(p)
-    _add_outlier_options(p)
-    p.set_defaults(func=_run_fit_stage)
-
-    p = sub.add_parser("validate", help="full pipeline through leave-one-out validation")
-    _add_io_options(p)
-    _add_kind_option(p)
-    _add_outlier_options(p)
-    p.add_argument("--ci-level", type=_number(float), default=validation.DEFAULT_CI_LEVEL,
-                   help="confidence level for error intervals (default 0.90)")
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("compare", help="score the model against the reference forms on random splits")
-    _add_io_options(p)
-    _add_kind_option(p)
-    _add_outlier_options(p)
-    p.add_argument("--scenario", default="overall",
-                   choices=[s.value for s in Scenario],
-                   help="test-pool restriction (default overall)")
-    p.add_argument("--test-fraction", type=_number(float), default=0.2,
-                   help="fraction of all records used as test data (default 0.2)")
-    p.add_argument("--reps", type=_number(int), default=5, help="number of repetitions (default 5)")
-    p.add_argument("--seed", type=_number(int), default=0, help="random seed (default 0)")
-    p.add_argument("--invtemp-kelvin", action="store_true",
-                   help="use absolute temperature in the reciprocal-temperature reference model")
-    p.set_defaults(func=cmd_compare)
-
-    p = sub.add_parser("estimate", help="estimate adsorbed content for configured reservoirs")
-    _add_io_options(p)
-    p.add_argument("--paper-coefficients", action="store_true",
-                   help="use the built-in reference coefficients instead of model files")
-    p.add_argument("--pl-model", help="path to a fitted pressure-model file")
-    p.add_argument("--vl-model", help="path to a fitted volume-model file")
-    p.set_defaults(func=cmd_estimate)
-
-    p = sub.add_parser("idw", help="interpolate temperature gradient from heat-flow data")
-    _add_io_options(p)
-    p.add_argument("--min-depth", type=_number(float), default=geotemp.DEFAULT_MIN_SECTION_DEPTH_M,
-                   help="minimum measuring-section depth in meters (default 500)")
-    p.add_argument("--idw-power", type=_number(float), default=geotemp.DEFAULT_IDW_POWER,
-                   help="inverse-distance exponent (default 2)")
-    p.add_argument("--max-neighbors", type=_number(int), default=None,
-                   help="optionally cap interpolation to the N nearest samples")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--query", nargs=2, type=_number(float), metavar=("LON", "LAT"),
-                       help="interpolate at a single lon/lat point")
-    group.add_argument("--grid", nargs=6, type=_number(float),
-                       metavar=("LONMIN", "LONMAX", "LATMIN", "LATMAX", "NLON", "NLAT"),
-                       help="interpolate on an inclusive regular grid")
-    p.set_defaults(func=cmd_idw)
-
+    for name, (summary, handler, add_options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--input", required=True, help="input file path")
+        p.add_argument("--output-dir", default=".", help="directory for output files")
+        add_options(p)
+        p.set_defaults(func=handler)
     return parser
 
 

@@ -228,11 +228,10 @@ def elementwise(ufunc: np.ufunc, *operands) -> np.ndarray:
     It never raises or warns: an argument on which ``math`` raises gives
     NaN or an infinity, and each caller checks its own domain.
     """
-    shape = np.broadcast_shapes(*map(np.shape, operands))
-    flat = [np.broadcast_to(np.asarray(operand, dtype=float), shape).ravel() for operand in operands]
+    arrays = np.broadcast_arrays(*(np.asarray(operand, dtype=float) for operand in operands))
     with np.errstate(all="ignore"):
-        reversed_values = ufunc(*(values[::-1] for values in flat))
-    return np.ascontiguousarray(reversed_values[::-1]).reshape(shape)
+        reversed_values = ufunc(*(values.ravel()[::-1] for values in arrays))
+    return np.ascontiguousarray(reversed_values[::-1]).reshape(arrays[0].shape)
 
 
 def first_failure(run, items: Sequence, alone):

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from shale_adsorb.dataset import SampleTable, parse_samples
-from shale_adsorb.estimator import ReservoirTable, reference_models
+from shale_adsorb.dataset import RO_NORM_PCT, TEMP_NORM_C, TOC_NORM_PCT, SampleTable, parse_samples
+from shale_adsorb.estimator import (REFERENCE_PL_COEFFICIENTS, REFERENCE_VL_COEFFICIENTS, ReservoirTable,
+                                    reference_models)
+from shale_adsorb.regression import ModelKind, ModelSpec
 from helpers import Row
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "data"
@@ -58,6 +60,52 @@ def synthetic_records(n=30, seed=0, pl_noise=0.0, vl_noise=0.0):
         if vl_noise:
             vl *= float(np.exp(vl_noise * rng.normal()))
         rows.append(base._replace(pl=pl, vl=vl))
+    return table(rows)
+
+
+_PL_A, _PL_B, _PL_C = REFERENCE_PL_COEFFICIENTS
+_VL_A, _VL_B, _VL_C = REFERENCE_VL_COEFFICIENTS
+
+# Each model form -> the log of its dependent variable at (toc, ro, temp), noiseless. The geo forms use the
+# reference coefficients; the reference forms' coefficients are made up to keep pl and vl in the cleaning ranges.
+_LOG_TRUTH = {
+    ModelKind.PL_GEO: lambda toc, ro, temp: (_PL_A * toc / TOC_NORM_PCT
+                                             + _PL_B * math.log((temp / TEMP_NORM_C) / (ro / RO_NORM_PCT)) + _PL_C),
+    ModelKind.VL_GEO: lambda toc, ro, temp: _VL_A * toc / TOC_NORM_PCT + _VL_B * (temp / TEMP_NORM_C) ** 3 + _VL_C,
+    ModelKind.PL_INVTEMP: lambda toc, ro, temp: 40.0 / temp + 0.4,
+    ModelKind.PL_TOCPOW: lambda toc, ro, temp: 0.6 * math.log(toc) + 0.3,
+    ModelKind.VL_TOCPOW: lambda toc, ro, temp: 0.5 * math.log(toc) + 0.2,
+    ModelKind.VL_TOCLIN: lambda toc, ro, temp: math.log(0.3 * toc + 1.2),
+}
+
+
+def form_records(form, seed, n=301, noise=0.08, planted=0, factors=(2.2, 3.0)):
+    """``n`` samples whose ``form``'s dependent variable follows that form, times ``exp(noise * N(0, 1))``.
+
+    TOC, R_o and temperature are drawn as ``perfbench/inputs.py`` draws them
+    (uniform inside the cleaning ranges, two decimals), keeping a draw whose
+    noiseless value is inside its fitting range (1.6 < pl < 11.5, vl > 1.05);
+    the other dependent variable is absent. The first ``planted`` rows, ids
+    ``planted<i>``, are then gross outliers, as ``inputs.samples_csv``
+    plants them: scaled by a factor uniform on ``factors``, up or down with
+    even odds. The planting draws come after all others, so a seed gives the
+    same other rows whatever ``planted`` is.
+    """
+    rng = np.random.default_rng(seed)
+    dependent = ModelSpec(form).dependent_var
+    low, high = (1.6, 11.5) if dependent == "pl" else (1.05, math.inf)
+    rows = []
+    while len(rows) < n:
+        toc, ro, temp = (round(float(rng.uniform(*bounds)), 2) for bounds in ((1.5, 12.0), (0.8, 3.5), (30.0, 88.0)))
+        value = math.exp(_LOG_TRUTH[form](toc, ro, temp))
+        if low < value < high:
+            value *= math.exp(noise * float(rng.normal()))
+            rows.append(Row(f"{'planted' if len(rows) < planted else 'g'}{len(rows):03d}", "synthetic",
+                            toc, ro, temp, **{dependent: value}))
+    for i in range(planted):
+        factor = float(rng.uniform(*factors))
+        rows[i] = rows[i]._replace(**{dependent: getattr(rows[i], dependent) * (factor if rng.random() < 0.5
+                                                                                 else 1.0 / factor)})
     return table(rows)
 
 

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import logging
 import os
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from shale_adsorb import dataset, estimator, geotemp
 from shale_adsorb.cli import build_parser, main
 from shale_adsorb.dataset import DatasetKind, SampleTable, parse_samples, records_to_csv
 from shale_adsorb.estimator import (
@@ -493,6 +495,33 @@ def test_byte_order_mark_is_accepted(name, argv, tmp_path, data_dir):
         assert (tmp_path / "marked" / file_name).read_bytes() == (tmp_path / "plain" / file_name).read_bytes()
 
 
+def test_crlf_input_gives_the_same_bytes_by_the_plain_path(monkeypatch, tmp_path, data_dir):
+    # main reads each file with universal newlines, so a CR LF file reaches its parser as "\n" text and is
+    # read whole; only a text handed to a parser directly still carries its "\r" to the per-line reader.
+    calls = []
+    for module, name in [(dataset, "read_csv_table"), (geotemp, "read_csv_table"),
+                         (estimator, "read_key_value_blocks")]:
+        monkeypatch.setattr(module, name, lambda *args, name=name, real=getattr(module, name), **kwargs:
+                            calls.append(name) or real(*args, **kwargs))
+    runs = [("samples.csv", ["validate", "--kind", "pl"], dataset.parse_samples),
+            ("heatflow.csv", ["idw", "--grid", "100", "110", "25", "33", "5", "4"], geotemp.parse_heatflow),
+            ("reservoirs.conf", ["estimate", "--paper-coefficients"], estimator.parse_reservoirs)]
+    for name, argv, _ in runs:
+        crlf = tmp_path / name
+        crlf.write_bytes((data_dir / name).read_bytes().replace(b"\n", b"\r\n"))
+        for source, out in ((data_dir / name, tmp_path / "lf" / name), (crlf, tmp_path / "crlf" / name)):
+            assert main([*argv, "--input", str(source), "--output-dir", str(out)]) == 0
+        written = sorted(path.name for path in (tmp_path / "lf" / name).iterdir())
+        assert written == sorted(path.name for path in (tmp_path / "crlf" / name).iterdir())
+        for file_name in written:
+            assert (tmp_path / "crlf" / name / file_name).read_bytes() == \
+                (tmp_path / "lf" / name / file_name).read_bytes(), file_name
+    assert calls == []
+    for name, _, parse in runs:
+        parse((tmp_path / name).read_bytes().decode("utf-8"))
+    assert calls == ["read_csv_table", "read_csv_table", "read_key_value_blocks"]
+
+
 # Each command with one input file given as {bad} -> the stage that reads that file.
 UNREADABLE_INPUTS = {
     "clean": (["clean", "--kind", "pl", "--input", "{bad}"], "parse"),
@@ -546,6 +575,103 @@ def test_module_invocation_help():
     assert proc.returncode == 0
     for name in ("clean", "outliers", "fit", "validate", "compare", "estimate", "idw"):
         assert name in proc.stdout
+
+
+# One parser action: (option strings, dest, default, type name, choices, nargs, metavar, required, help,
+# mutually exclusive group: "required", "optional" or None).
+_HELP_ACTION = (("-h", "--help"), "help", "==SUPPRESS==", None, None, 0, None, False,
+                "show this help message and exit", None)
+_IO_ACTIONS = [
+    (("--input",), "input", None, None, None, None, None, True, "input file path", None),
+    (("--output-dir",), "output_dir", ".", None, None, None, None, False, "directory for output files", None),
+]
+_KIND_ACTION = (("--kind",), "kind", None, None, ("pl", "vl"), None, None, True,
+                "which dependent variable's dataset to process", None)
+_OUTLIER_ACTIONS = [
+    (("--k",), "k", 5, "int", None, None, None, False, "neighbour count for outlier screening (default 5)", None),
+    (("--threshold",), "threshold", 0.85, "float", None, None, None, False,
+     "weighted-relative-error outlier threshold (default 0.85)", None),
+]
+_SUBCOMMAND_HELP = {
+    "clean": "apply the range filters and write kept/rejected records",
+    "outliers": "clean, then flag K-NN outliers",
+    "fit": "clean, drop outliers, and fit the geological-parameter model",
+    "validate": "full pipeline through leave-one-out validation",
+    "compare": "score the model against the reference forms on random splits",
+    "estimate": "estimate adsorbed content for configured reservoirs",
+    "idw": "interpolate temperature gradient from heat-flow data",
+}
+# Each parser of build_parser() ("" is the top level) -> its actions, in order.
+CLI_SURFACE = {
+    "": [
+        _HELP_ACTION,
+        ((), "command", None, None, tuple(_SUBCOMMAND_HELP), "A...", None, True, None, None),
+        *(((), name, None, None, None, None, name, False, help, None) for name, help in _SUBCOMMAND_HELP.items()),
+    ],
+    "clean": [_HELP_ACTION, *_IO_ACTIONS, _KIND_ACTION],
+    "outliers": [_HELP_ACTION, *_IO_ACTIONS, _KIND_ACTION, *_OUTLIER_ACTIONS],
+    "fit": [_HELP_ACTION, *_IO_ACTIONS, _KIND_ACTION, *_OUTLIER_ACTIONS],
+    "validate": [
+        _HELP_ACTION, *_IO_ACTIONS, _KIND_ACTION, *_OUTLIER_ACTIONS,
+        (("--ci-level",), "ci_level", 0.9, "float", None, None, None, False,
+         "confidence level for error intervals (default 0.90)", None),
+    ],
+    "compare": [
+        _HELP_ACTION, *_IO_ACTIONS, _KIND_ACTION, *_OUTLIER_ACTIONS,
+        (("--scenario",), "scenario", "overall", None, ("overall", "high-t", "high-toc", "high-ro"), None, None,
+         False, "test-pool restriction (default overall)", None),
+        (("--test-fraction",), "test_fraction", 0.2, "float", None, None, None, False,
+         "fraction of all records used as test data (default 0.2)", None),
+        (("--reps",), "reps", 5, "int", None, None, None, False, "number of repetitions (default 5)", None),
+        (("--seed",), "seed", 0, "int", None, None, None, False, "random seed (default 0)", None),
+        (("--invtemp-kelvin",), "invtemp_kelvin", False, None, None, 0, None, False,
+         "use absolute temperature in the reciprocal-temperature reference model", None),
+    ],
+    "estimate": [
+        _HELP_ACTION, *_IO_ACTIONS,
+        (("--paper-coefficients",), "paper_coefficients", False, None, None, 0, None, False,
+         "use the built-in reference coefficients instead of model files", None),
+        (("--pl-model",), "pl_model", None, None, None, None, None, False, "path to a fitted pressure-model file",
+         None),
+        (("--vl-model",), "vl_model", None, None, None, None, None, False, "path to a fitted volume-model file",
+         None),
+    ],
+    "idw": [
+        _HELP_ACTION, *_IO_ACTIONS,
+        (("--min-depth",), "min_depth", 500.0, "float", None, None, None, False,
+         "minimum measuring-section depth in meters (default 500)", None),
+        (("--idw-power",), "idw_power", 2.0, "float", None, None, None, False,
+         "inverse-distance exponent (default 2)", None),
+        (("--max-neighbors",), "max_neighbors", None, "int", None, None, None, False,
+         "optionally cap interpolation to the N nearest samples", None),
+        (("--query",), "query", None, "float", None, 2, ("LON", "LAT"), False,
+         "interpolate at a single lon/lat point", "required"),
+        (("--grid",), "grid", None, "float", None, 6, ("LONMIN", "LONMAX", "LATMIN", "LATMAX", "NLON", "NLAT"),
+         False, "interpolate on an inclusive regular grid", "required"),
+    ],
+}
+
+
+def _action_row(parser, action):
+    """``action`` of ``parser`` as a row of ``CLI_SURFACE``."""
+    group = next(("required" if group.required else "optional" for group in parser._mutually_exclusive_groups
+                  if action in group._group_actions), None)
+    return (tuple(action.option_strings), action.dest, action.default, getattr(action.type, "__name__", None),
+            None if action.choices is None else tuple(action.choices), action.nargs, action.metavar,
+            action.required, action.help, group)
+
+
+def test_every_parser_keeps_its_options_in_order():
+    # The whole option surface, so that a rebuilt parser that drops, reorders or rewords an option fails here.
+    top = build_parser()
+    [sub] = [action for action in top._actions if isinstance(action, argparse._SubParsersAction)]
+    parsers = {"": top, **sub.choices}
+    assert list(parsers) == list(CLI_SURFACE)
+    for name, parser in parsers.items():
+        rows = [_action_row(parser, action) for action in parser._actions]
+        if not name:
+            rows += [_action_row(parser, action) for action in sub._choices_actions]
+        assert rows == CLI_SURFACE[name], name
 
 
 def _run(argv, capsys):

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from shale_adsorb import outliers
-from shale_adsorb.dataset import DatasetKind
+from shale_adsorb.dataset import DatasetKind, clean
+from shale_adsorb.regression import ModelKind
 from shale_adsorb.outliers import (
     BLOCK_ELEMENTS,
     DistanceWeights,
@@ -20,7 +21,7 @@ from shale_adsorb.outliers import (
     quartiles,
     weighted_relative_error,
 )
-from conftest import make_record, table
+from conftest import form_records, make_record, table
 from helpers import blocked_neighbours, naive_neighbours, naive_r_values, naive_relative_error, statistical_distance
 
 
@@ -650,3 +651,46 @@ def test_nearest_first_is_a_stable_argsort(rows, data):
     n = dist.shape[1]
     assert_stable_first_k(dist, n)
     assert_stable_first_k(dist, data.draw(st.integers(1, n)))
+
+
+# (kind, k, seed) -> why the screen misses that planted set.
+SCREEN_MISSES = {
+    (DatasetKind.PL, 5, 1): "swamping: planted003 is g177's nearest neighbour (weight 0.24) and lifts g177's R "
+                            "from 0.41 to 0.860, past the 0.85 threshold; at k = 12 it reads 0.50",
+    (DatasetKind.VL, 5, 3): "masking: planted007 is planted005's fifth neighbour (weight 0.17) and pulls its R "
+                            "down to 0.71; at k = 12 it reads 0.91",
+}
+
+
+def _screen_case(kind, k, seed):
+    miss = SCREEN_MISSES.get((kind, k, seed))
+    return pytest.param(kind, k, seed, marks=[pytest.mark.xfail(strict=True, reason=miss)] if miss else [],
+                        id=f"{kind.value}-k{k}-seed{seed}")
+
+
+@pytest.mark.parametrize("kind, k, seed", [_screen_case(kind, k, seed) for kind in DatasetKind for k in (5, 12)
+                                           for seed in range(5)])
+def test_screen_flags_exactly_the_planted_outliers(kind, k, seed):
+    """The paper's screen against known truth: it flags every planted outlier that survives cleaning, nothing else.
+
+    301 rows of the kind's geo form with log-noise 0.08 (``conftest.form_records``),
+    the first 9 scaled by 2.2-3x up or down, as ``perfbench/inputs.py``
+    plants them; default threshold 0.85. 18 of the 20 cases hold; the two
+    misses at k = 5 (``SCREEN_MISSES``) are one planted row among a row's
+    five nearest neighbours, which k = 12 dilutes.
+
+    Detection limit, on seeds 0-4 with every planted row scaled by one
+    factor: the planted rows flagged at k = 5 / k = 12, of those that
+    survive cleaning. No other row is flagged at any of these factors.
+
+        factor  pl              vl
+        1.2     0 / 0 of 45     0 / 0 of 45
+        1.4     0 / 0 of 45     0 / 0 of 45
+        1.6     2 / 2 of 44     1 / 1 of 45
+        1.8     17 / 15 of 42   13 / 15 of 42
+        2.0     28 / 28 of 40   33 / 31 of 41
+    """
+    kept = clean(form_records(ModelKind.PL_GEO if kind is DatasetKind.PL else ModelKind.VL_GEO, seed, planted=9),
+                 kind).kept
+    planted = [sample_id for sample_id in kept.ids if sample_id.startswith("planted")]
+    assert detect_outliers(kept, kind, k=k).flagged_ids() == planted

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from shale_adsorb.dataset import elementwise
 from shale_adsorb.estimator import REFERENCE_PL_COEFFICIENTS, REFERENCE_VL_COEFFICIENTS
 from shale_adsorb.regression import (
     DesignSystem,
@@ -347,6 +348,35 @@ def test_host_elementwise_kernel_equals_math(name):
                            -np.exp(rng.uniform(-700.0, 700.0, 20_000)), rng.uniform(-750.0, 750.0, 20_000), _EDGES])
     assert kernel_mismatches(ufunc, call, args) == []
     assert [x for x in _EDGES if kernel_mismatches(ufunc, call, np.array([x]))] == []
+
+
+def _power(base, exponent):
+    return base ** exponent
+
+
+_RNG = np.random.default_rng(33)
+
+# name -> (ufunc, the per-element call it must round as, its operands)
+ELEMENTWISE_SHAPES = {
+    "1-d": (np.sin, math.sin, [_RNG.uniform(-3.0, 3.0, 691)]),
+    "2-d": (np.cos, math.cos, [_RNG.uniform(-1.5, 1.5, (7, 9))]),
+    "(5, 1) x (6,)": (np.power, _power, [_RNG.uniform(0.1, 10.0, (5, 1)), _RNG.uniform(-3.0, 3.0, 6)]),
+    "strided 2-d view": (np.arcsin, math.asin, [_RNG.uniform(0.0, 1.0, (8, 10))[::2, ::-3]]),
+    "scalar": (np.exp, math.exp, [0.3]),
+    "scalar power": (np.power, _power, [1.7, 3.0]),
+    "empty": (np.log, math.log, [np.empty((0, 4))]),
+    **{f"power {e!r}": (np.power, _power, [_RNG.uniform(-5.0, 5.0, (3, 4)), e]) for e in (2.0, -2.0, 3.0)},
+}
+
+
+@pytest.mark.parametrize("name", ELEMENTWISE_SHAPES)
+def test_elementwise_is_the_per_element_call_in_the_broadcast_shape(name):
+    # Bits, shape, dtype and C order of the per-element Python calls, whatever the operands' shapes and strides.
+    ufunc, call, operands = ELEMENTWISE_SHAPES[name]
+    expected = np.vectorize(call, otypes=[float])(*operands)
+    result = elementwise(ufunc, *operands)
+    assert (result.shape, result.dtype, result.flags.c_contiguous) == (expected.shape, np.float64, True)
+    assert result.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("exponent", [2, 3, -1, -2, 0.5, 2.5])
