@@ -331,7 +331,8 @@ def parse_samples(source: str | Iterable[str]) -> SampleTable:
     A plain text (see :func:`plain_csv_columns`) is split whole and read as one
     table. Anything else, and a plain text with any fault, goes through
     :func:`read_csv_table`'s ``csv.reader``, which gives the same rows and
-    is the one source of every error; :func:`read_whole` runs the two.
+    is the one source of every error; :func:`read_whole` runs the two. The
+    heat-flow CSV shares that plain definition and that fallback.
     """
     return read_whole(lambda: _sample_table(plain_csv_columns(source, SAMPLES_CSV_COLUMNS)),
                       lambda: read_csv_table(source, SAMPLES_CSV_COLUMNS, "samples"), _first_failing_row)
@@ -401,8 +402,11 @@ def read_csv_table(
     The header must equal ``columns`` after stripping, blank rows are
     skipped, and every other row must have one cell per column. This is the
     one exact reader, ``csv.reader`` row by row: every input CSV the package
-    reads goes through here unless :func:`plain_csv_columns` splits it whole
-    to the same cells, so all of them share one dialect; the errors are
+    reads goes through here unless it is plain text (see
+    :func:`_plain_csv_body`) with no fault, which :func:`plain_csv_columns`
+    splits whole (a samples text) or :func:`plain_csv_numbers` reads with
+    NumPy's C reader (a heat-flow text) to the same values. So all of them
+    share one dialect and this one fallback; the errors are
     :class:`SampleParseError` naming ``label``, and only this reader raises
     them. A row ``csv.reader`` cannot read (say, a cell over its field size
     limit) fails in column ``record``.
@@ -430,31 +434,73 @@ def read_csv_table(
         raise SampleParseError(row + 1, "record", f"unreadable {label} row: {exc}") from None
 
 
-def plain_csv_columns(source: str | Iterable[str], columns: Sequence[str]) -> list[list[str]]:
-    """The data cells of a plain CSV text, one list per column, split whole; ``ValueError`` for any other source.
+def _plain_csv_body(source: str | Iterable[str], columns: Sequence[str]) -> str:
+    """The lines after the header of a plain CSV text; ``ValueError`` for any other source.
 
     Plain text is a ``str`` with no quote, CR or NUL and no line longer than
     ``csv.field_size_limit()``, whose header equals ``columns`` after
-    stripping and whose every line holds one cell per column. ``csv.reader``
-    reads each line of such a text as its split at the commas, so these are
-    the cells :func:`read_csv_table` yields. One ``split`` makes them all,
-    each line feed its own cell between two rows, with no list per row.
-    A row it keeps may still be blank or bad, so a caller that finds any
-    fault in the cells, as for this ``ValueError``, reads the text again
-    with :func:`read_csv_table`, which names the error.
+    stripping and whose data lines are not all blank. ``csv.reader`` reads
+    each line of such a text as its split at the commas. This is the one
+    plain definition of both whole-text readers, :func:`plain_csv_columns`
+    and :func:`plain_csv_numbers`.
     """
     if not isinstance(source, str) or '"' in source or "\r" in source or "\0" in source:
         raise ValueError("not a plain CSV text")
-    text = source[:-1] if source.endswith("\n") else source
+    header, _, body = source.partition("\n")
+    limit = csv.field_size_limit()
+    if (tuple(map(str.strip, header.split(","))) != tuple(columns) or not body or body.isspace()
+            or len(source) > limit and max(map(len, source.split("\n"))) > limit):
+        raise ValueError("not a plain CSV text")
+    return body
+
+
+def plain_csv_columns(source: str | Iterable[str], columns: Sequence[str]) -> list[list[str]]:
+    """The data cells of a plain CSV text, one list per column, split whole; ``ValueError`` for any other source.
+
+    The text must be plain (see :func:`_plain_csv_body`) and hold one cell
+    per column on every data line, so these are the cells
+    :func:`read_csv_table` yields. One ``split`` makes them all, each line
+    feed its own cell between two rows, with no list per row. The samples
+    CSV is read so, as its text columns and empty (absent) cells are
+    beyond :func:`plain_csv_numbers`. A row it keeps may still be blank or
+    bad, so a caller that finds any fault in the cells, as for this
+    ``ValueError``, reads the text again with :func:`read_csv_table`, which
+    names the error.
+    """
+    text = _plain_csv_body(source, columns).removesuffix("\n")
     cells = text.replace("\n", ",\n,").split(",")
     width = len(columns) + 1  # a row's cells and the line feed after it
     lines = text.count("\n") + 1
-    limit = csv.field_size_limit()
-    if (len(cells) != lines * width - 1 or cells[width - 1::width].count("\n") != lines - 1
-            or tuple(map(str.strip, cells[:width - 1])) != tuple(columns)
-            or len(text) > limit and max(map(len, text.split("\n"))) > limit):
+    if len(cells) != lines * width - 1 or cells[width - 1::width].count("\n") != lines - 1:
         raise ValueError("not a plain CSV text")
-    return [cells[k::width] for k in range(width, 2 * width - 1)]
+    return [cells[k::width] for k in range(width - 1)]
+
+
+def plain_csv_numbers(source: str | Iterable[str], columns: Sequence[str]) -> np.ndarray:
+    """The data rows of a plain CSV text of number cells, transposed: one float64 row per column.
+
+    The text must be plain (see :func:`_plain_csv_body`); its data lines
+    are read by NumPy's C text reader, ``np.loadtxt`` with no comments and
+    no quoting, which skips empty lines and reads every other line as a
+    row. A row of other than one cell per column, or a cell the reader
+    cannot read, raises ``ValueError``, as any other source does: the
+    caller then reads the text again with :func:`read_csv_table`, which
+    names the error. Blank data lines alone would make the reader warn that
+    the input holds no data, so they are not plain.
+
+    The fact this rests on: NumPy (verified on 2.4.6) strips a cell of the
+    whitespace ``str.strip`` takes off, requires the rest to be ASCII and
+    reads it with ``PyOS_string_to_double``, the function ``float`` calls,
+    so each cell is ``float``'s bits or a ``ValueError``. Where the two
+    differ, the reader refuses: a non-ASCII digit, which ``float`` reads,
+    and a ``_``, which ``float`` reads as digit grouping and the package
+    does not. ``test_host_loadtxt_reads_as_float`` pins the fact.
+    """
+    rows = np.loadtxt(io.StringIO(_plain_csv_body(source, columns)), delimiter=",", comments=None,
+                      quotechar=None, ndmin=2)
+    if rows.shape[1] != len(columns):
+        raise ValueError("not one number per column on every line")
+    return rows.T
 
 
 #: Rows joined and checked as one text: enough to share the checks' cost,

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .dataset import (
-    ColumnTable, SampleParseError, _parse_float, elementwise, first_failure, plain_csv_columns, read_csv_table,
+    ColumnTable, SampleParseError, _parse_float, elementwise, first_failure, plain_csv_numbers, read_csv_table,
     read_whole, require_int, write_csv,
 )
 from .outliers import first_k_of_candidates, nearest_first
@@ -245,10 +245,15 @@ def interpolate_grid(
 
 
 def _heatflow_table(columns: Sequence[Sequence[str]]) -> HeatFlowTable:
-    """The table of the heat-flow-CSV columns of cells; a cell holding a ``_`` or not a number raises ``ValueError``."""
+    """The table of the heat-flow-CSV columns of cells; a cell holding a ``_`` or not a number raises ``ValueError``.
+
+    Each cell is stripped before ``float`` reads it, as a row alone is:
+    ``str.strip`` takes off the ASCII separators U+001C to U+001F, which
+    ``float`` does not.
+    """
     if "_" in "".join(map("".join, columns)):  # float reads "_" as digit grouping
         raise ValueError("a heat-flow cell holds a _")
-    return HeatFlowTable(*(np.fromiter(map(float, column), float, len(column)) for column in columns))
+    return HeatFlowTable(*(np.fromiter(map(float, map(str.strip, column)), float, len(column)) for column in columns))
 
 
 def _rows_table(rows: Sequence[tuple[int, list[str]]]) -> HeatFlowTable:
@@ -277,13 +282,15 @@ def parse_heatflow(source: str | Iterable[str]) -> HeatFlowTable:
     are checked before its invariants, and a bad row before a later row the
     reader cannot read.
 
-    A plain text (see :func:`~shale_adsorb.dataset.plain_csv_columns`) is
-    split whole and read as one table. Anything else, and a plain text with
-    any fault, goes through :func:`~shale_adsorb.dataset.read_csv_table`'s
+    A plain text is read whole by NumPy's C text reader
+    (:func:`~shale_adsorb.dataset.plain_csv_numbers`), each cell as
+    ``float`` reads it. Anything else, and a plain text with any fault,
+    goes through :func:`~shale_adsorb.dataset.read_csv_table`'s
     ``csv.reader``, which gives the same rows and is the one source of
     every error; :func:`~shale_adsorb.dataset.read_whole` runs the two.
+    The samples CSV shares that plain definition and that fallback.
     """
-    return read_whole(lambda: _heatflow_table(plain_csv_columns(source, HEATFLOW_CSV_COLUMNS)),
+    return read_whole(lambda: HeatFlowTable(*plain_csv_numbers(source, HEATFLOW_CSV_COLUMNS)),
                       lambda: read_csv_table(source, HEATFLOW_CSV_COLUMNS, "heat-flow"),
                       lambda rows: first_failure(_rows_table, rows, _check_cells))
 

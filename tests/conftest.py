@@ -1,10 +1,13 @@
+import importlib
 import math
+import pkgutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+import shale_adsorb
 from shale_adsorb.dataset import RO_NORM_PCT, TEMP_NORM_C, TOC_NORM_PCT, SampleTable, parse_samples
 from shale_adsorb.estimator import (REFERENCE_PL_COEFFICIENTS, REFERENCE_VL_COEFFICIENTS, ReservoirTable,
                                     reference_models)
@@ -12,6 +15,10 @@ from shale_adsorb.regression import ModelKind, ModelSpec
 from helpers import Row
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "data"
+
+#: Every module of the package, so a test can patch each module's binding of a name.
+MODULES = [importlib.import_module(f"shale_adsorb.{module.name}")
+           for module in pkgutil.iter_modules(shale_adsorb.__path__)]
 
 
 def make_record(i, toc, temp, ro=None, pl=None, vl=None, porosity=None, reservoir="r"):
@@ -130,7 +137,7 @@ def seeded_csv(rng, header, rows, faults):
     """CSV text of ``header`` and ``rows`` of cells, about one row in eight with one fault.
 
     A fault edits a row's list of cells in place: one of ``faults``, or one
-    that any input CSV can have and that the whole-text split of plain
+    that any input CSV can have and that the whole-text read of plain
     input must either hand to ``csv.reader`` or read as it does: a row of
     only commas and spaces, a quoted cell, a CR (a CRLF line end after the
     last cell, a bare CR after any other), a cell too few or too many, or

@@ -553,7 +553,7 @@ def naive_parse_heatflow(text) -> list[list[float]]:
     """One row at a time, the error order the columnar ``parse_heatflow`` must keep.
 
     The rows come from ``read_csv_table``, ``csv.reader`` row by row, never
-    from the whole-text split of plain input. Per row: each cell in column
+    from the whole-text read of plain input. Per row: each cell in column
     order (empty, then not a number), then the invariants in the order
     ``HeatFlowTable`` checks them, each failure raising that row's
     ``SampleParseError``. Returns the four columns.

@@ -6,23 +6,17 @@ a subset table built per inner probe. The per-row oracles agree with both
 routes, so without this guard such a nesting would pass every other test.
 """
 
-import importlib
 import math
-import pkgutil
 
 import pytest
 
-import shale_adsorb
 from shale_adsorb import dataset, validation
 from shale_adsorb.dataset import SampleTable, parse_samples
 from shale_adsorb.estimator import estimate_adsorbed_gas, estimate_reservoirs, parse_reservoirs, reference_models
 from shale_adsorb.geotemp import parse_heatflow
 from shale_adsorb.regression import FittedModel, ModelKind, ModelSpec, fit, fit_systems
 from shale_adsorb.validation import Scenario, compare_models
-from conftest import make_record, reservoir_table, synthetic_records, table
-
-MODULES = [importlib.import_module(f"shale_adsorb.{module.name}")
-           for module in pkgutil.iter_modules(shale_adsorb.__path__)]
+from conftest import MODULES, make_record, reservoir_table, synthetic_records, table
 
 SAMPLES = ("id,reservoir,toc_pct,ro_pct,temp_c,porosity_pct,pl_mpa,vl_m3t\n"
            "s1,Barnett,4.0,1.5,48,,5.0,2.0\ns2,Barnett,x,1.5,48,,5.0,2.0\ns3,Barnett,4.0,1.5,48,,5.0,2.0\n")

@@ -1,3 +1,4 @@
+import csv
 import math
 import re
 
@@ -19,7 +20,7 @@ from shale_adsorb.geotemp import (
     interpolate_grid,
     parse_heatflow,
 )
-from shale_adsorb.dataset import SampleParseError, elementwise, write_csv
+from shale_adsorb.dataset import SampleParseError, elementwise, plain_csv_numbers, write_csv
 from conftest import csv_texts, seeded_csv
 from helpers import haversine_m, naive_idw, naive_parse_heatflow
 
@@ -631,6 +632,70 @@ def test_a_cell_moved_to_the_row_before_fails_the_long_row():
     text = "lon_deg,lat_deg,section_depth_m,gradt_c_per_km\n104.5,29.1,1200,26.4,27.0\n29.1,1200,26.4\n"
     assert _parse_outcome(parse_heatflow, text) == _parse_outcome(naive_parse_heatflow, text) == (
         SampleParseError, "row 2, column gradt_c_per_km: expected 4 heat-flow fields, got 5", 2, "gradt_c_per_km")
+
+
+_HEADER = ",".join(HEATFLOW_CSV_COLUMNS) + "\n"
+_ROW = "104.5,29.1,1200,26.4\n"
+
+# Texts where NumPy's C reader and csv.reader + float part ways: the plain
+# path must read them as the per-row parser does, or hand them to it.
+READER_EDGES = {
+    "comment row": _HEADER + "#104.5,29.1,1200,26.4\n" + _ROW,
+    "comment cell": _HEADER + "104.5,29.1,1200,26.4 #x\n",
+    "blank lines": _HEADER + "\n" + _ROW + "\n\n" + _ROW,
+    "whitespace-only lines": _HEADER + " \n" + _ROW + "\t\n\xa0\n" + _ROW + "\x0c",
+    "one data row": _HEADER + _ROW,
+    "one data row, no final newline": _HEADER + _ROW.rstrip("\n"),
+    "header only": _HEADER,
+    "header only, no final newline": _HEADER.rstrip("\n"),
+    "header and blank lines": _HEADER + "\n \n\n",
+    "3 columns": _HEADER + "104.5,29.1,1200\n103.1,27.5,1086\n",
+    "5 columns": _HEADER + "104.5,29.1,1200,26.4,1\n103.1,27.5,1086,16.66,2\n",
+    "1e999": _HEADER + _ROW + "104.5,29.1,1e999,26.4\n",
+    "NBSP padding": _HEADER + "\xa0104.5\xa0,29.1,1200,26.4\n",
+    "separator padding": _HEADER + "\x1c104.5\x1f,29.1,1200,26.4\n",
+    "separator padding, later bad row": _HEADER + "\x1c104.5,29.1,1200,26.4\n" + "104.5,north,1200,26.4\n",
+    "Arabic-Indic digit": _HEADER + "١,29.1,1200,26.4\n",
+    "digit grouping": _HEADER + _ROW + "104.5,29.1,1_0,26.4\n",
+    "cell over the field size limit": _HEADER + "104.5" + "0" * csv.field_size_limit() + ",29.1,1200,26.4\n",
+}
+
+
+@pytest.mark.parametrize("name", READER_EDGES)
+def test_parse_heatflow_at_the_readers_edges_equals_the_per_row_parser(name):
+    text = READER_EDGES[name]
+    assert _parse_outcome(parse_heatflow, text) == _parse_outcome(naive_parse_heatflow, text)
+
+
+def test_a_non_ascii_digit_reads_as_float_reads_it():
+    # NumPy's reader refuses it, so the per-row parser reads the text
+    assert parse_heatflow(READER_EDGES["Arabic-Indic digit"]).lon.tolist() == [1.0]
+
+
+def _cells_corpus(rng):
+    """Number cells of every form a heat-flow CSV may hold: ``repr`` over the whole float64 range and short forms."""
+    bits = rng.integers(0, 2 ** 64, 20_000, dtype=np.uint64, endpoint=False).view(np.float64)
+    subnormals = rng.integers(1, 2 ** 52, 2_000, dtype=np.uint64).view(np.float64)
+    values = np.concatenate([bits[np.isfinite(bits)], subnormals, -subnormals, [0.0, -0.0, 5e-324, 2.0 ** -1022]])
+    short = ["104.5", "1.", ".5", "-.5", "+1", "1e5", "1E-5", "007", "0.000", "-0", "123456789012345678901234567890",
+             "1e999", "-1e-999", "nan", "NaN", "-nan", "+NAN", "inf", "-Inf", "+INF", "Infinity", "-infinity",
+             "iNfInItY"]
+    cells = [*map(repr, values.tolist()), *short]
+    padding = [" ", "\t", "\x0b", "\x0c", "  \t"]
+    return [padding[i % 5] * (i % 2) + cell + padding[-i % 5] * (i % 3 > 0) for i, cell in enumerate(cells)]
+
+
+def test_host_loadtxt_reads_as_float():
+    # dataset.plain_csv_numbers rests on NumPy's C text reader reading each
+    # cell with PyOS_string_to_double, the function float calls, stripped of
+    # the ASCII whitespace float strips; a NumPy that parses its own way
+    # (a faster strtod, another rounding) fails here, byte for byte.
+    cells = _cells_corpus(np.random.default_rng(34))
+    [read] = plain_csv_numbers("x\n" + "\n".join(cells), ["x"])
+    assert read.tobytes() == np.fromiter(map(float, cells), float, len(cells)).tobytes()
+    for cell in ["0x1p3", "1d3", "1e", "", " ", "1_0", "١"]:
+        with pytest.raises(ValueError):
+            plain_csv_numbers(f"x,y\n1,{cell}\n", ["x", "y"])
 
 
 @settings(max_examples=300, deadline=None, database=None)
