@@ -447,11 +447,25 @@ def _plain_csv_body(source: str | Iterable[str], columns: Sequence[str]) -> str:
     if not isinstance(source, str) or '"' in source or "\r" in source or "\0" in source:
         raise ValueError("not a plain CSV text")
     header, _, body = source.partition("\n")
-    limit = csv.field_size_limit()
     if (tuple(map(str.strip, header.split(","))) != tuple(columns) or not body or body.isspace()
-            or len(source) > limit and max(map(len, source.split("\n"))) > limit):
+            or _has_line_longer_than(source, csv.field_size_limit())):
         raise ValueError("not a plain CSV text")
     return body
+
+
+def _has_line_longer_than(text: str, limit: int) -> bool:
+    """Whether a line of ``text``, without its line feed, has more than ``limit`` characters.
+
+    Each step moves past the last line feed among the next ``limit`` + 1
+    characters; none there is a longer line. No list of lines is built.
+    """
+    pos = 0
+    while len(text) - pos > limit:
+        end = text.rfind("\n", pos, pos + limit + 1)
+        if end < 0:
+            return True
+        pos = end + 1
+    return False
 
 
 def plain_csv_columns(source: str | Iterable[str], columns: Sequence[str]) -> list[list[str]]:

@@ -315,17 +315,37 @@ def solve_normal_equations(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def ols_fit(system: DesignSystem) -> np.ndarray:
-    """Least-squares coefficients of one system: X'X w = X'y by :func:`fit_systems`, X'X never inverted."""
-    return fit_systems([(system.x, system.y)])[0]
+    """Least-squares coefficients of one system: X'X w = X'y by :func:`fit_stack`, X'X never inverted."""
+    return fit_stack(system.x[None], system.y[None])[0]
+
+
+def fit_stack(rows: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Least-squares coefficients of a stack of equal-sized systems, shapes (F, m, n) and (F, m) to (F, n).
+
+    The normal equations of all F systems are two stacked matmuls,
+    ``rows.mT @ rows`` and ``rows.mT @ y``: NumPy runs, per item, the syrk
+    that ``rows[f].T @ rows[f]`` and the gemv that ``rows[f].T @ y[f]``
+    run on one contiguous system, so each Gram and moment is bit-identical
+    to its own (a host fact that ``tests/test_regression.py`` checks). One
+    :func:`solve_normal_equations` call then solves them all, each as it
+    would alone. Fewer rows than coefficients raises
+    :class:`SingularSystemError` with ``system`` 0, and so does the first
+    singular system, with ``system`` set to its position.
+    """
+    _, m, n = rows.shape
+    if m < n:
+        raise SingularSystemError(f"fewer records ({m}) than coefficients ({n})", system=0)
+    return solve_normal_equations(rows.mT @ rows, (rows.mT @ y[..., None])[..., 0])
 
 
 def fit_systems(systems: Iterable[tuple[np.ndarray, ...]]) -> np.ndarray:
     """Least-squares coefficients of each of one or more ``(rows, y)`` systems, shape (F, n).
 
-    The one place the normal equations are built: ``rows.T @ rows`` (one
-    syrk, which a stacked matmul or a transposed copy would not reproduce)
-    and ``rows.T @ y``, as each system is taken, so a producer may update
-    one buffer between systems. A system may be ``(rows, y, wide)``, where
+    The leave-one-out solver: its folds share one rolling buffer, so each
+    system's normal equations are built as it is taken, ``rows.T @ rows``
+    (one syrk; gemm on a transposed copy rounds differently) and
+    ``rows.T @ y``, and a producer may update the buffer between systems.
+    A system may be ``(rows, y, wide)``, where
     ``wide`` is a contiguous copy of ``rows`` followed by zero columns; its
     Gram is then the leading n×n block of ``wide.T @ wide``. For n = 3 and
     one zero column that block is bit-identical to ``rows.T @ rows`` on

@@ -27,11 +27,18 @@ from .regression import (
     ModelSpec,
     SingularSystemError,
     build_design,
+    fit_stack,
     fit_systems,
     predict_rows,
 )
 
 DEFAULT_CI_LEVEL = 0.90
+
+#: Regressor floats of the training rows that one block of comparison
+#: repetitions gathers at once: 2**17 float64, 1 MiB, plus one response per
+#: row. A block is at least one repetition; 200 repetitions of 120
+#: three-column rows fit in one.
+BLOCK_FLOATS = 2 ** 17
 
 # SciPy major.minor versions on which the capsule's ``t_ppf`` was checked ``==`` the public ``stdtrit``.
 _T_PPF_CHECKED_SCIPY = ("1.17",)
@@ -423,6 +430,13 @@ def mean_abs_relative_error_pct(model: FittedModel, samples: SampleTable) -> flo
     return _mean_abs_relative_errors_pct(actual, predict_rows(spec, x, np.array(model.coefficients))).item()
 
 
+def _true_columns(mask: np.ndarray, per_row: int) -> np.ndarray:
+    """The column of each True entry of a 2-D mask with ``per_row`` of them in every row, shape (rows, per_row)."""
+    columns = np.flatnonzero(mask)
+    columns %= mask.shape[1]
+    return columns.reshape(len(mask), per_row)
+
+
 def compare_models(
     samples: SampleTable,
     specs: Sequence[ModelSpec],
@@ -443,8 +457,9 @@ def compare_models(
     of its own kind, since the rows name specs by kind.
 
     Each spec's design is built once. Its fits over all repetitions are one
-    :func:`~shale_adsorb.regression.fit_systems` call on a copy of each
-    training set, and its test predictions one ``vecdot``; every number
+    :func:`~shale_adsorb.regression.fit_stack` call on the gathered
+    training rows of each block of repetitions (at most ``BLOCK_FLOATS``
+    floats), and its test predictions one ``vecdot``; every number
     equals a separate ``fit`` and per-record scoring of that split. A
     singular training system raises :class:`SingularSystemError` naming
     the first repetition and spec that hit one. ``repetitions`` and ``seed``
@@ -464,7 +479,9 @@ def compare_models(
 
     pool, n_test = _split_pool(samples, scenario, test_fraction)
     test = _test_masks(len(samples), pool, n_test, seed, repetitions)
-    test_rows = np.nonzero(test)[1].reshape(repetitions, n_test)
+    test_rows = _true_columns(test, n_test)
+    n_train = len(samples) - n_test
+    train_rows = _true_columns(~test, n_train)
 
     errors_by_spec: list[np.ndarray] = []
     failures = []
@@ -472,14 +489,18 @@ def compare_models(
         system = build_design(samples, spec)
         # read after the design, so that a sample missing a regressor is reported first
         actual = spec.dependent_values(samples)[test_rows]
+        step = max(1, BLOCK_FLOATS // max(1, n_train * spec.n_coefficients))
+        w = np.empty((repetitions, spec.n_coefficients))
         try:
-            w = fit_systems((system.x.compress(train, axis=0), system.y[train]) for train in ~test)
+            for start in range(0, repetitions, step):
+                block = train_rows[start:start + step]
+                w[start:start + step] = fit_stack(system.x.take(block, axis=0), system.y.take(block))
         except SingularSystemError as exc:
-            failures.append((exc.system, position, exc))
+            failures.append((start + exc.system, position, exc))
             continue
         # the first repetition with a non-finite coefficient fails as its fitted model does
         for coefficients in w[~np.isfinite(w).all(axis=1)][:1]:
-            FittedModel(spec, tuple(coefficients.tolist()), len(samples) - n_test)
+            FittedModel(spec, tuple(coefficients.tolist()), n_train)
         errors_by_spec.append(_mean_abs_relative_errors_pct(
             actual, predict_rows(spec, system.x[test_rows], w[:, None, :])))
     if failures:
@@ -490,7 +511,8 @@ def compare_models(
         ) from exc
 
     models = [spec.kind.value for spec in specs]
-    labels = [scenario.row_label(rep + 1) for rep in range(repetitions) for _ in specs] + ["Average"] * len(specs)
+    prefix = _SCENARIO_POOLS[scenario][2]  # Scenario.row_label's, looked up once
+    labels = [f"{prefix}{rep}" for rep in range(1, repetitions + 1) for _ in specs] + ["Average"] * len(specs)
     # reduce adds left to right; the builtin sum() compensates on Python >= 3.12.
     averages = [reduce(operator.add, errors) / len(errors) for errors in errors_by_spec]
     return ComparisonTable(labels, models * (repetitions + 1), np.append(np.stack(errors_by_spec, axis=1), averages))

@@ -74,6 +74,8 @@ def probe() -> dict[str, str | bool]:
     x700 = rng.normal(size=(700, 4)) * [1.0, 1e3, 1e-3, 7.0]
     x1500 = rng.normal(size=(1500, 3)) * [1.0, 1e2, 1e-2]
     wide = np.pad(x1500, ((0, 0), (0, 1)))
+    stacked = np.random.default_rng(35)  # its own generator, so that the draws below stay as they were
+    stack, ys = stacked.normal(size=(5, 700, 3)) * [1.0, 1e2, 1e-2], stacked.normal(size=(5, 700))
     results: dict[str, str | bool] = {
         "np.dot of 3-vectors equals the FMA chain": all(
             float(np.dot(row, w)) == fma(row[2], w[2], fma(row[1], w[1], row[0] * w[0])) for row in rows.tolist()),
@@ -82,6 +84,9 @@ def probe() -> dict[str, str | bool]:
                                                                               x700.T.copy() @ x700)),
         "padded syrk block of 1500x3 equals its 3-column syrk": bool(np.array_equal((wide.T @ wide)[:3, :3],
                                                                                     x1500.T @ x1500)),
+        "stacked matmul of 5x700x3 equals per-system syrk and gemv": bool(
+            np.array_equal(stack.mT @ stack, [x.T @ x for x in stack])
+            and np.array_equal((stack.mT @ ys[..., None])[..., 0], [x.T @ y for x, y in zip(stack, ys)])),
     }
     args = rng.uniform(0.05, 0.95, 8)
     for name, (_, call, _) in KERNEL_CASES.items():

@@ -259,6 +259,52 @@ def test_parse_samples_of_any_text_equals_the_per_row_parser(text):
     assert _samples_outcome(parse_samples, text) == _samples_outcome(naive_parse_samples, text)
 
 
+def _split_and_max_over(text, limit):
+    """The line-length check by a list of lines, the oracle of ``dataset._has_line_longer_than``."""
+    return max(map(len, text.split("\n"))) > limit
+
+
+_LIMIT = 16
+
+
+def _line_length_texts():
+    """Texts of lines of ``_LIMIT`` - 1, ``_LIMIT`` and ``_LIMIT`` + 1 characters at the start, middle and end."""
+    for length in (_LIMIT - 1, _LIMIT, _LIMIT + 1):
+        for at in range(3):
+            lines = ["ab,c"] * 3
+            lines[at] = "x" * length
+            for end in ("\n", ""):
+                yield f"{length}-at-{at}{'-no-final-newline' * (not end)}", "\n".join(lines) + end
+    yield "empty", ""
+    yield "blank-lines", "\n" * (4 * _LIMIT)
+    yield "many-short-lines", "abcde\n" * 40
+    yield "limit-then-over", "x" * _LIMIT + "\n" + "y" * (_LIMIT + 1)
+    yield "limit-lines-back-to-back", ("x" * _LIMIT + "\n") * 5
+
+
+@pytest.mark.parametrize("text", [text for _, text in _line_length_texts()],
+                         ids=[name for name, _ in _line_length_texts()])
+def test_line_length_check_equals_split_and_max(text):
+    assert dataset._has_line_longer_than(text, _LIMIT) == _split_and_max_over(text, _LIMIT)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(text=st.text(alphabet="ab\n", max_size=120), limit=st.integers(0, 24))
+def test_line_length_check_of_any_text_equals_split_and_max(text, limit):
+    assert dataset._has_line_longer_than(text, limit) == _split_and_max_over(text, limit)
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_plain_check_takes_a_line_of_the_field_size_limit_and_no_longer(extra):
+    line = "x" * (csv.field_size_limit() + extra)
+    for text in (f"{HEADER}\n{line}", f"{HEADER}\ns1\n{line}\ns2\n"):
+        if extra:
+            with pytest.raises(ValueError, match="not a plain CSV text"):
+                dataset._plain_csv_body(text, SAMPLES_CSV_COLUMNS)
+        else:
+            assert dataset._plain_csv_body(text, SAMPLES_CSV_COLUMNS) == text.partition("\n")[2]
+
+
 class TestReadCsvTable:
     def test_oversized_cell_names_row_and_kind(self):
         text = f"{HEADER}\ns1,Barnett,4.0,1.5,48,,5.0,2.0\n{'x' * 200_000},Barnett,4.0,1.5,48,,5.0,2.0\n"

@@ -14,7 +14,7 @@ from shale_adsorb import dataset, validation
 from shale_adsorb.dataset import SampleTable, parse_samples
 from shale_adsorb.estimator import estimate_adsorbed_gas, estimate_reservoirs, parse_reservoirs, reference_models
 from shale_adsorb.geotemp import parse_heatflow
-from shale_adsorb.regression import FittedModel, ModelKind, ModelSpec, fit, fit_systems
+from shale_adsorb.regression import FittedModel, ModelKind, ModelSpec, fit, fit_stack
 from shale_adsorb.validation import Scenario, compare_models
 from conftest import MODULES, make_record, reservoir_table, synthetic_records, table
 
@@ -38,12 +38,12 @@ def _samples_missing_ro(n, bad):
 
 
 def _compare_with_inf_coefficient(monkeypatch):
-    def fit_with_inf(systems):
-        w = fit_systems(systems)
+    def fit_with_inf(rows, y):
+        w = fit_stack(rows, y)
         w[2, 1] = math.inf  # repetition 3
         return w
 
-    monkeypatch.setattr(validation, "fit_systems", fit_with_inf)
+    monkeypatch.setattr(validation, "fit_stack", fit_with_inf)
     compare_models(synthetic_records(n=30, seed=13), [ModelSpec(ModelKind.VL_GEO), ModelSpec(ModelKind.VL_TOCLIN)],
                    Scenario.OVERALL, 0.2, repetitions=5, seed=7)
 

@@ -14,6 +14,7 @@ from shale_adsorb.regression import (
     SingularSystemError,
     build_design,
     fit,
+    fit_stack,
     fit_systems,
     model_from_text,
     model_to_text,
@@ -297,11 +298,34 @@ class TestStackedSolve:
         assert raised.value.system == 1
 
 
+class TestFitStack:
+    def test_equals_the_solve_of_each_systems_own_normal_equations(self):
+        rng = np.random.default_rng(35)
+        for m, p in [(3, 3), (28, 2), (113, 3), (700, 3), (1500, 2)]:
+            systems = [_random_design(rng, m, p) for _ in range(5)]
+            w = fit_stack(np.array([x for x, _ in systems]), np.array([y for _, y in systems]))
+            assert w.shape == (5, p)
+            for (x, y), coefficients in zip(systems, w):
+                assert np.array_equal(coefficients, naive_pivot_solve(x.T @ x, x.T @ y))
+
+    def test_fewer_rows_than_coefficients_is_system_zero(self):
+        with pytest.raises(SingularSystemError, match=r"fewer records \(2\) than coefficients \(3\)") as raised:
+            fit_stack(np.ones((4, 2, 3)), np.ones((4, 2)))
+        assert raised.value.system == 0
+
+    def test_first_singular_system_is_reported(self):
+        x, y = _random_design(np.random.default_rng(3), 10, 2)
+        constant = np.column_stack([np.ones(10), np.full(10, 4.0)])
+        with pytest.raises(SingularSystemError, match="singular") as raised:
+            fit_stack(np.array([x, x, constant, constant]), np.array([y] * 4))
+        assert raised.value.system == 2
+
+
 class TestLeaveOneOutBuffer:
     """The rolling fold buffer gives every fold the fit of its own copy of the training rows."""
 
     @pytest.mark.parametrize("p", [2, 3])
-    @pytest.mark.parametrize("m", [48, 700, 1500])  # a stacked matmul stops matching at m = 700
+    @pytest.mark.parametrize("m", [48, 700, 1500])
     def test_equals_ols_fit_of_each_fold(self, m, p):
         x, y = _random_design(np.random.default_rng(m + p), m, p)
         design = x.copy(), y.copy()
@@ -330,6 +354,21 @@ def test_host_padded_syrk_leading_block_equals_the_narrow_syrk():
         assert np.array_equal((wide.T @ wide)[:3, :3], x.T @ x), (
             f"host BLAS fact fails at m = {m}: the leading 3x3 block of the syrk of the rows plus one "
             "zero column is not bit-identical to the 3-column syrk")
+
+
+def test_host_stacked_matmul_equals_per_system_syrk_and_gemv():
+    # Each comparison repetition's Gram and moment are one item of a stacked
+    # matmul over the gathered training rows (regression.fit_stack).
+    for m in [*range(1, 401), 511, 512, 513, 700, 1000, 1023, 1024, 1500, 3000, 9000]:
+        for p in range(1, 5):
+            rng = np.random.default_rng(m * 10 + p)
+            rows = rng.normal(size=(int(rng.integers(3, 8)), m, p)) * np.exp(rng.uniform(-3.0, 3.0, p))
+            y = rng.normal(size=rows.shape[:2])
+            grams, moments = rows.mT @ rows, (rows.mT @ y[..., None])[..., 0]
+            for f, (x, ys) in enumerate(zip(rows.copy(), y.copy())):
+                assert np.array_equal(grams[f], x.T @ x) and np.array_equal(moments[f], x.T @ ys), (
+                    f"host BLAS fact fails at m = {m}, p = {p}, system {f}: a stacked matmul's Gram or moment "
+                    "is not bit-identical to the syrk or gemv of the system alone")
 
 
 #: Arguments where libm and NumPy's own loops meet their edges: zeros, one,

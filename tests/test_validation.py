@@ -15,7 +15,7 @@ from shale_adsorb import validation
 from shale_adsorb.dataset import DatasetKind, clean, integrate_replicates, parse_samples
 from shale_adsorb.outliers import detect_outliers
 from shale_adsorb.regression import (FittedModel, ModelKind, ModelSpec, SingularSystemError, build_design, fit,
-                                    fit_systems)
+                                    fit_stack)
 from shale_adsorb.validation import (
     Scenario,
     compare_models,
@@ -459,14 +459,14 @@ class TestCompareModels:
         records = synthetic_records(n=30, seed=13)
         stacks = []
 
-        def fit_with_inf(systems):
-            w = fit_systems(systems)
+        def fit_with_inf(rows, y):
+            w = fit_stack(rows, y)
             w[2, 1] = math.inf  # repetition 3
             w[4, 0] = math.nan
             stacks.append(w)
             return w
 
-        monkeypatch.setattr(validation, "fit_systems", fit_with_inf)
+        monkeypatch.setattr(validation, "fit_stack", fit_with_inf)
         with pytest.raises(ValueError) as raised:
             compare_models(records, [VL_SPEC, TOCLIN], Scenario.OVERALL, 0.2, repetitions=5, seed=7)
         with pytest.raises(ValueError) as per_repetition:
@@ -475,6 +475,46 @@ class TestCompareModels:
         assert str(raised.value) == str(per_repetition.value)
         assert "inf" in str(raised.value) and "nan" not in str(raised.value)
         assert len(stacks) == 1
+
+    # 30 records, 6 held out: a block of 216 floats holds 3 repetitions of a
+    # three-coefficient spec and 4 of a two-coefficient one, a block of 1 float one.
+    @pytest.mark.parametrize("block_floats", [1, 216, validation.BLOCK_FLOATS])
+    @pytest.mark.parametrize("repetitions", [1, 3, 4, 5, 8, 9])
+    def test_blocks_of_repetitions_equal_the_per_record_path(self, monkeypatch, block_floats, repetitions):
+        records = synthetic_records(n=30, seed=21, vl_noise=0.1)
+        args = ([ModelSpec(ModelKind.VL_TOCPOW), VL_SPEC, TOCLIN], Scenario.HIGH_T, 0.2, repetitions, 35)
+        expected = naive_compare(sample_rows(records), *args)
+        monkeypatch.setattr(validation, "BLOCK_FLOATS", block_floats)
+        assert _rows(compare_models(records, *args)) == expected
+
+    @pytest.mark.parametrize("block_floats", [1, validation.BLOCK_FLOATS])
+    def test_fewer_training_rows_than_coefficients_fails_the_first_repetition(self, monkeypatch, block_floats):
+        records = [make_record(i, toc=2.0 + 0.3 * i, temp=40.0 + 3 * i, vl=1.5 + 0.1 * i) for i in range(5)]
+        args = ([TOCLIN, VL_SPEC], Scenario.OVERALL, 0.6, 4, 3)  # 3 held out, 2 training rows
+        with pytest.raises(SingularSystemError) as oracle:
+            naive_compare(records, *args)
+        monkeypatch.setattr(validation, "BLOCK_FLOATS", block_floats)
+        with pytest.raises(SingularSystemError, match=r"repetition 1: vl-geo .*fewer records \(2\)") as raised:
+            compare_models(table(records), *args)
+        assert str(oracle.value) in str(raised.value)
+        assert raised.value.system == 0
+
+    @pytest.mark.parametrize("block_floats", [1, 54, validation.BLOCK_FLOATS])
+    def test_singular_repetition_of_the_second_spec_in_a_later_block(self, monkeypatch, block_floats):
+        # Holding out r1 leaves a constant temperature: vl-geo is singular, vl-toclin is not.
+        # 9 training rows: a block of 54 floats holds 2 vl-geo repetitions and 3 vl-toclin ones.
+        records = [make_record(i, toc=2.0 + 0.1 * i, temp=60.0 if i == 1 else 50.0, vl=1.5 + 0.1 * i)
+                   for i in range(10)]
+        rep = next(r for r in range(1, 50) if naive_split(records, Scenario.OVERALL, 0.1, [8, r])[1][0].id == "r1")
+        assert rep > 2
+        args = ([TOCLIN, VL_SPEC], Scenario.OVERALL, 0.1, rep + 3, 8)
+        with pytest.raises(SingularSystemError) as oracle:
+            naive_compare(records, *args)
+        monkeypatch.setattr(validation, "BLOCK_FLOATS", block_floats)
+        with pytest.raises(SingularSystemError, match=f"repetition {rep}: vl-geo training system") as raised:
+            compare_models(table(records), *args)
+        assert str(oracle.value) in str(raised.value)
+        assert raised.value.system == rep - 1
 
 
 _SPEC_SETS = {
