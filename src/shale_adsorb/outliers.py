@@ -99,12 +99,36 @@ class _JoinedCells:
         return [";".join(map(self.text, cells)) for cells in self.matrix[rows].tolist()]
 
 
+def _linear_quantiles(ordered: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The quantiles ``q`` of the ascending float64 array ``ordered``, ``==`` ``np.quantile``'s ``linear`` method.
+
+    Hyndman and Fan's (1996) type 7, by NumPy's own steps: the virtual index
+    ``(n - 1) * q``, its floor and the next index, both -1 from ``n - 1`` on,
+    ``gamma`` the virtual index less the lower one, and NumPy's ``_lerp``,
+    which interpolates from the upper value where ``gamma >= 0.5``. A NaN
+    (sorted last) makes every quantile NaN. The bits are NumPy's, but for
+    the sign of a zero: ``np.sort`` and NumPy's partition may leave ``-0.0``
+    and ``0.0`` in either order. ``np.quantile`` itself is not called: its
+    ``np.unique`` imports ``numpy.ma`` on a process's first call.
+    """
+    n = len(ordered)
+    if np.isnan(ordered[-1]):
+        return np.full(len(q), ordered[-1])
+    virtual = (n - 1) * q
+    below = np.floor(virtual).astype(np.intp)
+    above = below + 1
+    last = virtual >= n - 1
+    below[last] = above[last] = -1
+    a, b, gamma = ordered[below], ordered[above], virtual - below
+    return np.where(gamma >= 0.5, b - (b - a) * (1 - gamma), a + (b - a) * gamma)
+
+
 def quartiles(values: Sequence[float]) -> tuple[float, float]:
     """Lower and upper quartile by linear interpolation at positions p*(n-1)."""
     if len(values) < 2:
         raise ValueError("need at least two values for quartiles")
-    q1, q3 = np.percentile(np.asarray(values, dtype=float), [25.0, 75.0])
-    return float(q1), float(q3)
+    q1, q3 = _linear_quantiles(np.sort(np.asarray(values, dtype=float)), np.array([0.25, 0.75])).tolist()
+    return q1, q3
 
 
 def compute_weights(samples: SampleTable, variables: Sequence[str]) -> DistanceWeights:
@@ -205,7 +229,7 @@ def _cells(columns: list[tuple[float, np.ndarray]], k: int) -> Iterator[tuple[np
         return
     cell = np.zeros(n, dtype=np.intp)
     for _, col in columns:
-        cell = cell * g + np.searchsorted(np.quantile(col, np.arange(1, g) / g), col, side="right")
+        cell = cell * g + np.searchsorted(_linear_quantiles(np.sort(col), np.arange(1, g) / g), col, side="right")
     order = np.argsort(cell, kind="stable")
     starts = np.flatnonzero(np.diff(cell[order], prepend=-1))
     ranges = [

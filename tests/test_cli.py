@@ -887,9 +887,37 @@ def test_heatflow_errors_name_the_first_bad_row(rows, stderr, tmp_path, capsys):
     assert _run(argv, capsys) == ((0 if stderr.startswith("idw:") else 1), stderr)
 
 
-def test_importing_the_cli_leaves_scipy_unloaded():
-    # Only validate's confidence interval needs SciPy; it is imported there.
-    code = "import shale_adsorb.cli, sys; assert 'scipy' not in sys.modules"
+def test_importing_the_cli_leaves_scipy_numpy_ma_and_statistics_unloaded():
+    # Each is a cost of a fresh process that not every subcommand needs: scipy serves validate's confidence
+    # interval alone and statistics (NormalDist) its Q-Q quantiles, so validate imports them; numpy.ma comes
+    # only from np.quantile/np.percentile, which the package does not call.
+    code = "import shale_adsorb.cli, sys; assert not {'scipy', 'numpy.ma', 'statistics'} & sys.modules.keys()"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    # samples_paper.csv's 279 kept vl rows cut the K-NN grid into several cells
+    ["clean", "--input", "data/samples_paper.csv", "--kind", "vl"],
+    ["outliers", "--input", "data/samples_paper.csv", "--kind", "vl"],
+    ["validate", "--input", "data/samples_paper.csv", "--kind", "vl"],
+    ["fit", "--input", "data/samples_paper.csv", "--kind", "vl"],
+    ["compare", "--input", "data/samples_paper.csv", "--kind", "vl"],
+    ["estimate", "--input", "data/reservoirs.conf", "--paper-coefficients"],
+    ["idw", "--input", "data/heatflow.csv", "--grid", "100", "110", "25", "35", "20", "20"],
+    ["idw", "--input", "data/heatflow.csv", "--query", "105", "30"],
+], ids=["clean", "outliers", "validate", "fit", "compare", "estimate", "idw-grid", "idw-query"])
+def test_no_subcommand_imports_numpy_ma_and_only_validate_imports_statistics(argv, tmp_path, data_dir):
+    # The quartiles and the grid's cut points are the package's own, as np.quantile's first call imports numpy.ma;
+    # statistics (NormalDist) serves validate's Q-Q quantiles alone.
+    argv = [str(data_dir.parent / arg) if arg.startswith("data/") else arg for arg in argv]
+    code = "\n".join([
+        "import sys",
+        "from shale_adsorb import cli",
+        f"assert cli.main({[*argv, '--output-dir', str(tmp_path)]!r}) == 0",
+        "assert 'numpy.ma' not in sys.modules",
+        f"assert ('statistics' in sys.modules) == {argv[0] == 'validate'}",
+    ])
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
 

@@ -44,6 +44,63 @@ class TestQuartiles:
             quartiles([1.0])
 
 
+def _numpy_linear_quantiles(values, q):
+    """``np.quantile`` (linear) at ``q`` and ``np.percentile`` (linear) at the quartiles, NumPy's warnings off."""
+    with np.errstate(all="ignore"):
+        return np.quantile(values, q, method="linear"), np.percentile(values, [25.0, 75.0], method="linear")
+
+
+def _own_linear_quantiles(values, q):
+    """``outliers._linear_quantiles`` at ``q`` and at the quartiles, on the sorted values, with NumPy's warnings off."""
+    ordered = np.sort(np.asarray(values, dtype=float))
+    with np.errstate(all="ignore"):
+        return outliers._linear_quantiles(ordered, q), outliers._linear_quantiles(ordered, np.array([0.25, 0.75]))
+
+
+def _assert_linear_quantiles_equal_numpy(values, q):
+    # If a NumPy release changes its linear method, this is the test that says so.
+    for own, numpy in zip(_own_linear_quantiles(values, q), _numpy_linear_quantiles(values, q)):
+        assert np.array_equal(own, numpy, equal_nan=True), (values, q, own, numpy)
+
+
+_QUANTILE_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),  # subnormals included
+    st.floats(1e299, 1.7e308), st.floats(-1.7e308, -1e299),  # differences that overflow
+    st.floats(-2.0 ** -1022, 2.0 ** -1022),  # subnormals and zeros of either sign
+    st.sampled_from([0.0, 1.0, 2.5]),  # ties
+)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(values=st.lists(_QUANTILE_VALUES, min_size=2, max_size=400), g=st.integers(2, 40))
+def test_linear_quantiles_equal_numpy(values, g):
+    _assert_linear_quantiles_equal_numpy(values, np.arange(g + 1) / g)
+
+
+@pytest.mark.parametrize("values", [
+    [3.0, 1.0, 3.0, 3.0, 1.0, 2.0, 2.0],
+    [-0.0, 0.0, 0.0, -0.0, 1.0],
+    [0.0, -0.0],
+    [-math.inf, 1.0, 2.0, math.inf],
+    [math.inf, math.inf, 1.0],
+    [-math.inf, -math.inf, -math.inf],
+    [1.0, 2.0, math.nan, 3.0],
+    [math.nan, math.nan],
+], ids=["ties", "signed-zeros", "two-zeros", "both-infinities", "top-infinities", "all-minus-infinity", "nan",
+        "all-nan"])
+@pytest.mark.parametrize("g", [2, 3, 4, 7, 40])
+def test_linear_quantiles_equal_numpy_on_edge_values(values, g):
+    _assert_linear_quantiles_equal_numpy(values, np.arange(g + 1) / g)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_linear_quantiles_equal_numpy_on_random_bit_patterns(seed):
+    rng = np.random.default_rng(seed)
+    values = rng.integers(0, 2 ** 64, size=int(rng.integers(2, 401)), dtype=np.uint64).view(np.float64)
+    g = int(rng.integers(2, 41))
+    _assert_linear_quantiles_equal_numpy(values, np.arange(g + 1) / g)
+
+
 class TestComputeWeights:
     def test_iqr_of_two(self):
         records = [make_record(i, toc=v, temp=48.0) for i, v in enumerate([2.0, 2.0, 4.0, 4.0])]
